@@ -72,7 +72,10 @@ func newSite(id types.SiteID, cl *Cluster, log wal.Log) *Site {
 		cl:    cl,
 		log:   log,
 		store: storage.NewStore(id),
-		locks: lockmgr.New(id),
+		// One shard: the engine is single-threaded, so sharding would only
+		// multiply the per-shard maps a short-lived site allocates and the
+		// mutexes every ReleaseAll visits.
+		locks: lockmgr.NewSharded(id, 1),
 		txns:  make(map[types.TxnID]*txnCtx),
 	}
 }

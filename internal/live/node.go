@@ -16,18 +16,28 @@ import (
 	"qcommit/internal/wal"
 )
 
+// numRoles sizes the per-role tables of a txnCtx.
+const numRoles = int(protocol.RoleElection) + 1
+
 // txnCtx mirrors the engine's per-transaction bookkeeping. The dispatch
 // logic here deliberately parallels internal/engine/site.go: the engine
 // validates behaviour deterministically, this runtime executes the same
-// decisions concurrently.
+// decisions concurrently. A context lives in Node.txns only until the
+// transaction has terminated here and its coordinator-side automata have
+// finished (see reap).
 type txnCtx struct {
 	txn          types.TxnID
 	ws           types.Writeset
 	participants []types.SiteID
 	coordSite    types.SiteID
 
-	auto map[protocol.Role]protocol.Automaton
-	gen  map[protocol.Role]uint32
+	auto [numRoles]protocol.Automaton
+	gen  [numRoles]uint32
+
+	// timers are the host timers armed on this transaction's behalf, fired
+	// ones included; fence stops them once the generations they were armed
+	// under can no longer match.
+	timers []*time.Timer
 
 	// sampled caches whether this transaction carries a recording span, so
 	// unsampled transactions never touch the span recorder's mutex after the
@@ -47,6 +57,33 @@ type txnCtx struct {
 func (c *txnCtx) terminal() bool {
 	return c.outcome == types.OutcomeCommitted || c.outcome == types.OutcomeAborted
 }
+
+// drop uninstalls role's automaton and fences off whatever it armed.
+func (c *txnCtx) drop(role protocol.Role) {
+	c.gen[role]++
+	c.auto[role] = nil
+	if role == protocol.RoleElection && c.elect != nil {
+		c.elect.Stop()
+		c.elect = nil
+	}
+}
+
+// fence drops every role and stops the outstanding timers, which could only
+// fire into that fence.
+func (c *txnCtx) fence() {
+	for role := range c.auto {
+		c.drop(protocol.Role(role))
+	}
+	for _, t := range c.timers {
+		t.Stop()
+	}
+	c.timers = nil
+}
+
+// finisher is implemented by the coordinator-side automata (commit
+// coordinator, termination coordinator): Finished reports that the automaton
+// has done its part and ignores every further message and timer.
+type finisher interface{ Finished() bool }
 
 // Node is one live database site: a goroutine owning the site's durable
 // state and automata. All automaton access happens on the node goroutine.
@@ -108,7 +145,21 @@ type Node struct {
 	met   *nodeMetrics
 	spans *obs.Spans
 
+	// done holds the outcome of every transaction that has terminated here
+	// — all that late StateReq, DecisionReq, Commit and Abort traffic needs
+	// of it. txns holds the ones not yet let go: those in progress, plus the
+	// terminated ones whose coordinator or terminator still has the decision
+	// to distribute (see reap).
+	//
+	// done is not view: view folds the DURABLE log, so it learns an outcome
+	// only when the fsync lands and is read by client goroutines under
+	// viewMu; done is the event loop's own record, written at the decision
+	// and touched by no other goroutine. A StateReq or DecisionReq that
+	// arrives inside that fsync window must already see the decision, and
+	// answering from view would cost every protocol message a mutex. Like
+	// view, done is never pruned (one Outcome per terminated transaction).
 	txns    map[types.TxnID]*txnCtx
+	done    map[types.TxnID]types.Outcome
 	crashed bool
 }
 
@@ -140,6 +191,7 @@ func newNode(id types.SiteID, h host, log wal.Log, lockShards int, o *obs.Observ
 		store: storage.NewStore(id),
 		locks: lockmgr.NewSharded(id, lockShards),
 		txns:  make(map[types.TxnID]*txnCtx),
+		done:  make(map[types.TxnID]types.Outcome),
 		view:  make(map[types.TxnID]types.Outcome),
 	}
 	n.met = newNodeMetrics(o, id)
@@ -198,13 +250,16 @@ func (n *Node) post(ev event) {
 
 func (n *Node) loop(wg *sync.WaitGroup) {
 	defer wg.Done()
+	// The mailbox is double-buffered: the drained batch's array becomes the
+	// next mailbox, so a steady load appends into warm arrays.
+	var spare []event
 	for {
 		n.mboxMu.Lock()
 		for len(n.mbox) == 0 {
 			n.mboxCond.Wait()
 		}
 		batch := n.mbox
-		n.mbox = nil
+		n.mbox = spare
 		n.mboxMu.Unlock()
 		if n.met != nil {
 			n.met.mboxDepth.Set(0)
@@ -225,6 +280,8 @@ func (n *Node) loop(wg *sync.WaitGroup) {
 			}
 			n.finishEvent()
 		}
+		clear(batch) // let go of the handled envelopes and timer events
+		spare = batch[:0]
 	}
 }
 
@@ -299,6 +356,7 @@ func (n *Node) finishEvent() {
 // runs only for AsyncLog-backed nodes.
 func (n *Node) flusher(wg *sync.WaitGroup) {
 	defer wg.Done()
+	var spare []flushJob // double-buffered like the mailbox
 	for {
 		n.flushMu.Lock()
 		for len(n.flushQ) == 0 && !n.flushStop {
@@ -309,7 +367,7 @@ func (n *Node) flusher(wg *sync.WaitGroup) {
 			return
 		}
 		jobs := n.flushQ
-		n.flushQ = nil
+		n.flushQ = spare
 		n.flushMu.Unlock()
 		for _, j := range jobs {
 			var t0 int64
@@ -339,6 +397,8 @@ func (n *Node) flusher(wg *sync.WaitGroup) {
 				n.spans.Finish(uint64(fin.txn), fin.outcome)
 			}
 		}
+		clear(jobs)
+		spare = jobs[:0]
 	}
 }
 
@@ -363,17 +423,16 @@ func (n *Node) onTimer(t *timerEvent) {
 	if a == nil {
 		return
 	}
-	a.OnTimer(t.token, n.env(t.txn, t.role))
+	a.OnTimer(t.token, n.env(c, t.role))
+	n.reap(c)
 }
 
+// ensureCtx returns txn's context, creating it; the caller has ruled out
+// that txn was already let go (it is not in n.done).
 func (n *Node) ensureCtx(txn types.TxnID) *txnCtx {
 	c := n.txns[txn]
 	if c == nil {
-		c = &txnCtx{
-			txn:  txn,
-			auto: make(map[protocol.Role]protocol.Automaton),
-			gen:  make(map[protocol.Role]uint32),
-		}
+		c = &txnCtx{txn: txn}
 		n.txns[txn] = c
 	}
 	return c
@@ -382,7 +441,7 @@ func (n *Node) ensureCtx(txn types.TxnID) *txnCtx {
 func (n *Node) install(c *txnCtx, role protocol.Role, a protocol.Automaton) {
 	c.gen[role]++
 	c.auto[role] = a
-	a.Start(n.env(c.txn, role))
+	a.Start(n.env(c, role))
 }
 
 func (n *Node) dispatch(e msg.Envelope) {
@@ -404,14 +463,8 @@ func (n *Node) dispatch(e msg.Envelope) {
 	case crashMsg:
 		n.crashed = true
 		for _, c := range n.txns {
-			for role := range c.auto {
-				c.gen[role]++
-				delete(c.auto, role)
-			}
-			if c.elect != nil {
-				c.elect.Stop()
-				c.elect = nil
-			}
+			c.fence()
+			n.reap(c)
 		}
 		return
 	case restartMsg:
@@ -451,10 +504,10 @@ func (n *Node) dispatch(e msg.Envelope) {
 		}
 
 	case msg.VoteReq:
-		c := n.ensureCtx(txn)
-		if c.terminal() {
+		if _, ok := n.done[txn]; ok {
 			return
 		}
+		c := n.ensureCtx(txn)
 		if len(c.ws) == 0 {
 			c.ws = m.Writeset.Clone()
 			c.participants = append([]types.SiteID(nil), m.Participants...)
@@ -493,8 +546,8 @@ func (n *Node) dispatch(e msg.Envelope) {
 		c := n.txns[txn]
 		if c == nil || c.auto[protocol.RoleParticipant] == nil {
 			st := types.StateInitial
-			if c != nil && c.terminal() {
-				st = c.outcome.StateEquivalent()
+			if o, ok := n.done[txn]; ok {
+				st = o.StateEquivalent()
 			}
 			n.h.send(n.id, e.From, msg.StateResp{Txn: txn, Epoch: m.Epoch, State: st})
 			return
@@ -505,9 +558,9 @@ func (n *Node) dispatch(e msg.Envelope) {
 		c := n.txns[txn]
 		if c == nil || c.auto[protocol.RoleParticipant] == nil {
 			resp := msg.DecisionResp{Txn: txn, Uncommitted: true}
-			if c != nil && c.terminal() {
+			if o, ok := n.done[txn]; ok {
 				resp.Uncommitted = false
-				if c.outcome == types.OutcomeCommitted {
+				if o == types.OutcomeCommitted {
 					resp.Decision = types.DecisionCommit
 				} else {
 					resp.Decision = types.DecisionAbort
@@ -559,7 +612,8 @@ func (n *Node) dispatch(e msg.Envelope) {
 
 func (n *Node) deliver(c *txnCtx, role protocol.Role, e msg.Envelope) {
 	if a := c.auto[role]; a != nil {
-		a.OnMessage(e.From, e.Msg, n.env(c.txn, role))
+		a.OnMessage(e.From, e.Msg, n.env(c, role))
+		n.reap(c)
 	}
 }
 
@@ -598,7 +652,7 @@ func (n *Node) startElection(c *txnCtx, epoch uint32, campaign bool) {
 	c.gen[protocol.RoleElection]++
 	c.auto[protocol.RoleElection] = f
 	if campaign {
-		f.Start(n.env(c.txn, protocol.RoleElection))
+		f.Start(n.env(c, protocol.RoleElection))
 	}
 }
 
@@ -624,6 +678,17 @@ func (n *Node) recoverVolatile() {
 	recs, _ := n.log.Records()
 	n.walMu.Unlock()
 	for txn, im := range wal.Replay(recs) {
+		if _, ok := n.done[txn]; ok {
+			continue
+		}
+		switch im.State {
+		case types.StateCommitted:
+			n.done[txn] = types.OutcomeCommitted
+			continue
+		case types.StateAborted:
+			n.done[txn] = types.OutcomeAborted
+			continue
+		}
 		c := n.ensureCtx(txn)
 		if len(c.ws) == 0 {
 			c.ws = im.Writeset.Clone()
@@ -633,10 +698,6 @@ func (n *Node) recoverVolatile() {
 		}
 		c.coordSite = im.Coord
 		switch im.State {
-		case types.StateCommitted:
-			c.outcome = types.OutcomeCommitted
-		case types.StateAborted:
-			c.outcome = types.OutcomeAborted
 		case types.StateWait, types.StatePC, types.StatePA:
 			n.lockLocalCopies(txn, c.ws)
 			n.install(c, protocol.RoleParticipant, n.h.spec().NewParticipant(txn, im))
@@ -655,8 +716,7 @@ func (n *Node) doCommit(c *txnCtx) {
 	n.store.ApplyWriteset(c.ws, uint64(c.txn)+1)
 	n.h.noteCommitApplied(n, c)
 	n.locks.ReleaseAll(c.txn)
-	c.outcome = types.OutcomeCommitted
-	n.quiesce(c)
+	n.conclude(c, types.OutcomeCommitted)
 	n.met.onCommit()
 	n.noteDecision(c, "committed")
 	n.notifyOutcome(c.txn)
@@ -671,8 +731,7 @@ func (n *Node) doAbort(c *txnCtx) {
 	}
 	n.append(wal.Record{Type: wal.RecAbort, Txn: c.txn})
 	n.locks.ReleaseAll(c.txn)
-	c.outcome = types.OutcomeAborted
-	n.quiesce(c)
+	n.conclude(c, types.OutcomeAborted)
 	n.met.onAbort()
 	n.noteDecision(c, "aborted")
 	n.notifyOutcome(c.txn)
@@ -699,21 +758,42 @@ func (n *Node) noteDecision(c *txnCtx, outcome string) {
 	n.spans.Finish(uint64(c.txn), outcome)
 }
 
-func (n *Node) quiesce(c *txnCtx) {
-	if c.elect != nil {
-		c.elect.Stop()
-		c.elect = nil
+// conclude records that txn has terminated here with outcome o. The
+// participant and the election have nothing left to do; the rest of the
+// context goes as soon as reap allows.
+func (n *Node) conclude(c *txnCtx, o types.Outcome) {
+	c.outcome = o
+	n.done[c.txn] = o
+	c.drop(protocol.RoleParticipant)
+	c.drop(protocol.RoleElection)
+	n.reap(c)
+}
+
+// reap lets go of a terminated transaction's context — automata, writeset,
+// armed timers — once no coordinator-side automaton still has work: a
+// coordinator whose own participant voted no has yet to read that vote and
+// tell the others, and a terminator that learnt the outcome from a rival has
+// yet to close its round. It runs after every automaton step, so in the
+// common case, where the decision reaches this site after its coordinator
+// sent it, the context goes with the decision.
+func (n *Node) reap(c *txnCtx) {
+	if !c.terminal() {
+		return
 	}
-	c.gen[protocol.RoleParticipant]++
-	delete(c.auto, protocol.RoleParticipant)
-	c.gen[protocol.RoleElection]++
-	delete(c.auto, protocol.RoleElection)
+	for _, role := range [...]protocol.Role{protocol.RoleCoordinator, protocol.RoleTerminator} {
+		if a := c.auto[role]; a != nil {
+			if f, ok := a.(finisher); !ok || !f.Finished() {
+				return
+			}
+		}
+	}
+	c.fence()
+	delete(n.txns, c.txn)
 }
 
 // env builds the protocol.Env bound to (node, txn, role, generation).
-func (n *Node) env(txn types.TxnID, role protocol.Role) *nodeEnv {
-	c := n.ensureCtx(txn)
-	return &nodeEnv{node: n, txn: txn, role: role, gen: c.gen[role]}
+func (n *Node) env(c *txnCtx, role protocol.Role) *nodeEnv {
+	return &nodeEnv{node: n, txn: c.txn, role: role, gen: c.gen[role]}
 }
 
 type nodeEnv struct {
@@ -747,10 +827,14 @@ func (e *nodeEnv) Send(to types.SiteID, m msg.Message) {
 
 func (e *nodeEnv) SetTimer(d sim.Duration, token int) {
 	n := e.node
+	c := n.txns[e.txn]
+	if c == nil || c.gen[e.role] != e.gen {
+		return // let go or fenced during this very call: the expiry could only be dropped
+	}
 	t := &timerEvent{txn: e.txn, role: e.role, gen: e.gen, token: token}
-	time.AfterFunc(time.Duration(d), func() {
+	c.timers = append(c.timers, time.AfterFunc(time.Duration(d), func() {
 		n.post(event{timer: t}) // stop-safe: a stopped node sheds the event
-	})
+	}))
 }
 
 func (e *nodeEnv) Append(rec wal.Record) { e.node.append(rec) }

@@ -37,6 +37,33 @@ func BenchmarkReleaseAllManyItems(b *testing.B) {
 	}
 }
 
+// BenchmarkReleaseAllPopulatedTable is the lock cost of one commit as a
+// long-running site pays it: take two locks and release them, on a table
+// that already carries an idle lock state for every item ever touched.
+// ReleaseAll follows the transaction, not the table, so the three sizes read
+// alike; a release that walks the table again shows as their ratio.
+func BenchmarkReleaseAllPopulatedTable(b *testing.B) {
+	for _, n := range []int{16, 4096, 65536} {
+		b.Run(fmt.Sprintf("items=%d", n), func(b *testing.B) {
+			m := New(1)
+			items := make([]types.ItemID, n)
+			for i := range items {
+				items[i] = types.ItemID(fmt.Sprintf("item%05d", i))
+				_ = m.TryAcquire(0, items[i], Exclusive)
+			}
+			m.ReleaseAll(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				txn := types.TxnID(i + 1)
+				_ = m.TryAcquire(txn, items[(2*i)%n], Exclusive)
+				_ = m.TryAcquire(txn, items[(2*i+1)%n], Exclusive)
+				m.ReleaseAll(txn)
+			}
+		})
+	}
+}
+
 func BenchmarkSharedContention(b *testing.B) {
 	m := New(1)
 	b.RunParallel(func(pb *testing.PB) {

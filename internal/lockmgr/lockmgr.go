@@ -18,6 +18,20 @@
 // edge insertion and the cycle check happen in one critical section of the
 // graph mutex, which serializes the checks exactly as the old single mutex
 // did.
+//
+// Every termination — commit or abort, at every participant — ends in
+// ReleaseAll, so its cost must follow the transaction, not the table. Each
+// shard therefore keeps a per-transaction index next to its lock table.
+// The invariant, which holds whenever the shard mutex is free: txn has an
+// index entry in a shard iff it holds or has a request queued on one of that
+// shard's items; the entry's held list names exactly the lock states whose
+// holders contain txn, once each, in the order they were granted, and its
+// queued list exactly the lock states whose queue carries a request of txn.
+// Every grant, release, enqueue and wake updates table and index in the same
+// critical section of the shard mutex. ReleaseAll, HeldItems and the
+// withdrawal of queued requests read the index and never walk the table;
+// ReleaseAll releases in acquisition order within a shard, shards in index
+// order. The index adds no lock: the order stays shard → graph.
 package lockmgr
 
 import (
@@ -72,17 +86,53 @@ type request struct {
 }
 
 type lockState struct {
+	item    types.ItemID
 	mode    Mode
 	holders map[types.TxnID]int // re-entrancy count
 	queue   []*request
 	since   map[types.TxnID]int64 // grant timestamps (ns); nil unless metrics are on
 }
 
-// shard is one slice of the lock table: its own mutex, its own items.
+// txnLocks is one transaction's footprint in one shard (see the package
+// comment for the invariant).
+type txnLocks struct {
+	held   []*lockState // in grant order
+	queued []*lockState
+	buf    [2]*lockState // held's first backing array: one allocation per entry
+}
+
+// shard is one slice of the lock table: its own mutex, its own items, and
+// the per-transaction index over them.
 type shard struct {
 	idx   int
 	mu    sync.Mutex
 	locks map[types.ItemID]*lockState
+	byTxn map[types.TxnID]*txnLocks
+}
+
+// entryLocked returns txn's index entry, creating it; runs under sh.mu.
+func (sh *shard) entryLocked(txn types.TxnID) *txnLocks {
+	tl := sh.byTxn[txn]
+	if tl != nil {
+		return tl
+	}
+	tl = new(txnLocks)
+	tl.held = tl.buf[:0]
+	if sh.byTxn == nil {
+		sh.byTxn = make(map[types.TxnID]*txnLocks)
+	}
+	sh.byTxn[txn] = tl
+	return tl
+}
+
+// without returns list with its first occurrence of ls removed, order kept.
+func without(list []*lockState, ls *lockState) []*lockState {
+	for i, x := range list {
+		if x == ls {
+			return append(list[:i], list[i+1:]...)
+		}
+	}
+	return list
 }
 
 // Metrics carries the lock manager's observability handles. Wait and Hold
@@ -248,6 +298,50 @@ func (m *Manager) shardOf(item types.ItemID) *shard {
 	return &m.shards[h%uint64(len(m.shards))]
 }
 
+// grantLocked grants txn the lock on item if that needs no waiting:
+// the item is free, txn already holds it (re-entrant; S→X only as the sole
+// holder), or the mode is compatible and nobody is queued. It returns the
+// item's lock state and whether the grant happened; runs under sh.mu.
+func (m *Manager) grantLocked(sh *shard, txn types.TxnID, item types.ItemID, mode Mode) (*lockState, bool) {
+	ls := sh.locks[item]
+	if ls == nil {
+		if sh.locks == nil {
+			sh.locks = make(map[types.ItemID]*lockState)
+		}
+		ls = &lockState{item: item, holders: make(map[types.TxnID]int)}
+		sh.locks[item] = ls
+	}
+	if cnt, holds := ls.holders[txn]; holds {
+		if mode == Exclusive && ls.mode == Shared {
+			if len(ls.holders) > 1 {
+				return ls, false
+			}
+			ls.mode = Exclusive
+		}
+		ls.holders[txn] = cnt + 1
+		return ls, true
+	}
+	switch {
+	case len(ls.holders) == 0:
+		ls.mode = mode
+	case compatible(ls.mode, mode) && len(ls.queue) == 0:
+	default:
+		return ls, false
+	}
+	m.addHolderLocked(sh, ls, txn)
+	return ls, true
+}
+
+// addHolderLocked records txn's first hold on ls in table, index, counter
+// and hold-time stamps; runs under sh.mu.
+func (m *Manager) addHolderLocked(sh *shard, ls *lockState, txn types.TxnID) {
+	ls.holders[txn] = 1
+	tl := sh.entryLocked(txn)
+	tl.held = append(tl.held, ls)
+	m.held.Add(1)
+	m.noteGrantLocked(ls, txn)
+}
+
 // TryAcquire attempts to take item in the given mode without waiting.
 // Re-entrant acquisition by the same transaction succeeds; upgrading S→X
 // succeeds only if the transaction is the sole holder.
@@ -255,30 +349,7 @@ func (m *Manager) TryAcquire(txn types.TxnID, item types.ItemID, mode Mode) erro
 	sh := m.shardOf(item)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	ls := sh.locks[item]
-	if ls == nil || len(ls.holders) == 0 {
-		sh.grantLocked(txn, item, mode)
-		m.held.Add(1)
-		m.noteGrantLocked(sh.locks[item], txn)
-		return nil
-	}
-	if _, holds := ls.holders[txn]; holds {
-		if mode == Exclusive && ls.mode == Shared {
-			if len(ls.holders) == 1 {
-				ls.mode = Exclusive
-				ls.holders[txn]++
-				return nil
-			}
-			m.met.wouldBlock()
-			return ErrWouldBlock
-		}
-		ls.holders[txn]++
-		return nil
-	}
-	if compatible(ls.mode, mode) && len(ls.queue) == 0 {
-		ls.holders[txn] = 1
-		m.held.Add(1)
-		m.noteGrantLocked(ls, txn)
+	if _, ok := m.grantLocked(sh, txn, item, mode); ok {
 		return nil
 	}
 	m.met.wouldBlock()
@@ -286,41 +357,21 @@ func (m *Manager) TryAcquire(txn types.TxnID, item types.ItemID, mode Mode) erro
 }
 
 // Acquire takes the lock, blocking until granted. It returns ErrDeadlock if
-// waiting would create a waits-for cycle. Intended for the live runtime; the
-// deterministic simulator uses TryAcquire.
+// waiting would create a waits-for cycle, and ErrWouldBlock for an S→X
+// upgrade refused because of co-holders (an upgrade never queues). Intended
+// for the live runtime; the deterministic simulator uses TryAcquire.
 func (m *Manager) Acquire(txn types.TxnID, item types.ItemID, mode Mode) error {
 	sh := m.shardOf(item)
 	sh.mu.Lock()
-	ls := sh.locks[item]
-	if ls == nil || len(ls.holders) == 0 {
-		sh.grantLocked(txn, item, mode)
-		m.held.Add(1)
-		m.noteGrantLocked(sh.locks[item], txn)
+	ls, ok := m.grantLocked(sh, txn, item, mode)
+	if ok {
 		sh.mu.Unlock()
 		return nil
 	}
 	if _, holds := ls.holders[txn]; holds {
-		err := func() error {
-			if mode == Exclusive && ls.mode == Shared {
-				if len(ls.holders) == 1 {
-					ls.mode = Exclusive
-					ls.holders[txn]++
-					return nil
-				}
-				return ErrWouldBlock
-			}
-			ls.holders[txn]++
-			return nil
-		}()
 		sh.mu.Unlock()
-		return err
-	}
-	if compatible(ls.mode, mode) && len(ls.queue) == 0 {
-		ls.holders[txn] = 1
-		m.held.Add(1)
-		m.noteGrantLocked(ls, txn)
-		sh.mu.Unlock()
-		return nil
+		m.met.wouldBlock()
+		return ErrWouldBlock
 	}
 	// Must wait: record edges and check for a cycle in one graph critical
 	// section, so two transactions racing into a mutual wait from different
@@ -343,6 +394,8 @@ func (m *Manager) Acquire(txn types.TxnID, item types.ItemID, mode Mode) error {
 	}
 	req := &request{txn: txn, mode: mode, grant: make(chan error, 1)}
 	ls.queue = append(ls.queue, req)
+	tl := sh.entryLocked(txn)
+	tl.queued = append(tl.queued, ls)
 	sh.mu.Unlock()
 	err := <-req.grant
 	if m.met != nil && err == nil {
@@ -365,34 +418,48 @@ func (m *Manager) Release(txn types.TxnID, item types.ItemID) {
 			ls.holders[txn] = cnt - 1
 			return
 		}
-		delete(ls.holders, txn)
-		m.held.Add(-1)
-		m.noteReleaseLocked(sh, ls, txn)
+		tl := sh.byTxn[txn]
+		tl.held = without(tl.held, ls)
+		if len(tl.held) == 0 && len(tl.queued) == 0 {
+			delete(sh.byTxn, txn)
+		}
+		m.dropHolderLocked(sh, ls, txn)
 	}
-	m.wakeLocked(sh, item)
+	m.wakeLocked(sh, ls)
 }
 
-// ReleaseAll drops every lock held by txn (commit/abort).
+// dropHolderLocked removes txn from ls's holders (the index is the caller's
+// business); runs under sh.mu.
+func (m *Manager) dropHolderLocked(sh *shard, ls *lockState, txn types.TxnID) {
+	delete(ls.holders, txn)
+	m.held.Add(-1)
+	m.noteReleaseLocked(sh, ls, txn)
+}
+
+// ReleaseAll drops every lock held by txn and withdraws every request it has
+// queued (commit/abort). The work is proportional to what txn holds: each
+// shard is asked for txn's index entry, the table is never walked.
 func (m *Manager) ReleaseAll(txn types.TxnID) {
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.Lock()
-		for item, ls := range sh.locks {
-			if _, ok := ls.holders[txn]; ok {
-				delete(ls.holders, txn)
-				m.held.Add(-1)
-				m.noteReleaseLocked(sh, ls, txn)
-				m.wakeLocked(sh, item)
-			}
-			// Also drop a queued request from an aborted transaction.
-			for j, req := range ls.queue {
-				if req.txn == txn {
-					ls.queue = append(ls.queue[:j], ls.queue[j+1:]...)
-					//qlint:allow lockheld grant is buffered (cap 1, one send per request lifetime), so this send never blocks
-					req.grant <- ErrWouldBlock
-					break
+		if tl := sh.byTxn[txn]; tl != nil {
+			// Withdraw first, so no wake below can grant to txn itself.
+			for _, ls := range tl.queued {
+				for j, req := range ls.queue {
+					if req.txn == txn {
+						ls.queue = append(ls.queue[:j], ls.queue[j+1:]...)
+						//qlint:allow lockheld grant is buffered (cap 1, one send per request lifetime), so this send never blocks
+						req.grant <- ErrWouldBlock
+						break
+					}
 				}
 			}
+			for _, ls := range tl.held {
+				m.dropHolderLocked(sh, ls, txn)
+				m.wakeLocked(sh, ls)
+			}
+			delete(sh.byTxn, txn)
 		}
 		sh.mu.Unlock()
 	}
@@ -434,9 +501,9 @@ func (m *Manager) HeldItems(txn types.TxnID) []types.ItemID {
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.Lock()
-		for item, ls := range sh.locks {
-			if _, ok := ls.holders[txn]; ok {
-				out = append(out, item)
+		if tl := sh.byTxn[txn]; tl != nil {
+			for _, ls := range tl.held {
+				out = append(out, ls.item)
 			}
 		}
 		sh.mu.Unlock()
@@ -478,50 +545,23 @@ func (m *Manager) String() string {
 	return s + "}"
 }
 
-// grantLocked runs under the shard's mutex.
-func (sh *shard) grantLocked(txn types.TxnID, item types.ItemID, mode Mode) {
-	ls := sh.locks[item]
-	if ls == nil {
-		if sh.locks == nil {
-			sh.locks = make(map[types.ItemID]*lockState)
-		}
-		ls = &lockState{holders: make(map[types.TxnID]int)}
-		sh.locks[item] = ls
-	}
-	ls.mode = mode
-	ls.holders[txn] = 1
-}
-
-// wakeLocked grants queued requests that have become compatible. It runs
-// under sh.mu and takes graphMu to clear the woken waiters' edges
-// (shard→graph is the one permitted lock order).
-func (m *Manager) wakeLocked(sh *shard, item types.ItemID) {
-	ls := sh.locks[item]
-	if ls == nil {
-		return
-	}
+// wakeLocked grants ls's queued requests that have become compatible, in
+// FIFO order. It runs under sh.mu and takes graphMu to clear the woken
+// waiters' edges (shard→graph is the one permitted lock order).
+func (m *Manager) wakeLocked(sh *shard, ls *lockState) {
 	for len(ls.queue) > 0 {
 		head := ls.queue[0]
 		if len(ls.holders) == 0 {
-			ls.queue = ls.queue[1:]
 			ls.mode = head.mode
-			ls.holders[head.txn] = 1
-			m.held.Add(1)
-			m.noteGrantLocked(ls, head.txn)
-			m.clearEdges(head.txn)
-			head.grant <- nil
-			continue
+		} else if !compatible(ls.mode, head.mode) {
+			break
 		}
-		if compatible(ls.mode, head.mode) {
-			ls.queue = ls.queue[1:]
-			ls.holders[head.txn] = 1
-			m.held.Add(1)
-			m.noteGrantLocked(ls, head.txn)
-			m.clearEdges(head.txn)
-			head.grant <- nil
-			continue
-		}
-		break
+		ls.queue = ls.queue[1:]
+		tl := sh.byTxn[head.txn]
+		tl.queued = without(tl.queued, ls)
+		m.addHolderLocked(sh, ls, head.txn)
+		m.clearEdges(head.txn)
+		head.grant <- nil
 	}
 }
 

@@ -131,6 +131,10 @@ func (c *Coordinator) OnMessage(from types.SiteID, m msg.Message, env protocol.E
 	}
 }
 
+// Finished reports that the coordinator has decided or handed the transaction
+// to the termination protocol; it ignores everything from then on.
+func (c *Coordinator) Finished() bool { return c.phase == cpDone }
+
 // OnTimer implements protocol.Automaton.
 func (c *Coordinator) OnTimer(token int, env protocol.Env) {
 	switch token {

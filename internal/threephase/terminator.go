@@ -182,6 +182,10 @@ func (t *Terminator) OnMessage(from types.SiteID, m msg.Message, env protocol.En
 	}
 }
 
+// Finished reports that this termination round is over (decided, blocked or
+// re-entered); the terminator ignores everything from then on.
+func (t *Terminator) Finished() bool { return t.phase == tpDone }
+
 // OnTimer implements protocol.Automaton.
 func (t *Terminator) OnTimer(token int, env protocol.Env) {
 	switch token {

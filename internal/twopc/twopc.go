@@ -109,6 +109,10 @@ func (c *Coordinator) OnMessage(from types.SiteID, m msg.Message, env protocol.E
 	c.decide(env, types.DecisionCommit, "unanimous yes")
 }
 
+// Finished reports that the coordinator has decided; it ignores everything
+// from then on.
+func (c *Coordinator) Finished() bool { return c.done }
+
 // OnTimer implements protocol.Automaton.
 func (c *Coordinator) OnTimer(token int, env protocol.Env) {
 	if token == tokVotes && !c.done {
@@ -283,6 +287,10 @@ func (t *Terminator) OnMessage(from types.SiteID, m msg.Message, env protocol.En
 		t.resp[from] = v
 	}
 }
+
+// Finished reports that the poll has closed (decided or blocked); the
+// terminator ignores everything from then on.
+func (t *Terminator) Finished() bool { return t.done }
 
 // OnTimer implements protocol.Automaton.
 func (t *Terminator) OnTimer(token int, env protocol.Env) {
