@@ -200,9 +200,9 @@ func (cl *Cluster) noteCommitApplied(s *Site, c *txnCtx) {
 	if cl.adaptive == nil && cl.dynamic == nil {
 		return
 	}
-	if !cl.recordedWrites[c.txn] {
-		cl.recordedWrites[c.txn] = true
-		for _, item := range c.ws.Items() {
+	if !cl.recordedWrites[c.ID] {
+		cl.recordedWrites[c.ID] = true
+		for _, item := range c.WS.Items() {
 			ic, ok := cl.cfg.Assignment.Item(item)
 			if !ok {
 				continue
@@ -213,10 +213,10 @@ func (cl *Cluster) noteCommitApplied(s *Site, c *txnCtx) {
 					continue
 				}
 				peer := cl.sites[cp.Site]
-				pc := peer.ctx(c.txn)
+				po, _ := peer.k.Outcome(c.ID)
 				willApply := cp.Site == s.id ||
-					(pc != nil && pc.outcome == types.OutcomeCommitted) ||
-					peer.locks.LockedBy(c.txn, item)
+					po == types.OutcomeCommitted ||
+					peer.locks.LockedBy(c.ID, item)
 				if willApply {
 					reached = append(reached, cp.Site)
 				}
@@ -229,7 +229,7 @@ func (cl *Cluster) noteCommitApplied(s *Site, c *txnCtx) {
 			}
 		}
 	}
-	for _, item := range c.ws.Items() {
+	for _, item := range c.WS.Items() {
 		if s.store.Has(item) {
 			cl.maybeResolve(item, s.id)
 			cl.maybeRejoin(item, s.id)

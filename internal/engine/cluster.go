@@ -230,7 +230,7 @@ func (cl *Cluster) resumeFromLogs() {
 				cl.noteWritten(img.Writeset)
 			}
 		}
-		site.recoverVolatile()
+		site.k.Recover(recs)
 	}
 	cl.nextTxn = maxTxn
 }
@@ -301,12 +301,12 @@ func (cl *Cluster) Violations() []string {
 	// Cross-site check: some site committed while another aborted.
 	perTxn := make(map[types.TxnID][2][]types.SiteID) // [committed, aborted]
 	for _, id := range cl.siteIDs {
-		for txn, c := range cl.sites[id].txns {
+		k := cl.sites[id].k
+		for _, txn := range k.Terminated() {
 			pair := perTxn[txn]
-			switch c.outcome {
-			case types.OutcomeCommitted:
+			if o, _ := k.Outcome(txn); o == types.OutcomeCommitted {
 				pair[0] = append(pair[0], id)
-			case types.OutcomeAborted:
+			} else {
 				pair[1] = append(pair[1], id)
 			}
 			perTxn[txn] = pair
@@ -319,9 +319,7 @@ func (cl *Cluster) Violations() []string {
 	sort.Slice(txns, func(i, j int) bool { return txns[i] < txns[j] })
 	for _, txn := range txns {
 		pair := perTxn[txn]
-		if len(pair[0]) > 0 && len(pair[1]) > 0 {
-			sort.Slice(pair[0], func(i, j int) bool { return pair[0][i] < pair[0][j] })
-			sort.Slice(pair[1], func(i, j int) bool { return pair[1][i] < pair[1][j] })
+		if len(pair[0]) > 0 && len(pair[1]) > 0 { // sites were visited ascending
 			out = append(out, fmt.Sprintf("%s terminated inconsistently: committed at %v, aborted at %v", txn, pair[0], pair[1]))
 		}
 	}
@@ -339,15 +337,13 @@ func (cl *Cluster) Begin(coord types.SiteID, ws types.Writeset) types.TxnID {
 		panic(fmt.Sprintf("engine: unknown coordinator site %s", coord))
 	}
 	participants := cl.cfg.Assignment.Participants(ws.Items())
-	c := site.ensureCtx(txn)
-	c.ws = ws.Clone()
-	c.participants = participants
-	c.coordSite = coord
+	ws = ws.Clone()
 	cl.sched.At(cl.sched.Now(), func() {
 		if cl.net.Down(coord) {
 			return
 		}
-		site.install(c, protocol.RoleCoordinator, cl.cfg.Spec.NewCoordinator(txn, c.ws, participants))
+		c := site.k.Begin(txn, ws, participants)
+		site.coords[txn] = c.Automaton(protocol.RoleCoordinator)
 	})
 	return txn
 }
@@ -374,10 +370,7 @@ func (cl *Cluster) SetupInterrupted(coord types.SiteID, ws types.Writeset, state
 		if site == nil {
 			panic(fmt.Sprintf("engine: unknown site %s in SetupInterrupted", id))
 		}
-		c := site.ensureCtx(txn)
-		c.ws = ws.Clone()
-		c.participants = participants
-		c.coordSite = coord
+		c := site.k.Adopt(txn, ws.Clone(), participants, coord)
 
 		img := &wal.TxnImage{
 			Txn:          txn,
@@ -409,15 +402,13 @@ func (cl *Cluster) SetupInterrupted(coord types.SiteID, ws types.Writeset, state
 			rec := base
 			rec.Type = wal.RecVotedYes
 			_ = site.log.Append(rec)
-			site.lockLocalCopies(txn, ws)
-			site.doCommit(c)
+			site.k.Decide(txn, types.OutcomeCommitted)
 			continue
 		case types.StateAborted:
-			site.doAbort(c)
+			site.k.Decide(txn, types.OutcomeAborted)
 			continue
 		}
-		site.lockLocalCopies(txn, ws)
-		site.install(c, protocol.RoleParticipant, cl.cfg.Spec.NewParticipant(txn, img))
+		site.k.Resume(c, img)
 	}
 	return txn
 }
@@ -427,30 +418,14 @@ func (cl *Cluster) SetupInterrupted(coord types.SiteID, ws types.Writeset, state
 // recovering sites).
 func (cl *Cluster) Kick(txn types.TxnID) {
 	for _, id := range cl.siteIDs {
-		site := cl.sites[id]
-		c := site.ctx(txn)
-		if c == nil || c.terminal() || cl.net.Down(id) {
+		k := cl.sites[id].k
+		if cl.net.Down(id) || !k.ResetTermination(txn) {
 			continue
 		}
-		if c.auto[protocol.RoleParticipant] == nil {
-			continue
-		}
-		c.rounds = 0
-		c.blocked = false
-		if c.elect != nil {
-			c.elect.Stop()
-			c.elect = nil
-			c.gen[protocol.RoleElection]++
-			delete(c.auto, protocol.RoleElection)
-		}
-		id := id
 		cl.sched.At(cl.sched.Now(), func() {
-			s := cl.sites[id]
-			cc := s.ctx(txn)
-			if cc == nil || cc.terminal() || cl.net.Down(id) {
-				return
+			if !cl.net.Down(id) {
+				k.Campaign(txn)
 			}
-			s.startElection(cc, cc.nextEpoch, true)
 		})
 	}
 }
@@ -464,7 +439,7 @@ func (cl *Cluster) KickAt(t sim.Time, txn types.TxnID) {
 // Crash takes a site down immediately (volatile state lost, WAL kept).
 func (cl *Cluster) Crash(id types.SiteID) {
 	cl.net.Crash(id)
-	cl.sites[id].crash()
+	cl.sites[id].k.Crash()
 	cl.rec.Annotate(cl.sched.Now(), id, "CRASH")
 }
 
@@ -479,7 +454,7 @@ func (cl *Cluster) CrashAt(t sim.Time, id types.SiteID) {
 func (cl *Cluster) Restart(id types.SiteID) {
 	cl.net.Recover(id)
 	cl.rec.Annotate(cl.sched.Now(), id, "RESTART")
-	cl.sites[id].recoverVolatile()
+	cl.sites[id].k.Recover(cl.sites[id].records())
 	cl.sites[id].syncCopies()
 }
 
@@ -527,24 +502,20 @@ func (cl *Cluster) Run() sim.Time { return cl.sched.Run() }
 func (cl *Cluster) RunFor(d sim.Duration) sim.Time { return cl.sched.RunFor(d) }
 
 // StateOf returns the local protocol state of txn at a site. The fast path
-// reads the live context (terminal outcome, or the participant automaton's
-// state); the slow path reconstructs from the site's WAL — the ground truth
-// that survives crashes.
+// reads the kernel (terminal outcome, or the participant automaton's state);
+// the slow path reconstructs from the site's WAL — the ground truth that
+// survives crashes.
 func (cl *Cluster) StateOf(id types.SiteID, txn types.TxnID) types.State {
 	site := cl.sites[id]
-	if c := site.ctx(txn); c != nil {
-		switch c.outcome {
-		case types.OutcomeCommitted:
-			return types.StateCommitted
-		case types.OutcomeAborted:
-			return types.StateAborted
-		}
-		if p, ok := c.auto[protocol.RoleParticipant].(interface{ State() types.State }); ok {
+	if o, over := site.k.Outcome(txn); over {
+		return o.StateEquivalent()
+	}
+	if c := site.k.Txn(txn); c != nil {
+		if p, ok := c.Automaton(protocol.RoleParticipant).(interface{ State() types.State }); ok {
 			return p.State()
 		}
 	}
-	recs, _ := site.log.Records()
-	img := wal.Replay(recs)[txn]
+	img := wal.Replay(site.records())[txn]
 	if img == nil {
 		return types.StateInitial
 	}
@@ -632,12 +603,9 @@ func (cl *Cluster) FirstDecisionAt(txn types.TxnID) (sim.Time, bool) {
 	var best sim.Time
 	found := false
 	for _, id := range cl.siteIDs {
-		c := cl.sites[id].ctx(txn)
-		if c == nil || !c.terminal() {
-			continue
-		}
-		if !found || c.decidedAt < best {
-			best = c.decidedAt
+		at, ok := cl.sites[id].decidedAt[txn]
+		if ok && (!found || at < best) {
+			best = at
 			found = true
 		}
 	}
@@ -648,12 +616,7 @@ func (cl *Cluster) FirstDecisionAt(txn types.TxnID) (sim.Time, bool) {
 // the given site had collected when it decided to commit txn, and whether
 // such a coordinator exists. Plain 2PC coordinators report false.
 func (cl *Cluster) AcksAtDecision(id types.SiteID, txn types.TxnID) (int, bool) {
-	site := cl.sites[id]
-	c := site.ctx(txn)
-	if c == nil {
-		return 0, false
-	}
-	counter, ok := c.auto[protocol.RoleCoordinator].(interface{ AcksAtDecision() int })
+	counter, ok := cl.sites[id].coords[txn].(interface{ AcksAtDecision() int })
 	if !ok {
 		return 0, false
 	}

@@ -18,6 +18,7 @@ const DeterministicDirective = "//qlint:deterministic"
 // gate instead of a property a test must happen to exercise.
 var deterministicPkgs = map[string]bool{
 	"qcommit/internal/engine":     true,
+	"qcommit/internal/site":       true,
 	"qcommit/internal/churn":      true,
 	"qcommit/internal/quorumcalc": true,
 	"qcommit/internal/avail":      true,

@@ -1,9 +1,8 @@
-// Package live runs the same protocol automata as the deterministic engine
-// on a real concurrent runtime: one goroutine per database site, Go channels
-// as the message fabric, wall-clock timers for the protocol timeouts. It is
-// the "deployment-shaped" counterpart of package engine — protocol logic is
-// shared, only the hosting differs — and demonstrates that the automata are
-// genuinely runtime-agnostic.
+// Package live runs the same site kernel and protocol automata as the
+// deterministic engine on a real concurrent runtime: one goroutine per
+// database site, a pluggable transport as the message fabric, wall-clock
+// timers for the protocol timeouts. It is the "deployment-shaped" counterpart
+// of package engine — package site is shared, only what drives it differs.
 package live
 
 import (
@@ -15,6 +14,7 @@ import (
 	"qcommit/internal/msg"
 	"qcommit/internal/obs"
 	"qcommit/internal/protocol"
+	"qcommit/internal/site"
 	"qcommit/internal/transport"
 	"qcommit/internal/transport/inproc"
 	"qcommit/internal/types"
@@ -72,15 +72,8 @@ type Config struct {
 
 type event struct {
 	env   *msg.Envelope
-	timer *timerEvent
+	timer *site.Timer
 	stop  bool
-}
-
-type timerEvent struct {
-	txn   types.TxnID
-	role  protocol.Role
-	gen   uint32
-	token int
 }
 
 // Cluster is a set of live site goroutines.
@@ -492,10 +485,10 @@ func (cl *Cluster) noteCommitApplied(n *Node, c *txnCtx) {
 		return
 	}
 	cl.wroteMu.Lock()
-	first := !cl.recordedWrites[c.txn]
-	cl.recordedWrites[c.txn] = true
-	if c.txn > cl.maxRecorded {
-		cl.maxRecorded = c.txn
+	first := !cl.recordedWrites[c.ID]
+	cl.recordedWrites[c.ID] = true
+	if c.ID > cl.maxRecorded {
+		cl.maxRecorded = c.ID
 	}
 	// Bound the map: a commit's applies finish within a few timeout units,
 	// so entries thousands of transactions behind the high-water mark are
@@ -509,9 +502,9 @@ func (cl *Cluster) noteCommitApplied(n *Node, c *txnCtx) {
 		}
 	}
 	cl.wroteMu.Unlock()
-	version := uint64(c.txn) + 1
+	version := uint64(c.ID) + 1
 	if first {
-		for _, item := range c.ws.Items() {
+		for _, item := range c.WS.Items() {
 			ic, ok := cl.cfg.Assignment.Item(item)
 			if !ok {
 				continue
@@ -526,7 +519,7 @@ func (cl *Cluster) noteCommitApplied(n *Node, c *txnCtx) {
 				if v, err := peer.store.Read(item); err == nil && v.Version >= version {
 					applied = true
 				}
-				if cp.Site == n.id || applied || peer.locks.LockedBy(c.txn, item) {
+				if cp.Site == n.id || applied || peer.locks.LockedBy(c.ID, item) {
 					reached = append(reached, cp.Site)
 				}
 			}
@@ -538,7 +531,7 @@ func (cl *Cluster) noteCommitApplied(n *Node, c *txnCtx) {
 			}
 		}
 	}
-	for _, item := range c.ws.Items() {
+	for _, item := range c.WS.Items() {
 		if n.store.Has(item) {
 			cl.maybeResolve(item, n.id)
 			cl.maybeRejoin(item, n.id)

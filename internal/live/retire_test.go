@@ -8,7 +8,6 @@ import (
 	"qcommit/internal/core"
 	"qcommit/internal/lockmgr"
 	"qcommit/internal/msg"
-	"qcommit/internal/protocol"
 	"qcommit/internal/transport"
 	"qcommit/internal/transport/inproc"
 	"qcommit/internal/types"
@@ -52,14 +51,10 @@ func (t *tapTransport) await(tb testing.TB, what string, match func(msg.Envelope
 }
 
 // TestTerminalTxnRetired pins what a node keeps of a transaction that has
-// terminated: the outcome, and nothing else.
+// terminated: the outcome, and nothing else. (The hand-pumped cases — timers
+// stopped, the coordinator outliving its own no vote — moved to package site
+// with the code they pin.)
 func TestTerminalTxnRetired(t *testing.T) {
-	t.Run("cluster", testRetiredOnCluster)
-	t.Run("timers stopped", testRetireStopsTimers)
-	t.Run("coordinator outlives its own no vote", testCoordinatorOutlivesOwnNoVote)
-}
-
-func testRetiredOnCluster(t *testing.T) {
 	const (
 		T       = 100 * time.Millisecond
 		inDoubt = types.TxnID(900) // voted yes at site 3 in an earlier life, never decided
@@ -178,150 +173,19 @@ func testRetiredOnCluster(t *testing.T) {
 	stopped = true
 	for _, id := range sites {
 		n := cl.Node(id)
-		for txn, c := range n.txns {
-			t.Errorf("site %d still holds a context for %s (terminal=%v, %d timers)", id, txn, c.terminal(), len(c.timers))
+		if live := n.k.Len(); live != 0 {
+			t.Errorf("site %d still holds %d contexts", id, live)
 		}
 		for txn, o := range want {
 			if txn == inDoubt && id != 3 {
 				continue
 			}
-			if got, ok := n.done[txn]; !ok || got != o {
+			if got, ok := n.k.Outcome(txn); !ok || got != o {
 				t.Errorf("site %d remembers %s as %v (known=%v), want %v", id, txn, got, ok, o)
 			}
 		}
 		if held := n.locks.HeldCount(); held != 0 {
 			t.Errorf("site %d still holds %d locks", id, held)
 		}
-	}
-}
-
-// loopHost hosts one Node with no goroutines behind it: sends are queued for
-// the test to deliver by hand, and T is an hour, so a timer that is not
-// pending was stopped, never fired.
-type loopHost struct {
-	sp   protocol.Spec
-	asg  *voting.Assignment
-	t0   time.Time
-	sent []msg.Envelope
-}
-
-func (h *loopHost) spec() protocol.Spec            { return h.sp }
-func (h *loopHost) assignment() *voting.Assignment { return h.asg }
-func (h *loopHost) timeoutBase() time.Duration     { return time.Hour }
-func (h *loopHost) maxTermRounds() int             { return 3 }
-func (h *loopHost) startTime() time.Time           { return h.t0 }
-func (h *loopHost) send(from, to types.SiteID, m msg.Message) {
-	h.sent = append(h.sent, msg.Envelope{From: from, To: to, Msg: m})
-}
-func (h *loopHost) notifyOutcome(types.TxnID)               {}
-func (h *loopHost) noteCommitApplied(*Node, *txnCtx)        {}
-func (h *loopHost) maybeResolve(types.ItemID, types.SiteID) {}
-func (h *loopHost) maybeRejoin(types.ItemID, types.SiteID)  {}
-
-// newLoopNode builds site 1 of a two-site assignment of item x under QC1.
-func newLoopNode() (*Node, *loopHost) {
-	h := &loopHost{
-		sp:  core.Spec{Variant: core.Protocol1},
-		asg: voting.MustAssignment(voting.Uniform("x", 1, 2, 1, 2)),
-		t0:  time.Now(),
-	}
-	n := newNode(1, h, nil, 0, nil)
-	n.store.Init("x", 0)
-	return n, h
-}
-
-// pump delivers queued envelopes in order until the queue is empty or the
-// next one satisfies stop. Site 1 is the node; site 2 is played by hand: it
-// votes yes and acknowledges, and keeps quiet otherwise.
-func (h *loopHost) pump(n *Node, stop func(msg.Envelope) bool) {
-	for len(h.sent) > 0 {
-		e := h.sent[0]
-		if stop != nil && stop(e) {
-			return
-		}
-		h.sent = h.sent[1:]
-		if e.To == 1 {
-			n.dispatch(e)
-			n.finishEvent()
-			continue
-		}
-		switch m := e.Msg.(type) {
-		case msg.VoteReq:
-			h.send(2, 1, msg.VoteResp{Txn: m.Txn, Vote: types.VoteYes})
-		case msg.PrepareToCommit:
-			h.send(2, 1, msg.PCAck{Txn: m.Txn})
-		}
-	}
-}
-
-func begin(n *Node, txn types.TxnID) {
-	n.dispatch(msg.Envelope{From: 1, To: 1, Msg: beginMsg{txn: txn,
-		ws: types.Writeset{{Item: "x", Value: 7}}, participants: []types.SiteID{1, 2}}})
-	n.finishEvent()
-}
-
-func testRetireStopsTimers(t *testing.T) {
-	n, h := newLoopNode()
-	begin(n, 1)
-	h.pump(n, func(e msg.Envelope) bool {
-		_, isCommit := e.Msg.(msg.Commit)
-		return isCommit && e.To == 1
-	})
-	c := n.txns[1]
-	if c == nil || len(h.sent) == 0 {
-		t.Fatal("commit decision never reached the coordinator's own participant")
-	}
-	timers := c.timers
-	if len(timers) < 4 { // coordinator: votes, acks; participant: after the vote, after PC
-		t.Fatalf("%d timers armed before the decision, want at least 4", len(timers))
-	}
-	h.pump(n, nil)
-	if len(n.txns) != 0 || n.done[1] != types.OutcomeCommitted {
-		t.Fatalf("after the commit: %d contexts, outcome %v", len(n.txns), n.done[1])
-	}
-	for i, tm := range timers {
-		if tm.Stop() {
-			t.Errorf("timer %d was still pending after the transaction was let go", i)
-		}
-	}
-	if held := n.locks.HeldCount(); held != 0 {
-		t.Errorf("%d locks still held", held)
-	}
-}
-
-func testCoordinatorOutlivesOwnNoVote(t *testing.T) {
-	n, h := newLoopNode()
-	if err := n.locks.TryAcquire(99, "x", lockmgr.Exclusive); err != nil {
-		t.Fatal(err)
-	}
-	begin(n, 2)
-	// Deliver the VOTE-REQ to the node's own participant, which must refuse.
-	h.pump(n, func(e msg.Envelope) bool {
-		_, isVote := e.Msg.(msg.VoteResp)
-		return isVote && e.From == 1
-	})
-	if n.done[2] != types.OutcomeAborted {
-		t.Fatalf("own participant could not lock x, yet outcome = %v", n.done[2])
-	}
-	c := n.txns[2]
-	if c == nil || c.auto[protocol.RoleCoordinator] == nil {
-		t.Fatal("coordinator was let go before it read its own participant's no vote")
-	}
-	if c.auto[protocol.RoleParticipant] != nil {
-		t.Error("participant survived its own abort")
-	}
-	// The coordinator now reads the vote, decides and tells site 2.
-	var toldPeer bool
-	h.pump(n, func(e msg.Envelope) bool {
-		if _, isAbort := e.Msg.(msg.Abort); isAbort && e.To == 2 {
-			toldPeer = true
-		}
-		return false
-	})
-	if !toldPeer {
-		t.Error("coordinator never sent ABORT to site 2")
-	}
-	if len(n.txns) != 0 {
-		t.Errorf("%d contexts left after the coordinator finished", len(n.txns))
 	}
 }

@@ -120,7 +120,7 @@ func NewServer(id types.SiteID, cfg ServerConfig, tr transport.Transport) (*Serv
 				}
 			}
 		}
-		s.node.recoverVolatile()
+		s.node.k.Recover(recs)
 		s.node.finishEvent()
 	}
 	s.wg.Add(1)

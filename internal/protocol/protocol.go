@@ -7,7 +7,9 @@
 // state machines: an automaton consumes messages and timer expirations and
 // reacts through the Env interface. The same automata run unchanged under
 // the deterministic discrete-event simulator (package engine) and the live
-// goroutine runtime (package live); only the Env implementation differs.
+// goroutine runtime (package live): both drive the one site kernel (package
+// site) that implements Env, and differ only in what supplies its time,
+// timers, sends and log.
 package protocol
 
 import (

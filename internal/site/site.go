@@ -1,0 +1,696 @@
+// Package site is the per-site transaction kernel: the one implementation of
+// how a database site hosts the commit and termination protocols, shared by
+// the discrete-event engine (virtual time) and the live runtime (wall clock).
+//
+// A Kernel owns, for one site:
+//
+//   - the table of transaction contexts and their retirement: a context lives
+//     until its transaction has terminated here and its coordinator-side
+//     automata have finished distributing the decision; after that only the
+//     outcome is kept, which is all late traffic needs;
+//   - automaton installation with generation fencing: every automaton is
+//     installed under a fresh generation of its role slot, and a timer armed
+//     under a superseded generation never fires;
+//   - the message dispatch switch, including the replies a site owes for
+//     transactions it holds no participant for, and the never-voted promise
+//     those replies make (answering a termination poll "initial" or
+//     "uncommitted" commits the site to vote no if the VOTE-REQ still comes);
+//   - election start (passive join or campaigning against a round budget) and
+//     terminator installation;
+//   - locking the local copies of a writeset, volatile recovery from the WAL
+//     image, and the irrevocable local commit / abort;
+//   - the single protocol.Env handed to automata.
+//
+// It owns no clock, goroutine, mutex or transport. The Host supplies time,
+// timers, sends, the write-ahead log, and the cluster-global access-strategy
+// bookkeeping; it also hears every decision and every contradiction of one.
+//
+// A Kernel is single-threaded: every method, and every Host callback it makes,
+// runs on the caller's thread, and the host must serialize all calls into one
+// kernel (the engine's scheduler does so by construction, the live node by
+// its mailbox goroutine). Between Crash and Recover the host delivers nothing.
+package site
+
+import (
+	"sort"
+
+	"qcommit/internal/election"
+	"qcommit/internal/lockmgr"
+	"qcommit/internal/msg"
+	"qcommit/internal/protocol"
+	"qcommit/internal/sim"
+	"qcommit/internal/storage"
+	"qcommit/internal/types"
+	"qcommit/internal/voting"
+	"qcommit/internal/wal"
+)
+
+// numRoles sizes the per-role tables of a Txn.
+const numRoles = int(protocol.RoleElection) + 1
+
+// Event names a point on the commit path a host may want to observe (the
+// live runtime maps them onto span stages and counters).
+type Event uint8
+
+// Events, in commit-path order.
+const (
+	// Begun: this site is about to start coordinating the transaction.
+	Begun Event = iota
+	// VoteRequested: the first VOTE-REQ arrived; the participant is about to
+	// be installed.
+	VoteRequested
+	// LocksTaken: the participant locked every local copy for its yes vote.
+	LocksTaken
+	// VoteReceived: a VOTE-RESP reached this site's coordinator (at = voter).
+	VoteReceived
+	// Deciding: the decision record is about to be forced to the log.
+	Deciding
+	// TermRound: a campaign consumed one termination round.
+	TermRound
+)
+
+// Timer identifies an armed automaton timer; the host hands it back to Fire
+// when it expires.
+type Timer struct {
+	Txn   types.TxnID
+	Role  protocol.Role
+	Gen   uint32
+	Token int
+}
+
+// Stopper cancels an armed host timer (*time.Timer is one).
+type Stopper interface{ Stop() bool }
+
+// Host is what a Kernel needs from the runtime driving it. X is the host's
+// per-transaction slot, carried in every Txn so the host needs no table of
+// its own.
+type Host[X any] interface {
+	// Now is the current protocol time.
+	Now() sim.Time
+	// AfterFunc arranges for Kernel.Fire(t) to be called after d. The returned
+	// Stopper, if any, is stopped once t can no longer fire; a host whose
+	// stale expiries are free may return nil.
+	AfterFunc(d sim.Duration, t Timer) Stopper
+	// Send transmits m from this site.
+	Send(to types.SiteID, m msg.Message)
+	// Append writes rec to the site's log on c's behalf; whatever the host
+	// sends after it must not overtake it to stable storage.
+	Append(c *Txn[X], rec wal.Record)
+	// Decided reports that c has just terminated here with outcome o.
+	Decided(c *Txn[X], o types.Outcome)
+	// Contradicted reports a COMMIT for a transaction this site aborted, or
+	// an ABORT for one it committed: the protocol under test broke atomicity.
+	// have is the outcome that stands.
+	Contradicted(txn types.TxnID, have types.Outcome)
+	// RefusesVote lets the host inject a no vote (a modeled fault).
+	RefusesVote(txn types.TxnID) bool
+	// Observe reports a commit-path event of c; at is the site it concerns.
+	Observe(c *Txn[X], ev Event, at types.SiteID)
+	// Tracef emits a trace annotation for this site.
+	Tracef(format string, args ...any)
+	// NoteCommitApplied, MaybeResolve and MaybeRejoin are the cluster-global
+	// access-strategy hooks: a committed writeset was applied here; this
+	// site's copy of item may have caught up (shed its missing write, rejoin
+	// its dynamic majority basis).
+	NoteCommitApplied(c *Txn[X])
+	MaybeResolve(item types.ItemID)
+	MaybeRejoin(item types.ItemID)
+}
+
+// Config is the fixed part of a site.
+type Config struct {
+	// Spec builds the automata of the protocol under test.
+	Spec protocol.Spec
+	// Assignment is the cluster-wide vote assignment.
+	Assignment *voting.Assignment
+	// T is the timeout base (longest end-to-end propagation delay).
+	T sim.Duration
+	// MaxTerminationRounds caps the election rounds a site initiates per
+	// transaction before resigning to a block.
+	MaxTerminationRounds int
+	// Store and Locks are the site's versioned store and lock table.
+	Store *storage.Store
+	Locks *lockmgr.Manager
+}
+
+// Txn is a site's bookkeeping for one transaction.
+type Txn[X any] struct {
+	ID           types.TxnID
+	WS           types.Writeset
+	Participants []types.SiteID
+	Coord        types.SiteID
+	// X is the host's slot.
+	X X
+
+	auto [numRoles]protocol.Automaton
+	gen  [numRoles]uint32
+	// timers are the stoppable host timers armed on this transaction's
+	// behalf, fired ones included; fence stops them once the generations they
+	// were armed under can no longer match.
+	timers []Stopper
+
+	elect     *election.FSM
+	nextEpoch uint32
+	rounds    int // termination rounds consumed
+
+	outcome types.Outcome
+}
+
+// Automaton returns the automaton installed in role, if any.
+func (c *Txn[X]) Automaton(role protocol.Role) protocol.Automaton { return c.auto[role] }
+
+func (c *Txn[X]) terminal() bool {
+	return c.outcome == types.OutcomeCommitted || c.outcome == types.OutcomeAborted
+}
+
+// drop uninstalls role's automaton and fences off whatever it armed.
+func (c *Txn[X]) drop(role protocol.Role) {
+	c.gen[role]++
+	c.auto[role] = nil
+	if role == protocol.RoleElection && c.elect != nil {
+		c.elect.Stop()
+		c.elect = nil
+	}
+}
+
+// fence drops every role and stops the outstanding timers, which could only
+// fire into that fence.
+func (c *Txn[X]) fence() {
+	for role := range c.auto {
+		c.drop(protocol.Role(role))
+	}
+	for _, t := range c.timers {
+		t.Stop()
+	}
+	c.timers = nil
+}
+
+// finisher is implemented by the coordinator-side automata (commit
+// coordinator, termination coordinator): Finished reports that the automaton
+// has done its part and ignores every further message and timer.
+type finisher interface{ Finished() bool }
+
+// Kernel is one site's transaction host. See the package comment for the
+// threading contract.
+type Kernel[X any] struct {
+	id  types.SiteID
+	cfg Config
+	h   Host[X]
+
+	// txns holds the transactions not yet let go: those in progress, plus the
+	// terminated ones whose coordinator or terminator still has the decision
+	// to distribute (see reap). done holds the outcome of every transaction
+	// that has terminated here — all that late StateReq, DecisionReq, Commit
+	// and Abort traffic needs of it — and is never pruned.
+	txns map[types.TxnID]*Txn[X]
+	done map[types.TxnID]types.Outcome
+	// promised marks the transactions this site has told a termination poll
+	// it never voted on; it votes no on them from then on. Volatile: lost on
+	// Crash, dropped when the transaction terminates here.
+	promised map[types.TxnID]bool
+}
+
+// New builds the kernel of site id.
+func New[X any](id types.SiteID, cfg Config, h Host[X]) *Kernel[X] {
+	return &Kernel[X]{
+		id:       id,
+		cfg:      cfg,
+		h:        h,
+		txns:     make(map[types.TxnID]*Txn[X]),
+		done:     make(map[types.TxnID]types.Outcome),
+		promised: make(map[types.TxnID]bool),
+	}
+}
+
+// Txn returns txn's context while the site still holds one.
+func (k *Kernel[X]) Txn(txn types.TxnID) *Txn[X] { return k.txns[txn] }
+
+// Len returns the number of contexts the site holds.
+func (k *Kernel[X]) Len() int { return len(k.txns) }
+
+// Outcome returns txn's outcome at this site, once it has terminated here.
+func (k *Kernel[X]) Outcome(txn types.TxnID) (types.Outcome, bool) {
+	o, ok := k.done[txn]
+	return o, ok
+}
+
+// Terminated lists the transactions that have terminated here, ascending.
+func (k *Kernel[X]) Terminated() []types.TxnID {
+	out := make([]types.TxnID, 0, len(k.done))
+	for txn := range k.done {
+		out = append(out, txn)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// Adopt returns txn's context, creating it from the given description if the
+// site holds none. The caller has ruled out that txn already terminated here.
+func (k *Kernel[X]) Adopt(txn types.TxnID, ws types.Writeset, participants []types.SiteID, coord types.SiteID) *Txn[X] {
+	c := k.txns[txn]
+	if c == nil {
+		c = &Txn[X]{ID: txn}
+		k.txns[txn] = c
+	}
+	if len(c.WS) == 0 {
+		c.WS, c.Participants, c.Coord = ws, participants, coord
+	}
+	return c
+}
+
+// Begin starts coordinating txn at this site. ws and participants become the
+// kernel's.
+func (k *Kernel[X]) Begin(txn types.TxnID, ws types.Writeset, participants []types.SiteID) *Txn[X] {
+	c := k.Adopt(txn, ws, participants, k.id)
+	k.h.Observe(c, Begun, k.id)
+	k.install(c, protocol.RoleCoordinator, k.cfg.Spec.NewCoordinator(txn, ws, participants))
+	return c
+}
+
+// Resume re-locks the local copies c's transaction held and installs a
+// participant in the logged state im — the rejoin of an in-doubt transaction.
+func (k *Kernel[X]) Resume(c *Txn[X], im *wal.TxnImage) {
+	k.lockCopies(c.ID, c.WS)
+	k.install(c, protocol.RoleParticipant, k.cfg.Spec.NewParticipant(c.ID, im))
+}
+
+// install places an automaton in a role slot, superseding (and silencing the
+// timers of) any previous occupant, and starts it.
+func (k *Kernel[X]) install(c *Txn[X], role protocol.Role, a protocol.Automaton) {
+	c.gen[role]++
+	c.auto[role] = a
+	a.Start(k.env(c, role))
+}
+
+// Crash discards the volatile state: every automaton and election stops,
+// every timer is fenced, never-voted promises are forgotten. Contexts of
+// unterminated transactions stay (empty) for Recover to refill; the log,
+// store and lock table are the host's and survive.
+func (k *Kernel[X]) Crash() {
+	for txn, c := range k.txns {
+		c.fence()
+		if c.terminal() {
+			delete(k.txns, txn)
+		}
+	}
+	clear(k.promised)
+}
+
+// Recover rebuilds volatile state from the site's log: terminal outcomes are
+// remembered, and every transaction the log leaves in doubt re-locks its
+// copies and rejoins through a fresh participant, whose patience timer
+// re-enters the termination protocol.
+func (k *Kernel[X]) Recover(recs []wal.Record) {
+	images := wal.Replay(recs)
+	txns := make([]types.TxnID, 0, len(images))
+	for txn := range images {
+		txns = append(txns, txn)
+	}
+	sort.Slice(txns, func(i, j int) bool { return txns[i] < txns[j] })
+	for _, txn := range txns {
+		if _, ok := k.done[txn]; ok {
+			continue
+		}
+		im := images[txn]
+		switch im.State {
+		case types.StateCommitted:
+			k.done[txn] = types.OutcomeCommitted
+		case types.StateAborted:
+			k.done[txn] = types.OutcomeAborted
+		default:
+			c := k.Adopt(txn, im.Writeset.Clone(), append([]types.SiteID(nil), im.Participants...), im.Coord)
+			if im.State != types.StateInitial { // W, PC or PA: in doubt
+				k.Resume(c, im)
+			}
+		}
+	}
+}
+
+// lockCopies takes X locks on every local copy of items written by txn. It
+// reports whether all locks were obtained; on failure it releases what it
+// took.
+func (k *Kernel[X]) lockCopies(txn types.TxnID, ws types.Writeset) bool {
+	var taken []types.ItemID
+	for _, x := range ws.Items() {
+		if !k.cfg.Store.Has(x) {
+			continue
+		}
+		if err := k.cfg.Locks.TryAcquire(txn, x, lockmgr.Exclusive); err != nil {
+			for _, y := range taken {
+				k.cfg.Locks.Release(txn, y)
+			}
+			return false
+		}
+		taken = append(taken, x)
+	}
+	return true
+}
+
+// Handle routes a delivered message to the right automaton.
+func (k *Kernel[X]) Handle(e msg.Envelope) {
+	store, locks := k.cfg.Store, k.cfg.Locks
+	txn := msg.TxnOf(e.Msg)
+	switch m := e.Msg.(type) {
+	case msg.CopyReq:
+		// Anti-entropy service: serve our copy unless a pending transaction
+		// holds it (its value may be about to change).
+		if store.Has(m.Item) && !locks.Locked(m.Item) {
+			if v, err := store.Read(m.Item); err == nil {
+				k.h.Send(e.From, msg.CopyResp{Item: m.Item, Value: v.Value, Version: v.Version})
+			}
+		}
+
+	case msg.CopyResp:
+		// Install only newer versions; storage.Apply enforces monotonicity.
+		// A copy that catches up to the newest committed version sheds its
+		// missing write or rejoins its item's dynamic majority basis.
+		if store.Has(m.Item) {
+			_ = store.Apply(m.Item, m.Value, m.Version)
+			k.h.MaybeResolve(m.Item)
+			k.h.MaybeRejoin(m.Item)
+		}
+
+	case msg.VoteReq:
+		if _, over := k.done[txn]; over {
+			return
+		}
+		c := k.txns[txn]
+		if c == nil || len(c.WS) == 0 {
+			c = k.Adopt(txn, m.Writeset.Clone(), append([]types.SiteID(nil), m.Participants...), m.Coord)
+		}
+		if c.auto[protocol.RoleParticipant] == nil {
+			k.h.Observe(c, VoteRequested, k.id)
+			k.install(c, protocol.RoleParticipant, k.cfg.Spec.NewParticipant(txn, nil))
+		}
+		k.deliver(c, protocol.RoleParticipant, e)
+
+	case msg.ElectionCall, msg.ElectionOK, msg.CoordAnnounce:
+		c := k.txns[txn]
+		if c == nil || c.terminal() {
+			return
+		}
+		if c.elect == nil {
+			// Joining an election started elsewhere (passive: does not
+			// consume a termination round).
+			epoch := uint32(0)
+			if call, ok := m.(msg.ElectionCall); ok {
+				epoch = uint32(call.Ballot >> 32)
+			}
+			k.startElection(c, epoch, false)
+		}
+		k.deliver(c, protocol.RoleElection, e)
+
+	case msg.StateReq:
+		c := k.txns[txn]
+		if c == nil || c.auto[protocol.RoleParticipant] == nil {
+			// No participant here. If the transaction is over the outcome is
+			// the answer. Otherwise this site never voted: it is in the
+			// initial state q and must say so — an initial-state reply lets
+			// the termination protocol abort immediately. Saying so is a
+			// promise: the reply poisons any VOTE-REQ still in flight (we will
+			// vote no), otherwise a late yes vote could let the commit
+			// protocol commit a transaction the termination protocol aborted
+			// on the strength of this reply.
+			st := types.StateInitial
+			if o, over := k.done[txn]; over {
+				st = o.StateEquivalent()
+			} else {
+				k.promised[txn] = true
+			}
+			k.h.Send(e.From, msg.StateResp{Txn: txn, Epoch: m.Epoch, State: st})
+			return
+		}
+		k.deliver(c, protocol.RoleParticipant, e)
+
+	case msg.DecisionReq:
+		c := k.txns[txn]
+		if c == nil || c.auto[protocol.RoleParticipant] == nil {
+			// As above: we have not voted, so the coordinator cannot have
+			// committed — report "uncommitted", which doubles as a refusal to
+			// vote yes later.
+			resp := msg.DecisionResp{Txn: txn, Uncommitted: true}
+			if o, over := k.done[txn]; over {
+				resp.Uncommitted = false
+				resp.Decision = types.DecisionAbort
+				if o == types.OutcomeCommitted {
+					resp.Decision = types.DecisionCommit
+				}
+			} else {
+				k.promised[txn] = true
+			}
+			k.h.Send(e.From, resp)
+			return
+		}
+		k.deliver(c, protocol.RoleParticipant, e)
+
+	case msg.StateResp, msg.PCAck, msg.PAAck, msg.DecisionResp:
+		c := k.txns[txn]
+		if c == nil {
+			return
+		}
+		if c.auto[protocol.RoleTerminator] != nil {
+			k.deliver(c, protocol.RoleTerminator, e)
+		} else {
+			k.deliver(c, protocol.RoleCoordinator, e)
+		}
+
+	case msg.VoteResp, msg.Done:
+		if c := k.txns[txn]; c != nil {
+			if _, isVote := m.(msg.VoteResp); isVote {
+				k.h.Observe(c, VoteReceived, e.From)
+			}
+			k.deliver(c, protocol.RoleCoordinator, e)
+		}
+
+	case msg.PrepareToCommit, msg.PrepareToAbort, msg.Commit, msg.Abort:
+		if c := k.txns[txn]; c != nil && c.auto[protocol.RoleParticipant] != nil {
+			k.deliver(c, protocol.RoleParticipant, e)
+			return
+		}
+		// No participant (the pure coordinator site holds no copies, or the
+		// transaction is already over here): apply terminal commands directly.
+		switch m.(type) {
+		case msg.Commit:
+			k.Decide(txn, types.OutcomeCommitted)
+		case msg.Abort:
+			k.Decide(txn, types.OutcomeAborted)
+		}
+	}
+}
+
+func (k *Kernel[X]) deliver(c *Txn[X], role protocol.Role, e msg.Envelope) {
+	if a := c.auto[role]; a != nil {
+		a.OnMessage(e.From, e.Msg, k.env(c, role))
+		k.reap(c)
+	}
+}
+
+// Fire delivers an expired timer, unless the automaton that armed it has
+// been superseded or let go since.
+func (k *Kernel[X]) Fire(t Timer) {
+	c := k.txns[t.Txn]
+	if c == nil || c.gen[t.Role] != t.Gen {
+		return
+	}
+	if a := c.auto[t.Role]; a != nil {
+		a.OnTimer(t.Token, k.env(c, t.Role))
+		k.reap(c)
+	}
+}
+
+// startElection creates an election FSM at the given epoch. With campaign
+// set the site actively campaigns (consuming one termination round);
+// otherwise it joins passively and only reacts to election messages.
+func (k *Kernel[X]) startElection(c *Txn[X], epoch uint32, campaign bool) {
+	if c.terminal() {
+		return
+	}
+	if campaign {
+		if c.rounds >= k.cfg.MaxTerminationRounds {
+			return
+		}
+		c.rounds++
+		k.h.Observe(c, TermRound, k.id)
+	}
+	if epoch < c.nextEpoch {
+		epoch = c.nextEpoch
+	}
+	c.nextEpoch = epoch + 1
+	// The election runs over all participants; unreachable ones simply never
+	// answer. A site that knows of none can only elect itself.
+	peers := c.Participants
+	if len(peers) == 0 {
+		peers = []types.SiteID{k.id}
+	}
+	f := election.New(c.ID, k.id, peers, epoch)
+	f.OnElected = func(won uint32) {
+		if !c.terminal() {
+			k.install(c, protocol.RoleTerminator, k.cfg.Spec.NewTerminator(c.ID, c.WS, c.Participants, won))
+		}
+	}
+	f.OnRetry = func() {
+		c.elect = nil
+		k.startElection(c, c.nextEpoch, true)
+	}
+	c.elect = f
+	c.gen[protocol.RoleElection]++
+	c.auto[protocol.RoleElection] = f
+	if campaign {
+		f.Start(k.env(c, protocol.RoleElection))
+	}
+}
+
+// ResetTermination gives txn a fresh termination-round budget and abandons
+// any election in progress. It reports whether a participant here is still
+// in doubt, i.e. whether a Campaign would have anything to terminate.
+func (k *Kernel[X]) ResetTermination(txn types.TxnID) bool {
+	c := k.txns[txn]
+	if c == nil || c.terminal() || c.auto[protocol.RoleParticipant] == nil {
+		return false
+	}
+	c.rounds = 0
+	if c.elect != nil {
+		c.drop(protocol.RoleElection)
+	}
+	return true
+}
+
+// Campaign starts an election round for txn at this site, budget permitting.
+func (k *Kernel[X]) Campaign(txn types.TxnID) {
+	if c := k.txns[txn]; c != nil {
+		k.startElection(c, c.nextEpoch, true)
+	}
+}
+
+// Decide applies the terminal command o for txn: the irrevocable local
+// commit or abort, or — if txn already terminated here the other way — a
+// contradiction reported to the host.
+func (k *Kernel[X]) Decide(txn types.TxnID, o types.Outcome) {
+	if have, over := k.done[txn]; over {
+		if have != o {
+			k.h.Contradicted(txn, have)
+		}
+		return
+	}
+	c := k.txns[txn]
+	if c == nil {
+		return
+	}
+	// Force the decision to the log; a commit then applies the writeset at
+	// version txn+1. Either way the locks go and the outcome is recorded.
+	k.h.Observe(c, Deciding, k.id)
+	if o == types.OutcomeCommitted {
+		k.h.Append(c, wal.Record{Type: wal.RecCommit, Txn: txn})
+		k.cfg.Store.ApplyWriteset(c.WS, uint64(txn)+1)
+		k.h.NoteCommitApplied(c)
+	} else {
+		k.h.Append(c, wal.Record{Type: wal.RecAbort, Txn: txn})
+	}
+	k.cfg.Locks.ReleaseAll(txn)
+	// The participant and the election have nothing left to do; the rest of
+	// the context goes as soon as reap allows.
+	c.outcome = o
+	k.done[txn] = o
+	delete(k.promised, txn)
+	c.drop(protocol.RoleParticipant)
+	c.drop(protocol.RoleElection)
+	k.h.Decided(c, o)
+	k.reap(c)
+}
+
+// reap lets go of a terminated transaction's context — automata, writeset,
+// armed timers — once no coordinator-side automaton still has work: a
+// coordinator whose own participant voted no has yet to read that vote and
+// tell the others, and a terminator that learnt the outcome from a rival has
+// yet to close its round. It runs after every automaton step, so in the
+// common case, where the decision reaches this site after its coordinator
+// sent it, the context goes with the decision.
+func (k *Kernel[X]) reap(c *Txn[X]) {
+	if !c.terminal() {
+		return
+	}
+	for _, role := range [...]protocol.Role{protocol.RoleCoordinator, protocol.RoleTerminator} {
+		if a := c.auto[role]; a != nil {
+			if f, ok := a.(finisher); !ok || !f.Finished() {
+				return
+			}
+		}
+	}
+	c.fence()
+	delete(k.txns, c.ID)
+}
+
+// env builds the protocol.Env bound to (site, transaction, role) at the
+// role's current generation.
+func (k *Kernel[X]) env(c *Txn[X], role protocol.Role) *env[X] {
+	return &env[X]{k: k, c: c, role: role, gen: c.gen[role]}
+}
+
+// env implements protocol.Env for one automaton instance.
+type env[X any] struct {
+	k    *Kernel[X]
+	c    *Txn[X]
+	role protocol.Role
+	gen  uint32
+}
+
+func (e *env[X]) Self() types.SiteID             { return e.k.id }
+func (e *env[X]) Now() sim.Time                  { return e.k.h.Now() }
+func (e *env[X]) T() sim.Duration                { return e.k.cfg.T }
+func (e *env[X]) Assignment() *voting.Assignment { return e.k.cfg.Assignment }
+
+func (e *env[X]) Send(to types.SiteID, m msg.Message) { e.k.h.Send(to, m) }
+
+func (e *env[X]) SetTimer(d sim.Duration, token int) {
+	c := e.c
+	if c.gen[e.role] != e.gen {
+		return // superseded or let go during this very call: the expiry could only be dropped
+	}
+	t := Timer{Txn: c.ID, Role: e.role, Gen: e.gen, Token: token}
+	if st := e.k.h.AfterFunc(d, t); st != nil {
+		c.timers = append(c.timers, st)
+	}
+}
+
+func (e *env[X]) Append(rec wal.Record) { e.k.h.Append(e.c, rec) }
+
+func (e *env[X]) Commit(txn types.TxnID) { e.k.Decide(txn, types.OutcomeCommitted) }
+func (e *env[X]) Abort(txn types.TxnID)  { e.k.Decide(txn, types.OutcomeAborted) }
+
+func (e *env[X]) Block(txn types.TxnID) {
+	if c := e.k.txns[txn]; c != nil && !c.terminal() {
+		e.k.h.Tracef("%s BLOCKED (termination cannot form a quorum)", txn)
+	}
+}
+
+func (e *env[X]) RequestTermination(txn types.TxnID) {
+	c := e.k.txns[txn]
+	if c == nil || c.terminal() {
+		return
+	}
+	if c.elect != nil && !c.elect.Won() {
+		return // an election is already in progress
+	}
+	e.k.startElection(c, c.nextEpoch, true)
+}
+
+// TerminatorDone needs no bookkeeping: reap asks the terminator itself.
+func (e *env[X]) TerminatorDone(types.TxnID) {}
+
+// AcquireLocks is the host service participants use while voting: X locks on
+// all local copies in the writeset. A never-voted promise or an injected
+// refusal makes it fail, which the participant turns into a no vote.
+func (e *env[X]) AcquireLocks(txn types.TxnID) bool {
+	k := e.k
+	c := k.txns[txn]
+	if c == nil || k.promised[txn] || k.h.RefusesVote(txn) {
+		return false
+	}
+	if !k.lockCopies(txn, c.WS) {
+		return false
+	}
+	k.h.Observe(c, LocksTaken, k.id)
+	return true
+}
+
+func (e *env[X]) Tracef(format string, args ...any) { e.k.h.Tracef(format, args...) }
