@@ -5,15 +5,13 @@ import (
 	"sort"
 
 	"qcommit/internal/avail"
-	"qcommit/internal/core"
 	"qcommit/internal/engine"
 	"qcommit/internal/msg"
 	"qcommit/internal/protocol"
+	"qcommit/internal/protocols"
 	"qcommit/internal/simnet"
 	"qcommit/internal/skeenq"
-	"qcommit/internal/threepc"
 	"qcommit/internal/trace"
-	"qcommit/internal/twopc"
 	"qcommit/internal/voting"
 )
 
@@ -159,30 +157,22 @@ func NewCluster(items []ReplicatedItem, opts Options) (*Cluster, error) {
 }
 
 func buildSpec(opts Options, sites []SiteID) (protocol.Spec, error) {
-	switch opts.Protocol {
-	case Proto2PC:
-		return twopc.Spec{}, nil
-	case Proto3PC:
-		return threepc.Spec{}, nil
-	case ProtoSkeenQuorum:
-		vc, va := opts.SkeenVc, opts.SkeenVa
-		if vc == 0 && va == 0 {
-			v := len(sites)
-			vc = v/2 + 1
-			va = v + 1 - vc
-		}
-		spec := skeenq.Uniform(sites, vc, va)
+	if opts.Protocol == ProtoSkeenQuorum && (opts.SkeenVc != 0 || opts.SkeenVa != 0) {
+		spec := skeenq.Uniform(sites, opts.SkeenVc, opts.SkeenVa)
 		if err := spec.Validate(); err != nil {
 			return nil, err
 		}
 		return spec, nil
-	case ProtoQC2:
-		return core.Spec{Variant: core.Protocol2}, nil
-	case ProtoQC1, "":
-		return core.Spec{Variant: core.Protocol1}, nil
-	default:
-		return nil, fmt.Errorf("qcommit: unknown protocol %q", opts.Protocol)
 	}
+	name := string(opts.Protocol)
+	if name == "" {
+		name = string(ProtoQC1)
+	}
+	spec, err := protocols.ByName(name, sites)
+	if err != nil {
+		return nil, fmt.Errorf("qcommit: %w", err)
+	}
+	return spec, nil
 }
 
 // MustCluster is NewCluster panicking on error, for tests and examples.

@@ -39,16 +39,12 @@ import (
 	"sync"
 	"time"
 
-	"qcommit/internal/core"
 	"qcommit/internal/live"
 	"qcommit/internal/obs"
-	"qcommit/internal/protocol"
-	"qcommit/internal/skeenq"
+	"qcommit/internal/protocols"
 	istats "qcommit/internal/stats"
-	"qcommit/internal/threepc"
 	"qcommit/internal/transport/inproc"
 	"qcommit/internal/transport/tcp"
-	"qcommit/internal/twopc"
 	"qcommit/internal/types"
 	"qcommit/internal/voting"
 	"qcommit/internal/wal"
@@ -243,7 +239,7 @@ func runOne(p params, waldir string, maxTxns int, withObs bool) (result, error) 
 	if err != nil {
 		return result{}, err
 	}
-	spec, err := buildSpec(p.Protocol, sites)
+	spec, err := protocols.ByName(p.Protocol, sites)
 	if err != nil {
 		return result{}, err
 	}
@@ -482,27 +478,4 @@ func sanitize(s string) string {
 			return '_'
 		}
 	}, s)
-}
-
-func buildSpec(proto string, sites []types.SiteID) (protocol.Spec, error) {
-	switch strings.ToLower(proto) {
-	case "qc1":
-		return core.Spec{Variant: core.Protocol1}, nil
-	case "qc2":
-		return core.Spec{Variant: core.Protocol2}, nil
-	case "2pc":
-		return twopc.Spec{}, nil
-	case "3pc":
-		return threepc.Spec{}, nil
-	case "skeenq":
-		vc := len(sites)/2 + 1
-		va := len(sites) + 1 - vc
-		spec := skeenq.Uniform(sites, vc, va)
-		if err := spec.Validate(); err != nil {
-			return nil, err
-		}
-		return spec, nil
-	default:
-		return nil, fmt.Errorf("unknown protocol %q (want qc1, qc2, 2pc, 3pc or skeenq)", proto)
-	}
 }

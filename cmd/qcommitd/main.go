@@ -37,16 +37,12 @@ import (
 	"syscall"
 	"time"
 
-	"qcommit/internal/core"
 	"qcommit/internal/live"
 	"qcommit/internal/msg"
 	"qcommit/internal/obs"
-	"qcommit/internal/protocol"
-	"qcommit/internal/skeenq"
-	"qcommit/internal/threepc"
+	"qcommit/internal/protocols"
 	"qcommit/internal/transport"
 	"qcommit/internal/transport/tcp"
-	"qcommit/internal/twopc"
 	"qcommit/internal/types"
 	"qcommit/internal/voting"
 	"qcommit/internal/wal"
@@ -124,7 +120,7 @@ func run(site int, peersFlag, itemsFlag, protoFlag, stratFlag string, timeoutBas
 	if err != nil {
 		return err
 	}
-	spec, err := buildSpec(protoFlag, sites)
+	spec, err := protocols.ByName(protoFlag, sites)
 	if err != nil {
 		return err
 	}
@@ -329,29 +325,6 @@ func buildAssignment(itemsFlag string, sites []types.SiteID) (*voting.Assignment
 		return nil, fmt.Errorf("-items names no items")
 	}
 	return voting.NewAssignment(configs...)
-}
-
-func buildSpec(proto string, sites []types.SiteID) (protocol.Spec, error) {
-	switch strings.ToLower(proto) {
-	case "qc1":
-		return core.Spec{Variant: core.Protocol1}, nil
-	case "qc2":
-		return core.Spec{Variant: core.Protocol2}, nil
-	case "2pc":
-		return twopc.Spec{}, nil
-	case "3pc":
-		return threepc.Spec{}, nil
-	case "skeenq":
-		vc := len(sites)/2 + 1
-		va := len(sites) + 1 - vc
-		spec := skeenq.Uniform(sites, vc, va)
-		if err := spec.Validate(); err != nil {
-			return nil, err
-		}
-		return spec, nil
-	default:
-		return nil, fmt.Errorf("unknown protocol %q (want qc1, qc2, 2pc, 3pc or skeenq)", proto)
-	}
 }
 
 // crashBeforeDecision SIGKILLs the process the moment the hosted coordinator

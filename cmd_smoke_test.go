@@ -22,10 +22,17 @@ func TestCommandsSmoke(t *testing.T) {
 		name string
 		args []string
 		want []string
+		// golden names a file the output must equal byte for byte.
+		golden string
 	}{
 		{
-			name: "figures-all",
-			args: []string{"run", "./cmd/figures", "-all"},
+			// Every figure, example and the C1 table at the fixed default
+			// seed. The golden file was generated at the commit before the
+			// rule tables were unified (PR 15) and must only ever change
+			// together with a deliberate change of simulated behaviour.
+			name:   "figures-all",
+			args:   []string{"run", "./cmd/figures", "-all"},
+			golden: "testdata/figures_all.golden",
 			want: []string{
 				"Fig. 1", "Fig. 4", "Fig. 6", "Fig. 9",
 				"blocks in every partition",
@@ -149,8 +156,36 @@ func TestCommandsSmoke(t *testing.T) {
 					t.Errorf("output missing %q", want)
 				}
 			}
+			if tc.golden != "" {
+				golden, err := os.ReadFile(tc.golden)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if line, got, want := firstDiff(string(out), string(golden)); line > 0 {
+					t.Errorf("output differs from %s at line %d:\n got: %s\nwant: %s", tc.golden, line, got, want)
+				}
+			}
 		})
 	}
+}
+
+// firstDiff returns the 1-based number and both versions of the first line at
+// which a and b differ, or 0 when they are equal.
+func firstDiff(a, b string) (line int, got, want string) {
+	as, bs := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := 0; i < len(as) || i < len(bs); i++ {
+		got, want = "<end of output>", "<end of output>"
+		if i < len(as) {
+			got = as[i]
+		}
+		if i < len(bs) {
+			want = bs[i]
+		}
+		if got != want {
+			return i + 1, got, want
+		}
+	}
+	return 0, "", ""
 }
 
 // TestLoadbenchJSON is the loadbench gate: a short deterministic run with the

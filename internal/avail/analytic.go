@@ -1,6 +1,7 @@
 package avail
 
 import (
+	"qcommit/internal/protocol"
 	"qcommit/internal/quorumcalc"
 	"qcommit/internal/types"
 	"qcommit/internal/voting"
@@ -221,12 +222,16 @@ func (e *analyticEval) run(sc Scenario, deciders []quorumcalc.Decider, results [
 	})
 }
 
-// AnalyzeAnalytic computes, for one scenario under one protocol decider, the
-// Counts and violation count that Replay + Analyze + Tally would produce —
-// without running the discrete-event engine. The differential test suite
-// asserts the equivalence against the replay oracle.
-func AnalyzeAnalytic(sc Scenario, d quorumcalc.Decider) (Counts, int) {
+// AnalyzeAnalytic computes, for one scenario under one protocol, the Counts
+// and violation count that Replay + Analyze + Tally would produce — without
+// running the discrete-event engine. The differential test suite asserts the
+// equivalence against the replay oracle.
+func AnalyzeAnalytic(sc Scenario, spec protocol.Spec) (Counts, int, error) {
+	d, err := deciderFor(spec, sc)
+	if err != nil {
+		return Counts{}, 0, err
+	}
 	results := make([]MCResult, 1)
 	newAnalyticEval().run(sc, []quorumcalc.Decider{d}, results)
-	return results[0].Counts, results[0].Violations
+	return results[0].Counts, results[0].Violations, nil
 }

@@ -1,64 +1,38 @@
 package avail
 
 import (
-	"qcommit/internal/core"
+	"fmt"
+
 	"qcommit/internal/protocol"
+	"qcommit/internal/protocols"
 	"qcommit/internal/quorumcalc"
-	"qcommit/internal/skeenq"
-	"qcommit/internal/threepc"
+	"qcommit/internal/threephase"
 	"qcommit/internal/twopc"
 )
 
-// skeenQuorums sizes Skeen's site-vote quorums for a scenario: one vote per
-// participant, majority commit quorum, minimal intersecting abort quorum.
-func skeenQuorums(sc Scenario) (vc, va int) {
-	v := len(sc.Participants)
-	vc = v/2 + 1
-	va = v + 1 - vc
-	return vc, va
-}
-
 // StandardBuilders returns the five protocol columns every comparison table
 // in EXPERIMENTS.md uses: 2PC, 3PC (site-failure termination), Skeen's
-// quorum protocol with majority site-vote quorums over the participants, and
-// the paper's protocols 1 and 2. Each builder carries both evaluation
-// engines: Build constructs the automata for engine replay, Decider the
-// equivalent analytic quorum kernel.
+// quorum protocol with majority site-vote quorums over each transaction's
+// participants, and the paper's protocols 1 and 2.
 func StandardBuilders() []SpecBuilder {
-	return []SpecBuilder{
-		{
-			Label:   "2PC",
-			Build:   func(Scenario) protocol.Spec { return twopc.Spec{} },
-			Decider: func(Scenario) quorumcalc.Decider { return quorumcalc.TwoPC() },
-		},
-		{
-			Label:   "3PC",
-			Build:   func(Scenario) protocol.Spec { return threepc.Spec{} },
-			Decider: func(Scenario) quorumcalc.Decider { return quorumcalc.ThreePC() },
-		},
-		{
-			Label: "SkeenQ",
-			Build: func(sc Scenario) protocol.Spec {
-				vc, va := skeenQuorums(sc)
-				return skeenq.Uniform(sc.Participants, vc, va)
-			},
-			Decider: func(sc Scenario) quorumcalc.Decider {
-				return quorumcalc.SkeenUniform(skeenQuorums(sc))
-			},
-		},
-		{
-			Label: "QC1",
-			Build: func(Scenario) protocol.Spec { return core.Spec{Variant: core.Protocol1} },
-			Decider: func(sc Scenario) quorumcalc.Decider {
-				return quorumcalc.TP1(sc.Items)
-			},
-		},
-		{
-			Label: "QC2",
-			Build: func(Scenario) protocol.Spec { return core.Spec{Variant: core.Protocol2} },
-			Decider: func(sc Scenario) quorumcalc.Decider {
-				return quorumcalc.TP2(sc.Items)
-			},
-		},
+	var out []SpecBuilder
+	for _, spec := range protocols.Standard(nil) {
+		spec := spec
+		out = append(out, SpecBuilder{Label: spec.Name(), Build: func(Scenario) protocol.Spec { return spec }})
+	}
+	return out
+}
+
+// deciderFor derives the analytic decision kernel equivalent to the spec's
+// termination automaton: the fold of its rule table for the three-phase
+// families, 2PC's own decider for 2PC.
+func deciderFor(spec protocol.Spec, sc Scenario) (quorumcalc.Decider, error) {
+	switch s := spec.(type) {
+	case twopc.Spec:
+		return quorumcalc.TwoPC(), nil
+	case threephase.Ruled:
+		return s.Rule(sc.Items, sc.Participants).Outcome, nil
+	default:
+		return nil, fmt.Errorf("avail: %s has no analytic decider; use EngineReplay", spec.Name())
 	}
 }

@@ -5,6 +5,10 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"qcommit/internal/protocol"
+	"qcommit/internal/skeenq"
+	"qcommit/internal/types"
 )
 
 // differentialParamSets are the scenario-parameter grid of the analytic-vs-
@@ -20,14 +24,43 @@ var differentialParamSets = []ScenarioParams{
 	{NumSites: 5, NumItems: 2, CopiesPerItem: 2, ItemsPerTxn: 1, MaxGroups: 2, VotePhasePct: 100},
 }
 
+// weightedSkeen is Skeen's protocol with non-uniform site votes (1, 2 or 3
+// by site number) over the scenario's participants and the tightest majority
+// quorums over their total — the column that exercises the weighted sum in
+// quorumcalc.SkeenRule, which the standard one-vote-per-site column cannot.
+func weightedSkeen(sc Scenario) protocol.Spec {
+	votes := make(map[types.SiteID]int, len(sc.Participants))
+	total := 0
+	for _, s := range sc.Participants {
+		votes[s] = 1 + int(s)%3
+		total += votes[s]
+	}
+	vc, va := skeenq.Majority(total)
+	return skeenq.Spec{Votes: votes, Vc: vc, Va: va}
+}
+
+func differentialBuilders() []SpecBuilder {
+	return append(StandardBuilders(), SpecBuilder{Label: "SkeenQ-weighted", Build: weightedSkeen})
+}
+
 // assertEngineAgreement replays one scenario under every standard protocol
-// with both engines and fails on any Counts or violation-count divergence.
+// (and weighted Skeen) with both engines and fails on any Counts or
+// violation-count divergence.
 func assertEngineAgreement(t *testing.T, sc Scenario, label string) {
 	t.Helper()
-	for _, b := range StandardBuilders() {
-		rep, violations := Replay(sc, b.Build(sc))
+	for _, b := range differentialBuilders() {
+		spec := b.Build(sc)
+		if v, ok := spec.(skeenq.Spec); ok {
+			if err := v.Validate(); err != nil {
+				t.Fatalf("%s %s: %v", label, b.Label, err)
+			}
+		}
+		rep, violations := Replay(sc, spec)
 		wantCounts, wantViol := rep.Tally(), len(violations)
-		gotCounts, gotViol := AnalyzeAnalytic(sc, b.Decider(sc))
+		gotCounts, gotViol, err := AnalyzeAnalytic(sc, spec)
+		if err != nil {
+			t.Fatalf("%s %s: %v", label, b.Label, err)
+		}
 		if !reflect.DeepEqual(gotCounts, wantCounts) {
 			t.Errorf("%s %s: analytic counts diverge\nreplay   %+v\nanalytic %+v\nstates %v partition %v coord %v writeset %v",
 				label, b.Label, wantCounts, gotCounts, sc.States, sc.Partition, sc.Coord, sc.Writeset)
@@ -145,7 +178,7 @@ func TestAnalyticResidualGroup(t *testing.T) {
 // serial and parallel, produce identical MCResult slices.
 func TestMonteCarloEnginesMatch(t *testing.T) {
 	params := DefaultScenarioParams()
-	builders := StandardBuilders()
+	builders := differentialBuilders()
 	const trials = 80
 	want, err := MonteCarlo(params, trials, 11, builders, EngineReplay)
 	if err != nil {
@@ -170,16 +203,25 @@ func TestMonteCarloEnginesMatch(t *testing.T) {
 	}
 }
 
-// TestAnalyticRequiresDeciders pins the error path: an analytic run with a
-// builder lacking a Decider must fail up front, serial and parallel alike.
-func TestAnalyticRequiresDeciders(t *testing.T) {
-	builders := StandardBuilders()[:1]
-	builders[0].Decider = nil
+// opaqueSpec hides a spec's rule table, as a protocol implemented outside
+// the three-phase family would.
+type opaqueSpec struct{ protocol.Spec }
+
+// TestAnalyticRequiresRuleTable pins the error path: an analytic run over a
+// spec that is neither 2PC nor rule-table driven must fail, serial and
+// parallel alike, while replay still accepts it.
+func TestAnalyticRequiresRuleTable(t *testing.T) {
+	builders := []SpecBuilder{{Label: "opaque", Build: func(sc Scenario) protocol.Spec {
+		return opaqueSpec{StandardBuilders()[3].Build(sc)}
+	}}}
 	if _, err := MonteCarlo(DefaultScenarioParams(), 4, 1, builders, EngineAnalytic); err == nil {
-		t.Error("serial analytic run without Decider succeeded")
+		t.Error("serial analytic run without a rule table succeeded")
 	}
 	if _, err := MonteCarloParallel(DefaultScenarioParams(), 100, 1, builders,
 		MCOptions{Workers: 4, Engine: EngineAnalytic}); err == nil {
-		t.Error("parallel analytic run without Decider succeeded")
+		t.Error("parallel analytic run without a rule table succeeded")
+	}
+	if _, err := MonteCarlo(DefaultScenarioParams(), 4, 1, builders, EngineReplay); err != nil {
+		t.Errorf("replay of the same spec failed: %v", err)
 	}
 }

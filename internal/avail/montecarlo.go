@@ -245,8 +245,9 @@ const (
 	EngineReplay Engine = iota
 	// EngineAnalytic computes each trial's Counts by pure quorum arithmetic
 	// (package quorumcalc) — no simulation. Differential tests pin it
-	// count-for-count to EngineReplay; it requires every SpecBuilder to
-	// provide a Decider.
+	// count-for-count to EngineReplay. The arithmetic reads the rule table
+	// of the very spec Build returns, so it supports 2PC and every spec that
+	// implements threephase.Ruled.
 	EngineAnalytic
 )
 
@@ -275,12 +276,8 @@ func ParseEngine(s string) (Engine, error) {
 type SpecBuilder struct {
 	// Label names the column in result tables.
 	Label string
-	// Build returns the spec for the given scenario (EngineReplay).
+	// Build returns the spec for the given scenario.
 	Build func(sc Scenario) protocol.Spec
-	// Decider returns the analytic decision kernel equivalent to Build's
-	// termination automaton (EngineAnalytic). A nil Decider restricts the
-	// builder to EngineReplay.
-	Decider func(sc Scenario) quorumcalc.Decider
 }
 
 // Replay runs one scenario under one protocol through the discrete-event
@@ -331,11 +328,6 @@ func newTrialRunner(params ScenarioParams, builders []SpecBuilder, eng Engine) (
 	}
 	r := &trialRunner{gen: gen, builders: builders, engine: eng}
 	if eng == EngineAnalytic {
-		for i, b := range builders {
-			if b.Decider == nil {
-				return nil, fmt.Errorf("avail: builder %d (%q) has no analytic Decider; use EngineReplay", i, b.Label)
-			}
-		}
 		r.eval = newAnalyticEval()
 		r.deciders = make([]quorumcalc.Decider, len(builders))
 	}
@@ -350,7 +342,9 @@ func (r *trialRunner) accumulate(seed int64, t int, results []MCResult) error {
 	}
 	if r.engine == EngineAnalytic {
 		for i, b := range r.builders {
-			r.deciders[i] = b.Decider(sc)
+			if r.deciders[i], err = deciderFor(b.Build(sc), sc); err != nil {
+				return err
+			}
 		}
 		r.eval.run(sc, r.deciders, results)
 		return nil

@@ -29,8 +29,8 @@
 //     item within 6T, which bounds every analytic lock lifetime; (c) no copy
 //     of its writeset is locked in the fallback world at arrival time —
 //     long-blocked replayed transactions hold locks past any fixed horizon,
-//     and this live probe catches them; and (d) the protocol's
-//     quorumcalc.Decider confirms the all-participants-prepared tally
+//     and this live probe catches them; and (d) the fold of the protocol's
+//     quorumcalc.Rule confirms the all-participants-prepared tally
 //     commits. Anything else — including the measure-zero ack-timeout tie on
 //     a terminate-on-timeout protocol — falls back to replay.
 //  3. Analytic and replayed transactions cannot interact. Clustering keeps
@@ -54,17 +54,15 @@ import (
 	"fmt"
 	"sort"
 
-	"qcommit/internal/core"
 	"qcommit/internal/engine"
 	"qcommit/internal/protocol"
 	"qcommit/internal/quorumcalc"
 	"qcommit/internal/sim"
 	"qcommit/internal/simnet"
 	"qcommit/internal/storage"
-	"qcommit/internal/threepc"
+	"qcommit/internal/threephase"
 	"qcommit/internal/twopc"
 	"qcommit/internal/types"
-	"qcommit/internal/voting"
 )
 
 const (
@@ -115,69 +113,24 @@ func delayModel(seed int64) func(from, to types.SiteID, at sim.Time) sim.Duratio
 type protoModel struct {
 	// twoPhase marks 2PC: commit on the last yes vote, no ack phase.
 	twoPhase bool
-	// ackTimeoutCommit marks protocols that commit when the ack window
-	// expires (3PC); quorum protocols terminate instead, which the
-	// analytic path refuses to model and hands to replay.
-	ackTimeoutCommit bool
-	// satisfied mirrors the protocol's threephase.AckRule over the set of
-	// participants whose PC-acks have arrived.
-	satisfied func(items []types.ItemID, participants, acked []types.SiteID) bool
-	// decider builds the protocol's quorumcalc termination decider, used as
-	// a commit sanity gate over the all-participants-prepared tally.
-	decider func(items []types.ItemID, participants []types.SiteID) quorumcalc.Decider
+	// ruled yields, for the three-phase families, the rule table the
+	// transaction's coordinator and terminator would run: its fold
+	// sanity-gates the commit over the all-participants-prepared tally, its
+	// ack quorum ends the walk over the PC-ack arrivals, and it says whether
+	// an expired ack window commits (3PC) or terminates — which the analytic
+	// path refuses to model and hands to replay.
+	ruled threephase.Ruled
 }
 
-// protoModelFor derives the analytic model from a built spec. The switch
-// covers exactly the StandardBuilders specs; an unknown spec gets no model
-// and the hybrid engine degrades to pure replay in the shared world.
-func protoModelFor(spec protocol.Spec, asgn *voting.Assignment) *protoModel {
+// protoModelFor derives the analytic model from a built spec; an unknown spec
+// gets no model and the hybrid engine degrades to pure replay in the shared
+// world.
+func protoModelFor(spec protocol.Spec) *protoModel {
 	switch s := spec.(type) {
 	case twopc.Spec:
 		return &protoModel{twoPhase: true}
-	case threepc.Spec:
-		return &protoModel{
-			ackTimeoutCommit: true,
-			satisfied: func(_ []types.ItemID, participants, acked []types.SiteID) bool {
-				return len(acked) >= len(participants)
-			},
-			decider: func(_ []types.ItemID, _ []types.SiteID) quorumcalc.Decider {
-				return quorumcalc.ThreePC()
-			},
-		}
-	case core.Spec:
-		switch s.Variant {
-		case core.Protocol1:
-			return &protoModel{
-				satisfied: func(items []types.ItemID, _, acked []types.SiteID) bool {
-					return asgn.WriteQuorumForEvery(items, acked)
-				},
-				decider: func(items []types.ItemID, _ []types.SiteID) quorumcalc.Decider {
-					return quorumcalc.TP1(items)
-				},
-			}
-		case core.Protocol2:
-			return &protoModel{
-				satisfied: func(items []types.ItemID, _, acked []types.SiteID) bool {
-					return asgn.ReadQuorumForSome(items, acked)
-				},
-				decider: func(items []types.ItemID, _ []types.SiteID) quorumcalc.Decider {
-					return quorumcalc.TP2(items)
-				},
-			}
-		default:
-			return nil
-		}
-	case skeenPerTxn:
-		return &protoModel{
-			satisfied: func(_ []types.ItemID, participants, acked []types.SiteID) bool {
-				return len(acked) >= len(participants)/2+1
-			},
-			decider: func(_ []types.ItemID, participants []types.SiteID) quorumcalc.Decider {
-				v := len(participants)
-				vc := v/2 + 1
-				return quorumcalc.SkeenUniform(vc, v+1-vc)
-			},
-		}
+	case threephase.Ruled:
+		return &protoModel{ruled: s}
 	default:
 		return nil
 	}
@@ -266,8 +219,8 @@ type ackArrival struct {
 // availability probes, the coordinator reroute, the quiet-window test, and
 // the vote/ack round-trip arithmetic (all of which depend only on the
 // epochs and the per-message delay hash). What remains per protocol is the
-// live lock probe against that column's fallback world, the quorum decider
-// gate, and the ack-rule walk.
+// live lock probe against that column's fallback world, the rule-table
+// gate, and the ack-quorum walk.
 type arrivalPlan struct {
 	// coord is the effective coordinator after rerouting; 0 means every
 	// participant was down and the submission is rejected.
@@ -431,7 +384,7 @@ func executeRunHybrid(sc *script, params Params, seed int64, spec protocol.Spec)
 		params:   params,
 		seed:     seed,
 		spec:     spec,
-		model:    protoModelFor(spec, sc.asgn),
+		model:    protoModelFor(spec),
 		multi:    sc.hybridMulti,
 		plans:    sc.hybridPlans,
 		worldTxn: make([]types.TxnID, len(sc.arrivals)),
@@ -585,8 +538,8 @@ func (h *hybridRun) ensureWorld() {
 // ok=false to send the transaction to the fallback world. The plan supplies
 // the protocol-independent half (window quietness, reachability, vote and
 // ack arithmetic); what remains here is everything the protocol column owns:
-// the live lock probe against its fallback world, the quorum decider gate,
-// and the ack-rule walk.
+// the live lock probe against its fallback world, the rule-table gate, and
+// the ack-quorum walk.
 func (h *hybridRun) classify(i int, a *arrival, p *arrivalPlan) (committed bool, decidedAt sim.Time, ok bool) {
 	if h.model == nil || h.multi[i] || !p.windowOK {
 		return false, 0, false
@@ -615,21 +568,22 @@ func (h *hybridRun) classify(i int, a *arrival, p *arrivalPlan) (committed bool,
 		return true, p.commitAt, true
 	}
 
-	// Three-phase protocols: sanity-gate the commit through the protocol's
-	// quorumcalc decider over the all-participants-prepared tally, then
-	// walk the PC-ack arrivals until the ack rule is satisfied.
+	// Three-phase protocols: sanity-gate the commit through the fold of the
+	// protocol's rule table over the all-participants-prepared tally, then
+	// walk the PC-ack arrivals until its ack quorum is reached.
+	rule := h.model.ruled.Rule(p.items, a.Participants)
 	h.tally.Reset()
 	for _, s := range a.Participants {
 		h.tally.Add(s, types.StatePC)
 	}
-	if h.model.decider(p.items, a.Participants)(h.sc.asgn, &h.tally) != types.OutcomeCommitted {
+	if rule.Outcome(h.sc.asgn, &h.tally) != types.OutcomeCommitted {
 		return false, 0, false
 	}
 
 	h.acked = h.acked[:0]
 	for _, ack := range p.acks {
 		h.acked = append(h.acked, ack.site)
-		if !h.model.satisfied(p.items, a.Participants, h.acked) {
+		if !rule.AckQuorum(h.sc.asgn, h.acked, len(a.Participants)) {
 			continue
 		}
 		if ack.at < p.ackDeadline {
@@ -637,7 +591,7 @@ func (h *hybridRun) classify(i int, a *arrival, p *arrivalPlan) (committed bool,
 		}
 		break
 	}
-	if h.model.ackTimeoutCommit {
+	if rule.CommitsOnAckTimeout() {
 		// 3PC commits when the ack window expires.
 		return true, firstDecisionTime(h.seed, p.coord, p.coordIn, p.reach, p.ackDeadline), true
 	}

@@ -6,16 +6,12 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"qcommit/internal/core"
 	"qcommit/internal/engine"
 	"qcommit/internal/protocol"
+	"qcommit/internal/protocols"
 	"qcommit/internal/sim"
 	"qcommit/internal/simnet"
-	"qcommit/internal/skeenq"
-	"qcommit/internal/threepc"
-	"qcommit/internal/twopc"
 	"qcommit/internal/types"
-	"qcommit/internal/wal"
 )
 
 // Builder constructs a protocol spec for a churn run.
@@ -30,48 +26,12 @@ type Builder struct {
 // Skeen's quorum protocol with per-transaction majority site-vote quorums,
 // and the paper's protocols 1 and 2.
 func StandardBuilders() []Builder {
-	return []Builder{
-		{Label: "2PC", Build: func([]types.SiteID) protocol.Spec { return twopc.Spec{} }},
-		{Label: "3PC", Build: func([]types.SiteID) protocol.Spec { return threepc.Spec{} }},
-		{Label: "SkeenQ", Build: func([]types.SiteID) protocol.Spec { return skeenPerTxn{} }},
-		{Label: "QC1", Build: func([]types.SiteID) protocol.Spec { return core.Spec{Variant: core.Protocol1} }},
-		{Label: "QC2", Build: func([]types.SiteID) protocol.Spec { return core.Spec{Variant: core.Protocol2} }},
+	var out []Builder
+	for _, spec := range protocols.Standard(nil) {
+		spec := spec
+		out = append(out, Builder{Label: spec.Name(), Build: func([]types.SiteID) protocol.Spec { return spec }})
 	}
-}
-
-// skeenPerTxn is Skeen's quorum protocol with majority site-vote quorums
-// sized per transaction over its participant set — the avail sweep's
-// convention, extended to a stream where every transaction has a different
-// participant list. A cluster-wide quorum would be unreachable for
-// transactions whose items replicate on fewer than Vc sites, blocking them
-// even without failures.
-type skeenPerTxn struct{}
-
-var _ protocol.Spec = skeenPerTxn{}
-
-func skeenFor(participants []types.SiteID) skeenq.Spec {
-	v := len(participants)
-	vc := v/2 + 1
-	return skeenq.Uniform(participants, vc, v+1-vc)
-}
-
-// Name implements protocol.Spec.
-func (skeenPerTxn) Name() string { return "SkeenQ" }
-
-// NewCoordinator implements protocol.Spec.
-func (skeenPerTxn) NewCoordinator(txn types.TxnID, ws types.Writeset, participants []types.SiteID) protocol.Automaton {
-	return skeenFor(participants).NewCoordinator(txn, ws, participants)
-}
-
-// NewParticipant implements protocol.Spec (the participant does not consult
-// the vote table).
-func (skeenPerTxn) NewParticipant(txn types.TxnID, init *wal.TxnImage) protocol.Automaton {
-	return skeenq.Spec{}.NewParticipant(txn, init)
-}
-
-// NewTerminator implements protocol.Spec.
-func (skeenPerTxn) NewTerminator(txn types.TxnID, ws types.Writeset, participants []types.SiteID, epoch uint32) protocol.Automaton {
-	return skeenFor(participants).NewTerminator(txn, ws, participants, epoch)
+	return out
 }
 
 // runStats is one (run, protocol) evaluation before aggregation.

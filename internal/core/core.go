@@ -16,12 +16,17 @@
 // quorum is then impossible forever), CP2 once they carry r(x) votes for
 // some x. CP2 therefore commits faster than CP1, which commits faster than
 // plain 3PC.
+//
+// Both pairs are rule tables declared in package quorumcalc (TP1Rule,
+// TP2Rule); Spec only selects one and hands it to package threephase's
+// automata.
 package core
 
 import (
 	"fmt"
 
 	"qcommit/internal/protocol"
+	"qcommit/internal/quorumcalc"
 	"qcommit/internal/threephase"
 	"qcommit/internal/types"
 	"qcommit/internal/wal"
@@ -51,7 +56,10 @@ type Spec struct {
 	PatienceRounds int
 }
 
-var _ protocol.Spec = Spec{}
+var (
+	_ protocol.Spec    = Spec{}
+	_ threephase.Ruled = Spec{}
+)
 
 func (s Spec) variant() Variant {
 	if s.Variant == Protocol2 {
@@ -68,16 +76,19 @@ func (s Spec) Name() string {
 	return "QC1"
 }
 
+// Rule implements threephase.Ruled: TP1 with commit protocol 1, or TP2 with
+// commit protocol 2, over the transaction's written items.
+func (s Spec) Rule(items []types.ItemID, _ []types.SiteID) quorumcalc.Rule {
+	if s.variant() == Protocol2 {
+		return quorumcalc.TP2Rule(items)
+	}
+	return quorumcalc.TP1Rule(items)
+}
+
 // NewCoordinator implements protocol.Spec with the early-commit rules of
 // Fig. 9.
 func (s Spec) NewCoordinator(txn types.TxnID, ws types.Writeset, participants []types.SiteID) protocol.Automaton {
-	var rule threephase.AckRule
-	if s.variant() == Protocol2 {
-		rule = threephase.ReadQuorumSome{Items: ws.Items()}
-	} else {
-		rule = threephase.WriteQuorumEvery{Items: ws.Items()}
-	}
-	return threephase.NewCoordinator(txn, ws, participants, rule, threephase.AckTimeoutTerminate)
+	return threephase.NewCoordinator(txn, ws, participants, s.Rule(ws.Items(), participants))
 }
 
 // NewParticipant implements protocol.Spec.
@@ -90,103 +101,7 @@ func (s Spec) NewParticipant(txn types.TxnID, init *wal.TxnImage) protocol.Autom
 
 // NewTerminator implements protocol.Spec.
 func (s Spec) NewTerminator(txn types.TxnID, ws types.Writeset, participants []types.SiteID, epoch uint32) protocol.Automaton {
-	var rules threephase.Rules
-	if s.variant() == Protocol2 {
-		rules = TP2Rules{Items: ws.Items()}
-	} else {
-		rules = TP1Rules{Items: ws.Items()}
-	}
-	return threephase.NewTerminator(txn, ws, participants, epoch, rules)
-}
-
-// TP1Rules is the quorum logic of Termination Protocol 1 (Fig. 5):
-//
-//   - immediate COMMIT if ≥1 participant committed, or participants in PC
-//     hold ≥ w(x) votes for every x ∈ W(TR);
-//   - immediate ABORT if ≥1 participant aborted or is in the initial state,
-//     or participants in PA hold ≥ r(x) votes for some x;
-//   - commit quorum possible if ∃ PC participant and participants not in PA
-//     hold ≥ w(x) votes for every x;
-//   - abort quorum possible if participants not in PC hold ≥ r(x) votes for
-//     some x;
-//   - otherwise block.
-type TP1Rules struct {
-	Items []types.ItemID
-}
-
-var _ threephase.Rules = TP1Rules{}
-
-// Name implements threephase.Rules.
-func (TP1Rules) Name() string { return "TP1" }
-
-// Decide implements threephase.Rules.
-func (r TP1Rules) Decide(env protocol.Env, t threephase.StateTally) threephase.Verdict {
-	a := env.Assignment()
-	switch {
-	case t.Any(types.StateCommitted) || a.WriteQuorumForEvery(r.Items, t.In(types.StatePC)):
-		return threephase.VerdictCommit
-	case t.Any(types.StateAborted) || t.Any(types.StateInitial) ||
-		a.ReadQuorumForSome(r.Items, t.In(types.StatePA)):
-		return threephase.VerdictAbort
-	case t.Any(types.StatePC) && a.WriteQuorumForEvery(r.Items, t.NotIn(types.StatePA)):
-		return threephase.VerdictTryCommit
-	case a.ReadQuorumForSome(r.Items, t.NotIn(types.StatePC)):
-		return threephase.VerdictTryAbort
-	default:
-		return threephase.VerdictBlock
-	}
-}
-
-// CommitConfirmed implements threephase.Rules: phase-1 PC reporters plus
-// phase-2 PC-ackers must constitute ≥ w(x) votes for every x ∈ W(TR).
-func (r TP1Rules) CommitConfirmed(env protocol.Env, sites []types.SiteID) bool {
-	return env.Assignment().WriteQuorumForEvery(r.Items, sites)
-}
-
-// AbortConfirmed implements threephase.Rules: phase-1 PA reporters plus
-// phase-2 PA-ackers must constitute ≥ r(x) votes for some x ∈ W(TR).
-func (r TP1Rules) AbortConfirmed(env protocol.Env, sites []types.SiteID) bool {
-	return env.Assignment().ReadQuorumForSome(r.Items, sites)
-}
-
-// TP2Rules is the quorum logic of Termination Protocol 2 (Fig. 8), which is
-// TP1 with the r/w roles swapped: the commit side needs r(x) votes for some
-// x, the abort side needs w(x) votes for every x.
-type TP2Rules struct {
-	Items []types.ItemID
-}
-
-var _ threephase.Rules = TP2Rules{}
-
-// Name implements threephase.Rules.
-func (TP2Rules) Name() string { return "TP2" }
-
-// Decide implements threephase.Rules.
-func (r TP2Rules) Decide(env protocol.Env, t threephase.StateTally) threephase.Verdict {
-	a := env.Assignment()
-	switch {
-	case t.Any(types.StateCommitted) || a.ReadQuorumForSome(r.Items, t.In(types.StatePC)):
-		return threephase.VerdictCommit
-	case t.Any(types.StateAborted) || t.Any(types.StateInitial) ||
-		a.WriteQuorumForEvery(r.Items, t.In(types.StatePA)):
-		return threephase.VerdictAbort
-	case t.Any(types.StatePC) && a.ReadQuorumForSome(r.Items, t.NotIn(types.StatePA)):
-		return threephase.VerdictTryCommit
-	case a.WriteQuorumForEvery(r.Items, t.NotIn(types.StatePC)):
-		return threephase.VerdictTryAbort
-	default:
-		return threephase.VerdictBlock
-	}
-}
-
-// CommitConfirmed implements threephase.Rules.
-func (r TP2Rules) CommitConfirmed(env protocol.Env, sites []types.SiteID) bool {
-	return env.Assignment().ReadQuorumForSome(r.Items, sites)
-}
-
-// AbortConfirmed implements threephase.Rules.
-func (r TP2Rules) AbortConfirmed(env protocol.Env, sites []types.SiteID) bool {
-	return env.Assignment().WriteQuorumForEvery(r.Items, sites)
+	return threephase.NewTerminator(txn, participants, epoch, s.Rule(ws.Items(), participants))
 }
 
 // String implements fmt.Stringer.

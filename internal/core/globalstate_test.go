@@ -6,7 +6,7 @@ import (
 	"testing/quick"
 
 	"qcommit/internal/protocoltest"
-	"qcommit/internal/threephase"
+	"qcommit/internal/quorumcalc"
 	"qcommit/internal/types"
 )
 
@@ -19,9 +19,9 @@ import (
 // without further acknowledgements, so a conflict here would be an
 // unconditional atomicity violation.
 func TestTPOppositeImmediateVerdictsImpossible(t *testing.T) {
-	env := protocoltest.New(1, ex1())
+	asgn := ex1()
 	all := []types.SiteID{1, 2, 3, 4, 5, 6, 7, 8}
-	rules := []threephase.Rules{TP1Rules{Items: items}, TP2Rules{Items: items}}
+	rules := []quorumcalc.Rule{tp1, tp2}
 
 	f := func(pcMask, splitMask uint8) bool {
 		g1 := make(map[types.SiteID]types.State)
@@ -38,26 +38,26 @@ func TestTPOppositeImmediateVerdictsImpossible(t *testing.T) {
 			}
 		}
 		for _, r := range rules {
-			v1 := threephase.VerdictBlock
+			v1 := quorumcalc.VerdictBlock
 			if len(g1) > 0 {
-				v1 = r.Decide(env, threephase.NewStateTally(g1))
+				v1 = r.Decide(asgn, protocoltest.Tally(g1))
 			}
-			v2 := threephase.VerdictBlock
+			v2 := quorumcalc.VerdictBlock
 			if len(g2) > 0 {
-				v2 = r.Decide(env, threephase.NewStateTally(g2))
+				v2 = r.Decide(asgn, protocoltest.Tally(g2))
 			}
-			if (v1 == threephase.VerdictCommit && v2 == threephase.VerdictAbort) ||
-				(v1 == threephase.VerdictAbort && v2 == threephase.VerdictCommit) {
+			if (v1 == quorumcalc.VerdictCommit && v2 == quorumcalc.VerdictAbort) ||
+				(v1 == quorumcalc.VerdictAbort && v2 == quorumcalc.VerdictCommit) {
 				return false
 			}
 			// Stronger: an immediate COMMIT in one partition must make even
 			// a *confirmed* abort quorum impossible in the other, because
 			// immediate commit requires w(x) votes ∀x among PC sites, whose
 			// complement cannot reach r(x) votes for any x.
-			if v1 == threephase.VerdictCommit && r.AbortConfirmed(env, sitesOf(g2)) {
+			if v1 == quorumcalc.VerdictCommit && r.AbortConfirmed(asgn, sitesOf(g2)) {
 				return false
 			}
-			if v2 == threephase.VerdictCommit && r.AbortConfirmed(env, sitesOf(g1)) {
+			if v2 == quorumcalc.VerdictCommit && r.AbortConfirmed(asgn, sitesOf(g1)) {
 				return false
 			}
 		}
@@ -82,13 +82,13 @@ func sitesOf(m map[types.SiteID]types.State) []types.SiteID {
 // committable state in the partition; try-verdicts never fire on terminal
 // evidence.
 func TestTPVerdictPreconditions(t *testing.T) {
-	env := protocoltest.New(1, ex1())
+	asgn := ex1()
 	all := []types.SiteID{1, 2, 3, 4, 5, 6, 7, 8}
 	states := []types.State{
 		types.StateInitial, types.StateWait, types.StatePC,
 		types.StatePA, types.StateCommitted, types.StateAborted,
 	}
-	rules := []threephase.Rules{TP1Rules{Items: items}, TP2Rules{Items: items}}
+	rules := []quorumcalc.Rule{tp1, tp2}
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 3000; trial++ {
 		tallyMap := make(map[types.SiteID]types.State)
@@ -100,18 +100,18 @@ func TestTPVerdictPreconditions(t *testing.T) {
 		if len(tallyMap) == 0 {
 			continue
 		}
-		tl := threephase.NewStateTally(tallyMap)
+		tl := protocoltest.Tally(tallyMap)
 		for _, r := range rules {
-			v := r.Decide(env, tl)
-			anyCommittable := tl.Any(types.StatePC) || tl.Any(types.StateCommitted)
-			if (v == threephase.VerdictCommit || v == threephase.VerdictTryCommit) && !anyCommittable {
-				t.Fatalf("%s: commit-side verdict %v without any committable state: %v", r.Name(), v, tallyMap)
+			v := r.Decide(asgn, tl)
+			anyCommittable := tl.Count(types.StatePC) > 0 || tl.Count(types.StateCommitted) > 0
+			if (v == quorumcalc.VerdictCommit || v == quorumcalc.VerdictTryCommit) && !anyCommittable {
+				t.Fatalf("%s: commit-side verdict %v without any committable state: %v", r.Name, v, tallyMap)
 			}
-			if v == threephase.VerdictTryCommit && (tl.Any(types.StateAborted) || tl.Any(types.StateInitial) || tl.Any(types.StateCommitted)) {
-				t.Fatalf("%s: try-commit despite terminal/initial evidence: %v", r.Name(), tallyMap)
+			if v == quorumcalc.VerdictTryCommit && (tl.Count(types.StateAborted) > 0 || tl.Count(types.StateInitial) > 0 || tl.Count(types.StateCommitted) > 0) {
+				t.Fatalf("%s: try-commit despite terminal/initial evidence: %v", r.Name, tallyMap)
 			}
-			if v == threephase.VerdictTryAbort && (tl.Any(types.StateCommitted) || tl.Any(types.StateAborted) || tl.Any(types.StateInitial)) {
-				t.Fatalf("%s: try-abort despite decisive evidence: %v", r.Name(), tallyMap)
+			if v == quorumcalc.VerdictTryAbort && (tl.Count(types.StateCommitted) > 0 || tl.Count(types.StateAborted) > 0 || tl.Count(types.StateInitial) > 0) {
+				t.Fatalf("%s: try-abort despite decisive evidence: %v", r.Name, tallyMap)
 			}
 		}
 	}

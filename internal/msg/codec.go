@@ -26,6 +26,10 @@ var (
 	ErrBadKind     = errors.New("msg: unknown message kind")
 	ErrTruncated   = errors.New("msg: truncated body")
 	ErrTrailing    = errors.New("msg: trailing bytes after body")
+	// ErrBadValue reports a State, Vote or Decision byte outside the defined
+	// values. Automata index tables by these, so a peer must not be able to
+	// plant an undefined one.
+	ErrBadValue = errors.New("msg: undefined enumeration value")
 )
 
 type writer struct{ buf []byte }
@@ -90,6 +94,19 @@ func (r *reader) varint() int64 {
 	}
 	r.buf = r.buf[n:]
 	return v
+}
+
+func (r *reader) byte() uint8 {
+	if r.err != nil {
+		return 0
+	}
+	if len(r.buf) < 1 {
+		r.fail(ErrTruncated)
+		return 0
+	}
+	b := r.buf[0]
+	r.buf = r.buf[1:]
+	return b
 }
 
 func (r *reader) str() string {
@@ -268,15 +285,11 @@ func Unmarshal(frame []byte) (Message, error) {
 			Writeset:     r.writeset(),
 		}
 	case KindVoteResp:
-		txn := types.TxnID(r.uvarint())
-		var vote types.Vote
-		if len(r.buf) < 1 {
-			r.fail(ErrTruncated)
-		} else {
-			vote = types.Vote(r.buf[0])
-			r.buf = r.buf[1:]
+		v := VoteResp{Txn: types.TxnID(r.uvarint()), Vote: types.Vote(r.byte())}
+		if !v.Vote.Valid() {
+			r.fail(ErrBadValue)
 		}
-		m = VoteResp{Txn: txn, Vote: vote}
+		m = v
 	case KindPrepareToCommit:
 		m = PrepareToCommit{Txn: types.TxnID(r.uvarint())}
 	case KindPCAck:
@@ -298,30 +311,19 @@ func Unmarshal(frame []byte) (Message, error) {
 			Epoch: uint32(r.uvarint()),
 		}
 	case KindStateResp:
-		txn := types.TxnID(r.uvarint())
-		epoch := uint32(r.uvarint())
-		var st types.State
-		if len(r.buf) < 1 {
-			r.fail(ErrTruncated)
-		} else {
-			st = types.State(r.buf[0])
-			r.buf = r.buf[1:]
+		v := StateResp{Txn: types.TxnID(r.uvarint()), Epoch: uint32(r.uvarint()), State: types.State(r.byte())}
+		if !v.State.Valid() {
+			r.fail(ErrBadValue)
 		}
-		m = StateResp{Txn: txn, Epoch: epoch, State: st}
+		m = v
 	case KindDecisionReq:
 		m = DecisionReq{Txn: types.TxnID(r.uvarint())}
 	case KindDecisionResp:
-		txn := types.TxnID(r.uvarint())
-		var dec types.Decision
-		var unc bool
-		if len(r.buf) < 2 {
-			r.fail(ErrTruncated)
-		} else {
-			dec = types.Decision(r.buf[0])
-			unc = r.buf[1] == 1
-			r.buf = r.buf[2:]
+		v := DecisionResp{Txn: types.TxnID(r.uvarint()), Decision: types.Decision(r.byte()), Uncommitted: r.byte() == 1}
+		if !v.Decision.Valid() {
+			r.fail(ErrBadValue)
 		}
-		m = DecisionResp{Txn: txn, Decision: dec, Uncommitted: unc}
+		m = v
 	case KindElectionCall:
 		m = ElectionCall{
 			Txn:       types.TxnID(r.uvarint()),

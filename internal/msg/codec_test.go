@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -212,5 +213,48 @@ func TestCodecCopyMessages(t *testing.T) {
 	}
 	if TxnOf(CopyReq{Item: "x"}) != 0 {
 		t.Error("copy messages are not transaction-scoped")
+	}
+}
+
+// undefinedEnumMessages are well-formed frames a hostile or corrupted peer
+// could send: each carries a State, Vote or Decision byte just past, or far
+// past, the defined values.
+func undefinedEnumMessages() []Message {
+	return []Message{
+		StateResp{Txn: 7, Epoch: 3, State: types.StateAborted + 1},
+		StateResp{Txn: 7, Epoch: 3, State: 200},
+		VoteResp{Txn: 7, Vote: types.VoteNo + 1},
+		VoteResp{Txn: 7, Vote: 255},
+		DecisionResp{Txn: 7, Decision: types.DecisionAbort + 1},
+		DecisionResp{Txn: 7, Decision: 99, Uncommitted: true},
+	}
+}
+
+// TestCodecRejectsUndefinedEnums: Unmarshal refuses undefined State, Vote and
+// Decision values with ErrBadValue and still accepts the highest defined
+// ones. A StateResp with State=200 used to be bucketed under no rule state
+// yet counted as a responder on both sides of the termination ladder.
+func TestCodecRejectsUndefinedEnums(t *testing.T) {
+	for _, m := range undefinedEnumMessages() {
+		frame, err := Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := Unmarshal(frame); !errors.Is(err, ErrBadValue) {
+			t.Errorf("Unmarshal(%#v) = %#v, %v; want ErrBadValue", m, got, err)
+		}
+	}
+	for _, m := range []Message{
+		StateResp{Txn: 7, Epoch: 3, State: types.StateAborted},
+		VoteResp{Txn: 7, Vote: types.VoteNo},
+		DecisionResp{Txn: 7, Decision: types.DecisionAbort, Uncommitted: true},
+	} {
+		frame, err := Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := Unmarshal(frame); err != nil || !reflect.DeepEqual(got, m) {
+			t.Errorf("Unmarshal(%#v) = %#v, %v", m, got, err)
+		}
 	}
 }

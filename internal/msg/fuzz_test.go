@@ -18,6 +18,13 @@ func FuzzUnmarshal(f *testing.F) {
 		f.Add(frame)
 		f.Add(AppendFrame(nil, 1, 2, frame))
 	}
+	for _, m := range undefinedEnumMessages() {
+		frame, err := Marshal(m)
+		if err != nil {
+			f.Fatalf("Marshal(%T): %v", m, err)
+		}
+		f.Add(frame)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
@@ -34,6 +41,22 @@ func FuzzUnmarshal(f *testing.F) {
 				t.Fatalf("re-Unmarshal of %#v failed: %v", m, err)
 			}
 			_ = back
+			// Accepted enumerations are defined ones: automata index tables
+			// by them.
+			switch v := m.(type) {
+			case VoteResp:
+				if !v.Vote.Valid() {
+					t.Fatalf("accepted %#v", v)
+				}
+			case StateResp:
+				if !v.State.Valid() {
+					t.Fatalf("accepted %#v", v)
+				}
+			case DecisionResp:
+				if !v.Decision.Valid() {
+					t.Fatalf("accepted %#v", v)
+				}
+			}
 		}
 		// The stream reader must terminate with a value or an error on any
 		// finite input.

@@ -1,0 +1,54 @@
+// Package protocols names the five commit + termination protocol families
+// the repository compares, so every entry point (the root facade, the
+// daemons and load generators under cmd/, the availability and churn studies)
+// builds them the same way.
+package protocols
+
+import (
+	"fmt"
+	"strings"
+
+	"qcommit/internal/core"
+	"qcommit/internal/protocol"
+	"qcommit/internal/skeenq"
+	"qcommit/internal/threepc"
+	"qcommit/internal/twopc"
+	"qcommit/internal/types"
+)
+
+// Standard returns the five protocols in comparison order: 2PC, 3PC, Skeen's
+// quorum protocol, and the paper's protocols 1 and 2. Skeen's protocol gets
+// one vote per site and majority quorums — over the given sites, or, when
+// none are given, per transaction over its participants (the zero
+// skeenq.Spec).
+func Standard(sites []types.SiteID) []protocol.Spec {
+	skeen := skeenq.Spec{}
+	if len(sites) > 0 {
+		vc, va := skeenq.Majority(len(sites))
+		skeen = skeenq.Uniform(sites, vc, va)
+	}
+	return []protocol.Spec{
+		twopc.Spec{},
+		threepc.Spec{},
+		skeen,
+		core.Spec{Variant: core.Protocol1},
+		core.Spec{Variant: core.Protocol2},
+	}
+}
+
+// ByName returns the Standard protocol with the given name (2PC, 3PC, SkeenQ,
+// QC1 or QC2, in any letter case), validated.
+func ByName(name string, sites []types.SiteID) (protocol.Spec, error) {
+	for _, spec := range Standard(sites) {
+		if !strings.EqualFold(spec.Name(), name) {
+			continue
+		}
+		if v, ok := spec.(interface{ Validate() error }); ok {
+			if err := v.Validate(); err != nil {
+				return nil, err
+			}
+		}
+		return spec, nil
+	}
+	return nil, fmt.Errorf("unknown protocol %q (want 2PC, 3PC, SkeenQ, QC1 or QC2)", name)
+}

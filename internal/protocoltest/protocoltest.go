@@ -7,6 +7,7 @@ import (
 
 	"qcommit/internal/msg"
 	"qcommit/internal/protocol"
+	"qcommit/internal/quorumcalc"
 	"qcommit/internal/sim"
 	"qcommit/internal/types"
 	"qcommit/internal/voting"
@@ -132,4 +133,14 @@ func (e *Env) Reset() {
 	e.Sends, e.Timers, e.Logs = nil, nil, nil
 	e.Committed, e.Aborted, e.Blocked = nil, nil, nil
 	e.TermReqs, e.TermDones, e.TraceLines = nil, nil, nil
+}
+
+// Tally builds the phase-1 tally of a partition group whose participants
+// report the given states.
+func Tally(states map[types.SiteID]types.State) *quorumcalc.Tally {
+	t := &quorumcalc.Tally{}
+	for s, st := range states {
+		t.Add(s, st)
+	}
+	return t
 }

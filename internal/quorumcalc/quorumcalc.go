@@ -1,33 +1,23 @@
-// Package quorumcalc is the analytic counterpart of the termination
-// automata: for each protocol family it computes, by pure quorum arithmetic,
-// the outcome a partition group's termination attempt reaches — no
-// discrete-event engine, no messages, no WAL.
+// Package quorumcalc owns the termination rules of the three-phase protocol
+// families and the arithmetic that decides a transaction's fate from them.
 //
-// The availability Monte Carlo (package avail) replays an "interrupted
-// commit" scenario under a static partition: the commit coordinator has
-// crashed, every other site stays up, and intra-group message delivery is
-// reliable. Under that model the event-driven termination protocols are
-// fully determined by each group's initial state tally:
+// The paper's point is that Termination Protocol 1 (Fig. 5), Termination
+// Protocol 2 (Fig. 8) and Skeen's quorum protocol are the same five-way
+// ladder — commit / abort / try-commit / try-abort / block — over one
+// commit-side quorum Qc and one abort-side quorum Qa, and that the commit
+// protocols of Fig. 9 release COMMIT as soon as the PC-ACKs satisfy that same
+// Qc. A Rule is that pair, declared once per protocol (TP1Rule, TP2Rule,
+// SkeenRule); ThreePCRule is 3PC's site-failure rule, the one table that is
+// deliberately not a quorum pair. The automata in package threephase and the
+// analytic engines (packages avail and churn) all read the same Rule, so the
+// live terminator, the simulators and the arithmetic agree by construction.
+// 2PC's cooperative terminator is not three-phase and keeps its own decider,
+// TwoPC.
 //
-//   - phase 1 always collects the local state of every up participant in the
-//     group (reachable sites answer within the 2T window, nothing is lost);
-//   - a VerdictTryCommit round moves every waiting (W) participant to PC and
-//     collects their PC-ACKs, so the confirmation set equals exactly the
-//     site set whose votes satisfied the try-commit condition — the quorum
-//     is always confirmed, and symmetrically for VerdictTryAbort;
-//   - a VerdictBlock round changes no state, so re-entering the election
-//     yields the same verdict until the round budget runs out.
-//
-// Each Decider below therefore folds the poll → classify → confirm →
-// distribute ladder of Figs. 5 and 8 into a single decision over the tally,
-// mirroring rule for rule the corresponding threephase.Rules implementation
-// (twopc.Terminator, threepc.Rules, skeenq.Rules, core.TP1Rules,
-// core.TP2Rules). The discrete-event engine remains the oracle — package
-// avail's differential tests assert count-for-count equality between the two
-// — and stays required whenever the model above does not hold: lossy or
-// duplicating networks, mid-round crashes or heals, the buggy
-// buffer-crossing participant of Example 3, or whenever message ladders and
-// violation traces are wanted.
+// Rule.Outcome is the analytic counterpart of a termination attempt: the
+// outcome a partition group reaches, computed from its state tally with no
+// discrete-event engine, no messages, no WAL. See its comment for the model
+// under which that is exact.
 package quorumcalc
 
 import (
@@ -35,15 +25,53 @@ import (
 	"qcommit/internal/voting"
 )
 
+// Verdict is the phase-2 classification of a termination coordinator after
+// polling local states (the five-way branch of Figs. 5 and 8).
+type Verdict uint8
+
+// Verdicts.
+const (
+	// VerdictCommit terminates immediately with COMMIT.
+	VerdictCommit Verdict = iota
+	// VerdictAbort terminates immediately with ABORT.
+	VerdictAbort
+	// VerdictTryCommit attempts to establish a commit quorum via
+	// PREPARE-TO-COMMIT.
+	VerdictTryCommit
+	// VerdictTryAbort attempts to establish an abort quorum via
+	// PREPARE-TO-ABORT.
+	VerdictTryAbort
+	// VerdictBlock blocks the transaction in this partition.
+	VerdictBlock
+)
+
+// String implements fmt.Stringer.
+func (v Verdict) String() string {
+	switch v {
+	case VerdictCommit:
+		return "commit"
+	case VerdictAbort:
+		return "abort"
+	case VerdictTryCommit:
+		return "try-commit"
+	case VerdictTryAbort:
+		return "try-abort"
+	default:
+		return "block"
+	}
+}
+
 // numStates is the size of the per-state tables (q, W, PC, PA, C, A).
 const numStates = int(types.StateAborted) + 1
 
 // Tally is the termination-relevant summary of one partition group: which
-// up participants occupy each local protocol state. It is the analytic
-// analogue of threephase.StateTally, shaped for reuse across trials (Reset
-// keeps the per-state site slices).
+// reachable participants occupy each local protocol state — what a
+// termination coordinator's phase-1 poll collects. It is shaped for reuse
+// across trials (Reset keeps the per-state site slices).
 type Tally struct {
 	sites [numStates][]types.SiteID
+	// scratch backs union, so deciding allocates nothing once warm.
+	scratch []types.SiteID
 }
 
 // Reset clears the tally for a new group, retaining allocated capacity.
@@ -53,7 +81,8 @@ func (t *Tally) Reset() {
 	}
 }
 
-// Add records one participant in the given local state.
+// Add records one participant in the given local state, which must be one of
+// the six defined states (types.State.Valid).
 func (t *Tally) Add(site types.SiteID, st types.State) {
 	t.sites[st] = append(t.sites[st], site)
 }
@@ -65,14 +94,11 @@ func (t *Tally) Count(st types.State) int { return len(t.sites[st]) }
 // owned by the tally and valid until the next Reset.
 func (t *Tally) Sites(st types.State) []types.SiteID { return t.sites[st] }
 
-// Empty reports whether no participant was tallied at all.
-func (t *Tally) Empty() bool {
-	for i := range t.sites {
-		if len(t.sites[i]) > 0 {
-			return false
-		}
-	}
-	return true
+// union returns the participants tallied in either state, valid until the
+// next union or Reset.
+func (t *Tally) union(a, b types.State) []types.SiteID {
+	t.scratch = append(append(t.scratch[:0], t.sites[a]...), t.sites[b]...)
+	return t.scratch
 }
 
 // uncertain returns the number of participants holding locks while awaiting
@@ -82,10 +108,160 @@ func (t *Tally) uncertain() int {
 	return t.Count(types.StateWait) + t.Count(types.StatePC) + t.Count(types.StatePA)
 }
 
+// Quorum reports whether the given sites jointly establish one side of a
+// termination rule. The assignment carries the replica vote configuration for
+// quorums that count replica votes; site-vote quorums ignore it.
+type Quorum func(a *voting.Assignment, sites []types.SiteID) bool
+
+// writeEvery is the quorum "w(x) replica votes for every written item x".
+func writeEvery(items []types.ItemID) Quorum {
+	return func(a *voting.Assignment, sites []types.SiteID) bool {
+		return a.WriteQuorumForEvery(items, sites)
+	}
+}
+
+// readSome is the quorum "r(x) replica votes for some written item x".
+func readSome(items []types.ItemID) Quorum {
+	return func(a *voting.Assignment, sites []types.SiteID) bool {
+		return a.ReadQuorumForSome(items, sites)
+	}
+}
+
+// siteVotes is the quorum "at least need site votes". Sites absent from votes
+// carry zero weight; a nil map gives every site one vote.
+func siteVotes(votes map[types.SiteID]int, need int) Quorum {
+	return func(_ *voting.Assignment, sites []types.SiteID) bool {
+		total := len(sites)
+		if votes != nil {
+			total = 0
+			for _, s := range sites {
+				total += votes[s]
+			}
+		}
+		return total >= need
+	}
+}
+
+// Rule is one protocol's termination rule together with the early-commit rule
+// of its commit protocol. For the quorum family it is just the pair (Qc, Qa)
+// and the names the rule goes by in traces.
+type Rule struct {
+	// Name identifies the termination rule in traces ("TP1", "TP2",
+	// "SkeenQ-term", "3PC-term"); AckName the coordinator's early-commit rule
+	// ("CP1 w(x)-every", "CP2 r(x)-some", "SkeenQ Vc", "all-acks").
+	Name, AckName string
+	// Qc and Qa are the commit-side and abort-side quorums.
+	Qc, Qa Quorum
+	// siteFailure selects 3PC's rule, which assumes silent sites crashed
+	// rather than were partitioned away and so demands no quorum at all.
+	siteFailure bool
+}
+
+// TP1Rule is Termination Protocol 1 (Fig. 5) with commit protocol 1 (Fig. 9)
+// over the transaction's written items: the commit side needs w(x) replica
+// votes for every x ∈ W(TR), the abort side r(x) votes for some x. Once the
+// PC-ACKs carry the commit quorum an abort quorum can never be formed any
+// more, which is why the coordinator need not wait for the rest.
+func TP1Rule(items []types.ItemID) Rule {
+	return Rule{Name: "TP1", AckName: "CP1 w(x)-every", Qc: writeEvery(items), Qa: readSome(items)}
+}
+
+// TP2Rule is Termination Protocol 2 (Fig. 8) with commit protocol 2: TP1 with
+// the r/w roles swapped, so commit protocol 2 releases COMMIT sooner than
+// commit protocol 1.
+func TP2Rule(items []types.ItemID) Rule {
+	return Rule{Name: "TP2", AckName: "CP2 r(x)-some", Qc: readSome(items), Qa: writeEvery(items)}
+}
+
+// SkeenRule is Skeen's quorum protocol with the given per-site vote weights
+// (nil: one vote per site) and commit/abort quorums Vc, Va.
+func SkeenRule(votes map[types.SiteID]int, vc, va int) Rule {
+	return Rule{Name: "SkeenQ-term", AckName: "SkeenQ Vc", Qc: siteVotes(votes, vc), Qa: siteVotes(votes, va)}
+}
+
+// ThreePCRule is 3PC's site-failure termination rule, quoted in the paper's
+// Example 2: "if there exists a site in PC state or commit state, then the
+// transaction should be committed; else the transaction should be aborted".
+// Its confirmations are unconditional and its coordinator waits for every
+// PC-ACK but commits anyway when the window closes — which is exactly why 3PC
+// terminates every partition and violates atomicity across them.
+func ThreePCRule() Rule {
+	return Rule{Name: "3PC-term", AckName: "all-acks", siteFailure: true}
+}
+
+// Decide classifies a phase-1 tally. For the quorum family (Figs. 5 and 8):
+//
+//   - immediate COMMIT if a participant committed, or those in PC hold Qc;
+//   - immediate ABORT if a participant aborted or never voted, or those in PA
+//     hold Qa;
+//   - commit quorum possible if some participant is in PC and those not in PA
+//     hold Qc;
+//   - abort quorum possible if those not in PC hold Qa;
+//   - otherwise block.
+//
+// Past the immediate branches every responder is in W, PC or PA, so "not in
+// PA" is W∪PC and "not in PC" is W∪PA.
+func (r Rule) Decide(a *voting.Assignment, t *Tally) Verdict {
+	committed, aborted := t.Count(types.StateCommitted) > 0, t.Count(types.StateAborted) > 0
+	anyPC := t.Count(types.StatePC) > 0
+	if r.siteFailure {
+		switch {
+		case committed:
+			return VerdictCommit
+		case aborted:
+			return VerdictAbort
+		case anyPC:
+			// Move waiting participants to PC first, then commit.
+			return VerdictTryCommit
+		default:
+			return VerdictAbort
+		}
+	}
+	switch {
+	case committed || r.Qc(a, t.Sites(types.StatePC)):
+		return VerdictCommit
+	case aborted || t.Count(types.StateInitial) > 0 || r.Qa(a, t.Sites(types.StatePA)):
+		return VerdictAbort
+	case anyPC && r.Qc(a, t.union(types.StateWait, types.StatePC)):
+		return VerdictTryCommit
+	case r.Qa(a, t.union(types.StateWait, types.StatePA)):
+		return VerdictTryAbort
+	default:
+		return VerdictBlock
+	}
+}
+
+// CommitConfirmed reports whether the given sites (phase-1 PC reporters plus
+// phase-2 PC-ackers) establish the commit quorum.
+func (r Rule) CommitConfirmed(a *voting.Assignment, sites []types.SiteID) bool {
+	return r.siteFailure || r.Qc(a, sites)
+}
+
+// AbortConfirmed reports whether the given sites (phase-1 PA reporters plus
+// phase-2 PA-ackers) establish the abort quorum.
+func (r Rule) AbortConfirmed(a *voting.Assignment, sites []types.SiteID) bool {
+	return r.siteFailure || r.Qa(a, sites)
+}
+
+// AckQuorum reports whether the commit coordinator may send COMMIT now that
+// the given distinct participants, out of numParticipants, have acknowledged
+// PREPARE-TO-COMMIT: the commit quorum for the quorum family, everyone for
+// 3PC.
+func (r Rule) AckQuorum(a *voting.Assignment, acked []types.SiteID, numParticipants int) bool {
+	if r.siteFailure {
+		return len(acked) >= numParticipants
+	}
+	return r.Qc(a, acked)
+}
+
+// CommitsOnAckTimeout reports what the commit coordinator does when the ack
+// window closes short of AckQuorum: 3PC commits anyway, presuming the silent
+// participants failed; the quorum family hands the transaction to the
+// termination protocol.
+func (r Rule) CommitsOnAckTimeout() bool { return r.siteFailure }
+
 // Decider computes the outcome one partition group's termination attempt
-// reaches, given the group's state tally. The assignment carries the replica
-// vote configuration for deciders that count replica votes (TP1, TP2);
-// site-vote and state-only deciders ignore it.
+// reaches, given the group's state tally.
 //
 // The returned outcome is what engine.Cluster.GroupOutcome reports after the
 // simulation quiesces: OutcomeCommitted/OutcomeAborted when the group
@@ -111,6 +287,46 @@ func passiveOutcome(t *Tally) types.Outcome {
 	}
 }
 
+// Outcome folds the poll → classify → confirm → distribute ladder into a
+// single decision over the tally. It is exact under the "interrupted commit"
+// model the availability Monte Carlo (package avail) replays — a static
+// partition, the commit coordinator crashed, every other site up, reliable
+// intra-group delivery — because then the event-driven termination protocol
+// is fully determined by the group's initial tally:
+//
+//   - any participant in W, PC or PA arms a patience timer and eventually
+//     elects a termination coordinator; without one the group stays passive;
+//   - phase 1 always collects the local state of every up participant in the
+//     group (reachable sites answer within the 2T window, nothing is lost);
+//   - a VerdictTryCommit round moves every waiting (W) participant to PC and
+//     collects their PC-ACKs, so the confirmation set equals exactly the
+//     site set whose votes satisfied the try-commit condition — the quorum
+//     is always confirmed, and symmetrically for VerdictTryAbort;
+//   - a VerdictBlock round changes no state, so re-entering the election
+//     yields the same verdict until the round budget runs out.
+//
+// The discrete-event engine remains the oracle — package avail's differential
+// tests assert count-for-count equality between the two — and stays required
+// whenever the model does not hold: lossy or duplicating networks, mid-round
+// crashes or heals, the buggy buffer-crossing participant of Example 3, or
+// whenever message ladders and violation traces are wanted.
+func (r Rule) Outcome(a *voting.Assignment, t *Tally) types.Outcome {
+	if t.uncertain() == 0 {
+		return passiveOutcome(t)
+	}
+	switch r.Decide(a, t) {
+	case VerdictCommit, VerdictTryCommit:
+		return types.OutcomeCommitted
+	case VerdictAbort, VerdictTryAbort:
+		return types.OutcomeAborted
+	default:
+		return types.OutcomeBlocked
+	}
+}
+
+// TP1 is TP1Rule's analytic decider.
+func TP1(items []types.ItemID) Decider { return TP1Rule(items).Outcome }
+
 // TwoPC mirrors 2PC's cooperative termination protocol (twopc.Terminator):
 // poll every reachable participant for the decision; adopt it if anyone
 // knows it; abort if anyone never voted (the coordinator cannot have
@@ -135,168 +351,4 @@ func TwoPC() Decider {
 			return types.OutcomeBlocked
 		}
 	}
-}
-
-// threePhase wraps a three-phase-style decision: any participant in W, PC or
-// PA arms a patience timer and eventually elects a termination coordinator;
-// without one the group stays passive.
-func threePhase(decide func(a *voting.Assignment, t *Tally) types.Outcome) Decider {
-	return func(a *voting.Assignment, t *Tally) types.Outcome {
-		if t.uncertain() == 0 {
-			return passiveOutcome(t)
-		}
-		return decide(a, t)
-	}
-}
-
-// ThreePC mirrors 3PC's site-failure termination rule (threepc.Rules): "if
-// there exists a site in PC state or commit state, then the transaction
-// should be committed; else the transaction should be aborted". The
-// try-commit round always succeeds because 3PC's confirmation is
-// unconditional (silent sites are presumed crashed, not partitioned away) —
-// which is exactly why 3PC terminates every partition and violates atomicity
-// across them (Example 2).
-func ThreePC() Decider {
-	return threePhase(func(_ *voting.Assignment, t *Tally) types.Outcome {
-		switch {
-		case t.Count(types.StateCommitted) > 0:
-			return types.OutcomeCommitted
-		case t.Count(types.StateAborted) > 0:
-			return types.OutcomeAborted
-		case t.Count(types.StatePC) > 0:
-			return types.OutcomeCommitted
-		default:
-			return types.OutcomeAborted
-		}
-	})
-}
-
-// Skeen mirrors Skeen's quorum termination rules (skeenq.Rules) with the
-// given per-site vote weights and commit/abort quorums Vc, Va. Sites absent
-// from votes carry zero weight.
-func Skeen(votes map[types.SiteID]int, vc, va int) Decider {
-	weigh := func(sites []types.SiteID) int {
-		total := 0
-		for _, s := range sites {
-			total += votes[s]
-		}
-		return total
-	}
-	return skeenRules(weigh, vc, va)
-}
-
-// SkeenUniform is Skeen with one vote per site (the configuration
-// avail.StandardBuilders uses), avoiding the per-trial vote map.
-func SkeenUniform(vc, va int) Decider {
-	return skeenRules(func(sites []types.SiteID) int { return len(sites) }, vc, va)
-}
-
-// skeenRules folds skeenq.Rules.Decide plus its always-confirmed try rounds.
-// At the try-commit branch the responders not in PA are exactly W∪PC (any
-// q, C or A responder was caught by an earlier branch), and every W site
-// acknowledges PREPARE-TO-COMMIT, so the confirmation set equals the site
-// set the branch condition counted; symmetrically for try-abort with W∪PA.
-func skeenRules(weigh func([]types.SiteID) int, vc, va int) Decider {
-	return threePhase(func(_ *voting.Assignment, t *Tally) types.Outcome {
-		vPC := weigh(t.Sites(types.StatePC))
-		vW := weigh(t.Sites(types.StateWait))
-		vPA := weigh(t.Sites(types.StatePA))
-		switch {
-		case t.Count(types.StateCommitted) > 0 || vPC >= vc:
-			return types.OutcomeCommitted
-		case t.Count(types.StateAborted) > 0 || t.Count(types.StateInitial) > 0 || vPA >= va:
-			return types.OutcomeAborted
-		case t.Count(types.StatePC) > 0 && vPC+vW >= vc:
-			return types.OutcomeCommitted // try-commit, always confirmed
-		case vW+vPA >= va:
-			return types.OutcomeAborted // try-abort, always confirmed
-		default:
-			return types.OutcomeBlocked
-		}
-	})
-}
-
-// itemVotes sums, for one item, the replica votes held by the sites of the
-// given tally states.
-func itemVotes(a *voting.Assignment, x types.ItemID, t *Tally, states ...types.State) int {
-	total := 0
-	for _, st := range states {
-		for _, s := range t.Sites(st) {
-			total += a.VotesAt(s, x)
-		}
-	}
-	return total
-}
-
-// writeQuorumEvery reports whether the sites in the given states jointly
-// hold ≥ w(x) replica votes for every written item.
-func writeQuorumEvery(a *voting.Assignment, items []types.ItemID, t *Tally, states ...types.State) bool {
-	if len(items) == 0 {
-		return false
-	}
-	for _, x := range items {
-		if !a.WriteQuorumMet(x, itemVotes(a, x, t, states...)) {
-			return false
-		}
-	}
-	return true
-}
-
-// readQuorumSome reports whether the sites in the given states jointly hold
-// ≥ r(x) replica votes for at least one written item.
-func readQuorumSome(a *voting.Assignment, items []types.ItemID, t *Tally, states ...types.State) bool {
-	for _, x := range items {
-		if a.ReadQuorumMet(x, itemVotes(a, x, t, states...)) {
-			return true
-		}
-	}
-	return false
-}
-
-// TP1 mirrors the paper's Termination Protocol 1 (core.TP1Rules, Fig. 5)
-// over the transaction's written items: commit needs w(x) replica votes for
-// every x ∈ W(TR), abort needs r(x) votes for some x. As in skeenRules, the
-// try branches count exactly the sites that then confirm the quorum, so
-// they fold into immediate decisions.
-func TP1(items []types.ItemID) Decider {
-	return threePhase(func(a *voting.Assignment, t *Tally) types.Outcome {
-		switch {
-		case t.Count(types.StateCommitted) > 0 ||
-			writeQuorumEvery(a, items, t, types.StatePC):
-			return types.OutcomeCommitted
-		case t.Count(types.StateAborted) > 0 || t.Count(types.StateInitial) > 0 ||
-			readQuorumSome(a, items, t, types.StatePA):
-			return types.OutcomeAborted
-		case t.Count(types.StatePC) > 0 &&
-			writeQuorumEvery(a, items, t, types.StateWait, types.StatePC):
-			return types.OutcomeCommitted // try-commit, always confirmed
-		case readQuorumSome(a, items, t, types.StateWait, types.StatePA):
-			return types.OutcomeAborted // try-abort, always confirmed
-		default:
-			return types.OutcomeBlocked
-		}
-	})
-}
-
-// TP2 mirrors Termination Protocol 2 (core.TP2Rules, Fig. 8): TP1 with the
-// r/w roles swapped — commit needs r(x) votes for some x, abort needs w(x)
-// votes for every x.
-func TP2(items []types.ItemID) Decider {
-	return threePhase(func(a *voting.Assignment, t *Tally) types.Outcome {
-		switch {
-		case t.Count(types.StateCommitted) > 0 ||
-			readQuorumSome(a, items, t, types.StatePC):
-			return types.OutcomeCommitted
-		case t.Count(types.StateAborted) > 0 || t.Count(types.StateInitial) > 0 ||
-			writeQuorumEvery(a, items, t, types.StatePA):
-			return types.OutcomeAborted
-		case t.Count(types.StatePC) > 0 &&
-			readQuorumSome(a, items, t, types.StateWait, types.StatePC):
-			return types.OutcomeCommitted // try-commit, always confirmed
-		case writeQuorumEvery(a, items, t, types.StateWait, types.StatePA):
-			return types.OutcomeAborted // try-abort, always confirmed
-		default:
-			return types.OutcomeBlocked
-		}
-	})
 }

@@ -28,16 +28,63 @@ func tallyOf(states map[types.SiteID]types.State) *Tally {
 
 func TestTallyReuse(t *testing.T) {
 	ta := tallyOf(map[types.SiteID]types.State{1: types.StateWait, 2: types.StatePC})
-	if ta.Count(types.StateWait) != 1 || ta.Count(types.StatePC) != 1 || ta.Empty() {
+	if ta.Count(types.StateWait) != 1 || ta.Count(types.StatePC) != 1 {
 		t.Fatalf("unexpected tally: %+v", ta)
 	}
 	ta.Reset()
-	if !ta.Empty() || ta.Count(types.StateWait) != 0 {
+	if ta.Count(types.StateWait) != 0 || ta.Count(types.StatePC) != 0 {
 		t.Fatal("Reset did not clear the tally")
 	}
 	ta.Add(3, types.StateInitial)
 	if ta.Count(types.StateInitial) != 1 {
 		t.Fatal("Add after Reset lost the site")
+	}
+}
+
+func TestTallyHelpers(t *testing.T) {
+	var tl Tally
+	tl.Add(2, types.StateWait)
+	tl.Add(3, types.StatePC)
+	tl.Add(4, types.StateWait)
+	if tl.Count(types.StatePC) == 0 || tl.Count(types.StateAborted) != 0 {
+		t.Error("Count wrong")
+	}
+	if got := tl.Sites(types.StateWait); len(got) != 2 || got[0] != 2 || got[1] != 4 {
+		t.Errorf("Sites(W) = %v", got)
+	}
+	if got := tl.union(types.StateWait, types.StatePA); len(got) != 2 {
+		t.Errorf("W∪PA = %v", got)
+	}
+	if got := tl.union(types.StateWait, types.StatePC); len(got) != 3 {
+		t.Errorf("W∪PC = %v", got)
+	}
+	if tl.uncertain() != 3 {
+		t.Errorf("uncertain = %d", tl.uncertain())
+	}
+}
+
+func TestVerdictStrings(t *testing.T) {
+	for v, want := range map[Verdict]string{
+		VerdictCommit: "commit", VerdictAbort: "abort",
+		VerdictTryCommit: "try-commit", VerdictTryAbort: "try-abort", VerdictBlock: "block",
+	} {
+		if v.String() != want {
+			t.Errorf("verdict %d = %q, want %q", v, v.String(), want)
+		}
+	}
+}
+
+// TestDecideAllocatesNothing pins the hot-path contract the hybrid churn
+// engine and the availability Monte Carlo rely on: once the tally is warm,
+// classifying it — unions included — allocates nothing.
+func TestDecideAllocatesNothing(t *testing.T) {
+	a := exampleAssignment(t)
+	ta := tallyOf(map[types.SiteID]types.State{1: types.StateWait, 2: types.StatePC, 3: types.StateWait})
+	for _, r := range []Rule{TP1Rule([]types.ItemID{"x"}), TP2Rule([]types.ItemID{"x"}), SkeenRule(nil, 4, 4), ThreePCRule()} {
+		r.Outcome(a, ta)
+		if n := testing.AllocsPerRun(100, func() { r.Outcome(a, ta) }); n != 0 {
+			t.Errorf("%s: Outcome allocates %v times per call", r.Name, n)
+		}
 	}
 }
 
@@ -66,7 +113,7 @@ func TestTwoPC(t *testing.T) {
 }
 
 func TestThreePC(t *testing.T) {
-	d := ThreePC()
+	d := ThreePCRule().Outcome
 	cases := []struct {
 		name   string
 		states map[types.SiteID]types.State
@@ -87,9 +134,9 @@ func TestThreePC(t *testing.T) {
 	}
 }
 
-func TestSkeenUniform(t *testing.T) {
+func TestSkeenOneVotePerSite(t *testing.T) {
 	// Four single-vote participants: Vc = 3, Va = 2.
-	d := SkeenUniform(3, 2)
+	d := SkeenRule(nil, 3, 2).Outcome
 	cases := []struct {
 		name   string
 		states map[types.SiteID]types.State
@@ -113,7 +160,7 @@ func TestSkeenUniform(t *testing.T) {
 
 func TestSkeenWeighted(t *testing.T) {
 	// Site 1 carries 3 votes, sites 2-3 one each: Vc = 3, Va = 3.
-	d := Skeen(map[types.SiteID]int{1: 3, 2: 1, 3: 1}, 3, 3)
+	d := SkeenRule(map[types.SiteID]int{1: 3, 2: 1, 3: 1}, 3, 3).Outcome
 	if got := d(nil, tallyOf(map[types.SiteID]types.State{1: types.StatePC})); got != types.OutcomeCommitted {
 		t.Errorf("heavy PC site: got %v, want committed", got)
 	}
@@ -150,7 +197,7 @@ func TestTP1(t *testing.T) {
 
 func TestTP2(t *testing.T) {
 	a := exampleAssignment(t)
-	d := TP2([]types.ItemID{"x"})
+	d := TP2Rule([]types.ItemID{"x"}).Outcome
 	cases := []struct {
 		name   string
 		states map[types.SiteID]types.State
@@ -180,7 +227,7 @@ func TestTP1VsSkeenExample1(t *testing.T) {
 	// Five participants overall → Vc = 3, Va = 3 site votes; the group holds
 	// only sites 2,3,4 (3 of 5 sites, but suppose Vc were 4: use 6
 	// participants → Vc = 4, Va = 3 to make Skeen block).
-	skeen := SkeenUniform(4, 3)
+	skeen := SkeenRule(nil, 4, 3).Outcome
 	tp1 := TP1([]types.ItemID{"x"})
 	group := map[types.SiteID]types.State{2: types.StatePC, 3: types.StateWait, 4: types.StateWait}
 	if got := tp1(a, tallyOf(group)); got != types.OutcomeCommitted {

@@ -9,19 +9,28 @@
 // *site* votes regardless of which data items a partition can serve, a
 // partition may block the transaction even though it holds a replica quorum
 // for some written item — the availability gap Example 1 demonstrates and
-// the paper's protocols close.
+// the paper's protocols close. In rule-table terms (quorumcalc.SkeenRule) it
+// is the same five-way ladder as the paper's protocols with site votes in
+// place of replica votes.
 package skeenq
 
 import (
 	"fmt"
 
 	"qcommit/internal/protocol"
+	"qcommit/internal/quorumcalc"
 	"qcommit/internal/threephase"
 	"qcommit/internal/types"
+	"qcommit/internal/voting"
 	"qcommit/internal/wal"
 )
 
-// Spec is Skeen's quorum protocol with a site-vote assignment.
+// Spec is Skeen's quorum protocol with a site-vote assignment. The zero Spec
+// sizes the quorums per transaction: one vote per participant, Majority
+// quorums over that transaction's participant set. That is the convention of
+// the availability and churn studies, where every transaction has a different
+// participant list and a cluster-wide quorum would be unreachable for
+// transactions whose items replicate on fewer than Vc sites.
 type Spec struct {
 	// Votes assigns each site its vote weight. Sites absent from the map
 	// have 0 votes.
@@ -33,7 +42,17 @@ type Spec struct {
 	PatienceRounds int
 }
 
-var _ protocol.Spec = Spec{}
+var (
+	_ protocol.Spec    = Spec{}
+	_ threephase.Ruled = Spec{}
+)
+
+// Majority returns, for v single-vote sites, the majority commit quorum and
+// the smallest abort quorum intersecting it.
+func Majority(v int) (vc, va int) {
+	va, vc = voting.MajorityQuorums(v)
+	return vc, va
+}
 
 // Uniform builds a Spec giving one vote to each site, with quorums Vc, Va.
 func Uniform(sites []types.SiteID, vc, va int) Spec {
@@ -44,8 +63,16 @@ func Uniform(sites []types.SiteID, vc, va int) Spec {
 	return Spec{Votes: votes, Vc: vc, Va: va}
 }
 
+func (s Spec) perTransaction() bool { return s.Votes == nil && s.Vc == 0 && s.Va == 0 }
+
 // Validate checks the quorum-intersection constraint Vc + Va > V.
 func (s Spec) Validate() error {
+	if s.perTransaction() {
+		return nil
+	}
+	if s.Votes == nil {
+		return fmt.Errorf("skeenq: quorums given without a vote assignment (Vc=%d Va=%d)", s.Vc, s.Va)
+	}
 	total := 0
 	for _, v := range s.Votes {
 		if v < 0 {
@@ -65,11 +92,19 @@ func (s Spec) Validate() error {
 // Name implements protocol.Spec.
 func (Spec) Name() string { return "SkeenQ" }
 
+// Rule implements threephase.Ruled: site votes ≥ Vc to commit, ≥ Va to abort.
+func (s Spec) Rule(_ []types.ItemID, participants []types.SiteID) quorumcalc.Rule {
+	if s.perTransaction() {
+		vc, va := Majority(len(participants))
+		return quorumcalc.SkeenRule(nil, vc, va)
+	}
+	return quorumcalc.SkeenRule(s.Votes, s.Vc, s.Va)
+}
+
 // NewCoordinator implements protocol.Spec: the coordinator may commit once
 // PC-ACKs carry Vc site votes.
 func (s Spec) NewCoordinator(txn types.TxnID, ws types.Writeset, participants []types.SiteID) protocol.Automaton {
-	return threephase.NewCoordinator(txn, ws, participants,
-		threephase.SiteVoteQuorum{Votes: s.Votes, Quorum: s.Vc}, threephase.AckTimeoutTerminate)
+	return threephase.NewCoordinator(txn, ws, participants, s.Rule(nil, participants))
 }
 
 // NewParticipant implements protocol.Spec.
@@ -78,52 +113,6 @@ func (s Spec) NewParticipant(txn types.TxnID, init *wal.TxnImage) protocol.Autom
 }
 
 // NewTerminator implements protocol.Spec.
-func (s Spec) NewTerminator(txn types.TxnID, ws types.Writeset, participants []types.SiteID, epoch uint32) protocol.Automaton {
-	return threephase.NewTerminator(txn, ws, participants, epoch, Rules{Votes: s.Votes, Vc: s.Vc, Va: s.Va})
-}
-
-// Rules is Skeen's quorum termination rule set.
-type Rules struct {
-	Votes  map[types.SiteID]int
-	Vc, Va int
-}
-
-var _ threephase.Rules = Rules{}
-
-// Name implements threephase.Rules.
-func (Rules) Name() string { return "SkeenQ-term" }
-
-func (r Rules) votesOf(sites []types.SiteID) int {
-	total := 0
-	for _, s := range sites {
-		total += r.Votes[s]
-	}
-	return total
-}
-
-// Decide implements threephase.Rules with site-vote quorums.
-func (r Rules) Decide(env protocol.Env, t threephase.StateTally) threephase.Verdict {
-	switch {
-	case t.Any(types.StateCommitted) || r.votesOf(t.In(types.StatePC)) >= r.Vc:
-		return threephase.VerdictCommit
-	case t.Any(types.StateAborted) || t.Any(types.StateInitial) ||
-		r.votesOf(t.In(types.StatePA)) >= r.Va:
-		return threephase.VerdictAbort
-	case t.Any(types.StatePC) && r.votesOf(t.NotIn(types.StatePA)) >= r.Vc:
-		return threephase.VerdictTryCommit
-	case r.votesOf(t.NotIn(types.StatePC)) >= r.Va:
-		return threephase.VerdictTryAbort
-	default:
-		return threephase.VerdictBlock
-	}
-}
-
-// CommitConfirmed implements threephase.Rules.
-func (r Rules) CommitConfirmed(env protocol.Env, sites []types.SiteID) bool {
-	return r.votesOf(sites) >= r.Vc
-}
-
-// AbortConfirmed implements threephase.Rules.
-func (r Rules) AbortConfirmed(env protocol.Env, sites []types.SiteID) bool {
-	return r.votesOf(sites) >= r.Va
+func (s Spec) NewTerminator(txn types.TxnID, _ types.Writeset, participants []types.SiteID, epoch uint32) protocol.Automaton {
+	return threephase.NewTerminator(txn, participants, epoch, s.Rule(nil, participants))
 }

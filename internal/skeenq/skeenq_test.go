@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"qcommit/internal/protocoltest"
-	"qcommit/internal/threephase"
+	"qcommit/internal/quorumcalc"
 	"qcommit/internal/types"
 	"qcommit/internal/voting"
 )
@@ -14,11 +14,11 @@ func ex1Spec() Spec {
 	return Uniform([]types.SiteID{1, 2, 3, 4, 5, 6, 7, 8}, 5, 4)
 }
 
-func env() *protocoltest.Env {
-	return protocoltest.New(1, voting.MustAssignment(
+func asgn() *voting.Assignment {
+	return voting.MustAssignment(
 		voting.Uniform("x", 2, 3, 1, 2, 3, 4),
 		voting.Uniform("y", 2, 3, 5, 6, 7, 8),
-	))
+	)
 }
 
 func TestValidate(t *testing.T) {
@@ -38,64 +38,64 @@ func TestValidate(t *testing.T) {
 }
 
 func TestRulesDecideExample1Partitions(t *testing.T) {
-	r := Rules{Votes: ex1Spec().Votes, Vc: 5, Va: 4}
+	r := ex1Spec().Rule(nil, nil)
 	w, pc := types.StateWait, types.StatePC
-	e := env()
+	e := asgn()
 
 	// G1 = {2,3} both W: 2 votes < Va=4 and < Vc=5 → block.
-	if got := r.Decide(e, threephase.NewStateTally(map[types.SiteID]types.State{2: w, 3: w})); got != threephase.VerdictBlock {
+	if got := r.Decide(e, protocoltest.Tally(map[types.SiteID]types.State{2: w, 3: w})); got != quorumcalc.VerdictBlock {
 		t.Errorf("G1 = %v, want block", got)
 	}
 	// G2 = {4 W, 5 PC}: 2 votes → block.
-	if got := r.Decide(e, threephase.NewStateTally(map[types.SiteID]types.State{4: w, 5: pc})); got != threephase.VerdictBlock {
+	if got := r.Decide(e, protocoltest.Tally(map[types.SiteID]types.State{4: w, 5: pc})); got != quorumcalc.VerdictBlock {
 		t.Errorf("G2 = %v, want block", got)
 	}
 	// G3 = {6,7,8} all W: 3 votes < 4 → block.
-	if got := r.Decide(e, threephase.NewStateTally(map[types.SiteID]types.State{6: w, 7: w, 8: w})); got != threephase.VerdictBlock {
+	if got := r.Decide(e, protocoltest.Tally(map[types.SiteID]types.State{6: w, 7: w, 8: w})); got != quorumcalc.VerdictBlock {
 		t.Errorf("G3 = %v, want block", got)
 	}
 }
 
 func TestRulesQuorumPaths(t *testing.T) {
-	r := Rules{Votes: ex1Spec().Votes, Vc: 5, Va: 4}
+	r := ex1Spec().Rule(nil, nil)
 	w, pc, pa := types.StateWait, types.StatePC, types.StatePA
-	e := env()
+	e := asgn()
 
 	// 4 non-PC sites ≥ Va=4 → try-abort.
-	got := r.Decide(e, threephase.NewStateTally(map[types.SiteID]types.State{
+	got := r.Decide(e, protocoltest.Tally(map[types.SiteID]types.State{
 		2: w, 3: w, 4: w, 6: w}))
-	if got != threephase.VerdictTryAbort {
+	if got != quorumcalc.VerdictTryAbort {
 		t.Errorf("4 W sites = %v, want try-abort", got)
 	}
 	// 5 non-PA sites with one PC ≥ Vc=5 → try-commit.
-	got = r.Decide(e, threephase.NewStateTally(map[types.SiteID]types.State{
+	got = r.Decide(e, protocoltest.Tally(map[types.SiteID]types.State{
 		2: w, 3: w, 4: w, 5: pc, 6: w}))
-	if got != threephase.VerdictTryCommit {
+	if got != quorumcalc.VerdictTryCommit {
 		t.Errorf("5 sites with PC = %v, want try-commit", got)
 	}
 	// PA sites with Va votes → immediate abort.
-	got = r.Decide(e, threephase.NewStateTally(map[types.SiteID]types.State{
+	got = r.Decide(e, protocoltest.Tally(map[types.SiteID]types.State{
 		2: pa, 3: pa, 4: pa, 6: pa, 7: w}))
-	if got != threephase.VerdictAbort {
+	if got != quorumcalc.VerdictAbort {
 		t.Errorf("4 PA sites = %v, want abort", got)
 	}
 	// PC sites with Vc votes → immediate commit.
-	got = r.Decide(e, threephase.NewStateTally(map[types.SiteID]types.State{
+	got = r.Decide(e, protocoltest.Tally(map[types.SiteID]types.State{
 		2: pc, 3: pc, 4: pc, 5: pc, 6: pc, 7: w}))
-	if got != threephase.VerdictCommit {
+	if got != quorumcalc.VerdictCommit {
 		t.Errorf("5 PC sites = %v, want commit", got)
 	}
 	// Initial state present → immediate abort.
-	got = r.Decide(e, threephase.NewStateTally(map[types.SiteID]types.State{
+	got = r.Decide(e, protocoltest.Tally(map[types.SiteID]types.State{
 		2: types.StateInitial, 3: w}))
-	if got != threephase.VerdictAbort {
+	if got != quorumcalc.VerdictAbort {
 		t.Errorf("q present = %v, want abort", got)
 	}
 }
 
 func TestConfirmations(t *testing.T) {
-	r := Rules{Votes: ex1Spec().Votes, Vc: 5, Va: 4}
-	e := env()
+	r := ex1Spec().Rule(nil, nil)
+	e := asgn()
 	if r.CommitConfirmed(e, []types.SiteID{1, 2, 3, 4}) {
 		t.Error("4 votes should not confirm commit (Vc=5)")
 	}
@@ -114,8 +114,8 @@ func TestConfirmations(t *testing.T) {
 // can never be assembled from disjoint site sets.
 func TestNoDisjointQuorums(t *testing.T) {
 	spec := ex1Spec()
-	r := Rules{Votes: spec.Votes, Vc: spec.Vc, Va: spec.Va}
-	e := env()
+	r := spec.Rule(nil, nil)
+	e := asgn()
 	all := []types.SiteID{1, 2, 3, 4, 5, 6, 7, 8}
 	for mask := 0; mask < 1<<8; mask++ {
 		var s1, s2 []types.SiteID
@@ -138,16 +138,45 @@ func TestWeightedVotes(t *testing.T) {
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	r := Rules{Votes: spec.Votes, Vc: 3, Va: 3}
-	e := env()
-	got := r.Decide(e, threephase.NewStateTally(map[types.SiteID]types.State{
+	r := spec.Rule(nil, nil)
+	e := asgn()
+	got := r.Decide(e, protocoltest.Tally(map[types.SiteID]types.State{
 		1: types.StateWait}))
-	if got != threephase.VerdictTryAbort {
+	if got != quorumcalc.VerdictTryAbort {
 		t.Errorf("site1 alone (3 votes) = %v, want try-abort", got)
 	}
-	got = r.Decide(e, threephase.NewStateTally(map[types.SiteID]types.State{
+	got = r.Decide(e, protocoltest.Tally(map[types.SiteID]types.State{
 		2: types.StateWait, 3: types.StateWait}))
-	if got != threephase.VerdictBlock {
+	if got != quorumcalc.VerdictBlock {
 		t.Errorf("sites 2,3 (2 votes) = %v, want block", got)
+	}
+}
+
+// TestPerTransactionMajority: the zero Spec sizes one-vote-per-participant
+// majority quorums from each transaction's participant list, and is the only
+// Spec allowed to omit the vote assignment.
+func TestPerTransactionMajority(t *testing.T) {
+	for v, want := range map[int][2]int{1: {1, 1}, 4: {3, 2}, 5: {3, 3}, 8: {5, 4}} {
+		if vc, va := Majority(v); vc != want[0] || va != want[1] || vc+va <= v {
+			t.Errorf("Majority(%d) = %d, %d, want %v", v, vc, va, want)
+		}
+	}
+	if err := (Spec{}).Validate(); err != nil {
+		t.Errorf("zero Spec invalid: %v", err)
+	}
+	if err := (Spec{Vc: 3, Va: 2}).Validate(); err == nil {
+		t.Error("quorums without a vote assignment accepted")
+	}
+	w, pc := types.StateWait, types.StatePC
+	four := Spec{}.Rule(nil, []types.SiteID{2, 3, 4, 5}) // Vc=3, Va=2
+	if got := four.Decide(nil, protocoltest.Tally(map[types.SiteID]types.State{2: w, 3: w})); got != quorumcalc.VerdictTryAbort {
+		t.Errorf("2 of 4 participants in W = %v, want try-abort", got)
+	}
+	eight := Spec{}.Rule(nil, []types.SiteID{1, 2, 3, 4, 5, 6, 7, 8}) // Vc=5, Va=4
+	if got := eight.Decide(nil, protocoltest.Tally(map[types.SiteID]types.State{2: w, 3: w})); got != quorumcalc.VerdictBlock {
+		t.Errorf("2 of 8 participants in W = %v, want block", got)
+	}
+	if got := eight.Decide(nil, protocoltest.Tally(map[types.SiteID]types.State{1: pc, 2: w, 3: w, 4: w, 5: w})); got != quorumcalc.VerdictTryCommit {
+		t.Errorf("5 of 8 participants with a PC = %v, want try-commit", got)
 	}
 }

@@ -8,11 +8,13 @@
 // failures this is nonblocking and safe; under network partitioning it
 // terminates transactions inconsistently — partitions with a PC site commit
 // while partitions without one abort. The repository reproduces exactly that
-// misbehaviour (Example 2) as a baseline.
+// misbehaviour (Example 2) as a baseline. The rule itself is
+// quorumcalc.ThreePCRule, the one rule table that is not a quorum pair.
 package threepc
 
 import (
 	"qcommit/internal/protocol"
+	"qcommit/internal/quorumcalc"
 	"qcommit/internal/threephase"
 	"qcommit/internal/types"
 	"qcommit/internal/wal"
@@ -24,16 +26,21 @@ type Spec struct {
 	PatienceRounds int
 }
 
-var _ protocol.Spec = Spec{}
+var (
+	_ protocol.Spec    = Spec{}
+	_ threephase.Ruled = Spec{}
+)
 
 // Name implements protocol.Spec.
 func (Spec) Name() string { return "3PC" }
 
+// Rule implements threephase.Ruled with the site-failure rule.
+func (Spec) Rule([]types.ItemID, []types.SiteID) quorumcalc.Rule { return quorumcalc.ThreePCRule() }
+
 // NewCoordinator implements protocol.Spec: plain 3PC waits for every PC-ACK
 // and presumes silent sites failed when the window closes.
 func (s Spec) NewCoordinator(txn types.TxnID, ws types.Writeset, participants []types.SiteID) protocol.Automaton {
-	return threephase.NewCoordinator(txn, ws, participants,
-		threephase.AllAcks{Participants: participants}, threephase.AckTimeoutCommit)
+	return threephase.NewCoordinator(txn, ws, participants, quorumcalc.ThreePCRule())
 }
 
 // NewParticipant implements protocol.Spec.
@@ -42,38 +49,6 @@ func (s Spec) NewParticipant(txn types.TxnID, init *wal.TxnImage) protocol.Autom
 }
 
 // NewTerminator implements protocol.Spec.
-func (s Spec) NewTerminator(txn types.TxnID, ws types.Writeset, participants []types.SiteID, epoch uint32) protocol.Automaton {
-	return threephase.NewTerminator(txn, ws, participants, epoch, Rules{})
+func (s Spec) NewTerminator(txn types.TxnID, _ types.Writeset, participants []types.SiteID, epoch uint32) protocol.Automaton {
+	return threephase.NewTerminator(txn, participants, epoch, quorumcalc.ThreePCRule())
 }
-
-// Rules is 3PC's site-failure termination rule.
-type Rules struct{}
-
-var _ threephase.Rules = Rules{}
-
-// Name implements threephase.Rules.
-func (Rules) Name() string { return "3PC-term" }
-
-// Decide implements threephase.Rules: commit if any participant is in PC or
-// C, else abort.
-func (Rules) Decide(env protocol.Env, t threephase.StateTally) threephase.Verdict {
-	switch {
-	case t.Any(types.StateCommitted):
-		return threephase.VerdictCommit
-	case t.Any(types.StateAborted):
-		return threephase.VerdictAbort
-	case t.Any(types.StatePC):
-		// Move waiting participants to PC first, then commit.
-		return threephase.VerdictTryCommit
-	default:
-		return threephase.VerdictAbort
-	}
-}
-
-// CommitConfirmed implements threephase.Rules: the site-failure termination
-// protocol commits unconditionally once the PC round is over (it assumes
-// silent sites are down, not partitioned away).
-func (Rules) CommitConfirmed(env protocol.Env, sites []types.SiteID) bool { return true }
-
-// AbortConfirmed implements threephase.Rules (unused: aborts are immediate).
-func (Rules) AbortConfirmed(env protocol.Env, sites []types.SiteID) bool { return true }

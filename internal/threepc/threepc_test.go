@@ -4,35 +4,33 @@ import (
 	"testing"
 
 	"qcommit/internal/protocoltest"
-	"qcommit/internal/threephase"
+	"qcommit/internal/quorumcalc"
 	"qcommit/internal/types"
 	"qcommit/internal/voting"
 )
 
-func env() *protocoltest.Env {
-	return protocoltest.New(1, voting.MustAssignment(
-		voting.Uniform("x", 2, 3, 1, 2, 3, 4),
-	))
+func asgn() *voting.Assignment {
+	return voting.MustAssignment(voting.Uniform("x", 2, 3, 1, 2, 3, 4))
 }
 
 func TestRulesDecide(t *testing.T) {
-	r := Rules{}
-	e := env()
+	r := Spec{}.Rule(nil, nil)
+	e := asgn()
 	q, w, pc, c, a := types.StateInitial, types.StateWait, types.StatePC, types.StateCommitted, types.StateAborted
 
 	cases := []struct {
 		name   string
 		states map[types.SiteID]types.State
-		want   threephase.Verdict
+		want   quorumcalc.Verdict
 	}{
-		{"committed present", map[types.SiteID]types.State{2: w, 3: c}, threephase.VerdictCommit},
-		{"aborted present", map[types.SiteID]types.State{2: w, 3: a}, threephase.VerdictAbort},
-		{"PC present commits", map[types.SiteID]types.State{2: w, 3: pc}, threephase.VerdictTryCommit},
-		{"all W aborts", map[types.SiteID]types.State{2: w, 3: w}, threephase.VerdictAbort},
-		{"q aborts", map[types.SiteID]types.State{2: q}, threephase.VerdictAbort},
+		{"committed present", map[types.SiteID]types.State{2: w, 3: c}, quorumcalc.VerdictCommit},
+		{"aborted present", map[types.SiteID]types.State{2: w, 3: a}, quorumcalc.VerdictAbort},
+		{"PC present commits", map[types.SiteID]types.State{2: w, 3: pc}, quorumcalc.VerdictTryCommit},
+		{"all W aborts", map[types.SiteID]types.State{2: w, 3: w}, quorumcalc.VerdictAbort},
+		{"q aborts", map[types.SiteID]types.State{2: q}, quorumcalc.VerdictAbort},
 	}
 	for _, tc := range cases {
-		if got := r.Decide(e, threephase.NewStateTally(tc.states)); got != tc.want {
+		if got := r.Decide(e, protocoltest.Tally(tc.states)); got != tc.want {
 			t.Errorf("%s: %v, want %v", tc.name, got, tc.want)
 		}
 	}
@@ -47,12 +45,12 @@ func TestRulesDecide(t *testing.T) {
 // two disjoint partitions of one interrupted run (one holding the PC site,
 // one not) get opposite verdicts.
 func TestRulesAreInconsistentUnderPartition(t *testing.T) {
-	r := Rules{}
-	e := env()
+	r := Spec{}.Rule(nil, nil)
+	e := asgn()
 	w, pc := types.StateWait, types.StatePC
-	gWithPC := r.Decide(e, threephase.NewStateTally(map[types.SiteID]types.State{4: w, 5: pc}))
-	gWithout := r.Decide(e, threephase.NewStateTally(map[types.SiteID]types.State{2: w, 3: w}))
-	if gWithPC != threephase.VerdictTryCommit || gWithout != threephase.VerdictAbort {
+	gWithPC := r.Decide(e, protocoltest.Tally(map[types.SiteID]types.State{4: w, 5: pc}))
+	gWithout := r.Decide(e, protocoltest.Tally(map[types.SiteID]types.State{2: w, 3: w}))
+	if gWithPC != quorumcalc.VerdictTryCommit || gWithout != quorumcalc.VerdictAbort {
 		t.Errorf("verdicts = %v/%v, want try-commit/abort (the Example 2 split)", gWithPC, gWithout)
 	}
 }

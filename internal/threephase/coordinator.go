@@ -1,36 +1,11 @@
 package threephase
 
 import (
-	"sort"
-
 	"qcommit/internal/msg"
 	"qcommit/internal/protocol"
+	"qcommit/internal/quorumcalc"
 	"qcommit/internal/types"
 	"qcommit/internal/wal"
-)
-
-// AckRule decides when the coordinator may send COMMIT before all PC-ACKs
-// have arrived — the knob that distinguishes plain 3PC from Skeen's quorum
-// commit protocol and from the paper's commit protocols 1 and 2 (Fig. 9).
-type AckRule interface {
-	// Name identifies the rule in traces.
-	Name() string
-	// Satisfied reports whether the acknowledged sites suffice to commit.
-	Satisfied(env protocol.Env, acked []types.SiteID) bool
-}
-
-// AckTimeoutPolicy selects what the coordinator does when the ack window
-// closes with the rule unsatisfied.
-type AckTimeoutPolicy uint8
-
-// Policies.
-const (
-	// AckTimeoutCommit commits anyway, presuming silent participants failed
-	// (plain 3PC, which assumes a reliable network and only site failures).
-	AckTimeoutCommit AckTimeoutPolicy = iota
-	// AckTimeoutTerminate hands the transaction to the termination protocol
-	// (the quorum-based protocols).
-	AckTimeoutTerminate
 )
 
 type coordPhase uint8
@@ -50,18 +25,20 @@ const (
 // Coordinator drives the commit protocol for one transaction. It follows the
 // three-phase skeleton of Figs. 2 and 9: distribute VOTE-REQ, collect votes,
 // distribute PREPARE-TO-COMMIT on unanimous yes, collect PC-ACKs until the
-// AckRule is satisfied, then distribute COMMIT. Any no vote or vote timeout
-// aborts.
+// rule's ack quorum is reached, then distribute COMMIT. Any no vote or vote
+// timeout aborts. The ack quorum is what distinguishes plain 3PC (every
+// participant) from Skeen's quorum commit protocol and the paper's commit
+// protocols 1 and 2 (the commit quorum Qc of their termination rule).
 type Coordinator struct {
 	txn          types.TxnID
 	ws           types.Writeset
 	participants []types.SiteID
-	rule         AckRule
-	policy       AckTimeoutPolicy
+	rule         quorumcalc.Rule
 
 	phase coordPhase
 	votes map[types.SiteID]types.Vote
-	acked map[types.SiteID]bool
+	// acked holds, without duplicates, the participants whose PC-ACK arrived.
+	acked []types.SiteID
 	// DecidedAtAck is set when the commit decision was reached (for latency
 	// measurements): number of PC-ACKs received at decision time.
 	DecidedAtAck int
@@ -72,17 +49,14 @@ type Coordinator struct {
 // for the claim-C2 benchmarks.
 func (c *Coordinator) AcksAtDecision() int { return c.DecidedAtAck }
 
-// NewCoordinator builds a coordinator for txn with the given early-commit
-// rule and timeout policy.
-func NewCoordinator(txn types.TxnID, ws types.Writeset, participants []types.SiteID, rule AckRule, policy AckTimeoutPolicy) *Coordinator {
+// NewCoordinator builds a coordinator for txn under the given rule table.
+func NewCoordinator(txn types.TxnID, ws types.Writeset, participants []types.SiteID, rule quorumcalc.Rule) *Coordinator {
 	return &Coordinator{
 		txn:          txn,
 		ws:           ws,
 		participants: participants,
 		rule:         rule,
-		policy:       policy,
 		votes:        make(map[types.SiteID]types.Vote),
-		acked:        make(map[types.SiteID]bool),
 	}
 }
 
@@ -96,7 +70,7 @@ func (c *Coordinator) Start(env protocol.Env) {
 		Participants: c.participants,
 		Writeset:     c.ws,
 	})
-	env.Tracef("%s: coordinator %s starts commit (%s rule)", c.txn, env.Self(), c.rule.Name())
+	env.Tracef("%s: coordinator %s starts commit (%s rule)", c.txn, env.Self(), c.rule.AckName)
 	req := msg.VoteReq{Txn: c.txn, Coord: env.Self(), Participants: c.participants, Writeset: c.ws}
 	for _, p := range c.participants {
 		env.Send(p, req)
@@ -120,11 +94,11 @@ func (c *Coordinator) OnMessage(from types.SiteID, m msg.Message, env protocol.E
 			c.beginPrepare(env)
 		}
 	case msg.PCAck:
-		if c.phase != cpPreparing {
+		if c.phase != cpPreparing || !contains(c.participants, from) || contains(c.acked, from) {
 			return
 		}
-		c.acked[from] = true
-		if c.rule.Satisfied(env, c.ackedSites()) {
+		c.acked = append(c.acked, from)
+		if c.ackQuorum(env) {
 			c.DecidedAtAck = len(c.acked)
 			c.decideCommit(env)
 		}
@@ -146,20 +120,22 @@ func (c *Coordinator) OnTimer(token int, env protocol.Env) {
 		if c.phase != cpPreparing {
 			return
 		}
-		if c.rule.Satisfied(env, c.ackedSites()) {
+		switch {
+		case c.ackQuorum(env):
 			c.decideCommit(env)
-			return
-		}
-		switch c.policy {
-		case AckTimeoutCommit:
+		case c.rule.CommitsOnAckTimeout():
 			env.Tracef("%s: ack window closed, committing anyway (3PC site-failure assumption)", c.txn)
 			c.decideCommit(env)
-		case AckTimeoutTerminate:
+		default:
 			env.Tracef("%s: ack window closed without a quorum, invoking termination", c.txn)
 			c.phase = cpDone
 			env.RequestTermination(c.txn)
 		}
 	}
+}
+
+func (c *Coordinator) ackQuorum(env protocol.Env) bool {
+	return c.rule.AckQuorum(env.Assignment(), c.acked, len(c.participants))
 }
 
 func (c *Coordinator) allYes() bool {
@@ -170,15 +146,6 @@ func (c *Coordinator) allYes() bool {
 		}
 	}
 	return true
-}
-
-func (c *Coordinator) ackedSites() []types.SiteID {
-	out := make([]types.SiteID, 0, len(c.acked))
-	for s := range c.acked {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 func (c *Coordinator) beginPrepare(env protocol.Env) {
@@ -226,81 +193,4 @@ func contains(ss []types.SiteID, x types.SiteID) bool {
 		}
 	}
 	return false
-}
-
-// --- ack rules ---
-
-// AllAcks is plain 3PC: every participant must acknowledge.
-type AllAcks struct {
-	Participants []types.SiteID
-}
-
-// Name implements AckRule.
-func (AllAcks) Name() string { return "all-acks" }
-
-// Satisfied implements AckRule.
-func (r AllAcks) Satisfied(env protocol.Env, acked []types.SiteID) bool {
-	if len(acked) < len(r.Participants) {
-		return false
-	}
-	set := make(map[types.SiteID]bool, len(acked))
-	for _, s := range acked {
-		set[s] = true
-	}
-	for _, p := range r.Participants {
-		if !set[p] {
-			return false
-		}
-	}
-	return true
-}
-
-// WriteQuorumEvery is the paper's commit protocol 1: the coordinator only
-// has to wait for PC-ACKs worth w(x) votes for every data item x in the
-// writeset, because those acknowledgements ensure an abort quorum can never
-// be formed any more.
-type WriteQuorumEvery struct {
-	Items []types.ItemID
-}
-
-// Name implements AckRule.
-func (WriteQuorumEvery) Name() string { return "CP1 w(x)-every" }
-
-// Satisfied implements AckRule.
-func (r WriteQuorumEvery) Satisfied(env protocol.Env, acked []types.SiteID) bool {
-	return env.Assignment().WriteQuorumForEvery(r.Items, acked)
-}
-
-// ReadQuorumSome is the paper's commit protocol 2: PC-ACKs worth r(x) votes
-// for some item x in the writeset suffice, for the symmetric reason. This
-// makes commit protocol 2 faster than commit protocol 1.
-type ReadQuorumSome struct {
-	Items []types.ItemID
-}
-
-// Name implements AckRule.
-func (ReadQuorumSome) Name() string { return "CP2 r(x)-some" }
-
-// Satisfied implements AckRule.
-func (r ReadQuorumSome) Satisfied(env protocol.Env, acked []types.SiteID) bool {
-	return env.Assignment().ReadQuorumForSome(r.Items, acked)
-}
-
-// SiteVoteQuorum is Skeen's quorum commit rule: acknowledged sites must
-// carry at least Vc site votes.
-type SiteVoteQuorum struct {
-	Votes  map[types.SiteID]int
-	Quorum int
-}
-
-// Name implements AckRule.
-func (SiteVoteQuorum) Name() string { return "SkeenQ Vc" }
-
-// Satisfied implements AckRule.
-func (r SiteVoteQuorum) Satisfied(env protocol.Env, acked []types.SiteID) bool {
-	total := 0
-	for _, s := range acked {
-		total += r.Votes[s]
-	}
-	return total >= r.Quorum
 }

@@ -1,0 +1,150 @@
+package threephase
+
+import (
+	"testing"
+
+	"qcommit/internal/msg"
+	"qcommit/internal/protocoltest"
+	"qcommit/internal/quorumcalc"
+	"qcommit/internal/types"
+	"qcommit/internal/voting"
+	"qcommit/internal/wal"
+)
+
+// TestTerminatorReachesTheFold pins quorumcalc.Rule.Outcome — the analytic
+// fold of the poll → classify → confirm → distribute ladder — against the
+// automata themselves, with no engine in between: for every state vector
+// over the four participants of one partition group (6⁴) and each of the four
+// rule tables, one real Terminator polls real Participants over reliable
+// in-order delivery and must reach exactly the outcome the fold predicts,
+// without ever falling back to the election protocol. The transaction has two
+// more participants, cut off in another group, so that quorums can be out of
+// reach; copies and Skeen's site votes are weighted, so every quorum is a
+// weighted sum rather than a head count.
+func TestTerminatorReachesTheFold(t *testing.T) {
+	participants := []types.SiteID{1, 2, 3, 4, 5, 6}
+	sites := participants[:4] // the terminator's partition group
+	asgn := voting.MustAssignment(
+		voting.ItemConfig{Item: "x", R: 2, W: 4, Copies: []voting.Copy{
+			{Site: 1, Votes: 2}, {Site: 2, Votes: 1}, {Site: 3, Votes: 1}, {Site: 5, Votes: 1}}},
+		voting.Uniform("y", 2, 2, 3, 4, 6),
+	)
+	items := []types.ItemID{"x", "y"}
+	rules := []quorumcalc.Rule{
+		quorumcalc.ThreePCRule(),
+		quorumcalc.SkeenRule(map[types.SiteID]int{1: 3, 2: 1, 3: 1, 4: 2, 5: 2, 6: 1}, 6, 5),
+		quorumcalc.TP1Rule(items),
+		quorumcalc.TP2Rule(items),
+	}
+	uncertain := func(st types.State) bool {
+		return st == types.StateWait || st == types.StatePC || st == types.StatePA
+	}
+
+	for _, rule := range rules {
+		seen := map[types.Outcome]int{}
+		for vec := 0; vec < 6*6*6*6; vec++ {
+			states := make([]types.State, len(sites))
+			var tally quorumcalc.Tally
+			leader := -1 // the first uncertain participant runs the terminator
+			anyC, anyA := false, false
+			for i, n := 0, vec; i < len(sites); i, n = i+1, n/6 {
+				states[i] = types.State(n % 6)
+				tally.Add(sites[i], states[i])
+				if leader < 0 && uncertain(states[i]) {
+					leader = i
+				}
+				anyC = anyC || states[i] == types.StateCommitted
+				anyA = anyA || states[i] == types.StateAborted
+			}
+			want := rule.Outcome(asgn, &tally)
+			seen[want]++
+
+			if leader < 0 {
+				// Nobody waits for a decision, so nobody ever elects a
+				// terminator: the group keeps what its terminal sites know.
+				passive := types.OutcomeUnknown
+				switch {
+				case anyC:
+					passive = types.OutcomeCommitted
+				case anyA:
+					passive = types.OutcomeAborted
+				}
+				if want != passive {
+					t.Fatalf("%s %v: fold = %v without an uncertain site, want %v", rule.Name, states, want, passive)
+				}
+				continue
+			}
+
+			envs := make([]*protocoltest.Env, len(sites))
+			parts := make([]*Participant, len(sites))
+			for i, s := range sites {
+				envs[i] = protocoltest.New(s, asgn)
+				parts[i] = NewParticipant(1, &wal.TxnImage{Txn: 1, State: states[i]}, ParticipantOpts{})
+			}
+			tenv := protocoltest.New(sites[leader], asgn)
+			term := NewTerminator(1, participants, 1, rule)
+
+			// deliver hands every message the terminator has sent to its
+			// participant and the replies straight back, in order; what is
+			// addressed outside the group is lost.
+			sent := 0
+			deliver := func() {
+				for ; sent < len(tenv.Sends); sent++ {
+					s := tenv.Sends[sent]
+					i := int(s.To) - 1
+					if i >= len(sites) {
+						continue
+					}
+					before := len(envs[i].Sends)
+					parts[i].OnMessage(tenv.SelfID, s.Msg, envs[i])
+					for _, reply := range envs[i].Sends[before:] {
+						term.OnMessage(s.To, reply.Msg, tenv)
+					}
+				}
+			}
+			term.Start(tenv)
+			deliver()
+			term.OnTimer(tokCollect, tenv)
+			deliver()
+			if !term.Finished() {
+				term.OnTimer(tokConfirm, tenv)
+				deliver()
+			}
+
+			got := types.OutcomeUnknown
+			switch {
+			case len(tenv.Blocked) > 0:
+				got = types.OutcomeBlocked
+			case len(tenv.TermReqs) > 0:
+				t.Fatalf("%s %v: terminator fell back to the election protocol; the fold says %v", rule.Name, states, want)
+			default:
+				for _, s := range tenv.Sends {
+					switch s.Msg.Kind() {
+					case msg.KindCommit:
+						got = types.OutcomeCommitted
+					case msg.KindAbort:
+						got = types.OutcomeAborted
+					}
+				}
+			}
+			if got != want {
+				t.Fatalf("%s %v: terminator reached %v, fold predicts %v", rule.Name, states, got, want)
+			}
+			// Every participant that was waiting has been told: it holds the
+			// group's outcome, or — blocked — is still waiting.
+			for i, p := range parts {
+				if !uncertain(states[i]) {
+					continue
+				}
+				if end := p.State(); (got == types.OutcomeBlocked) != uncertain(end) ||
+					(got != types.OutcomeBlocked && end != got.StateEquivalent()) {
+					t.Fatalf("%s %v: site %d ended in %v after outcome %v", rule.Name, states, sites[i], end, got)
+				}
+			}
+		}
+		if seen[types.OutcomeCommitted] == 0 || seen[types.OutcomeAborted] == 0 ||
+			(seen[types.OutcomeBlocked] == 0) != (rule.Name == "3PC-term") {
+			t.Errorf("%s: outcome coverage %v", rule.Name, seen)
+		}
+	}
+}

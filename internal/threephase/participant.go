@@ -1,19 +1,27 @@
-// Package threephase provides the building blocks shared by every
-// three-phase-style protocol in the repository: the participant automaton
-// with the q/W/PC/PA/C/A state machine (Fig. 6 of the paper), a generic
-// commit coordinator parameterized by its early-commit acknowledgement rule
-// (plain 3PC, Skeen's quorum rule, or the paper's CP1/CP2 rules), and the
-// generic three-phase termination coordinator parameterized by its quorum
-// rules (Skeen's site-vote rules, the paper's TP1/TP2 replica-vote rules, or
-// 3PC's site-failure-only rule).
+// Package threephase provides the automata shared by every three-phase-style
+// protocol in the repository: the participant with the q/W/PC/PA/C/A state
+// machine (Fig. 6 of the paper), the commit coordinator (Figs. 2 and 9) and
+// the three-phase termination coordinator (Figs. 5 and 8). The coordinator
+// and the terminator are parameterized by one quorumcalc.Rule — Skeen's
+// site-vote quorums, the paper's TP1/TP2 replica-vote quorums, or 3PC's
+// site-failure rule — which they consult and never restate.
 package threephase
 
 import (
 	"qcommit/internal/msg"
 	"qcommit/internal/protocol"
+	"qcommit/internal/quorumcalc"
 	"qcommit/internal/types"
 	"qcommit/internal/wal"
 )
+
+// Ruled is implemented by the protocol specs built on this package's
+// automata: Rule returns the table their coordinator and terminator run for a
+// transaction writing items at participants, which is all the analytic
+// engines need to decide its fate without replaying it.
+type Ruled interface {
+	Rule(items []types.ItemID, participants []types.SiteID) quorumcalc.Rule
+}
 
 // ParticipantOpts tunes participant behaviour.
 type ParticipantOpts struct {

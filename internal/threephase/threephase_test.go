@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"qcommit/internal/msg"
-	"qcommit/internal/protocol"
 	"qcommit/internal/protocoltest"
+	"qcommit/internal/quorumcalc"
 	"qcommit/internal/types"
 	"qcommit/internal/voting"
 	"qcommit/internal/wal"
@@ -245,7 +245,7 @@ func runVotes(c *Coordinator, env *protocoltest.Env, yes []types.SiteID) {
 
 func TestCoordinatorHappyPathCP1(t *testing.T) {
 	env := protocoltest.New(1, ex1())
-	c := NewCoordinator(1, ws, parts, WriteQuorumEvery{Items: ws.Items()}, AckTimeoutTerminate)
+	c := NewCoordinator(1, ws, parts, quorumcalc.TP1Rule(ws.Items()))
 	c.Start(env)
 
 	// Phase 1: VOTE-REQ to every participant, BEGIN logged first.
@@ -299,7 +299,7 @@ func TestCoordinatorHappyPathCP1(t *testing.T) {
 
 func TestCoordinatorCP2CommitsFaster(t *testing.T) {
 	env := protocoltest.New(1, ex1())
-	c := NewCoordinator(1, ws, parts, ReadQuorumSome{Items: ws.Items()}, AckTimeoutTerminate)
+	c := NewCoordinator(1, ws, parts, quorumcalc.TP2Rule(ws.Items()))
 	c.Start(env)
 	runVotes(c, env, parts)
 	env.Reset()
@@ -320,7 +320,7 @@ func TestCoordinatorCP2CommitsFaster(t *testing.T) {
 
 func TestCoordinatorAbortsOnNoVote(t *testing.T) {
 	env := protocoltest.New(1, ex1())
-	c := NewCoordinator(1, ws, parts, AllAcks{Participants: parts}, AckTimeoutCommit)
+	c := NewCoordinator(1, ws, parts, quorumcalc.ThreePCRule())
 	c.Start(env)
 	env.Reset()
 	c.OnMessage(2, msg.VoteResp{Txn: 1, Vote: types.VoteNo}, env)
@@ -343,7 +343,7 @@ func TestCoordinatorAbortsOnNoVote(t *testing.T) {
 
 func TestCoordinatorVoteTimeoutAborts(t *testing.T) {
 	env := protocoltest.New(1, ex1())
-	c := NewCoordinator(1, ws, parts, AllAcks{Participants: parts}, AckTimeoutCommit)
+	c := NewCoordinator(1, ws, parts, quorumcalc.ThreePCRule())
 	c.Start(env)
 	env.Reset()
 	c.OnTimer(tokVotes, env)
@@ -355,7 +355,7 @@ func TestCoordinatorVoteTimeoutAborts(t *testing.T) {
 func TestCoordinatorAckTimeoutPolicies(t *testing.T) {
 	// 3PC: commit anyway.
 	env := protocoltest.New(1, ex1())
-	c := NewCoordinator(1, ws, parts, AllAcks{Participants: parts}, AckTimeoutCommit)
+	c := NewCoordinator(1, ws, parts, quorumcalc.ThreePCRule())
 	c.Start(env)
 	runVotes(c, env, parts)
 	env.Reset()
@@ -366,7 +366,7 @@ func TestCoordinatorAckTimeoutPolicies(t *testing.T) {
 
 	// Quorum protocols: hand over to termination.
 	env2 := protocoltest.New(1, ex1())
-	c2 := NewCoordinator(1, ws, parts, WriteQuorumEvery{Items: ws.Items()}, AckTimeoutTerminate)
+	c2 := NewCoordinator(1, ws, parts, quorumcalc.TP1Rule(ws.Items()))
 	c2.Start(env2)
 	runVotes(c2, env2, parts)
 	env2.Reset()
@@ -376,22 +376,33 @@ func TestCoordinatorAckTimeoutPolicies(t *testing.T) {
 	}
 }
 
-// --- terminator ---
-
-type fixedRules struct {
-	verdict Verdict
-	commit  bool
-	abort   bool
+// TestCoordinatorCountsEachParticipantAckOnce: a duplicated PC-ACK, or one
+// from a site that is no participant, must not count toward the ack quorum.
+func TestCoordinatorCountsEachParticipantAckOnce(t *testing.T) {
+	env := protocoltest.New(1, ex1())
+	c := NewCoordinator(1, ws, []types.SiteID{1, 2, 3}, quorumcalc.SkeenRule(nil, 2, 2))
+	c.Start(env)
+	runVotes(c, env, []types.SiteID{1, 2, 3})
+	env.Reset()
+	c.OnMessage(1, msg.PCAck{Txn: 1}, env)
+	c.OnMessage(1, msg.PCAck{Txn: 1}, env)
+	c.OnMessage(9, msg.PCAck{Txn: 1}, env)
+	if len(env.Sends) != 0 {
+		t.Fatal("one participant's ack reached a two-vote quorum")
+	}
+	c.OnMessage(2, msg.PCAck{Txn: 1}, env)
+	if len(env.Sends) == 0 || c.DecidedAtAck != 2 {
+		t.Errorf("second participant's ack should commit (DecidedAtAck = %d)", c.DecidedAtAck)
+	}
 }
 
-func (fixedRules) Name() string                                              { return "fixed" }
-func (f fixedRules) Decide(env protocol.Env, t StateTally) Verdict           { return f.verdict }
-func (f fixedRules) CommitConfirmed(env protocol.Env, s []types.SiteID) bool { return f.commit }
-func (f fixedRules) AbortConfirmed(env protocol.Env, s []types.SiteID) bool  { return f.abort }
+// --- terminator ---
+
+var tp1 = quorumcalc.TP1Rule(ws.Items())
 
 func TestTerminatorPollsAndDistributes(t *testing.T) {
 	env := protocoltest.New(2, ex1())
-	term := NewTerminator(1, ws, parts, 5, fixedRules{verdict: VerdictCommit})
+	term := NewTerminator(1, parts, 5, tp1)
 	term.Start(env)
 	reqs := 0
 	for _, s := range env.Sends {
@@ -406,7 +417,7 @@ func TestTerminatorPollsAndDistributes(t *testing.T) {
 		t.Fatalf("polled %d, want %d (including self)", reqs, len(parts))
 	}
 	env.Reset()
-	term.OnMessage(2, msg.StateResp{Txn: 1, Epoch: 5, State: types.StateWait}, env)
+	term.OnMessage(2, msg.StateResp{Txn: 1, Epoch: 5, State: types.StateCommitted}, env)
 	term.OnTimer(tokCollect, env)
 	commits := 0
 	for _, s := range env.Sends {
@@ -422,21 +433,26 @@ func TestTerminatorPollsAndDistributes(t *testing.T) {
 	}
 }
 
-func TestTerminatorStaleEpochIgnored(t *testing.T) {
+// TestTerminatorIgnoresUncountableResponses: a response from a stale epoch,
+// with an undefined state, or from a site that is no participant must not
+// enter the tally — here each of them claims a decisive state.
+func TestTerminatorIgnoresUncountableResponses(t *testing.T) {
 	env := protocoltest.New(2, ex1())
-	term := NewTerminator(1, ws, []types.SiteID{2, 3}, 5, fixedRules{verdict: VerdictBlock})
+	term := NewTerminator(1, []types.SiteID{2, 3}, 5, tp1)
 	term.Start(env)
 	term.OnMessage(3, msg.StateResp{Txn: 1, Epoch: 4, State: types.StateCommitted}, env)
+	term.OnMessage(3, msg.StateResp{Txn: 1, Epoch: 5, State: types.State(200)}, env)
+	term.OnMessage(7, msg.StateResp{Txn: 1, Epoch: 5, State: types.StateCommitted}, env)
 	env.Reset()
 	term.OnTimer(tokCollect, env)
 	if len(env.Blocked) != 1 {
-		t.Error("stale-epoch response should not have been counted")
+		t.Errorf("uncountable responses were counted: sends %v", env.SentKinds())
 	}
 }
 
 func TestTerminatorTryCommitConfirmFlow(t *testing.T) {
 	env := protocoltest.New(2, ex1())
-	term := NewTerminator(1, ws, parts, 1, fixedRules{verdict: VerdictTryCommit, commit: true})
+	term := NewTerminator(1, parts, 1, quorumcalc.ThreePCRule())
 	term.Start(env)
 	term.OnMessage(5, msg.StateResp{Txn: 1, Epoch: 1, State: types.StatePC}, env)
 	term.OnMessage(4, msg.StateResp{Txn: 1, Epoch: 1, State: types.StateWait}, env)
@@ -457,12 +473,21 @@ func TestTerminatorTryCommitConfirmFlow(t *testing.T) {
 	}
 }
 
+// TestTerminatorReentersOnFailedConfirm: sites 2 and 3 in W hold r(x) votes,
+// so TP1 attempts an abort quorum; one PA-ACK, even repeated, is one vote
+// short of confirming it.
 func TestTerminatorReentersOnFailedConfirm(t *testing.T) {
 	env := protocoltest.New(2, ex1())
-	term := NewTerminator(1, ws, parts, 1, fixedRules{verdict: VerdictTryAbort, abort: false})
+	term := NewTerminator(1, parts, 1, tp1)
 	term.Start(env)
-	term.OnMessage(4, msg.StateResp{Txn: 1, Epoch: 1, State: types.StateWait}, env)
+	term.OnMessage(2, msg.StateResp{Txn: 1, Epoch: 1, State: types.StateWait}, env)
+	term.OnMessage(3, msg.StateResp{Txn: 1, Epoch: 1, State: types.StateWait}, env)
 	term.OnTimer(tokCollect, env)
+	if got := env.SentTo(3); len(got) != 2 || got[1].Kind() != msg.KindPrepareToAbort {
+		t.Fatalf("PTA to site3 = %v", got)
+	}
+	term.OnMessage(2, msg.PAAck{Txn: 1}, env)
+	term.OnMessage(2, msg.PAAck{Txn: 1}, env)
 	env.Reset()
 	term.OnTimer(tokConfirm, env)
 	if len(env.TermReqs) != 1 {
@@ -475,40 +500,11 @@ func TestTerminatorReentersOnFailedConfirm(t *testing.T) {
 
 func TestTerminatorBlockVerdict(t *testing.T) {
 	env := protocoltest.New(2, ex1())
-	term := NewTerminator(1, ws, parts, 1, fixedRules{verdict: VerdictBlock})
+	term := NewTerminator(1, parts, 1, tp1)
 	term.Start(env)
 	env.Reset()
 	term.OnTimer(tokCollect, env)
 	if len(env.Blocked) != 1 {
 		t.Error("block verdict not reported")
-	}
-}
-
-func TestStateTallyHelpers(t *testing.T) {
-	tl := NewStateTally(map[types.SiteID]types.State{
-		2: types.StateWait, 3: types.StatePC, 4: types.StateWait,
-	})
-	if !tl.Any(types.StatePC) || tl.Any(types.StateAborted) {
-		t.Error("Any wrong")
-	}
-	if got := tl.In(types.StateWait); len(got) != 2 || got[0] != 2 || got[1] != 4 {
-		t.Errorf("In(W) = %v", got)
-	}
-	if got := tl.NotIn(types.StatePC); len(got) != 2 {
-		t.Errorf("NotIn(PC) = %v", got)
-	}
-	if len(tl.Responders) != 3 {
-		t.Errorf("Responders = %v", tl.Responders)
-	}
-}
-
-func TestVerdictStrings(t *testing.T) {
-	for v, want := range map[Verdict]string{
-		VerdictCommit: "commit", VerdictAbort: "abort",
-		VerdictTryCommit: "try-commit", VerdictTryAbort: "try-abort", VerdictBlock: "block",
-	} {
-		if v.String() != want {
-			t.Errorf("verdict %d = %q, want %q", v, v.String(), want)
-		}
 	}
 }

@@ -77,6 +77,9 @@ const (
 	VoteNo
 )
 
+// Valid reports whether v is one of the two defined votes.
+func (v Vote) Valid() bool { return v <= VoteNo }
+
 // String implements fmt.Stringer.
 func (v Vote) String() string {
 	if v == VoteYes {
@@ -96,6 +99,9 @@ const (
 	DecisionCommit
 	DecisionAbort
 )
+
+// Valid reports whether d is one of the three defined decision values.
+func (d Decision) Valid() bool { return d <= DecisionAbort }
 
 // String implements fmt.Stringer.
 func (d Decision) String() string {

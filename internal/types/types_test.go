@@ -51,6 +51,12 @@ func TestStateClassification(t *testing.T) {
 	if State(6).Valid() {
 		t.Error("State(6) should be invalid")
 	}
+	if !VoteYes.Valid() || !VoteNo.Valid() || Vote(2).Valid() {
+		t.Error("exactly the two defined votes should be valid")
+	}
+	if !DecisionNone.Valid() || !DecisionCommit.Valid() || !DecisionAbort.Valid() || Decision(3).Valid() {
+		t.Error("exactly the three defined decisions should be valid")
+	}
 }
 
 func TestDecisionAndOutcome(t *testing.T) {

@@ -183,21 +183,6 @@ func (a *Assignment) VotesFor(x types.ItemID, sites []types.SiteID) int {
 	return total
 }
 
-// ReadQuorumMet reports whether a precomputed vote sum reaches r(x). It is
-// the allocation-free primitive behind HasReadQuorum for callers (the
-// analytic Monte Carlo engine) that tally votes incrementally instead of
-// materializing site lists.
-func (a *Assignment) ReadQuorumMet(x types.ItemID, votes int) bool {
-	ic, ok := a.items[x]
-	return ok && votes >= ic.R
-}
-
-// WriteQuorumMet reports whether a precomputed vote sum reaches w(x).
-func (a *Assignment) WriteQuorumMet(x types.ItemID, votes int) bool {
-	ic, ok := a.items[x]
-	return ok && votes >= ic.W
-}
-
 // ForEachItem calls f for every item configuration in declaration order,
 // without copying the item list (unlike Items).
 func (a *Assignment) ForEachItem(f func(ItemConfig)) {
@@ -244,32 +229,6 @@ func (a *Assignment) WriteQuorumForEvery(items []types.ItemID, sites []types.Sit
 func (a *Assignment) ReadQuorumForSome(items []types.ItemID, sites []types.SiteID) bool {
 	for _, x := range items {
 		if a.HasReadQuorum(x, sites) {
-			return true
-		}
-	}
-	return false
-}
-
-// ReadQuorumForEvery reports whether the sites hold ≥ r(x) votes for every
-// item in items.
-func (a *Assignment) ReadQuorumForEvery(items []types.ItemID, sites []types.SiteID) bool {
-	if len(items) == 0 {
-		return false
-	}
-	for _, x := range items {
-		if !a.HasReadQuorum(x, sites) {
-			return false
-		}
-	}
-	return true
-}
-
-// WriteQuorumForSome reports whether the sites hold ≥ w(x) votes for some
-// item in items — used by Termination Protocol 2's commit side (swapped
-// roles).
-func (a *Assignment) WriteQuorumForSome(items []types.ItemID, sites []types.SiteID) bool {
-	for _, x := range items {
-		if a.HasWriteQuorum(x, sites) {
 			return true
 		}
 	}

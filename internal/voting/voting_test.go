@@ -138,13 +138,12 @@ func TestQuorumPredicates(t *testing.T) {
 	}
 	// Whole cluster satisfies everything.
 	all := []types.SiteID{1, 2, 3, 4, 5, 6, 7, 8}
-	if !a.WriteQuorumForEvery(items, all) || !a.ReadQuorumForEvery(items, all) ||
-		!a.WriteQuorumForSome(items, all) || !a.ReadQuorumForSome(items, all) {
+	if !a.WriteQuorumForEvery(items, all) || !a.ReadQuorumForSome(items, all) {
 		t.Error("full cluster should satisfy all quorum predicates")
 	}
 	// Empty item list: "for every" over nothing is defined false here
 	// (transactions write at least one item).
-	if a.WriteQuorumForEvery(nil, all) || a.ReadQuorumForEvery(nil, all) {
+	if a.WriteQuorumForEvery(nil, all) {
 		t.Error("empty item list must not satisfy for-every predicates")
 	}
 }
@@ -247,9 +246,9 @@ func TestVotesForAdditivityProperty(t *testing.T) {
 	}
 }
 
-// TestQuorumMetAgainstHasQuorum: the vote-sum primitives agree with the
-// site-list quorum checks for every subset of holders.
-func TestQuorumMetAgainstHasQuorum(t *testing.T) {
+// TestHasQuorumAgainstVoteSum: the site-list quorum checks agree with the
+// vote sum against r(x)/w(x) for every subset of holders.
+func TestHasQuorumAgainstVoteSum(t *testing.T) {
 	a := MustAssignment(Uniform("x", 3, 4, 1, 2, 3, 4, 5, 6))
 	for mask := 0; mask < 1<<6; mask++ {
 		var sites []types.SiteID
@@ -259,14 +258,14 @@ func TestQuorumMetAgainstHasQuorum(t *testing.T) {
 			}
 		}
 		votes := a.VotesFor("x", sites)
-		if got, want := a.ReadQuorumMet("x", votes), a.HasReadQuorum("x", sites); got != want {
-			t.Fatalf("ReadQuorumMet(%d) = %v, HasReadQuorum(%v) = %v", votes, got, sites, want)
+		if got, want := a.HasReadQuorum("x", sites), votes >= 3; got != want {
+			t.Fatalf("HasReadQuorum(%v) = %v with %d votes", sites, got, votes)
 		}
-		if got, want := a.WriteQuorumMet("x", votes), a.HasWriteQuorum("x", sites); got != want {
-			t.Fatalf("WriteQuorumMet(%d) = %v, HasWriteQuorum(%v) = %v", votes, got, sites, want)
+		if got, want := a.HasWriteQuorum("x", sites), votes >= 4; got != want {
+			t.Fatalf("HasWriteQuorum(%v) = %v with %d votes", sites, got, votes)
 		}
 	}
-	if a.ReadQuorumMet("missing", 100) || a.WriteQuorumMet("missing", 100) {
+	if all := []types.SiteID{1, 2, 3, 4, 5, 6}; a.HasReadQuorum("missing", all) || a.HasWriteQuorum("missing", all) {
 		t.Error("quorum met for unknown item")
 	}
 }
