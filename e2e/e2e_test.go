@@ -233,20 +233,15 @@ func TestCoordinatorKill9(t *testing.T) {
 				}
 			}
 			if tc.proto == "qc1" {
-				// The survivors' metrics must show the termination protocol:
-				// at least one election round — at whichever survivor lost
-				// patience first; the others may hear its ABORT before they
-				// campaign themselves — ending in the abort reported above.
+				// A survivor's metrics must show the termination protocol:
+				// at least one election round, ending in the abort it
+				// reported above.
 				vals := c.scrape(2)
 				if got := metricSum(vals, "qcommit_txns_aborted_total"); got < 1 {
 					t.Errorf("survivor aborted_total = %v, want >= 1", got)
 				}
-				rounds := metricSum(vals, "qcommit_term_rounds_total")
-				for site := types.SiteID(3); site <= 5; site++ {
-					rounds += metricSum(c.scrape(site), "qcommit_term_rounds_total")
-				}
-				if rounds < 1 {
-					t.Errorf("survivors' term_rounds_total = %v, want >= 1 (termination protocol ran)", rounds)
+				if got := metricSum(vals, "qcommit_term_rounds_total"); got < 1 {
+					t.Errorf("survivor term_rounds_total = %v, want >= 1 (termination protocol ran)", got)
 				}
 				if got := metricSum(vals, "qcommit_net_frames_total"); got == 0 {
 					t.Error("survivor exchanged no frames according to /metrics")

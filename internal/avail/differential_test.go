@@ -208,12 +208,16 @@ func TestMonteCarloEnginesMatch(t *testing.T) {
 type opaqueSpec struct{ protocol.Spec }
 
 // TestAnalyticRequiresRuleTable pins the error path: an analytic run over a
-// spec that is neither 2PC nor rule-table driven must fail, serial and
-// parallel alike, while replay still accepts it.
+// spec that is neither 2PC nor rule-table driven must fail up front — before
+// the first trial, so no parallel worker ever starts — serial and parallel
+// alike, while replay still accepts it.
 func TestAnalyticRequiresRuleTable(t *testing.T) {
 	builders := []SpecBuilder{{Label: "opaque", Build: func(sc Scenario) protocol.Spec {
 		return opaqueSpec{StandardBuilders()[3].Build(sc)}
 	}}}
+	if _, err := newTrialRunner(DefaultScenarioParams(), builders, EngineAnalytic); err == nil {
+		t.Error("analytic trial runner built without a rule table")
+	}
 	if _, err := MonteCarlo(DefaultScenarioParams(), 4, 1, builders, EngineAnalytic); err == nil {
 		t.Error("serial analytic run without a rule table succeeded")
 	}

@@ -328,6 +328,17 @@ func newTrialRunner(params ScenarioParams, builders []SpecBuilder, eng Engine) (
 	}
 	r := &trialRunner{gen: gen, builders: builders, engine: eng}
 	if eng == EngineAnalytic {
+		// Fail up front, before any trial or worker runs: probe every
+		// builder's spec for a rule table with one throw-away scenario.
+		sc, err := gen.Generate(0)
+		if err != nil {
+			return nil, err
+		}
+		for _, b := range builders {
+			if _, err := deciderFor(b.Build(sc), sc); err != nil {
+				return nil, err
+			}
+		}
 		r.eval = newAnalyticEval()
 		r.deciders = make([]quorumcalc.Decider, len(builders))
 	}

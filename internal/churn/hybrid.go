@@ -583,7 +583,7 @@ func (h *hybridRun) classify(i int, a *arrival, p *arrivalPlan) (committed bool,
 	h.acked = h.acked[:0]
 	for _, ack := range p.acks {
 		h.acked = append(h.acked, ack.site)
-		if !rule.AckQuorum(h.sc.asgn, h.acked, len(a.Participants)) {
+		if !rule.Ack(h.sc.asgn, h.acked) {
 			continue
 		}
 		if ack.at < p.ackDeadline {

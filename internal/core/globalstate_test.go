@@ -54,10 +54,10 @@ func TestTPOppositeImmediateVerdictsImpossible(t *testing.T) {
 			// a *confirmed* abort quorum impossible in the other, because
 			// immediate commit requires w(x) votes ∀x among PC sites, whose
 			// complement cannot reach r(x) votes for any x.
-			if v1 == quorumcalc.VerdictCommit && r.AbortConfirmed(asgn, sitesOf(g2)) {
+			if v1 == quorumcalc.VerdictCommit && r.Qa(asgn, sitesOf(g2)) {
 				return false
 			}
-			if v2 == quorumcalc.VerdictCommit && r.AbortConfirmed(asgn, sitesOf(g1)) {
+			if v2 == quorumcalc.VerdictCommit && r.Qa(asgn, sitesOf(g1)) {
 				return false
 			}
 		}

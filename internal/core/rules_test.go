@@ -72,17 +72,17 @@ func TestTP1DecideTable(t *testing.T) {
 func TestTP1Confirmations(t *testing.T) {
 	asgn, r := ex1(), tp1
 	// Commit confirmation needs w(x) votes for every item.
-	if r.CommitConfirmed(asgn, []types.SiteID{1, 2, 3}) {
+	if r.Qc(asgn, []types.SiteID{1, 2, 3}) {
 		t.Error("x-only sites cannot confirm commit (no y votes)")
 	}
-	if !r.CommitConfirmed(asgn, []types.SiteID{1, 2, 3, 5, 6, 7}) {
+	if !r.Qc(asgn, []types.SiteID{1, 2, 3, 5, 6, 7}) {
 		t.Error("3 x votes + 3 y votes should confirm commit")
 	}
 	// Abort confirmation needs r(x) votes for some item.
-	if !r.AbortConfirmed(asgn, []types.SiteID{2, 3}) {
+	if !r.Qa(asgn, []types.SiteID{2, 3}) {
 		t.Error("2 x votes should confirm abort")
 	}
-	if r.AbortConfirmed(asgn, []types.SiteID{4, 5}) {
+	if r.Qa(asgn, []types.SiteID{4, 5}) {
 		t.Error("1 x vote + 1 y vote confirm nothing (r=2 each)")
 	}
 }
@@ -155,10 +155,10 @@ func TestTP1TP2NoConflictingQuorumsProperty(t *testing.T) {
 				s2 = append(s2, s)
 			}
 		}
-		if tp1.CommitConfirmed(asgn, s1) && tp1.AbortConfirmed(asgn, s2) {
+		if tp1.Qc(asgn, s1) && tp1.Qa(asgn, s2) {
 			t.Fatalf("TP1: disjoint commit (%v) and abort (%v) quorums", s1, s2)
 		}
-		if tp2.CommitConfirmed(asgn, s1) && tp2.AbortConfirmed(asgn, s2) {
+		if tp2.Qc(asgn, s1) && tp2.Qa(asgn, s2) {
 			t.Fatalf("TP2: disjoint commit (%v) and abort (%v) quorums", s1, s2)
 		}
 	}

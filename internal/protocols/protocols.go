@@ -19,10 +19,10 @@ import (
 // Standard returns the five protocols in comparison order: 2PC, 3PC, Skeen's
 // quorum protocol, and the paper's protocols 1 and 2. Skeen's protocol gets
 // one vote per site and majority quorums — over the given sites, or, when
-// none are given, per transaction over its participants (the zero
-// skeenq.Spec).
+// none are given, per transaction over its participants
+// (skeenq.PerTransaction, the convention of the studies).
 func Standard(sites []types.SiteID) []protocol.Spec {
-	skeen := skeenq.Spec{}
+	skeen := skeenq.PerTransaction()
 	if len(sites) > 0 {
 		vc, va := skeenq.Majority(len(sites))
 		skeen = skeenq.Uniform(sites, vc, va)
@@ -36,9 +36,12 @@ func Standard(sites []types.SiteID) []protocol.Spec {
 	}
 }
 
-// ByName returns the Standard protocol with the given name (2PC, 3PC, SkeenQ,
-// QC1 or QC2, in any letter case), validated.
+// ByName returns the Standard protocol over the given cluster sites with the
+// given name (2PC, 3PC, SkeenQ, QC1 or QC2, in any letter case), validated.
 func ByName(name string, sites []types.SiteID) (protocol.Spec, error) {
+	if len(sites) == 0 {
+		return nil, fmt.Errorf("protocol %q: no sites to size its quorums over", name)
+	}
 	for _, spec := range Standard(sites) {
 		if !strings.EqualFold(spec.Name(), name) {
 			continue

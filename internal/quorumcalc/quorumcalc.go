@@ -8,7 +8,8 @@
 // protocols of Fig. 9 release COMMIT as soon as the PC-ACKs satisfy that same
 // Qc. A Rule is that pair, declared once per protocol (TP1Rule, TP2Rule,
 // SkeenRule); ThreePCRule is 3PC's site-failure rule, the one table that is
-// deliberately not a quorum pair. The automata in package threephase and the
+// deliberately different: its quorums demand nothing and any participant in
+// PC commits. The automata in package threephase and the
 // analytic engines (packages avail and churn) all read the same Rule, so the
 // live terminator, the simulators and the arithmetic agree by construction.
 // 2PC's cooperative terminator is not three-phase and keeps its own decider,
@@ -142,6 +143,9 @@ func siteVotes(votes map[types.SiteID]int, need int) Quorum {
 	}
 }
 
+// always is the quorum that demands nothing.
+func always(*voting.Assignment, []types.SiteID) bool { return true }
+
 // Rule is one protocol's termination rule together with the early-commit rule
 // of its commit protocol. For the quorum family it is just the pair (Qc, Qa)
 // and the names the rule goes by in traces.
@@ -150,11 +154,23 @@ type Rule struct {
 	// "SkeenQ-term", "3PC-term"); AckName the coordinator's early-commit rule
 	// ("CP1 w(x)-every", "CP2 r(x)-some", "SkeenQ Vc", "all-acks").
 	Name, AckName string
-	// Qc and Qa are the commit-side and abort-side quorums.
+	// Qc and Qa are the commit-side and abort-side quorums: what a try-commit
+	// or try-abort round must confirm, and what Decide tests the tally
+	// against.
 	Qc, Qa Quorum
-	// siteFailure selects 3PC's rule, which assumes silent sites crashed
-	// rather than were partitioned away and so demands no quorum at all.
+	// Ack is what the PC-ACKs must hold before the commit coordinator may
+	// send COMMIT — Qc itself for the quorum family.
+	Ack Quorum
+	// siteFailure marks 3PC's rule, which assumes silent sites crashed rather
+	// than were partitioned away: any participant in PC commits, and the
+	// coordinator commits when the ack window closes short of Ack.
 	siteFailure bool
+}
+
+// quorumRule is the quorum family's table: the commit coordinator waits for
+// the same Qc the termination protocol would need.
+func quorumRule(name, ackName string, qc, qa Quorum) Rule {
+	return Rule{Name: name, AckName: ackName, Qc: qc, Qa: qa, Ack: qc}
 }
 
 // TP1Rule is Termination Protocol 1 (Fig. 5) with commit protocol 1 (Fig. 9)
@@ -163,30 +179,32 @@ type Rule struct {
 // PC-ACKs carry the commit quorum an abort quorum can never be formed any
 // more, which is why the coordinator need not wait for the rest.
 func TP1Rule(items []types.ItemID) Rule {
-	return Rule{Name: "TP1", AckName: "CP1 w(x)-every", Qc: writeEvery(items), Qa: readSome(items)}
+	return quorumRule("TP1", "CP1 w(x)-every", writeEvery(items), readSome(items))
 }
 
 // TP2Rule is Termination Protocol 2 (Fig. 8) with commit protocol 2: TP1 with
 // the r/w roles swapped, so commit protocol 2 releases COMMIT sooner than
 // commit protocol 1.
 func TP2Rule(items []types.ItemID) Rule {
-	return Rule{Name: "TP2", AckName: "CP2 r(x)-some", Qc: readSome(items), Qa: writeEvery(items)}
+	return quorumRule("TP2", "CP2 r(x)-some", readSome(items), writeEvery(items))
 }
 
 // SkeenRule is Skeen's quorum protocol with the given per-site vote weights
 // (nil: one vote per site) and commit/abort quorums Vc, Va.
 func SkeenRule(votes map[types.SiteID]int, vc, va int) Rule {
-	return Rule{Name: "SkeenQ-term", AckName: "SkeenQ Vc", Qc: siteVotes(votes, vc), Qa: siteVotes(votes, va)}
+	return quorumRule("SkeenQ-term", "SkeenQ Vc", siteVotes(votes, vc), siteVotes(votes, va))
 }
 
-// ThreePCRule is 3PC's site-failure termination rule, quoted in the paper's
-// Example 2: "if there exists a site in PC state or commit state, then the
-// transaction should be committed; else the transaction should be aborted".
-// Its confirmations are unconditional and its coordinator waits for every
-// PC-ACK but commits anyway when the window closes — which is exactly why 3PC
-// terminates every partition and violates atomicity across them.
-func ThreePCRule() Rule {
-	return Rule{Name: "3PC-term", AckName: "all-acks", siteFailure: true}
+// ThreePCRule is 3PC's site-failure termination rule for a transaction with
+// the given number of participants, quoted in the paper's Example 2: "if
+// there exists a site in PC state or commit state, then the transaction
+// should be committed; else the transaction should be aborted". Its
+// confirmations demand nothing and its coordinator waits for every PC-ACK but
+// commits anyway when the window closes — which is exactly why 3PC terminates
+// every partition and violates atomicity across them.
+func ThreePCRule(participants int) Rule {
+	return Rule{Name: "3PC-term", AckName: "all-acks", Qc: always, Qa: always,
+		Ack: siteVotes(nil, participants), siteFailure: true}
 }
 
 // Decide classifies a phase-1 tally. For the quorum family (Figs. 5 and 8):
@@ -231,31 +249,8 @@ func (r Rule) Decide(a *voting.Assignment, t *Tally) Verdict {
 	}
 }
 
-// CommitConfirmed reports whether the given sites (phase-1 PC reporters plus
-// phase-2 PC-ackers) establish the commit quorum.
-func (r Rule) CommitConfirmed(a *voting.Assignment, sites []types.SiteID) bool {
-	return r.siteFailure || r.Qc(a, sites)
-}
-
-// AbortConfirmed reports whether the given sites (phase-1 PA reporters plus
-// phase-2 PA-ackers) establish the abort quorum.
-func (r Rule) AbortConfirmed(a *voting.Assignment, sites []types.SiteID) bool {
-	return r.siteFailure || r.Qa(a, sites)
-}
-
-// AckQuorum reports whether the commit coordinator may send COMMIT now that
-// the given distinct participants, out of numParticipants, have acknowledged
-// PREPARE-TO-COMMIT: the commit quorum for the quorum family, everyone for
-// 3PC.
-func (r Rule) AckQuorum(a *voting.Assignment, acked []types.SiteID, numParticipants int) bool {
-	if r.siteFailure {
-		return len(acked) >= numParticipants
-	}
-	return r.Qc(a, acked)
-}
-
 // CommitsOnAckTimeout reports what the commit coordinator does when the ack
-// window closes short of AckQuorum: 3PC commits anyway, presuming the silent
+// window closes short of Ack: 3PC commits anyway, presuming the silent
 // participants failed; the quorum family hands the transaction to the
 // termination protocol.
 func (r Rule) CommitsOnAckTimeout() bool { return r.siteFailure }

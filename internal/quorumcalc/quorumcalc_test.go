@@ -80,7 +80,7 @@ func TestVerdictStrings(t *testing.T) {
 func TestDecideAllocatesNothing(t *testing.T) {
 	a := exampleAssignment(t)
 	ta := tallyOf(map[types.SiteID]types.State{1: types.StateWait, 2: types.StatePC, 3: types.StateWait})
-	for _, r := range []Rule{TP1Rule([]types.ItemID{"x"}), TP2Rule([]types.ItemID{"x"}), SkeenRule(nil, 4, 4), ThreePCRule()} {
+	for _, r := range []Rule{TP1Rule([]types.ItemID{"x"}), TP2Rule([]types.ItemID{"x"}), SkeenRule(nil, 4, 4), ThreePCRule(3)} {
 		r.Outcome(a, ta)
 		if n := testing.AllocsPerRun(100, func() { r.Outcome(a, ta) }); n != 0 {
 			t.Errorf("%s: Outcome allocates %v times per call", r.Name, n)
@@ -113,7 +113,7 @@ func TestTwoPC(t *testing.T) {
 }
 
 func TestThreePC(t *testing.T) {
-	d := ThreePCRule().Outcome
+	d := ThreePCRule(3).Outcome
 	cases := []struct {
 		name   string
 		states map[types.SiteID]types.State

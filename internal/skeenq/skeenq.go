@@ -25,12 +25,8 @@ import (
 	"qcommit/internal/wal"
 )
 
-// Spec is Skeen's quorum protocol with a site-vote assignment. The zero Spec
-// sizes the quorums per transaction: one vote per participant, Majority
-// quorums over that transaction's participant set. That is the convention of
-// the availability and churn studies, where every transaction has a different
-// participant list and a cluster-wide quorum would be unreachable for
-// transactions whose items replicate on fewer than Vc sites.
+// Spec is Skeen's quorum protocol with a site-vote assignment, or — built by
+// PerTransaction — with quorums sized from each transaction's participants.
 type Spec struct {
 	// Votes assigns each site its vote weight. Sites absent from the map
 	// have 0 votes.
@@ -40,6 +36,10 @@ type Spec struct {
 	Vc, Va int
 	// PatienceRounds caps participant-initiated termination attempts.
 	PatienceRounds int
+
+	// perTransaction is set by PerTransaction only, so a Spec whose votes or
+	// quorums were merely forgotten still fails Validate.
+	perTransaction bool
 }
 
 var (
@@ -63,15 +63,24 @@ func Uniform(sites []types.SiteID, vc, va int) Spec {
 	return Spec{Votes: votes, Vc: vc, Va: va}
 }
 
-func (s Spec) perTransaction() bool { return s.Votes == nil && s.Vc == 0 && s.Va == 0 }
+// PerTransaction builds the Spec that sizes its quorums per transaction: one
+// vote per participant, Majority quorums over that transaction's participant
+// set. That is the convention of the availability and churn studies, where
+// every transaction has a different participant list and a cluster-wide
+// quorum would be unreachable for transactions whose items replicate on fewer
+// than Vc sites.
+func PerTransaction() Spec { return Spec{perTransaction: true} }
 
 // Validate checks the quorum-intersection constraint Vc + Va > V.
 func (s Spec) Validate() error {
-	if s.perTransaction() {
+	if s.perTransaction {
+		if s.Votes != nil || s.Vc != 0 || s.Va != 0 {
+			return fmt.Errorf("skeenq: per-transaction quorums take no vote assignment (Vc=%d Va=%d)", s.Vc, s.Va)
+		}
 		return nil
 	}
 	if s.Votes == nil {
-		return fmt.Errorf("skeenq: quorums given without a vote assignment (Vc=%d Va=%d)", s.Vc, s.Va)
+		return fmt.Errorf("skeenq: no vote assignment (Vc=%d Va=%d)", s.Vc, s.Va)
 	}
 	total := 0
 	for _, v := range s.Votes {
@@ -94,7 +103,7 @@ func (Spec) Name() string { return "SkeenQ" }
 
 // Rule implements threephase.Ruled: site votes ≥ Vc to commit, ≥ Va to abort.
 func (s Spec) Rule(_ []types.ItemID, participants []types.SiteID) quorumcalc.Rule {
-	if s.perTransaction() {
+	if s.perTransaction {
 		vc, va := Majority(len(participants))
 		return quorumcalc.SkeenRule(nil, vc, va)
 	}

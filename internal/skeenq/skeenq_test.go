@@ -96,16 +96,16 @@ func TestRulesQuorumPaths(t *testing.T) {
 func TestConfirmations(t *testing.T) {
 	r := ex1Spec().Rule(nil, nil)
 	e := asgn()
-	if r.CommitConfirmed(e, []types.SiteID{1, 2, 3, 4}) {
+	if r.Qc(e, []types.SiteID{1, 2, 3, 4}) {
 		t.Error("4 votes should not confirm commit (Vc=5)")
 	}
-	if !r.CommitConfirmed(e, []types.SiteID{1, 2, 3, 4, 5}) {
+	if !r.Qc(e, []types.SiteID{1, 2, 3, 4, 5}) {
 		t.Error("5 votes should confirm commit")
 	}
-	if !r.AbortConfirmed(e, []types.SiteID{1, 2, 3, 4}) {
+	if !r.Qa(e, []types.SiteID{1, 2, 3, 4}) {
 		t.Error("4 votes should confirm abort (Va=4)")
 	}
-	if r.AbortConfirmed(e, []types.SiteID{1, 2, 3}) {
+	if r.Qa(e, []types.SiteID{1, 2, 3}) {
 		t.Error("3 votes should not confirm abort")
 	}
 }
@@ -126,7 +126,7 @@ func TestNoDisjointQuorums(t *testing.T) {
 				s2 = append(s2, s)
 			}
 		}
-		if r.CommitConfirmed(e, s1) && r.AbortConfirmed(e, s2) {
+		if r.Qc(e, s1) && r.Qa(e, s2) {
 			t.Fatalf("disjoint quorums: commit=%v abort=%v", s1, s2)
 		}
 	}
@@ -152,27 +152,30 @@ func TestWeightedVotes(t *testing.T) {
 	}
 }
 
-// TestPerTransactionMajority: the zero Spec sizes one-vote-per-participant
+// TestPerTransactionMajority: PerTransaction sizes one-vote-per-participant
 // majority quorums from each transaction's participant list, and is the only
-// Spec allowed to omit the vote assignment.
+// Spec allowed to omit the vote assignment — the zero Spec is not it.
 func TestPerTransactionMajority(t *testing.T) {
 	for v, want := range map[int][2]int{1: {1, 1}, 4: {3, 2}, 5: {3, 3}, 8: {5, 4}} {
 		if vc, va := Majority(v); vc != want[0] || va != want[1] || vc+va <= v {
 			t.Errorf("Majority(%d) = %d, %d, want %v", v, vc, va, want)
 		}
 	}
-	if err := (Spec{}).Validate(); err != nil {
-		t.Errorf("zero Spec invalid: %v", err)
+	if err := PerTransaction().Validate(); err != nil {
+		t.Errorf("PerTransaction invalid: %v", err)
+	}
+	if err := (Spec{}).Validate(); err == nil {
+		t.Error("zero Spec (forgotten votes and quorums) accepted")
 	}
 	if err := (Spec{Vc: 3, Va: 2}).Validate(); err == nil {
 		t.Error("quorums without a vote assignment accepted")
 	}
 	w, pc := types.StateWait, types.StatePC
-	four := Spec{}.Rule(nil, []types.SiteID{2, 3, 4, 5}) // Vc=3, Va=2
+	four := PerTransaction().Rule(nil, []types.SiteID{2, 3, 4, 5}) // Vc=3, Va=2
 	if got := four.Decide(nil, protocoltest.Tally(map[types.SiteID]types.State{2: w, 3: w})); got != quorumcalc.VerdictTryAbort {
 		t.Errorf("2 of 4 participants in W = %v, want try-abort", got)
 	}
-	eight := Spec{}.Rule(nil, []types.SiteID{1, 2, 3, 4, 5, 6, 7, 8}) // Vc=5, Va=4
+	eight := PerTransaction().Rule(nil, []types.SiteID{1, 2, 3, 4, 5, 6, 7, 8}) // Vc=5, Va=4
 	if got := eight.Decide(nil, protocoltest.Tally(map[types.SiteID]types.State{2: w, 3: w})); got != quorumcalc.VerdictBlock {
 		t.Errorf("2 of 8 participants in W = %v, want block", got)
 	}

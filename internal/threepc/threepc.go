@@ -9,7 +9,7 @@
 // terminates transactions inconsistently — partitions with a PC site commit
 // while partitions without one abort. The repository reproduces exactly that
 // misbehaviour (Example 2) as a baseline. The rule itself is
-// quorumcalc.ThreePCRule, the one rule table that is not a quorum pair.
+// quorumcalc.ThreePCRule, the one rule table whose quorums demand nothing.
 package threepc
 
 import (
@@ -35,12 +35,14 @@ var (
 func (Spec) Name() string { return "3PC" }
 
 // Rule implements threephase.Ruled with the site-failure rule.
-func (Spec) Rule([]types.ItemID, []types.SiteID) quorumcalc.Rule { return quorumcalc.ThreePCRule() }
+func (Spec) Rule(_ []types.ItemID, participants []types.SiteID) quorumcalc.Rule {
+	return quorumcalc.ThreePCRule(len(participants))
+}
 
 // NewCoordinator implements protocol.Spec: plain 3PC waits for every PC-ACK
 // and presumes silent sites failed when the window closes.
 func (s Spec) NewCoordinator(txn types.TxnID, ws types.Writeset, participants []types.SiteID) protocol.Automaton {
-	return threephase.NewCoordinator(txn, ws, participants, quorumcalc.ThreePCRule())
+	return threephase.NewCoordinator(txn, ws, participants, s.Rule(nil, participants))
 }
 
 // NewParticipant implements protocol.Spec.
@@ -50,5 +52,5 @@ func (s Spec) NewParticipant(txn types.TxnID, init *wal.TxnImage) protocol.Autom
 
 // NewTerminator implements protocol.Spec.
 func (s Spec) NewTerminator(txn types.TxnID, _ types.Writeset, participants []types.SiteID, epoch uint32) protocol.Automaton {
-	return threephase.NewTerminator(txn, participants, epoch, quorumcalc.ThreePCRule())
+	return threephase.NewTerminator(txn, participants, epoch, s.Rule(nil, participants))
 }

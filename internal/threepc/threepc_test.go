@@ -36,7 +36,7 @@ func TestRulesDecide(t *testing.T) {
 	}
 	// The site-failure termination protocol never demands quorums: any
 	// confirmation succeeds.
-	if !r.CommitConfirmed(e, nil) || !r.AbortConfirmed(e, nil) {
+	if !r.Qc(e, nil) || !r.Qa(e, nil) {
 		t.Error("3PC termination must confirm unconditionally")
 	}
 }

@@ -135,7 +135,7 @@ func (c *Coordinator) OnTimer(token int, env protocol.Env) {
 }
 
 func (c *Coordinator) ackQuorum(env protocol.Env) bool {
-	return c.rule.AckQuorum(env.Assignment(), c.acked, len(c.participants))
+	return c.rule.Ack(env.Assignment(), c.acked)
 }
 
 func (c *Coordinator) allYes() bool {

@@ -31,7 +31,7 @@ func TestTerminatorReachesTheFold(t *testing.T) {
 	)
 	items := []types.ItemID{"x", "y"}
 	rules := []quorumcalc.Rule{
-		quorumcalc.ThreePCRule(),
+		quorumcalc.ThreePCRule(len(participants)),
 		quorumcalc.SkeenRule(map[types.SiteID]int{1: 3, 2: 1, 3: 1, 4: 2, 5: 2, 6: 1}, 6, 5),
 		quorumcalc.TP1Rule(items),
 		quorumcalc.TP2Rule(items),

@@ -66,6 +66,9 @@ func (t *Terminator) Start(env protocol.Env) {
 
 // OnMessage implements protocol.Automaton.
 func (t *Terminator) OnMessage(from types.SiteID, m msg.Message, env protocol.Env) {
+	if !contains(t.participants, from) {
+		return
+	}
 	switch v := m.(type) {
 	case msg.StateResp:
 		if t.phase == tpCollect && v.Epoch == t.epoch && v.State.Valid() {
@@ -96,13 +99,13 @@ func (t *Terminator) OnTimer(token int, env protocol.Env) {
 	case tokConfirm:
 		switch t.phase {
 		case tpConfirmCommit:
-			if t.rule.CommitConfirmed(env.Assignment(), t.confirm) {
+			if t.rule.Qc(env.Assignment(), t.confirm) {
 				t.distribute(env, types.DecisionCommit)
 			} else {
 				t.reenter(env, "commit quorum not confirmed")
 			}
 		case tpConfirmAbort:
-			if t.rule.AbortConfirmed(env.Assignment(), t.confirm) {
+			if t.rule.Qa(env.Assignment(), t.confirm) {
 				t.distribute(env, types.DecisionAbort)
 			} else {
 				t.reenter(env, "abort quorum not confirmed")

@@ -320,7 +320,7 @@ func TestCoordinatorCP2CommitsFaster(t *testing.T) {
 
 func TestCoordinatorAbortsOnNoVote(t *testing.T) {
 	env := protocoltest.New(1, ex1())
-	c := NewCoordinator(1, ws, parts, quorumcalc.ThreePCRule())
+	c := NewCoordinator(1, ws, parts, quorumcalc.ThreePCRule(len(parts)))
 	c.Start(env)
 	env.Reset()
 	c.OnMessage(2, msg.VoteResp{Txn: 1, Vote: types.VoteNo}, env)
@@ -343,7 +343,7 @@ func TestCoordinatorAbortsOnNoVote(t *testing.T) {
 
 func TestCoordinatorVoteTimeoutAborts(t *testing.T) {
 	env := protocoltest.New(1, ex1())
-	c := NewCoordinator(1, ws, parts, quorumcalc.ThreePCRule())
+	c := NewCoordinator(1, ws, parts, quorumcalc.ThreePCRule(len(parts)))
 	c.Start(env)
 	env.Reset()
 	c.OnTimer(tokVotes, env)
@@ -355,7 +355,7 @@ func TestCoordinatorVoteTimeoutAborts(t *testing.T) {
 func TestCoordinatorAckTimeoutPolicies(t *testing.T) {
 	// 3PC: commit anyway.
 	env := protocoltest.New(1, ex1())
-	c := NewCoordinator(1, ws, parts, quorumcalc.ThreePCRule())
+	c := NewCoordinator(1, ws, parts, quorumcalc.ThreePCRule(len(parts)))
 	c.Start(env)
 	runVotes(c, env, parts)
 	env.Reset()
@@ -452,7 +452,7 @@ func TestTerminatorIgnoresUncountableResponses(t *testing.T) {
 
 func TestTerminatorTryCommitConfirmFlow(t *testing.T) {
 	env := protocoltest.New(2, ex1())
-	term := NewTerminator(1, parts, 1, quorumcalc.ThreePCRule())
+	term := NewTerminator(1, parts, 1, quorumcalc.ThreePCRule(len(parts)))
 	term.Start(env)
 	term.OnMessage(5, msg.StateResp{Txn: 1, Epoch: 1, State: types.StatePC}, env)
 	term.OnMessage(4, msg.StateResp{Txn: 1, Epoch: 1, State: types.StateWait}, env)
@@ -495,6 +495,25 @@ func TestTerminatorReentersOnFailedConfirm(t *testing.T) {
 	}
 	if len(env.Sends) != 0 {
 		t.Error("no decision should be distributed on failed confirmation")
+	}
+}
+
+// TestTerminatorIgnoresNonParticipantAck: under a head-count quorum every
+// acker weighs one vote, so a PA-ACK from a site that is no participant must
+// not stand in for the participant that stayed silent.
+func TestTerminatorIgnoresNonParticipantAck(t *testing.T) {
+	env := protocoltest.New(2, ex1())
+	term := NewTerminator(1, []types.SiteID{2, 3, 4}, 1, quorumcalc.SkeenRule(nil, 2, 2))
+	term.Start(env)
+	term.OnMessage(2, msg.StateResp{Txn: 1, Epoch: 1, State: types.StateWait}, env)
+	term.OnMessage(3, msg.StateResp{Txn: 1, Epoch: 1, State: types.StateWait}, env)
+	term.OnTimer(tokCollect, env)
+	term.OnMessage(2, msg.PAAck{Txn: 1}, env)
+	term.OnMessage(9, msg.PAAck{Txn: 1}, env)
+	env.Reset()
+	term.OnTimer(tokConfirm, env)
+	if len(env.TermReqs) != 1 || len(env.Sends) != 0 {
+		t.Errorf("a non-participant's ack confirmed the abort quorum: sends %v", env.SentKinds())
 	}
 }
 
