@@ -21,11 +21,9 @@
 //	loadbench -transport inproc -clients 16 -duration 2s
 //	loadbench -transport tcp -wal group -lockshards 16 -zipf 1.2
 //	loadbench -rate 500 -duration 5s -wal file
-//	loadbench -preset sweep -json BENCH_live.json
 //
-// The sweep preset runs the baseline-vs-optimized grid (file WAL + single
-// lock shard vs group WAL + sharded locks, on both transports) that
-// BENCH_live.json tracks across commits.
+// loadbench is the interactive load tool. The repository's measured,
+// regression-gated benchmark is bench/ (see bench/README.md).
 package main
 
 import (
@@ -134,50 +132,36 @@ func main() {
 		shardsF    = flag.Int("lockshards", 0, "lock-manager shards per site (0 = default, 1 = unsharded baseline)")
 		timeoutF   = flag.Duration("timeout-base", 200*time.Millisecond, "protocol timeout unit T")
 		seedF      = flag.Int64("seed", 1, "workload seed")
-		presetF    = flag.String("preset", "", "'sweep' runs the baseline-vs-optimized grid, ignoring the single-run flags")
 		jsonF      = flag.String("json", "", "write machine-readable results to this path")
 		obsF       = flag.Bool("obs", true, "attach the obs metrics registry to every run and report stage-level latency breakdowns")
 	)
 	flag.Parse()
 
-	var runs []params
-	if *presetF != "" {
-		if *presetF != "sweep" {
-			fmt.Fprintf(os.Stderr, "loadbench: unknown preset %q\n", *presetF)
-			os.Exit(1)
-		}
-		runs = sweepGrid(*durationF, *seedF)
-	} else {
-		runs = []params{{
-			Label:       fmt.Sprintf("%s/%s-wal/shards=%d", *transportF, *walF, *shardsF),
-			Transport:   *transportF,
-			Protocol:    *protoF,
-			Sites:       *sitesF,
-			Items:       *itemsF,
-			Writes:      *writesF,
-			ZipfS:       *zipfF,
-			Hot:         *hotF,
-			Clients:     *clientsF,
-			Rate:        *rateF,
-			Duration:    *durationF,
-			WAL:         *walF,
-			LockShards:  *shardsF,
-			TimeoutBase: *timeoutF,
-			Seed:        *seedF,
-		}}
+	p := params{
+		Label:       fmt.Sprintf("%s/%s-wal/shards=%d", *transportF, *walF, *shardsF),
+		Transport:   *transportF,
+		Protocol:    *protoF,
+		Sites:       *sitesF,
+		Items:       *itemsF,
+		Writes:      *writesF,
+		ZipfS:       *zipfF,
+		Hot:         *hotF,
+		Clients:     *clientsF,
+		Rate:        *rateF,
+		Duration:    *durationF,
+		WAL:         *walF,
+		LockShards:  *shardsF,
+		TimeoutBase: *timeoutF,
+		Seed:        *seedF,
 	}
-
-	out := doc{Command: "loadbench " + strings.Join(os.Args[1:], " ")}
-	for _, p := range runs {
-		r, err := runOne(p, *waldirF, *txnsF, *obsF)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "loadbench:", err)
-			os.Exit(1)
-		}
-		out.Runs = append(out.Runs, r)
-		fmt.Printf("%-40s %8.1f txn/s  p50 %6.2fms  p95 %6.2fms  p99 %6.2fms  abort %5.1f%%  (%d committed, %d aborted, %d unresolved)\n",
-			r.Label, r.TxnsPerSec, r.P50Ms, r.P95Ms, r.P99Ms, 100*r.AbortRate, r.Committed, r.Aborted, r.Unresolved)
+	r, err := runOne(p, *waldirF, *txnsF, *obsF)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "loadbench:", err)
+		os.Exit(1)
 	}
+	out := doc{Command: "loadbench " + strings.Join(os.Args[1:], " "), Runs: []result{r}}
+	fmt.Printf("%-40s %8.1f txn/s  p50 %6.2fms  p95 %6.2fms  p99 %6.2fms  abort %5.1f%%  (%d committed, %d aborted, %d unresolved)\n",
+		r.Label, r.TxnsPerSec, r.P50Ms, r.P95Ms, r.P99Ms, 100*r.AbortRate, r.Committed, r.Aborted, r.Unresolved)
 
 	if *jsonF != "" {
 		data, err := json.MarshalIndent(out, "", "  ")
@@ -189,31 +173,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "loadbench:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("loadbench: wrote %s (%d runs)\n", *jsonF, len(out.Runs))
-	}
-}
-
-// sweepGrid is the tracked baseline-vs-optimized comparison: the pre-PR
-// commit path (fsync per append, one lock shard, per-frame writes) against
-// the optimized one (group commit, sharded locks, coalesced writev batches),
-// on both fabrics, plus the memory-WAL ceiling and one open-loop point.
-func sweepGrid(d time.Duration, seed int64) []params {
-	base := params{
-		Protocol: "qc1", Sites: 3, Items: 256, Writes: 1, ZipfS: 1.2,
-		Clients: 32, Duration: d, TimeoutBase: 200 * time.Millisecond, Seed: seed,
-	}
-	mk := func(label, tr, wal string, shards int, rate float64) params {
-		p := base
-		p.Label, p.Transport, p.WAL, p.LockShards, p.Rate = label, tr, wal, shards, rate
-		return p
-	}
-	return []params{
-		mk("inproc/mem-wal/ceiling", "inproc", "mem", 0, 0),
-		mk("inproc/file-wal/shards=1/baseline", "inproc", "file", 1, 0),
-		mk("inproc/group-wal/sharded/optimized", "inproc", "group", 0, 0),
-		mk("tcp/file-wal/shards=1/baseline", "tcp", "file", 1, 0),
-		mk("tcp/group-wal/sharded/optimized", "tcp", "group", 0, 0),
-		mk("inproc/group-wal/open-loop-2000", "inproc", "group", 0, 2000),
+		fmt.Printf("loadbench: wrote %s\n", *jsonF)
 	}
 }
 

@@ -233,15 +233,20 @@ func TestCoordinatorKill9(t *testing.T) {
 				}
 			}
 			if tc.proto == "qc1" {
-				// A survivor's metrics must show the termination protocol:
-				// at least one election round, ending in the abort it
-				// reported above.
+				// The survivors' metrics must show the termination protocol:
+				// every one of them reported the abort above, and at least one
+				// election round ran — at whichever survivor campaigned; the
+				// others may only ever have joined passively.
 				vals := c.scrape(2)
 				if got := metricSum(vals, "qcommit_txns_aborted_total"); got < 1 {
 					t.Errorf("survivor aborted_total = %v, want >= 1", got)
 				}
-				if got := metricSum(vals, "qcommit_term_rounds_total"); got < 1 {
-					t.Errorf("survivor term_rounds_total = %v, want >= 1 (termination protocol ran)", got)
+				rounds := 0.0
+				for site := types.SiteID(2); site <= 5; site++ {
+					rounds += metricSum(c.scrape(site), "qcommit_term_rounds_total")
+				}
+				if rounds < 1 {
+					t.Errorf("term_rounds_total over the survivors = %v, want >= 1 (termination protocol ran)", rounds)
 				}
 				if got := metricSum(vals, "qcommit_net_frames_total"); got == 0 {
 					t.Error("survivor exchanged no frames according to /metrics")

@@ -443,8 +443,8 @@ func executeRunHybrid(sc *script, params Params, seed int64, spec protocol.Spec)
 		if sched.MaxSteps != 0 && sched.Steps() >= sched.MaxSteps {
 			return runStats{}, fmt.Errorf("churn: %s hybrid run (seed %d) exhausted %d scheduler steps before the horizon", spec.Name(), seed, sched.MaxSteps)
 		}
-		st.counts.ModeDemotions, st.counts.ModeRestorations = h.world.ModeTransitions()
-		st.counts.VoteReassignments, st.counts.VoteRestorations = h.world.VoteTransitions()
+		st.counts.ModeDemotions, st.counts.ModeRestorations = h.world.Tracker().ModeTransitions()
+		st.counts.VoteReassignments, st.counts.VoteRestorations = h.world.Tracker().VoteTransitions()
 		all := h.world.Sites()
 		for i := range sc.arrivals {
 			txn := h.worldTxn[i]

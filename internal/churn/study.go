@@ -163,8 +163,8 @@ func executeRun(sc *script, params Params, seed int64, spec protocol.Spec) (runS
 	st.counts.AccessChecks = access.checks
 	st.counts.ReadAvailable = access.read
 	st.counts.WriteAvailable = access.write
-	st.counts.ModeDemotions, st.counts.ModeRestorations = cl.ModeTransitions()
-	st.counts.VoteReassignments, st.counts.VoteRestorations = cl.VoteTransitions()
+	st.counts.ModeDemotions, st.counts.ModeRestorations = cl.Tracker().ModeTransitions()
+	st.counts.VoteReassignments, st.counts.VoteRestorations = cl.Tracker().VoteTransitions()
 	all := cl.Sites()
 	for i, a := range sc.arrivals {
 		txn := txnOf[i]

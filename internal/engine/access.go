@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"qcommit/internal/msg"
 	"qcommit/internal/storage"
@@ -25,47 +24,46 @@ var (
 
 // tally is the result of one vote-counting pass over an item's copies.
 type tally struct {
-	// votes sums the static votes of up, connected, unlocked copies
-	// reachable from the requesting site. Under the missing-writes
-	// strategy, copies carrying missing writes are excluded for reads
-	// (their values are stale) but counted for writes (a full-value write
-	// heals them). Under the dynamic strategy the static sum is ignored;
-	// quorums are judged over sites under the current vote table instead.
-	votes int
-	// sites lists the counted copy sites, in copy declaration order — the
-	// group the dynamic strategy's epoch-guarded tables are consulted for.
-	// Collected only under StrategyDynamic; the other strategies judge
-	// quorums from the static vote sum alone.
-	sites []types.SiteID
-	// copies holds the (value, version) pairs behind votes when collect is
-	// set — the read path's resolution candidates.
+	// got is the votes the counted copies hold toward the operation, need
+	// the votes it must collect right now (voting.Tracker.Quorum: static
+	// votes against r(x)/w(x), one vote for an optimistic missing-writes
+	// read, or both under the newest dynamic vote table among the counted
+	// copies, whose epoch is then set).
+	got, need int
+	epoch     uint64
+	// copies holds the counted copies' (value, version) pairs when collect
+	// is set — the read path's resolution candidates.
 	copies []storage.Versioned
 }
 
+// ok reports whether the counted copies form the quorum.
+func (t tally) ok() bool { return t.need > 0 && t.got >= t.need }
+
 // tallyVotes is the one shared vote-counting pass behind ReadItem, CanRead
-// and CanWrite: it walks item's copies and counts those that are up, in the
-// requesting site's partition group, and not locked by a pending
-// transaction. forWrite selects write semantics (stale copies count; a write
-// installs a complete fresh value). collect additionally gathers the counted
-// copies' versioned values for read resolution.
-func (cl *Cluster) tallyVotes(from types.SiteID, item types.ItemID, forWrite, collect bool) (tally, voting.ItemConfig, error) {
+// and CanWrite: it walks item's copies, counts those that are up, in the
+// requesting site's partition group, not locked by a pending transaction and
+// — for reads — not carrying a missing write, and has the strategy tracker
+// judge them. collect additionally gathers the counted copies' versioned
+// values for read resolution.
+func (cl *Cluster) tallyVotes(from types.SiteID, item types.ItemID, forWrite, collect bool) (tally, error) {
 	ic, ok := cl.cfg.Assignment.Item(item)
 	if !ok {
-		return tally{}, ic, fmt.Errorf("%w: %q", ErrUnknownItem, item)
+		return tally{}, fmt.Errorf("%w: %q", ErrUnknownItem, item)
 	}
 	if cl.net.Down(from) {
-		return tally{}, ic, fmt.Errorf("%w: %s", ErrSiteDown, from)
+		return tally{}, fmt.Errorf("%w: %s", ErrSiteDown, from)
 	}
 	var t tally
+	sites := make([]types.SiteID, 0, len(ic.Copies))
 	for _, cp := range ic.Copies {
-		if cl.net.Down(cp.Site) || !cl.net.Connected(from, cp.Site) {
+		if !cl.net.Connected(from, cp.Site) {
 			continue
 		}
 		site := cl.sites[cp.Site]
 		if site.locks.Locked(item) {
 			continue // held by a pending (possibly blocked) transaction
 		}
-		if !forWrite && cl.adaptive != nil && cl.adaptive.IsMissing(item, cp.Site) {
+		if !forWrite && !cl.tracker.Serves(item, cp.Site) {
 			continue // stale copy: must not serve reads
 		}
 		if collect {
@@ -75,22 +73,10 @@ func (cl *Cluster) tallyVotes(from types.SiteID, item types.ItemID, forWrite, co
 			}
 			t.copies = append(t.copies, v)
 		}
-		t.votes += cp.Votes
-		if cl.dynamic != nil {
-			t.sites = append(t.sites, cp.Site)
-		}
+		sites = append(sites, cp.Site)
 	}
-	return t, ic, nil
-}
-
-// readNeed returns the votes a read of item must collect right now: r(x)
-// under the quorum strategy and in pessimistic missing-writes mode, a single
-// vote in optimistic mode (read-one).
-func (cl *Cluster) readNeed(item types.ItemID, ic voting.ItemConfig) int {
-	if cl.adaptive != nil && cl.adaptive.ModeOf(item) == voting.Optimistic {
-		return 1
-	}
-	return ic.R
+	t.got, t.need, t.epoch = cl.tracker.Quorum(item, sites, forWrite)
+	return t, nil
 }
 
 // ReadItem performs a strategy-aware read of item as seen from the given
@@ -102,19 +88,17 @@ func (cl *Cluster) readNeed(item types.ItemID, ic voting.ItemConfig) int {
 // absence of missing writes, or the table-majority intersection guarantees
 // is the most recently committed one).
 func (cl *Cluster) ReadItem(from types.SiteID, item types.ItemID) (storage.Versioned, error) {
-	t, ic, err := cl.tallyVotes(from, item, false, true)
+	t, err := cl.tallyVotes(from, item, false, true)
 	if err != nil {
 		return storage.Versioned{}, err
 	}
-	if cl.dynamic != nil {
-		got, need, _, epoch := cl.dynamic.VotesAmong(item, t.sites)
-		if need == 0 || got < need {
-			return storage.Versioned{}, fmt.Errorf("%w: item %q has %d free votes under the epoch-%d table reachable from %s, read quorum is %d",
-				ErrNoQuorum, item, got, epoch, from, need)
+	if !t.ok() {
+		under := ""
+		if cl.cfg.Strategy == voting.StrategyDynamic {
+			under = fmt.Sprintf(" under the epoch-%d table", t.epoch)
 		}
-	} else if need := cl.readNeed(item, ic); t.votes < need {
-		return storage.Versioned{}, fmt.Errorf("%w: item %q has %d free votes reachable from %s, read quorum is %d",
-			ErrNoQuorum, item, t.votes, from, need)
+		return storage.Versioned{}, fmt.Errorf("%w: item %q has %d free votes%s reachable from %s, read quorum is %d",
+			ErrNoQuorum, item, t.got, under, from, t.need)
 	}
 	return storage.ResolveRead(t.copies)
 }
@@ -123,258 +107,51 @@ func (cl *Cluster) ReadItem(from types.SiteID, item types.ItemID) (storage.Versi
 // quorum from the given site right now. Unlike ReadItem it resolves no
 // values.
 func (cl *Cluster) CanRead(from types.SiteID, item types.ItemID) bool {
-	t, ic, err := cl.tallyVotes(from, item, false, false)
-	if err != nil {
-		return false
-	}
-	if cl.dynamic != nil {
-		return cl.dynamic.CanRead(item, t.sites)
-	}
-	return t.votes >= cl.readNeed(item, ic)
+	t, err := cl.tallyVotes(from, item, false, false)
+	return err == nil && t.ok()
 }
 
 // CanWrite reports whether a transaction writing item could assemble a write
 // quorum from the given site's partition right now (up, connected, unlocked
-// copies carrying ≥ w(x) votes). Under the missing-writes strategy the
-// threshold stays w(x): an optimistic write tries to reach every copy, but
-// one that reaches at least the pessimistic quorum proceeds and demotes the
-// item instead of failing. Under the dynamic strategy the threshold is a
-// majority of the newest vote table installed at the reachable copies.
+// copies carrying ≥ w(x) votes; under the dynamic strategy, a majority of
+// the newest vote table installed at those copies).
 func (cl *Cluster) CanWrite(from types.SiteID, item types.ItemID) bool {
-	t, ic, err := cl.tallyVotes(from, item, true, false)
-	if err != nil {
-		return false
-	}
-	if cl.dynamic != nil {
-		return cl.dynamic.CanWrite(item, t.sites)
-	}
-	return t.votes >= ic.W
+	t, err := cl.tallyVotes(from, item, true, false)
+	return err == nil && t.ok()
 }
 
 // Strategy returns the cluster's access strategy.
 func (cl *Cluster) Strategy() voting.Strategy { return cl.cfg.Strategy }
 
-// ItemMode returns item's current missing-writes mode. Under StrategyQuorum
-// every item is permanently pessimistic (quorum operations only).
-func (cl *Cluster) ItemMode(item types.ItemID) voting.Mode {
-	if cl.adaptive == nil {
-		return voting.Pessimistic
-	}
-	return cl.adaptive.ModeOf(item)
-}
+// Tracker returns the access-strategy tracker: item modes, missing writes,
+// vote tables and their transition counters.
+func (cl *Cluster) Tracker() *voting.Tracker { return cl.tracker }
 
-// MissingAt returns the sites currently carrying missing writes for item
-// (always empty under StrategyQuorum), ascending.
-func (cl *Cluster) MissingAt(item types.ItemID) []types.SiteID {
-	if cl.adaptive == nil {
-		return nil
-	}
-	return cl.adaptive.MissingAt(item)
-}
+// peers is the Cluster seen as the tracker's view of the sites: the
+// simulated network, the stores, and each site's kernel and lock table.
+type peers Cluster
 
-// ModeTransitions returns the cumulative missing-writes mode transitions:
-// demotions (optimistic→pessimistic) and restorations (the reverse). Both
-// are zero under StrategyQuorum.
-func (cl *Cluster) ModeTransitions() (demotions, restorations int) {
-	if cl.adaptive == nil {
-		return 0, 0
-	}
-	return cl.adaptive.Transitions()
-}
+func (p *peers) Reachable(from, to types.SiteID) bool { return p.net.Connected(from, to) }
 
-// noteCommitApplied is the strategy bookkeeping hook doCommit calls after
-// applying a committed writeset at one site. The first site to decide
-// records, for every written item, which copies the commit actually reaches:
-// a copy counts as reached only if its site is up, in the decider's
-// partition group, and bound to apply the write — it is the decider itself,
-// it already committed, or it still holds the transaction's X lock (voted,
-// so the decision will reach it via COMMIT or the termination protocol).
-// Under the missing-writes strategy, copies at down, partitioned-away or
-// never-voted sites gain missing writes and the item demotes to pessimistic
-// mode; under the dynamic strategy the reached set becomes the item's new
-// majority basis (vote reassignment, epoch-guarded inside the tracker).
-// Every subsequent local apply (a late COMMIT at a previously unreachable
-// site) may resolve that site's missing writes or rejoin it to the basis,
-// since an applied write installs the complete current value.
-func (cl *Cluster) noteCommitApplied(s *Site, c *txnCtx) {
-	if cl.adaptive == nil && cl.dynamic == nil {
-		return
-	}
-	if !cl.recordedWrites[c.ID] {
-		cl.recordedWrites[c.ID] = true
-		for _, item := range c.WS.Items() {
-			ic, ok := cl.cfg.Assignment.Item(item)
-			if !ok {
-				continue
-			}
-			reached := make([]types.SiteID, 0, len(ic.Copies))
-			for _, cp := range ic.Copies {
-				if cl.net.Down(cp.Site) || !cl.net.Connected(s.id, cp.Site) {
-					continue
-				}
-				peer := cl.sites[cp.Site]
-				po, _ := peer.k.Outcome(c.ID)
-				willApply := cp.Site == s.id ||
-					po == types.OutcomeCommitted ||
-					peer.locks.LockedBy(c.ID, item)
-				if willApply {
-					reached = append(reached, cp.Site)
-				}
-			}
-			if cl.adaptive != nil && len(reached) < len(ic.Copies) {
-				cl.adaptive.DegradeExcept(item, reached)
-			}
-			if cl.dynamic != nil {
-				cl.dynamic.Reassign(item, reached)
-			}
-		}
-	}
-	for _, item := range c.WS.Items() {
-		if s.store.Has(item) {
-			cl.maybeResolve(item, s.id)
-			cl.maybeRejoin(item, s.id)
-		}
-	}
-}
-
-// maybeResolve clears site's missing write for item once its copy has caught
-// up to the highest committed version cluster-wide (stores only ever hold
-// committed values, so the max version across copies is that version).
-func (cl *Cluster) maybeResolve(item types.ItemID, site types.SiteID) {
-	if cl.adaptive == nil || !cl.adaptive.IsMissing(item, site) {
-		return
-	}
-	ic, ok := cl.cfg.Assignment.Item(item)
-	if !ok {
-		return
-	}
-	var max uint64
-	for _, cp := range ic.Copies {
-		if v, err := cl.sites[cp.Site].store.Read(item); err == nil && v.Version > max {
-			max = v.Version
-		}
-	}
-	if v, err := cl.sites[site].store.Read(item); err == nil && v.Version >= max {
-		cl.adaptive.ResolveMissing(item, site)
-	}
-}
-
-// catchUpMissing starts an anti-entropy round for every copy still carrying
-// a missing write: each such site (if up) asks its peer replicas for their
-// current copies, and the CopyResp applies resolve the missing writes,
-// restoring items to optimistic mode. Called on Heal; Restart's per-site
-// syncCopies covers the crash/recovery path.
-func (cl *Cluster) catchUpMissing() {
-	if cl.adaptive == nil {
-		return
-	}
-	cl.cfg.Assignment.ForEachItem(func(ic voting.ItemConfig) {
-		for _, stale := range cl.adaptive.MissingAt(ic.Item) {
-			if cl.net.Down(stale) {
-				continue
-			}
-			for _, cp := range ic.Copies {
-				if cp.Site != stale {
-					cl.send(stale, cp.Site, msg.CopyReq{Item: ic.Item})
-				}
-			}
-		}
-	})
-}
-
-// catchUpDynamic is catchUpMissing's dynamic-strategy counterpart, called on
-// Heal: every copy outside its item's current majority basis asks its peers
-// for their current versions; the CopyResp applies bring it up to date and
-// maybeRejoin folds it back into the basis via a reassignment. Restart's
-// per-site syncCopies covers the crash/recovery path the same way.
-func (cl *Cluster) catchUpDynamic() {
-	if cl.dynamic == nil {
-		return
-	}
-	cl.cfg.Assignment.ForEachItem(func(ic voting.ItemConfig) {
-		for _, stale := range cl.dynamic.StaleSites(ic.Item) {
-			if cl.net.Down(stale) {
-				continue
-			}
-			for _, cp := range ic.Copies {
-				if cp.Site != stale {
-					cl.send(stale, cp.Site, msg.CopyReq{Item: ic.Item})
-				}
-			}
-		}
-	})
-}
-
-// maybeRejoin folds a caught-up copy back into its item's dynamic majority
-// basis: once site's copy holds the highest version any copy holds, the
-// reachable current copies (basis members plus the rejoiner) reassign votes
-// to include it. The tracker's epoch guard makes the call safe to issue
-// optimistically — a group not holding a majority under the newest table it
-// knows cannot install anything. No-op for sites already in the basis and
-// under the other strategies.
-func (cl *Cluster) maybeRejoin(item types.ItemID, site types.SiteID) {
-	if cl.dynamic == nil || cl.dynamic.InBasis(item, site) || cl.net.Down(site) {
-		return
-	}
-	ic, ok := cl.cfg.Assignment.Item(item)
-	if !ok {
-		return
-	}
-	var max uint64
-	versions := make(map[types.SiteID]uint64, len(ic.Copies))
-	for _, cp := range ic.Copies {
-		if v, err := cl.sites[cp.Site].store.Read(item); err == nil {
-			versions[cp.Site] = v.Version
-			if v.Version > max {
-				max = v.Version
-			}
-		}
-	}
-	if versions[site] < max {
-		return // not caught up yet; a later CopyResp will retry
-	}
-	group := make([]types.SiteID, 0, len(ic.Copies))
-	for _, cp := range ic.Copies {
-		if !cl.net.Down(cp.Site) && cl.net.Connected(site, cp.Site) && versions[cp.Site] == max {
-			group = append(group, cp.Site)
-		}
-	}
-	cl.dynamic.Reassign(item, group)
-}
-
-// VoteEpoch returns the version number of item's current dynamic vote table
-// (always 0 under the static strategies: the initial table is never
-// superseded).
-func (cl *Cluster) VoteEpoch(item types.ItemID) uint64 {
-	if cl.dynamic == nil {
+func (p *peers) Version(site types.SiteID, item types.ItemID) uint64 {
+	v, err := p.sites[site].store.Read(item)
+	if err != nil {
 		return 0
 	}
-	return cl.dynamic.Epoch(item)
+	return v.Version
 }
 
-// VotesNow returns item's currently effective vote table, ascending by
-// site: the static assignment under StrategyQuorum and
-// StrategyMissingWrites, the newest reassigned table under StrategyDynamic
-// (sites outside the majority basis hold no votes and are omitted).
-func (cl *Cluster) VotesNow(item types.ItemID) []voting.Copy {
-	if cl.dynamic == nil {
-		ic, ok := cl.cfg.Assignment.Item(item)
-		if !ok {
-			return nil
-		}
-		out := append([]voting.Copy(nil), ic.Copies...)
-		sort.Slice(out, func(i, j int) bool { return out[i].Site < out[j].Site })
-		return out
-	}
-	return cl.dynamic.VotesNow(item)
+// WillApply: the site already committed txn (the kernel's outcome), or still
+// holds its X lock on item.
+func (p *peers) WillApply(site types.SiteID, txn types.TxnID, item types.ItemID) bool {
+	s := p.sites[site]
+	o, _ := s.k.Outcome(txn)
+	return o == types.OutcomeCommitted || s.locks.LockedBy(txn, item)
 }
 
-// VoteTransitions returns the cumulative dynamic-voting reassignment
-// counters: vote tables installed, and the subset that restored the full
-// static copy set. Both are zero under the other strategies.
-func (cl *Cluster) VoteTransitions() (reassignments, restorations int) {
-	if cl.dynamic == nil {
-		return 0, 0
+// pull sends the anti-entropy requests the tracker listed.
+func (cl *Cluster) pull(pulls []voting.Pull) {
+	for _, p := range pulls {
+		cl.send(p.From, p.To, msg.CopyReq{Item: p.Item})
 	}
-	return cl.dynamic.Transitions()
 }

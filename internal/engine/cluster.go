@@ -89,19 +89,10 @@ type Cluster struct {
 	nextTxn    types.TxnID
 	violations []string
 	rec        *trace.Recorder
-	// adaptive tracks per-item missing writes under StrategyMissingWrites
-	// and dynamic tracks per-item vote tables under StrategyDynamic (both
-	// nil otherwise); recordedWrites marks transactions whose commit-time
-	// copy reachability has been recorded, so the bookkeeping runs once per
-	// transaction even though every site applies the commit.
-	adaptive       *voting.Adaptive
-	dynamic        *voting.Dynamic
-	recordedWrites map[types.TxnID]bool
-	// writtenItems marks items written by some committed transaction. A
-	// restarting site's anti-entropy only syncs those: every copy of a
-	// never-written item still sits at its initial version, so its sync
-	// round would be pure no-op traffic.
-	writtenItems map[types.ItemID]bool
+	// tracker is the access-strategy layer every site kernel reports
+	// applied commits and installed copies to; it sees the sites through
+	// peers (access.go).
+	tracker *voting.Tracker
 }
 
 // New builds a cluster: one site per site mentioned in the assignment (plus
@@ -121,21 +112,13 @@ func New(cfg Config) *Cluster {
 	sched.MaxSteps = 2_000_000 // livelock guard
 	net := simnet.New(sched, cfg.Net)
 	cl := &Cluster{
-		cfg:          cfg,
-		sched:        sched,
-		net:          net,
-		sites:        make(map[types.SiteID]*Site),
-		rec:          cfg.Recorder,
-		writtenItems: make(map[types.ItemID]bool),
+		cfg:   cfg,
+		sched: sched,
+		net:   net,
+		sites: make(map[types.SiteID]*Site),
+		rec:   cfg.Recorder,
 	}
-	switch cfg.Strategy {
-	case voting.StrategyMissingWrites:
-		cl.adaptive = voting.NewAdaptive(cfg.Assignment)
-		cl.recordedWrites = make(map[types.TxnID]bool)
-	case voting.StrategyDynamic:
-		cl.dynamic = voting.NewDynamic(cfg.Assignment)
-		cl.recordedWrites = make(map[types.TxnID]bool)
-	}
+	cl.tracker = voting.NewTracker(cfg.Assignment, cfg.Strategy, (*peers)(cl))
 
 	idSet := make(map[types.SiteID]bool)
 	for _, item := range cfg.Assignment.Items() {
@@ -227,7 +210,7 @@ func (cl *Cluster) resumeFromLogs() {
 			}
 			if img.State == types.StateCommitted && len(img.Writeset) > 0 {
 				site.store.ApplyWriteset(img.Writeset, uint64(txn)+1)
-				cl.noteWritten(img.Writeset)
+				cl.tracker.CommitApplied(id, txn, img.Writeset)
 			}
 		}
 		site.k.Recover(recs)
@@ -278,14 +261,6 @@ func (cl *Cluster) Assignment() *voting.Assignment { return cl.cfg.Assignment }
 
 func (cl *Cluster) send(from, to types.SiteID, m msg.Message) {
 	cl.net.Send(from, to, m)
-}
-
-// noteWritten records the items of a committed writeset so anti-entropy can
-// skip items no commit ever touched.
-func (cl *Cluster) noteWritten(ws types.Writeset) {
-	for _, u := range ws {
-		cl.writtenItems[u.Item] = true
-	}
 }
 
 func (cl *Cluster) violationf(format string, args ...any) {
@@ -455,11 +430,15 @@ func (cl *Cluster) Restart(id types.SiteID) {
 	cl.net.Recover(id)
 	cl.rec.Annotate(cl.sched.Now(), id, "RESTART")
 	cl.sites[id].k.Recover(cl.sites[id].records())
-	cl.sites[id].syncCopies()
+	cl.SyncSite(id)
 }
 
-// SyncSite triggers an anti-entropy round for one site's copies.
-func (cl *Cluster) SyncSite(id types.SiteID) { cl.sites[id].syncCopies() }
+// SyncSite triggers an anti-entropy round for one site's copies: it asks
+// every peer replica for its current copy of each locally-held item some
+// commit wrote, installing newer versions as the responses arrive.
+func (cl *Cluster) SyncSite(id types.SiteID) {
+	cl.pull(cl.tracker.RestartPulls(id, cl.sites[id].store.Items()))
+}
 
 // RestartAt schedules a restart at virtual time t.
 func (cl *Cluster) RestartAt(t sim.Time, id types.SiteID) {
@@ -477,17 +456,14 @@ func (cl *Cluster) PartitionAt(t sim.Time, groups ...[]types.SiteID) {
 	cl.sched.At(t, func() { cl.Partition(groups...) })
 }
 
-// Heal reconnects the network now. Under StrategyMissingWrites it also
-// starts the catch-up pass: every copy carrying a missing write asks its
-// peers for their current versions, and items whose stale copies catch up
-// return to optimistic mode. Under StrategyDynamic the same pass runs for
-// copies outside their item's current majority basis, whose catch-up
-// triggers a vote reassignment folding them back in.
+// Heal reconnects the network now and starts the adaptive strategies'
+// catch-up pass (voting.Tracker.HealPulls): every copy carrying a missing
+// write, or outside its item's current majority basis, asks its peers for
+// their current versions.
 func (cl *Cluster) Heal() {
 	cl.net.Heal()
 	cl.rec.Annotate(cl.sched.Now(), 0, "HEAL")
-	cl.catchUpMissing()
-	cl.catchUpDynamic()
+	cl.pull(cl.tracker.HealPulls())
 }
 
 // HealAt schedules a heal at virtual time t.

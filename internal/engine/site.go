@@ -71,6 +71,7 @@ func newSite(id types.SiteID, cl *Cluster, log wal.Log) *Site {
 		MaxTerminationRounds: cl.cfg.MaxTerminationRounds,
 		Store:                s.store,
 		Locks:                s.locks,
+		Tracker:              cl.tracker,
 	}, (*siteHost)(s))
 	return s
 }
@@ -113,27 +114,6 @@ func (s *Site) handle(e msg.Envelope) {
 func (s *Site) records() []wal.Record {
 	recs, _ := s.log.Records()
 	return recs
-}
-
-// syncCopies runs anti-entropy: ask every peer replica for its current copy
-// of each locally-held item, installing newer versions as responses arrive.
-// Called on restart so a site that was down across commits catches up even
-// for transactions it never voted on.
-func (s *Site) syncCopies() {
-	for _, item := range s.store.Items() {
-		if !s.cl.writtenItems[item] {
-			continue // no commit ever wrote it: every copy is still initial
-		}
-		ic, ok := s.cl.cfg.Assignment.Item(item)
-		if !ok {
-			continue
-		}
-		for _, cp := range ic.Copies {
-			if cp.Site != s.id {
-				s.cl.send(s.id, cp.Site, msg.CopyReq{Item: item})
-			}
-		}
-	}
 }
 
 // siteHost is a Site seen as the kernel's host: virtual time and timers from
@@ -184,11 +164,3 @@ func (s *siteHost) Observe(*txnCtx, site.Event, types.SiteID) {}
 func (s *siteHost) Tracef(format string, args ...any) {
 	s.cl.rec.Annotate(s.cl.sched.Now(), s.id, format, args...)
 }
-
-func (s *siteHost) NoteCommitApplied(c *txnCtx) {
-	s.cl.noteWritten(c.WS)
-	s.cl.noteCommitApplied((*Site)(s), c)
-}
-
-func (s *siteHost) MaybeResolve(item types.ItemID) { s.cl.maybeResolve(item, s.id) }
-func (s *siteHost) MaybeRejoin(item types.ItemID)  { s.cl.maybeRejoin(item, s.id) }

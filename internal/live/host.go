@@ -9,13 +9,17 @@ import (
 	"qcommit/internal/voting"
 )
 
-// host is what a Node needs from whatever runtime hosts it. Two hosts exist:
-// Cluster runs every site of an assignment in one process over a shared
-// transport, and Server runs exactly one site — the qcommitd deployment
-// shape, where each peer site lives in its own process and only the
-// transport connects them. Node code must go through this interface for
-// anything beyond its own state, so it cannot accidentally grow a dependency
-// on cluster-global shared memory that a distributed host cannot provide.
+// host is what a Node needs from whatever runtime hosts it: the protocol
+// configuration, a clock anchor, a way to send and a way to wake outcome
+// waiters. Two hosts exist: Cluster runs every site of an assignment in one
+// process over a shared transport, and Server runs exactly one site — the
+// qcommitd deployment shape, where each peer site lives in its own process and
+// only the transport connects them. Node code must go through this interface
+// for anything beyond its own state, so it cannot accidentally grow a
+// dependency on cluster-global shared memory that a distributed host cannot
+// provide. The one thing that does read other sites' memory — the adaptive
+// access strategies' bookkeeping — is not here: it is a voting.Tracker handed
+// to newNode, which a Cluster builds over its nodes and a Server leaves nil.
 type host interface {
 	// spec is the commit+termination protocol the host runs.
 	spec() protocol.Spec
@@ -31,11 +35,4 @@ type host interface {
 	send(from, to types.SiteID, m msg.Message)
 	// notifyOutcome wakes outcome waiters after a local decision.
 	notifyOutcome(txn types.TxnID)
-	// noteCommitApplied, maybeResolve and maybeRejoin are the adaptive
-	// strategy bookkeeping hooks. They peek across sites, so only the
-	// single-process Cluster implements them meaningfully; a distributed
-	// host is restricted to the static quorum strategy and no-ops them.
-	noteCommitApplied(n *Node, c *txnCtx)
-	maybeResolve(item types.ItemID, site types.SiteID)
-	maybeRejoin(item types.ItemID, site types.SiteID)
 }

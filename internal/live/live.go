@@ -7,7 +7,6 @@ package live
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -93,19 +92,10 @@ type Cluster struct {
 	nodes map[types.SiteID]*Node
 	wg    sync.WaitGroup
 
-	// adaptive tracks per-item missing writes under StrategyMissingWrites
-	// and dynamic tracks per-item vote tables under StrategyDynamic (both
-	// nil otherwise). wroteMu guards recordedWrites (the
-	// once-per-transaction commit-reachability bookkeeping flag) and its
-	// high-water mark; unlike the engine's per-run clusters a live cluster
-	// is long-lived, so old entries are pruned once their transactions are
-	// far enough behind the newest recorded one that no straggler apply
-	// can still be in flight.
-	adaptive       *voting.Adaptive
-	dynamic        *voting.Dynamic
-	wroteMu        sync.Mutex
-	recordedWrites map[types.TxnID]bool
-	maxRecorded    types.TxnID
+	// tracker is the access-strategy layer every node's kernel reports
+	// applied commits and installed copies to; it sees the nodes through
+	// clusterPeers.
+	tracker *voting.Tracker
 
 	// noteMu guards notes, the per-transaction outcome watch channels
 	// behind WaitOutcome: every local decision (and every crash or restart,
@@ -150,14 +140,7 @@ func New(cfg Config) *Cluster {
 		nodes: make(map[types.SiteID]*Node),
 		notes: make(map[types.TxnID]*outcomeNote),
 	}
-	switch cfg.Strategy {
-	case voting.StrategyMissingWrites:
-		cl.adaptive = voting.NewAdaptive(cfg.Assignment)
-		cl.recordedWrites = make(map[types.TxnID]bool)
-	case voting.StrategyDynamic:
-		cl.dynamic = voting.NewDynamic(cfg.Assignment)
-		cl.recordedWrites = make(map[types.TxnID]bool)
-	}
+	cl.tracker = voting.NewTracker(cfg.Assignment, cfg.Strategy, (*clusterPeers)(cl))
 	seen := make(map[types.SiteID]bool)
 	for _, item := range cfg.Assignment.Items() {
 		ic, _ := cfg.Assignment.Item(item)
@@ -170,7 +153,7 @@ func New(cfg Config) *Cluster {
 		if cfg.WAL != nil {
 			log = cfg.WAL(id)
 		}
-		n := newNode(id, cl, log, cfg.LockShards, cfg.Obs)
+		n := newNode(id, cl, cl.tracker, log, cfg.LockShards, cfg.Obs)
 		cl.nodes[id] = n
 	}
 	for _, item := range cfg.Assignment.Items() {
@@ -259,35 +242,15 @@ func (cl *Cluster) Partition(groups ...[]types.SiteID) {
 	cl.tr.Partition(groups...)
 }
 
-// Heal reconnects the network. Under StrategyMissingWrites it also starts
-// the catch-up pass: every copy carrying a missing write asks its peers for
-// their current versions, and items whose stale copies catch up return to
-// optimistic mode. Under StrategyDynamic the same pass runs for copies
-// outside their item's current majority basis, whose catch-up triggers a
-// vote reassignment folding them back in.
+// Heal reconnects the network and starts the adaptive strategies' catch-up
+// pass (voting.Tracker.HealPulls): every copy carrying a missing write, or
+// outside its item's current majority basis, asks its peers for their current
+// versions.
 func (cl *Cluster) Heal() {
 	cl.tr.Heal()
-	if cl.adaptive == nil && cl.dynamic == nil {
-		return
+	for _, p := range cl.tracker.HealPulls() {
+		cl.send(p.From, p.To, msg.CopyReq{Item: p.Item})
 	}
-	staleSites := func(item types.ItemID) []types.SiteID {
-		if cl.adaptive != nil {
-			return cl.adaptive.MissingAt(item)
-		}
-		return cl.dynamic.StaleSites(item)
-	}
-	cl.cfg.Assignment.ForEachItem(func(ic voting.ItemConfig) {
-		for _, stale := range staleSites(ic.Item) {
-			if cl.tr.Down(stale) {
-				continue
-			}
-			for _, cp := range ic.Copies {
-				if cp.Site != stale {
-					cl.send(stale, cp.Site, msg.CopyReq{Item: ic.Item})
-				}
-			}
-		}
-	})
 }
 
 // send routes a message through the transport, which applies delay,
@@ -441,193 +404,32 @@ func (cl *Cluster) Stop() {
 // Strategy returns the cluster's access strategy.
 func (cl *Cluster) Strategy() voting.Strategy { return cl.cfg.Strategy }
 
-// ItemMode returns item's current missing-writes mode (always Pessimistic —
-// quorum operations — under StrategyQuorum).
-func (cl *Cluster) ItemMode(item types.ItemID) voting.Mode {
-	if cl.adaptive == nil {
-		return voting.Pessimistic
-	}
-	return cl.adaptive.ModeOf(item)
-}
+// Tracker returns the access-strategy tracker: item modes, missing writes,
+// vote tables and their transition counters.
+func (cl *Cluster) Tracker() *voting.Tracker { return cl.tracker }
 
-// MissingAt returns the sites currently carrying missing writes for item,
-// ascending (always empty under StrategyQuorum).
-func (cl *Cluster) MissingAt(item types.ItemID) []types.SiteID {
-	if cl.adaptive == nil {
-		return nil
-	}
-	return cl.adaptive.MissingAt(item)
-}
+// clusterPeers is the Cluster seen as the tracker's view of the sites: the
+// transport's topology, and every node's store and lock table (both
+// mutex-guarded, so peeking across node goroutines is safe).
+type clusterPeers Cluster
 
-// ModeTransitions returns the cumulative missing-writes mode transitions
-// (demotions, restorations); both zero under StrategyQuorum.
-func (cl *Cluster) ModeTransitions() (demotions, restorations int) {
-	if cl.adaptive == nil {
-		return 0, 0
-	}
-	return cl.adaptive.Transitions()
-}
+func (p *clusterPeers) Reachable(from, to types.SiteID) bool { return p.tr.Connected(from, to) }
 
-// noteCommitApplied is the strategy bookkeeping hook a node's doCommit
-// calls after applying a committed writeset — the live counterpart of the
-// engine's hook. The first node to decide records which copies the commit
-// reaches: a copy counts as reached if its site is up, in the decider's
-// group, and bound to apply the write — it is the decider itself, it still
-// holds the transaction's X lock (voted), or its store already carries the
-// transaction's version (applied concurrently; stores and lock managers are
-// mutex-guarded, so peeking across goroutines is safe). Under the
-// missing-writes strategy copies that miss the write demote the item and
-// later local applies resolve them; under the dynamic strategy the reached
-// set becomes the item's new majority basis and later applies rejoin
-// stragglers.
-func (cl *Cluster) noteCommitApplied(n *Node, c *txnCtx) {
-	if cl.adaptive == nil && cl.dynamic == nil {
-		return
-	}
-	cl.wroteMu.Lock()
-	first := !cl.recordedWrites[c.ID]
-	cl.recordedWrites[c.ID] = true
-	if c.ID > cl.maxRecorded {
-		cl.maxRecorded = c.ID
-	}
-	// Bound the map: a commit's applies finish within a few timeout units,
-	// so entries thousands of transactions behind the high-water mark are
-	// dead weight. If an ancient commit ever did re-record, the worst case
-	// is a spurious demotion that the next catch-up pass resolves.
-	if len(cl.recordedWrites) > 8192 {
-		for txn := range cl.recordedWrites {
-			if txn+4096 < cl.maxRecorded {
-				delete(cl.recordedWrites, txn)
-			}
-		}
-	}
-	cl.wroteMu.Unlock()
-	version := uint64(c.ID) + 1
-	if first {
-		for _, item := range c.WS.Items() {
-			ic, ok := cl.cfg.Assignment.Item(item)
-			if !ok {
-				continue
-			}
-			reached := make([]types.SiteID, 0, len(ic.Copies))
-			for _, cp := range ic.Copies {
-				if !cl.tr.Connected(n.id, cp.Site) {
-					continue
-				}
-				peer := cl.nodes[cp.Site]
-				applied := false
-				if v, err := peer.store.Read(item); err == nil && v.Version >= version {
-					applied = true
-				}
-				if cp.Site == n.id || applied || peer.locks.LockedBy(c.ID, item) {
-					reached = append(reached, cp.Site)
-				}
-			}
-			if cl.adaptive != nil && len(reached) < len(ic.Copies) {
-				cl.adaptive.DegradeExcept(item, reached)
-			}
-			if cl.dynamic != nil {
-				cl.dynamic.Reassign(item, reached)
-			}
-		}
-	}
-	for _, item := range c.WS.Items() {
-		if n.store.Has(item) {
-			cl.maybeResolve(item, n.id)
-			cl.maybeRejoin(item, n.id)
-		}
-	}
-}
-
-// maybeResolve clears site's missing write for item once its copy has
-// caught up to the highest version any copy holds (stores only ever hold
-// committed values).
-func (cl *Cluster) maybeResolve(item types.ItemID, site types.SiteID) {
-	if cl.adaptive == nil || !cl.adaptive.IsMissing(item, site) {
-		return
-	}
-	ic, ok := cl.cfg.Assignment.Item(item)
-	if !ok {
-		return
-	}
-	var max uint64
-	for _, cp := range ic.Copies {
-		if v, err := cl.nodes[cp.Site].store.Read(item); err == nil && v.Version > max {
-			max = v.Version
-		}
-	}
-	if v, err := cl.nodes[site].store.Read(item); err == nil && v.Version >= max {
-		cl.adaptive.ResolveMissing(item, site)
-	}
-}
-
-// maybeRejoin folds a caught-up copy back into its item's dynamic majority
-// basis, mirroring the engine's hook: once site's copy holds the highest
-// version any copy holds, the connected current copies plus the rejoiner
-// reassign votes to include it. The tracker's epoch guard makes the
-// optimistic call safe; no-op for basis members and under the other
-// strategies.
-func (cl *Cluster) maybeRejoin(item types.ItemID, site types.SiteID) {
-	if cl.dynamic == nil || cl.dynamic.InBasis(item, site) {
-		return
-	}
-	ic, ok := cl.cfg.Assignment.Item(item)
-	if !ok {
-		return
-	}
-	var max uint64
-	versions := make(map[types.SiteID]uint64, len(ic.Copies))
-	for _, cp := range ic.Copies {
-		if v, err := cl.nodes[cp.Site].store.Read(item); err == nil {
-			versions[cp.Site] = v.Version
-			if v.Version > max {
-				max = v.Version
-			}
-		}
-	}
-	if versions[site] < max {
-		return // not caught up yet; a later CopyResp will retry
-	}
-	group := make([]types.SiteID, 0, len(ic.Copies))
-	for _, cp := range ic.Copies {
-		if cl.tr.Connected(site, cp.Site) && versions[cp.Site] == max {
-			group = append(group, cp.Site)
-		}
-	}
-	cl.dynamic.Reassign(item, group)
-}
-
-// VoteEpoch returns the version number of item's current dynamic vote table
-// (always 0 under the static strategies).
-func (cl *Cluster) VoteEpoch(item types.ItemID) uint64 {
-	if cl.dynamic == nil {
+func (p *clusterPeers) Version(site types.SiteID, item types.ItemID) uint64 {
+	v, err := p.nodes[site].store.Read(item)
+	if err != nil {
 		return 0
 	}
-	return cl.dynamic.Epoch(item)
+	return v.Version
 }
 
-// VotesNow returns item's currently effective vote table, ascending by
-// site: the static assignment under StrategyQuorum and
-// StrategyMissingWrites, the newest reassigned table under StrategyDynamic.
-func (cl *Cluster) VotesNow(item types.ItemID) []voting.Copy {
-	if cl.dynamic == nil {
-		ic, ok := cl.cfg.Assignment.Item(item)
-		if !ok {
-			return nil
-		}
-		out := append([]voting.Copy(nil), ic.Copies...)
-		sort.Slice(out, func(i, j int) bool { return out[i].Site < out[j].Site })
-		return out
+// WillApply: the site's store already carries txn's version (applied
+// concurrently; a kernel's outcome table belongs to its own goroutine), or
+// the site still holds txn's X lock on item.
+func (p *clusterPeers) WillApply(site types.SiteID, txn types.TxnID, item types.ItemID) bool {
+	n := p.nodes[site]
+	if v, err := n.store.Read(item); err == nil && v.Version >= uint64(txn)+1 {
+		return true
 	}
-	return cl.dynamic.VotesNow(item)
-}
-
-// VoteTransitions returns the cumulative dynamic-voting reassignment
-// counters (tables installed, full-basis restorations); both zero under the
-// other strategies.
-func (cl *Cluster) VoteTransitions() (reassignments, restorations int) {
-	if cl.dynamic == nil {
-		return 0, 0
-	}
-	return cl.dynamic.Transitions()
+	return n.locks.LockedBy(txn, item)
 }

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"qcommit/internal/protocol"
 	"qcommit/internal/skeenq"
 	"qcommit/internal/threepc"
+	"qcommit/internal/transport/inproc"
 	"qcommit/internal/twopc"
 	"qcommit/internal/types"
 	"qcommit/internal/voting"
@@ -193,34 +195,37 @@ func TestLiveMissingWritesStrategy(t *testing.T) {
 	// returns (it reads WALs); allow the applies a moment to land before
 	// asserting no copy was recorded missing.
 	deadline := time.Now().Add(2 * time.Second)
-	for cl.ItemMode("x") != voting.Optimistic || cl.ItemMode("y") != voting.Optimistic {
+	for cl.Tracker().ItemMode("x") != voting.Optimistic || cl.Tracker().ItemMode("y") != voting.Optimistic {
 		if time.Now().After(deadline) {
 			t.Fatalf("failure-free commit left modes %v/%v, missing %v/%v",
-				cl.ItemMode("x"), cl.ItemMode("y"), cl.MissingAt("x"), cl.MissingAt("y"))
+				cl.Tracker().ItemMode("x"), cl.Tracker().ItemMode("y"), cl.Tracker().MissingAt("x"), cl.Tracker().MissingAt("y"))
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 
 	// Degrade x by hand (the deterministic engine covers the real
-	// commit-misses-a-copy path) and let the heal-time catch-up pass
-	// resolve it: site 4's copy already holds the newest version, so the
-	// CopyResp round-trip restores optimistic mode.
-	cl.adaptive.DegradeExcept("x", []types.SiteID{1, 2, 3})
-	if cl.ItemMode("x") != voting.Pessimistic {
+	// commit-misses-a-copy path): with site 4 cut off, report a commit
+	// applied at site 1 that every reachable copy already carries (txn 0:
+	// version 1). Then let the heal-time catch-up pass resolve it: site 4's
+	// copy already holds the newest version, so the CopyResp round-trip
+	// restores optimistic mode.
+	cl.Partition([]types.SiteID{1, 2, 3}, []types.SiteID{4})
+	cl.tracker.CommitApplied(1, 0, types.Writeset{{Item: "x"}})
+	if cl.Tracker().ItemMode("x") != voting.Pessimistic {
 		t.Fatal("degraded item not pessimistic")
 	}
-	if missing := cl.MissingAt("x"); len(missing) != 1 || missing[0] != 4 {
+	if missing := cl.Tracker().MissingAt("x"); len(missing) != 1 || missing[0] != 4 {
 		t.Fatalf("missing = %v, want [4]", missing)
 	}
 	cl.Heal()
 	deadline = time.Now().Add(2 * time.Second)
-	for cl.ItemMode("x") != voting.Optimistic {
+	for cl.Tracker().ItemMode("x") != voting.Optimistic {
 		if time.Now().After(deadline) {
-			t.Fatalf("heal catch-up did not restore optimistic mode, missing %v", cl.MissingAt("x"))
+			t.Fatalf("heal catch-up did not restore optimistic mode, missing %v", cl.Tracker().MissingAt("x"))
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if d, r := cl.ModeTransitions(); d != 1 || r != 1 {
+	if d, r := cl.Tracker().ModeTransitions(); d != 1 || r != 1 {
 		t.Errorf("transitions = %d/%d, want 1/1", d, r)
 	}
 }
@@ -248,34 +253,35 @@ func TestLiveDynamicStrategy(t *testing.T) {
 	// Applies may still be landing when WaitOutcome returns; the full-reach
 	// commit must leave the basis whole either way.
 	deadline := time.Now().Add(2 * time.Second)
-	for len(cl.VotesNow("x")) != 4 || cl.VoteEpoch("x") != 0 {
+	for len(cl.Tracker().VotesNow("x")) != 4 || cl.Tracker().VoteEpoch("x") != 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("failure-free commit churned the basis: epoch %d votes %v",
-				cl.VoteEpoch("x"), cl.VotesNow("x"))
+				cl.Tracker().VoteEpoch("x"), cl.Tracker().VotesNow("x"))
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 
 	// Shrink the basis by hand (the deterministic engine covers the real
-	// commit-misses-a-copy path) and let the heal-time catch-up pass
-	// restore it: site 4's copy already holds the newest version, so the
-	// CopyResp round-trip rejoins it.
-	if !cl.dynamic.Reassign("x", []types.SiteID{1, 2, 3}) {
-		t.Fatal("hand shrink rejected")
-	}
-	if cl.dynamic.InBasis("x", 4) {
-		t.Fatal("shrunk basis still contains site 4")
+	// commit-misses-a-copy path): with site 4 cut off, report a commit
+	// applied at site 1 that every reachable copy already carries (txn 0:
+	// version 1). Then let the heal-time catch-up pass restore it: site 4's
+	// copy already holds the newest version, so the CopyResp round-trip
+	// rejoins it.
+	cl.Partition([]types.SiteID{1, 2, 3}, []types.SiteID{4})
+	cl.tracker.CommitApplied(1, 0, types.Writeset{{Item: "x"}})
+	if cl.Tracker().VoteEpoch("x") != 1 || len(cl.Tracker().VotesNow("x")) != 3 {
+		t.Fatalf("hand shrink rejected: epoch %d votes %v", cl.Tracker().VoteEpoch("x"), cl.Tracker().VotesNow("x"))
 	}
 	cl.Heal()
 	deadline = time.Now().Add(2 * time.Second)
-	for len(cl.VotesNow("x")) != 4 {
+	for len(cl.Tracker().VotesNow("x")) != 4 {
 		if time.Now().After(deadline) {
 			t.Fatalf("heal catch-up did not restore the basis: epoch %d votes %v",
-				cl.VoteEpoch("x"), cl.VotesNow("x"))
+				cl.Tracker().VoteEpoch("x"), cl.Tracker().VotesNow("x"))
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if re, ro := cl.VoteTransitions(); re != 2 || ro != 1 {
+	if re, ro := cl.Tracker().VoteTransitions(); re != 2 || ro != 1 {
 		t.Errorf("transitions = %d/%d, want 2/1", re, ro)
 	}
 }
@@ -411,5 +417,79 @@ func TestLiveWaitOutcomeDeadlineIsExact(t *testing.T) {
 	cl.noteMu.Unlock()
 	if leaked != 0 {
 		t.Fatalf("%d outcome watch entries leaked after WaitOutcome returned", leaked)
+	}
+}
+
+// TestLiveRestartPullsWrittenOnly: a restarted site's anti-entropy asks
+// its peers about the items some commit wrote, not about every item it holds
+// — the bound voting.Tracker.RestartPulls gives both hosts — and the copy
+// that fell behind while the site was down still converges.
+func TestLiveRestartPullsWrittenOnly(t *testing.T) {
+	const items, commits = 64, 5
+	cfgs := make([]voting.ItemConfig, items)
+	for i := range cfgs {
+		cfgs[i] = voting.Uniform(types.ItemID(fmt.Sprintf("i%02d", i)), 2, 2, 1, 2, 3)
+	}
+	tap := &tapTransport{Transport: inproc.New(inproc.Options{MinDelay: 100 * time.Microsecond, MaxDelay: time.Millisecond, Seed: 5})}
+	cl := New(Config{
+		Assignment: voting.MustAssignment(cfgs...), Spec: core.Spec{Variant: core.Protocol1},
+		TimeoutBase: 30 * time.Millisecond, Transport: tap,
+	})
+	defer cl.Stop()
+	written := make(map[types.ItemID]bool)
+	for i := 0; i < commits; i++ {
+		item := cfgs[i*7].Item
+		written[item] = true
+		txn := cl.Begin(1, types.Writeset{{Item: item, Value: int64(100 + i)}})
+		if got := cl.WaitOutcome(txn, 5*time.Second); got != types.OutcomeCommitted {
+			t.Fatalf("commit %d: %v", i, got)
+		}
+	}
+	agree := func() bool {
+		for _, ic := range cfgs {
+			a, _ := cl.Node(1).Store().Read(ic.Item)
+			b, _ := cl.Node(3).Store().Read(ic.Item)
+			if a != b {
+				return false
+			}
+		}
+		return true
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(3 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	waitFor("the commits to apply at site 3", agree)
+
+	// Site 3 goes down and loses a write it had (its copy is reset by hand —
+	// the commit protocols do not commit past a down participant).
+	cl.Crash(3)
+	stale := cfgs[7].Item
+	cl.Node(3).Store().Init(stale, 0)
+	tap.mu.Lock()
+	before := len(tap.sent)
+	tap.mu.Unlock()
+	cl.Restart(3)
+	waitFor("site 3 to catch up", agree)
+
+	tap.mu.Lock()
+	defer tap.mu.Unlock()
+	asked := 0
+	for _, env := range tap.sent[before:] {
+		if req, ok := env.Msg.(msg.CopyReq); ok && env.From == 3 {
+			asked++
+			if !written[req.Item] {
+				t.Errorf("restart asked about %q, which no commit wrote", req.Item)
+			}
+		}
+	}
+	if want := commits * 2; asked != want {
+		t.Errorf("restart sent %d CopyReq, want %d (%d written items x 2 peers; %d items held)", asked, want, commits, items)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"qcommit/internal/site"
 	"qcommit/internal/storage"
 	"qcommit/internal/types"
+	"qcommit/internal/voting"
 	"qcommit/internal/wal"
 )
 
@@ -36,6 +37,8 @@ type Node struct {
 	id types.SiteID
 	h  host
 	k  *site.Kernel[txnExt]
+	// tracker is the host's access-strategy tracker (nil under a Server).
+	tracker *voting.Tracker
 	// crashed gates deliveries between a crash and the restart (the mailbox
 	// may still hold envelopes the transport accepted before the crash).
 	crashed bool
@@ -119,17 +122,18 @@ type flushJob struct {
 	finishes []spanFinish
 }
 
-func newNode(id types.SiteID, h host, log wal.Log, lockShards int, o *obs.Observer) *Node {
+func newNode(id types.SiteID, h host, tracker *voting.Tracker, log wal.Log, lockShards int, o *obs.Observer) *Node {
 	if log == nil {
 		log = wal.NewMemLog()
 	}
 	n := &Node{
-		id:    id,
-		h:     h,
-		log:   log,
-		store: storage.NewStore(id),
-		locks: lockmgr.NewSharded(id, lockShards),
-		view:  make(map[types.TxnID]types.Outcome),
+		id:      id,
+		h:       h,
+		tracker: tracker,
+		log:     log,
+		store:   storage.NewStore(id),
+		locks:   lockmgr.NewSharded(id, lockShards),
+		view:    make(map[types.TxnID]types.Outcome),
 	}
 	n.k = site.New(id, site.Config{
 		Spec:                 h.spec(),
@@ -138,6 +142,7 @@ func newNode(id types.SiteID, h host, log wal.Log, lockShards int, o *obs.Observ
 		MaxTerminationRounds: h.maxTermRounds(),
 		Store:                n.store,
 		Locks:                n.locks,
+		Tracker:              tracker,
 	}, (*nodeHost)(n))
 	n.met = newNodeMetrics(o, id)
 	n.spans = o.Spanner()
@@ -248,14 +253,8 @@ func (n *Node) dispatch(e msg.Envelope) {
 		n.walMu.Unlock()
 		n.k.Recover(recs)
 		// Anti-entropy: repair copies that missed writes while down.
-		for _, item := range n.store.Items() {
-			if ic, ok := n.h.assignment().Item(item); ok {
-				for _, cp := range ic.Copies {
-					if cp.Site != n.id {
-						n.h.send(n.id, cp.Site, msg.CopyReq{Item: item})
-					}
-				}
-			}
+		for _, p := range n.tracker.RestartPulls(n.id, n.store.Items()) {
+			n.h.send(p.From, p.To, msg.CopyReq{Item: p.Item})
 		}
 	default:
 		if !n.crashed {
@@ -486,7 +485,3 @@ func (h *nodeHost) Contradicted(types.TxnID, types.Outcome) {}
 func (h *nodeHost) RefusesVote(types.TxnID) bool { return false }
 
 func (h *nodeHost) Tracef(string, ...any) {}
-
-func (h *nodeHost) NoteCommitApplied(c *txnCtx)    { h.h.noteCommitApplied((*Node)(h), c) }
-func (h *nodeHost) MaybeResolve(item types.ItemID) { h.h.maybeResolve(item, h.id) }
-func (h *nodeHost) MaybeRejoin(item types.ItemID)  { h.h.maybeRejoin(item, h.id) }

@@ -16,11 +16,20 @@ import (
 )
 
 // tapTransport passes everything through and keeps a copy of what the fabric
-// delivers, so a test can read the answer to a message it injected.
+// is handed and of what it delivers, so a test can count what a site emitted
+// and read the answer to a message it injected.
 type tapTransport struct {
 	transport.Transport
-	mu  sync.Mutex
-	got []msg.Envelope
+	mu   sync.Mutex
+	sent []msg.Envelope
+	got  []msg.Envelope
+}
+
+func (t *tapTransport) Send(env msg.Envelope) {
+	t.mu.Lock()
+	t.sent = append(t.sent, env)
+	t.mu.Unlock()
+	t.Transport.Send(env)
 }
 
 func (t *tapTransport) Bind(h transport.Handler) {

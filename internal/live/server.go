@@ -51,9 +51,9 @@ type ServerConfig struct {
 // shape of the qcommitd node binary, where every peer site is a separate
 // process and only the wire connects them. It runs the exact same Node (and
 // therefore the exact same protocol automata) as Cluster; the difference is
-// the host: a Server has no visibility into peer stores or lock tables, so
-// it is restricted to the static quorum strategy and no-ops the adaptive
-// bookkeeping hooks that require cluster-global shared memory.
+// the host: a Server has no visibility into peer stores or lock tables —
+// it cannot answer the voting.Peers questions — so its node runs without a
+// strategy tracker, i.e. under the static quorum strategy.
 type Server struct {
 	id    types.SiteID
 	cfg   ServerConfig
@@ -93,7 +93,7 @@ func NewServer(id types.SiteID, cfg ServerConfig, tr transport.Transport) (*Serv
 		tr:    tr,
 		notes: make(map[types.TxnID]*outcomeNote),
 	}
-	s.node = newNode(id, s, cfg.WAL, cfg.LockShards, cfg.Obs)
+	s.node = newNode(id, s, nil, cfg.WAL, cfg.LockShards, cfg.Obs)
 	for _, item := range cfg.Assignment.Items() {
 		ic, _ := cfg.Assignment.Item(item)
 		for _, cp := range ic.Copies {
@@ -258,13 +258,6 @@ func (s *Server) notifyOutcome(txn types.TxnID) {
 	}
 	s.noteMu.Unlock()
 }
-
-// The adaptive strategy hooks need peer-store visibility a distributed host
-// does not have; a Server always runs the static quorum strategy.
-
-func (s *Server) noteCommitApplied(*Node, *txnCtx)        {}
-func (s *Server) maybeResolve(types.ItemID, types.SiteID) {}
-func (s *Server) maybeRejoin(types.ItemID, types.SiteID)  {}
 
 // walOutcome reads txn's fate from one node's WAL: terminal records map to
 // their outcome, a surviving mid-protocol state (W/PC/PA) is Blocked. It

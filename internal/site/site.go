@@ -22,8 +22,10 @@
 //   - the single protocol.Env handed to automata.
 //
 // It owns no clock, goroutine, mutex or transport. The Host supplies time,
-// timers, sends, the write-ahead log, and the cluster-global access-strategy
-// bookkeeping; it also hears every decision and every contradiction of one.
+// timers, sends and the write-ahead log, and hears every decision and every
+// contradiction of one. The cluster-global access-strategy bookkeeping is not
+// the host's: the kernel reports each applied commit and each installed copy
+// straight to the cluster's voting.Tracker (Config.Tracker).
 //
 // A Kernel is single-threaded: every method, and every Host callback it makes,
 // runs on the caller's thread, and the host must serialize all calls into one
@@ -81,7 +83,10 @@ type Timer struct {
 // Stopper cancels an armed host timer (*time.Timer is one).
 type Stopper interface{ Stop() bool }
 
-// Host is what a Kernel needs from the runtime driving it. X is the host's
+// Host is what a Kernel needs from the runtime driving it: a clock and
+// timers, a way to send, the site's log, and a listener for what happens to a
+// transaction here (decisions, contradictions, commit-path events, traces,
+// injected refusals). Nothing in it looks at another site. X is the host's
 // per-transaction slot, carried in every Txn so the host needs no table of
 // its own.
 type Host[X any] interface {
@@ -108,13 +113,6 @@ type Host[X any] interface {
 	Observe(c *Txn[X], ev Event, at types.SiteID)
 	// Tracef emits a trace annotation for this site.
 	Tracef(format string, args ...any)
-	// NoteCommitApplied, MaybeResolve and MaybeRejoin are the cluster-global
-	// access-strategy hooks: a committed writeset was applied here; this
-	// site's copy of item may have caught up (shed its missing write, rejoin
-	// its dynamic majority basis).
-	NoteCommitApplied(c *Txn[X])
-	MaybeResolve(item types.ItemID)
-	MaybeRejoin(item types.ItemID)
 }
 
 // Config is the fixed part of a site.
@@ -131,6 +129,10 @@ type Config struct {
 	// Store and Locks are the site's versioned store and lock table.
 	Store *storage.Store
 	Locks *lockmgr.Manager
+	// Tracker is the cluster's access-strategy tracker, told of every commit
+	// applied and every copy installed here. Nil (a host whose sites share no
+	// memory) runs the static quorum strategy.
+	Tracker *voting.Tracker
 }
 
 // Txn is a site's bookkeeping for one transaction.
@@ -366,8 +368,7 @@ func (k *Kernel[X]) Handle(e msg.Envelope) {
 		// missing write or rejoins its item's dynamic majority basis.
 		if store.Has(m.Item) {
 			_ = store.Apply(m.Item, m.Value, m.Version)
-			k.h.MaybeResolve(m.Item)
-			k.h.MaybeRejoin(m.Item)
+			k.cfg.Tracker.CopyInstalled(k.id, m.Item)
 		}
 
 	case msg.VoteReq:
@@ -582,7 +583,7 @@ func (k *Kernel[X]) Decide(txn types.TxnID, o types.Outcome) {
 	if o == types.OutcomeCommitted {
 		k.h.Append(c, wal.Record{Type: wal.RecCommit, Txn: txn})
 		k.cfg.Store.ApplyWriteset(c.WS, uint64(txn)+1)
-		k.h.NoteCommitApplied(c)
+		k.cfg.Tracker.CommitApplied(k.id, txn, c.WS)
 	} else {
 		k.h.Append(c, wal.Record{Type: wal.RecAbort, Txn: txn})
 	}

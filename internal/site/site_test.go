@@ -37,21 +37,23 @@ type observed struct {
 // clock, no network: sends are queued for the test to deliver by hand, timers
 // fire only when the test fires them, and everything the kernel tells its
 // host is kept for inspection. The host slot is a string, set at Begun, to
-// show it rides with the context.
+// show it rides with the context. It is also the voting.Peers behind the
+// kernel's strategy tracker: every site is reachable, no other site is ever
+// bound to apply a write, and site 2's copy sits at peerVersion.
 type fakeHost struct {
 	k *Kernel[string]
 
-	sent     []msg.Envelope
-	timers   []*fakeTimer
-	log      []wal.Record
-	decided  map[types.TxnID]types.Outcome
-	slotAt   map[types.TxnID]string // the slot as seen by Decided
-	clashes  []string
-	refuse   map[types.TxnID]bool
-	events   []observed
-	traces   []string
-	applied  []types.TxnID
-	resolved []types.ItemID
+	sent    []msg.Envelope
+	timers  []*fakeTimer
+	log     []wal.Record
+	decided map[types.TxnID]types.Outcome
+	slotAt  map[types.TxnID]string // the slot as seen by Decided
+	clashes []string
+	refuse  map[types.TxnID]bool
+	events  []observed
+	traces  []string
+
+	peerVersion uint64
 }
 
 func (h *fakeHost) Now() sim.Time { return 0 }
@@ -81,9 +83,16 @@ func (h *fakeHost) Observe(c *Txn[string], ev Event, at types.SiteID) {
 func (h *fakeHost) Tracef(format string, args ...any) {
 	h.traces = append(h.traces, fmt.Sprintf(format, args...))
 }
-func (h *fakeHost) NoteCommitApplied(c *Txn[string]) { h.applied = append(h.applied, c.ID) }
-func (h *fakeHost) MaybeResolve(item types.ItemID)   { h.resolved = append(h.resolved, item) }
-func (h *fakeHost) MaybeRejoin(types.ItemID)         {}
+
+func (h *fakeHost) Reachable(from, to types.SiteID) bool { return true }
+func (h *fakeHost) Version(site types.SiteID, item types.ItemID) uint64 {
+	if site != h.k.id {
+		return h.peerVersion
+	}
+	v, _ := h.k.cfg.Store.Read(item)
+	return v.Version
+}
+func (h *fakeHost) WillApply(types.SiteID, types.TxnID, types.ItemID) bool { return false }
 
 func (h *fakeHost) count(ev Event) int {
 	n := 0
@@ -125,13 +134,15 @@ func newKernel(id types.SiteID) (*Kernel[string], *fakeHost) {
 	if id != 3 {
 		store.Init("x", 0)
 	}
+	asgn := voting.MustAssignment(voting.Uniform("x", 1, 2, 1, 2))
 	h.k = New(id, Config{
 		Spec:                 core.Spec{Variant: core.Protocol1},
-		Assignment:           voting.MustAssignment(voting.Uniform("x", 1, 2, 1, 2)),
+		Assignment:           asgn,
 		T:                    sim.Duration(1e9),
 		MaxTerminationRounds: 3,
 		Store:                store,
 		Locks:                lockmgr.NewSharded(id, 1),
+		Tracker:              voting.NewTracker(asgn, voting.StrategyMissingWrites, h),
 	}, h)
 	return h.k, h
 }
@@ -252,8 +263,10 @@ func TestDispatch(t *testing.T) {
 		if v, _ := k.cfg.Store.Read("x"); v.Value != 7 || v.Version != 11 {
 			t.Errorf("commit applied x=%d@%d, want 7@11", v.Value, v.Version)
 		}
-		if len(h.applied) != 1 || h.applied[0] != 10 {
-			t.Errorf("NoteCommitApplied calls = %v, want [TR10]", h.applied)
+		// The tracker heard of the one applied commit: it reached this site
+		// only, so site 2 carries a missing write.
+		if missing := k.cfg.Tracker.MissingAt("x"); len(missing) != 1 || missing[0] != 2 {
+			t.Errorf("tracker after the commit: missing at %v, want [site2]", missing)
 		}
 		k.Handle(from(2, msg.StateReq{Txn: 10, Epoch: 1}))
 		k.Handle(from(2, msg.StateReq{Txn: 11, Epoch: 2}))
@@ -411,9 +424,16 @@ func TestDispatch(t *testing.T) {
 		if sent := h.take(); len(sent) != 0 {
 			t.Errorf("locked or unknown copy served: %+v", sent)
 		}
+		// A commit applied at site 2 missed this site's copy; installing the
+		// newest version resolves the missing write.
+		h.peerVersion = 40
+		k.cfg.Tracker.CommitApplied(2, 39, wsX)
+		if missing := k.cfg.Tracker.MissingAt("x"); len(missing) != 1 || missing[0] != 1 {
+			t.Fatalf("setup: missing at %v, want [site1]", missing)
+		}
 		k.Handle(from(2, msg.CopyResp{Item: "x", Value: 9, Version: 40}))
-		if v, _ := k.cfg.Store.Read("x"); v.Value != 9 || v.Version != 40 || len(h.resolved) != 1 {
-			t.Errorf("CopyResp: x=%d@%d, resolved=%v", v.Value, v.Version, h.resolved)
+		if v, _ := k.cfg.Store.Read("x"); v.Value != 9 || v.Version != 40 || k.cfg.Tracker.ItemMode("x") != voting.Optimistic {
+			t.Errorf("CopyResp: x=%d@%d, still missing at %v", v.Value, v.Version, k.cfg.Tracker.MissingAt("x"))
 		}
 	})
 }

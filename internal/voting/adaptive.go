@@ -1,7 +1,6 @@
 package voting
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
@@ -69,9 +68,6 @@ func NewAdaptive(asgn *Assignment) *Adaptive {
 	}
 }
 
-// Assignment returns the underlying static assignment.
-func (a *Adaptive) Assignment() *Assignment { return a.asgn }
-
 // ModeOf returns the item's current mode.
 func (a *Adaptive) ModeOf(item types.ItemID) Mode {
 	a.mu.Lock()
@@ -96,60 +92,10 @@ func (a *Adaptive) MissingAt(item types.ItemID) []types.SiteID {
 	return out
 }
 
-// ReadQuorumNow returns the votes a read of item must collect right now:
-// in optimistic mode any single copy suffices (1 vote); in pessimistic mode
-// the configured r(x).
-func (a *Adaptive) ReadQuorumNow(item types.ItemID) (int, Mode, error) {
-	ic, ok := a.asgn.Item(item)
-	if !ok {
-		return 0, Optimistic, fmt.Errorf("voting: unknown item %q", item)
-	}
-	if a.ModeOf(item) == Pessimistic {
-		return ic.R, Pessimistic, nil
-	}
-	return 1, Optimistic, nil
-}
-
-// WriteQuorumNow returns the votes a write must collect right now: all
-// copies' votes in optimistic mode (write-all), the configured w(x) in
-// pessimistic mode.
-func (a *Adaptive) WriteQuorumNow(item types.ItemID) (int, Mode, error) {
-	ic, ok := a.asgn.Item(item)
-	if !ok {
-		return 0, Optimistic, fmt.Errorf("voting: unknown item %q", item)
-	}
-	if a.ModeOf(item) == Pessimistic {
-		return ic.W, Pessimistic, nil
-	}
-	return ic.TotalVotes(), Optimistic, nil
-}
-
-// RecordWrite registers the result of a write operation: reached lists the
-// sites whose copies applied it. If any copy of the item was missed, those
-// sites gain missing writes and the item degrades to pessimistic mode. The
-// write is only legal if the reached sites carry the currently required
-// write quorum; RecordWrite reports false (and records nothing) otherwise.
-func (a *Adaptive) RecordWrite(item types.ItemID, reached []types.SiteID) bool {
-	ic, ok := a.asgn.Item(item)
-	if !ok {
-		return false
-	}
-	need, _, _ := a.WriteQuorumNow(item)
-	got := a.asgn.VotesFor(item, reached)
-	if got < need && got < ic.W {
-		// Not even a pessimistic write quorum: the write must not proceed.
-		return false
-	}
-	a.DegradeExcept(item, reached)
-	return true
-}
-
 // DegradeExcept records missing writes for every copy of item NOT listed in
 // reached, demoting the item to pessimistic mode if any copy was missed. It
-// performs no quorum legality check — the engine calls it at commit-apply
-// time, after the commit protocol has already collected the write quorum —
-// whereas RecordWrite is the standalone front door that also enforces
-// legality.
+// performs no quorum legality check: the Tracker calls it at commit-apply
+// time, after the commit protocol has already collected the write quorum.
 func (a *Adaptive) DegradeExcept(item types.ItemID, reached []types.SiteID) {
 	ic, ok := a.asgn.Item(item)
 	if !ok {
@@ -210,44 +156,4 @@ func (a *Adaptive) ResolveMissing(item types.ItemID, sites ...types.SiteID) {
 			a.restorations++
 		}
 	}
-}
-
-// CanRead reports whether the given sites can serve a read of item under the
-// current mode. In pessimistic mode the sites must carry r(x) votes; in
-// optimistic mode any copy-holding site works, but it must not be one
-// carrying a missing write (vacuous: optimistic mode implies none).
-func (a *Adaptive) CanRead(item types.ItemID, sites []types.SiteID) bool {
-	need, mode, err := a.ReadQuorumNow(item)
-	if err != nil {
-		return false
-	}
-	if mode == Pessimistic {
-		// Copies carrying missing writes must not serve reads.
-		fresh := a.freshSites(item, sites)
-		return a.asgn.VotesFor(item, fresh) >= need
-	}
-	return a.asgn.VotesFor(item, sites) >= 1
-}
-
-// CanWrite reports whether the given sites can accept a write of item under
-// the current mode.
-func (a *Adaptive) CanWrite(item types.ItemID, sites []types.SiteID) bool {
-	need, _, err := a.WriteQuorumNow(item)
-	if err != nil {
-		return false
-	}
-	return a.asgn.VotesFor(item, sites) >= need
-}
-
-func (a *Adaptive) freshSites(item types.ItemID, sites []types.SiteID) []types.SiteID {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	set := a.missing[item]
-	out := make([]types.SiteID, 0, len(sites))
-	for _, s := range sites {
-		if !set[s] {
-			out = append(out, s)
-		}
-	}
-	return out
 }

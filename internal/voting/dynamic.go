@@ -118,9 +118,6 @@ func NewDynamic(asgn *Assignment) *Dynamic {
 	return d
 }
 
-// Assignment returns the underlying static assignment.
-func (d *Dynamic) Assignment() *Assignment { return d.asgn }
-
 // Epoch returns the version number of item's newest installed vote table
 // (0 for an unknown item: no reassignment has ever happened).
 func (d *Dynamic) Epoch(item types.ItemID) uint64 {
@@ -131,23 +128,6 @@ func (d *Dynamic) Epoch(item types.ItemID) uint64 {
 		return 0
 	}
 	return di.current.epoch
-}
-
-// EpochAt returns the epoch of the newest table the given site has
-// installed — at most Epoch(item), and strictly less while the site is
-// stale.
-func (d *Dynamic) EpochAt(item types.ItemID, site types.SiteID) uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	di := d.items[item]
-	if di == nil {
-		return 0
-	}
-	t := di.installed[site]
-	if t == nil {
-		return 0
-	}
-	return t.epoch
 }
 
 // VotesNow returns item's current vote table as copies, ascending by site.

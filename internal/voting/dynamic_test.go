@@ -64,7 +64,7 @@ func TestDynamicEpochMonotonicity(t *testing.T) {
 			t.Errorf("step %d: epoch = %d, want %d", i, got, wantEpochs[i])
 		}
 		for site := types.SiteID(1); site <= 5; site++ {
-			if at := d.EpochAt("x", site); at > d.Epoch("x") {
+			if at := d.items["x"].installed[site].epoch; at > d.Epoch("x") {
 				t.Errorf("step %d: site %v installed epoch %d > item epoch %d", i, site, at, d.Epoch("x"))
 			}
 		}
@@ -212,14 +212,6 @@ func TestDynamicConcurrentUse(t *testing.T) {
 		if re < ro {
 			t.Errorf("more restorations (%d) than reassignments (%d)", ro, re)
 		}
-	}
-}
-
-func TestDynamicAssignmentAccessor(t *testing.T) {
-	asgn := MustAssignment(Uniform("x", 2, 2, 1, 2, 3))
-	d := NewDynamic(asgn)
-	if d.Assignment() != asgn {
-		t.Error("Assignment accessor lost the wrapped assignment")
 	}
 }
 

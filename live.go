@@ -179,30 +179,30 @@ func (c *LiveCluster) Strategy() Strategy { return c.lc.Strategy() }
 
 // ItemMode returns item's current missing-writes operating mode (always
 // ModePessimistic under StrategyQuorum).
-func (c *LiveCluster) ItemMode(item ItemID) Mode { return c.lc.ItemMode(item) }
+func (c *LiveCluster) ItemMode(item ItemID) Mode { return c.lc.Tracker().ItemMode(item) }
 
 // MissingWritesAt returns the sites currently carrying missing writes for
 // item, ascending (always empty under StrategyQuorum).
-func (c *LiveCluster) MissingWritesAt(item ItemID) []SiteID { return c.lc.MissingAt(item) }
+func (c *LiveCluster) MissingWritesAt(item ItemID) []SiteID { return c.lc.Tracker().MissingAt(item) }
 
 // ModeTransitions returns the cumulative missing-writes mode transitions
 // (demotions, restorations).
 func (c *LiveCluster) ModeTransitions() (demotions, restorations int) {
-	return c.lc.ModeTransitions()
+	return c.lc.Tracker().ModeTransitions()
 }
 
 // VoteEpoch returns the version number of item's current dynamic vote table
 // (always 0 under the static strategies).
-func (c *LiveCluster) VoteEpoch(item ItemID) uint64 { return c.lc.VoteEpoch(item) }
+func (c *LiveCluster) VoteEpoch(item ItemID) uint64 { return c.lc.Tracker().VoteEpoch(item) }
 
 // VotesNow returns item's currently effective vote table, ascending by site
 // (under StrategyDynamic, sites outside the majority basis are omitted).
-func (c *LiveCluster) VotesNow(item ItemID) []VoteCopy { return c.lc.VotesNow(item) }
+func (c *LiveCluster) VotesNow(item ItemID) []VoteCopy { return c.lc.Tracker().VotesNow(item) }
 
 // VoteTransitions returns the cumulative dynamic-voting reassignment
 // counters (tables installed, full-basis restorations).
 func (c *LiveCluster) VoteTransitions() (reassignments, restorations int) {
-	return c.lc.VoteTransitions()
+	return c.lc.Tracker().VoteTransitions()
 }
 
 // CopyAt reads the raw copy at one site.

@@ -46,8 +46,7 @@ func (c *Cluster) CanWrite(from SiteID, item ItemID) bool {
 }
 
 // CanRead is the read-quorum counterpart of CanWrite. It shares the
-// vote-counting pass with QuorumRead but resolves no values and allocates
-// nothing.
+// vote-counting pass with QuorumRead but resolves no values.
 func (c *Cluster) CanRead(from SiteID, item ItemID) bool {
 	return c.eng.CanRead(from, item)
 }
@@ -63,35 +62,35 @@ func (c *Cluster) Items() []ItemID { return c.eng.Assignment().Items() }
 // operations only); under StrategyMissingWrites items start ModeOptimistic
 // and move between the modes as writes miss copies and stale copies catch
 // up.
-func (c *Cluster) ItemMode(item ItemID) Mode { return c.eng.ItemMode(item) }
+func (c *Cluster) ItemMode(item ItemID) Mode { return c.eng.Tracker().ItemMode(item) }
 
 // MissingWritesAt returns the sites currently carrying missing writes for
 // item (always empty under StrategyQuorum), ascending.
-func (c *Cluster) MissingWritesAt(item ItemID) []SiteID { return c.eng.MissingAt(item) }
+func (c *Cluster) MissingWritesAt(item ItemID) []SiteID { return c.eng.Tracker().MissingAt(item) }
 
 // ModeTransitions returns the cumulative missing-writes mode transitions
 // observed so far: demotions (optimistic→pessimistic) and restorations (the
 // reverse). Both are zero under StrategyQuorum.
 func (c *Cluster) ModeTransitions() (demotions, restorations int) {
-	return c.eng.ModeTransitions()
+	return c.eng.Tracker().ModeTransitions()
 }
 
 // VoteEpoch returns the version number of item's current dynamic vote table
 // — how many reassignments the item has been through. Always 0 under the
 // static strategies.
-func (c *Cluster) VoteEpoch(item ItemID) uint64 { return c.eng.VoteEpoch(item) }
+func (c *Cluster) VoteEpoch(item ItemID) uint64 { return c.eng.Tracker().VoteEpoch(item) }
 
 // VotesNow returns item's currently effective vote table, ascending by
 // site: the static assignment under StrategyQuorum and
 // StrategyMissingWrites, the newest reassigned table under StrategyDynamic
 // (sites outside the current majority basis hold no votes and are omitted).
-func (c *Cluster) VotesNow(item ItemID) []VoteCopy { return c.eng.VotesNow(item) }
+func (c *Cluster) VotesNow(item ItemID) []VoteCopy { return c.eng.Tracker().VotesNow(item) }
 
 // VoteTransitions returns the cumulative dynamic-voting reassignment
 // counters: vote tables installed, and the subset that restored the full
 // static copy set. Both are zero under the other strategies.
 func (c *Cluster) VoteTransitions() (reassignments, restorations int) {
-	return c.eng.VoteTransitions()
+	return c.eng.Tracker().VoteTransitions()
 }
 
 // CopyAt returns the raw copy (value, version) stored at one site, without
