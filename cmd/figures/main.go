@@ -161,8 +161,8 @@ func example3(seed int64) {
 	for _, buggy := range []bool{false, true} {
 		label := "correct rule (PC ignores PREPARE-TO-ABORT, PA ignores PREPARE-TO-COMMIT)"
 		if buggy {
-			label = "BUGGY rule (participants answer both buffers) — seed 2 shows the violation"
-			seed = 2
+			seed = qcommit.Example3ViolatingSeed
+			label = fmt.Sprintf("BUGGY rule (participants answer both buffers) — seed %d shows the violation", seed)
 		}
 		fmt.Printf("--- %s ---\n", label)
 		c, txn, err := qcommit.SetupExample3(buggy, seed)

@@ -323,6 +323,13 @@ func (cl *Cluster) Begin(coord types.SiteID, ws types.Writeset) types.TxnID {
 	return txn
 }
 
+// Example3ViolatingSeed is a delay seed at which the Example 3 / Fig. 7
+// configuration, run with the buggy buffer-crossing participant, lets site4
+// acknowledge both concurrent coordinators and terminates inconsistently.
+// The window for that double acknowledgement is one round trip, so few seeds
+// hit it; TestExample3Sweep re-derives the set and checks this one is in it.
+const Example3ViolatingSeed int64 = 36
+
 // SetupInterrupted constructs, without running the commit protocol, the
 // exact mid-protocol configuration the paper's examples start from: every
 // site in states is a participant frozen in the given local state (the

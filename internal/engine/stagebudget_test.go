@@ -1,0 +1,152 @@
+package engine
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"qcommit/internal/core"
+	"qcommit/internal/protocol"
+	"qcommit/internal/sim"
+	"qcommit/internal/skeenq"
+	"qcommit/internal/threepc"
+	"qcommit/internal/twopc"
+	"qcommit/internal/types"
+	"qcommit/internal/voting"
+)
+
+// TestTerminationStageBudget decomposes, in units of T, the time a
+// transaction stays in doubt after its coordinator dies — the number the
+// coordcrash_term benchmark reports as one latency. The shape is the
+// benchmark's: five sites, the item everywhere, majority quorums, every
+// participant in W when the coordinator (each site in turn) crashes at time
+// zero; the coordinator restarts once the survivors are quiet. The stage
+// boundaries are read off the trace:
+//
+//	patience  3T      the survivors' silence tolerance, armed at the crash
+//	election  0 / 2T  2T only when the dead site is the one everyone defers to
+//	collect   2T      the dead site never answers, so the window must expire
+//	confirm   < 2T    two hops: PREPARE out, the ack that confirms the quorum back
+//	rejoin    ≤ 3T + three hops after the restart
+//
+// 3PC aborts straight from the tally (no participant is in PC), so it has no
+// confirm stage; 2PC's poll finds everyone uncertain and blocks, restart or
+// not. Delays are drawn per message from [0, T], so a hop is at most T.
+func TestTerminationStageBudget(t *testing.T) {
+	sites := []types.SiteID{1, 2, 3, 4, 5}
+	specs := []protocol.Spec{
+		twopc.Spec{},
+		threepc.Spec{},
+		skeenq.Uniform(sites, 3, 3),
+		core.Spec{Variant: core.Protocol1},
+		core.Spec{Variant: core.Protocol2},
+	}
+	var table strings.Builder
+	fmt.Fprintf(&table, "\n%-7s %-7s %9s %9s %9s %9s %9s %9s\n", "proto", "crashed", "patience", "election", "collect", "confirm", "settled", "rejoin")
+
+	for _, spec := range specs {
+		for _, crashed := range sites {
+			cl := New(Config{Seed: int64(crashed), Assignment: voting.MustAssignment(voting.Uniform("x", 3, 3, sites...)), Spec: spec})
+			T := cl.T()
+			inT := func(d sim.Time) float64 { return float64(d) / float64(T) }
+			states := map[types.SiteID]types.State{}
+			for _, s := range sites {
+				states[s] = types.StateWait
+			}
+			txn := cl.SetupInterrupted(crashed, types.Writeset{{Item: "x", Value: 1}}, states)
+			cl.Crash(crashed)
+			cl.Run()
+
+			// first returns the time of the first annotation containing any
+			// of the given fragments.
+			first := func(fragments ...string) (sim.Time, bool) {
+				for _, e := range cl.Recorder().Events() {
+					for _, f := range fragments {
+						if !e.IsMessage() && strings.Contains(e.Text, f) {
+							return e.At, true
+						}
+					}
+				}
+				return 0, false
+			}
+			must := func(what string, fragments ...string) sim.Time {
+				at, ok := first(fragments...)
+				if !ok {
+					t.Fatalf("%s, site%d crashed: no %s in the trace:\n%s", spec.Name(), crashed, what, cl.Recorder().Ladder(nil))
+				}
+				return at
+			}
+			name := fmt.Sprintf("%s, site%d crashed", spec.Name(), crashed)
+
+			patience := must("patience expiry", "invoking termination", "starting cooperative termination")
+			won := must("election win", "wins for")
+			polls := must("poll", "polls states", "polls decisions")
+			tallied := must("poll close", "tallied", "2PC blocks")
+			if patience != sim.Time(3*T) {
+				t.Errorf("%s: patience expired at %.2f T, want 3 T", name, inT(patience))
+			}
+			wantElection := sim.Time(0)
+			if crashed == 1 {
+				wantElection = sim.Time(2 * T)
+			}
+			if won-patience != wantElection || polls != won {
+				t.Errorf("%s: election took %.2f T (poll %.2f T after it), want %.0f T", name, inT(won-patience), inT(polls-won), inT(wantElection))
+			}
+			if tallied-polls != sim.Time(2*T) {
+				t.Errorf("%s: collect took %.2f T, want the full 2 T window (the dead site is silent)", name, inT(tallied-polls))
+			}
+
+			row := fmt.Sprintf("%-7s site%-3d %9.2f %9.2f %9.2f", spec.Name(), crashed, inT(patience), inT(won-patience), inT(tallied-polls))
+			if spec.Name() == "2PC" {
+				for _, s := range sites {
+					if o := cl.OutcomeAt(s, txn); o == types.OutcomeCommitted || o == types.OutcomeAborted {
+						t.Errorf("%s: site%d terminated %v with every participant uncertain", name, s, o)
+					}
+				}
+				cl.Restart(crashed)
+				cl.Run()
+				if o := cl.OutcomeAt(crashed, txn); o == types.OutcomeCommitted || o == types.OutcomeAborted {
+					t.Errorf("%s: restarted coordinator terminated %v alone", name, o)
+				}
+				fmt.Fprintf(&table, "%s %9s %9s %9s\n", row, "-", "blocked", "blocked")
+				continue
+			}
+
+			distributed := must("decision", "distributes")
+			confirm := distributed - tallied
+			switch {
+			case spec.Name() == "3PC" && confirm != 0:
+				t.Errorf("%s: %.2f T between tally and ABORT, want none (nobody in PC)", name, inT(confirm))
+			case spec.Name() != "3PC" && (confirm <= 0 || confirm >= sim.Time(2*T)):
+				t.Errorf("%s: confirm took %.2f T, want two hops (under 2 T)", name, inT(confirm))
+			}
+			var settled sim.Time
+			for _, s := range sites {
+				if s == crashed {
+					continue
+				}
+				if o := cl.OutcomeAt(s, txn); o != types.OutcomeAborted {
+					t.Fatalf("%s: site%d = %v, want aborted", name, s, o)
+				}
+				settled = max(settled, cl.sites[s].decidedAt[txn])
+			}
+			if settled-distributed > sim.Time(T) {
+				t.Errorf("%s: the decision took %.2f T to reach the survivors, want one hop", name, inT(settled-distributed))
+			}
+
+			restarted := cl.Scheduler().Now()
+			cl.Restart(crashed)
+			cl.Run()
+			if o := cl.OutcomeAt(crashed, txn); o != types.OutcomeAborted {
+				t.Fatalf("%s: restarted coordinator = %v, want aborted", name, o)
+			}
+			rejoin := cl.sites[crashed].decidedAt[txn] - restarted
+			if rejoin < sim.Time(3*T) || rejoin > sim.Time(6*T) {
+				t.Errorf("%s: restarted coordinator agreed after %.2f T, want 3 T patience + at most three hops", name, inT(rejoin))
+			}
+			checkClean(t, cl)
+			fmt.Fprintf(&table, "%s %9.2f %9.2f %9.2f\n", row, inT(confirm), inT(settled), inT(rejoin))
+		}
+	}
+	t.Log(table.String())
+}

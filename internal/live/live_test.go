@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -492,4 +493,75 @@ func TestLiveRestartPullsWrittenOnly(t *testing.T) {
 	if want := commits * 2; asked != want {
 		t.Errorf("restart sent %d CopyReq, want %d (%d written items x 2 peers; %d items held)", asked, want, commits, items)
 	}
+}
+
+// TestLiveTerminationStageBudget is the wall-clock twin of the engine's
+// TestTerminationStageBudget, in the coordcrash_term benchmark's shape: five
+// sites, the item everywhere, majority quorums, T = 20 ms, and the coordinator
+// (site 3, so that site 1 wins the election at once) crashed with the
+// transaction in doubt at every survivor. The survivors owe 3 T patience +
+// 2 T for the dead site's silence in the poll + a handful of hops, and the
+// restarted coordinator 3 T patience + the answer to its election call; the
+// bounds leave a T of slack for the scheduler, and a cycle that lost it to a
+// stall is retried — what is asserted is what the protocol needs, not what a
+// loaded machine adds.
+func TestLiveTerminationStageBudget(t *testing.T) {
+	const (
+		T     = 20 * time.Millisecond
+		coord = types.SiteID(3)
+	)
+	sites := []types.SiteID{1, 2, 3, 4, 5}
+	cl := New(Config{
+		Assignment: voting.MustAssignment(voting.Uniform("x", 3, 3, sites...)), Spec: core.Spec{Variant: core.Protocol1},
+		MinDelay: 500 * time.Microsecond, MaxDelay: time.Millisecond, TimeoutBase: T, Seed: 11,
+	})
+	defer cl.Stop()
+	terminal := func(o types.Outcome) bool { return o == types.OutcomeCommitted || o == types.OutcomeAborted }
+	inT := func(d time.Duration) float64 { return float64(d) / float64(T) }
+
+	var report []string
+	for cycle := 1; cycle <= 4; cycle++ {
+		txn := cl.Begin(coord, types.Writeset{{Item: "x", Value: int64(cycle)}})
+		// Crash as soon as every survivor has voted: the votes are on their
+		// way back, the decision a round trip away at the least.
+		voted := func() bool {
+			for _, s := range sites {
+				if s != coord && cl.OutcomeAt(s, txn) == types.OutcomeUnknown {
+					return false
+				}
+			}
+			return true
+		}
+		for deadline := time.Now().Add(time.Second); !voted(); time.Sleep(50 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("cycle %d: survivors never voted", cycle)
+			}
+		}
+		crashed := time.Now()
+		cl.Crash(coord)
+		inDoubt := false
+		for _, s := range sites {
+			inDoubt = inDoubt || (s != coord && !terminal(cl.OutcomeAt(s, txn)))
+		}
+		got := cl.WaitOutcome(txn, 20*T)
+		survivors := time.Since(crashed)
+		if !terminal(got) || cl.Violated(txn) {
+			t.Fatalf("cycle %d: survivors reached %v (violated=%v)", cycle, got, cl.Violated(txn))
+		}
+
+		restarted := time.Now()
+		cl.Restart(coord)
+		for deadline := restarted.Add(20 * T); cl.OutcomeAt(coord, txn) != got; time.Sleep(200 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("cycle %d: restarted coordinator at %v, survivors %v", cycle, cl.OutcomeAt(coord, txn), got)
+			}
+		}
+		rejoin := time.Since(restarted)
+		report = append(report, fmt.Sprintf("cycle %d: in doubt %v, survivors %.2f T, rejoin %.2f T", cycle, inDoubt, inT(survivors), inT(rejoin)))
+		if inDoubt && survivors < 6*T && rejoin < 4*T {
+			t.Log(report[len(report)-1])
+			return
+		}
+	}
+	t.Errorf("no cycle terminated within 6 T and rejoined within 4 T:\n%s", strings.Join(report, "\n"))
 }

@@ -117,9 +117,14 @@ type Spec interface {
 // Timeout multiples used across the protocols, as in the paper: a
 // participant that sent a message to the coordinator starts the election
 // protocol if it hears nothing within 3T; the termination coordinator's
-// phase-2 acknowledgement window is 2T.
+// poll and acknowledgement windows are 2T.
 const (
-	// AckWindowT is the terminator's phase-2/3 wait, in units of T.
+	// AckWindowT is how long, in units of T, a coordinator or termination
+	// coordinator waits for the replies to one round (votes, acks, polled
+	// states) and an election candidate for a better one to speak up. It is
+	// an upper bound, not a sleep: every such wait ends on the reply that
+	// settles it (quorumcalc.Rule.Settled, Rule.Confirmed, Rule.Ack), and
+	// the window only runs out on a site that stays silent.
 	AckWindowT = 2
 	// ParticipantPatienceT is the participant's silence tolerance, in units
 	// of T.

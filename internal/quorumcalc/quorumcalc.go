@@ -91,6 +91,15 @@ func (t *Tally) Add(site types.SiteID, st types.State) {
 // Count returns the number of participants tallied in the given state.
 func (t *Tally) Count(st types.State) int { return len(t.sites[st]) }
 
+// Len returns the number of participants tallied, over all states.
+func (t *Tally) Len() int {
+	n := 0
+	for i := range t.sites {
+		n += len(t.sites[i])
+	}
+	return n
+}
+
 // Sites returns the participants tallied in the given state. The slice is
 // owned by the tally and valid until the next Reset.
 func (t *Tally) Sites(st types.State) []types.SiteID { return t.sites[st] }
@@ -162,8 +171,9 @@ type Rule struct {
 	// send COMMIT — Qc itself for the quorum family.
 	Ack Quorum
 	// siteFailure marks 3PC's rule, which assumes silent sites crashed rather
-	// than were partitioned away: any participant in PC commits, and the
-	// coordinator commits when the ack window closes short of Ack.
+	// than were partitioned away: any participant in PC commits — once every
+	// operational one has been moved there (Confirmed) — and the coordinator
+	// commits when the ack window closes short of Ack.
 	siteFailure bool
 }
 
@@ -220,24 +230,16 @@ func ThreePCRule(participants int) Rule {
 // Past the immediate branches every responder is in W, PC or PA, so "not in
 // PA" is W∪PC and "not in PC" is W∪PA.
 func (r Rule) Decide(a *voting.Assignment, t *Tally) Verdict {
-	committed, aborted := t.Count(types.StateCommitted) > 0, t.Count(types.StateAborted) > 0
-	anyPC := t.Count(types.StatePC) > 0
-	if r.siteFailure {
-		switch {
-		case committed:
-			return VerdictCommit
-		case aborted:
-			return VerdictAbort
-		case anyPC:
+	aborted, anyPC := t.Count(types.StateAborted) > 0, t.Count(types.StatePC) > 0
+	switch {
+	case r.commits(a, t):
+		return VerdictCommit
+	case r.siteFailure:
+		if !aborted && anyPC {
 			// Move waiting participants to PC first, then commit.
 			return VerdictTryCommit
-		default:
-			return VerdictAbort
 		}
-	}
-	switch {
-	case committed || r.Qc(a, t.Sites(types.StatePC)):
-		return VerdictCommit
+		return VerdictAbort
 	case aborted || t.Count(types.StateInitial) > 0 || r.Qa(a, t.Sites(types.StatePA)):
 		return VerdictAbort
 	case anyPC && r.Qc(a, t.union(types.StateWait, types.StatePC)):
@@ -247,6 +249,42 @@ func (r Rule) Decide(a *voting.Assignment, t *Tally) Verdict {
 	default:
 		return VerdictBlock
 	}
+}
+
+// commits is Decide's first branch, the one no other reply outranks: a
+// participant committed, or (quorum family) those in PC hold Qc. Both are
+// monotone in the tally, so once true they stay true whatever else reports.
+func (r Rule) commits(a *voting.Assignment, t *Tally) bool {
+	return t.Count(types.StateCommitted) > 0 || !r.siteFailure && r.Qc(a, t.Sites(types.StatePC))
+}
+
+// Settled reports whether a phase-1 poll of polled participants may stop
+// waiting: no reply still outstanding could change Decide's verdict on t.
+// That is so when every polled participant has answered, and when the verdict
+// is already COMMIT (see commits). It is deliberately not so for an abort or
+// initial-state reply while someone is silent — a later C outranks it — nor
+// for any try or block verdict, which more replies can turn either way.
+func (r Rule) Settled(a *voting.Assignment, t *Tally, polled int) bool {
+	return t.Len() >= polled || r.commits(a, t)
+}
+
+// Confirmed reports whether a confirm round attempting try (VerdictTryCommit
+// or VerdictTryAbort) may distribute its decision: confirmed — the phase-1
+// reporters already in the target state plus the sites that acknowledged the
+// PREPARE — holds the attempted quorum. waiting says some prepared site may
+// still acknowledge (the window is open and not all have). The quorum family
+// needs the quorum and nothing else, the early commit of Fig. 9 applied to
+// termination; 3PC's quorum demands nothing, and what its site-failure rule
+// needs instead is every operational participant in PC before anyone
+// commits, so it is done exactly when nobody is left to wait for.
+func (r Rule) Confirmed(try Verdict, a *voting.Assignment, confirmed []types.SiteID, waiting bool) bool {
+	if r.siteFailure {
+		return !waiting
+	}
+	if try == VerdictTryAbort {
+		return r.Qa(a, confirmed)
+	}
+	return r.Qc(a, confirmed)
 }
 
 // CommitsOnAckTimeout reports what the commit coordinator does when the ack

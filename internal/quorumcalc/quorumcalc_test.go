@@ -237,3 +237,119 @@ func TestTP1VsSkeenExample1(t *testing.T) {
 		t.Errorf("Skeen: got %v, want blocked", got)
 	}
 }
+
+// TestSettledFixesTheVerdict is the contract the terminators close their
+// poll on: over every partial tally of up to five participants (each silent
+// or in one of the six states) and the four rule tables, with weighted copies
+// and weighted site votes, a settled tally classifies the same whatever the
+// silent sites would have reported, and a tally everyone answered is settled.
+// It also pins what must not settle: an abort or initial-state reply while
+// someone is silent, which a later C outranks.
+func TestSettledFixesTheVerdict(t *testing.T) {
+	const silent = numStates // the seventh digit: no reply yet
+	asgn := voting.MustAssignment(
+		voting.ItemConfig{Item: "x", R: 2, W: 4, Copies: []voting.Copy{
+			{Site: 1, Votes: 2}, {Site: 2, Votes: 1}, {Site: 3, Votes: 1}, {Site: 5, Votes: 1}}},
+		voting.Uniform("y", 2, 2, 3, 4, 5),
+	)
+	items := []types.ItemID{"x", "y"}
+	for n := 1; n <= 5; n++ {
+		rules := []Rule{
+			ThreePCRule(n),
+			SkeenRule(map[types.SiteID]int{1: 3, 2: 1, 3: 1, 4: 2, 5: 2}, 5, 5),
+			TP1Rule(items),
+			TP2Rule(items),
+		}
+		vectors := 1
+		for i := 0; i < n; i++ {
+			vectors *= silent + 1
+		}
+		digits := make([]int, n)
+		for _, r := range rules {
+			early := 0
+			for vec := 0; vec < vectors; vec++ {
+				var partial Tally
+				var quiet []types.SiteID
+				for i, v := 0, vec; i < n; i, v = i+1, v/(silent+1) {
+					digits[i] = v % (silent + 1)
+					if digits[i] == silent {
+						quiet = append(quiet, types.SiteID(i+1))
+					} else {
+						partial.Add(types.SiteID(i+1), types.State(digits[i]))
+					}
+				}
+				settled := r.Settled(asgn, &partial, n)
+				if len(quiet) == 0 {
+					if !settled {
+						t.Fatalf("%s %v: everyone answered, yet not settled", r.Name, digits)
+					}
+					continue
+				}
+				verdict := r.Decide(asgn, &partial)
+				if !settled {
+					continue
+				}
+				early++
+				completions := 1
+				for range quiet {
+					completions *= numStates
+				}
+				for c := 0; c < completions; c++ {
+					var full Tally
+					for i := 0; i < n; i++ {
+						if digits[i] != silent {
+							full.Add(types.SiteID(i+1), types.State(digits[i]))
+						}
+					}
+					for i, v := 0, c; i < len(quiet); i, v = i+1, v/numStates {
+						full.Add(quiet[i], types.State(v%numStates))
+					}
+					if got := r.Decide(asgn, &full); got != verdict {
+						t.Fatalf("%s %v: settled on %v, but completion %d of the silent sites %v gives %v",
+							r.Name, digits, verdict, c, quiet, got)
+					}
+				}
+			}
+			if n > 1 && early == 0 {
+				t.Errorf("%s over %d participants: no partial tally ever settled", r.Name, n)
+			}
+		}
+	}
+
+	// The reverse direction, by example: these partial tallies look decided
+	// but a silent site reporting C would overturn them.
+	r := TP1Rule(items)
+	for _, st := range []types.State{types.StateAborted, types.StateInitial} {
+		partial := tallyOf(map[types.SiteID]types.State{1: st})
+		if r.Decide(asgn, partial) != VerdictAbort {
+			t.Fatalf("setup: lone %v does not classify as abort", st)
+		}
+		if r.Settled(asgn, partial, 2) {
+			t.Errorf("a lone %v reply settled the poll with a participant still silent", st)
+		}
+	}
+}
+
+// TestConfirmed pins when a confirm round may distribute: the quorum family
+// on the attempted quorum alone, whether or not anyone is still to ack; 3PC,
+// whose quorum demands nothing, only once nobody is left to wait for.
+func TestConfirmed(t *testing.T) {
+	a := exampleAssignment(t)
+	two, three := []types.SiteID{2, 3}, []types.SiteID{2, 3, 4}
+	tp1 := TP1Rule([]types.ItemID{"x"}) // Qc = w(x) = 3 votes, Qa = r(x) = 2
+	for _, waiting := range []bool{true, false} {
+		if tp1.Confirmed(VerdictTryCommit, a, two, waiting) || !tp1.Confirmed(VerdictTryCommit, a, three, waiting) {
+			t.Errorf("TP1 try-commit (waiting=%v): want confirmed by exactly w(x) votes", waiting)
+		}
+		if tp1.Confirmed(VerdictTryAbort, a, two[:1], waiting) || !tp1.Confirmed(VerdictTryAbort, a, two, waiting) {
+			t.Errorf("TP1 try-abort (waiting=%v): want confirmed by exactly r(x) votes", waiting)
+		}
+	}
+	tpc := ThreePCRule(4)
+	if tpc.Confirmed(VerdictTryCommit, a, three, true) {
+		t.Error("3PC confirmed while a prepared site had yet to acknowledge")
+	}
+	if !tpc.Confirmed(VerdictTryCommit, a, nil, false) {
+		t.Error("3PC not confirmed with nobody left to wait for")
+	}
+}

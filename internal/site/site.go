@@ -386,8 +386,17 @@ func (k *Kernel[X]) Handle(e msg.Envelope) {
 		k.deliver(c, protocol.RoleParticipant, e)
 
 	case msg.ElectionCall, msg.ElectionOK, msg.CoordAnnounce:
+		if o, over := k.done[txn]; over {
+			// The campaigner is behind: as with a poll below, the outcome is
+			// the answer, and it spares the caller the wait for a better
+			// candidate that has nothing left to run for.
+			if _, call := m.(msg.ElectionCall); call {
+				k.h.Send(e.From, command(txn, o))
+			}
+			return
+		}
 		c := k.txns[txn]
-		if c == nil || c.terminal() {
+		if c == nil {
 			return
 		}
 		if c.elect == nil {
@@ -477,6 +486,14 @@ func (k *Kernel[X]) Handle(e msg.Envelope) {
 			k.Decide(txn, types.OutcomeAborted)
 		}
 	}
+}
+
+// command is the terminal command that spreads the terminal outcome o.
+func command(txn types.TxnID, o types.Outcome) msg.Message {
+	if o == types.OutcomeCommitted {
+		return msg.Commit{Txn: txn}
+	}
+	return msg.Abort{Txn: txn}
 }
 
 func (k *Kernel[X]) deliver(c *Txn[X], role protocol.Role, e msg.Envelope) {

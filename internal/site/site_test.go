@@ -300,6 +300,32 @@ func TestDispatch(t *testing.T) {
 		}
 	})
 
+	t.Run("retired transaction: an election call is answered with the outcome", func(t *testing.T) {
+		k, h := newKernel(1)
+		k.Handle(from(2, voteX(13)))
+		k.Handle(from(2, msg.Commit{Txn: 13}))
+		k.Handle(from(2, voteX(14)))
+		k.Handle(from(2, msg.Abort{Txn: 14}))
+		h.take()
+		// Site 2 restarts in doubt about both and campaigns; the call gets the
+		// decision itself rather than silence (and a 2T wait at the caller).
+		k.Handle(from(2, msg.ElectionCall{Txn: 13, Ballot: 2, Candidate: 2}))
+		k.Handle(from(2, msg.ElectionCall{Txn: 14, Ballot: 2, Candidate: 2}))
+		sent := h.take()
+		if len(sent) != 2 || sent[0].To != 2 || sent[0].Msg != (msg.Commit{Txn: 13}) || sent[1].To != 2 || sent[1].Msg != (msg.Abort{Txn: 14}) {
+			t.Fatalf("replies = %+v, want COMMIT TR13 and ABORT TR14 to site 2", sent)
+		}
+		// The rest of the election vocabulary asks nothing and gets nothing.
+		k.Handle(from(2, msg.ElectionOK{Txn: 13, Ballot: 2}))
+		k.Handle(from(2, msg.CoordAnnounce{Txn: 14, Ballot: 2, Coord: 2}))
+		if sent := h.take(); len(sent) != 0 {
+			t.Errorf("ElectionOK / CoordAnnounce for a retired transaction answered: %+v", sent)
+		}
+		if k.Len() != 0 || len(h.pending()) != 0 {
+			t.Errorf("election traffic for retired transactions left %d contexts, %d timers", k.Len(), len(h.pending()))
+		}
+	})
+
 	t.Run("a decision the other way is reported, not applied", func(t *testing.T) {
 		k, h := newKernel(1)
 		k.Handle(from(2, voteX(12)))

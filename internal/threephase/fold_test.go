@@ -148,3 +148,148 @@ func TestTerminatorReachesTheFold(t *testing.T) {
 		}
 	}
 }
+
+// TestTerminatorReachesTheFoldInAnyOrder is TestTerminatorReachesTheFold with
+// the network allowed to reorder: the terminator closes its windows on the
+// reply that settles them, so which reply comes first must not matter. For
+// every state vector, rule table and each of the 24 orders in which the four
+// sites' replies can reach the terminator in a round, the outcome is the
+// fold's, nobody falls back to the election protocol, and — 3PC's
+// site-failure rule — COMMIT never leaves a try-commit round while a site
+// that was sent PREPARE-TO-COMMIT has yet to acknowledge it.
+func TestTerminatorReachesTheFoldInAnyOrder(t *testing.T) {
+	participants := []types.SiteID{1, 2, 3, 4, 5, 6}
+	sites := participants[:4]
+	asgn := voting.MustAssignment(
+		voting.ItemConfig{Item: "x", R: 2, W: 4, Copies: []voting.Copy{
+			{Site: 1, Votes: 2}, {Site: 2, Votes: 1}, {Site: 3, Votes: 1}, {Site: 5, Votes: 1}}},
+		voting.Uniform("y", 2, 2, 3, 4, 6),
+	)
+	items := []types.ItemID{"x", "y"}
+	rules := []quorumcalc.Rule{
+		quorumcalc.ThreePCRule(len(participants)),
+		quorumcalc.SkeenRule(map[types.SiteID]int{1: 3, 2: 1, 3: 1, 4: 2, 5: 2, 6: 1}, 6, 5),
+		quorumcalc.TP1Rule(items),
+		quorumcalc.TP2Rule(items),
+	}
+	var orders [][]int
+	var permute func(prefix, rest []int)
+	permute = func(prefix, rest []int) {
+		if len(rest) == 0 {
+			orders = append(orders, append([]int(nil), prefix...))
+			return
+		}
+		for i := range rest {
+			next := append(append([]int(nil), rest[:i]...), rest[i+1:]...)
+			permute(append(prefix, rest[i]), next)
+		}
+	}
+	permute(nil, []int{0, 1, 2, 3})
+
+	for _, rule := range rules {
+		threePC := rule.Name == "3PC-term"
+		early := 0
+		for vec := 0; vec < 6*6*6*6; vec++ {
+			states := make([]types.State, len(sites))
+			var tally quorumcalc.Tally
+			leader := -1
+			for i, n := 0, vec; i < len(sites); i, n = i+1, n/6 {
+				states[i] = types.State(n % 6)
+				tally.Add(sites[i], states[i])
+				if st := states[i]; leader < 0 && (st == types.StateWait || st == types.StatePC || st == types.StatePA) {
+					leader = i
+				}
+			}
+			if leader < 0 {
+				continue // nobody to run a terminator
+			}
+			want := rule.Outcome(asgn, &tally)
+
+			for _, order := range orders {
+				envs := make([]*protocoltest.Env, len(sites))
+				parts := make([]*Participant, len(sites))
+				for i, s := range sites {
+					envs[i] = protocoltest.New(s, asgn)
+					parts[i] = NewParticipant(1, &wal.TxnImage{Txn: 1, State: states[i]}, ParticipantOpts{})
+				}
+				tenv := protocoltest.New(sites[leader], asgn)
+				term := NewTerminator(1, participants, 1, rule)
+
+				// deliver hands the terminator's sends to their participants
+				// in send order and the replies of each such batch back in
+				// this run's order; what is addressed outside the group is
+				// lost. owing counts the PREPARE-TO-COMMITs not yet
+				// acknowledged to the terminator.
+				sent, owing := 0, 0
+				deliver := func() {
+					for sent < len(tenv.Sends) {
+						batch := tenv.Sends[sent:]
+						sent = len(tenv.Sends)
+						replies := make([][]msg.Message, len(sites))
+						for _, s := range batch {
+							i := int(s.To) - 1
+							if i >= len(sites) {
+								continue
+							}
+							before := len(envs[i].Sends)
+							parts[i].OnMessage(tenv.SelfID, s.Msg, envs[i])
+							for _, reply := range envs[i].Sends[before:] {
+								replies[i] = append(replies[i], reply.Msg)
+								if reply.Msg.Kind() == msg.KindPCAck {
+									owing++
+								}
+							}
+						}
+						for _, i := range order {
+							for _, reply := range replies[i] {
+								if reply.Kind() == msg.KindPCAck {
+									owing--
+								}
+								term.OnMessage(sites[i], reply, tenv)
+								if threePC && owing > 0 && term.Finished() {
+									t.Fatalf("%s %v order %v: COMMIT distributed with %d PREPARE-TO-COMMIT unacknowledged", rule.Name, states, order, owing)
+								}
+							}
+						}
+					}
+				}
+				term.Start(tenv)
+				deliver()
+				if term.Finished() {
+					early++
+				}
+				term.OnTimer(tokCollect, tenv)
+				deliver()
+				if !term.Finished() {
+					term.OnTimer(tokConfirm, tenv)
+					deliver()
+				}
+
+				got := types.OutcomeUnknown
+				switch {
+				case len(tenv.Blocked) > 0:
+					got = types.OutcomeBlocked
+				case len(tenv.TermReqs) > 0:
+					t.Fatalf("%s %v order %v: terminator fell back to the election protocol; the fold says %v", rule.Name, states, order, want)
+				default:
+					for _, s := range tenv.Sends {
+						switch s.Msg.Kind() {
+						case msg.KindCommit:
+							got = types.OutcomeCommitted
+						case msg.KindAbort:
+							got = types.OutcomeAborted
+						}
+					}
+				}
+				if got != want {
+					t.Fatalf("%s %v order %v: terminator reached %v, fold predicts %v", rule.Name, states, order, got, want)
+				}
+			}
+		}
+		// Two of the six participants never answer, so only a settled COMMIT
+		// can close a poll before its window does; it must happen.
+		if early == 0 {
+			t.Errorf("%s: no run finished before a window expired", rule.Name)
+		}
+	}
+}

@@ -5,6 +5,18 @@
 // and the terminator are parameterized by one quorumcalc.Rule — Skeen's
 // site-vote quorums, the paper's TP1/TP2 replica-vote quorums, or 3PC's
 // site-failure rule — which they consult and never restate.
+//
+// Every wait in these automata is closed by the reply it waits for, and its
+// timer is only the bound for sites that stay silent: the coordinator sends
+// COMMIT on the PC-ACK that completes Rule.Ack (the paper's early commit),
+// the terminator ends its poll on the reply after which no other could
+// change the verdict (Rule.Settled) and its confirm round on the ack that
+// confirms the attempted quorum (Rule.Confirmed). What is decided is always
+// what the timer's expiry would have decided; only the time differs. With
+// the coordinator dead, a transaction is therefore in doubt for 3T of
+// participant patience, 2T of polling a site that will never answer, and a
+// handful of message hops (engine.TestTerminationStageBudget prints the
+// budget per protocol).
 package threephase
 
 import (

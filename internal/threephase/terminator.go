@@ -2,6 +2,7 @@ package threephase
 
 import (
 	"fmt"
+	"slices"
 
 	"qcommit/internal/msg"
 	"qcommit/internal/protocol"
@@ -13,8 +14,7 @@ type termPhase uint8
 
 const (
 	tpCollect termPhase = iota
-	tpConfirmCommit
-	tpConfirmAbort
+	tpConfirm
 	tpDone
 )
 
@@ -27,8 +27,14 @@ const (
 // Terminator is the generic three-phase termination coordinator of Figs. 5
 // and 8, parameterized by its rule table. Phase 1 polls local states from all
 // reachable participants; phase 2 classifies; phase 3 confirms the attempted
-// quorum within a 2T window and either distributes the decision or restarts
-// the election protocol (the protocol is reenterable).
+// quorum and either distributes the decision or restarts the election
+// protocol (the protocol is reenterable).
+//
+// Both waits are closed by the reply they wait for: the poll as soon as no
+// outstanding reply could change the verdict (Rule.Settled), the confirmation
+// as soon as the attempted quorum is confirmed (Rule.Confirmed). The 2T
+// windows only bound the wait for sites that stay silent, and the decision is
+// always the one the window's expiry would have reached.
 type Terminator struct {
 	txn          types.TxnID
 	participants []types.SiteID
@@ -37,10 +43,15 @@ type Terminator struct {
 
 	phase termPhase
 	resp  map[types.SiteID]types.State
+	// tally is resp in participant order, rebuilt on each reply.
+	tally quorumcalc.Tally
+	// try is the verdict being confirmed (try-commit or try-abort).
+	try quorumcalc.Verdict
 	// confirm holds, without duplicates, the sites counted toward the
 	// attempted quorum: phase-1 reporters already in the target state plus
-	// phase-2 ackers.
-	confirm []types.SiteID
+	// phase-2 ackers. pending holds the sites sent a PREPARE that have not
+	// acknowledged it yet.
+	confirm, pending []types.SiteID
 }
 
 // NewTerminator builds a termination coordinator for one partition round.
@@ -71,85 +82,114 @@ func (t *Terminator) OnMessage(from types.SiteID, m msg.Message, env protocol.En
 	}
 	switch v := m.(type) {
 	case msg.StateResp:
-		if t.phase == tpCollect && v.Epoch == t.epoch && v.State.Valid() {
-			t.resp[from] = v.State
+		if t.phase != tpCollect || v.Epoch != t.epoch || !v.State.Valid() {
+			return
+		}
+		t.resp[from] = v.State
+		if t.retally(); t.rule.Settled(env.Assignment(), &t.tally, len(t.participants)) {
+			why := "commit settled"
+			if t.tally.Len() == len(t.participants) {
+				why = "all answered"
+			}
+			env.Tracef("%s: terminator %s collect closed: %s at %d/%d", t.txn, env.Self(), why, t.tally.Len(), len(t.participants))
+			t.evaluate(env)
 		}
 	case msg.PCAck:
-		if t.phase == tpConfirmCommit && !contains(t.confirm, from) {
-			t.confirm = append(t.confirm, from)
-		}
+		t.onAck(from, quorumcalc.VerdictTryCommit, env)
 	case msg.PAAck:
-		if t.phase == tpConfirmAbort && !contains(t.confirm, from) {
-			t.confirm = append(t.confirm, from)
-		}
+		t.onAck(from, quorumcalc.VerdictTryAbort, env)
 	}
+}
+
+// onAck counts from's acknowledgement of the PREPARE that try sends.
+func (t *Terminator) onAck(from types.SiteID, try quorumcalc.Verdict, env protocol.Env) {
+	if t.phase != tpConfirm || t.try != try || contains(t.confirm, from) {
+		return
+	}
+	t.confirm = append(t.confirm, from)
+	if i := slices.Index(t.pending, from); i >= 0 {
+		t.pending = slices.Delete(t.pending, i, i+1)
+	}
+	t.closeConfirm(env, false)
 }
 
 // Finished reports that this termination round is over (decided, blocked or
 // re-entered); the terminator ignores everything from then on.
 func (t *Terminator) Finished() bool { return t.phase == tpDone }
 
-// OnTimer implements protocol.Automaton.
+// OnTimer implements protocol.Automaton: a window ran out on a silent site.
 func (t *Terminator) OnTimer(token int, env protocol.Env) {
-	switch token {
-	case tokCollect:
-		if t.phase == tpCollect {
-			t.evaluate(env)
-		}
-	case tokConfirm:
-		switch t.phase {
-		case tpConfirmCommit:
-			if t.rule.Qc(env.Assignment(), t.confirm) {
-				t.distribute(env, types.DecisionCommit)
-			} else {
-				t.reenter(env, "commit quorum not confirmed")
-			}
-		case tpConfirmAbort:
-			if t.rule.Qa(env.Assignment(), t.confirm) {
-				t.distribute(env, types.DecisionAbort)
-			} else {
-				t.reenter(env, "abort quorum not confirmed")
-			}
+	switch {
+	case token == tokCollect && t.phase == tpCollect:
+		t.retally()
+		t.evaluate(env)
+	case token == tokConfirm && t.phase == tpConfirm:
+		t.closeConfirm(env, true)
+	}
+}
+
+// retally rebuilds the tally from the replies so far, in participant
+// (ascending site) order; it holds participants only.
+func (t *Terminator) retally() {
+	t.tally.Reset()
+	for _, p := range t.participants {
+		if st, ok := t.resp[p]; ok {
+			t.tally.Add(p, st)
 		}
 	}
 }
 
-// evaluate is phase 2: classify collected states and act. The tally is
-// filled in participant (ascending site) order and holds participants only.
+// evaluate is phase 2: classify the tally and act.
 func (t *Terminator) evaluate(env protocol.Env) {
-	var tally quorumcalc.Tally
-	for _, p := range t.participants {
-		if st, ok := t.resp[p]; ok {
-			tally.Add(p, st)
-		}
-	}
-	verdict := t.rule.Decide(env.Assignment(), &tally)
-	env.Tracef("%s: terminator %s tallied %s → %s", t.txn, env.Self(), tallyString(&tally), verdict)
+	tally := &t.tally // as of the last retally
+	verdict := t.rule.Decide(env.Assignment(), tally)
+	env.Tracef("%s: terminator %s tallied %s → %s", t.txn, env.Self(), tallyString(tally), verdict)
 	switch verdict {
 	case quorumcalc.VerdictCommit:
 		t.distribute(env, types.DecisionCommit)
 	case quorumcalc.VerdictAbort:
 		t.distribute(env, types.DecisionAbort)
-	case quorumcalc.VerdictTryCommit:
-		t.phase = tpConfirmCommit
-		// Phase-1 PC reporters count toward the quorum.
-		t.confirm = append(t.confirm, tally.Sites(types.StatePC)...)
-		for _, s := range tally.Sites(types.StateWait) {
-			env.Send(s, msg.PrepareToCommit{Txn: t.txn})
+	case quorumcalc.VerdictTryCommit, quorumcalc.VerdictTryAbort:
+		// Phase-1 reporters already in the target state count toward the
+		// quorum; the waiting ones are asked to move there.
+		target, prepare := types.StatePC, msg.Message(msg.PrepareToCommit{Txn: t.txn})
+		if verdict == quorumcalc.VerdictTryAbort {
+			target, prepare = types.StatePA, msg.PrepareToAbort{Txn: t.txn}
 		}
-		env.SetTimer(protocol.AckWindow(env), tokConfirm)
-	case quorumcalc.VerdictTryAbort:
-		t.phase = tpConfirmAbort
-		// Phase-1 PA reporters count toward the quorum.
-		t.confirm = append(t.confirm, tally.Sites(types.StatePA)...)
-		for _, s := range tally.Sites(types.StateWait) {
-			env.Send(s, msg.PrepareToAbort{Txn: t.txn})
+		t.phase, t.try = tpConfirm, verdict
+		t.confirm = append(t.confirm, tally.Sites(target)...)
+		t.pending = append(t.pending, tally.Sites(types.StateWait)...)
+		for _, s := range t.pending {
+			env.Send(s, prepare)
 		}
-		env.SetTimer(protocol.AckWindow(env), tokConfirm)
+		// With nobody to ask there may be nothing to wait for.
+		if t.closeConfirm(env, false); t.phase == tpConfirm {
+			env.SetTimer(protocol.AckWindow(env), tokConfirm)
+		}
 	case quorumcalc.VerdictBlock:
 		t.phase = tpDone
 		env.Block(t.txn)
 		env.TerminatorDone(t.txn)
+	}
+}
+
+// closeConfirm is phase 3: distribute the attempted decision once the rule
+// says it is confirmed; if the window expired short of that, fall back to
+// the election protocol.
+func (t *Terminator) closeConfirm(env protocol.Env, expired bool) {
+	d, q, side := types.DecisionCommit, "Qc", "commit"
+	if t.try == quorumcalc.VerdictTryAbort {
+		d, q, side = types.DecisionAbort, "Qa", "abort"
+	}
+	waiting := !expired && len(t.pending) > 0
+	switch {
+	case t.rule.Confirmed(t.try, env.Assignment(), t.confirm, waiting):
+		if !expired {
+			env.Tracef("%s: terminator %s confirm closed: %s confirmed by %d", t.txn, env.Self(), q, len(t.confirm))
+		}
+		t.distribute(env, d)
+	case expired:
+		t.reenter(env, side+" quorum not confirmed")
 	}
 }
 

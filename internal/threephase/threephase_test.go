@@ -1,6 +1,7 @@
 package threephase
 
 import (
+	"strings"
 	"testing"
 
 	"qcommit/internal/msg"
@@ -465,11 +466,17 @@ func TestTerminatorTryCommitConfirmFlow(t *testing.T) {
 	if got := env.SentTo(5); len(got) != 0 {
 		t.Errorf("PC reporter should not get PTC: %v", got)
 	}
-	term.OnMessage(4, msg.PCAck{Txn: 1}, env)
+	// The one prepared site acks: every operational participant is in PC, so
+	// COMMIT leaves on that ack and the window's expiry finds nothing to do.
 	env.Reset()
-	term.OnTimer(tokConfirm, env)
+	term.OnMessage(4, msg.PCAck{Txn: 1}, env)
 	if len(env.Sends) == 0 || env.Sends[0].Msg.Kind() != msg.KindCommit {
 		t.Error("confirmed try-commit should distribute COMMIT")
+	}
+	env.Reset()
+	term.OnTimer(tokConfirm, env)
+	if len(env.Sends) != 0 || len(env.TermReqs) != 0 || !term.Finished() {
+		t.Errorf("expiry after the round closed did something: sends %v", env.SentKinds())
 	}
 }
 
@@ -525,5 +532,134 @@ func TestTerminatorBlockVerdict(t *testing.T) {
 	term.OnTimer(tokCollect, env)
 	if len(env.Blocked) != 1 {
 		t.Error("block verdict not reported")
+	}
+}
+
+// TestTerminatorClosesWindowsOnReplies walks the two waits of a round under
+// TP1 over Example 1's layout (x on sites 1–4, y on 5–8, r=2, w=3 each): each
+// ends on the reply that settles it, and on nothing less.
+func TestTerminatorClosesWindowsOnReplies(t *testing.T) {
+	env := protocoltest.New(2, ex1())
+	three := []types.SiteID{2, 3, 4}
+	closed := func() string {
+		for _, l := range env.TraceLines {
+			if strings.Contains(l, " closed: ") {
+				return l
+			}
+		}
+		return ""
+	}
+
+	// An abort report does not close the poll while a participant is silent —
+	// a C from that one would outrank it — but the last reply does.
+	term := NewTerminator(1, three, 1, tp1)
+	term.Start(env)
+	env.Reset()
+	term.OnMessage(2, msg.StateResp{Txn: 1, Epoch: 1, State: types.StateAborted}, env)
+	term.OnMessage(3, msg.StateResp{Txn: 1, Epoch: 1, State: types.StateWait}, env)
+	if term.Finished() || len(env.Sends) != 0 {
+		t.Fatalf("poll closed on an abort report with site 4 silent: %v", env.SentKinds())
+	}
+	term.OnMessage(4, msg.StateResp{Txn: 1, Epoch: 1, State: types.StateWait}, env)
+	if !term.Finished() || len(env.Sends) != len(three) || env.Sends[0].Msg.Kind() != msg.KindAbort {
+		t.Fatalf("the last reply did not close the poll with ABORT: %v", env.SentKinds())
+	}
+	if got := closed(); !strings.Contains(got, "collect closed: all answered at 3/3") {
+		t.Errorf("trace = %q", got)
+	}
+
+	// A commit report closes it at once, whoever is still silent.
+	env.Reset()
+	term = NewTerminator(1, three, 1, tp1)
+	term.Start(env)
+	env.Reset()
+	term.OnMessage(3, msg.StateResp{Txn: 1, Epoch: 1, State: types.StateCommitted}, env)
+	if !term.Finished() || len(env.Sends) != len(three) || env.Sends[0].Msg.Kind() != msg.KindCommit {
+		t.Fatalf("a C report did not close the poll with COMMIT: %v", env.SentKinds())
+	}
+	if got := closed(); !strings.Contains(got, "collect closed: commit settled at 1/3") {
+		t.Errorf("trace = %q", got)
+	}
+
+	// Three W sites hold r(x): try-abort. The abort quorum is two votes, so
+	// the second PA-ACK closes the confirm window and the third is not
+	// waited for; the window's expiry then finds the round over.
+	env.Reset()
+	term = NewTerminator(1, three, 1, tp1)
+	term.Start(env)
+	for _, s := range three {
+		term.OnMessage(s, msg.StateResp{Txn: 1, Epoch: 1, State: types.StateWait}, env)
+	}
+	if got := env.SentTo(4); len(got) != 2 || got[1].Kind() != msg.KindPrepareToAbort {
+		t.Fatalf("PTA to site 4 = %v", got)
+	}
+	env.Reset()
+	term.OnMessage(3, msg.PAAck{Txn: 1}, env)
+	term.OnMessage(3, msg.PAAck{Txn: 1}, env) // a repeat is still one vote
+	if term.Finished() || len(env.Sends) != 0 {
+		t.Fatalf("one PA-ACK confirmed an abort quorum of two: %v", env.SentKinds())
+	}
+	term.OnMessage(2, msg.PAAck{Txn: 1}, env)
+	if !term.Finished() || len(env.Sends) != len(three) || env.Sends[0].Msg.Kind() != msg.KindAbort {
+		t.Fatalf("the confirming PA-ACK did not distribute ABORT: %v", env.SentKinds())
+	}
+	if got := closed(); !strings.Contains(got, "confirm closed: Qa confirmed by 2") {
+		t.Errorf("trace = %q", got)
+	}
+	env.Reset()
+	term.OnMessage(4, msg.PAAck{Txn: 1}, env)
+	term.OnTimer(tokConfirm, env)
+	if len(env.Sends) != 0 || len(env.TermReqs) != 0 {
+		t.Errorf("a closed round reacted to a late ack or its expiry: %v", env.SentKinds())
+	}
+}
+
+// TestTerminator3PCWaitsForEveryPreparedSite: 3PC's quorum demands nothing,
+// so its confirm window closes only when every site that was sent
+// PREPARE-TO-COMMIT has acknowledged it — or, for one that never does, when
+// the window expires and the site is presumed failed.
+func TestTerminator3PCWaitsForEveryPreparedSite(t *testing.T) {
+	four := []types.SiteID{2, 3, 4, 5}
+	poll := func() (*Terminator, *protocoltest.Env) {
+		env := protocoltest.New(2, ex1())
+		term := NewTerminator(1, four, 1, quorumcalc.ThreePCRule(len(four)))
+		term.Start(env)
+		term.OnMessage(5, msg.StateResp{Txn: 1, Epoch: 1, State: types.StatePC}, env)
+		for _, s := range four[:3] {
+			term.OnMessage(s, msg.StateResp{Txn: 1, Epoch: 1, State: types.StateWait}, env)
+		}
+		env.Reset()
+		return term, env
+	}
+
+	term, env := poll()
+	term.OnMessage(2, msg.PCAck{Txn: 1}, env)
+	term.OnMessage(5, msg.PCAck{Txn: 1}, env) // the PC reporter was never asked
+	term.OnMessage(4, msg.PCAck{Txn: 1}, env)
+	if term.Finished() || len(env.Sends) != 0 {
+		t.Fatalf("COMMIT left with site 3 still to acknowledge: %v", env.SentKinds())
+	}
+	term.OnMessage(3, msg.PCAck{Txn: 1}, env)
+	if !term.Finished() || len(env.Sends) != len(four) || env.Sends[0].Msg.Kind() != msg.KindCommit {
+		t.Fatalf("the last PC-ACK did not distribute COMMIT: %v", env.SentKinds())
+	}
+
+	term, env = poll()
+	term.OnMessage(2, msg.PCAck{Txn: 1}, env)
+	term.OnMessage(4, msg.PCAck{Txn: 1}, env)
+	term.OnTimer(tokConfirm, env)
+	if !term.Finished() || len(env.Sends) != len(four) || env.Sends[0].Msg.Kind() != msg.KindCommit {
+		t.Fatalf("expiry with site 3 silent did not commit (site-failure assumption): %v", env.SentKinds())
+	}
+
+	// Everyone polled already in PC: nobody to prepare, nothing to wait for.
+	env = protocoltest.New(2, ex1())
+	term = NewTerminator(1, four[:2], 1, quorumcalc.ThreePCRule(2))
+	term.Start(env)
+	env.Reset()
+	term.OnMessage(2, msg.StateResp{Txn: 1, Epoch: 1, State: types.StatePC}, env)
+	term.OnMessage(3, msg.StateResp{Txn: 1, Epoch: 1, State: types.StatePC}, env)
+	if !term.Finished() || len(env.Timers) != 0 || len(env.Sends) != 2 || env.Sends[0].Msg.Kind() != msg.KindCommit {
+		t.Fatalf("an all-PC poll did not commit at once: sends %v, timers %v", env.SentKinds(), env.Timers)
 	}
 }

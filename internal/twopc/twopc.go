@@ -263,6 +263,11 @@ func (p *Participant) onVoteReq(from types.SiteID, v msg.VoteReq, env protocol.E
 // participant for the decision. If anyone knows it, adopt and distribute it;
 // if anyone has not voted, abort is safe; if everyone reachable is
 // uncertain, the transaction blocks until a failure recovers.
+//
+// The poll closes on the reply that settles it — every participant has
+// answered, or one reports COMMIT, which nothing outranks — and the 2T window
+// only bounds the wait for silent sites. An abort or "uncommitted" reply does
+// not close it while someone is silent: a later COMMIT report would win.
 type Terminator struct {
 	txn          types.TxnID
 	participants []types.SiteID
@@ -283,20 +288,34 @@ func (t *Terminator) Start(env protocol.Env) {
 
 // OnMessage implements protocol.Automaton.
 func (t *Terminator) OnMessage(from types.SiteID, m msg.Message, env protocol.Env) {
-	if v, ok := m.(msg.DecisionResp); ok && !t.done {
-		t.resp[from] = v
+	v, ok := m.(msg.DecisionResp)
+	if !ok || t.done {
+		return
 	}
+	t.resp[from] = v
+	why := "all answered"
+	if v.Decision == types.DecisionCommit {
+		why = "commit reported"
+	} else if len(t.resp) < len(t.participants) {
+		return
+	}
+	env.Tracef("%s: cooperative terminator %s poll closed: %s at %d/%d", t.txn, env.Self(), why, len(t.resp), len(t.participants))
+	t.decide(env)
 }
 
 // Finished reports that the poll has closed (decided or blocked); the
 // terminator ignores everything from then on.
 func (t *Terminator) Finished() bool { return t.done }
 
-// OnTimer implements protocol.Automaton.
+// OnTimer implements protocol.Automaton: the window ran out on a silent site.
 func (t *Terminator) OnTimer(token int, env protocol.Env) {
-	if token != tokCollect || t.done {
-		return
+	if token == tokCollect && !t.done {
+		t.decide(env)
 	}
+}
+
+// decide closes the poll on the replies so far.
+func (t *Terminator) decide(env protocol.Env) {
 	t.done = true
 	sites := make([]types.SiteID, 0, len(t.resp))
 	for s := range t.resp {

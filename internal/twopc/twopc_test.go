@@ -176,6 +176,49 @@ func TestTerminatorPrefersCommitOverAbortReports(t *testing.T) {
 	}
 }
 
+// TestTerminatorClosesPollOnSettlingReply: the cooperative poll ends on a
+// COMMIT report or on the last participant's answer, and on nothing less — an
+// abort or "uncommitted" report waits for the rest, since a COMMIT report
+// from a site still silent would outrank it.
+func TestTerminatorClosesPollOnSettlingReply(t *testing.T) {
+	start := func() (*Terminator, *protocoltest.Env) {
+		e := env()
+		term := Spec{}.NewTerminator(1, ws, parts, 0).(*Terminator)
+		term.Start(e)
+		e.Reset()
+		return term, e
+	}
+
+	term, e := start()
+	term.OnMessage(parts[0], msg.DecisionResp{Txn: 1, Decision: types.DecisionCommit}, e)
+	if !term.Finished() || len(e.Sends) != len(parts) || e.Sends[0].Msg.Kind() != msg.KindCommit {
+		t.Fatalf("a COMMIT report did not close the poll: %v", e.SentKinds())
+	}
+	e.Reset()
+	term.OnTimer(tokCollect, e)
+	if len(e.Sends) != 0 || len(e.Blocked) != 0 {
+		t.Errorf("the expiry of a closed poll did something: %v", e.SentKinds())
+	}
+
+	term, e = start()
+	for i, p := range parts {
+		if term.Finished() {
+			t.Fatalf("poll closed with %d of %d answers, none of them COMMIT", i, len(parts))
+		}
+		resp := msg.DecisionResp{Txn: 1}
+		switch i {
+		case 0:
+			resp.Decision = types.DecisionAbort
+		case 1:
+			resp.Uncommitted = true
+		}
+		term.OnMessage(p, resp, e)
+	}
+	if !term.Finished() || len(e.Sends) != len(parts) || e.Sends[0].Msg.Kind() != msg.KindAbort {
+		t.Fatalf("the last answer did not close the poll with ABORT: %v", e.SentKinds())
+	}
+}
+
 func TestParticipantRecoveryImage(t *testing.T) {
 	e := env()
 	img := &wal.TxnImage{Txn: 1, State: types.StateWait, Coord: 1, Participants: parts, Writeset: ws}

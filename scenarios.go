@@ -63,6 +63,10 @@ func Example3Items() []ReplicatedItem {
 	}
 }
 
+// Example3ViolatingSeed is a seed at which SetupExample3(true, seed) breaks
+// atomicity (see engine.Example3ViolatingSeed).
+const Example3ViolatingSeed = engine.Example3ViolatingSeed
+
 // SetupExample3 builds the two-coordinator counterexample of Example 3 /
 // Fig. 7: coordinator site1 crashed leaving site5 in PC and sites 2–4 in W,
 // with all messages between site2 and site3 and from site2 to site5 lost.

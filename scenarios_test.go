@@ -63,13 +63,13 @@ func TestSetupExample3PublicAPI(t *testing.T) {
 	_ = txn
 
 	// Buggy rule at the known violating seed.
-	c2, txn2, err := SetupExample3(true, 2)
+	c2, txn2, err := SetupExample3(true, Example3ViolatingSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c2.Run()
 	if v := c2.Violations(); len(v) == 0 {
-		t.Fatalf("buggy rule did not violate at seed 2: outcomes %v", c2.Outcomes(txn2))
+		t.Fatalf("buggy rule did not violate at seed %d: outcomes %v", Example3ViolatingSeed, c2.Outcomes(txn2))
 	}
 }
 
