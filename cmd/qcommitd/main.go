@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -57,45 +58,33 @@ func main() {
 		stratFlag  = flag.String("strategy", "quorum", "data-access strategy (only 'quorum' is supported across processes)")
 		timeout    = flag.Duration("timeout-base", 50*time.Millisecond, "protocol timeout unit T")
 		termRounds = flag.Int("max-term-rounds", 3, "termination retry cap")
-		walFlag    = flag.String("wal", "mem", "write-ahead log: mem (lost on process exit), file (fsync per append) or group (group commit: concurrent appends share one fsync)")
-		waldir     = flag.String("waldir", ".", "directory for the on-disk WAL (-wal file|group); the log is qcommitd-site<N>.wal, reused across restarts for recovery")
+		waldir     = flag.String("waldir", "", "directory for the on-disk group-commit WAL qcommitd-site<N>.wal, reused across restarts for recovery; empty keeps the log in memory (lost on process exit)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables. The /metrics and /debug/txns handlers ride the same mux when -metrics is off")
-		metrics    = flag.String("metrics", "", "serve Prometheus-text /metrics and the /debug/txns slow-transaction view on this address (e.g. localhost:9090); empty disables the HTTP endpoint but -pprof still exposes the handlers")
+		metrics    = flag.String("metrics", "", "serve Prometheus-text /metrics and the /debug/txns slow-transaction view on this address (e.g. localhost:9090, or :0 for any free port; the ready line names the bound address); empty disables the HTTP endpoint but -pprof still exposes the handlers")
 		traceEvery = flag.Int("trace-sample", 16, "record a commit-path span for every Nth transaction this site coordinates (1 traces everything; used by /debug/txns)")
 		failpoint  = flag.String("failpoint", "", "deterministic fault injection: 'crash-before-decision' SIGKILLs the process when its coordinator first sends a decision-phase message")
 	)
 	flag.Parse()
-	if err := run(*site, *peersFlag, *itemsFlag, *protoFlag, *stratFlag, *timeout, *termRounds, *walFlag, *waldir, *pprofAddr, *metrics, *traceEvery, *failpoint); err != nil {
+	if err := run(*site, *peersFlag, *itemsFlag, *protoFlag, *stratFlag, *timeout, *termRounds, *waldir, *pprofAddr, *metrics, *traceEvery, *failpoint); err != nil {
 		fmt.Fprintln(os.Stderr, "qcommitd:", err)
 		os.Exit(1)
 	}
 }
 
-// openWAL opens this site's log per -wal. The returned closer is nil for the
-// in-memory log.
-func openWAL(mode, dir string, site int) (wal.Log, func() error, error) {
-	path := filepath.Join(dir, fmt.Sprintf("qcommitd-site%d.wal", site))
-	switch mode {
-	case "mem":
+// openWAL opens this site's log: the in-memory log when dir is empty (the
+// returned closer is then nil), else a group-commit log in dir.
+func openWAL(dir string, site int) (wal.Log, func() error, error) {
+	if dir == "" {
 		return nil, nil, nil // NewServer defaults to a fresh MemLog
-	case "file":
-		l, err := wal.OpenFileLog(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		return l, l.Close, nil
-	case "group":
-		l, err := wal.OpenGroupLog(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		return l, l.Close, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown -wal mode %q (want mem, file or group)", mode)
 	}
+	l, err := wal.OpenGroupLog(filepath.Join(dir, fmt.Sprintf("qcommitd-site%d.wal", site)))
+	if err != nil {
+		return nil, nil, err
+	}
+	return l, l.Close, nil
 }
 
-func run(site int, peersFlag, itemsFlag, protoFlag, stratFlag string, timeoutBase time.Duration, termRounds int, walMode, waldir, pprofAddr, metricsAddr string, traceEvery int, failpoint string) error {
+func run(site int, peersFlag, itemsFlag, protoFlag, stratFlag string, timeoutBase time.Duration, termRounds int, waldir, pprofAddr, metricsAddr string, traceEvery int, failpoint string) error {
 	if site <= 0 {
 		return fmt.Errorf("-site is required and must be positive")
 	}
@@ -125,7 +114,7 @@ func run(site int, peersFlag, itemsFlag, protoFlag, stratFlag string, timeoutBas
 		return err
 	}
 
-	log, closeWAL, err := openWAL(walMode, waldir, site)
+	log, closeWAL, err := openWAL(waldir, site)
 	if err != nil {
 		return err
 	}
@@ -143,21 +132,31 @@ func run(site int, peersFlag, itemsFlag, protoFlag, stratFlag string, timeoutBas
 		Spans:    obs.NewSpans(traceEvery, 256, int64(site)),
 	}
 	// DefaultServeMux also carries the net/http/pprof handlers, so -pprof
-	// alone exposes the full observability surface.
+	// alone exposes the full observability surface. Both addresses are bound
+	// here, before the ready line: a taken port is a startup error, not a
+	// daemon that serves on without the endpoints it was asked for.
 	http.HandleFunc("/metrics", metricsHandler(ob))
 	http.HandleFunc("/debug/txns", txnsHandler(ob))
-	var metricsSrv *http.Server
 	if pprofAddr != "" {
+		ln, err := net.Listen("tcp", pprofAddr)
+		if err != nil {
+			return fmt.Errorf("-pprof: %w", err)
+		}
 		go func() {
-			if err := http.ListenAndServe(pprofAddr, nil); err != nil {
+			if err := http.Serve(ln, nil); err != nil {
 				fmt.Fprintln(os.Stderr, "qcommitd: pprof:", err)
 			}
 		}()
 	}
+	var metricsSrv *http.Server
+	var metricsLn net.Listener
 	if metricsAddr != "" {
-		metricsSrv = &http.Server{Addr: metricsAddr, Handler: http.DefaultServeMux}
+		if metricsLn, err = net.Listen("tcp", metricsAddr); err != nil {
+			return fmt.Errorf("-metrics: %w", err)
+		}
+		metricsSrv = &http.Server{Handler: http.DefaultServeMux}
 		go func() {
-			if err := metricsSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+			if err := metricsSrv.Serve(metricsLn); err != http.ErrServerClosed {
 				fmt.Fprintln(os.Stderr, "qcommitd: metrics:", err)
 			}
 		}()
@@ -197,8 +196,12 @@ func run(site int, peersFlag, itemsFlag, protoFlag, stratFlag string, timeoutBas
 		return err
 	}
 	srv.Store(s)
-	fmt.Printf("qcommitd: site %d serving %s on %s (%d sites, T=%v)\n",
+	ready := fmt.Sprintf("qcommitd: site %d serving %s on %s (%d sites, T=%v)",
 		site, protoFlag, ep.Addr(), len(sites), timeoutBase)
+	if metricsLn != nil {
+		ready += "; metrics on " + metricsLn.Addr().String()
+	}
+	fmt.Println(ready)
 
 	// Graceful shutdown: stop accepting new work first (the client handler
 	// sheds requests once the server pointer is cleared), then stop the node

@@ -2,8 +2,8 @@ package qcommit
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -153,16 +153,6 @@ func TestCommandsSmoke(t *testing.T) {
 			want: []string{"repair-speed sweep", "MTTR = 100ms", "partition churn", "3PC violated atomicity"},
 		},
 		{
-			// Closed-loop load against a live in-process cluster with the
-			// optimized commit path: group WAL would need a directory, so the
-			// smoke run uses the memory WAL and just checks the report shape.
-			name: "loadbench",
-			args: []string{"run", "./cmd/loadbench", "-transport", "inproc",
-				"-wal", "mem", "-sites", "3", "-items", "8", "-clients", "8",
-				"-zipf", "1.2", "-duration", "300ms"},
-			want: []string{"txn/s", "p99", "abort"},
-		},
-		{
 			// Real processes on real sockets: qcommitd daemons driven through
 			// the client protocol, including a partition installed over the
 			// control channel (terminates, never blocks) and a post-heal
@@ -242,75 +232,17 @@ func firstDiff(a, b string) (line int, got, want string) {
 	return 0, "", ""
 }
 
-// TestLoadbenchJSON is the loadbench gate: a short run with the full optimized
-// path (group WAL on disk, sharded locks) must make progress and emit the
-// machine-readable document with sane fields. (Throughput itself is measured
-// and bounded by bench/, not here.)
-func TestLoadbenchJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping CLI smoke tests in -short mode")
+// buildQcommitd builds the daemon into dir and returns the binary's path.
+func buildQcommitd(t *testing.T, dir string) string {
+	t.Helper()
+	bin := filepath.Join(dir, "qcommitd")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/qcommitd").CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
 	}
-	dir := t.TempDir()
-	jsonPath := filepath.Join(dir, "bench.json")
-	out, err := exec.Command("go", "run", "./cmd/loadbench",
-		"-transport", "inproc", "-wal", "group", "-waldir", dir,
-		"-sites", "3", "-items", "8", "-clients", "8", "-zipf", "1.2",
-		"-duration", "500ms", "-seed", "7", "-json", jsonPath).CombinedOutput()
-	if err != nil {
-		t.Fatalf("loadbench: %v\n%s", err, out)
-	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Command string `json:"command"`
-		Runs    []struct {
-			Label      string  `json:"label"`
-			WAL        string  `json:"wal"`
-			Completed  int     `json:"completed"`
-			Committed  int     `json:"committed"`
-			TxnsPerSec float64 `json:"txns_per_sec"`
-			P99Ms      float64 `json:"p99_ms"`
-			WALFsyncs  uint64  `json:"wal_fsyncs"`
-			// Stage-level fields scraped from the obs registry.
-			LockHoldP99Ms     float64 `json:"lock_hold_p99_ms"`
-			WALFlushWaitP99Ms float64 `json:"wal_flush_wait_p99_ms"`
-			WALSyncP99Ms      float64 `json:"wal_sync_p99_ms"`
-			WALBatchMean      float64 `json:"wal_batch_mean"`
-			FlushReleaseP99Ms float64 `json:"flush_release_wait_p99_ms"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("bad JSON: %v\n%s", err, data)
-	}
-	if doc.Command == "" || len(doc.Runs) != 1 {
-		t.Fatalf("want command + 1 run, got %q / %d runs", doc.Command, len(doc.Runs))
-	}
-	r := doc.Runs[0]
-	if r.WAL != "group" || r.Committed <= 0 || r.TxnsPerSec <= 0 || r.P99Ms <= 0 {
-		t.Errorf("implausible run: %+v", r)
-	}
-	// Group commit's point is amortization: a run this concurrent must have
-	// forced the log fewer times than it committed transactions (each commit
-	// writes multiple records across the 3 sites).
-	if r.WALFsyncs == 0 || r.WALFsyncs >= uint64(r.Completed)*3 {
-		t.Errorf("fsyncs = %d for %d completed txns: group commit not amortizing", r.WALFsyncs, r.Completed)
-	}
-	// The obs registry is scraped into the report by default: every
-	// commit-path stage that runs under this config must have produced
-	// samples (net_* fields are absent here — the transport is in-process).
-	if r.LockHoldP99Ms <= 0 || r.WALFlushWaitP99Ms <= 0 || r.WALSyncP99Ms <= 0 || r.FlushReleaseP99Ms <= 0 {
-		t.Errorf("missing stage-level percentiles: %+v", r)
-	}
-	// Group commit must show in the scrape too, and agree with the WAL's own
-	// fsync counter: batches * mean records per batch ≈ records appended.
-	if r.WALBatchMean < 1 {
-		t.Errorf("wal_batch_mean = %v, want >= 1", r.WALBatchMean)
-	}
+	return bin
 }
 
-// TestQcommitdGroupWAL starts a real qcommitd with -wal group and -pprof,
+// TestQcommitdGroupWAL starts a real qcommitd with -waldir and -pprof,
 // waits for the ready line, shuts it down, and restarts it on the same WAL
 // directory — the on-disk log must exist and the restart must come up (the
 // recovery path runs on the non-empty directory).
@@ -319,13 +251,10 @@ func TestQcommitdGroupWAL(t *testing.T) {
 		t.Skip("skipping CLI smoke tests in -short mode")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "qcommitd")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/qcommitd").CombinedOutput(); err != nil {
-		t.Fatalf("build: %v\n%s", err, out)
-	}
+	bin := buildQcommitd(t, dir)
 	start := func() *exec.Cmd {
 		cmd := exec.Command(bin, "-site", "1", "-peers", "1=127.0.0.1:0",
-			"-items", "x", "-wal", "group", "-waldir", dir, "-pprof", "127.0.0.1:0")
+			"-items", "x", "-waldir", dir, "-pprof", "127.0.0.1:0")
 		stdout, err := cmd.StdoutPipe()
 		if err != nil {
 			t.Fatal(err)
@@ -375,4 +304,41 @@ func TestQcommitdGroupWAL(t *testing.T) {
 		t.Fatalf("WAL file not created: %v", err)
 	}
 	stop(start()) // restart on the existing directory: recovery must not wedge startup
+}
+
+// TestQcommitdMetricsPortTaken pins that an HTTP endpoint the daemon cannot
+// bind is a startup error: with -metrics naming an occupied port, qcommitd
+// must exit non-zero instead of serving on without /metrics.
+func TestQcommitdMetricsPortTaken(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping CLI smoke tests in -short mode")
+	}
+	bin := buildQcommitd(t, t.TempDir())
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	cmd := exec.Command(bin, "-site", "1", "-peers", "1=127.0.0.1:0",
+		"-items", "x", "-metrics", taken.Addr().String())
+	done := make(chan error, 1)
+	var out []byte
+	go func() {
+		var err error
+		out, err = cmd.CombinedOutput()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatalf("qcommitd exited 0 with -metrics on an occupied port\n%s", out)
+		}
+		if !strings.Contains(string(out), "-metrics") {
+			t.Errorf("exit error does not name -metrics:\n%s", out)
+		}
+	case <-time.After(10 * time.Second):
+		cmd.Process.Kill()
+		<-done
+		t.Fatalf("qcommitd kept running with -metrics on an occupied port\n%s", out)
+	}
 }

@@ -22,6 +22,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -53,8 +54,39 @@ func TestMain(m *testing.M) {
 type daemon struct {
 	site   types.SiteID
 	cmd    *exec.Cmd
-	out    *bytes.Buffer
+	out    *output
 	exited chan error
+}
+
+// output is a daemon's stdout+stderr sink: it keeps everything for failure
+// messages and hands the metrics address named by the ready line to ready.
+type output struct {
+	mu    sync.Mutex
+	buf   bytes.Buffer
+	ready chan string // buffered 1; receives once
+	sent  bool
+}
+
+func (o *output) Write(p []byte) (int, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.buf.Write(p)
+	if !o.sent {
+		if _, rest, ok := strings.Cut(o.buf.String(), "; metrics on "); ok {
+			if addr, _, ok := strings.Cut(rest, "\n"); ok {
+				o.ready <- addr
+				o.sent = true
+			}
+		}
+	}
+	return len(p), nil
+}
+
+// Bytes returns everything the daemon has printed so far.
+func (o *output) Bytes() []byte {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return bytes.Clone(o.buf.Bytes())
 }
 
 // cluster is a set of qcommitd processes plus one client per site.
@@ -66,9 +98,10 @@ type cluster struct {
 	clients map[types.SiteID]*client.Client
 }
 
-// startCluster reserves loopback ports, spawns n qcommitd processes running
-// proto over items x and y, and connects a client to each. failpointSite (0
-// for none) gets -failpoint crash-before-decision.
+// startCluster reserves loopback peer ports, spawns n qcommitd processes
+// running proto over items x and y, reads each one's metrics address from its
+// ready line, and connects a client to each. failpointSite (0 for none) gets
+// -failpoint crash-before-decision.
 func startCluster(t *testing.T, n int, proto string, failpointSite types.SiteID) *cluster {
 	t.Helper()
 	c := &cluster{
@@ -78,25 +111,28 @@ func startCluster(t *testing.T, n int, proto string, failpointSite types.SiteID)
 		daemons: make(map[types.SiteID]*daemon),
 		clients: make(map[types.SiteID]*client.Client),
 	}
+	// Peer ports must be agreed before startup: every daemon's -peers names
+	// every site's address. Each reservation stays open until all n are
+	// chosen, so the kernel cannot hand one port out twice; what remains is
+	// the window between closing them and the daemons binding. Metrics ports
+	// take no part in it: each daemon binds :0 and reports the address.
 	var peersArg string
+	reserved := make([]net.Listener, 0, n)
 	for i := 1; i <= n; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
+		reserved = append(reserved, ln)
 		addr := ln.Addr().String()
-		ln.Close()
 		c.peers[types.SiteID(i)] = addr
 		if peersArg != "" {
 			peersArg += ","
 		}
 		peersArg += fmt.Sprintf("%d=%s", i, addr)
-		mln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.metrics[types.SiteID(i)] = mln.Addr().String()
-		mln.Close()
+	}
+	for _, ln := range reserved {
+		ln.Close()
 	}
 	for i := 1; i <= n; i++ {
 		site := types.SiteID(i)
@@ -106,12 +142,12 @@ func startCluster(t *testing.T, n int, proto string, failpointSite types.SiteID)
 			"-items", "x,y",
 			"-protocol", proto,
 			"-timeout-base", "100ms",
-			"-metrics", c.metrics[site],
+			"-metrics", "127.0.0.1:0",
 		}
 		if site == failpointSite {
 			args = append(args, "-failpoint", "crash-before-decision")
 		}
-		d := &daemon{site: site, cmd: exec.Command(daemonBin, args...), out: &bytes.Buffer{}, exited: make(chan error, 1)}
+		d := &daemon{site: site, cmd: exec.Command(daemonBin, args...), out: &output{ready: make(chan string, 1)}, exited: make(chan error, 1)}
 		d.cmd.Stdout = d.out
 		d.cmd.Stderr = d.out
 		if err := d.cmd.Start(); err != nil {
@@ -122,7 +158,17 @@ func startCluster(t *testing.T, n int, proto string, failpointSite types.SiteID)
 	}
 	t.Cleanup(c.stop)
 	for i := 1; i <= n; i++ {
-		c.clients[types.SiteID(i)] = c.dial(types.SiteID(i))
+		site := types.SiteID(i)
+		d := c.daemons[site]
+		select {
+		case c.metrics[site] = <-d.out.ready:
+		case err := <-d.exited:
+			d.exited <- err // keep stop() from blocking
+			t.Fatalf("site %d exited before its ready line: %v\n%s", i, err, d.out.Bytes())
+		case <-time.After(10 * time.Second):
+			t.Fatalf("site %d printed no ready line\n%s", i, d.out.Bytes())
+		}
+		c.clients[site] = c.dial(site)
 	}
 	return c
 }

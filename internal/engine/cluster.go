@@ -58,11 +58,12 @@ type Config struct {
 	SeedStores map[types.SiteID]map[types.ItemID]storage.Versioned
 	// Recorder receives trace events; nil allocates a fresh one.
 	Recorder *trace.Recorder
-	// WALDir, when set, persists each site's write-ahead log to
-	// WALDir/site<N>.wal instead of in-memory stable storage. A cluster
-	// created over existing logs resumes them: committed/aborted state is
-	// restored and unterminated voted transactions rejoin the termination
-	// protocol (as after a full-cluster restart).
+	// WALDir, when set, persists each site's write-ahead log to a
+	// wal.GroupLog at WALDir/site<N>.wal instead of in-memory stable storage
+	// (Close closes them). A cluster created over existing logs resumes
+	// them: committed/aborted state is restored and unterminated voted
+	// transactions rejoin the termination protocol (as after a full-cluster
+	// restart).
 	WALDir string
 }
 
@@ -138,11 +139,11 @@ func New(cfg Config) *Cluster {
 	for _, id := range cl.siteIDs {
 		var log wal.Log
 		if cfg.WALDir != "" {
-			fl, err := wal.OpenFileLog(filepath.Join(cfg.WALDir, fmt.Sprintf("site%d.wal", id)))
+			gl, err := wal.OpenGroupLog(filepath.Join(cfg.WALDir, fmt.Sprintf("site%d.wal", id)))
 			if err != nil {
 				panic(fmt.Sprintf("engine: open WAL for %s: %v", id, err))
 			}
-			log = fl
+			log = gl
 		}
 		st := newSite(id, cl, log)
 		cl.sites[id] = st
@@ -222,8 +223,8 @@ func (cl *Cluster) resumeFromLogs() {
 func (cl *Cluster) Close() error {
 	var first error
 	for _, id := range cl.siteIDs {
-		if fl, ok := cl.sites[id].log.(*wal.FileLog); ok {
-			if err := fl.Close(); err != nil && first == nil {
+		if gl, ok := cl.sites[id].log.(*wal.GroupLog); ok {
+			if err := gl.Close(); err != nil && first == nil {
 				first = err
 			}
 		}

@@ -52,15 +52,13 @@ type Config struct {
 	// transport on Stop.
 	Transport transport.Transport
 	// WAL optionally supplies each site's log (nil sites fall back to a
-	// fresh MemLog). Supplying a wal.AsyncLog (e.g. wal.GroupLog) enables
-	// commit pipelining: a node's durability-gated sends are released by a
-	// flusher goroutine once the group fsync lands, so the event loop keeps
-	// processing other transactions while a batch is being forced. The
-	// caller retains ownership and closes the logs after Stop.
+	// fresh MemLog, which forces nothing and gates no send). A wal.GroupLog,
+	// the on-disk log and the one wal.AsyncLog, enables commit pipelining: a
+	// node's durability-gated sends are released by a flusher goroutine once
+	// the group fsync lands, so the event loop keeps processing other
+	// transactions while a batch is being forced. The caller retains
+	// ownership and closes the logs after Stop.
 	WAL func(types.SiteID) wal.Log
-	// LockShards overrides each node's lock-manager shard count
-	// (0 means lockmgr.DefaultShards).
-	LockShards int
 	// Obs optionally attaches an observability sink: every node registers
 	// its metric set (and its lock manager's and group WAL's) on the
 	// observer's registry, and the observer's span recorder samples
@@ -153,7 +151,7 @@ func New(cfg Config) *Cluster {
 		if cfg.WAL != nil {
 			log = cfg.WAL(id)
 		}
-		n := newNode(id, cl, cl.tracker, log, cfg.LockShards, cfg.Obs)
+		n := newNode(id, cl, cl.tracker, log, cfg.Obs)
 		cl.nodes[id] = n
 	}
 	for _, item := range cfg.Assignment.Items() {

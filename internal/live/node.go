@@ -122,7 +122,7 @@ type flushJob struct {
 	finishes []spanFinish
 }
 
-func newNode(id types.SiteID, h host, tracker *voting.Tracker, log wal.Log, lockShards int, o *obs.Observer) *Node {
+func newNode(id types.SiteID, h host, tracker *voting.Tracker, log wal.Log, o *obs.Observer) *Node {
 	if log == nil {
 		log = wal.NewMemLog()
 	}
@@ -132,7 +132,7 @@ func newNode(id types.SiteID, h host, tracker *voting.Tracker, log wal.Log, lock
 		tracker: tracker,
 		log:     log,
 		store:   storage.NewStore(id),
-		locks:   lockmgr.NewSharded(id, lockShards),
+		locks:   lockmgr.New(id),
 		view:    make(map[types.TxnID]types.Outcome),
 	}
 	n.k = site.New(id, site.Config{

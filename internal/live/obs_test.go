@@ -15,8 +15,9 @@ import (
 // TestLiveObserverRecordsCommitPath runs a few transactions through an
 // observed cluster (group WAL so the async flush path is exercised) and pins
 // that every layer's instrumentation moved: txn counters, the coordinator
-// commit-latency histogram, lock holds, WAL batch/flush-wait samples, and a
-// complete sampled span carrying the WAL-durable stage.
+// commit-latency histogram, lock holds, WAL batch/flush-wait/sync samples,
+// the flusher's release wait, and a complete sampled span carrying the
+// WAL-durable stage.
 func TestLiveObserverRecordsCommitPath(t *testing.T) {
 	ob := &obs.Observer{
 		Registry: obs.NewRegistry(),
@@ -68,6 +69,12 @@ func TestLiveObserverRecordsCommitPath(t *testing.T) {
 	}
 	if got := obs.SumCounters(snaps, "qcommit_wal_fsyncs_total"); got == 0 {
 		t.Error("fsync counter func never scraped a sync")
+	}
+	if h := obs.MergeHistograms(snaps, "qcommit_wal_sync_ns"); h.Count == 0 {
+		t.Error("no WAL sync-duration samples")
+	}
+	if h := obs.MergeHistograms(snaps, "qcommit_flush_release_wait_ns"); h.Count == 0 {
+		t.Error("no flush-release-wait samples")
 	}
 
 	// Span Finish runs in the flusher after the outcome notification, so the

@@ -38,9 +38,6 @@ type ServerConfig struct {
 	// pipelining, as in Config.WAL. The caller retains ownership and
 	// closes the log after Stop.
 	WAL wal.Log
-	// LockShards overrides the lock-manager shard count (0 means
-	// lockmgr.DefaultShards).
-	LockShards int
 	// Obs optionally attaches an observability sink, as in Config.Obs. On a
 	// Server the span recorder sees only this process's timeline, so traces
 	// cover transactions this site coordinates.
@@ -93,7 +90,7 @@ func NewServer(id types.SiteID, cfg ServerConfig, tr transport.Transport) (*Serv
 		tr:    tr,
 		notes: make(map[types.TxnID]*outcomeNote),
 	}
-	s.node = newNode(id, s, nil, cfg.WAL, cfg.LockShards, cfg.Obs)
+	s.node = newNode(id, s, nil, cfg.WAL, cfg.Obs)
 	for _, item := range cfg.Assignment.Items() {
 		ic, _ := cfg.Assignment.Item(item)
 		for _, cp := range ic.Copies {

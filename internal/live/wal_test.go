@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"qcommit/internal/core"
+	"qcommit/internal/obs"
 	"qcommit/internal/transport/tcp"
 	"qcommit/internal/types"
 	"qcommit/internal/voting"
@@ -17,8 +18,9 @@ import (
 // TestLiveGroupWALPipelinedCommit runs a cluster on real on-disk group-commit
 // logs: every durability-gated send goes through the flusher, so this
 // exercises the full async append → WaitDurable → deferred-send pipeline
-// under concurrent transaction load, and then checks every decision reached
-// the disk.
+// under concurrent transaction load, checks that group commit amortized
+// (fewer fsyncs than records appended), and then checks every decision
+// reached the disk.
 func TestLiveGroupWALPipelinedCommit(t *testing.T) {
 	dir := t.TempDir()
 	const txns = 16
@@ -28,6 +30,7 @@ func TestLiveGroupWALPipelinedCommit(t *testing.T) {
 	}
 	logs := make(map[types.SiteID]*wal.GroupLog)
 	var logMu sync.Mutex
+	ob := &obs.Observer{Registry: obs.NewRegistry()}
 	cl := New(Config{
 		Assignment:  voting.MustAssignment(specs...),
 		Spec:        core.Spec{Variant: core.Protocol1},
@@ -43,6 +46,7 @@ func TestLiveGroupWALPipelinedCommit(t *testing.T) {
 			logMu.Unlock()
 			return l
 		},
+		Obs: ob,
 	})
 	// Disjoint writesets: every transaction must commit, and with 16 in
 	// flight across 4 sites the group-commit batches stay deep.
@@ -74,11 +78,19 @@ func TestLiveGroupWALPipelinedCommit(t *testing.T) {
 			t.Errorf("close site%d wal: %v", id, err)
 		}
 	}
+	// Group commit amortizes under concurrency: with 16 transactions in
+	// flight, records share forces.
+	snaps := ob.Reg().Snapshot()
+	fsyncs := obs.SumCounters(snaps, "qcommit_wal_fsyncs_total")
+	records := uint64(obs.MergeHistograms(snaps, "qcommit_wal_batch_records").Sum)
+	if fsyncs == 0 || fsyncs >= records {
+		t.Errorf("fsyncs = %d for %d records appended: group commit did not amortize", fsyncs, records)
+	}
 	// Reopen each log: the on-disk state must agree with the reported
 	// outcomes (a committed transaction has its COMMIT record on every
 	// participant log that decided).
 	for id := range logs {
-		l, err := wal.OpenFileLog(filepath.Join(dir, fmt.Sprintf("site%d.wal", id)))
+		l, err := wal.OpenGroupLog(filepath.Join(dir, fmt.Sprintf("site%d.wal", id)))
 		if err != nil {
 			t.Fatalf("reopen site%d: %v", id, err)
 		}

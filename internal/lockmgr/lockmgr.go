@@ -240,7 +240,7 @@ func (m *Manager) SetMetrics(mt *Metrics) { m.met = mt }
 func New(site types.SiteID) *Manager { return NewSharded(site, DefaultShards) }
 
 // NewSharded creates a lock manager with an explicit shard count; shards=1
-// reproduces the historical single-mutex table (the loadbench baseline).
+// reproduces the historical single-mutex table.
 func NewSharded(site types.SiteID, shards int) *Manager {
 	if shards <= 0 {
 		shards = DefaultShards

@@ -1,8 +1,6 @@
-// Package stats holds small shared statistics helpers. It exists because
-// the nearest-rank percentile was implemented twice — once in the churn
-// study's latency tables and once (slightly differently) in loadbench —
-// and the two drifted; every consumer of sample percentiles goes through
-// here now.
+// Package stats holds small shared statistics helpers: the one nearest-rank
+// percentile that the churn study's latency tables and the bench/ module's
+// reports both read, so the two cannot drift apart.
 package stats
 
 import (

@@ -51,7 +51,9 @@ var ErrClosed = errors.New("wal: log closed")
 // N fsyncs into one without weakening durability — Append still returns
 // only after the record is stable, and Records only ever surfaces durable
 // records, so recovery can never observe a record whose Append (or whose
-// ticket's WaitDurable) had not returned.
+// ticket's WaitDurable) had not returned. A lone sequential appender gets
+// one write+fsync per Append: its next record cannot arrive before the
+// previous batch is forced.
 type GroupLog struct {
 	path string
 
@@ -88,9 +90,7 @@ type GroupLog struct {
 var _ AsyncLog = (*GroupLog)(nil)
 
 // OpenGroupLog opens (creating if needed) the group-commit log at path,
-// replaying existing records and truncating a torn tail exactly as
-// OpenFileLog does — the two formats are identical, only the fsync
-// scheduling differs, so a log written by one opens under the other.
+// replaying its valid record prefix and truncating a torn tail.
 func OpenGroupLog(path string) (*GroupLog, error) {
 	f, recs, err := openLogFile(path)
 	if err != nil {
@@ -180,14 +180,6 @@ func (l *GroupLog) Fsyncs() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.fsyncs
-}
-
-// BatchSizes returns the distribution of records-per-fsync observed so far.
-// It is always collected (one histogram sample per fsync), so callers like
-// loadbench can report the group-commit amortization shape without turning
-// on the rest of the observability stack.
-func (l *GroupLog) BatchSizes() obs.HistSnapshot {
-	return l.batchSizes.Snapshot()
 }
 
 // RegisterMetrics publishes the log's histograms and fsync counter on reg

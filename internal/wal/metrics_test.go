@@ -9,14 +9,17 @@ import (
 	"qcommit/internal/types"
 )
 
-// TestGroupLogBatchSizes pins the built-in batch-size histogram: one sample
-// per fsync, and the samples sum to every record appended.
+// TestGroupLogBatchSizes pins the built-in batch-size histogram as the
+// registry exports it: one sample per fsync, and the samples sum to every
+// record appended.
 func TestGroupLogBatchSizes(t *testing.T) {
 	l, err := OpenGroupLog(filepath.Join(t.TempDir(), "g.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
+	reg := obs.NewRegistry()
+	l.RegisterMetrics(reg, 1)
 
 	const writers, each = 8, 25
 	var wg sync.WaitGroup
@@ -35,7 +38,7 @@ func TestGroupLogBatchSizes(t *testing.T) {
 	}
 	wg.Wait()
 
-	h := l.BatchSizes()
+	h := obs.MergeHistograms(reg.Snapshot(), "qcommit_wal_batch_records")
 	if h.Count != l.Fsyncs() {
 		t.Errorf("batch samples = %d, fsyncs = %d; want one sample per fsync", h.Count, l.Fsyncs())
 	}

@@ -9,14 +9,15 @@
 //	VOTED-YES (with writeset, participants, coordinator) before the yes vote,
 //	PC before PC-ACK, PA before PA-ACK, COMMIT/ABORT before acting on them.
 //
-// Three implementations are provided: MemLog (stable across *simulated*
-// crashes), FileLog (a real append-only file with CRC-protected records,
-// torn-tail recovery, and one fsync per append) and GroupLog (same file
-// format, but concurrent appends coalesce into one write+fsync — group
-// commit — behind the AsyncLog interface).
+// Two implementations are provided: MemLog is simulated stable storage (the
+// harness keeps it across *simulated* crashes), and GroupLog is disk — an
+// append-only file of CRC-protected records with torn-tail recovery, where
+// concurrent appends coalesce into one write+fsync (group commit) behind the
+// AsyncLog interface and a lone appender pays exactly one fsync per Append.
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -287,13 +288,6 @@ func decodeBody(body []byte) (Record, error) {
 	return r, nil
 }
 
-// FileLog is an append-only on-disk Log.
-type FileLog struct {
-	f    *os.File
-	path string
-	recs []Record
-}
-
 // openLogFile opens (creating if needed) the log file at path, scans its
 // valid record prefix and truncates any torn tail, leaving the file
 // positioned for appending.
@@ -316,16 +310,6 @@ func openLogFile(path string) (*os.File, []Record, error) {
 		return nil, nil, err
 	}
 	return f, recs, nil
-}
-
-// OpenFileLog opens (creating if needed) the log at path, replaying existing
-// records and truncating a torn tail.
-func OpenFileLog(path string) (*FileLog, error) {
-	f, recs, err := openLogFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return &FileLog{f: f, path: path, recs: recs}, nil
 }
 
 // scanRecords reads records from the start of f, returning the valid prefix
@@ -357,33 +341,12 @@ func scanRecords(f *os.File) ([]Record, int64, error) {
 		if err != nil {
 			return recs, off, nil
 		}
+		// Accept only what encodeRecord writes: a CRC-valid body in a
+		// non-canonical encoding (an overlong varint) was never appended here.
+		if frame := encodeRecord(rec); !bytes.Equal(frame[4:len(frame)-4], body[:n]) {
+			return recs, off, nil
+		}
 		recs = append(recs, rec)
 		off += int64(4 + n + 4)
 	}
 }
-
-// Append implements Log, syncing the record to disk.
-func (l *FileLog) Append(r Record) error {
-	frame := encodeRecord(r)
-	if _, err := l.f.Write(frame); err != nil {
-		return err
-	}
-	if err := l.f.Sync(); err != nil {
-		return err
-	}
-	l.recs = append(l.recs, r)
-	return nil
-}
-
-// Records implements Log.
-func (l *FileLog) Records() ([]Record, error) {
-	out := make([]Record, len(l.recs))
-	copy(out, l.recs)
-	return out, nil
-}
-
-// Close closes the underlying file.
-func (l *FileLog) Close() error { return l.f.Close() }
-
-// Path returns the file path.
-func (l *FileLog) Path() string { return l.path }

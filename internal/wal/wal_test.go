@@ -1,10 +1,14 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -99,7 +103,7 @@ func TestReplayKeepsContext(t *testing.T) {
 
 func TestFileLogRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "site1.wal")
-	l, err := OpenFileLog(path)
+	l, err := OpenGroupLog(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +116,7 @@ func TestFileLogRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, err := OpenFileLog(path)
+	l2, err := OpenGroupLog(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +158,7 @@ func recordsEqual(a, b Record) bool {
 
 func TestFileLogTornTailTruncated(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "torn.wal")
-	l, err := OpenFileLog(path)
+	l, err := OpenGroupLog(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +175,7 @@ func TestFileLogTornTailTruncated(t *testing.T) {
 	f.Write([]byte{0, 0, 0, 50, 1, 2, 3}) // length claims 50 bytes, only 3 present
 	f.Close()
 
-	l2, err := OpenFileLog(path)
+	l2, err := OpenGroupLog(path)
 	if err != nil {
 		t.Fatalf("open with torn tail: %v", err)
 	}
@@ -185,7 +189,7 @@ func TestFileLogTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	l2.Close()
-	l3, err := OpenFileLog(path)
+	l3, err := OpenGroupLog(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,32 +200,138 @@ func TestFileLogTornTailTruncated(t *testing.T) {
 	}
 }
 
+// TestFileLogCorruptMiddleStops flips every byte of a four-record log in
+// turn: recovery must keep exactly the records before the damaged one — a
+// clean prefix, never a phantom or a skipped record.
 func TestFileLogCorruptMiddleStops(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "corrupt.wal")
-	l, _ := OpenFileLog(path)
-	for _, r := range sampleRecords()[:4] {
-		_ = l.Append(r)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "corrupt.wal")
+	l, err := OpenGroupLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sampleRecords()[:4]
+	var ends []int // ends[i] is the offset at which record i's frame ends
+	off := 0
+	for _, r := range want {
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+		off += len(encodeRecord(r))
+		ends = append(ends, off)
 	}
 	l.Close()
-
-	// Flip a byte inside the second record's body.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[30] ^= 0xFF
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
+	if len(data) != ends[3] {
+		t.Fatalf("log is %d bytes, want %d", len(data), ends[3])
 	}
-	l2, err := OpenFileLog(path)
+	flipped := filepath.Join(dir, "flipped.wal")
+	for i := range data {
+		bad := bytes.Clone(data)
+		bad[i] ^= 0xFF
+		if err := os.WriteFile(flipped, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l2, err := OpenGroupLog(flipped)
+		if err != nil {
+			t.Fatalf("byte %d: open: %v", i, err)
+		}
+		recs, _ := l2.Records()
+		l2.Close()
+		hit := sort.SearchInts(ends, i+1) // the record whose frame holds byte i
+		if len(recs) != hit {
+			t.Fatalf("byte %d (record %d) flipped: recovered %d records, want the %d before it", i, hit, len(recs), hit)
+		}
+		for j := range recs {
+			if !recordsEqual(recs[j], want[j]) {
+				t.Fatalf("byte %d flipped: record %d = %+v, want %+v", i, j, recs[j], want[j])
+			}
+		}
+	}
+}
+
+// TestGroupLogSequentialAppendsFsyncOnce pins what replacing the
+// fsync-per-append FileLog with GroupLog rests on: a lone appender's every
+// Append is exactly one write+fsync of its own.
+func TestGroupLogSequentialAppendsFsyncOnce(t *testing.T) {
+	l, err := OpenGroupLog(filepath.Join(t.TempDir(), "seq.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l2.Close()
-	recs, _ := l2.Records()
-	if len(recs) >= 4 {
-		t.Fatalf("corruption not detected: %d records survived", len(recs))
+	defer l.Close()
+	for i, r := range sampleRecords() {
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+		if got, appends := l.Fsyncs(), uint64(i+1); got != appends {
+			t.Fatalf("%d sequential appends issued %d fsyncs, want one each", appends, got)
+		}
 	}
+}
+
+// FuzzOpenGroupLog feeds arbitrary bytes to recovery as a log file. Opening
+// never panics; the recovered records re-encode byte for byte to a prefix of
+// the input (recovery keeps exactly what a writer appended, then stops); and
+// after one Append a reopen returns that prefix plus the new record.
+func FuzzOpenGroupLog(f *testing.F) {
+	var valid []byte
+	for _, r := range sampleRecords()[:4] {
+		valid = append(valid, encodeRecord(r)...)
+	}
+	for cut := 0; cut <= len(valid); cut++ {
+		f.Add(valid[:cut])
+	}
+	// A CRC-valid frame no writer produces: txn 1 as an overlong varint.
+	body := []byte{byte(RecCommit), 0x81, 0x00, 0, 0, 0}
+	odd := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
+	odd = binary.BigEndian.AppendUint32(append(odd, body...), crc32.ChecksumIEEE(body))
+	f.Add(append(bytes.Clone(valid), odd...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.wal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := OpenGroupLog(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := l.Records()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var prefix []byte
+		for _, r := range recs {
+			prefix = append(prefix, encodeRecord(r)...)
+		}
+		if !bytes.HasPrefix(data, prefix) {
+			t.Fatalf("%d recovered records re-encode to %x, not a prefix of the input %x", len(recs), prefix, data)
+		}
+		extra := Record{Type: RecCommit, Txn: 7, Coord: 2}
+		if err := l.Append(extra); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		l2, err := OpenGroupLog(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l2.Close()
+		got, _ := l2.Records()
+		want := append(recs, extra)
+		if len(got) != len(want) {
+			t.Fatalf("reopen after append: %d records, want %d", len(got), len(want))
+		}
+		for i := range got {
+			if !recordsEqual(got[i], want[i]) {
+				t.Fatalf("reopen after append: record %d = %+v, want %+v", i, got[i], want[i])
+			}
+		}
+	})
 }
 
 // TestEncodeDecodeRecordProperty: encodeRecord/decodeBody round-trip for
