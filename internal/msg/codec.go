@@ -160,7 +160,15 @@ func (r *reader) writeset() types.Writeset {
 
 // Marshal encodes m into a checksummed frame.
 func Marshal(m Message) ([]byte, error) {
-	w := &writer{buf: make([]byte, 0, 64)}
+	return AppendMarshal(make([]byte, 0, 64), m)
+}
+
+// AppendMarshal appends m's checksummed frame to dst and returns the
+// extended slice; dst's existing bytes are left intact. On error dst is
+// returned unchanged. A caller that reuses dst marshals without allocating.
+func AppendMarshal(dst []byte, m Message) ([]byte, error) {
+	start := len(dst)
+	w := writer{buf: dst}
 	w.u8(uint8(m.Kind()))
 	switch v := m.(type) {
 	case VoteReq:
@@ -256,11 +264,10 @@ func Marshal(m Message) ([]byte, error) {
 	case CtrlAck:
 		w.uvarint(v.Req)
 	default:
-		return nil, fmt.Errorf("%w: %T", ErrBadKind, m)
+		return dst, fmt.Errorf("%w: %T", ErrBadKind, m)
 	}
-	sum := crc32.ChecksumIEEE(w.buf)
-	w.buf = binary.BigEndian.AppendUint32(w.buf, sum)
-	return w.buf, nil
+	sum := crc32.ChecksumIEEE(w.buf[start:])
+	return binary.BigEndian.AppendUint32(w.buf, sum), nil
 }
 
 // Unmarshal decodes a frame produced by Marshal, verifying its checksum.

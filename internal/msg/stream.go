@@ -30,10 +30,11 @@ var (
 )
 
 // AppendFrame appends the stream framing of an already-marshalled message
-// frame routed from -> to.
+// frame routed from -> to. The routing header is built on the stack, so a
+// dst with room to spare takes the frame without allocating.
 func AppendFrame(dst []byte, from, to types.SiteID, frame []byte) []byte {
-	var hdr []byte
-	hdr = binary.AppendVarint(hdr, int64(from))
+	var buf [2 * binary.MaxVarintLen64]byte
+	hdr := binary.AppendVarint(buf[:0], int64(from))
 	hdr = binary.AppendVarint(hdr, int64(to))
 	dst = binary.AppendUvarint(dst, uint64(len(hdr)+len(frame)))
 	dst = append(dst, hdr...)

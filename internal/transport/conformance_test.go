@@ -226,9 +226,10 @@ func TestConformanceCloseShedsSends(t *testing.T) {
 	}
 }
 
-// TestTCPWriteCoalescing pins the writev batching contract: every frame
-// delivered was counted, each batch carried at least one frame (batches <=
-// frames), and nothing was shed under an idle queue.
+// TestTCPWriteCoalescing pins the write batching contract — each batch is
+// one write of a contiguous buffer: every frame delivered was counted, each
+// batch carried at least one frame (batches <= frames), and nothing was
+// shed under an idle queue.
 func TestTCPWriteCoalescing(t *testing.T) {
 	fab, err := tcp.NewFabric(sites, tcp.Options{})
 	if err != nil {
@@ -249,6 +250,12 @@ func TestTCPWriteCoalescing(t *testing.T) {
 	wg.Wait()
 	if got := c.waitN(burst, 5*time.Second); len(got) != burst {
 		t.Fatalf("delivered %d of %d frames", len(got), burst)
+	}
+	// A writer counts its batch after the write returns, so the counters
+	// can trail the receiver by one batch.
+	deadline := time.Now().Add(5 * time.Second)
+	for fab.WriteStats().Frames < burst && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
 	}
 	s := fab.WriteStats()
 	if s.Frames != burst {

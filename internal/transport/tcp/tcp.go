@@ -83,7 +83,7 @@ type Endpoint struct {
 	wg sync.WaitGroup
 }
 
-// epMetrics is the endpoint's handle set: the enqueue→writev latency per
+// epMetrics is the endpoint's handle set: the enqueue→write latency per
 // frame and the number of frames sitting in peer queues right now.
 type epMetrics struct {
 	enqToWrite *obs.Histogram
@@ -92,7 +92,7 @@ type epMetrics struct {
 
 // RegisterMetrics publishes the endpoint's outbound counters on reg under
 // canonical qcommit_net_* names labelled by site, and turns on per-frame
-// enqueue→writev latency and queue-depth tracking. A nil registry is a
+// enqueue→write latency and queue-depth tracking. A nil registry is a
 // no-op; without it the endpoint records nothing beyond the atomic counters
 // it always kept.
 func (e *Endpoint) RegisterMetrics(reg *obs.Registry) {
@@ -110,12 +110,13 @@ func (e *Endpoint) RegisterMetrics(reg *obs.Registry) {
 }
 
 // WriteStats counts outbound write activity on an endpoint. Frames/Batches
-// is the average coalescing factor: how many frames each writev syscall
+// is the average coalescing factor: how many frames each write call
 // carried.
 type WriteStats struct {
 	// Frames handed to the kernel.
 	Frames uint64
-	// Batches is the number of writev calls — one syscall per batch.
+	// Batches is the number of write calls — one per batch, each carrying
+	// its frames as one contiguous buffer.
 	Batches uint64
 	// Shed counts frames dropped at a full peer queue.
 	Shed uint64
@@ -138,18 +139,22 @@ type ClientHandler func(env msg.Envelope, reply func(m msg.Message) error)
 
 var _ transport.Transport = (*Endpoint)(nil)
 
-// peer is the outbound side of one link: a bounded frame queue drained by a
-// writer goroutine that dials on demand and redials with backoff. The queue
-// is a plain slice under a mutex rather than a channel so the writer can
-// claim everything queued in one step and hand the whole batch to writev.
+// peer is the outbound side of one link: a bounded queue of stream frames
+// drained by a writer goroutine that dials on demand and redials with
+// backoff. The queue is one contiguous byte stream under a mutex: Send
+// marshals into scratch and frames it onto the end of buf, and the writer
+// claims the whole stream in one step, swapping in the buffer it wrote
+// last, so a warm link queues and writes without allocating.
 type peer struct {
 	addr string
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	q      [][]byte
-	stamps []int64 // enqueue times (ns) backing enqToWrite; only fed while metrics are on
-	closed bool
+	mu      sync.Mutex
+	cond    *sync.Cond
+	buf     []byte  // queued stream frames, back to back
+	frames  int     // frames in buf; the queue bound counts these
+	scratch []byte  // Send's marshal buffer, reused under mu
+	stamps  []int64 // enqueue times (ns) backing enqToWrite; only fed while metrics are on
+	closed  bool
 }
 
 // New builds an endpoint for site self listening on listen (empty means an
@@ -278,18 +283,20 @@ func (e *Endpoint) readLoop(conn net.Conn) {
 	}
 }
 
-// Send implements transport.Transport.
+// Send implements transport.Transport. A message that does not marshal
+// (a control message, KindInvalid) is dropped on every path: it stays
+// local by construction.
 func (e *Endpoint) Send(env msg.Envelope) {
-	frame, err := msg.Marshal(env.Msg)
-	if err != nil {
-		return // control messages (KindInvalid) stay local by construction
-	}
 	if !e.Connected(env.From, env.To) {
 		return
 	}
 	if env.To == e.self {
 		// Loopback: decode the wire bytes back, proving the same
 		// serialization boundary the remote path crosses.
+		frame, err := msg.Marshal(env.Msg)
+		if err != nil {
+			return
+		}
 		decoded, err := msg.Unmarshal(frame)
 		if err != nil {
 			return
@@ -302,20 +309,26 @@ func (e *Endpoint) Send(env msg.Envelope) {
 		}
 		return
 	}
-	buf := msg.AppendFrame(nil, env.From, env.To, frame)
 	p := e.peer(env.To)
 	if p == nil {
 		return
 	}
 	met := e.met.Load()
 	p.mu.Lock()
-	if p.closed || len(p.q) >= e.opts.QueueLen {
+	frame, err := msg.AppendMarshal(p.scratch[:0], env.Msg)
+	if err != nil {
+		p.mu.Unlock()
+		return
+	}
+	p.scratch = frame
+	if p.closed || p.frames >= e.opts.QueueLen {
 		p.mu.Unlock()
 		// Queue full: shed. The protocols' timeout machinery recovers.
 		e.shed.Add(1)
 		return
 	}
-	p.q = append(p.q, buf)
+	p.buf = msg.AppendFrame(p.buf, env.From, env.To, frame)
+	p.frames++
 	if met != nil {
 		p.stamps = append(p.stamps, time.Now().UnixNano())
 		met.queueDepth.Add(1)
@@ -346,11 +359,11 @@ func (e *Endpoint) peer(id types.SiteID) *peer {
 	return p
 }
 
-// writeLoop drains one peer's queue: dial on demand, claim every queued
-// frame in one step and hand the batch to net.Buffers — one writev syscall
-// per batch — then redial with exponential backoff after failures. Frames
-// queued while a batch is in flight form the next batch, so coalescing
-// deepens exactly when the link is the bottleneck.
+// writeLoop drains one peer's queue: dial on demand, claim the whole queued
+// stream in one step — swapping in the buffers the previous batch used —
+// and write it with one Write call, then redial with exponential backoff
+// after failures. Frames queued while a batch is in flight form the next
+// batch, so coalescing deepens exactly when the link is the bottleneck.
 func (e *Endpoint) writeLoop(p *peer) {
 	defer e.wg.Done()
 	var conn net.Conn
@@ -359,19 +372,22 @@ func (e *Endpoint) writeLoop(p *peer) {
 			conn.Close()
 		}
 	}()
+	var spare []byte
+	var spareStamps []int64
 	backoff := e.opts.BackoffMin
 	for {
 		p.mu.Lock()
-		for len(p.q) == 0 && !p.closed {
+		for p.frames == 0 && !p.closed {
 			p.cond.Wait()
 		}
 		if p.closed {
 			p.mu.Unlock()
 			return
 		}
-		batch, stamps := p.q, p.stamps
-		p.q, p.stamps = nil, nil
+		batch, frames, stamps := p.buf, p.frames, p.stamps
+		p.buf, p.frames, p.stamps = spare[:0], 0, spareStamps[:0]
 		p.mu.Unlock()
+		spare, spareStamps = batch, stamps
 		if met := e.met.Load(); met != nil {
 			met.queueDepth.Add(-int64(len(stamps)))
 		}
@@ -391,13 +407,12 @@ func (e *Endpoint) writeLoop(p *peer) {
 			conn = c
 			backoff = e.opts.BackoffMin
 		}
-		bufs := net.Buffers(batch)
-		if _, err := bufs.WriteTo(conn); err != nil {
+		if _, err := conn.Write(batch); err != nil {
 			conn.Close()
 			conn = nil // batch dropped; redial on the next frame
 			continue
 		}
-		e.frames.Add(uint64(len(batch)))
+		e.frames.Add(uint64(frames))
 		e.batches.Add(1)
 		if met := e.met.Load(); met != nil && len(stamps) > 0 {
 			now := time.Now().UnixNano()

@@ -99,8 +99,9 @@ func BenchmarkReplay(b *testing.B) {
 
 func BenchmarkEncodeRecord(b *testing.B) {
 	rec := benchRecord()
+	var buf []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = encodeRecord(rec)
+		buf = appendRecord(buf[:0], rec)
 	}
 }

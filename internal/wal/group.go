@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 	"time"
@@ -54,16 +55,21 @@ var ErrClosed = errors.New("wal: log closed")
 // ticket's WaitDurable) had not returned. A lone sequential appender gets
 // one write+fsync per Append: its next record cannot arrive before the
 // previous batch is forced.
+//
+// The log keeps no in-memory image of its records: AppendAsync encodes each
+// record in place into the pending batch buffer, the syncer swaps that
+// buffer with the one it last wrote, and Records decodes the durable prefix
+// of the file. Memory stays bounded by the largest batch, however long the
+// log grows.
 type GroupLog struct {
 	path string
 
 	mu      sync.Mutex
 	f       *os.File
-	pending []byte   // encoded frames awaiting the next batch write
-	batch   []Record // decoded records matching pending, in ticket order
-	next    Ticket   // ticket of the most recently appended record
-	durable Ticket   // ticket of the most recently forced record
-	recs    []Record // durable records, in ticket order
+	pending []byte // encoded frames awaiting the next batch write
+	next    Ticket // ticket of the most recently appended record
+	durable Ticket // ticket of the most recently forced record
+	size    int64  // file bytes covered by durable: the durable prefix
 	fsyncs  uint64
 	err     error // first write/sync failure; sticky
 	closed  bool
@@ -92,16 +98,16 @@ var _ AsyncLog = (*GroupLog)(nil)
 // OpenGroupLog opens (creating if needed) the group-commit log at path,
 // replaying its valid record prefix and truncating a torn tail.
 func OpenGroupLog(path string) (*GroupLog, error) {
-	f, recs, err := openLogFile(path)
+	f, recs, size, err := openLogFile(path)
 	if err != nil {
 		return nil, err
 	}
 	l := &GroupLog{
 		path:       path,
 		f:          f,
-		recs:       recs,
 		next:       Ticket(len(recs)),
 		durable:    Ticket(len(recs)),
+		size:       size,
 		batchSizes: obs.NewHistogram(obs.SizeBounds()),
 		syncDone:   make(chan struct{}),
 	}
@@ -112,19 +118,15 @@ func OpenGroupLog(path string) (*GroupLog, error) {
 }
 
 // AppendAsync implements AsyncLog.
+// The record is encoded before AppendAsync returns, so the caller may reuse
+// its slices at once.
 func (l *GroupLog) AppendAsync(r Record) Ticket {
-	frame := encodeRecord(r)
-	// Deep-copy slices so later caller mutations cannot corrupt the
-	// in-memory image (the frame already snapshots the on-disk bytes).
-	r.Participants = append([]types.SiteID(nil), r.Participants...)
-	r.Writeset = r.Writeset.Clone()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return l.next + 1 // never durable: WaitDurable on it reports ErrClosed
 	}
-	l.pending = append(l.pending, frame...)
-	l.batch = append(l.batch, r)
+	l.pending = appendRecord(l.pending, r)
 	if l.flushWait != nil {
 		l.stamps = append(l.stamps, time.Now().UnixNano())
 	}
@@ -165,13 +167,31 @@ func (l *GroupLog) Append(r Record) error {
 
 // Records implements Log, returning only durable records — a record still
 // waiting on its batch's fsync is invisible, so readers (and recovery)
-// never act on state that a crash could retract.
+// never act on state that a crash could retract. It decodes the file's
+// durable prefix with positioned reads, leaving the append offset alone;
+// after Close it reopens the path read-only. A failed log returns its
+// durable records together with the sticky error.
+//
+// Records holds the log's lock while it reads, so the durable prefix cannot
+// move or the file close underneath it. It is a recovery and audit call,
+// never on the commit path.
 func (l *GroupLog) Records() ([]Record, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Record, len(l.recs))
-	copy(out, l.recs)
-	return out, l.err
+	f := l.f
+	if l.closed {
+		rf, err := os.Open(l.path)
+		if err != nil {
+			return nil, err
+		}
+		defer rf.Close()
+		f = rf
+	}
+	recs, n := scanRecords(io.NewSectionReader(f, 0, l.size))
+	if n != l.size {
+		return recs, fmt.Errorf("%w: durable prefix reads back %d of %d bytes", ErrCorrupt, n, l.size)
+	}
+	return recs, l.err
 }
 
 // Fsyncs returns the number of fsync calls issued — the group-commit win is
@@ -205,11 +225,14 @@ func (l *GroupLog) Path() string { return l.path }
 
 // syncLoop is the single syncer goroutine: it claims everything pending,
 // writes it in one Write call, forces it with one fsync, then publishes the
-// new durable horizon. Appends landing during the force simply form the
-// next batch — the classic group-commit cadence, self-clocked by fsync
-// latency.
+// new durable horizon and byte size. Appends landing during the force
+// simply form the next batch — the classic group-commit cadence,
+// self-clocked by fsync latency. The claimed buffers are swapped with the
+// ones the previous batch wrote, so a warm log appends without allocating.
 func (l *GroupLog) syncLoop() {
 	defer close(l.syncDone)
+	var spare []byte
+	var spareStamps []int64
 	l.mu.Lock()
 	for {
 		for len(l.pending) == 0 && !l.closed {
@@ -219,9 +242,9 @@ func (l *GroupLog) syncLoop() {
 			l.mu.Unlock()
 			return
 		}
-		buf, recs, stamps := l.pending, l.batch, l.stamps
-		l.pending, l.batch, l.stamps = nil, nil, nil
-		target := l.next
+		buf, stamps := l.pending, l.stamps
+		l.pending, l.stamps = spare[:0], spareStamps[:0]
+		target, recs := l.next, l.next-l.durable
 		syncDur := l.syncDur
 		l.mu.Unlock()
 
@@ -236,7 +259,7 @@ func (l *GroupLog) syncLoop() {
 		if syncDur != nil {
 			syncDur.ObserveNS(time.Now().UnixNano() - s0)
 		}
-		l.batchSizes.Observe(float64(len(recs)))
+		l.batchSizes.Observe(float64(recs))
 
 		l.mu.Lock()
 		l.fsyncs++
@@ -246,7 +269,7 @@ func (l *GroupLog) syncLoop() {
 			}
 		} else {
 			l.durable = target
-			l.recs = append(l.recs, recs...)
+			l.size += int64(len(buf))
 			if fw := l.flushWait; fw != nil && len(stamps) > 0 {
 				now := time.Now().UnixNano()
 				for _, t0 := range stamps {
@@ -254,6 +277,7 @@ func (l *GroupLog) syncLoop() {
 				}
 			}
 		}
+		spare, spareStamps = buf, stamps
 		l.forced.Broadcast()
 		if l.err != nil {
 			l.mu.Unlock()

@@ -14,16 +14,22 @@
 // append-only file of CRC-protected records with torn-tail recovery, where
 // concurrent appends coalesce into one write+fsync (group commit) behind the
 // AsyncLog interface and a lone appender pays exactly one fsync per Append.
+// GroupLog holds only bytes in memory — the batch being built and the one
+// being written — and its Records decodes the durable prefix of the file
+// rather than an in-memory image.
 package wal
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
+	"slices"
 
 	"qcommit/internal/types"
 )
@@ -199,26 +205,29 @@ var (
 	ErrCorrupt = errors.New("wal: corrupt record")
 )
 
-func encodeRecord(r Record) []byte {
-	body := make([]byte, 0, 64)
-	body = append(body, byte(r.Type))
-	body = binary.AppendUvarint(body, uint64(r.Txn))
-	body = binary.AppendVarint(body, int64(r.Coord))
-	body = binary.AppendUvarint(body, uint64(len(r.Participants)))
+// appendRecord appends r's on-disk frame to dst and returns the extended
+// slice; dst's existing bytes are left intact. The length prefix is
+// reserved first and patched once the body is in place, so the frame is
+// built without an intermediate body buffer.
+func appendRecord(dst []byte, r Record) []byte {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0)
+	dst = append(dst, byte(r.Type))
+	dst = binary.AppendUvarint(dst, uint64(r.Txn))
+	dst = binary.AppendVarint(dst, int64(r.Coord))
+	dst = binary.AppendUvarint(dst, uint64(len(r.Participants)))
 	for _, p := range r.Participants {
-		body = binary.AppendVarint(body, int64(p))
+		dst = binary.AppendVarint(dst, int64(p))
 	}
-	body = binary.AppendUvarint(body, uint64(len(r.Writeset)))
+	dst = binary.AppendUvarint(dst, uint64(len(r.Writeset)))
 	for _, u := range r.Writeset {
-		body = binary.AppendUvarint(body, uint64(len(u.Item)))
-		body = append(body, u.Item...)
-		body = binary.AppendVarint(body, u.Value)
+		dst = binary.AppendUvarint(dst, uint64(len(u.Item)))
+		dst = append(dst, u.Item...)
+		dst = binary.AppendVarint(dst, u.Value)
 	}
-	frame := make([]byte, 0, len(body)+8)
-	frame = binary.BigEndian.AppendUint32(frame, uint32(len(body)))
-	frame = append(frame, body...)
-	frame = binary.BigEndian.AppendUint32(frame, crc32.ChecksumIEEE(body))
-	return frame
+	body := dst[start+4:]
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(body)))
+	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(body))
 }
 
 func decodeBody(body []byte) (Record, error) {
@@ -290,61 +299,58 @@ func decodeBody(body []byte) (Record, error) {
 
 // openLogFile opens (creating if needed) the log file at path, scans its
 // valid record prefix and truncates any torn tail, leaving the file
-// positioned for appending.
-func openLogFile(path string) (*os.File, []Record, error) {
+// positioned for appending at the returned size.
+func openLogFile(path string) (*os.File, []Record, int64, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
-	recs, valid, err := scanRecords(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
+	recs, valid := scanRecords(io.NewSectionReader(f, 0, math.MaxInt64))
 	if err := f.Truncate(valid); err != nil {
 		f.Close()
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	if _, err := f.Seek(valid, io.SeekStart); err != nil {
 		f.Close()
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
-	return f, recs, nil
+	return f, recs, valid, nil
 }
 
-// scanRecords reads records from the start of f, returning the valid prefix
-// and the byte offset of the end of the last valid record.
-func scanRecords(f *os.File) ([]Record, int64, error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, 0, err
-	}
+// scanRecords reads records from r, returning the valid prefix and the byte
+// offset of the end of the last valid record. A read error, torn frame or
+// non-canonical body ends the prefix.
+func scanRecords(r io.Reader) ([]Record, int64) {
+	br := bufio.NewReader(r)
 	var recs []Record
 	var off int64
-	hdr := make([]byte, 4)
+	var hdr [4]byte
+	var body, canon []byte
 	for {
-		if _, err := io.ReadFull(f, hdr); err != nil {
-			return recs, off, nil // clean EOF or torn header: stop here
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+			return recs, off // clean EOF or torn header: stop here
 		}
-		n := binary.BigEndian.Uint32(hdr)
+		n := binary.BigEndian.Uint32(hdr[:])
 		if n > 1<<20 {
-			return recs, off, nil // implausible length: torn
+			return recs, off // implausible length: torn
 		}
-		body := make([]byte, n+4)
-		if _, err := io.ReadFull(f, body); err != nil {
-			return recs, off, nil
+		body = slices.Grow(body[:0], int(n)+4)[:n+4]
+		if _, err := io.ReadFull(br, body); err != nil {
+			return recs, off
 		}
 		sum := binary.BigEndian.Uint32(body[n:])
 		if crc32.ChecksumIEEE(body[:n]) != sum {
-			return recs, off, nil
+			return recs, off
 		}
 		rec, err := decodeBody(body[:n])
 		if err != nil {
-			return recs, off, nil
+			return recs, off
 		}
-		// Accept only what encodeRecord writes: a CRC-valid body in a
+		// Accept only what appendRecord writes: a CRC-valid body in a
 		// non-canonical encoding (an overlong varint) was never appended here.
-		if frame := encodeRecord(rec); !bytes.Equal(frame[4:len(frame)-4], body[:n]) {
-			return recs, off, nil
+		canon = appendRecord(canon[:0], rec)
+		if !bytes.Equal(canon[4:len(canon)-4], body[:n]) {
+			return recs, off
 		}
 		recs = append(recs, rec)
 		off += int64(4 + n + 4)
