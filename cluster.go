@@ -3,6 +3,7 @@ package qcommit
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"qcommit/internal/avail"
 	"qcommit/internal/engine"
@@ -42,11 +43,12 @@ type Options struct {
 	// Seed drives all randomness (message delays, loss) deterministically.
 	Seed int64
 	// MinDelay/MaxDelay bound message propagation delay. MaxDelay is the
-	// paper's T (timeout base). Defaults: 1ms/10ms.
+	// paper's T (timeout base). Defaults: 1ms/10ms; a MinDelay needs a
+	// MaxDelay at least as large.
 	MinDelay, MaxDelay Duration
-	// LossProb is the independent probability a message is lost.
+	// LossProb is the independent probability a message is lost, in [0, 1].
 	LossProb float64
-	// DupProb is the probability a message is duplicated.
+	// DupProb is the probability a message is duplicated, in [0, 1].
 	DupProb float64
 	// SkeenVc and SkeenVa are the site-vote quorums for ProtoSkeenQuorum
 	// (one vote per site). Zero values select Vc = majority, Va = V+1-Vc.
@@ -73,50 +75,16 @@ type Cluster struct {
 
 // NewCluster validates the replica declarations and builds the cluster.
 func NewCluster(items []ReplicatedItem, opts Options) (*Cluster, error) {
-	if len(items) == 0 {
-		return nil, fmt.Errorf("qcommit: at least one replicated item is required")
-	}
 	if !opts.Strategy.Valid() {
 		return nil, fmt.Errorf("qcommit: invalid Options.Strategy %v", opts.Strategy)
 	}
-	configs := make([]voting.ItemConfig, 0, len(items))
-	siteSet := make(map[SiteID]bool)
-	for _, it := range items {
-		if len(it.Votes) != 0 && len(it.Votes) != len(it.Sites) {
-			return nil, fmt.Errorf("qcommit: item %q: Votes length %d != Sites length %d", it.Name, len(it.Votes), len(it.Sites))
-		}
-		copies := make([]voting.Copy, len(it.Sites))
-		total := 0
-		for i, s := range it.Sites {
-			v := 1
-			if len(it.Votes) > 0 {
-				v = it.Votes[i]
-			}
-			copies[i] = voting.Copy{Site: s, Votes: v}
-			total += v
-			siteSet[s] = true
-		}
-		r, w := it.R, it.W
-		if r == 0 && w == 0 {
-			w = total/2 + 1
-			r = total + 1 - w
-		}
-		configs = append(configs, voting.ItemConfig{Item: it.Name, Copies: copies, R: r, W: w})
+	if err := checkNet("Options", time.Duration(opts.MinDelay), time.Duration(opts.MaxDelay), opts.LossProb, opts.DupProb); err != nil {
+		return nil, err
 	}
-	asgn, err := voting.NewAssignment(configs...)
+	asgn, sites, err := assignmentOf(items, opts.ExtraSites)
 	if err != nil {
 		return nil, err
 	}
-
-	for _, s := range opts.ExtraSites {
-		siteSet[s] = true
-	}
-	sites := make([]SiteID, 0, len(siteSet))
-	for s := range siteSet {
-		sites = append(sites, s)
-	}
-	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
-
 	spec, err := buildSpec(opts, sites)
 	if err != nil {
 		return nil, err
@@ -154,6 +122,87 @@ func NewCluster(items []ReplicatedItem, opts Options) (*Cluster, error) {
 		InitialValues:        initials,
 	})
 	return &Cluster{eng: eng, opts: opts}, nil
+}
+
+// checkNet rejects network settings no run can honour, naming the field of
+// the options struct opt: a negative delay, MaxDelay below MinDelay, MinDelay
+// without MaxDelay (T derives from MaxDelay, so every message would outlast
+// the timeouts), and a loss or duplication probability outside [0, 1].
+func checkNet(opt string, minDelay, maxDelay time.Duration, loss, dup float64) error {
+	switch {
+	case minDelay < 0:
+		return fmt.Errorf("qcommit: negative %s.MinDelay %v", opt, minDelay)
+	case maxDelay < 0:
+		return fmt.Errorf("qcommit: negative %s.MaxDelay %v", opt, maxDelay)
+	case maxDelay == 0 && minDelay > 0:
+		return fmt.Errorf("qcommit: %s.MinDelay %v set without MaxDelay", opt, minDelay)
+	case maxDelay < minDelay:
+		return fmt.Errorf("qcommit: %s.MaxDelay %v < MinDelay %v", opt, maxDelay, minDelay)
+	}
+	for _, p := range []struct {
+		field string
+		v     float64
+	}{{"LossProb", loss}, {"DupProb", dup}} {
+		if !(p.v >= 0 && p.v <= 1) { // NaN fails both comparisons
+			return fmt.Errorf("qcommit: %s.%s %v outside [0, 1]", opt, p.field, p.v)
+		}
+	}
+	return nil
+}
+
+// assignmentOf builds the vote assignment the replica declarations describe
+// and returns it with every site — the copies' and extraSites — ascending.
+func assignmentOf(items []ReplicatedItem, extraSites []SiteID) (*voting.Assignment, []SiteID, error) {
+	if len(items) == 0 {
+		return nil, nil, fmt.Errorf("qcommit: at least one replicated item is required")
+	}
+	configs := make([]voting.ItemConfig, 0, len(items))
+	siteSet := make(map[SiteID]bool)
+	for _, it := range items {
+		if len(it.Votes) != 0 && len(it.Votes) != len(it.Sites) {
+			return nil, nil, fmt.Errorf("qcommit: item %q: Votes length %d != Sites length %d", it.Name, len(it.Votes), len(it.Sites))
+		}
+		copies := make([]voting.Copy, len(it.Sites))
+		total := 0
+		for i, s := range it.Sites {
+			v := 1
+			if len(it.Votes) > 0 {
+				v = it.Votes[i]
+			}
+			copies[i] = voting.Copy{Site: s, Votes: v}
+			total += v
+			siteSet[s] = true
+		}
+		r, w := it.R, it.W
+		if r == 0 && w == 0 {
+			w = total/2 + 1
+			r = total + 1 - w
+		}
+		configs = append(configs, voting.ItemConfig{Item: it.Name, Copies: copies, R: r, W: w})
+	}
+	asgn, err := voting.NewAssignment(configs...)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, s := range extraSites {
+		siteSet[s] = true
+	}
+	sites := make([]SiteID, 0, len(siteSet))
+	for s := range siteSet {
+		sites = append(sites, s)
+	}
+	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
+	return asgn, sites, nil
+}
+
+// writesetOf turns a write map into a Writeset ordered by item.
+func writesetOf(writes map[ItemID]int64) Writeset {
+	ws := make(Writeset, 0, len(writes))
+	for it, v := range writes {
+		ws = append(ws, Update{Item: it, Value: v})
+	}
+	sort.Slice(ws, func(i, j int) bool { return ws[i].Item < ws[j].Item })
+	return ws
 }
 
 func buildSpec(opts Options, sites []SiteID) (protocol.Spec, error) {
@@ -200,32 +249,14 @@ func (c *Cluster) Sites() []SiteID { return c.eng.Sites() }
 // Submit starts a transaction at the coordinator site that writes the given
 // values. Call Run (or RunFor) to drive the protocol.
 func (c *Cluster) Submit(coord SiteID, writes map[ItemID]int64) TxnID {
-	items := make([]ItemID, 0, len(writes))
-	for it := range writes {
-		items = append(items, it)
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
-	ws := make(Writeset, 0, len(items))
-	for _, it := range items {
-		ws = append(ws, Update{Item: it, Value: writes[it]})
-	}
-	return c.eng.Begin(coord, ws)
+	return c.eng.Begin(coord, writesetOf(writes))
 }
 
 // SetupInterrupted constructs a mid-protocol configuration directly (the
 // paper's example scenarios): each site in states is a participant frozen in
 // the given local state, holding write locks, with a matching WAL.
 func (c *Cluster) SetupInterrupted(coord SiteID, writes map[ItemID]int64, states map[SiteID]State) TxnID {
-	items := make([]ItemID, 0, len(writes))
-	for it := range writes {
-		items = append(items, it)
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
-	ws := make(Writeset, 0, len(items))
-	for _, it := range items {
-		ws = append(ws, Update{Item: it, Value: writes[it]})
-	}
-	return c.eng.SetupInterrupted(coord, ws, states)
+	return c.eng.SetupInterrupted(coord, writesetOf(writes), states)
 }
 
 // Run drives the simulation until quiescence and returns the final virtual

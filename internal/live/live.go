@@ -39,7 +39,7 @@ type Config struct {
 	// TimeoutBase is the protocol timeout unit T. Unlike the deterministic
 	// simulator, wall-clock runs pay goroutine scheduling and marshalling
 	// overhead on top of propagation delay, so T needs headroom; it defaults
-	// to 4×MaxDelay.
+	// to 4× the larger delay bound.
 	TimeoutBase time.Duration
 	// Seed drives the delay randomness.
 	Seed int64
@@ -122,7 +122,7 @@ func New(cfg Config) *Cluster {
 		cfg.MinDelay, cfg.MaxDelay = 200*time.Microsecond, 2*time.Millisecond
 	}
 	if cfg.TimeoutBase == 0 {
-		cfg.TimeoutBase = 4 * cfg.MaxDelay
+		cfg.TimeoutBase = 4 * max(cfg.MinDelay, cfg.MaxDelay)
 	}
 	if cfg.MaxTerminationRounds <= 0 {
 		cfg.MaxTerminationRounds = 3

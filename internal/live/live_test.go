@@ -59,6 +59,24 @@ func TestLiveFailureFreeCommit(t *testing.T) {
 	}
 }
 
+// TestDefaultTFollowsLargerDelay pins the default T: four times the larger
+// delay bound, so a MinDelay given alone cannot leave T at zero.
+func TestDefaultTFollowsLargerDelay(t *testing.T) {
+	const ms = time.Millisecond
+	for _, tc := range []struct{ min, max, want time.Duration }{
+		{min: 5 * ms, want: 20 * ms},
+		{min: ms, max: 3 * ms, want: 12 * ms},
+		{want: 8 * ms}, // the 200µs–2ms default window
+	} {
+		cl := New(Config{Assignment: asgn(), Spec: core.Spec{Variant: core.Protocol1}, MinDelay: tc.min, MaxDelay: tc.max})
+		got := cl.T()
+		cl.Stop()
+		if got != tc.want {
+			t.Errorf("MinDelay %v, MaxDelay %v: T = %v, want %v", tc.min, tc.max, got, tc.want)
+		}
+	}
+}
+
 func TestLiveSequentialTransactions(t *testing.T) {
 	cl := New(Config{Assignment: asgn(), Spec: core.Spec{Variant: core.Protocol2}, Seed: 2, TimeoutBase: 30 * time.Millisecond})
 	defer cl.Stop()

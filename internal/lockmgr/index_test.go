@@ -8,7 +8,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"time"
 
 	"qcommit/internal/obs"
 	"qcommit/internal/types"
@@ -16,9 +15,7 @@ import (
 
 // refTable is the lock table as it was before the per-transaction index: one
 // map of lock states and nothing else, so ReleaseAll, HeldItems and HeldCount
-// find a transaction's locks by walking all of it. It is single-threaded and
-// never blocks: where the manager would park a goroutine it reports the
-// request as queued, and releases report whom they woke.
+// find a transaction's locks by walking all of it.
 type refTable struct {
 	locks map[types.ItemID]*refLock
 }
@@ -26,27 +23,12 @@ type refTable struct {
 type refLock struct {
 	mode    Mode
 	holders map[types.TxnID]int
-	queue   []refReq
 }
-
-type refReq struct {
-	txn  types.TxnID
-	mode Mode
-}
-
-// refResult is what the reference predicts for one acquisition.
-type refResult uint8
-
-const (
-	refGranted refResult = iota
-	refRefused           // ErrWouldBlock
-	refQueued            // Acquire would wait
-)
 
 func newRefTable() *refTable { return &refTable{locks: make(map[types.ItemID]*refLock)} }
 
-// acquire models TryAcquire (wait=false) and Acquire (wait=true).
-func (r *refTable) acquire(txn types.TxnID, item types.ItemID, mode Mode, wait bool) refResult {
+// tryAcquire models TryAcquire and reports whether it grants.
+func (r *refTable) tryAcquire(txn types.TxnID, item types.ItemID, mode Mode) bool {
 	ls := r.locks[item]
 	if ls == nil {
 		ls = &refLock{holders: make(map[types.TxnID]int)}
@@ -55,91 +37,42 @@ func (r *refTable) acquire(txn types.TxnID, item types.ItemID, mode Mode, wait b
 	if len(ls.holders) == 0 {
 		ls.mode = mode
 		ls.holders[txn] = 1
-		return refGranted
+		return true
 	}
 	if _, holds := ls.holders[txn]; holds {
 		if mode == Exclusive && ls.mode == Shared {
 			if len(ls.holders) > 1 {
-				return refRefused
+				return false
 			}
 			ls.mode = Exclusive
 		}
 		ls.holders[txn]++
-		return refGranted
+		return true
 	}
-	if compatible(ls.mode, mode) && len(ls.queue) == 0 {
+	if compatible(ls.mode, mode) {
 		ls.holders[txn] = 1
-		return refGranted
+		return true
 	}
-	if !wait {
-		return refRefused
-	}
-	ls.queue = append(ls.queue, refReq{txn, mode})
-	return refQueued
+	return false
 }
 
-// wouldQueue reports whether acquire(…, wait=true) would park the request.
-func (r *refTable) wouldQueue(txn types.TxnID, item types.ItemID, mode Mode) bool {
-	ls := r.locks[item]
-	if ls == nil || len(ls.holders) == 0 {
-		return false
-	}
-	if _, holds := ls.holders[txn]; holds {
-		return false
-	}
-	return !(compatible(ls.mode, mode) && len(ls.queue) == 0)
-}
-
-// wake grants the head of item's queue while it is compatible and returns
-// the transactions granted.
-func (r *refTable) wake(ls *refLock) []types.TxnID {
-	var woken []types.TxnID
-	for len(ls.queue) > 0 {
-		head := ls.queue[0]
-		if len(ls.holders) == 0 {
-			ls.mode = head.mode
-		} else if !compatible(ls.mode, head.mode) {
-			break
-		}
-		ls.queue = ls.queue[1:]
-		ls.holders[head.txn] = 1
-		woken = append(woken, head.txn)
-	}
-	return woken
-}
-
-func (r *refTable) release(txn types.TxnID, item types.ItemID) []types.TxnID {
+func (r *refTable) release(txn types.TxnID, item types.ItemID) {
 	ls := r.locks[item]
 	if ls == nil {
-		return nil
+		return
 	}
-	if cnt, ok := ls.holders[txn]; ok {
-		if cnt > 1 {
-			ls.holders[txn] = cnt - 1
-			return nil
-		}
+	if cnt, ok := ls.holders[txn]; ok && cnt > 1 {
+		ls.holders[txn] = cnt - 1
+	} else {
 		delete(ls.holders, txn)
 	}
-	return r.wake(ls)
 }
 
-// releaseAll walks the whole table, as the manager used to. cancelled
-// reports whether a queued request of txn was withdrawn.
-func (r *refTable) releaseAll(txn types.TxnID) (woken []types.TxnID, cancelled bool) {
+// releaseAll walks the whole table, as the manager used to.
+func (r *refTable) releaseAll(txn types.TxnID) {
 	for _, ls := range r.locks {
-		if _, ok := ls.holders[txn]; ok {
-			delete(ls.holders, txn)
-			woken = append(woken, r.wake(ls)...)
-		}
-		for j, req := range ls.queue {
-			if req.txn == txn {
-				ls.queue = append(ls.queue[:j], ls.queue[j+1:]...)
-				cancelled = true
-				break
-			}
-		}
+		delete(ls.holders, txn)
 	}
-	return woken, cancelled
 }
 
 func (r *refTable) locked(item types.ItemID) bool {
@@ -175,18 +108,16 @@ func (r *refTable) heldCount() int64 {
 	return n
 }
 
-func (r *refTable) holdsAny(txn types.TxnID) bool { return len(r.heldItems(txn)) > 0 }
-
 // checkIndex verifies the package comment's invariant on every shard: index
-// and table describe the same holds and the same queued requests.
+// and table describe the same holds.
 func checkIndex(m *Manager) error {
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.Lock()
 		err := func() error {
-			holds, queued := 0, 0
+			holds := 0
 			for txn, tl := range sh.byTxn {
-				if len(tl.held) == 0 && len(tl.queued) == 0 {
+				if len(tl.held) == 0 {
 					return fmt.Errorf("shard %d: empty index entry for %s", i, txn)
 				}
 				seen := make(map[*lockState]bool)
@@ -196,29 +127,16 @@ func checkIndex(m *Manager) error {
 					}
 					seen[ls] = true
 				}
-				for _, ls := range tl.queued {
-					n := 0
-					for _, req := range ls.queue {
-						if req.txn == txn {
-							n++
-						}
-					}
-					if n == 0 {
-						return fmt.Errorf("shard %d: index says %s is queued on %s, table disagrees", i, txn, ls.item)
-					}
-				}
 				holds += len(tl.held)
-				queued += len(tl.queued)
 			}
 			for item, ls := range sh.locks {
 				holds -= len(ls.holders)
-				queued -= len(ls.queue)
 				if ls.item != item {
 					return fmt.Errorf("shard %d: lock state of %s is labelled %s", i, item, ls.item)
 				}
 			}
-			if holds != 0 || queued != 0 {
-				return fmt.Errorf("shard %d: table has %d holds and %d requests the index lacks", i, -holds, -queued)
+			if holds != 0 {
+				return fmt.Errorf("shard %d: table has %d holds the index lacks", i, -holds)
 			}
 			return nil
 		}()
@@ -251,18 +169,13 @@ type diffDriver struct {
 	rng   *rand.Rand
 	txns  []types.TxnID
 	items []types.ItemID
-	// blocked holds the result channel of each transaction parked in Acquire.
-	blocked map[types.TxnID]chan error
 	// alone is set when no other driver shares the manager, which makes
 	// HeldCount and the index comparable after every step.
 	alone bool
 }
 
 func newDiffDriver(m *Manager, seed int64, id, nTxns, nItems int, alone bool) *diffDriver {
-	d := &diffDriver{
-		m: m, ref: newRefTable(), rng: rand.New(rand.NewSource(seed)),
-		blocked: make(map[types.TxnID]chan error), alone: alone,
-	}
+	d := &diffDriver{m: m, ref: newRefTable(), rng: rand.New(rand.NewSource(seed)), alone: alone}
 	for i := 0; i < nTxns; i++ {
 		d.txns = append(d.txns, types.TxnID(id*1000+i+1))
 	}
@@ -270,48 +183,6 @@ func newDiffDriver(m *Manager, seed int64, id, nTxns, nItems int, alone bool) *d
 		d.items = append(d.items, types.ItemID(fmt.Sprintf("d%d/item%d", id, i)))
 	}
 	return d
-}
-
-// waitParked blocks until txn's request on item is in the manager's queue.
-func (d *diffDriver) waitParked(txn types.TxnID, item types.ItemID) error {
-	sh := d.m.shardOf(item)
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		sh.mu.Lock()
-		parked := false
-		if ls := sh.locks[item]; ls != nil {
-			for _, req := range ls.queue {
-				parked = parked || req.txn == txn
-			}
-		}
-		sh.mu.Unlock()
-		if parked {
-			return nil
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-	return fmt.Errorf("%s never queued on %s", txn, item)
-}
-
-// expectWoken collects the result of every transaction the reference says a
-// release woke (nil) or withdrew (ErrWouldBlock).
-func (d *diffDriver) expectWoken(txns []types.TxnID, want error) error {
-	for _, txn := range txns {
-		ch := d.blocked[txn]
-		if ch == nil {
-			return fmt.Errorf("reference woke %s, which is not parked", txn)
-		}
-		select {
-		case err := <-ch:
-			if !errors.Is(err, want) {
-				return fmt.Errorf("parked %s returned %v, want %v", txn, err, want)
-			}
-		case <-time.After(5 * time.Second):
-			return fmt.Errorf("parked %s never returned (want %v)", txn, want)
-		}
-		delete(d.blocked, txn)
-	}
-	return nil
 }
 
 // step performs one random operation on both sides and compares.
@@ -322,48 +193,16 @@ func (d *diffDriver) step() error {
 	if d.rng.Intn(3) > 0 {
 		mode = Exclusive
 	}
-	op := d.rng.Intn(10)
-	if _, parked := d.blocked[txn]; parked {
-		// A parked transaction can only be aborted; mostly leave it parked,
-		// so that releases by others get to wake it.
-		if d.rng.Intn(4) > 0 {
-			return nil
-		}
-		op = 9
-	}
-	switch {
-	case op < 4: // TryAcquire
-		want := d.ref.acquire(txn, item, mode, false)
+	switch op := d.rng.Intn(10); {
+	case op < 6:
+		want := d.ref.tryAcquire(txn, item, mode)
 		err := d.m.TryAcquire(txn, item, mode)
-		if (err == nil) != (want == refGranted) || (err != nil && !errors.Is(err, ErrWouldBlock)) {
-			return fmt.Errorf("TryAcquire(%s,%s,%s) = %v, reference %d", txn, item, mode, err, want)
+		if (err == nil) != want || (err != nil && !errors.Is(err, ErrWouldBlock)) {
+			return fmt.Errorf("TryAcquire(%s,%s,%s) = %v, reference grants: %v", txn, item, mode, err, want)
 		}
-	case op < 6: // Acquire
-		// Only a transaction holding nothing may park: nobody waits for it,
-		// so the stream can never close a waits-for cycle.
-		if d.ref.wouldQueue(txn, item, mode) && d.ref.holdsAny(txn) {
-			return nil
-		}
-		switch want := d.ref.acquire(txn, item, mode, true); want {
-		case refQueued:
-			ch := make(chan error, 1)
-			d.blocked[txn] = ch
-			go func() { ch <- d.m.Acquire(txn, item, mode) }()
-			if err := d.waitParked(txn, item); err != nil {
-				return err
-			}
-		default:
-			err := d.m.Acquire(txn, item, mode)
-			if (err == nil) != (want == refGranted) || (err != nil && !errors.Is(err, ErrWouldBlock)) {
-				return fmt.Errorf("Acquire(%s,%s,%s) = %v, reference %d", txn, item, mode, err, want)
-			}
-		}
-	case op < 8: // Release
-		woken := d.ref.release(txn, item)
+	case op < 8:
+		d.ref.release(txn, item)
 		d.m.Release(txn, item)
-		if err := d.expectWoken(woken, nil); err != nil {
-			return fmt.Errorf("Release(%s,%s): %w", txn, item, err)
-		}
 	default:
 		if err := d.releaseAll(txn); err != nil {
 			return err
@@ -373,16 +212,8 @@ func (d *diffDriver) step() error {
 }
 
 func (d *diffDriver) releaseAll(txn types.TxnID) error {
-	woken, cancelled := d.ref.releaseAll(txn)
+	d.ref.releaseAll(txn)
 	d.m.ReleaseAll(txn)
-	if cancelled {
-		if err := d.expectWoken([]types.TxnID{txn}, ErrWouldBlock); err != nil {
-			return fmt.Errorf("ReleaseAll(%s): %w", txn, err)
-		}
-	}
-	if err := d.expectWoken(woken, nil); err != nil {
-		return fmt.Errorf("ReleaseAll(%s): %w", txn, err)
-	}
 	if got := d.m.HeldItems(txn); got != nil {
 		return fmt.Errorf("HeldItems(%s) = %v after ReleaseAll, want nil", txn, got)
 	}
@@ -426,7 +257,7 @@ func (d *diffDriver) drain() error {
 }
 
 // TestDifferentialAgainstTableScan drives seeded streams of TryAcquire,
-// Acquire, Release and ReleaseAll against the indexed manager and the
+// Release and ReleaseAll against the indexed manager and the
 // table-scanning reference, comparing every observable after every step.
 func TestDifferentialAgainstTableScan(t *testing.T) {
 	for _, shards := range []int{1, DefaultShards} {
@@ -494,46 +325,6 @@ func TestDifferentialConcurrent(t *testing.T) {
 	}
 }
 
-// TestReleaseAllWakesInAcquisitionOrder pins the release order: one
-// transaction takes eight items of one shard in a scrambled order, a second
-// parks on all of them, and the order in which the ReleaseAll hands them over
-// — read off the waiter's own index entry, which lists grants in order —
-// is the order they were taken in. A walk over the lock map would hand them
-// over in map order, matching by chance once in 8! runs.
-func TestReleaseAllWakesInAcquisitionOrder(t *testing.T) {
-	m := NewSharded(1, 1)
-	order := []types.ItemID{"e", "b", "h", "a", "g", "c", "f", "d"}
-	for _, item := range order {
-		if err := m.TryAcquire(1, item, Exclusive); err != nil {
-			t.Fatal(err)
-		}
-	}
-	done := make(chan error, len(order))
-	for _, item := range order {
-		go func(item types.ItemID) { done <- m.Acquire(2, item, Exclusive) }(item)
-	}
-	for _, item := range order {
-		waitQueued(t, m, item)
-	}
-	m.ReleaseAll(1)
-	for range order {
-		if err := <-done; err != nil {
-			t.Fatalf("waiter woke with %v", err)
-		}
-	}
-	sh := &m.shards[0]
-	sh.mu.Lock()
-	var got []types.ItemID
-	for _, ls := range sh.byTxn[2].held {
-		got = append(got, ls.item)
-	}
-	sh.mu.Unlock()
-	if !reflect.DeepEqual(got, order) {
-		t.Errorf("grant order = %v, want acquisition order %v", got, order)
-	}
-	m.ReleaseAll(2)
-}
-
 // TestIndexFollowsEveryReleasePath walks the release paths the live node
 // takes — a last Release, the partial-acquire rollback, an S→X upgrade, the
 // re-lock after a restart that kept the locks — and requires each to leave
@@ -566,6 +357,9 @@ func TestIndexFollowsEveryReleasePath(t *testing.T) {
 			}
 			for _, item := range taken {
 				m.Release(1, item)
+			}
+			if n := indexEntries(m); n != 1 || m.HeldCount() != 1 {
+				t.Errorf("after the rollback: %d index entries, HeldCount %d; want only 9's one", n, m.HeldCount())
 			}
 			m.ReleaseAll(9)
 		}},
@@ -608,23 +402,18 @@ func TestIndexFollowsEveryReleasePath(t *testing.T) {
 	}
 }
 
-// TestAcquireRefusedUpgradeCountsWouldBlock pins that the blocking path
-// counts a refused S→X upgrade exactly as TryAcquire does.
+// TestAcquireRefusedUpgradeCountsWouldBlock pins that an S→X upgrade refused
+// because of a co-holder is counted as a would-block, like any conflict.
 func TestAcquireRefusedUpgradeCountsWouldBlock(t *testing.T) {
-	for _, acquire := range []struct {
-		name string
-		fn   func(*Manager, types.TxnID, types.ItemID, Mode) error
-	}{{"TryAcquire", (*Manager).TryAcquire}, {"Acquire", (*Manager).Acquire}} {
-		reg := obs.NewRegistry()
-		m := New(1)
-		m.SetMetrics(NewMetrics(reg, 1, m.Shards()))
-		_ = m.TryAcquire(1, "x", Shared)
-		_ = m.TryAcquire(2, "x", Shared)
-		if err := acquire.fn(m, 1, "x", Exclusive); !errors.Is(err, ErrWouldBlock) {
-			t.Fatalf("%s: upgrade with a co-holder = %v, want ErrWouldBlock", acquire.name, err)
-		}
-		if got := obs.SumCounters(reg.Snapshot(), "qcommit_lock_wouldblock_total"); got != 1 {
-			t.Errorf("%s: wouldblock = %d, want 1", acquire.name, got)
-		}
+	reg := obs.NewRegistry()
+	m := New(1)
+	m.SetMetrics(NewMetrics(reg, 1, m.Shards()))
+	_ = m.TryAcquire(1, "x", Shared)
+	_ = m.TryAcquire(2, "x", Shared)
+	if err := m.TryAcquire(1, "x", Exclusive); !errors.Is(err, ErrWouldBlock) {
+		t.Fatalf("upgrade with a co-holder = %v, want ErrWouldBlock", err)
+	}
+	if got := obs.SumCounters(reg.Snapshot(), "qcommit_lock_wouldblock_total"); got != 1 {
+		t.Errorf("wouldblock = %d, want 1", got)
 	}
 }

@@ -2,18 +2,11 @@ package lockmgr
 
 import (
 	"errors"
-	"sync"
 	"testing"
-	"time"
-
-	"qcommit/internal/types"
 )
 
 func TestTryAcquireBasics(t *testing.T) {
 	m := New(1)
-	if m.Site() != 1 {
-		t.Error("site wrong")
-	}
 	if err := m.TryAcquire(1, "x", Exclusive); err != nil {
 		t.Fatal(err)
 	}
@@ -71,32 +64,6 @@ func TestReentrancyAndUpgrade(t *testing.T) {
 	}
 }
 
-func TestReleaseAllWakesWaiters(t *testing.T) {
-	m := New(1)
-	_ = m.TryAcquire(1, "x", Exclusive)
-	_ = m.TryAcquire(1, "y", Exclusive)
-
-	got := make(chan error, 1)
-	go func() { got <- m.Acquire(2, "x", Exclusive) }()
-	// Give the goroutine time to enqueue.
-	time.Sleep(10 * time.Millisecond)
-	m.ReleaseAll(1)
-	select {
-	case err := <-got:
-		if err != nil {
-			t.Fatalf("waiter woke with error: %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("waiter never woke")
-	}
-	if m.Locked("y") {
-		t.Error("y still locked after ReleaseAll")
-	}
-	if !m.LockedBy(2, "x") {
-		t.Error("waiter does not hold x")
-	}
-}
-
 func TestHeldItemsSorted(t *testing.T) {
 	m := New(1)
 	_ = m.TryAcquire(1, "b", Exclusive)
@@ -108,94 +75,8 @@ func TestHeldItemsSorted(t *testing.T) {
 	}
 }
 
-func TestDeadlockDetection(t *testing.T) {
-	m := New(1)
-	_ = m.TryAcquire(1, "x", Exclusive)
-	_ = m.TryAcquire(2, "y", Exclusive)
-
-	// txn2 waits for x (held by 1).
-	done2 := make(chan error, 1)
-	go func() { done2 <- m.Acquire(2, "x", Exclusive) }()
-	time.Sleep(10 * time.Millisecond)
-
-	// txn1 requesting y would close the cycle 1→2→1.
-	err := m.Acquire(1, "y", Exclusive)
-	if !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("expected deadlock, got %v", err)
-	}
-
-	// Resolve: abort txn1 (release everything); txn2 must proceed.
-	m.ReleaseAll(1)
-	select {
-	case err := <-done2:
-		if err != nil {
-			t.Fatalf("txn2 woke with error %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("txn2 never woke after deadlock resolution")
-	}
-}
-
-func TestQueuedRequestCancelledByReleaseAll(t *testing.T) {
-	m := New(1)
-	_ = m.TryAcquire(1, "x", Exclusive)
-	done := make(chan error, 1)
-	go func() { done <- m.Acquire(2, "x", Exclusive) }()
-	time.Sleep(10 * time.Millisecond)
-	// Abort the *waiter*: its queued request must be withdrawn.
-	m.ReleaseAll(2)
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrWouldBlock) {
-			t.Fatalf("cancelled waiter got %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("cancelled waiter never returned")
-	}
-	// x is still held by 1 and free after its release.
-	if !m.LockedBy(1, "x") {
-		t.Error("x lost its holder")
-	}
-}
-
-func TestFIFOWaiters(t *testing.T) {
-	m := New(1)
-	_ = m.TryAcquire(1, "x", Exclusive)
-	order := make(chan types.TxnID, 2)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		_ = m.Acquire(2, "x", Exclusive)
-		order <- 2
-		m.ReleaseAll(2)
-	}()
-	time.Sleep(10 * time.Millisecond)
-	go func() {
-		defer wg.Done()
-		_ = m.Acquire(3, "x", Exclusive)
-		order <- 3
-		m.ReleaseAll(3)
-	}()
-	time.Sleep(10 * time.Millisecond)
-	m.ReleaseAll(1)
-	wg.Wait()
-	first, second := <-order, <-order
-	if first != 2 || second != 3 {
-		t.Errorf("wake order = %v,%v, want 2,3 (FIFO)", first, second)
-	}
-}
-
 func TestModeString(t *testing.T) {
 	if Shared.String() != "S" || Exclusive.String() != "X" {
 		t.Error("mode strings wrong")
-	}
-}
-
-func TestStringSmoke(t *testing.T) {
-	m := New(4)
-	_ = m.TryAcquire(1, "x", Exclusive)
-	if s := m.String(); s == "" {
-		t.Error("empty String()")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"qcommit/internal/types"
 )
@@ -68,86 +67,5 @@ func TestSingleShardManager(t *testing.T) {
 	m.ReleaseAll(1)
 	if m.Locked("x") {
 		t.Error("still locked")
-	}
-}
-
-// TestCrossShardDeadlockDetected pins that deadlock detection survives the
-// sharding: the two items provably live in different shards, so the cycle
-// can only be seen through the global waits-for graph.
-func TestCrossShardDeadlockDetected(t *testing.T) {
-	m := New(1)
-	a, b := twoItemsInDifferentShards(t, m)
-	if err := m.TryAcquire(1, a, Exclusive); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.TryAcquire(2, b, Exclusive); err != nil {
-		t.Fatal(err)
-	}
-	done2 := make(chan error, 1)
-	go func() { done2 <- m.Acquire(2, a, Exclusive) }() // 2 waits for 1
-	time.Sleep(10 * time.Millisecond)
-	// 1 requesting b closes the cycle 1→2→1 across shards.
-	if err := m.Acquire(1, b, Exclusive); !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("cross-shard cycle: got %v, want ErrDeadlock", err)
-	}
-	m.ReleaseAll(1)
-	select {
-	case err := <-done2:
-		if err != nil {
-			t.Fatalf("survivor woke with %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("survivor never woke")
-	}
-}
-
-// TestConcurrentMutualWaitOneDetects drives many racing mutual-wait pairs on
-// items in different shards; exactly one side of each pair must get
-// ErrDeadlock and the other must eventually acquire.
-func TestConcurrentMutualWaitOneDetects(t *testing.T) {
-	m := New(1)
-	a, b := twoItemsInDifferentShards(t, m)
-	for round := 0; round < 50; round++ {
-		t1 := types.TxnID(2*round + 1)
-		t2 := types.TxnID(2*round + 2)
-		if err := m.TryAcquire(t1, a, Exclusive); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.TryAcquire(t2, b, Exclusive); err != nil {
-			t.Fatal(err)
-		}
-		// Each side aborts itself on deadlock, which unblocks its peer. Both
-		// seeing deadlock is impossible (the graph check is serialized under
-		// graphMu); neither seeing it would hang the peer's Acquire forever,
-		// caught by the deadline below.
-		acquire := func(txn types.TxnID, item types.ItemID, ch chan<- error) {
-			err := m.Acquire(txn, item, Exclusive)
-			if errors.Is(err, ErrDeadlock) {
-				m.ReleaseAll(txn)
-			}
-			ch <- err
-		}
-		ch1 := make(chan error, 1)
-		ch2 := make(chan error, 1)
-		go acquire(t1, b, ch1)
-		go acquire(t2, a, ch2)
-		var err1, err2 error
-		deadline := time.After(5 * time.Second)
-		for got := 0; got < 2; {
-			select {
-			case err1 = <-ch1:
-				got++
-			case err2 = <-ch2:
-				got++
-			case <-deadline:
-				t.Fatal("mutual wait never resolved: deadlock missed")
-			}
-		}
-		d1, d2 := errors.Is(err1, ErrDeadlock), errors.Is(err2, ErrDeadlock)
-		if d1 == d2 {
-			t.Fatalf("round %d: deadlock outcomes %v/%v, want exactly one", round, err1, err2)
-		}
-		m.ReleaseAll(t1)
-		m.ReleaseAll(t2)
 	}
 }

@@ -12,7 +12,7 @@
 //
 // Metric names follow the Prometheus text conventions: snake_case with a
 // unit suffix (_total, _ns), optional labels in the name itself —
-// "qcommit_lock_wait_ns{site=\"1\",shard=\"3\"}" — which WritePrometheus
+// "qcommit_lock_hold_ns{site=\"1\",shard=\"3\"}" — which WritePrometheus
 // splits back out so histogram bucket lines can merge the le label in.
 package obs
 

@@ -122,8 +122,8 @@ func (h *fakeHost) pending() []*fakeTimer {
 	return out
 }
 
-// newKernel builds site id of the assignment "x on sites 1 and 2" under QC1;
-// site 3 holds no copy (a pure coordinator site).
+// newKernel builds site id of the assignment "x and y on sites 1 and 2" under
+// QC1; site 3 holds no copy (a pure coordinator site).
 func newKernel(id types.SiteID) (*Kernel[string], *fakeHost) {
 	h := &fakeHost{
 		decided: make(map[types.TxnID]types.Outcome),
@@ -133,8 +133,9 @@ func newKernel(id types.SiteID) (*Kernel[string], *fakeHost) {
 	store := storage.NewStore(id)
 	if id != 3 {
 		store.Init("x", 0)
+		store.Init("y", 0)
 	}
-	asgn := voting.MustAssignment(voting.Uniform("x", 1, 2, 1, 2))
+	asgn := voting.MustAssignment(voting.Uniform("x", 1, 2, 1, 2), voting.Uniform("y", 1, 2, 1, 2))
 	h.k = New(id, Config{
 		Spec:                 core.Spec{Variant: core.Protocol1},
 		Assignment:           asgn,

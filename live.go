@@ -2,13 +2,11 @@ package qcommit
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"qcommit/internal/live"
 	"qcommit/internal/transport"
 	"qcommit/internal/transport/tcp"
-	"qcommit/internal/voting"
 )
 
 // LiveOptions configures a live (goroutine-per-site, wall-clock) cluster.
@@ -21,7 +19,7 @@ type LiveOptions struct {
 	// Seed drives delay randomness.
 	Seed int64
 	// MinDelay/MaxDelay bound simulated propagation delay (wall clock).
-	// Defaults 200µs–2ms.
+	// Defaults 200µs–2ms; a MinDelay needs a MaxDelay at least as large.
 	MinDelay, MaxDelay time.Duration
 	// TimeoutBase is the protocol timeout unit T (default 4×MaxDelay; raise
 	// it on loaded machines).
@@ -48,51 +46,16 @@ type LiveCluster struct {
 // NewLiveCluster builds and starts a live cluster (one goroutine per site).
 // Call Stop when done.
 func NewLiveCluster(items []ReplicatedItem, opts LiveOptions) (*LiveCluster, error) {
-	if len(items) == 0 {
-		return nil, fmt.Errorf("qcommit: at least one replicated item is required")
-	}
 	if !opts.Strategy.Valid() {
 		return nil, fmt.Errorf("qcommit: invalid LiveOptions.Strategy %v", opts.Strategy)
 	}
-	if opts.MinDelay < 0 || opts.MaxDelay < 0 {
-		return nil, fmt.Errorf("qcommit: negative delay bounds (MinDelay %v, MaxDelay %v)", opts.MinDelay, opts.MaxDelay)
+	if err := checkNet("LiveOptions", opts.MinDelay, opts.MaxDelay, 0, 0); err != nil {
+		return nil, err
 	}
-	if opts.MaxDelay != 0 && opts.MaxDelay < opts.MinDelay {
-		return nil, fmt.Errorf("qcommit: MaxDelay %v < MinDelay %v", opts.MaxDelay, opts.MinDelay)
-	}
-	configs := make([]voting.ItemConfig, 0, len(items))
-	siteSet := make(map[SiteID]bool)
-	for _, it := range items {
-		if len(it.Votes) != 0 && len(it.Votes) != len(it.Sites) {
-			return nil, fmt.Errorf("qcommit: item %q: Votes length mismatch", it.Name)
-		}
-		copies := make([]voting.Copy, len(it.Sites))
-		total := 0
-		for i, s := range it.Sites {
-			v := 1
-			if len(it.Votes) > 0 {
-				v = it.Votes[i]
-			}
-			copies[i] = voting.Copy{Site: s, Votes: v}
-			total += v
-			siteSet[s] = true
-		}
-		r, w := it.R, it.W
-		if r == 0 && w == 0 {
-			w = total/2 + 1
-			r = total + 1 - w
-		}
-		configs = append(configs, voting.ItemConfig{Item: it.Name, Copies: copies, R: r, W: w})
-	}
-	asgn, err := voting.NewAssignment(configs...)
+	asgn, sites, err := assignmentOf(items, nil)
 	if err != nil {
 		return nil, err
 	}
-	sites := make([]SiteID, 0, len(siteSet))
-	for s := range siteSet {
-		sites = append(sites, s)
-	}
-	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
 	spec, err := buildSpec(Options{Protocol: opts.Protocol, SkeenVc: opts.SkeenVc, SkeenVa: opts.SkeenVa}, sites)
 	if err != nil {
 		return nil, err
@@ -138,16 +101,7 @@ func NewLiveCluster(items []ReplicatedItem, opts LiveOptions) (*LiveCluster, err
 
 // Submit starts a transaction at the coordinator site.
 func (c *LiveCluster) Submit(coord SiteID, writes map[ItemID]int64) TxnID {
-	items := make([]ItemID, 0, len(writes))
-	for it := range writes {
-		items = append(items, it)
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
-	ws := make(Writeset, 0, len(items))
-	for _, it := range items {
-		ws = append(ws, Update{Item: it, Value: writes[it]})
-	}
-	return c.lc.Begin(coord, ws)
+	return c.lc.Begin(coord, writesetOf(writes))
 }
 
 // WaitOutcome blocks until the transaction reaches a uniform terminal

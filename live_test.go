@@ -1,6 +1,8 @@
 package qcommit
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -54,6 +56,27 @@ func TestLiveClusterPublicAPI(t *testing.T) {
 	}
 }
 
+// badNet lists network settings both facades must refuse, each with the
+// options field its error must name.
+var badNet = []struct {
+	name      string
+	min, max  time.Duration
+	loss, dup float64
+	field     string
+}{
+	{name: "negative MinDelay", min: -time.Millisecond, field: "MinDelay"},
+	{name: "negative MaxDelay", max: -time.Millisecond, field: "MaxDelay"},
+	{name: "MaxDelay < MinDelay", min: 2 * time.Millisecond, max: time.Millisecond, field: "MaxDelay"},
+	{name: "MinDelay without MaxDelay", min: 5 * time.Millisecond, field: "MinDelay"},
+	{name: "MinDelay above the default T", min: 20 * time.Millisecond, field: "MinDelay"},
+	{name: "LossProb above 1", loss: 1.5, field: "LossProb"},
+	{name: "negative LossProb", loss: -0.1, field: "LossProb"},
+	{name: "NaN LossProb", loss: math.NaN(), field: "LossProb"},
+	{name: "DupProb above 1", dup: 2, field: "DupProb"},
+	{name: "negative DupProb", dup: -0.1, field: "DupProb"},
+	{name: "NaN DupProb", dup: math.NaN(), field: "DupProb"},
+}
+
 func TestLiveClusterValidation(t *testing.T) {
 	if _, err := NewLiveCluster(nil, LiveOptions{}); err == nil {
 		t.Error("empty items accepted")
@@ -73,16 +96,21 @@ func TestLiveClusterValidation(t *testing.T) {
 	if _, err := NewLiveCluster(liveItems(), LiveOptions{Strategy: bad}); err == nil {
 		t.Error("invalid strategy accepted by NewLiveCluster")
 	}
-	// Delay bounds: negative durations would reach time.AfterFunc, and an
-	// inverted window would silently collapse to its lower bound.
-	if _, err := NewLiveCluster(liveItems(), LiveOptions{MinDelay: -time.Millisecond}); err == nil {
-		t.Error("negative MinDelay accepted")
-	}
-	if _, err := NewLiveCluster(liveItems(), LiveOptions{MaxDelay: -time.Millisecond}); err == nil {
-		t.Error("negative MaxDelay accepted")
-	}
-	if _, err := NewLiveCluster(liveItems(), LiveOptions{MinDelay: 2 * time.Millisecond, MaxDelay: time.Millisecond}); err == nil {
-		t.Error("MaxDelay < MinDelay accepted")
+	// Delay bounds: negative durations would reach time.AfterFunc, an
+	// inverted window would silently collapse to its lower bound, and a
+	// MinDelay without a MaxDelay used to run with T = 0. LiveOptions has no
+	// loss or duplication, so those rows are NewCluster's alone.
+	for _, tc := range badNet {
+		if tc.loss != 0 || tc.dup != 0 {
+			continue
+		}
+		c, err := NewLiveCluster(liveItems(), LiveOptions{MinDelay: tc.min, MaxDelay: tc.max})
+		if err == nil {
+			c.Stop()
+			t.Errorf("%s accepted", tc.name)
+		} else if !strings.Contains(err.Error(), "LiveOptions."+tc.field) {
+			t.Errorf("%s: error %q does not name LiveOptions.%s", tc.name, err, tc.field)
+		}
 	}
 	if _, err := NewLiveCluster(liveItems(), LiveOptions{Transport: "carrier-pigeon"}); err == nil {
 		t.Error("unknown transport accepted")

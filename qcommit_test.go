@@ -97,6 +97,31 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
+// TestClusterNetValidation runs badNet through NewCluster: every row is
+// refused with an error naming its Options field, and the settings just
+// inside the bounds still build.
+func TestClusterNetValidation(t *testing.T) {
+	for _, tc := range badNet {
+		_, err := NewCluster(paperItems(), Options{
+			MinDelay: Duration(tc.min), MaxDelay: Duration(tc.max), LossProb: tc.loss, DupProb: tc.dup,
+		})
+		if err == nil {
+			t.Errorf("%s accepted", tc.name)
+		} else if !strings.Contains(err.Error(), "Options."+tc.field) {
+			t.Errorf("%s: error %q does not name Options.%s", tc.name, err, tc.field)
+		}
+	}
+	for _, opts := range []Options{
+		{MaxDelay: 5 * Millisecond},
+		{MinDelay: 5 * Millisecond, MaxDelay: 5 * Millisecond},
+		{LossProb: 1, DupProb: 1},
+	} {
+		if _, err := NewCluster(paperItems(), opts); err != nil {
+			t.Errorf("%+v refused: %v", opts, err)
+		}
+	}
+}
+
 func TestExample4ThroughPublicAPI(t *testing.T) {
 	c := MustCluster(paperItems(), Options{Protocol: ProtoQC1, Seed: 4})
 	txn := c.SetupInterrupted(1, map[ItemID]int64{"x": 1, "y": 2}, map[SiteID]State{
