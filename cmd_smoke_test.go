@@ -2,6 +2,7 @@ package qcommit
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"net"
 	"os"
@@ -232,14 +233,50 @@ func firstDiff(a, b string) (line int, got, want string) {
 	return 0, "", ""
 }
 
-// buildQcommitd builds the daemon into dir and returns the binary's path.
-func buildQcommitd(t *testing.T, dir string) string {
+// buildCommand builds ./cmd/<name> into dir and returns the binary's path.
+func buildCommand(t *testing.T, dir, name string) string {
 	t.Helper()
-	bin := filepath.Join(dir, "qcommitd")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/qcommitd").CombinedOutput(); err != nil {
+	bin := filepath.Join(dir, name)
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/"+name).CombinedOutput(); err != nil {
 		t.Fatalf("build: %v\n%s", err, out)
 	}
 	return bin
+}
+
+// TestCommandFlagErrors is the table of command lines that cannot work: each
+// must exit 1 before running anything, with a message on stderr that names
+// the offending setting.
+func TestCommandFlagErrors(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping CLI smoke tests in -short mode")
+	}
+	qsim := buildCommand(t, t.TempDir(), "qsim")
+	cases := []struct {
+		name string
+		bin  string
+		args []string
+		want string
+	}{
+		{"qsim loss above 1", qsim, []string{"-loss", "1.5"}, "LossProb"},
+		{"qsim negative dup", qsim, []string{"-dup", "-0.1"}, "DupProb"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr strings.Builder
+			cmd := exec.Command(tc.bin, tc.args...)
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			var exit *exec.ExitError
+			if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 1 {
+				t.Fatalf("%v: %v, want exit status 1\nstderr: %s", tc.args, err, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), tc.want) {
+				t.Errorf("%v: stderr does not name %s: %s", tc.args, tc.want, stderr.String())
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("%v: ran anyway, printing %q", tc.args, stdout.String())
+			}
+		})
+	}
 }
 
 // TestQcommitdGroupWAL starts a real qcommitd with -waldir and -pprof,
@@ -251,7 +288,7 @@ func TestQcommitdGroupWAL(t *testing.T) {
 		t.Skip("skipping CLI smoke tests in -short mode")
 	}
 	dir := t.TempDir()
-	bin := buildQcommitd(t, dir)
+	bin := buildCommand(t, dir, "qcommitd")
 	start := func() *exec.Cmd {
 		cmd := exec.Command(bin, "-site", "1", "-peers", "1=127.0.0.1:0",
 			"-items", "x", "-waldir", dir, "-pprof", "127.0.0.1:0")
@@ -313,7 +350,7 @@ func TestQcommitdMetricsPortTaken(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping CLI smoke tests in -short mode")
 	}
-	bin := buildQcommitd(t, t.TempDir())
+	bin := buildCommand(t, t.TempDir(), "qcommitd")
 	taken, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

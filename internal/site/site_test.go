@@ -7,6 +7,7 @@ import (
 	"qcommit/internal/core"
 	"qcommit/internal/lockmgr"
 	"qcommit/internal/msg"
+	"qcommit/internal/obs"
 	"qcommit/internal/protocol"
 	"qcommit/internal/sim"
 	"qcommit/internal/storage"
@@ -496,6 +497,49 @@ func TestTimerFencedByGenerationNeverFires(t *testing.T) {
 	e.SetTimer(1, 99)
 	if len(h.timers) != armed+1 {
 		t.Errorf("%d timers armed, want exactly the one set before the fence", len(h.timers)-armed)
+	}
+}
+
+// TestConflictVotesNoAtOnce pins the tree's one lock-conflict policy, the
+// paper's: a participant that cannot lock every local copy it is asked to
+// write votes no at once. Asked for {x, y} while another transaction holds
+// y, the kernel takes x, is refused y, lets x go again and waits for
+// nothing: no lock is left behind and no timer is armed.
+func TestConflictVotesNoAtOnce(t *testing.T) {
+	k, h := newKernel(1)
+	locks := k.cfg.Locks
+	reg := obs.NewRegistry()
+	locks.SetMetrics(lockmgr.NewMetrics(reg, 1, locks.Shards()))
+	if err := locks.TryAcquire(99, "y", lockmgr.Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	k.Handle(from(2, msg.VoteReq{Txn: 20, Coord: 2, Participants: both,
+		Writeset: types.Writeset{{Item: "x", Value: 1}, {Item: "y", Value: 2}}}))
+	if v, ok := voteOf(h.take(), 20); !ok || v != types.VoteNo {
+		t.Fatalf("VOTE-REQ over a held copy answered %v (sent=%v), want an immediate no", v, ok)
+	}
+	if o, _ := k.Outcome(20); o != types.OutcomeAborted {
+		t.Errorf("outcome after the no vote = %v, want aborted", o)
+	}
+	if locks.HeldCount() != 1 || !locks.LockedBy(99, "y") || locks.Locked("x") {
+		t.Errorf("after the refusal: %d locks held, y held by 99 = %v, x locked = %v; want 99's y alone",
+			locks.HeldCount(), locks.LockedBy(99, "y"), locks.Locked("x"))
+	}
+	if got := locks.HeldItems(20); got != nil {
+		t.Errorf("the refused transaction still holds %v", got)
+	}
+	// x was granted and released (one hold sample) and y refused (one
+	// would-block): the kernel tried in writeset order and rolled back.
+	snap := reg.Snapshot()
+	holds := obs.MergeHistograms(snap, "qcommit_lock_hold_ns").Count
+	if refused := obs.SumCounters(snap, "qcommit_lock_wouldblock_total"); holds != 1 || refused != 1 {
+		t.Errorf("lock traffic: %d hold samples, %d would-blocks; want x taken and let go, y refused", holds, refused)
+	}
+	if n := len(h.pending()); n != 0 {
+		t.Errorf("%d timers armed around a no vote, want none", n)
+	}
+	if h.count(LocksTaken) != 0 {
+		t.Error("LocksTaken observed for a lock set that was refused")
 	}
 }
 
