@@ -6,12 +6,12 @@ import (
 	"time"
 
 	"qcommit/internal/avail"
+	"qcommit/internal/core"
 	"qcommit/internal/engine"
 	"qcommit/internal/msg"
 	"qcommit/internal/protocol"
 	"qcommit/internal/protocols"
 	"qcommit/internal/simnet"
-	"qcommit/internal/skeenq"
 	"qcommit/internal/trace"
 	"qcommit/internal/voting"
 )
@@ -52,6 +52,7 @@ type Options struct {
 	DupProb float64
 	// SkeenVc and SkeenVa are the site-vote quorums for ProtoSkeenQuorum
 	// (one vote per site). Zero values select Vc = majority, Va = V+1-Vc.
+	// Any other protocol refuses them.
 	SkeenVc, SkeenVa int
 	// MaxTerminationRounds caps termination retries before a partition
 	// resigns to blocking. Default 3.
@@ -85,7 +86,7 @@ func NewCluster(items []ReplicatedItem, opts Options) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	spec, err := buildSpec(opts, sites)
+	spec, err := buildSpec("Options", opts.Protocol, opts.SkeenVc, opts.SkeenVa, sites)
 	if err != nil {
 		return nil, err
 	}
@@ -205,15 +206,12 @@ func writesetOf(writes map[ItemID]int64) Writeset {
 	return ws
 }
 
-func buildSpec(opts Options, sites []SiteID) (protocol.Spec, error) {
-	if opts.Protocol == ProtoSkeenQuorum && (opts.SkeenVc != 0 || opts.SkeenVa != 0) {
-		spec := skeenq.Uniform(sites, opts.SkeenVc, opts.SkeenVa)
-		if err := spec.Validate(); err != nil {
-			return nil, err
-		}
-		return spec, nil
-	}
-	name := string(opts.Protocol)
+// buildSpec resolves the protocol name proto (default QC1) over sites. The
+// Skeen quorums vc, va — fields SkeenVc and SkeenVa of the options struct
+// opt — replace SkeenQ's majority default, and are refused under any other
+// protocol rather than ignored.
+func buildSpec(opt string, proto Protocol, vc, va int, sites []SiteID) (protocol.Spec, error) {
+	name := string(proto)
 	if name == "" {
 		name = string(ProtoQC1)
 	}
@@ -221,7 +219,21 @@ func buildSpec(opts Options, sites []SiteID) (protocol.Spec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("qcommit: %w", err)
 	}
-	return spec, nil
+	if vc == 0 && va == 0 {
+		return spec, nil
+	}
+	if spec.Name() != string(ProtoSkeenQuorum) {
+		field := "SkeenVc"
+		if vc == 0 {
+			field = "SkeenVa"
+		}
+		return nil, fmt.Errorf("qcommit: %s.%s set under %s; only %s takes site-vote quorums", opt, field, spec.Name(), ProtoSkeenQuorum)
+	}
+	skeen := core.Uniform(sites, vc, va)
+	if err := skeen.Validate(); err != nil {
+		return nil, fmt.Errorf("qcommit: %s.SkeenVc/SkeenVa: %w", opt, err)
+	}
+	return skeen, nil
 }
 
 // MustCluster is NewCluster panicking on error, for tests and examples.

@@ -34,10 +34,12 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
 	"qcommit/internal/churn"
+	"qcommit/internal/protocol"
 	"qcommit/internal/sim"
 	"qcommit/internal/voting"
 )
@@ -46,7 +48,7 @@ type runConfig struct {
 	runs     int
 	seed     int64
 	workers  int
-	builders []churn.Builder
+	specs    []protocol.Spec
 	ci       bool
 	progress bool
 }
@@ -127,7 +129,7 @@ func main() {
 	setFlags := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
 
-	builders, err := selectBuilders(*protocols)
+	specs, err := selectSpecs(*protocols)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -190,7 +192,7 @@ func main() {
 		MaxGroups:        *groups,
 		Horizon:          sim.Duration(horizon.Nanoseconds()),
 	}
-	cfg := runConfig{runs: *runs, seed: *seed, workers: *workers, builders: builders, ci: *ci, progress: *progress}
+	cfg := runConfig{runs: *runs, seed: *seed, workers: *workers, specs: specs, ci: *ci, progress: *progress}
 
 	var doc jsonDoc
 	doc.Command = "churnbench " + strings.Join(os.Args[1:], " ")
@@ -287,22 +289,19 @@ func main() {
 	}
 }
 
-func selectBuilders(arg string) ([]churn.Builder, error) {
+func selectSpecs(arg string) ([]protocol.Spec, error) {
 	all := churn.StandardBuilders()
 	if arg == "" || arg == "all" {
 		return all, nil
 	}
-	byLabel := make(map[string]churn.Builder, len(all))
-	for _, b := range all {
-		byLabel[strings.ToLower(b.Label)] = b
-	}
-	var out []churn.Builder
+	var out []protocol.Spec
 	for _, name := range strings.Split(arg, ",") {
-		b, ok := byLabel[strings.ToLower(strings.TrimSpace(name))]
-		if !ok {
+		name = strings.TrimSpace(name)
+		i := slices.IndexFunc(all, func(s protocol.Spec) bool { return strings.EqualFold(s.Name(), name) })
+		if i < 0 {
 			return nil, fmt.Errorf("unknown protocol %q (want 2PC, 3PC, SkeenQ, QC1 or QC2)", name)
 		}
-		out = append(out, b)
+		out = append(out, all[i])
 	}
 	return out, nil
 }
@@ -348,13 +347,13 @@ func run(params churn.Params, cfg runConfig) jsonRun {
 			}
 		}
 	}
-	results, err := churn.StudyParallel(params, cfg.runs, cfg.seed, cfg.builders, opts)
+	results, err := churn.StudyParallel(params, cfg.runs, cfg.seed, cfg.specs, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	elapsed := time.Since(start)
-	trials := cfg.runs * len(cfg.builders)
+	trials := cfg.runs * len(cfg.specs)
 	fmt.Printf("churn: %d sites, %d items ×%d copies, %d written, strategy %v, engine %v, arrival %v, MTTF %v, MTTR %v",
 		params.NumSites, params.NumItems, params.CopiesPerItem, params.WritesPerTxn,
 		params.Strategy, params.Engine, time.Duration(params.MeanInterarrival), time.Duration(params.MTTF), time.Duration(params.MTTR))

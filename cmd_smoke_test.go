@@ -251,6 +251,7 @@ func TestCommandFlagErrors(t *testing.T) {
 		t.Skip("skipping CLI smoke tests in -short mode")
 	}
 	qsim := buildCommand(t, t.TempDir(), "qsim")
+	qcommitd := buildCommand(t, t.TempDir(), "qcommitd")
 	cases := []struct {
 		name string
 		bin  string
@@ -259,6 +260,8 @@ func TestCommandFlagErrors(t *testing.T) {
 	}{
 		{"qsim loss above 1", qsim, []string{"-loss", "1.5"}, "LossProb"},
 		{"qsim negative dup", qsim, []string{"-dup", "-0.1"}, "DupProb"},
+		{"qsim unknown protocol", qsim, []string{"-protocol", "bogus"}, "bogus"},
+		{"qcommitd unknown protocol", qcommitd, []string{"-site", "1", "-peers", "1=127.0.0.1:0", "-protocol", "bogus"}, "bogus"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 
 	"qcommit/internal/core"
 	"qcommit/internal/engine"
-	"qcommit/internal/skeenq"
 	"qcommit/internal/types"
 	"qcommit/internal/voting"
 )
@@ -20,7 +19,7 @@ func example1Cluster(t *testing.T, specName string) (*engine.Cluster, types.TxnI
 	switch specName {
 	case "SkeenQ":
 		cl = engine.New(engine.Config{Seed: 1, Assignment: asgn,
-			Spec: skeenq.Uniform([]types.SiteID{1, 2, 3, 4, 5, 6, 7, 8}, 5, 4)})
+			Spec: core.Uniform([]types.SiteID{1, 2, 3, 4, 5, 6, 7, 8}, 5, 4)})
 	case "QC1":
 		cl = engine.New(engine.Config{Seed: 1, Assignment: asgn, Spec: core.Spec{Variant: core.Protocol1}})
 	default:

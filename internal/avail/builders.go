@@ -3,10 +3,10 @@ package avail
 import (
 	"fmt"
 
+	"qcommit/internal/core"
 	"qcommit/internal/protocol"
 	"qcommit/internal/protocols"
 	"qcommit/internal/quorumcalc"
-	"qcommit/internal/threephase"
 	"qcommit/internal/twopc"
 )
 
@@ -25,12 +25,12 @@ func StandardBuilders() []SpecBuilder {
 
 // deciderFor derives the analytic decision kernel equivalent to the spec's
 // termination automaton: the fold of its rule table for the three-phase
-// families, 2PC's own decider for 2PC.
+// protocols (core.Spec), 2PC's own decider for 2PC.
 func deciderFor(spec protocol.Spec, sc Scenario) (quorumcalc.Decider, error) {
 	switch s := spec.(type) {
 	case twopc.Spec:
 		return quorumcalc.TwoPC(), nil
-	case threephase.Ruled:
+	case core.Spec:
 		return s.Rule(sc.Items, sc.Participants).Outcome, nil
 	default:
 		return nil, fmt.Errorf("avail: %s has no analytic decider; use EngineReplay", spec.Name())

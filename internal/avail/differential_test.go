@@ -6,8 +6,8 @@ import (
 	"reflect"
 	"testing"
 
+	"qcommit/internal/core"
 	"qcommit/internal/protocol"
-	"qcommit/internal/skeenq"
 	"qcommit/internal/types"
 )
 
@@ -35,8 +35,8 @@ func weightedSkeen(sc Scenario) protocol.Spec {
 		votes[s] = 1 + int(s)%3
 		total += votes[s]
 	}
-	vc, va := skeenq.Majority(total)
-	return skeenq.Spec{Votes: votes, Vc: vc, Va: va}
+	vc, va := core.Majority(total)
+	return core.Spec{Variant: core.SkeenQ, Votes: votes, Vc: vc, Va: va}
 }
 
 func differentialBuilders() []SpecBuilder {
@@ -50,7 +50,7 @@ func assertEngineAgreement(t *testing.T, sc Scenario, label string) {
 	t.Helper()
 	for _, b := range differentialBuilders() {
 		spec := b.Build(sc)
-		if v, ok := spec.(skeenq.Spec); ok {
+		if v, ok := spec.(core.Spec); ok {
 			if err := v.Validate(); err != nil {
 				t.Fatalf("%s %s: %v", label, b.Label, err)
 			}

@@ -18,10 +18,10 @@ func benchParams() Params {
 // 5-protocol timeline replay).
 func BenchmarkStudy(b *testing.B) {
 	params := benchParams()
-	builders := StandardBuilders()
+	specs := StandardBuilders()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Study(params, 1, 1, builders); err != nil {
+		if _, err := Study(params, 1, 1, specs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -31,12 +31,12 @@ func BenchmarkStudy(b *testing.B) {
 // counts.
 func BenchmarkStudyParallel(b *testing.B) {
 	params := benchParams()
-	builders := StandardBuilders()
+	specs := StandardBuilders()
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := StudyParallel(params, 4, 1, builders, Options{Workers: workers}); err != nil {
+				if _, err := StudyParallel(params, 4, 1, specs, Options{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -50,13 +50,13 @@ func BenchmarkStudyParallel(b *testing.B) {
 func BenchmarkChurnStudy(b *testing.B) {
 	params := benchParams()
 	params.NumItems = 64
-	builders := StandardBuilders()
+	specs := StandardBuilders()
 	for _, engine := range []Engine{EngineReplay, EngineHybrid} {
 		params.Engine = engine
 		b.Run(engine.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Study(params, 1, 1, builders); err != nil {
+				if _, err := Study(params, 1, 1, specs); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -73,7 +73,7 @@ func BenchmarkChurnTrial(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	spec := StandardBuilders()[3].Build(sc.sites) // QC1, the paper's lead protocol
+	spec := StandardBuilders()[3] // QC1, the paper's lead protocol
 	for _, tc := range []struct {
 		name string
 		exec func(*script, Params, int64, protocol.Spec) (runStats, error)

@@ -28,7 +28,7 @@
 //
 // # Determinism
 //
-// A study is a pure function of (Params, runs, seed, builders): run r draws
+// A study is a pure function of (Params, runs, seed, specs): run r draws
 // its script from seed+r, all scheduling happens through the deterministic
 // simulator, and aggregation is integer addition plus an order-insensitive
 // sort of latencies. StudyParallel exploits this: runs are evaluated by a

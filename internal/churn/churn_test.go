@@ -25,7 +25,7 @@ func testParams() Params {
 }
 
 // TestStudyDeterministic: a study is a pure function of (params, runs,
-// seed, builders).
+// seed, specs).
 func TestStudyDeterministic(t *testing.T) {
 	a, err := Study(testParams(), 3, 7, StandardBuilders())
 	if err != nil {
@@ -53,14 +53,14 @@ func TestStudyParallelMatchesSerial(t *testing.T) {
 		t.Run(strategy.String(), func(t *testing.T) {
 			params := testParams()
 			params.Strategy = strategy
-			builders := StandardBuilders()
+			specs := StandardBuilders()
 			const runs = 8
-			want, err := Study(params, runs, 1, builders)
+			want, err := Study(params, runs, 1, specs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 2, 7, runtime.GOMAXPROCS(0)} {
-				got, err := StudyParallel(params, runs, 1, builders, Options{Workers: workers})
+				got, err := StudyParallel(params, runs, 1, specs, Options{Workers: workers})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -159,13 +159,13 @@ func TestDynamicSecondFailureHeadline(t *testing.T) {
 	params := DefaultParams()
 	params.Horizon = 3 * sim.Second
 	params.MTTR = 800 * sim.Millisecond // slow repairs: failures overlap
-	builders := StandardBuilders()[3:4] // QC1 column suffices
-	quorum, err := Study(params, 6, 5, builders)
+	specs := StandardBuilders()[3:4]    // QC1 column suffices
+	quorum, err := Study(params, 6, 5, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	params.Strategy = voting.StrategyDynamic
-	dynamic, err := Study(params, 6, 5, builders)
+	dynamic, err := Study(params, 6, 5, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,13 +197,13 @@ func TestStrategiesDivergeOnReadAvailability(t *testing.T) {
 	params.Horizon = 2 * sim.Second
 	params.MTTF = 8 * sim.Second // rare failures: adaptive voting's home turf
 	params.MTTR = 200 * sim.Millisecond
-	builders := StandardBuilders()[3:4] // QC1 column suffices
-	quorum, err := Study(params, 4, 3, builders)
+	specs := StandardBuilders()[3:4] // QC1 column suffices
+	quorum, err := Study(params, 4, 3, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	params.Strategy = voting.StrategyMissingWrites
-	adaptive, err := Study(params, 4, 3, builders)
+	adaptive, err := Study(params, 4, 3, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,30 +262,30 @@ func TestStudyParallelRace(t *testing.T) {
 }
 
 func TestStudyEdgeCases(t *testing.T) {
-	builders := StandardBuilders()
+	specs := StandardBuilders()
 	// Zero runs: empty but labeled results, no error.
-	res, err := StudyParallel(testParams(), 0, 1, builders, Options{Workers: 4})
+	res, err := StudyParallel(testParams(), 0, 1, specs, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != len(builders) || res[0].Runs != 0 || res[0].Label != "2PC" {
+	if len(res) != len(specs) || res[0].Runs != 0 || res[0].Label != "2PC" {
 		t.Errorf("zero-run results malformed: %+v", res)
 	}
 	// Invalid params surface the validation error on both paths.
 	bad := testParams()
 	bad.MTTR = 0
-	if _, err := Study(bad, 2, 1, builders); err == nil {
+	if _, err := Study(bad, 2, 1, specs); err == nil {
 		t.Error("MTTF without MTTR accepted by serial path")
 	}
-	if _, err := StudyParallel(bad, 2, 1, builders, Options{}); err == nil {
+	if _, err := StudyParallel(bad, 2, 1, specs, Options{}); err == nil {
 		t.Error("MTTF without MTTR accepted by parallel path")
 	}
 	// Default worker count (0 → GOMAXPROCS) still matches serial.
-	want, err := Study(testParams(), 3, 3, builders)
+	want, err := Study(testParams(), 3, 3, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := StudyParallel(testParams(), 3, 3, builders, Options{})
+	got, err := StudyParallel(testParams(), 3, 3, specs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

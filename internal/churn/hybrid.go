@@ -54,13 +54,13 @@ import (
 	"fmt"
 	"sort"
 
+	"qcommit/internal/core"
 	"qcommit/internal/engine"
 	"qcommit/internal/protocol"
 	"qcommit/internal/quorumcalc"
 	"qcommit/internal/sim"
 	"qcommit/internal/simnet"
 	"qcommit/internal/storage"
-	"qcommit/internal/threephase"
 	"qcommit/internal/twopc"
 	"qcommit/internal/types"
 )
@@ -113,13 +113,13 @@ func delayModel(seed int64) func(from, to types.SiteID, at sim.Time) sim.Duratio
 type protoModel struct {
 	// twoPhase marks 2PC: commit on the last yes vote, no ack phase.
 	twoPhase bool
-	// ruled yields, for the three-phase families, the rule table the
+	// ruled yields, for the three-phase protocols, the rule table the
 	// transaction's coordinator and terminator would run: its fold
 	// sanity-gates the commit over the all-participants-prepared tally, its
 	// ack quorum ends the walk over the PC-ack arrivals, and it says whether
 	// an expired ack window commits (3PC) or terminates — which the analytic
 	// path refuses to model and hands to replay.
-	ruled threephase.Ruled
+	ruled core.Spec
 }
 
 // protoModelFor derives the analytic model from a built spec; an unknown spec
@@ -129,7 +129,7 @@ func protoModelFor(spec protocol.Spec) *protoModel {
 	switch s := spec.(type) {
 	case twopc.Spec:
 		return &protoModel{twoPhase: true}
-	case threephase.Ruled:
+	case core.Spec:
 		return &protoModel{ruled: s}
 	default:
 		return nil

@@ -116,16 +116,16 @@ func TestHybridAnalyticCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range StandardBuilders() {
-		st, err := executeRunHybrid(sc, params, 5, b.Build(sc.sites))
+	for _, spec := range StandardBuilders() {
+		st, err := executeRunHybrid(sc, params, 5, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st.counts.Submitted == 0 {
-			t.Fatalf("%s: no submissions", b.Label)
+			t.Fatalf("%s: no submissions", spec.Name())
 		}
 		if st.analytic*3 < st.counts.Submitted {
-			t.Errorf("%s: only %d/%d submissions decided analytically", b.Label, st.analytic, st.counts.Submitted)
+			t.Errorf("%s: only %d/%d submissions decided analytically", spec.Name(), st.analytic, st.counts.Submitted)
 		}
 	}
 
@@ -137,13 +137,13 @@ func TestHybridAnalyticCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range StandardBuilders() {
-		st, err := executeRunHybrid(sc, quiet, 5, b.Build(sc.sites))
+	for _, spec := range StandardBuilders() {
+		st, err := executeRunHybrid(sc, quiet, 5, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st.analytic != st.counts.Submitted {
-			t.Errorf("%s: %d/%d analytic in a quiet sparse world", b.Label, st.analytic, st.counts.Submitted)
+			t.Errorf("%s: %d/%d analytic in a quiet sparse world", spec.Name(), st.analytic, st.counts.Submitted)
 		}
 	}
 }
@@ -154,14 +154,14 @@ func TestHybridAnalyticCoverage(t *testing.T) {
 func TestHybridParallelMatchesSerial(t *testing.T) {
 	params := testParams()
 	params.Engine = EngineHybrid
-	builders := StandardBuilders()
+	specs := StandardBuilders()
 	const runs = 8
-	want, err := Study(params, runs, 1, builders)
+	want, err := Study(params, runs, 1, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 7, runtime.GOMAXPROCS(0)} {
-		got, err := StudyParallel(params, runs, 1, builders, Options{Workers: workers})
+		got, err := StudyParallel(params, runs, 1, specs, Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -14,25 +14,10 @@ import (
 	"qcommit/internal/types"
 )
 
-// Builder constructs a protocol spec for a churn run.
-type Builder struct {
-	// Label names the column in result tables.
-	Label string
-	// Build returns the spec for a cluster over the given sites.
-	Build func(sites []types.SiteID) protocol.Spec
-}
-
 // StandardBuilders returns the five standard protocol columns: 2PC, 3PC,
 // Skeen's quorum protocol with per-transaction majority site-vote quorums,
 // and the paper's protocols 1 and 2.
-func StandardBuilders() []Builder {
-	var out []Builder
-	for _, spec := range protocols.Standard(nil) {
-		spec := spec
-		out = append(out, Builder{Label: spec.Name(), Build: func([]types.SiteID) protocol.Spec { return spec }})
-	}
-	return out
-}
+func StandardBuilders() []protocol.Spec { return protocols.Standard(nil) }
 
 // runStats is one (run, protocol) evaluation before aggregation.
 type runStats struct {
@@ -198,11 +183,11 @@ func executeRun(sc *script, params Params, seed int64, spec protocol.Spec) (runS
 }
 
 // accumulateRun draws run r's script (seeded seed+r) and evaluates it under
-// every builder, adding the tallies into results. Runs are independently
+// every spec, adding the tallies into results. Runs are independently
 // seeded and aggregation is pure addition plus latency concatenation in run
 // order, so evaluating the run set in any chunking produces identical
 // results.
-func accumulateRun(params Params, seed int64, r int, builders []Builder, results []Result) error {
+func accumulateRun(params Params, seed int64, r int, specs []protocol.Spec, results []Result) error {
 	sc, err := generateScript(params, seed+int64(r))
 	if err != nil {
 		return err
@@ -211,8 +196,8 @@ func accumulateRun(params Params, seed int64, r int, builders []Builder, results
 	if params.Engine == EngineHybrid {
 		exec = executeRunHybrid
 	}
-	for i, b := range builders {
-		st, err := exec(sc, params, seed+int64(r), b.Build(sc.sites))
+	for i, spec := range specs {
+		st, err := exec(sc, params, seed+int64(r), spec)
 		if err != nil {
 			return err
 		}
@@ -224,24 +209,25 @@ func accumulateRun(params Params, seed int64, r int, builders []Builder, results
 	return nil
 }
 
-func newResults(builders []Builder) []Result {
-	results := make([]Result, len(builders))
-	for i, b := range builders {
-		results[i].Label = b.Label
+func newResults(specs []protocol.Spec) []Result {
+	results := make([]Result, len(specs))
+	for i, spec := range specs {
+		results[i].Label = spec.Name()
 	}
 	return results
 }
 
-// Study evaluates runs independent churn runs under every builder and
-// aggregates. All builders see identical worlds. This serial path is the
-// determinism oracle for StudyParallel.
-func Study(params Params, runs int, seed int64, builders []Builder) ([]Result, error) {
+// Study evaluates runs independent churn runs under every spec and
+// aggregates, one Result per spec labelled with its Name. All specs see
+// identical worlds. This serial path is the determinism oracle for
+// StudyParallel.
+func Study(params Params, runs int, seed int64, specs []protocol.Spec) ([]Result, error) {
 	if err := params.validate(); err != nil {
 		return nil, err
 	}
-	results := newResults(builders)
+	results := newResults(specs)
 	for r := 0; r < runs; r++ {
-		if err := accumulateRun(params, seed, r, builders, results); err != nil {
+		if err := accumulateRun(params, seed, r, specs, results); err != nil {
 			return nil, err
 		}
 	}
@@ -265,7 +251,7 @@ type Options struct {
 // simulation batch) and per-run accumulators merge in ascending run order.
 // Results are bit-for-bit identical to the serial Study for any worker
 // count.
-func StudyParallel(params Params, runs int, seed int64, builders []Builder, opts Options) ([]Result, error) {
+func StudyParallel(params Params, runs int, seed int64, specs []protocol.Spec, opts Options) ([]Result, error) {
 	if err := params.validate(); err != nil {
 		return nil, err
 	}
@@ -278,9 +264,9 @@ func StudyParallel(params Params, runs int, seed int64, builders []Builder, opts
 	}
 	if workers <= 1 {
 		// One worker is exactly the serial path; skip the pool machinery.
-		results := newResults(builders)
+		results := newResults(specs)
 		for r := 0; r < runs; r++ {
-			if err := accumulateRun(params, seed, r, builders, results); err != nil {
+			if err := accumulateRun(params, seed, r, specs, results); err != nil {
 				return nil, err
 			}
 			if opts.Progress != nil {
@@ -310,8 +296,8 @@ func StudyParallel(params Params, runs int, seed int64, builders []Builder, opts
 				if r >= runs || failed.Load() {
 					return
 				}
-				acc := newResults(builders)
-				if err := accumulateRun(params, seed, r, builders, acc); err != nil {
+				acc := newResults(specs)
+				if err := accumulateRun(params, seed, r, specs, acc); err != nil {
 					errs[r] = err
 					failed.Store(true)
 					return
@@ -330,7 +316,7 @@ func StudyParallel(params Params, runs int, seed int64, builders []Builder, opts
 
 	// Deterministic merge by run index. On failure, report the error of the
 	// lowest failing run, as the serial path would have.
-	results := newResults(builders)
+	results := newResults(specs)
 	for r := 0; r < runs; r++ {
 		if errs[r] != nil {
 			return nil, errs[r]

@@ -1,6 +1,7 @@
 // Package core implements the paper's contribution: the quorum-based commit
 // protocols (CP1, CP2; Fig. 9) and termination protocols (TP1, Fig. 5; TP2,
-// Fig. 8) of Huang & Li, ICDE 1988.
+// Fig. 8) of Huang & Li, ICDE 1988, and the two baselines sharing their
+// automata: Skeen's 3PC (Fig. 2) and Skeen's quorum-based protocol (ref. [16]).
 //
 // Unlike Skeen's quorum-based protocol, which counts quorums in opaque
 // per-site votes, these protocols count the *replica* votes of the weighted
@@ -9,7 +10,9 @@
 // side needs r(x) votes for some x. TP2 swaps the roles (r(x)-for-some on
 // the commit side, w(x)-for-every on the abort side). Either way, a
 // partition that will be able to serve an item after termination is much
-// more likely to be able to terminate — the paper's availability gain.
+// more likely to be able to terminate — the paper's availability gain
+// (Example 1). 3PC's rule demands no quorum at all: safe under site
+// failures, inconsistent under partitioning (Example 2).
 //
 // The matching commit protocols let the coordinator send COMMIT before all
 // PC-ACKs arrive: CP1 once the ACKs carry w(x) votes for every x (an abort
@@ -17,9 +20,9 @@
 // some x. CP2 therefore commits faster than CP1, which commits faster than
 // plain 3PC.
 //
-// Both pairs are rule tables declared in package quorumcalc (TP1Rule,
-// TP2Rule); Spec only selects one and hands it to package threephase's
-// automata.
+// All four are rule tables declared in package quorumcalc (TP1Rule, TP2Rule,
+// SkeenRule, ThreePCRule) run by package threephase's participant,
+// coordinator and terminator. Spec's Variant only selects the table.
 package core
 
 import (
@@ -29,74 +32,141 @@ import (
 	"qcommit/internal/quorumcalc"
 	"qcommit/internal/threephase"
 	"qcommit/internal/types"
+	"qcommit/internal/voting"
 	"qcommit/internal/wal"
 )
 
-// Variant selects between the paper's two protocol pairs.
+// Variant selects one of the four three-phase protocols.
 type Variant int
 
-// Variants.
+// Variants. The zero Variant is Protocol1.
 const (
 	// Protocol1 is CP1 + TP1 (Figs. 5 and 9).
 	Protocol1 Variant = 1
 	// Protocol2 is CP2 + TP2 (Fig. 8).
 	Protocol2 Variant = 2
+	// ThreePC is Skeen's 3PC with its site-failure termination rule.
+	ThreePC Variant = 3
+	// SkeenQ is Skeen's quorum-based commit protocol over Spec's site votes.
+	SkeenQ Variant = 4
 )
 
-// Spec is the paper's quorum-based commit and termination protocol.
+// Spec is a three-phase commit and termination protocol: the paper's
+// protocol 1 or 2, 3PC, or Skeen's quorum protocol.
 type Spec struct {
-	// Variant selects protocol 1 or protocol 2. Defaults to Protocol1.
+	// Variant selects the protocol. Defaults to Protocol1.
 	Variant Variant
+	// Votes assigns each site its vote weight under SkeenQ; sites absent
+	// from the map have 0 votes. Vc is SkeenQ's commit quorum and Va its
+	// abort quorum; Vc + Va must exceed the total votes. Other variants
+	// take none of the three.
+	Votes  map[types.SiteID]int
+	Vc, Va int
 	// BuggyBufferCrossing reintroduces the rule violation of Example 3
 	// (participants answering PREPARE-TO-COMMIT in PA and PREPARE-TO-ABORT
-	// in PC). Only for the counterexample reproduction; never enable
-	// otherwise.
+	// in PC), for the counterexample reproduction only.
 	BuggyBufferCrossing bool
-	// PatienceRounds caps participant-initiated termination attempts.
-	PatienceRounds int
+
+	// perTransaction is set by PerTransaction only, so a SkeenQ Spec whose
+	// votes or quorums were merely forgotten still fails Validate.
+	perTransaction bool
 }
 
-var (
-	_ protocol.Spec    = Spec{}
-	_ threephase.Ruled = Spec{}
-)
+var _ protocol.Spec = Spec{}
+
+// Majority returns, for v single-vote sites, the majority commit quorum and
+// the smallest abort quorum intersecting it.
+func Majority(v int) (vc, va int) {
+	va, vc = voting.MajorityQuorums(v)
+	return vc, va
+}
+
+// Uniform builds the SkeenQ Spec giving one vote to each site, with quorums
+// Vc, Va.
+func Uniform(sites []types.SiteID, vc, va int) Spec {
+	votes := make(map[types.SiteID]int, len(sites))
+	for _, s := range sites {
+		votes[s] = 1
+	}
+	return Spec{Variant: SkeenQ, Votes: votes, Vc: vc, Va: va}
+}
+
+// PerTransaction builds the SkeenQ Spec that gives each participant one
+// vote and sizes Majority quorums per transaction — the studies' convention,
+// since a cluster-wide quorum is unreachable for a transaction whose items
+// replicate on fewer than Vc sites.
+func PerTransaction() Spec { return Spec{Variant: SkeenQ, perTransaction: true} }
 
 func (s Spec) variant() Variant {
-	if s.Variant == Protocol2 {
-		return Protocol2
+	if s.Variant < Protocol2 || s.Variant > SkeenQ {
+		return Protocol1
 	}
-	return Protocol1
+	return s.Variant
 }
+
+// Validate checks that only SkeenQ carries site votes and quorums, and
+// SkeenQ's quorum-intersection constraint Vc + Va > V.
+func (s Spec) Validate() error {
+	if s.variant() != SkeenQ || s.perTransaction {
+		if s.Votes != nil || s.Vc != 0 || s.Va != 0 {
+			return fmt.Errorf("core: %s takes no site votes or quorums (Vc=%d Va=%d)", s.Name(), s.Vc, s.Va)
+		}
+		return nil
+	}
+	if s.Votes == nil {
+		return fmt.Errorf("core: no vote assignment (Vc=%d Va=%d)", s.Vc, s.Va)
+	}
+	total := 0
+	for _, v := range s.Votes {
+		if v < 0 {
+			return fmt.Errorf("core: negative site vote")
+		}
+		total += v
+	}
+	if s.Vc <= 0 || s.Va <= 0 {
+		return fmt.Errorf("core: quorums must be positive (Vc=%d Va=%d)", s.Vc, s.Va)
+	}
+	if s.Vc+s.Va <= total {
+		return fmt.Errorf("core: Vc+Va must exceed total votes (Vc=%d Va=%d V=%d)", s.Vc, s.Va, total)
+	}
+	return nil
+}
+
+var names = [...]string{Protocol1: "QC1", Protocol2: "QC2", ThreePC: "3PC", SkeenQ: "SkeenQ"}
 
 // Name implements protocol.Spec.
-func (s Spec) Name() string {
-	if s.variant() == Protocol2 {
-		return "QC2"
-	}
-	return "QC1"
-}
+func (s Spec) Name() string { return names[s.variant()] }
 
-// Rule implements threephase.Ruled: TP1 with commit protocol 1, or TP2 with
-// commit protocol 2, over the transaction's written items.
-func (s Spec) Rule(items []types.ItemID, _ []types.SiteID) quorumcalc.Rule {
-	if s.variant() == Protocol2 {
+// Rule returns the table the coordinator and terminator run for a
+// transaction writing items at participants — TP1 with commit protocol 1,
+// TP2 with commit protocol 2, site votes ≥ Vc to commit and ≥ Va to abort
+// for SkeenQ, or 3PC's site-failure rule. It is also all the analytic
+// engines need to decide the transaction's fate without replaying it.
+func (s Spec) Rule(items []types.ItemID, participants []types.SiteID) quorumcalc.Rule {
+	switch s.variant() {
+	case Protocol2:
 		return quorumcalc.TP2Rule(items)
+	case ThreePC:
+		return quorumcalc.ThreePCRule(len(participants))
+	case SkeenQ:
+		if s.perTransaction {
+			vc, va := Majority(len(participants))
+			return quorumcalc.SkeenRule(nil, vc, va)
+		}
+		return quorumcalc.SkeenRule(s.Votes, s.Vc, s.Va)
 	}
 	return quorumcalc.TP1Rule(items)
 }
 
-// NewCoordinator implements protocol.Spec with the early-commit rules of
-// Fig. 9.
+// NewCoordinator implements protocol.Spec: COMMIT goes out once the PC-ACKs
+// satisfy the rule's ack quorum (Fig. 9's early commit; all of them for 3PC).
 func (s Spec) NewCoordinator(txn types.TxnID, ws types.Writeset, participants []types.SiteID) protocol.Automaton {
 	return threephase.NewCoordinator(txn, ws, participants, s.Rule(ws.Items(), participants))
 }
 
 // NewParticipant implements protocol.Spec.
 func (s Spec) NewParticipant(txn types.TxnID, init *wal.TxnImage) protocol.Automaton {
-	return threephase.NewParticipant(txn, init, threephase.ParticipantOpts{
-		BuggyBufferCrossing: s.BuggyBufferCrossing,
-		PatienceRounds:      s.PatienceRounds,
-	})
+	return threephase.NewParticipant(txn, init, s.BuggyBufferCrossing)
 }
 
 // NewTerminator implements protocol.Spec.
@@ -104,5 +174,11 @@ func (s Spec) NewTerminator(txn types.TxnID, ws types.Writeset, participants []t
 	return threephase.NewTerminator(txn, participants, epoch, s.Rule(ws.Items(), participants))
 }
 
-// String implements fmt.Stringer.
-func (v Variant) String() string { return fmt.Sprintf("protocol %d", int(v)) }
+// String implements fmt.Stringer: "protocol 1" or "protocol 2" for the
+// paper's pair, the protocol's name for the two baselines.
+func (v Variant) String() string {
+	if v == ThreePC || v == SkeenQ {
+		return names[v]
+	}
+	return fmt.Sprintf("protocol %d", int(v))
+}

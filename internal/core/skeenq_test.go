@@ -1,4 +1,4 @@
-package skeenq
+package core
 
 import (
 	"testing"
@@ -6,41 +6,48 @@ import (
 	"qcommit/internal/protocoltest"
 	"qcommit/internal/quorumcalc"
 	"qcommit/internal/types"
-	"qcommit/internal/voting"
 )
 
-func ex1Spec() Spec {
+// Skeen's quorum-based commit protocol: the SkeenQ variant over site votes.
+
+func skeenEx1() Spec {
 	// Example 1's configuration: one vote per site, Vc=5, Va=4 (Vc+Va=9 > 8).
 	return Uniform([]types.SiteID{1, 2, 3, 4, 5, 6, 7, 8}, 5, 4)
 }
 
-func asgn() *voting.Assignment {
-	return voting.MustAssignment(
-		voting.Uniform("x", 2, 3, 1, 2, 3, 4),
-		voting.Uniform("y", 2, 3, 5, 6, 7, 8),
-	)
-}
-
 func TestValidate(t *testing.T) {
-	if err := ex1Spec().Validate(); err != nil {
+	if err := skeenEx1().Validate(); err != nil {
 		t.Errorf("Example 1 spec invalid: %v", err)
 	}
 	bad := Uniform([]types.SiteID{1, 2, 3, 4}, 2, 2) // 2+2 = 4 = V
 	if err := bad.Validate(); err == nil {
 		t.Error("Vc+Va = V accepted")
 	}
-	if err := (Spec{Votes: map[types.SiteID]int{1: 1}, Vc: 0, Va: 2}).Validate(); err == nil {
+	if err := (Spec{Variant: SkeenQ, Votes: map[types.SiteID]int{1: 1}, Vc: 0, Va: 2}).Validate(); err == nil {
 		t.Error("zero quorum accepted")
 	}
-	if err := (Spec{Votes: map[types.SiteID]int{1: -1}, Vc: 1, Va: 1}).Validate(); err == nil {
+	if err := (Spec{Variant: SkeenQ, Votes: map[types.SiteID]int{1: -1}, Vc: 1, Va: 1}).Validate(); err == nil {
 		t.Error("negative votes accepted")
+	}
+	// Site votes and quorums belong to SkeenQ alone; the other variants
+	// refuse them instead of ignoring them.
+	for _, v := range []Variant{0, Protocol1, Protocol2, ThreePC} {
+		if err := (Spec{Variant: v}).Validate(); err != nil {
+			t.Errorf("%v without site votes refused: %v", v, err)
+		}
+		if err := (Spec{Variant: v, Votes: skeenEx1().Votes}).Validate(); err == nil {
+			t.Errorf("%v with site votes accepted", v)
+		}
+		if err := (Spec{Variant: v, Vc: 5, Va: 4}).Validate(); err == nil {
+			t.Errorf("%v with site quorums accepted", v)
+		}
 	}
 }
 
 func TestRulesDecideExample1Partitions(t *testing.T) {
-	r := ex1Spec().Rule(nil, nil)
+	r := skeenEx1().Rule(nil, nil)
 	w, pc := types.StateWait, types.StatePC
-	e := asgn()
+	e := ex1()
 
 	// G1 = {2,3} both W: 2 votes < Va=4 and < Vc=5 → block.
 	if got := r.Decide(e, protocoltest.Tally(map[types.SiteID]types.State{2: w, 3: w})); got != quorumcalc.VerdictBlock {
@@ -57,9 +64,9 @@ func TestRulesDecideExample1Partitions(t *testing.T) {
 }
 
 func TestRulesQuorumPaths(t *testing.T) {
-	r := ex1Spec().Rule(nil, nil)
+	r := skeenEx1().Rule(nil, nil)
 	w, pc, pa := types.StateWait, types.StatePC, types.StatePA
-	e := asgn()
+	e := ex1()
 
 	// 4 non-PC sites ≥ Va=4 → try-abort.
 	got := r.Decide(e, protocoltest.Tally(map[types.SiteID]types.State{
@@ -94,8 +101,8 @@ func TestRulesQuorumPaths(t *testing.T) {
 }
 
 func TestConfirmations(t *testing.T) {
-	r := ex1Spec().Rule(nil, nil)
-	e := asgn()
+	r := skeenEx1().Rule(nil, nil)
+	e := ex1()
 	if r.Qc(e, []types.SiteID{1, 2, 3, 4}) {
 		t.Error("4 votes should not confirm commit (Vc=5)")
 	}
@@ -113,9 +120,9 @@ func TestConfirmations(t *testing.T) {
 // TestNoDisjointQuorums: with Vc+Va > V, a commit quorum and an abort quorum
 // can never be assembled from disjoint site sets.
 func TestNoDisjointQuorums(t *testing.T) {
-	spec := ex1Spec()
+	spec := skeenEx1()
 	r := spec.Rule(nil, nil)
-	e := asgn()
+	e := ex1()
 	all := []types.SiteID{1, 2, 3, 4, 5, 6, 7, 8}
 	for mask := 0; mask < 1<<8; mask++ {
 		var s1, s2 []types.SiteID
@@ -134,12 +141,12 @@ func TestNoDisjointQuorums(t *testing.T) {
 
 func TestWeightedVotes(t *testing.T) {
 	// Give site1 weight 3: it alone can veto an abort quorum.
-	spec := Spec{Votes: map[types.SiteID]int{1: 3, 2: 1, 3: 1}, Vc: 3, Va: 3}
+	spec := Spec{Variant: SkeenQ, Votes: map[types.SiteID]int{1: 3, 2: 1, 3: 1}, Vc: 3, Va: 3}
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	r := spec.Rule(nil, nil)
-	e := asgn()
+	e := ex1()
 	got := r.Decide(e, protocoltest.Tally(map[types.SiteID]types.State{
 		1: types.StateWait}))
 	if got != quorumcalc.VerdictTryAbort {
@@ -164,10 +171,10 @@ func TestPerTransactionMajority(t *testing.T) {
 	if err := PerTransaction().Validate(); err != nil {
 		t.Errorf("PerTransaction invalid: %v", err)
 	}
-	if err := (Spec{}).Validate(); err == nil {
-		t.Error("zero Spec (forgotten votes and quorums) accepted")
+	if err := (Spec{Variant: SkeenQ}).Validate(); err == nil {
+		t.Error("SkeenQ Spec with forgotten votes and quorums accepted")
 	}
-	if err := (Spec{Vc: 3, Va: 2}).Validate(); err == nil {
+	if err := (Spec{Variant: SkeenQ, Vc: 3, Va: 2}).Validate(); err == nil {
 		t.Error("quorums without a vote assignment accepted")
 	}
 	w, pc := types.StateWait, types.StatePC

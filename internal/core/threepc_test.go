@@ -1,4 +1,4 @@
-package threepc
+package core
 
 import (
 	"testing"
@@ -9,13 +9,15 @@ import (
 	"qcommit/internal/voting"
 )
 
-func asgn() *voting.Assignment {
+// Skeen's three-phase commit: the ThreePC variant and its site-failure rule.
+
+func threePCAsgn() *voting.Assignment {
 	return voting.MustAssignment(voting.Uniform("x", 2, 3, 1, 2, 3, 4))
 }
 
 func TestRulesDecide(t *testing.T) {
-	r := Spec{}.Rule(nil, nil)
-	e := asgn()
+	r := Spec{Variant: ThreePC}.Rule(nil, nil)
+	e := threePCAsgn()
 	q, w, pc, c, a := types.StateInitial, types.StateWait, types.StatePC, types.StateCommitted, types.StateAborted
 
 	cases := []struct {
@@ -45,8 +47,8 @@ func TestRulesDecide(t *testing.T) {
 // two disjoint partitions of one interrupted run (one holding the PC site,
 // one not) get opposite verdicts.
 func TestRulesAreInconsistentUnderPartition(t *testing.T) {
-	r := Spec{}.Rule(nil, nil)
-	e := asgn()
+	r := Spec{Variant: ThreePC}.Rule(nil, nil)
+	e := threePCAsgn()
 	w, pc := types.StateWait, types.StatePC
 	gWithPC := r.Decide(e, protocoltest.Tally(map[types.SiteID]types.State{4: w, 5: pc}))
 	gWithout := r.Decide(e, protocoltest.Tally(map[types.SiteID]types.State{2: w, 3: w}))
@@ -56,7 +58,7 @@ func TestRulesAreInconsistentUnderPartition(t *testing.T) {
 }
 
 func TestSpecConstruction(t *testing.T) {
-	s := Spec{}
+	s := Spec{Variant: ThreePC}
 	if s.Name() != "3PC" {
 		t.Errorf("name = %q", s.Name())
 	}

@@ -8,8 +8,6 @@ import (
 	"qcommit/internal/protocol"
 	"qcommit/internal/sim"
 	"qcommit/internal/simnet"
-	"qcommit/internal/skeenq"
-	"qcommit/internal/threepc"
 	"qcommit/internal/twopc"
 	"qcommit/internal/types"
 	"qcommit/internal/voting"
@@ -95,7 +93,7 @@ func randomSchedule(t testing.TB, spec protocol.Spec, seed int64, loss, dup floa
 func TestAtomicityUnderRandomFailureSchedules(t *testing.T) {
 	specs := []protocol.Spec{
 		twopc.Spec{},
-		skeenq.Uniform([]types.SiteID{1, 2, 3, 4, 5, 6, 7, 8}, 5, 4),
+		core.Uniform([]types.SiteID{1, 2, 3, 4, 5, 6, 7, 8}, 5, 4),
 		core.Spec{Variant: core.Protocol1},
 		core.Spec{Variant: core.Protocol2},
 	}
@@ -122,7 +120,7 @@ func TestThreePCViolatesUnderRandomPartitions(t *testing.T) {
 	violations := 0
 	const runs = 120
 	for seed := int64(1); seed <= runs; seed++ {
-		cl := randomSchedule(t, threepc.Spec{}, seed, 0.05, 0.05)
+		cl := randomSchedule(t, core.Spec{Variant: core.ThreePC}, seed, 0.05, 0.05)
 		if len(cl.Violations()) > 0 {
 			violations++
 		}

@@ -5,8 +5,6 @@ import (
 
 	"qcommit/internal/core"
 	"qcommit/internal/protocol"
-	"qcommit/internal/skeenq"
-	"qcommit/internal/threepc"
 	"qcommit/internal/twopc"
 	"qcommit/internal/types"
 	"qcommit/internal/voting"
@@ -31,8 +29,8 @@ func allSpecs() []protocol.Spec {
 	sites := []types.SiteID{1, 2, 3, 4, 5, 6, 7, 8}
 	return []protocol.Spec{
 		twopc.Spec{},
-		threepc.Spec{},
-		skeenq.Uniform(sites, 5, 4),
+		core.Spec{Variant: core.ThreePC},
+		core.Uniform(sites, 5, 4),
 		core.Spec{Variant: core.Protocol1},
 		core.Spec{Variant: core.Protocol2},
 	}
@@ -114,7 +112,7 @@ func TestNoVoteAbortsAllProtocols(t *testing.T) {
 // quorum, so the transaction blocks in all partitions.
 func TestExample1SkeenBlocksEverywhere(t *testing.T) {
 	sites := []types.SiteID{1, 2, 3, 4, 5, 6, 7, 8}
-	cl := New(Config{Seed: 3, Assignment: paperAssignment(t), Spec: skeenq.Uniform(sites, 5, 4)})
+	cl := New(Config{Seed: 3, Assignment: paperAssignment(t), Spec: core.Uniform(sites, 5, 4)})
 	ws := types.Writeset{{Item: "x", Value: 1}, {Item: "y", Value: 2}}
 	txn := cl.SetupInterrupted(1, ws, map[types.SiteID]types.State{
 		1: types.StateWait, 2: types.StateWait, 3: types.StateWait, 4: types.StateWait,
@@ -182,7 +180,7 @@ func TestExample4TP1ImprovesAvailability(t *testing.T) {
 // the decision — G2 (which contains the PC site) commits while G1 and G3
 // abort.
 func TestExample2ThreePCInconsistent(t *testing.T) {
-	cl := New(Config{Seed: 5, Assignment: paperAssignment(t), Spec: threepc.Spec{}})
+	cl := New(Config{Seed: 5, Assignment: paperAssignment(t), Spec: core.Spec{Variant: core.ThreePC}})
 	ws := types.Writeset{{Item: "x", Value: 1}, {Item: "y", Value: 2}}
 	txn := cl.SetupInterrupted(1, ws, map[types.SiteID]types.State{
 		1: types.StateWait, 2: types.StateWait, 3: types.StateWait, 4: types.StateWait,

@@ -7,7 +7,6 @@ import (
 	"qcommit/internal/core"
 	"qcommit/internal/protocol"
 	"qcommit/internal/sim"
-	"qcommit/internal/skeenq"
 	"qcommit/internal/twopc"
 	"qcommit/internal/types"
 )
@@ -35,7 +34,7 @@ func TestCrashGridAllProtocolsAllPhases(t *testing.T) {
 	}
 	specs := []protocol.Spec{
 		twopc.Spec{},
-		skeenq.Uniform([]types.SiteID{1, 2, 3, 4, 5, 6, 7, 8}, 5, 4),
+		core.Uniform([]types.SiteID{1, 2, 3, 4, 5, 6, 7, 8}, 5, 4),
 		core.Spec{Variant: core.Protocol1},
 		core.Spec{Variant: core.Protocol2},
 	}

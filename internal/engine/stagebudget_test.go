@@ -8,8 +8,6 @@ import (
 	"qcommit/internal/core"
 	"qcommit/internal/protocol"
 	"qcommit/internal/sim"
-	"qcommit/internal/skeenq"
-	"qcommit/internal/threepc"
 	"qcommit/internal/twopc"
 	"qcommit/internal/types"
 	"qcommit/internal/voting"
@@ -36,8 +34,8 @@ func TestTerminationStageBudget(t *testing.T) {
 	sites := []types.SiteID{1, 2, 3, 4, 5}
 	specs := []protocol.Spec{
 		twopc.Spec{},
-		threepc.Spec{},
-		skeenq.Uniform(sites, 3, 3),
+		core.Spec{Variant: core.ThreePC},
+		core.Uniform(sites, 3, 3),
 		core.Spec{Variant: core.Protocol1},
 		core.Spec{Variant: core.Protocol2},
 	}

@@ -28,9 +28,8 @@ var deterministicPkgs = map[string]bool{
 	"qcommit/internal/core":       true,
 	"qcommit/internal/protocol":   true,
 	"qcommit/internal/twopc":      true,
-	"qcommit/internal/threepc":    true,
+	"qcommit/internal/protocols":  true,
 	"qcommit/internal/threephase": true,
-	"qcommit/internal/skeenq":     true,
 	"qcommit/internal/election":   true,
 	"qcommit/internal/voting":     true,
 }

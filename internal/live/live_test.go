@@ -9,8 +9,6 @@ import (
 	"qcommit/internal/core"
 	"qcommit/internal/msg"
 	"qcommit/internal/protocol"
-	"qcommit/internal/skeenq"
-	"qcommit/internal/threepc"
 	"qcommit/internal/transport/inproc"
 	"qcommit/internal/twopc"
 	"qcommit/internal/types"
@@ -28,8 +26,8 @@ func specs() []protocol.Spec {
 	sites := []types.SiteID{1, 2, 3, 4, 5, 6, 7, 8}
 	return []protocol.Spec{
 		twopc.Spec{},
-		threepc.Spec{},
-		skeenq.Uniform(sites, 5, 4),
+		core.Spec{Variant: core.ThreePC},
+		core.Uniform(sites, 5, 4),
 		core.Spec{Variant: core.Protocol1},
 		core.Spec{Variant: core.Protocol2},
 	}

@@ -10,8 +10,6 @@ import (
 
 	"qcommit/internal/core"
 	"qcommit/internal/protocol"
-	"qcommit/internal/skeenq"
-	"qcommit/internal/threepc"
 	"qcommit/internal/twopc"
 	"qcommit/internal/types"
 )
@@ -20,16 +18,16 @@ import (
 // quorum protocol, and the paper's protocols 1 and 2. Skeen's protocol gets
 // one vote per site and majority quorums — over the given sites, or, when
 // none are given, per transaction over its participants
-// (skeenq.PerTransaction, the convention of the studies).
+// (core.PerTransaction, the convention of the studies).
 func Standard(sites []types.SiteID) []protocol.Spec {
-	skeen := skeenq.PerTransaction()
+	skeen := core.PerTransaction()
 	if len(sites) > 0 {
-		vc, va := skeenq.Majority(len(sites))
-		skeen = skeenq.Uniform(sites, vc, va)
+		vc, va := core.Majority(len(sites))
+		skeen = core.Uniform(sites, vc, va)
 	}
 	return []protocol.Spec{
 		twopc.Spec{},
-		threepc.Spec{},
+		core.Spec{Variant: core.ThreePC},
 		skeen,
 		core.Spec{Variant: core.Protocol1},
 		core.Spec{Variant: core.Protocol2},
@@ -46,8 +44,8 @@ func ByName(name string, sites []types.SiteID) (protocol.Spec, error) {
 		if !strings.EqualFold(spec.Name(), name) {
 			continue
 		}
-		if v, ok := spec.(interface{ Validate() error }); ok {
-			if err := v.Validate(); err != nil {
+		if s, ok := spec.(core.Spec); ok {
+			if err := s.Validate(); err != nil {
 				return nil, err
 			}
 		}

@@ -79,7 +79,7 @@ func TestTerminatorReachesTheFold(t *testing.T) {
 			parts := make([]*Participant, len(sites))
 			for i, s := range sites {
 				envs[i] = protocoltest.New(s, asgn)
-				parts[i] = NewParticipant(1, &wal.TxnImage{Txn: 1, State: states[i]}, ParticipantOpts{})
+				parts[i] = NewParticipant(1, &wal.TxnImage{Txn: 1, State: states[i]}, false)
 			}
 			tenv := protocoltest.New(sites[leader], asgn)
 			term := NewTerminator(1, participants, 1, rule)
@@ -210,7 +210,7 @@ func TestTerminatorReachesTheFoldInAnyOrder(t *testing.T) {
 				parts := make([]*Participant, len(sites))
 				for i, s := range sites {
 					envs[i] = protocoltest.New(s, asgn)
-					parts[i] = NewParticipant(1, &wal.TxnImage{Txn: 1, State: states[i]}, ParticipantOpts{})
+					parts[i] = NewParticipant(1, &wal.TxnImage{Txn: 1, State: states[i]}, false)
 				}
 				tenv := protocoltest.New(sites[leader], asgn)
 				term := NewTerminator(1, participants, 1, rule)

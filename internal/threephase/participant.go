@@ -4,7 +4,8 @@
 // the three-phase termination coordinator (Figs. 5 and 8). The coordinator
 // and the terminator are parameterized by one quorumcalc.Rule — Skeen's
 // site-vote quorums, the paper's TP1/TP2 replica-vote quorums, or 3PC's
-// site-failure rule — which they consult and never restate.
+// site-failure rule — which they consult and never restate. core.Spec is the
+// one protocol.Spec built on them: its Variant picks the rule.
 //
 // Every wait in these automata is closed by the reply it waits for, and its
 // timer is only the bound for sites that stay silent: the coordinator sends
@@ -22,51 +23,24 @@ package threephase
 import (
 	"qcommit/internal/msg"
 	"qcommit/internal/protocol"
-	"qcommit/internal/quorumcalc"
 	"qcommit/internal/types"
 	"qcommit/internal/wal"
 )
-
-// Ruled is implemented by the protocol specs built on this package's
-// automata: Rule returns the table their coordinator and terminator run for a
-// transaction writing items at participants, which is all the analytic
-// engines need to decide its fate without replaying it.
-type Ruled interface {
-	Rule(items []types.ItemID, participants []types.SiteID) quorumcalc.Rule
-}
-
-// ParticipantOpts tunes participant behaviour.
-type ParticipantOpts struct {
-	// BuggyBufferCrossing makes the participant respond to PREPARE-TO-ABORT
-	// while in PC and to PREPARE-TO-COMMIT while in PA — the exact rule
-	// violation of the paper's Example 3, kept behind a flag so the
-	// counterexample (two concurrent coordinators terminating the
-	// transaction inconsistently) can be reproduced and asserted.
-	BuggyBufferCrossing bool
-	// PatienceRounds caps how many times the participant will ask for
-	// termination before going quiet (bounds simulations that would
-	// otherwise block forever). Defaults to 4.
-	PatienceRounds int
-}
-
-func (o ParticipantOpts) withDefaults() ParticipantOpts {
-	if o.PatienceRounds <= 0 {
-		o.PatienceRounds = 4
-	}
-	return o
-}
 
 // Participant is the per-site automaton of all three-phase-style protocols.
 // State transitions follow Fig. 6: q→W on a yes vote, q→A on a no vote,
 // W→PC on PREPARE-TO-COMMIT, W→PA on PREPARE-TO-ABORT, PC/W/PA→C on COMMIT,
 // PC/W/PA→A on ABORT. There is no transition between PC and PA: a
 // participant in PC ignores PREPARE-TO-ABORT and one in PA ignores
-// PREPARE-TO-COMMIT (unless BuggyBufferCrossing reproduces Example 3).
+// PREPARE-TO-COMMIT (unless buggyBufferCrossing reproduces Example 3).
 type Participant struct {
 	txn   types.TxnID
-	opts  ParticipantOpts
 	state types.State
 	coord types.SiteID
+	// buggyBufferCrossing answers PREPARE-TO-ABORT in PC and
+	// PREPARE-TO-COMMIT in PA: Example 3's rule violation, kept so its
+	// counterexample (two coordinators terminating inconsistently) runs.
+	buggyBufferCrossing bool
 
 	patienceLeft int
 	timerSeq     int
@@ -74,9 +48,10 @@ type Participant struct {
 
 // NewParticipant creates a participant. init is non-nil when rejoining after
 // a crash (or when a paper scenario is constructed mid-protocol).
-func NewParticipant(txn types.TxnID, init *wal.TxnImage, opts ParticipantOpts) *Participant {
-	opts = opts.withDefaults()
-	p := &Participant{txn: txn, opts: opts, state: types.StateInitial, patienceLeft: opts.PatienceRounds}
+// buggyBufferCrossing is only for the Example 3 counterexample.
+func NewParticipant(txn types.TxnID, init *wal.TxnImage, buggyBufferCrossing bool) *Participant {
+	p := &Participant{txn: txn, state: types.StateInitial, buggyBufferCrossing: buggyBufferCrossing,
+		patienceLeft: protocol.PatienceRounds}
 	if init != nil {
 		p.state = init.State
 		p.coord = init.Coord
@@ -213,7 +188,7 @@ func (p *Participant) onPTC(from types.SiteID, env protocol.Env) {
 		env.Send(from, msg.PCAck{Txn: p.txn}) // idempotent re-ack
 		p.armPatience(env)
 	case types.StatePA:
-		if p.opts.BuggyBufferCrossing {
+		if p.buggyBufferCrossing {
 			// Example 3's forbidden behaviour: responding to
 			// PREPARE-TO-COMMIT while in PA lets two concurrent termination
 			// coordinators form both quorums.
@@ -241,7 +216,7 @@ func (p *Participant) onPTA(from types.SiteID, env protocol.Env) {
 		env.Send(from, msg.PAAck{Txn: p.txn}) // idempotent re-ack
 		p.armPatience(env)
 	case types.StatePC:
-		if p.opts.BuggyBufferCrossing {
+		if p.buggyBufferCrossing {
 			env.Append(wal.Record{Type: wal.RecPA, Txn: p.txn})
 			p.state = types.StatePA
 			env.Tracef("%s: %s BUGGY PC→PA crossing", p.txn, env.Self())

@@ -24,7 +24,7 @@ func TestParticipantPoisonsVoteAfterInitialReply(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			e := protocoltest.New(2, ex1())
-			p := NewParticipant(1, nil, ParticipantOpts{})
+			p := NewParticipant(1, nil, false)
 			p.Start(e)
 			p.OnMessage(3, tc.poll, e)
 			if len(e.Aborted) != 1 {

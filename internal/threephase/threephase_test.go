@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"qcommit/internal/msg"
+	"qcommit/internal/protocol"
 	"qcommit/internal/protocoltest"
 	"qcommit/internal/quorumcalc"
 	"qcommit/internal/types"
@@ -30,7 +31,7 @@ func voteReq(coord types.SiteID) msg.VoteReq {
 
 func TestParticipantVotesYes(t *testing.T) {
 	env := protocoltest.New(2, ex1())
-	p := NewParticipant(1, nil, ParticipantOpts{})
+	p := NewParticipant(1, nil, false)
 	p.Start(env)
 	p.OnMessage(1, voteReq(1), env)
 
@@ -55,7 +56,7 @@ func TestParticipantVotesYes(t *testing.T) {
 func TestParticipantVotesNoOnLockFailure(t *testing.T) {
 	env := protocoltest.New(2, ex1())
 	env.LockOK = false
-	p := NewParticipant(1, nil, ParticipantOpts{})
+	p := NewParticipant(1, nil, false)
 	p.Start(env)
 	p.OnMessage(1, voteReq(1), env)
 
@@ -73,7 +74,7 @@ func TestParticipantVotesNoOnLockFailure(t *testing.T) {
 
 func TestParticipantDuplicateVoteReqIdempotent(t *testing.T) {
 	env := protocoltest.New(2, ex1())
-	p := NewParticipant(1, nil, ParticipantOpts{})
+	p := NewParticipant(1, nil, false)
 	p.Start(env)
 	p.OnMessage(1, voteReq(1), env)
 	n := len(env.Logs)
@@ -88,7 +89,7 @@ func TestParticipantDuplicateVoteReqIdempotent(t *testing.T) {
 
 func TestParticipantPTCAndPTA(t *testing.T) {
 	env := protocoltest.New(2, ex1())
-	p := NewParticipant(1, nil, ParticipantOpts{})
+	p := NewParticipant(1, nil, false)
 	p.Start(env)
 	p.OnMessage(1, voteReq(1), env)
 
@@ -117,7 +118,7 @@ func TestParticipantPTCAndPTA(t *testing.T) {
 
 func TestParticipantPAIgnoresPTC(t *testing.T) {
 	env := protocoltest.New(2, ex1())
-	p := NewParticipant(1, nil, ParticipantOpts{})
+	p := NewParticipant(1, nil, false)
 	p.Start(env)
 	p.OnMessage(1, voteReq(1), env)
 	p.OnMessage(3, msg.PrepareToAbort{Txn: 1}, env)
@@ -135,7 +136,7 @@ func TestParticipantPAIgnoresPTC(t *testing.T) {
 
 func TestParticipantBuggyCrossings(t *testing.T) {
 	env := protocoltest.New(2, ex1())
-	p := NewParticipant(1, nil, ParticipantOpts{BuggyBufferCrossing: true})
+	p := NewParticipant(1, nil, true)
 	p.Start(env)
 	p.OnMessage(1, voteReq(1), env)
 	p.OnMessage(3, msg.PrepareToAbort{Txn: 1}, env)
@@ -150,7 +151,7 @@ func TestParticipantBuggyCrossings(t *testing.T) {
 
 func TestParticipantCommitAndAbort(t *testing.T) {
 	env := protocoltest.New(2, ex1())
-	p := NewParticipant(1, nil, ParticipantOpts{})
+	p := NewParticipant(1, nil, false)
 	p.Start(env)
 	p.OnMessage(1, voteReq(1), env)
 	p.OnMessage(1, msg.Commit{Txn: 1}, env)
@@ -166,7 +167,7 @@ func TestParticipantCommitAndAbort(t *testing.T) {
 
 func TestParticipantCommitInInitialIgnored(t *testing.T) {
 	env := protocoltest.New(2, ex1())
-	p := NewParticipant(1, nil, ParticipantOpts{})
+	p := NewParticipant(1, nil, false)
 	p.Start(env)
 	p.OnMessage(1, msg.Commit{Txn: 1}, env)
 	if p.State() != types.StateInitial || len(env.Committed) != 0 {
@@ -176,7 +177,7 @@ func TestParticipantCommitInInitialIgnored(t *testing.T) {
 
 func TestParticipantStateReqResponse(t *testing.T) {
 	env := protocoltest.New(2, ex1())
-	p := NewParticipant(1, nil, ParticipantOpts{})
+	p := NewParticipant(1, nil, false)
 	p.Start(env)
 	p.OnMessage(1, voteReq(1), env)
 	p.OnMessage(7, msg.StateReq{Txn: 1, Coord: 7, Epoch: 3}, env)
@@ -192,7 +193,7 @@ func TestParticipantStateReqResponse(t *testing.T) {
 
 func TestParticipantPatienceTriggersTermination(t *testing.T) {
 	env := protocoltest.New(2, ex1())
-	p := NewParticipant(1, nil, ParticipantOpts{PatienceRounds: 2})
+	p := NewParticipant(1, nil, false)
 	p.Start(env)
 	p.OnMessage(1, voteReq(1), env)
 	tm := env.LastTimer()
@@ -201,17 +202,17 @@ func TestParticipantPatienceTriggersTermination(t *testing.T) {
 		t.Fatal("patience expiry did not request termination")
 	}
 	// Budget bounds the retries.
-	p.OnTimer(env.LastTimer().Token, env)
-	p.OnTimer(env.LastTimer().Token, env)
-	p.OnTimer(env.LastTimer().Token, env)
-	if len(env.TermReqs) > 2 {
-		t.Errorf("termination requested %d times, budget was 2", len(env.TermReqs))
+	for i := 0; i < 2*protocol.PatienceRounds; i++ {
+		p.OnTimer(env.LastTimer().Token, env)
+	}
+	if len(env.TermReqs) != protocol.PatienceRounds {
+		t.Errorf("termination requested %d times, want protocol.PatienceRounds = %d", len(env.TermReqs), protocol.PatienceRounds)
 	}
 }
 
 func TestParticipantStaleTimerIgnored(t *testing.T) {
 	env := protocoltest.New(2, ex1())
-	p := NewParticipant(1, nil, ParticipantOpts{})
+	p := NewParticipant(1, nil, false)
 	p.Start(env)
 	p.OnMessage(1, voteReq(1), env)
 	stale := env.LastTimer().Token
@@ -226,7 +227,7 @@ func TestParticipantStaleTimerIgnored(t *testing.T) {
 func TestParticipantRecoveryImage(t *testing.T) {
 	env := protocoltest.New(2, ex1())
 	img := &wal.TxnImage{Txn: 1, State: types.StatePC, Coord: 1, Participants: parts, Writeset: ws}
-	p := NewParticipant(1, img, ParticipantOpts{})
+	p := NewParticipant(1, img, false)
 	p.Start(env)
 	if p.State() != types.StatePC {
 		t.Errorf("recovered state = %v", p.State())

@@ -19,10 +19,7 @@ import (
 )
 
 // Spec is the 2PC protocol family.
-type Spec struct {
-	// PatienceRounds caps participant-initiated termination attempts.
-	PatienceRounds int
-}
+type Spec struct{}
 
 var _ protocol.Spec = Spec{}
 
@@ -36,11 +33,7 @@ func (s Spec) NewCoordinator(txn types.TxnID, ws types.Writeset, participants []
 
 // NewParticipant implements protocol.Spec.
 func (s Spec) NewParticipant(txn types.TxnID, init *wal.TxnImage) protocol.Automaton {
-	rounds := s.PatienceRounds
-	if rounds <= 0 {
-		rounds = 4
-	}
-	p := &Participant{txn: txn, state: types.StateInitial, patienceLeft: rounds}
+	p := &Participant{txn: txn, state: types.StateInitial, patienceLeft: protocol.PatienceRounds}
 	if init != nil {
 		p.state = init.State
 		p.coord = init.Coord

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"qcommit/internal/msg"
+	"qcommit/internal/protocol"
 	"qcommit/internal/protocoltest"
 	"qcommit/internal/types"
 	"qcommit/internal/voting"
@@ -234,6 +235,12 @@ func TestParticipantRecoveryImage(t *testing.T) {
 	p.OnTimer(e.LastTimer().Token, e)
 	if len(e.TermReqs) != 1 {
 		t.Error("patience did not request termination")
+	}
+	for i := 0; i < 2*protocol.PatienceRounds; i++ {
+		p.OnTimer(e.LastTimer().Token, e)
+	}
+	if len(e.TermReqs) != protocol.PatienceRounds {
+		t.Errorf("termination requested %d times, want protocol.PatienceRounds = %d", len(e.TermReqs), protocol.PatienceRounds)
 	}
 }
 

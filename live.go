@@ -56,7 +56,7 @@ func NewLiveCluster(items []ReplicatedItem, opts LiveOptions) (*LiveCluster, err
 	if err != nil {
 		return nil, err
 	}
-	spec, err := buildSpec(Options{Protocol: opts.Protocol, SkeenVc: opts.SkeenVc, SkeenVa: opts.SkeenVa}, sites)
+	spec, err := buildSpec("LiveOptions", opts.Protocol, opts.SkeenVc, opts.SkeenVa, sites)
 	if err != nil {
 		return nil, err
 	}

@@ -115,6 +115,22 @@ func TestLiveClusterValidation(t *testing.T) {
 	if _, err := NewLiveCluster(liveItems(), LiveOptions{Transport: "carrier-pigeon"}); err == nil {
 		t.Error("unknown transport accepted")
 	}
+	// Skeen quorums under any other protocol are refused, not ignored.
+	for _, tc := range []struct {
+		opts  LiveOptions
+		field string
+	}{
+		{LiveOptions{Protocol: Proto2PC, SkeenVc: 3}, "LiveOptions.SkeenVc"},
+		{LiveOptions{Protocol: ProtoQC2, SkeenVa: 2}, "LiveOptions.SkeenVa"},
+	} {
+		c, err := NewLiveCluster(liveItems(), tc.opts)
+		if err == nil {
+			c.Stop()
+			t.Errorf("%+v accepted", tc.opts)
+		} else if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%+v: error %q does not name %s", tc.opts, err, tc.field)
+		}
+	}
 }
 
 // TestLiveClusterTCPTransport runs the public live API over real loopback

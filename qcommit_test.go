@@ -95,6 +95,24 @@ func TestValidationErrors(t *testing.T) {
 	if _, err := NewCluster(paperItems(), Options{Protocol: ProtoSkeenQuorum, SkeenVc: 1, SkeenVa: 1}); err == nil {
 		t.Error("invalid Skeen quorums accepted")
 	}
+	// Skeen quorums under any other protocol are refused, not ignored.
+	for _, tc := range []struct {
+		opts  Options
+		field string
+	}{
+		{Options{Protocol: ProtoQC1, SkeenVc: 5}, "Options.SkeenVc"},
+		{Options{SkeenVc: 5, SkeenVa: 4}, "Options.SkeenVc"},
+		{Options{Protocol: Proto3PC, SkeenVa: 4}, "Options.SkeenVa"},
+	} {
+		if _, err := NewCluster(paperItems(), tc.opts); err == nil {
+			t.Errorf("%+v accepted", tc.opts)
+		} else if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%+v: error %q does not name %s", tc.opts, err, tc.field)
+		}
+	}
+	if _, err := NewCluster(paperItems(), Options{Protocol: "skeenq", SkeenVc: 5, SkeenVa: 4}); err != nil {
+		t.Errorf("valid Skeen quorums refused: %v", err)
+	}
 }
 
 // TestClusterNetValidation runs badNet through NewCluster: every row is
