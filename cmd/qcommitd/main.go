@@ -57,7 +57,6 @@ func main() {
 		protoFlag  = flag.String("protocol", "qc1", "commit protocol: qc1, qc2, 2pc, 3pc or skeenq")
 		stratFlag  = flag.String("strategy", "quorum", "data-access strategy (only 'quorum' is supported across processes)")
 		timeout    = flag.Duration("timeout-base", 50*time.Millisecond, "protocol timeout unit T")
-		termRounds = flag.Int("max-term-rounds", 3, "termination retry cap")
 		waldir     = flag.String("waldir", "", "directory for the on-disk group-commit WAL qcommitd-site<N>.wal, reused across restarts for recovery; empty keeps the log in memory (lost on process exit)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables. The /metrics and /debug/txns handlers ride the same mux when -metrics is off")
 		metrics    = flag.String("metrics", "", "serve Prometheus-text /metrics and the /debug/txns slow-transaction view on this address (e.g. localhost:9090, or :0 for any free port; the ready line names the bound address); empty disables the HTTP endpoint but -pprof still exposes the handlers")
@@ -65,7 +64,7 @@ func main() {
 		failpoint  = flag.String("failpoint", "", "deterministic fault injection: 'crash-before-decision' SIGKILLs the process when its coordinator first sends a decision-phase message")
 	)
 	flag.Parse()
-	if err := run(*site, *peersFlag, *itemsFlag, *protoFlag, *stratFlag, *timeout, *termRounds, *waldir, *pprofAddr, *metrics, *traceEvery, *failpoint); err != nil {
+	if err := run(*site, *peersFlag, *itemsFlag, *protoFlag, *stratFlag, *timeout, *waldir, *pprofAddr, *metrics, *traceEvery, *failpoint); err != nil {
 		fmt.Fprintln(os.Stderr, "qcommitd:", err)
 		os.Exit(1)
 	}
@@ -73,7 +72,7 @@ func main() {
 
 // openWAL opens this site's log: the in-memory log when dir is empty (the
 // returned closer is then nil), else a group-commit log in dir.
-func openWAL(dir string, site int) (wal.Log, func() error, error) {
+func openWAL(dir string, site int) (wal.AsyncLog, func() error, error) {
 	if dir == "" {
 		return nil, nil, nil // NewServer defaults to a fresh MemLog
 	}
@@ -84,7 +83,7 @@ func openWAL(dir string, site int) (wal.Log, func() error, error) {
 	return l, l.Close, nil
 }
 
-func run(site int, peersFlag, itemsFlag, protoFlag, stratFlag string, timeoutBase time.Duration, termRounds int, waldir, pprofAddr, metricsAddr string, traceEvery int, failpoint string) error {
+func run(site int, peersFlag, itemsFlag, protoFlag, stratFlag string, timeoutBase time.Duration, waldir, pprofAddr, metricsAddr string, traceEvery int, failpoint string) error {
 	if site <= 0 {
 		return fmt.Errorf("-site is required and must be positive")
 	}
@@ -185,12 +184,11 @@ func run(site int, peersFlag, itemsFlag, protoFlag, stratFlag string, timeoutBas
 		}
 	})
 	s, err := live.NewServer(self, live.ServerConfig{
-		Assignment:           asgn,
-		Spec:                 spec,
-		TimeoutBase:          timeoutBase,
-		MaxTerminationRounds: termRounds,
-		WAL:                  log,
-		Obs:                  ob,
+		Assignment:  asgn,
+		Spec:        spec,
+		TimeoutBase: timeoutBase,
+		WAL:         log,
+		Obs:         ob,
 	}, tr)
 	if err != nil {
 		return err

@@ -71,9 +71,6 @@ func (c Config) withDefaults() Config {
 	if c.T <= 0 {
 		c.T = c.Net.MaxDelayOrDefault()
 	}
-	if c.MaxTerminationRounds <= 0 {
-		c.MaxTerminationRounds = 3
-	}
 	if c.Recorder == nil {
 		c.Recorder = trace.NewRecorder()
 	}

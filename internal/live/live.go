@@ -43,21 +43,20 @@ type Config struct {
 	TimeoutBase time.Duration
 	// Seed drives the delay randomness.
 	Seed int64
-	// MaxTerminationRounds caps termination retries (default 3).
-	MaxTerminationRounds int
 	// Transport optionally supplies the message fabric serving every site.
 	// Nil builds the in-process fabric from MinDelay/MaxDelay/Seed — the
 	// historical mailbox path. A tcp.Fabric here runs the same cluster over
 	// real loopback sockets. The cluster takes ownership and closes the
 	// transport on Stop.
 	Transport transport.Transport
-	// WAL optionally supplies each site's log (nil sites fall back to a
-	// fresh MemLog, which forces nothing and gates no send). A wal.GroupLog,
-	// the on-disk log and the one wal.AsyncLog, enables commit pipelining: a
-	// node's durability-gated sends are released by a flusher goroutine once
-	// the group fsync lands, so the event loop keeps processing other
-	// transactions while a batch is being forced. The caller retains
-	// ownership and closes the logs after Stop.
+	// WAL optionally supplies each site's log, which must be a
+	// wal.AsyncLog, as every log in this module is (nil sites fall back to
+	// a fresh MemLog, whose tickets are durable on return). A node's
+	// durability-gated sends and outcome publications are released by a
+	// flusher goroutine once the log's force lands — at once on a MemLog,
+	// after the group fsync on a wal.GroupLog — so the event loop keeps
+	// processing other transactions while a batch is being forced. The
+	// caller retains ownership and closes the logs after Stop.
 	WAL func(types.SiteID) wal.Log
 	// Obs optionally attaches an observability sink: every node registers
 	// its metric set (and its lock manager's and group WAL's) on the
@@ -73,16 +72,119 @@ type event struct {
 	stop  bool
 }
 
-// Cluster is a set of live site goroutines.
-type Cluster struct {
-	cfg   Config
-	start time.Time
+// hostCore is what a Node needs from the runtime that hosts it: the
+// protocol configuration, a clock anchor, a way to send and a way to wake
+// outcome waiters. Two hosts embed it: Cluster runs every site of an
+// assignment in one process over a shared transport, and Server runs exactly
+// one site — the qcommitd deployment shape, where each peer site lives in its
+// own process and only the transport connects them. A Node holds nothing of
+// its host beyond this, so it cannot grow a dependency on cluster-global
+// shared memory that a distributed host cannot provide. The one thing that
+// does read other sites' memory — the adaptive access strategies'
+// bookkeeping — is a voting.Tracker handed to newNode, which a Cluster builds
+// over its nodes and a Server leaves nil.
+type hostCore struct {
+	spec  protocol.Spec
+	asgn  *voting.Assignment
+	t     time.Duration // the protocol timeout unit T
+	start time.Time     // anchors the host's monotonic protocol clock
 
 	// tr is the message fabric. All routing policy — propagation delay,
 	// partition and crash filtering, the wire-codec round-trip — lives
-	// behind it; the cluster only posts inbound envelopes to node mailboxes
+	// behind it; the host only posts inbound envelopes to node mailboxes
 	// and consults the transport's topology view.
 	tr transport.Transport
+
+	// noteMu guards notes, the per-transaction outcome watch channels
+	// behind WaitOutcome: every local decision (and, on a Cluster, every
+	// crash or restart, which changes the up-site set the aggregate is taken
+	// over) closes the transaction's current channel, so waiters
+	// re-evaluate immediately instead of sleep-polling. Each note counts its
+	// waiters, and the last waiter out removes an unnotified entry — a
+	// long-lived host must not accumulate one map entry per transaction
+	// ever waited on.
+	noteMu sync.Mutex
+	notes  map[types.TxnID]*outcomeNote
+}
+
+// outcomeNote is one transaction's outcome watch: the broadcast channel and
+// the number of waitOutcome loops currently holding it.
+type outcomeNote struct {
+	ch      chan struct{}
+	waiters int
+}
+
+// send routes a message through the transport, which applies delay,
+// loss-on-partition and the wire-codec round-trip.
+func (h *hostCore) send(from, to types.SiteID, m msg.Message) {
+	h.tr.Send(msg.Envelope{From: from, To: to, Msg: m})
+}
+
+// notifyOutcome wakes the waiters watching txn.
+func (h *hostCore) notifyOutcome(txn types.TxnID) {
+	h.noteMu.Lock()
+	if note, ok := h.notes[txn]; ok {
+		close(note.ch)
+		delete(h.notes, txn)
+	}
+	h.noteMu.Unlock()
+}
+
+// notifyAllOutcomes wakes every waiter (crash/restart changed the up set).
+func (h *hostCore) notifyAllOutcomes() {
+	h.noteMu.Lock()
+	for txn, note := range h.notes {
+		close(note.ch)
+		delete(h.notes, txn)
+	}
+	h.noteMu.Unlock()
+}
+
+// waitOutcome blocks until snapshot reports txn settled, or the deadline
+// passes, and returns snapshot's outcome at that point. The loop registers
+// on txn's note BEFORE taking the snapshot, so an outcome landing between
+// the two still wakes it: waiters observe the outcome as soon as it is
+// published, and the deadline is honored exactly rather than quantized to a
+// polling interval.
+func (h *hostCore) waitOutcome(txn types.TxnID, deadline time.Duration, snapshot func(types.TxnID) (types.Outcome, bool)) types.Outcome {
+	timer := time.NewTimer(deadline)
+	defer timer.Stop()
+	for {
+		h.noteMu.Lock()
+		note := h.notes[txn]
+		if note == nil {
+			note = &outcomeNote{ch: make(chan struct{})}
+			h.notes[txn] = note
+		}
+		note.waiters++
+		h.noteMu.Unlock()
+		o, settled := snapshot(txn)
+		if !settled {
+			select {
+			case <-note.ch:
+			case <-timer.C:
+				o, _ = snapshot(txn)
+				settled = true
+			}
+		}
+		// The last waiter out removes the entry if no notification
+		// consumed it already.
+		h.noteMu.Lock()
+		note.waiters--
+		if note.waiters == 0 && h.notes[txn] == note {
+			delete(h.notes, txn)
+		}
+		h.noteMu.Unlock()
+		if settled {
+			return o
+		}
+	}
+}
+
+// Cluster is a set of live site goroutines.
+type Cluster struct {
+	hostCore
+	cfg Config
 
 	mu      sync.Mutex // guards nextTxn
 	nextTxn types.TxnID
@@ -94,23 +196,6 @@ type Cluster struct {
 	// applied commits and installed copies to; it sees the nodes through
 	// clusterPeers.
 	tracker *voting.Tracker
-
-	// noteMu guards notes, the per-transaction outcome watch channels
-	// behind WaitOutcome: every local decision (and every crash or restart,
-	// which changes the up-site set the aggregate is taken over) closes the
-	// transaction's current channel, so waiters re-evaluate immediately
-	// instead of sleep-polling. Each note counts its waiters, and the last
-	// waiter out removes an unnotified entry — a long-lived cluster must
-	// not accumulate one map entry per transaction ever waited on.
-	noteMu sync.Mutex
-	notes  map[types.TxnID]*outcomeNote
-}
-
-// outcomeNote is one transaction's outcome watch: the broadcast channel and
-// the number of WaitOutcome loops currently holding it.
-type outcomeNote struct {
-	ch      chan struct{}
-	waiters int
 }
 
 // New builds and starts one goroutine per site in the assignment.
@@ -124,19 +209,17 @@ func New(cfg Config) *Cluster {
 	if cfg.TimeoutBase == 0 {
 		cfg.TimeoutBase = 4 * max(cfg.MinDelay, cfg.MaxDelay)
 	}
-	if cfg.MaxTerminationRounds <= 0 {
-		cfg.MaxTerminationRounds = 3
-	}
 	tr := cfg.Transport
 	if tr == nil {
 		tr = inproc.New(inproc.Options{MinDelay: cfg.MinDelay, MaxDelay: cfg.MaxDelay, Seed: cfg.Seed})
 	}
 	cl := &Cluster{
+		hostCore: hostCore{
+			spec: cfg.Spec, asgn: cfg.Assignment, t: cfg.TimeoutBase, start: time.Now(),
+			tr: tr, notes: make(map[types.TxnID]*outcomeNote),
+		},
 		cfg:   cfg,
-		start: time.Now(),
-		tr:    tr,
 		nodes: make(map[types.SiteID]*Node),
-		notes: make(map[types.TxnID]*outcomeNote),
 	}
 	cl.tracker = voting.NewTracker(cfg.Assignment, cfg.Strategy, (*clusterPeers)(cl))
 	seen := make(map[types.SiteID]bool)
@@ -147,12 +230,13 @@ func New(cfg Config) *Cluster {
 		}
 	}
 	for id := range seen {
-		var log wal.Log
+		var log wal.AsyncLog
 		if cfg.WAL != nil {
-			log = cfg.WAL(id)
+			if l := cfg.WAL(id); l != nil {
+				log = l.(wal.AsyncLog)
+			}
 		}
-		n := newNode(id, cl, cl.tracker, log, cfg.Obs)
-		cl.nodes[id] = n
+		cl.nodes[id] = newNode(id, &cl.hostCore, cl.tracker, log, cfg.Obs)
 	}
 	for _, item := range cfg.Assignment.Items() {
 		ic, _ := cfg.Assignment.Item(item)
@@ -161,12 +245,7 @@ func New(cfg Config) *Cluster {
 		}
 	}
 	for _, n := range cl.nodes {
-		cl.wg.Add(1)
-		go n.loop(&cl.wg)
-		if n.alog != nil {
-			cl.wg.Add(1)
-			go n.flusher(&cl.wg)
-		}
+		n.run(&cl.wg)
 	}
 	tr.Bind(cl.deliver)
 	return cl
@@ -187,7 +266,7 @@ func (cl *Cluster) Transport() transport.Transport { return cl.tr }
 func (cl *Cluster) Node(id types.SiteID) *Node { return cl.nodes[id] }
 
 // T is the protocol timeout base.
-func (cl *Cluster) T() time.Duration { return cl.cfg.TimeoutBase }
+func (cl *Cluster) T() time.Duration { return cl.t }
 
 // Begin submits a transaction at the coordinator site and returns its ID.
 func (cl *Cluster) Begin(coord types.SiteID, ws types.Writeset) types.TxnID {
@@ -251,129 +330,52 @@ func (cl *Cluster) Heal() {
 	}
 }
 
-// send routes a message through the transport, which applies delay,
-// loss-on-partition and the wire-codec round-trip.
-func (cl *Cluster) send(from, to types.SiteID, m msg.Message) {
-	cl.tr.Send(msg.Envelope{From: from, To: to, Msg: m})
-}
-
-// host accessors (see host.go): Cluster hosts every node of the assignment.
-
-func (cl *Cluster) spec() protocol.Spec            { return cl.cfg.Spec }
-func (cl *Cluster) assignment() *voting.Assignment { return cl.cfg.Assignment }
-func (cl *Cluster) timeoutBase() time.Duration     { return cl.cfg.TimeoutBase }
-func (cl *Cluster) maxTermRounds() int             { return cl.cfg.MaxTerminationRounds }
-func (cl *Cluster) startTime() time.Time           { return cl.start }
-
 // OutcomeAt reads txn's fate at one site from its WAL.
 func (cl *Cluster) OutcomeAt(id types.SiteID, txn types.TxnID) types.Outcome {
 	return walOutcome(cl.nodes[id], txn)
 }
 
-// watchOutcome registers the caller as a waiter on txn's outcome note,
-// whose channel is closed at the next outcome-affecting event: a site
-// records a local decision, or a crash/restart changes the up-site set the
-// aggregate ranges over. Waiters must register BEFORE evaluating the
-// aggregate, so a decision landing between evaluation and wait still wakes
-// them, and must pair every registration with unwatchOutcome.
-func (cl *Cluster) watchOutcome(txn types.TxnID) *outcomeNote {
-	cl.noteMu.Lock()
-	defer cl.noteMu.Unlock()
-	note := cl.notes[txn]
-	if note == nil {
-		note = &outcomeNote{ch: make(chan struct{})}
-		cl.notes[txn] = note
-	}
-	note.waiters++
-	return note
-}
-
-// unwatchOutcome releases one registration; the last waiter out removes the
-// entry if no notification consumed it already (the channel-closed paths
-// find cl.notes[txn] pointing at a fresh note or nothing).
-func (cl *Cluster) unwatchOutcome(txn types.TxnID, note *outcomeNote) {
-	cl.noteMu.Lock()
-	defer cl.noteMu.Unlock()
-	note.waiters--
-	if note.waiters == 0 && cl.notes[txn] == note {
-		delete(cl.notes, txn)
-	}
-}
-
-// notifyOutcome wakes the waiters watching txn.
-func (cl *Cluster) notifyOutcome(txn types.TxnID) {
-	cl.noteMu.Lock()
-	if note, ok := cl.notes[txn]; ok {
-		close(note.ch)
-		delete(cl.notes, txn)
-	}
-	cl.noteMu.Unlock()
-}
-
-// notifyAllOutcomes wakes every waiter (crash/restart changed the up set).
-func (cl *Cluster) notifyAllOutcomes() {
-	cl.noteMu.Lock()
-	for txn, note := range cl.notes {
-		close(note.ch)
-		delete(cl.notes, txn)
-	}
-	cl.noteMu.Unlock()
-}
-
 // outcomeSnapshot aggregates txn's fate across the up sites right now. It
-// returns settled=true once every up site holding state for txn reports the
-// same terminal outcome (or a mixed terminal pair — callers detect that via
-// Violated); otherwise it returns the value WaitOutcome should report if the
-// deadline struck now (blocked if some site is mid-protocol, else the
-// aggregate so far).
+// is settled once every up site holding state for txn reports a terminal
+// outcome: the shared one, or OutcomeSplit if both a commit and an abort are
+// among them (terminal records are irrevocable, so a split never heals).
+// Otherwise it returns what WaitOutcome should report if the deadline struck
+// now: blocked if some site is mid-protocol, else unknown.
 func (cl *Cluster) outcomeSnapshot(txn types.TxnID) (types.Outcome, bool) {
-	agg := types.OutcomeUnknown
-	for id := range cl.nodes {
-		if cl.tr.Down(id) {
-			continue
-		}
-		o := cl.OutcomeAt(id, txn)
-		if o == types.OutcomeUnknown {
-			continue
-		}
-		if !o.StateEquivalent().Terminal() {
-			return types.OutcomeBlocked, false
-		}
-		if agg == types.OutcomeUnknown {
-			agg = o
-		} else if agg != o {
-			return agg, true // mixed — caller detects via Violated
+	var seen [types.OutcomeBlocked + 1]bool // by one site's outcome
+	for id, n := range cl.nodes {
+		// The view first: a site without state for txn needs no
+		// topology lookup.
+		if o := walOutcome(n, txn); o != types.OutcomeUnknown && !cl.tr.Down(id) {
+			seen[o] = true
 		}
 	}
-	return agg, agg != types.OutcomeUnknown
+	switch {
+	case seen[types.OutcomeCommitted] && seen[types.OutcomeAborted]:
+		return types.OutcomeSplit, true
+	case seen[types.OutcomeBlocked]:
+		return types.OutcomeBlocked, false
+	case seen[types.OutcomeCommitted]:
+		return types.OutcomeCommitted, true
+	case seen[types.OutcomeAborted]:
+		return types.OutcomeAborted, true
+	}
+	return types.OutcomeUnknown, false
 }
 
-// WaitOutcome blocks until every up site holding a copy reports the same
-// terminal outcome for txn, or the deadline passes (returning the aggregate
-// at that point: blocked/unknown if not uniform terminal). Crashed sites are
-// excluded — they learn the outcome from their WAL and the termination
+// WaitOutcome blocks until every up site holding a copy reports a terminal
+// outcome for txn, or the deadline passes (returning the aggregate at that
+// point: blocked/unknown if not every such site is terminal). Crashed sites
+// are excluded — they learn the outcome from their WAL and the termination
 // protocol after Restart. Waiters are woken by per-transaction decision
 // notifications (and by crash/restart events), so they observe the outcome
-// as soon as it lands and the deadline is honored exactly rather than
-// quantized to a polling interval.
+// as soon as it lands and the deadline is honored exactly.
+//
+// A site publishes an outcome only after the event that decided it has
+// finished, so when WaitOutcome returns committed, every up copy holder's
+// store has the writeset. Up sites that disagree return OutcomeSplit.
 func (cl *Cluster) WaitOutcome(txn types.TxnID, deadline time.Duration) types.Outcome {
-	timer := time.NewTimer(deadline)
-	defer timer.Stop()
-	for {
-		note := cl.watchOutcome(txn)
-		if agg, settled := cl.outcomeSnapshot(txn); settled {
-			cl.unwatchOutcome(txn, note)
-			return agg
-		}
-		select {
-		case <-note.ch:
-			cl.unwatchOutcome(txn, note)
-		case <-timer.C:
-			cl.unwatchOutcome(txn, note)
-			agg, _ := cl.outcomeSnapshot(txn)
-			return agg
-		}
-	}
+	return cl.waitOutcome(txn, deadline, cl.outcomeSnapshot)
 }
 
 // Violated reports whether any transaction terminated inconsistently.

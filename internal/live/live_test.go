@@ -410,30 +410,49 @@ func TestLiveWaitOutcomeWakesOnDecision(t *testing.T) {
 
 // TestLiveWaitOutcomeDeadlineIsExact: with no decision coming, WaitOutcome
 // honors the requested deadline (timer-based) instead of quantizing to a
-// poll interval, and reports the aggregate at that instant.
+// poll interval, and reports the aggregate at that instant — on both hosts,
+// which share the wait loop.
 func TestLiveWaitOutcomeDeadlineIsExact(t *testing.T) {
-	cl := New(Config{Assignment: asgn(), Spec: core.Spec{Variant: core.Protocol1}, Seed: 11, TimeoutBase: 30 * time.Millisecond})
+	spec := core.Spec{Variant: core.Protocol1}
+	cl := New(Config{Assignment: asgn(), Spec: spec, Seed: 11, TimeoutBase: 30 * time.Millisecond})
 	defer cl.Stop()
-	// Transaction 999 does not exist: nothing will ever decide it.
-	start := time.Now()
-	got := cl.WaitOutcome(types.TxnID(999), 50*time.Millisecond)
-	elapsed := time.Since(start)
-	if got != types.OutcomeUnknown {
-		t.Fatalf("undecidable txn outcome = %v, want unknown", got)
+	srv, err := NewServer(1, ServerConfig{Assignment: asgn(), Spec: spec, TimeoutBase: 30 * time.Millisecond}, inproc.New(inproc.Options{Seed: 11}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if elapsed < 50*time.Millisecond {
-		t.Fatalf("WaitOutcome returned after %v, before the %v deadline", elapsed, 50*time.Millisecond)
-	}
-	if elapsed > 2*time.Second {
-		t.Fatalf("WaitOutcome overshot the deadline by %v", elapsed-50*time.Millisecond)
-	}
-	// The watch entry must not outlive the wait: an unnotified transaction
-	// would otherwise leak one map entry per WaitOutcome call forever.
-	cl.noteMu.Lock()
-	leaked := len(cl.notes)
-	cl.noteMu.Unlock()
-	if leaked != 0 {
-		t.Fatalf("%d outcome watch entries leaked after WaitOutcome returned", leaked)
+	defer srv.Stop()
+	for _, tc := range []struct {
+		name string
+		wait func(types.TxnID, time.Duration) types.Outcome
+		h    *hostCore
+	}{
+		{"Cluster", cl.WaitOutcome, &cl.hostCore},
+		{"Server", srv.WaitOutcome, &srv.hostCore},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Transaction 999 does not exist: nothing will ever decide it.
+			start := time.Now()
+			got := tc.wait(types.TxnID(999), 50*time.Millisecond)
+			elapsed := time.Since(start)
+			if got != types.OutcomeUnknown {
+				t.Fatalf("undecidable txn outcome = %v, want unknown", got)
+			}
+			if elapsed < 50*time.Millisecond {
+				t.Fatalf("WaitOutcome returned after %v, before the %v deadline", elapsed, 50*time.Millisecond)
+			}
+			if elapsed > 2*time.Second {
+				t.Fatalf("WaitOutcome overshot the deadline by %v", elapsed-50*time.Millisecond)
+			}
+			// The watch entry must not outlive the wait: an unnotified
+			// transaction would otherwise leak one map entry per WaitOutcome
+			// call forever.
+			tc.h.noteMu.Lock()
+			leaked := len(tc.h.notes)
+			tc.h.noteMu.Unlock()
+			if leaked != 0 {
+				t.Fatalf("%d outcome watch entries leaked after WaitOutcome returned", leaked)
+			}
+		})
 	}
 }
 

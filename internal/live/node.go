@@ -35,7 +35,7 @@ type txnCtx = site.Txn[txnExt]
 // wall-clock timers, force-before-send, metrics and spans.
 type Node struct {
 	id types.SiteID
-	h  host
+	h  *hostCore
 	k  *site.Kernel[txnExt]
 	// tracker is the host's access-strategy tracker (nil under a Server).
 	tracker *voting.Tracker
@@ -55,21 +55,18 @@ type Node struct {
 	mbox     []event
 	stopped  bool
 
-	walMu sync.Mutex
-	log   wal.Log
-	alog  wal.AsyncLog // non-nil when log supports async group commit
+	log wal.AsyncLog
 
-	// Event-scoped pipelining state, owned by the node goroutine. When the
-	// log is an AsyncLog, an event's WAL appends return a ticket instead of
-	// blocking on the fsync; the sends and outcome notifications that the
-	// protocol gates on durability are buffered here and handed to the
-	// flusher goroutine at the end of the event. The event loop moves on to
-	// the next transaction's event while the batch is being forced — that is
-	// what lets independent transactions overlap their protocol rounds on
-	// one site.
-	pendingTicket wal.Ticket
-	havePending   bool
-	defRecs       []wal.Record
+	// Event-scoped pipelining state, owned by the node goroutine. An
+	// event's WAL appends return a ticket instead of blocking on the force;
+	// the sends and outcome notifications that the protocol gates on
+	// durability are buffered here and handed to the flusher goroutine at
+	// the end of the event. The event loop moves on to the next
+	// transaction's event while the batch is being forced — that is what
+	// lets independent transactions overlap their protocol rounds on one
+	// site.
+	pendingTicket wal.Ticket   // the ticket of the event's last append
+	defRecs       []wal.Record // the event's appends; non-empty means a flush job
 	defSends      []sendOp
 	defNotifies   []types.TxnID
 	defMarks      []types.TxnID // sampled txns whose appends await their durable mark
@@ -81,11 +78,12 @@ type Node struct {
 	flushStop bool
 
 	// view is the per-transaction outcome fold of the node's DURABLE log
-	// records, maintained incrementally: synchronous appends apply on
-	// return, asynchronous ones when their batch's fsync lands. Outcome
-	// reads (WaitOutcome aggregation, Violated, Server.Outcome) hit this
-	// map instead of replaying the whole log — replaying is O(history)
-	// per probe and was the dominant cost of a long benchmark run.
+	// records, maintained incrementally by the flusher's release step,
+	// which runs after the whole event that appended them — so a commit is
+	// published only once its writeset is applied. Outcome reads
+	// (WaitOutcome aggregation, Violated, Server.Outcome) hit this map
+	// instead of replaying the whole log — replaying is O(history) per
+	// probe and was the dominant cost of a long benchmark run.
 	//
 	// view is not the kernel's own outcome record: view learns an outcome
 	// only when the fsync lands and is read by client goroutines under
@@ -122,7 +120,7 @@ type flushJob struct {
 	finishes []spanFinish
 }
 
-func newNode(id types.SiteID, h host, tracker *voting.Tracker, log wal.Log, o *obs.Observer) *Node {
+func newNode(id types.SiteID, h *hostCore, tracker *voting.Tracker, log wal.AsyncLog, o *obs.Observer) *Node {
 	if log == nil {
 		log = wal.NewMemLog()
 	}
@@ -136,13 +134,12 @@ func newNode(id types.SiteID, h host, tracker *voting.Tracker, log wal.Log, o *o
 		view:    make(map[types.TxnID]types.Outcome),
 	}
 	n.k = site.New(id, site.Config{
-		Spec:                 h.spec(),
-		Assignment:           h.assignment(),
-		T:                    sim.Duration(h.timeoutBase()),
-		MaxTerminationRounds: h.maxTermRounds(),
-		Store:                n.store,
-		Locks:                n.locks,
-		Tracker:              tracker,
+		Spec:       h.spec,
+		Assignment: h.asgn,
+		T:          sim.Duration(h.t),
+		Store:      n.store,
+		Locks:      n.locks,
+		Tracker:    tracker,
 	}, (*nodeHost)(n))
 	n.met = newNodeMetrics(o, id)
 	n.spans = o.Spanner()
@@ -150,7 +147,6 @@ func newNode(id types.SiteID, h host, tracker *voting.Tracker, log wal.Log, o *o
 	if gl, ok := log.(*wal.GroupLog); ok {
 		gl.RegisterMetrics(o.Reg(), id)
 	}
-	n.alog, _ = log.(wal.AsyncLog)
 	if recs, err := log.Records(); err == nil && len(recs) > 0 {
 		n.applyView(recs)
 	}
@@ -178,6 +174,13 @@ func (n *Node) applyView(recs []wal.Record) {
 			n.view[rec.Txn] = types.OutcomeBlocked
 		}
 	}
+}
+
+// run starts the node's event loop and its flusher, both counted on wg.
+func (n *Node) run(wg *sync.WaitGroup) {
+	wg.Add(2)
+	go n.loop(wg)
+	go n.flusher(wg)
 }
 
 // Store exposes the node's versioned store.
@@ -248,9 +251,7 @@ func (n *Node) dispatch(e msg.Envelope) {
 		n.k.Crash()
 	case restartMsg:
 		n.crashed = false
-		n.walMu.Lock()
 		recs, _ := n.log.Records()
-		n.walMu.Unlock()
 		n.k.Recover(recs)
 		// Anti-entropy: repair copies that missed writes while down.
 		for _, p := range n.tracker.RestartPulls(n.id, n.store.Items()) {
@@ -263,34 +264,19 @@ func (n *Node) dispatch(e msg.Envelope) {
 	}
 }
 
-// notifyOutcome defers the notification behind a pending append (outcome
-// reads see only durable records, so an early wake-up would be consumed
-// before the decision is visible) or fires it immediately.
-func (n *Node) notifyOutcome(txn types.TxnID) {
-	if n.havePending {
-		n.defNotifies = append(n.defNotifies, txn)
-		return
-	}
-	n.h.notifyOutcome(txn)
-}
-
-// finishEvent closes the current event's pending context: the sends and
-// notifications it gated on durability become one flush job. Events that
-// appended nothing (or whose appends gate nothing) produce no job.
+// finishEvent closes the current event's pending context: its appends and
+// the sends and notifications it gated on them become one flush job. Events
+// that appended nothing produce no job.
 func (n *Node) finishEvent() {
-	if !n.havePending {
+	if len(n.defRecs) == 0 {
 		return
 	}
 	job := flushJob{
 		ticket: n.pendingTicket, recs: n.defRecs, sends: n.defSends,
 		notifies: n.defNotifies, marks: n.defMarks, finishes: n.defFinishes,
 	}
-	n.havePending = false
 	n.defRecs, n.defSends, n.defNotifies = nil, nil, nil
 	n.defMarks, n.defFinishes = nil, nil
-	if len(job.recs) == 0 && len(job.sends) == 0 && len(job.notifies) == 0 {
-		return
-	}
 	n.flushMu.Lock()
 	if !n.flushStop {
 		n.flushQ = append(n.flushQ, job)
@@ -299,9 +285,7 @@ func (n *Node) finishEvent() {
 	n.flushCond.Signal()
 }
 
-// flusher releases durability-gated output in FIFO order: wait until the
-// job's WAL batch is forced, then perform its sends and notifications. It
-// runs only for AsyncLog-backed nodes.
+// flusher releases durability-gated output in FIFO order (see release).
 func (n *Node) flusher(wg *sync.WaitGroup) {
 	defer wg.Done()
 	var spare []flushJob // double-buffered like the mailbox
@@ -318,35 +302,43 @@ func (n *Node) flusher(wg *sync.WaitGroup) {
 		n.flushQ = spare
 		n.flushMu.Unlock()
 		for _, j := range jobs {
-			var t0 int64
-			if n.met != nil {
-				t0 = time.Now().UnixNano()
-			}
-			if err := n.alog.WaitDurable(j.ticket); err != nil {
-				continue // log closed or failed: shed, timeouts recover
-			}
-			if n.met != nil {
-				n.met.flushWait.ObserveNS(time.Now().UnixNano() - t0)
-			}
-			// The records are durable now: publish them to the outcome view
-			// BEFORE the notifications it gates, so a woken waiter observes
-			// the decision.
-			n.applyView(j.recs)
-			for _, txn := range j.marks {
-				n.spans.Mark(uint64(txn), int(n.id), obs.StageWALDurable)
-			}
-			for _, op := range j.sends {
-				n.h.send(op.from, op.to, op.m)
-			}
-			for _, txn := range j.notifies {
-				n.h.notifyOutcome(txn)
-			}
-			for _, fin := range j.finishes {
-				n.spans.Finish(uint64(fin.txn), fin.outcome)
-			}
+			n.release(j)
 		}
 		clear(jobs)
 		spare = jobs[:0]
+	}
+}
+
+// release is the flusher's step for one job: wait until the job's WAL batch
+// is forced, then publish its records to the outcome view and perform its
+// sends and notifications. The job was queued at the end of its event, so
+// by now the event's commits have applied their writesets: a view that
+// reads committed never runs ahead of the store.
+func (n *Node) release(j flushJob) {
+	var t0 int64
+	if n.met != nil {
+		t0 = time.Now().UnixNano()
+	}
+	if err := n.log.WaitDurable(j.ticket); err != nil {
+		return // log closed or failed: shed, timeouts recover
+	}
+	if n.met != nil {
+		n.met.flushWait.ObserveNS(time.Now().UnixNano() - t0)
+	}
+	// The records are durable now: publish them to the outcome view BEFORE
+	// the notifications it gates, so a woken waiter observes the decision.
+	n.applyView(j.recs)
+	for _, txn := range j.marks {
+		n.spans.Mark(uint64(txn), int(n.id), obs.StageWALDurable)
+	}
+	for _, op := range j.sends {
+		n.h.send(op.from, op.to, op.m)
+	}
+	for _, txn := range j.notifies {
+		n.h.notifyOutcome(txn)
+	}
+	for _, fin := range j.finishes {
+		n.spans.Finish(uint64(fin.txn), fin.outcome)
 	}
 }
 
@@ -364,7 +356,7 @@ type nodeHost Node
 
 var _ site.Host[txnExt] = (*nodeHost)(nil)
 
-func (h *nodeHost) Now() sim.Time { return sim.Time(time.Since(h.h.startTime())) }
+func (h *nodeHost) Now() sim.Time { return sim.Time(time.Since(h.h.start)) }
 
 func (h *nodeHost) AfterFunc(d sim.Duration, t site.Timer) site.Stopper {
 	n := (*Node)(h)
@@ -377,39 +369,24 @@ func (h *nodeHost) AfterFunc(d sim.Duration, t site.Timer) site.Stopper {
 // flight — then the send joins the event's flush job and goes out only once
 // the append is durable, preserving force-before-send.
 func (h *nodeHost) Send(to types.SiteID, m msg.Message) {
-	if h.havePending {
+	if len(h.defRecs) > 0 {
 		h.defSends = append(h.defSends, sendOp{from: h.id, to: to, m: m})
 		return
 	}
 	h.h.send(h.id, to, m)
 }
 
-// Append writes rec through the node's log: asynchronously — recording the
-// ticket in the event's pending context — on an AsyncLog, synchronously
-// otherwise.
+// Append writes rec through the node's log and records its ticket in the
+// event's pending context, so everything the event gates on it waits for
+// the flusher.
 func (h *nodeHost) Append(c *txnCtx, rec wal.Record) {
 	n := (*Node)(h)
-	sampled := c.X.sampled
-	if sampled {
+	if c.X.sampled {
 		n.spans.Mark(uint64(rec.Txn), int(n.id), obs.StageWALAppend)
+		n.defMarks = append(n.defMarks, rec.Txn)
 	}
-	if n.alog != nil {
-		n.pendingTicket = n.alog.AppendAsync(rec)
-		n.havePending = true
-		n.defRecs = append(n.defRecs, rec)
-		if sampled {
-			n.defMarks = append(n.defMarks, rec.Txn)
-		}
-		return
-	}
-	n.walMu.Lock()
-	//qlint:allow lockheld walMu exists solely to serialize appends; nothing acquires it while holding another lock, so the fsync cannot deadlock
-	_ = n.log.Append(rec)
-	n.walMu.Unlock()
-	n.applyView([]wal.Record{rec})
-	if sampled {
-		n.spans.Mark(uint64(rec.Txn), int(n.id), obs.StageWALDurable)
-	}
+	n.pendingTicket = n.log.AppendAsync(rec)
+	n.defRecs = append(n.defRecs, rec)
 }
 
 // stageOf maps the kernel's commit-path events onto span stages.
@@ -449,11 +426,11 @@ func (h *nodeHost) Observe(c *txnCtx, ev site.Event, at types.SiteID) {
 	}
 }
 
-// Decided counts the decision, wakes its waiters and — at the coordinator —
-// records the terminal observability: the begin→decision latency sample
-// (commits only) and the span completion, which defers behind the decision
-// record's pending append so a finished span always describes a durable
-// outcome.
+// Decided counts the decision and — at the coordinator — records the
+// begin→decision latency sample (commits only). Waking the waiters and
+// completing the span both defer behind the decision record, which Decide
+// appended in this event: a woken waiter sees the decision, and a finished
+// span always describes a durable outcome.
 func (h *nodeHost) Decided(c *txnCtx, o types.Outcome) {
 	n := (*Node)(h)
 	outcome := "aborted"
@@ -467,15 +444,11 @@ func (h *nodeHost) Decided(c *txnCtx, o types.Outcome) {
 		if n.met != nil && c.X.beganNS != 0 && o == types.OutcomeCommitted {
 			n.met.commitNS.ObserveNS(time.Now().UnixNano() - c.X.beganNS)
 		}
-		switch {
-		case !c.X.sampled:
-		case n.havePending:
+		if c.X.sampled {
 			n.defFinishes = append(n.defFinishes, spanFinish{txn: c.ID, outcome: outcome})
-		default:
-			n.spans.Finish(uint64(c.ID), outcome)
 		}
 	}
-	n.notifyOutcome(c.ID)
+	n.defNotifies = append(n.defNotifies, c.ID)
 }
 
 // Contradicted has no sink of its own here: Cluster.Violated reads a mixed

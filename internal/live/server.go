@@ -26,18 +26,16 @@ type ServerConfig struct {
 	// pay real scheduling and kernel latency, so the default is far above
 	// the inproc fabric's).
 	TimeoutBase time.Duration
-	// MaxTerminationRounds caps termination retries (default 3).
-	MaxTerminationRounds int
 	// InitialValues seeds the store copies this site holds.
 	InitialValues map[types.ItemID]int64
 	// WAL optionally supplies this site's log (nil means a fresh MemLog,
-	// durable only for the process lifetime). A non-empty log triggers
-	// recovery on startup: terminal transactions are replayed and
-	// in-doubt ones resume their participant automata. Supplying a
-	// wal.AsyncLog (e.g. wal.GroupLog) additionally enables commit
-	// pipelining, as in Config.WAL. The caller retains ownership and
-	// closes the log after Stop.
-	WAL wal.Log
+	// durable only for the process lifetime; wal.GroupLog is the on-disk
+	// one). A non-empty log triggers recovery on startup: terminal
+	// transactions are replayed and in-doubt ones resume their participant
+	// automata. Durability-gated output is released by a flusher, as in
+	// Config.WAL. The caller retains ownership and closes the log after
+	// Stop.
+	WAL wal.AsyncLog
 	// Obs optionally attaches an observability sink, as in Config.Obs. On a
 	// Server the span recorder sees only this process's timeline, so traces
 	// cover transactions this site coordinates.
@@ -52,21 +50,15 @@ type ServerConfig struct {
 // it cannot answer the voting.Peers questions — so its node runs without a
 // strategy tracker, i.e. under the static quorum strategy.
 type Server struct {
-	id    types.SiteID
-	cfg   ServerConfig
-	start time.Time
-	tr    transport.Transport
-	node  *Node
-	wg    sync.WaitGroup
+	hostCore
+	id   types.SiteID
+	cfg  ServerConfig
+	node *Node
+	wg   sync.WaitGroup
 
 	mu  sync.Mutex // guards seq
 	seq uint32
-
-	noteMu sync.Mutex
-	notes  map[types.TxnID]*outcomeNote
 }
-
-var _ host = (*Server)(nil)
 
 // NewServer builds and starts the server for site id. It binds the transport
 // and takes ownership of it (Stop closes it).
@@ -80,17 +72,15 @@ func NewServer(id types.SiteID, cfg ServerConfig, tr transport.Transport) (*Serv
 	if cfg.TimeoutBase <= 0 {
 		cfg.TimeoutBase = 50 * time.Millisecond
 	}
-	if cfg.MaxTerminationRounds <= 0 {
-		cfg.MaxTerminationRounds = 3
-	}
 	s := &Server{
-		id:    id,
-		cfg:   cfg,
-		start: time.Now(),
-		tr:    tr,
-		notes: make(map[types.TxnID]*outcomeNote),
+		hostCore: hostCore{
+			spec: cfg.Spec, asgn: cfg.Assignment, t: cfg.TimeoutBase, start: time.Now(),
+			tr: tr, notes: make(map[types.TxnID]*outcomeNote),
+		},
+		id:  id,
+		cfg: cfg,
 	}
-	s.node = newNode(id, s, nil, cfg.WAL, cfg.Obs)
+	s.node = newNode(id, &s.hostCore, nil, cfg.WAL, cfg.Obs)
 	for _, item := range cfg.Assignment.Items() {
 		ic, _ := cfg.Assignment.Item(item)
 		for _, cp := range ic.Copies {
@@ -120,12 +110,7 @@ func NewServer(id types.SiteID, cfg ServerConfig, tr transport.Transport) (*Serv
 		s.node.k.Recover(recs)
 		s.node.finishEvent()
 	}
-	s.wg.Add(1)
-	go s.node.loop(&s.wg)
-	if s.node.alog != nil {
-		s.wg.Add(1)
-		go s.node.flusher(&s.wg)
-	}
+	s.node.run(&s.wg)
 	tr.Bind(s.deliver)
 	return s, nil
 }
@@ -148,7 +133,7 @@ func (s *Server) Node() *Node { return s.node }
 func (s *Server) Transport() transport.Transport { return s.tr }
 
 // T is the protocol timeout base.
-func (s *Server) T() time.Duration { return s.cfg.TimeoutBase }
+func (s *Server) T() time.Duration { return s.t }
 
 // Begin submits a transaction coordinated by this site and returns its ID.
 // IDs embed the coordinator site in the high half, so transactions begun at
@@ -170,26 +155,21 @@ func (s *Server) Outcome(txn types.TxnID) types.Outcome {
 }
 
 // WaitOutcome blocks until this site has durably decided txn, or the
-// deadline passes (returning the local aggregate at that point — Blocked for
-// a site wedged mid-protocol, which is exactly the observable a blocked-2PC
-// demonstration asserts on).
+// deadline passes (returning the local view at that point — Blocked for a
+// site wedged mid-protocol, which is exactly the observable a blocked-2PC
+// demonstration asserts on). The site publishes an outcome only after the
+// event that decided it has finished, so when WaitOutcome returns committed,
+// this site's store has the writeset. One site's view cannot split, so it
+// never returns OutcomeSplit.
 func (s *Server) WaitOutcome(txn types.TxnID, deadline time.Duration) types.Outcome {
-	timer := time.NewTimer(deadline)
-	defer timer.Stop()
-	for {
-		note := s.watch(txn)
-		if o := s.Outcome(txn); o.StateEquivalent().Terminal() && o != types.OutcomeUnknown {
-			s.unwatch(txn, note)
-			return o
-		}
-		select {
-		case <-note.ch:
-			s.unwatch(txn, note)
-		case <-timer.C:
-			s.unwatch(txn, note)
-			return s.Outcome(txn)
-		}
-	}
+	return s.waitOutcome(txn, deadline, s.snapshot)
+}
+
+// snapshot is the Server's outcome view for waitOutcome: settled once this
+// site's durable records are terminal.
+func (s *Server) snapshot(txn types.TxnID) (types.Outcome, bool) {
+	o := s.Outcome(txn)
+	return o, o.StateEquivalent().Terminal()
 }
 
 // ReadItem returns this site's copy of item, if it holds one.
@@ -212,48 +192,6 @@ func (s *Server) Stop() {
 	s.node.post(event{stop: true})
 	s.wg.Wait()
 	s.tr.Close()
-}
-
-func (s *Server) watch(txn types.TxnID) *outcomeNote {
-	s.noteMu.Lock()
-	defer s.noteMu.Unlock()
-	note := s.notes[txn]
-	if note == nil {
-		note = &outcomeNote{ch: make(chan struct{})}
-		s.notes[txn] = note
-	}
-	note.waiters++
-	return note
-}
-
-func (s *Server) unwatch(txn types.TxnID, note *outcomeNote) {
-	s.noteMu.Lock()
-	defer s.noteMu.Unlock()
-	note.waiters--
-	if note.waiters == 0 && s.notes[txn] == note {
-		delete(s.notes, txn)
-	}
-}
-
-// host accessors (see host.go): Server hosts exactly one node.
-
-func (s *Server) spec() protocol.Spec            { return s.cfg.Spec }
-func (s *Server) assignment() *voting.Assignment { return s.cfg.Assignment }
-func (s *Server) timeoutBase() time.Duration     { return s.cfg.TimeoutBase }
-func (s *Server) maxTermRounds() int             { return s.cfg.MaxTerminationRounds }
-func (s *Server) startTime() time.Time           { return s.start }
-
-func (s *Server) send(from, to types.SiteID, m msg.Message) {
-	s.tr.Send(msg.Envelope{From: from, To: to, Msg: m})
-}
-
-func (s *Server) notifyOutcome(txn types.TxnID) {
-	s.noteMu.Lock()
-	if note, ok := s.notes[txn]; ok {
-		close(note.ch)
-		delete(s.notes, txn)
-	}
-	s.noteMu.Unlock()
 }
 
 // walOutcome reads txn's fate from one node's WAL: terminal records map to

@@ -124,7 +124,7 @@ type Config struct {
 	// T is the timeout base (longest end-to-end propagation delay).
 	T sim.Duration
 	// MaxTerminationRounds caps the election rounds a site initiates per
-	// transaction before resigning to a block.
+	// transaction before resigning to a block (default 3).
 	MaxTerminationRounds int
 	// Store and Locks are the site's versioned store and lock table.
 	Store *storage.Store
@@ -214,6 +214,9 @@ type Kernel[X any] struct {
 
 // New builds the kernel of site id.
 func New[X any](id types.SiteID, cfg Config, h Host[X]) *Kernel[X] {
+	if cfg.MaxTerminationRounds <= 0 {
+		cfg.MaxTerminationRounds = 3
+	}
 	return &Kernel[X]{
 		id:       id,
 		cfg:      cfg,

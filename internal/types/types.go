@@ -128,7 +128,9 @@ func (d Decision) StateAfter() State {
 }
 
 // Outcome classifies what a partition's termination attempt achieved for a
-// transaction: committed, aborted, or blocked awaiting recovery.
+// transaction: committed, aborted, or blocked awaiting recovery. Split is an
+// aggregate over sites, never one site's fate: some committed and others
+// aborted, an atomicity violation.
 type Outcome uint8
 
 // Outcome values.
@@ -137,6 +139,7 @@ const (
 	OutcomeCommitted
 	OutcomeAborted
 	OutcomeBlocked
+	OutcomeSplit
 )
 
 // String implements fmt.Stringer.
@@ -148,6 +151,8 @@ func (o Outcome) String() string {
 		return "aborted"
 	case OutcomeBlocked:
 		return "blocked"
+	case OutcomeSplit:
+		return "split"
 	default:
 		return "unknown"
 	}

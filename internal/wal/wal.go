@@ -9,11 +9,12 @@
 //	VOTED-YES (with writeset, participants, coordinator) before the yes vote,
 //	PC before PC-ACK, PA before PA-ACK, COMMIT/ABORT before acting on them.
 //
-// Two implementations are provided: MemLog is simulated stable storage (the
-// harness keeps it across *simulated* crashes), and GroupLog is disk — an
+// Two implementations are provided, both AsyncLogs: MemLog is simulated
+// stable storage (the harness keeps it across *simulated* crashes), whose
+// tickets are durable on return from AppendAsync, and GroupLog is disk — an
 // append-only file of CRC-protected records with torn-tail recovery, where
-// concurrent appends coalesce into one write+fsync (group commit) behind the
-// AsyncLog interface and a lone appender pays exactly one fsync per Append.
+// concurrent appends coalesce into one write+fsync (group commit) and a lone
+// appender pays exactly one fsync per Append.
 // GroupLog holds only bytes in memory — the batch being built and the one
 // being written — and its Records decodes the durable prefix of the file
 // rather than an in-memory image.
@@ -94,12 +95,17 @@ type Log interface {
 	Records() ([]Record, error)
 }
 
-// MemLog is an in-memory Log. In the simulator it models stable storage: the
-// harness preserves the MemLog across simulated crashes while discarding all
-// volatile automaton state.
+// MemLog is an in-memory AsyncLog. In the simulator it models stable
+// storage: the harness preserves the MemLog across simulated crashes while
+// discarding all volatile automaton state. A record is durable once
+// appended, so WaitDurable never waits. MemLog is not safe for concurrent
+// use: one goroutine appends and reads it (WaitDurable touches no state, so
+// any goroutine may call it).
 type MemLog struct {
 	recs []Record
 }
+
+var _ AsyncLog = (*MemLog)(nil)
 
 // NewMemLog returns an empty in-memory log.
 func NewMemLog() *MemLog { return &MemLog{} }
@@ -112,6 +118,19 @@ func (l *MemLog) Append(r Record) error {
 	l.recs = append(l.recs, r)
 	return nil
 }
+
+// AppendAsync implements AsyncLog: the record is durable on return.
+func (l *MemLog) AppendAsync(r Record) Ticket {
+	_ = l.Append(r) // never fails
+	return Ticket(len(l.recs))
+}
+
+// WaitDurable implements AsyncLog: every ticket AppendAsync returned is
+// already durable.
+func (l *MemLog) WaitDurable(Ticket) error { return nil }
+
+// Durable implements AsyncLog.
+func (l *MemLog) Durable() Ticket { return Ticket(len(l.recs)) }
 
 // Records implements Log.
 func (l *MemLog) Records() ([]Record, error) {

@@ -49,6 +49,27 @@ func TestMemLogAppendAndRecords(t *testing.T) {
 	}
 }
 
+// TestMemLogTicketsDurableOnReturn: MemLog's tickets are dense, and each is
+// durable as soon as AppendAsync returns.
+func TestMemLogTicketsDurableOnReturn(t *testing.T) {
+	l := NewMemLog()
+	for i, r := range sampleRecords() {
+		tk := l.AppendAsync(r)
+		if tk != Ticket(i+1) {
+			t.Fatalf("ticket %d for record %d, want %d", tk, i, i+1)
+		}
+		if l.Durable() != tk {
+			t.Fatalf("Durable() = %d after AppendAsync returned %d", l.Durable(), tk)
+		}
+		if err := l.WaitDurable(tk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if l.Len() != len(sampleRecords()) {
+		t.Errorf("Len = %d, want %d", l.Len(), len(sampleRecords()))
+	}
+}
+
 func TestMemLogDeepCopies(t *testing.T) {
 	l := NewMemLog()
 	ws := types.Writeset{{Item: "x", Value: 1}}

@@ -104,8 +104,10 @@ func (c *LiveCluster) Submit(coord SiteID, writes map[ItemID]int64) TxnID {
 	return c.lc.Begin(coord, writesetOf(writes))
 }
 
-// WaitOutcome blocks until the transaction reaches a uniform terminal
-// outcome at all up sites, or the deadline passes.
+// WaitOutcome blocks until the transaction reaches a terminal outcome at all
+// up sites, or the deadline passes. When it returns OutcomeCommitted, every
+// up copy holder's store has the writeset; up sites that disagree return
+// OutcomeSplit.
 func (c *LiveCluster) WaitOutcome(txn TxnID, deadline time.Duration) Outcome {
 	return c.lc.WaitOutcome(txn, deadline)
 }

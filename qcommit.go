@@ -76,6 +76,7 @@ const (
 	OutcomeCommitted = types.OutcomeCommitted
 	OutcomeAborted   = types.OutcomeAborted
 	OutcomeBlocked   = types.OutcomeBlocked
+	OutcomeSplit     = types.OutcomeSplit
 )
 
 // Duration units.
