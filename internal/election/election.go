@@ -8,7 +8,10 @@
 // invitation/bully hybrid with lowest-site-ID priority. Lost messages can
 // (and, under the scripted scenario of Example 3, deliberately do) yield
 // several concurrent coordinators, which the termination protocols must and
-// do tolerate.
+// do tolerate. So can suspicion: a candidate does not call a better candidate
+// its site suspects of having failed (usually the silent commit coordinator),
+// and if that site is in fact alive and campaigns too, two terminators run
+// side by side.
 package election
 
 import (
@@ -35,10 +38,12 @@ const (
 )
 
 // FSM is the per-site election automaton for one transaction. A site in a
-// partition campaigns by calling every lower-ID participant; if none answers
-// within 2T the site wins and announces itself. A site that hears from a
-// better (lower-ID) candidate defers; if the expected coordinator then stays
-// silent for 3T, the site campaigns again with a higher ballot.
+// partition campaigns by calling every lower-ID participant it does not
+// suspect of having failed (protocol.Env.Suspected); if none answers within
+// 2T, or there is none to call, the site wins and announces itself. A site
+// that hears from a better (lower-ID) candidate defers; if the expected
+// coordinator then stays silent for 3T, the site campaigns again with a
+// higher ballot.
 type FSM struct {
 	txn          types.TxnID
 	self         types.SiteID
@@ -81,13 +86,14 @@ func (f *FSM) Start(env protocol.Env) {
 	env.Tracef("election: %s campaigns for %s (epoch %d)", f.self, f.txn, f.epoch)
 	sent := false
 	for _, p := range f.participants {
-		if p < f.self {
+		if p < f.self && !env.Suspected(p) {
 			env.Send(p, msg.ElectionCall{Txn: f.txn, Ballot: f.ballot, Candidate: f.self})
 			sent = true
 		}
 	}
 	if !sent {
-		// No better-priority site exists at all: win immediately.
+		// No better-priority site exists, or every one is suspected of
+		// having failed: win immediately.
 		f.win(env)
 		return
 	}

@@ -2,6 +2,7 @@ package election
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"qcommit/internal/msg"
@@ -22,6 +23,10 @@ type harness struct {
 	asgn  *voting.Assignment
 	won   map[types.SiteID]bool
 	retry map[types.SiteID]int
+	// suspects[s] are the sites s suspects of having failed.
+	suspects map[types.SiteID][]types.SiteID
+	// wonAt is when each winner won.
+	wonAt map[types.SiteID]sim.Time
 }
 
 type testEnv struct {
@@ -48,6 +53,7 @@ func (e *testEnv) Abort(types.TxnID)              {}
 func (e *testEnv) Block(types.TxnID)              {}
 func (e *testEnv) RequestTermination(types.TxnID) {}
 func (e *testEnv) TerminatorDone(types.TxnID)     {}
+func (e *testEnv) Suspected(s types.SiteID) bool  { return slices.Contains(e.h.suspects[e.self], s) }
 func (e *testEnv) AcquireLocks(types.TxnID) bool  { return true }
 func (e *testEnv) Tracef(string, ...any)          {}
 
@@ -60,6 +66,7 @@ func newHarness(t *testing.T, seed int64, sites []types.SiteID) *harness {
 		fsms:  make(map[types.SiteID]*FSM),
 		won:   make(map[types.SiteID]bool),
 		retry: make(map[types.SiteID]int),
+		wonAt: make(map[types.SiteID]sim.Time),
 	}
 	h.net = simnet.New(h.sched, simnet.DefaultConfig())
 	r, w := voting.MajorityQuorums(len(sites))
@@ -72,7 +79,7 @@ func newHarness(t *testing.T, seed int64, sites []types.SiteID) *harness {
 			}
 		})
 		f := New(1, id, sites, 0)
-		f.OnElected = func(uint32) { h.won[id] = true }
+		f.OnElected = func(uint32) { h.won[id], h.wonAt[id] = true, h.sched.Now() }
 		f.OnRetry = func() { h.retry[id]++ }
 		h.fsms[id] = f
 	}
@@ -114,6 +121,38 @@ func TestWinnerAfterLowestCrashes(t *testing.T) {
 	}
 	if h.won[3] || h.won[4] {
 		t.Error("higher sites should defer to site2")
+	}
+}
+
+// TestSuspectedBetterCandidateNotCalled: with site 1 dead and suspected by
+// everyone (its patience ran out as their coordinator), site 2 has nobody to
+// call and wins at once instead of after the 2T wait; 3 and 4 still call 2.
+func TestSuspectedBetterCandidateNotCalled(t *testing.T) {
+	sites := []types.SiteID{1, 2, 3, 4}
+	h := newHarness(t, 2, sites)
+	h.net.Crash(1)
+	delete(h.fsms, 1)
+	h.suspects = map[types.SiteID][]types.SiteID{2: {1}, 3: {1}, 4: {1}}
+	h.startAll()
+	h.sched.Run()
+	if !h.won[2] || h.wonAt[2] != 0 {
+		t.Errorf("site2 won=%v at %v, want at once", h.won[2], h.wonAt[2])
+	}
+	if h.won[3] || h.won[4] {
+		t.Error("higher sites should still defer to site2")
+	}
+}
+
+// TestWronglySuspectedCandidateRunsBeside: a suspected site that is alive
+// campaigns as well; both win, which the termination protocols tolerate.
+func TestWronglySuspectedCandidateRunsBeside(t *testing.T) {
+	sites := []types.SiteID{1, 2, 3}
+	h := newHarness(t, 3, sites)
+	h.suspects = map[types.SiteID][]types.SiteID{2: {1}}
+	h.startAll()
+	h.sched.Run()
+	if !h.won[1] || !h.won[2] || h.won[3] {
+		t.Errorf("winners %v, want site1 and the site2 that suspects it", h.won)
 	}
 }
 

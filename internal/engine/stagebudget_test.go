@@ -8,6 +8,7 @@ import (
 	"qcommit/internal/core"
 	"qcommit/internal/protocol"
 	"qcommit/internal/sim"
+	"qcommit/internal/trace"
 	"qcommit/internal/twopc"
 	"qcommit/internal/types"
 	"qcommit/internal/voting"
@@ -22,8 +23,11 @@ import (
 // boundaries are read off the trace:
 //
 //	patience  3T      the survivors' silence tolerance, armed at the crash
-//	election  0 / 2T  2T only when the dead site is the one everyone defers to
-//	collect   2T      the dead site never answers, so the window must expire
+//	election  0T      every survivor suspects the silent coordinator, so no
+//	                  candidate waits for it to claim the role
+//	collect   < 2T    ends on the last surviving participant's reply: the
+//	                  poll does not wait for the suspect (2PC's cooperative
+//	                  poll reads no suspicion and waits out its 2T window)
 //	confirm   < 2T    two hops: PREPARE out, the ack that confirms the quorum back
 //	rejoin    ≤ 3T + three hops after the restart
 //
@@ -55,43 +59,56 @@ func TestTerminationStageBudget(t *testing.T) {
 			cl.Crash(crashed)
 			cl.Run()
 
-			// first returns the time of the first annotation containing any
-			// of the given fragments.
-			first := func(fragments ...string) (sim.Time, bool) {
+			// first returns the first annotation containing any of the
+			// given fragments.
+			first := func(fragments ...string) (trace.Event, bool) {
 				for _, e := range cl.Recorder().Events() {
 					for _, f := range fragments {
 						if !e.IsMessage() && strings.Contains(e.Text, f) {
-							return e.At, true
+							return e, true
 						}
 					}
 				}
-				return 0, false
+				return trace.Event{}, false
 			}
-			must := func(what string, fragments ...string) sim.Time {
-				at, ok := first(fragments...)
+			must := func(what string, fragments ...string) trace.Event {
+				e, ok := first(fragments...)
 				if !ok {
 					t.Fatalf("%s, site%d crashed: no %s in the trace:\n%s", spec.Name(), crashed, what, cl.Recorder().Ladder(nil))
 				}
-				return at
+				return e
 			}
 			name := fmt.Sprintf("%s, site%d crashed", spec.Name(), crashed)
 
-			patience := must("patience expiry", "invoking termination", "starting cooperative termination")
-			won := must("election win", "wins for")
-			polls := must("poll", "polls states", "polls decisions")
-			tallied := must("poll close", "tallied", "2PC blocks")
+			patience := must("patience expiry", "invoking termination", "starting cooperative termination").At
+			winner := must("election win", "wins for")
+			won := winner.At
+			polls := must("poll", "polls states", "polls decisions").At
+			tallied := must("poll close", "tallied", "2PC blocks").At
 			if patience != sim.Time(3*T) {
 				t.Errorf("%s: patience expired at %.2f T, want 3 T", name, inT(patience))
 			}
-			wantElection := sim.Time(0)
-			if crashed == 1 {
-				wantElection = sim.Time(2 * T)
+			if won != patience || polls != won {
+				t.Errorf("%s: election took %.2f T (poll %.2f T after it), want 0 T", name, inT(won-patience), inT(polls-won))
 			}
-			if won-patience != wantElection || polls != won {
-				t.Errorf("%s: election took %.2f T (poll %.2f T after it), want %.0f T", name, inT(won-patience), inT(polls-won), inT(wantElection))
-			}
-			if tallied-polls != sim.Time(2*T) {
-				t.Errorf("%s: collect took %.2f T, want the full 2 T window (the dead site is silent)", name, inT(tallied-polls))
+			if spec.Name() == "2PC" {
+				if tallied-polls != sim.Time(2*T) {
+					t.Errorf("%s: collect took %.2f T, want the full 2 T window (the cooperative poll waits for the dead site)", name, inT(tallied-polls))
+				}
+			} else {
+				// The poll closes on the last survivor's reply, before its
+				// window would have run out on the dead coordinator.
+				var last sim.Time
+				for _, e := range cl.Recorder().Events() {
+					if e.IsMessage() && e.Label == "STATE-RESP" && e.To == winner.Site && e.At <= tallied {
+						last = e.At
+					}
+				}
+				closed, ok := first("collect closed: all unsuspected answered at 4/5")
+				if !ok || closed.At != tallied || last != tallied || tallied-polls >= sim.Time(2*T) {
+					t.Errorf("%s: collect took %.2f T (last reply at %.2f T, closed early=%v), want it to end on the last survivor's reply, under 2 T",
+						name, inT(tallied-polls), inT(last-polls), ok)
+				}
 			}
 
 			row := fmt.Sprintf("%-7s site%-3d %9.2f %9.2f %9.2f", spec.Name(), crashed, inT(patience), inT(won-patience), inT(tallied-polls))
@@ -110,7 +127,7 @@ func TestTerminationStageBudget(t *testing.T) {
 				continue
 			}
 
-			distributed := must("decision", "distributes")
+			distributed := must("decision", "distributes").At
 			confirm := distributed - tallied
 			switch {
 			case spec.Name() == "3PC" && confirm != 0:

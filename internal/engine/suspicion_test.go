@@ -1,0 +1,86 @@
+package engine
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"qcommit/internal/core"
+	"qcommit/internal/protocol"
+	"qcommit/internal/sim"
+	"qcommit/internal/types"
+	"qcommit/internal/voting"
+)
+
+// TestWrongSuspicionKeepsAtomicity: a coordinator that is alive but cut off
+// is suspected by every participant once their patience runs out, so their
+// polls stop waiting for it and their campaigns skip it — while it runs its
+// own termination round in its own group. Healing brings its frames back to
+// sites that suspect it. For the three quorum protocols, 20 delay seeds,
+// partitions at several instants just after PREPARE-TO-COMMIT and several
+// heal delays, no run may violate atomicity or leave the stores
+// inconsistent; some runs must see a suspicion cleared by the suspect's
+// frame, or the sweep did not exercise what it is about.
+func TestWrongSuspicionKeepsAtomicity(t *testing.T) {
+	sites := []types.SiteID{1, 2, 3, 4, 5}
+	specs := []protocol.Spec{
+		core.Spec{Variant: core.Protocol1},
+		core.Spec{Variant: core.Protocol2},
+		core.Uniform(sites, 3, 3),
+	}
+	ws := types.Writeset{{Item: "x", Value: 1}}
+	for _, spec := range specs {
+		t.Run(spec.Name(), func(t *testing.T) {
+			t.Parallel()
+			cleared, terminated := 0, 0
+			for seed := int64(1); seed <= 20; seed++ {
+				cfg := Config{Seed: seed, Assignment: voting.MustAssignment(voting.Uniform("x", 3, 3, sites...)), Spec: spec}
+				// A fault-free run with the same seed says when PREPARE-TO-COMMIT
+				// leaves the coordinator.
+				dry := New(cfg)
+				dry.Begin(1, ws)
+				dry.Run()
+				var ptc sim.Time
+				for _, e := range dry.Recorder().Events() {
+					if !e.IsMessage() && strings.Contains(e.Text, "distributing PREPARE-TO-COMMIT") {
+						ptc = e.At
+						break
+					}
+				}
+				if ptc == 0 {
+					t.Fatalf("seed %d: no PREPARE-TO-COMMIT in the fault-free run", seed)
+				}
+				T := sim.Time(dry.T())
+				for _, cut := range []sim.Time{0, T / 4, T / 2, T, 3 * T / 2} {
+					for _, heal := range []sim.Time{2 * T, 4 * T, 8 * T} {
+						name := fmt.Sprintf("seed %d, cut at PTC+%.2f T, heal %.0f T later", seed, float64(cut)/float64(T), float64(heal)/float64(T))
+						cl := New(cfg)
+						txn := cl.Begin(1, ws)
+						cl.PartitionAt(ptc+cut, []types.SiteID{1}, sites[1:])
+						cl.HealAt(ptc + cut + heal)
+						cl.Run()
+						if v := cl.Violations(); len(v) != 0 {
+							t.Fatalf("%s: violations %v\n%s", name, v, cl.Recorder().Ladder(nil))
+						}
+						if issues := cl.CheckStores(); len(issues) != 0 {
+							t.Fatalf("%s: store issues %v", name, issues)
+						}
+						for _, e := range cl.Recorder().Events() {
+							if !e.IsMessage() && strings.Contains(e.Text, "hears from suspect") {
+								cleared++
+								break
+							}
+						}
+						if o := cl.OutcomeAt(1, txn); o == types.OutcomeCommitted || o == types.OutcomeAborted {
+							terminated++
+						}
+					}
+				}
+			}
+			t.Logf("%d of 300 runs cleared a suspicion; the coordinator terminated in %d", cleared, terminated)
+			if cleared == 0 {
+				t.Error("no run cleared a suspicion when the suspect's frame arrived")
+			}
+		})
+	}
+}

@@ -62,6 +62,15 @@ type Env interface {
 	// TerminatorDone reports that a termination coordinator finished its
 	// round (decided, blocked, or handed off to a re-election).
 	TerminatorDone(txn types.TxnID)
+	// Suspected reports whether the hosting site suspects site s of having
+	// failed, for this automaton's transaction: the site's own patience with
+	// s as coordinator ran out, or another site's did (it called an
+	// election), and nothing has been heard from s about the transaction
+	// since. A suspicion may be wrong. Automata may use it only to stop
+	// waiting sooner — a poll that no longer waits for a suspect, a campaign
+	// that does not call one — never to decide differently than they would
+	// if the suspect's messages were merely late.
+	Suspected(s types.SiteID) bool
 
 	// AcquireLocks takes exclusive locks on every local copy of the
 	// transaction's written items, returning false if any is unavailable.

@@ -4,6 +4,7 @@ package protocoltest
 
 import (
 	"fmt"
+	"slices"
 
 	"qcommit/internal/msg"
 	"qcommit/internal/protocol"
@@ -33,6 +34,8 @@ type Env struct {
 	Clock  sim.Time
 	NetT   sim.Duration
 	LockOK bool
+	// Suspects are the sites Suspected reports.
+	Suspects []types.SiteID
 
 	Sends      []Sent
 	Timers     []Timer
@@ -91,6 +94,9 @@ func (e *Env) RequestTermination(txn types.TxnID) { e.TermReqs = append(e.TermRe
 
 // TerminatorDone implements protocol.Env.
 func (e *Env) TerminatorDone(txn types.TxnID) { e.TermDones = append(e.TermDones, txn) }
+
+// Suspected implements protocol.Env.
+func (e *Env) Suspected(s types.SiteID) bool { return slices.Contains(e.Suspects, s) }
 
 // AcquireLocks implements protocol.Env.
 func (e *Env) AcquireLocks(types.TxnID) bool { return e.LockOK }

@@ -17,6 +17,10 @@
 //     "uncommitted" commits the site to vote no if the VOTE-REQ still comes);
 //   - election start (passive join or campaigning against a round budget) and
 //     terminator installation;
+//   - the per-transaction suspect set: the coordinator is suspected once this
+//     site's patience with it runs out or another site calls an election,
+//     and cleared by the next frame from it about the transaction; automata
+//     read it through Env.Suspected to stop waiting for silent sites sooner;
 //   - locking the local copies of a writeset, volatile recovery from the WAL
 //     image, and the irrevocable local commit / abort;
 //   - the single protocol.Env handed to automata.
@@ -34,6 +38,7 @@
 package site
 
 import (
+	"slices"
 	"sort"
 
 	"qcommit/internal/election"
@@ -154,6 +159,10 @@ type Txn[X any] struct {
 	elect     *election.FSM
 	nextEpoch uint32
 	rounds    int // termination rounds consumed
+	// suspects are the sites this one suspects of having failed, for this
+	// transaction (see suspect). A slice, not a map: at most the coordinator,
+	// and usually nil.
+	suspects []types.SiteID
 
 	outcome types.Outcome
 }
@@ -163,6 +172,13 @@ func (c *Txn[X]) Automaton(role protocol.Role) protocol.Automaton { return c.aut
 
 func (c *Txn[X]) terminal() bool {
 	return c.outcome == types.OutcomeCommitted || c.outcome == types.OutcomeAborted
+}
+
+// suspect adds s to the suspect set.
+func (c *Txn[X]) suspect(s types.SiteID) {
+	if !slices.Contains(c.suspects, s) {
+		c.suspects = append(c.suspects, s)
+	}
 }
 
 // drop uninstalls role's automaton and fences off whatever it armed.
@@ -288,12 +304,13 @@ func (k *Kernel[X]) install(c *Txn[X], role protocol.Role, a protocol.Automaton)
 }
 
 // Crash discards the volatile state: every automaton and election stops,
-// every timer is fenced, never-voted promises are forgotten. Contexts of
-// unterminated transactions stay (empty) for Recover to refill; the log,
-// store and lock table are the host's and survive.
+// every timer is fenced, never-voted promises and suspicions are forgotten.
+// Contexts of unterminated transactions stay (empty) for Recover to refill;
+// the log, store and lock table are the host's and survive.
 func (k *Kernel[X]) Crash() {
 	for txn, c := range k.txns {
 		c.fence()
+		c.suspects = nil
 		if c.terminal() {
 			delete(k.txns, txn)
 		}
@@ -305,6 +322,15 @@ func (k *Kernel[X]) Crash() {
 // remembered, and every transaction the log leaves in doubt re-locks its
 // copies and rejoins through a fresh participant, whose patience timer
 // re-enters the termination protocol.
+//
+// A transaction this site coordinated but whose log holds only its BEGIN is
+// aborted here if the site is one of its participants: force-before-send
+// means its own yes vote never left, so no PREPARE-TO-COMMIT did either,
+// nobody is in PC, and no rule of the five protocols can commit it. Nothing
+// else would ever tell the site the outcome. A pure coordinator (not a
+// participant) logs nothing between BEGIN and its decision, so its BEGIN-only
+// image may hide a PREPARE-TO-COMMIT already sent: it is kept, with nothing
+// running, for the outcome to reach it.
 func (k *Kernel[X]) Recover(recs []wal.Record) {
 	images := wal.Replay(recs)
 	txns := make([]types.TxnID, 0, len(images))
@@ -324,8 +350,11 @@ func (k *Kernel[X]) Recover(recs []wal.Record) {
 			k.done[txn] = types.OutcomeAborted
 		default:
 			c := k.Adopt(txn, im.Writeset.Clone(), append([]types.SiteID(nil), im.Participants...), im.Coord)
-			if im.State != types.StateInitial { // W, PC or PA: in doubt
+			switch {
+			case im.State != types.StateInitial: // W, PC or PA: in doubt
 				k.Resume(c, im)
+			case slices.Contains(im.Participants, k.id): // BEGIN only, never voted
+				k.Decide(txn, types.OutcomeAborted)
 			}
 		}
 	}
@@ -401,6 +430,11 @@ func (k *Kernel[X]) Handle(e msg.Envelope) {
 		c := k.txns[txn]
 		if c == nil {
 			return
+		}
+		if _, call := m.(msg.ElectionCall); call && c.Coord != k.id && c.Coord != e.From {
+			// The caller's patience with the coordinator ran out: so, by now,
+			// has this site's, or it is about to.
+			c.suspect(c.Coord)
 		}
 		if c.elect == nil {
 			// Joining an election started elsewhere (passive: does not
@@ -499,7 +533,15 @@ func command(txn types.TxnID, o types.Outcome) msg.Message {
 	return msg.Abort{Txn: txn}
 }
 
+// deliver hands e to c's automaton in role. Any frame about the transaction
+// from a suspect clears the suspicion first.
 func (k *Kernel[X]) deliver(c *Txn[X], role protocol.Role, e msg.Envelope) {
+	if len(c.suspects) > 0 {
+		if i := slices.Index(c.suspects, e.From); i >= 0 {
+			c.suspects = slices.Delete(c.suspects, i, i+1)
+			k.h.Tracef("%s: %s hears from suspect %s again", c.ID, k.id, e.From)
+		}
+	}
 	if a := c.auto[role]; a != nil {
 		a.OnMessage(e.From, e.Msg, k.env(c, role))
 		k.reap(c)
@@ -689,11 +731,17 @@ func (e *env[X]) RequestTermination(txn types.TxnID) {
 	if c == nil || c.terminal() {
 		return
 	}
+	if e.role == protocol.RoleParticipant && c.Coord != e.k.id {
+		// The participant's patience ran out: its coordinator is silent.
+		c.suspect(c.Coord)
+	}
 	if c.elect != nil && !c.elect.Won() {
 		return // an election is already in progress
 	}
 	e.k.startElection(c, c.nextEpoch, true)
 }
+
+func (e *env[X]) Suspected(s types.SiteID) bool { return slices.Contains(e.c.suspects, s) }
 
 // TerminatorDone needs no bookkeeping: reap asks the terminator itself.
 func (e *env[X]) TerminatorDone(types.TxnID) {}

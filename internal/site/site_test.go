@@ -2,6 +2,7 @@ package site
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"qcommit/internal/core"
@@ -500,6 +501,119 @@ func TestTimerFencedByGenerationNeverFires(t *testing.T) {
 	}
 }
 
+// TestSuspectSet pins the rules of the per-transaction suspect set: who
+// seeds a suspicion, what clears it, and that the fault-free path never
+// builds one. Site 2 is a participant of a transaction coordinated by site 1
+// with participants {1, 2, 3}, so site 1 is also the better election
+// candidate site 2 would otherwise have to wait for.
+func TestSuspectSet(t *testing.T) {
+	trio := []types.SiteID{1, 2, 3}
+	voted := func(t *testing.T, coord types.SiteID) (*Kernel[string], *fakeHost, *Txn[string]) {
+		t.Helper()
+		k, h := newKernel(2)
+		k.Handle(msg.Envelope{From: coord, To: 2, Msg: msg.VoteReq{Txn: 70, Coord: coord, Participants: trio, Writeset: wsX}})
+		if v, _ := voteOf(h.take(), 70); v != types.VoteYes {
+			t.Fatalf("site 2 voted %v, want yes", v)
+		}
+		return k, h, k.Txn(70)
+	}
+	// patience fires the participant's pending patience timer.
+	patience := func(t *testing.T, k *Kernel[string], h *fakeHost) {
+		t.Helper()
+		for _, ft := range h.pending() {
+			if ft.t.Role == protocol.RoleParticipant {
+				k.Fire(ft.t)
+				return
+			}
+		}
+		t.Fatal("no participant patience timer pending")
+	}
+	calls := func(sent []msg.Envelope, to types.SiteID) bool {
+		for _, e := range sent {
+			if _, ok := e.Msg.(msg.ElectionCall); ok && e.To == to {
+				return true
+			}
+		}
+		return false
+	}
+
+	t.Run("patience expiry seeds the coordinator", func(t *testing.T) {
+		k, h, c := voted(t, 1)
+		patience(t, k, h)
+		if !slices.Equal(c.suspects, []types.SiteID{1}) || !k.env(c, protocol.RoleTerminator).Suspected(1) {
+			t.Fatalf("suspects = %v, want the silent coordinator", c.suspects)
+		}
+		// The campaign does not call the suspect: with no better candidate
+		// left, site 2 wins at once and polls.
+		if calls(h.take(), 1) || c.elect == nil || !c.elect.Won() || c.Automaton(protocol.RoleTerminator) == nil {
+			t.Errorf("campaign: called site 1 or did not win at once (won=%v)", c.elect != nil && c.elect.Won())
+		}
+		// Suspicion is volatile.
+		k.Crash()
+		if c.suspects != nil {
+			t.Errorf("suspects %v survived the crash", c.suspects)
+		}
+	})
+
+	t.Run("an ElectionCall from another site seeds it", func(t *testing.T) {
+		k, h, c := voted(t, 1)
+		k.Handle(msg.Envelope{From: 3, To: 2, Msg: msg.ElectionCall{Txn: 70, Ballot: 3, Candidate: 3}})
+		if !slices.Equal(c.suspects, []types.SiteID{1}) {
+			t.Fatalf("suspects = %v, want the coordinator site 3 gave up on", c.suspects)
+		}
+		sent := h.take()
+		if calls(sent, 1) || c.elect == nil || !c.elect.Won() {
+			t.Error("invited site 2 waited for the suspected coordinator")
+		}
+		// Called by the coordinator itself (say, restarted and campaigning):
+		// the sender is never suspected.
+		k, _, c = voted(t, 3)
+		k.Handle(msg.Envelope{From: 3, To: 2, Msg: msg.ElectionCall{Txn: 70, Ballot: 3, Candidate: 3}})
+		if c.suspects != nil {
+			t.Errorf("suspects = %v after a call from the coordinator", c.suspects)
+		}
+	})
+
+	t.Run("a frame from the suspect clears it", func(t *testing.T) {
+		k, h, c := voted(t, 1)
+		patience(t, k, h)
+		h.take()
+		k.Handle(msg.Envelope{From: 3, To: 2, Msg: msg.ElectionOK{Txn: 70, Ballot: 1}})
+		if len(c.suspects) != 1 {
+			t.Fatalf("a frame from site 3 cleared the suspicion of site 1: %v", c.suspects)
+		}
+		k.Handle(msg.Envelope{From: 1, To: 2, Msg: msg.PrepareToCommit{Txn: 70}})
+		if len(c.suspects) != 0 || k.env(c, protocol.RoleTerminator).Suspected(1) {
+			t.Errorf("suspects = %v after site 1 spoke", c.suspects)
+		}
+	})
+
+	t.Run("a site never suspects itself", func(t *testing.T) {
+		k, h := newKernel(1)
+		c := k.Begin(71, wsX, both)
+		h.pump(func(e msg.Envelope) bool { _, ok := e.Msg.(msg.VoteResp); return ok })
+		h.take() // the coordinator never hears the votes
+		patience(t, k, h)
+		k.Handle(msg.Envelope{From: 2, To: 1, Msg: msg.ElectionCall{Txn: 71, Ballot: 2, Candidate: 2}})
+		if c.suspects != nil {
+			t.Errorf("the coordinator suspects %v", c.suspects)
+		}
+	})
+
+	t.Run("a fault-free commit leaves suspects nil", func(t *testing.T) {
+		k, h := newKernel(1)
+		c := k.Begin(72, wsX, both)
+		h.pump(func(e msg.Envelope) bool { _, ok := e.Msg.(msg.Commit); return ok })
+		if c.suspects != nil {
+			t.Errorf("suspects = %v on the fault-free path", c.suspects)
+		}
+		h.pump(nil)
+		if o, _ := k.Outcome(72); o != types.OutcomeCommitted || c.suspects != nil {
+			t.Errorf("outcome %v, suspects %v", o, c.suspects)
+		}
+	})
+}
+
 // TestConflictVotesNoAtOnce pins the tree's one lock-conflict policy, the
 // paper's: a participant that cannot lock every local copy it is asked to
 // write votes no at once. Asked for {x, y} while another transaction holds
@@ -595,10 +709,13 @@ func TestRecoverResumesOnlyInDoubt(t *testing.T) {
 		voted(62), {Type: wal.RecAbort, Txn: 62},
 		{Type: wal.RecVotedNo, Txn: 64},
 		{Type: wal.RecBegin, Txn: 65, Coord: 1, Participants: both, Writeset: wsX},
+		{Type: wal.RecBegin, Txn: 66, Coord: 1, Participants: []types.SiteID{2}, Writeset: wsX},
 		voted(61), {Type: wal.RecPC, Txn: 61},
 	}
 	k.Recover(recs)
-	for txn, want := range map[types.TxnID]types.Outcome{63: types.OutcomeCommitted, 62: types.OutcomeAborted, 64: types.OutcomeAborted} {
+	// 65: this site coordinated and is a participant, and its log holds only
+	// the BEGIN — it never voted, so nobody can have committed: it aborts.
+	for txn, want := range map[types.TxnID]types.Outcome{63: types.OutcomeCommitted, 62: types.OutcomeAborted, 64: types.OutcomeAborted, 65: types.OutcomeAborted} {
 		if o, ok := k.Outcome(txn); !ok || o != want || k.Txn(txn) != nil {
 			t.Errorf("%s: outcome %v (known=%v), context=%v; want %v and no context", txn, o, ok, k.Txn(txn) != nil, want)
 		}
@@ -616,12 +733,14 @@ func TestRecoverResumesOnlyInDoubt(t *testing.T) {
 	if len(c.Participants) != 2 || c.Coord != 2 || len(c.WS) != 1 {
 		t.Errorf("resumed context = %+v", c)
 	}
-	// A coordinator that only logged BEGIN is known but has nothing running.
-	if b := k.Txn(65); b == nil || b.auto != [numRoles]protocol.Automaton{} {
-		t.Errorf("begin-only transaction: %+v", b)
+	// A pure coordinator that only logged BEGIN may have sent
+	// PREPARE-TO-COMMIT already: it is known but has nothing running.
+	if b := k.Txn(66); b == nil || b.auto != [numRoles]protocol.Automaton{} {
+		t.Errorf("begin-only pure-coordinator transaction: %+v", b)
 	}
-	if len(h.decided) != 0 || len(h.log) != 0 {
-		t.Error("recovery decided or logged something")
+	if len(h.decided) != 1 || h.decided[65] != types.OutcomeAborted ||
+		len(h.log) != 1 || h.log[0].Type != wal.RecAbort || h.log[0].Txn != 65 {
+		t.Errorf("recovery decided %v and logged %v, want only 65's abort", h.decided, h.log)
 	}
 	if len(h.pending()) != 1 {
 		t.Errorf("%d timers pending after recovery, want the resumed participant's one", len(h.pending()))

@@ -11,6 +11,10 @@ import (
 	"qcommit/internal/wal"
 )
 
+// suspectSets are the subsets of the cut-off sites {5, 6} the fold tests
+// mark suspected.
+var suspectSets = [][]types.SiteID{nil, {5}, {6}, {5, 6}}
+
 // TestTerminatorReachesTheFold pins quorumcalc.Rule.Outcome — the analytic
 // fold of the poll → classify → confirm → distribute ladder — against the
 // automata themselves, with no engine in between: for every state vector
@@ -21,6 +25,11 @@ import (
 // more participants, cut off in another group, so that quorums can be out of
 // reach; copies and Skeen's site votes are weighted, so every quorum is a
 // weighted sum rather than a head count.
+//
+// Each run is repeated with every subset of the cut-off sites suspected
+// (suspectSets): suspicion may end the poll sooner, never change what it
+// decides. With both suspected, the poll closes on the last reply from the
+// group, before its collect timer fires.
 func TestTerminatorReachesTheFold(t *testing.T) {
 	participants := []types.SiteID{1, 2, 3, 4, 5, 6}
 	sites := participants[:4] // the terminator's partition group
@@ -75,70 +84,76 @@ func TestTerminatorReachesTheFold(t *testing.T) {
 				continue
 			}
 
-			envs := make([]*protocoltest.Env, len(sites))
-			parts := make([]*Participant, len(sites))
-			for i, s := range sites {
-				envs[i] = protocoltest.New(s, asgn)
-				parts[i] = NewParticipant(1, &wal.TxnImage{Txn: 1, State: states[i]}, false)
-			}
-			tenv := protocoltest.New(sites[leader], asgn)
-			term := NewTerminator(1, participants, 1, rule)
+			for _, suspects := range suspectSets {
+				envs := make([]*protocoltest.Env, len(sites))
+				parts := make([]*Participant, len(sites))
+				for i, s := range sites {
+					envs[i] = protocoltest.New(s, asgn)
+					parts[i] = NewParticipant(1, &wal.TxnImage{Txn: 1, State: states[i]}, false)
+				}
+				tenv := protocoltest.New(sites[leader], asgn)
+				tenv.Suspects = suspects
+				term := NewTerminator(1, participants, 1, rule)
 
-			// deliver hands every message the terminator has sent to its
-			// participant and the replies straight back, in order; what is
-			// addressed outside the group is lost.
-			sent := 0
-			deliver := func() {
-				for ; sent < len(tenv.Sends); sent++ {
-					s := tenv.Sends[sent]
-					i := int(s.To) - 1
-					if i >= len(sites) {
+				// deliver hands every message the terminator has sent to its
+				// participant and the replies straight back, in order; what is
+				// addressed outside the group is lost.
+				sent := 0
+				deliver := func() {
+					for ; sent < len(tenv.Sends); sent++ {
+						s := tenv.Sends[sent]
+						i := int(s.To) - 1
+						if i >= len(sites) {
+							continue
+						}
+						before := len(envs[i].Sends)
+						parts[i].OnMessage(tenv.SelfID, s.Msg, envs[i])
+						for _, reply := range envs[i].Sends[before:] {
+							term.OnMessage(s.To, reply.Msg, tenv)
+						}
+					}
+				}
+				term.Start(tenv)
+				deliver()
+				if len(suspects) == 2 && term.phase == tpCollect {
+					t.Fatalf("%s %v: every unanswered site is suspected, yet the poll waits for its window", rule.Name, states)
+				}
+				term.OnTimer(tokCollect, tenv)
+				deliver()
+				if !term.Finished() {
+					term.OnTimer(tokConfirm, tenv)
+					deliver()
+				}
+
+				got := types.OutcomeUnknown
+				switch {
+				case len(tenv.Blocked) > 0:
+					got = types.OutcomeBlocked
+				case len(tenv.TermReqs) > 0:
+					t.Fatalf("%s %v suspects %v: terminator fell back to the election protocol; the fold says %v", rule.Name, states, suspects, want)
+				default:
+					for _, s := range tenv.Sends {
+						switch s.Msg.Kind() {
+						case msg.KindCommit:
+							got = types.OutcomeCommitted
+						case msg.KindAbort:
+							got = types.OutcomeAborted
+						}
+					}
+				}
+				if got != want {
+					t.Fatalf("%s %v suspects %v: terminator reached %v, fold predicts %v", rule.Name, states, suspects, got, want)
+				}
+				// Every participant that was waiting has been told: it holds the
+				// group's outcome, or — blocked — is still waiting.
+				for i, p := range parts {
+					if !uncertain(states[i]) {
 						continue
 					}
-					before := len(envs[i].Sends)
-					parts[i].OnMessage(tenv.SelfID, s.Msg, envs[i])
-					for _, reply := range envs[i].Sends[before:] {
-						term.OnMessage(s.To, reply.Msg, tenv)
+					if end := p.State(); (got == types.OutcomeBlocked) != uncertain(end) ||
+						(got != types.OutcomeBlocked && end != got.StateEquivalent()) {
+						t.Fatalf("%s %v suspects %v: site %d ended in %v after outcome %v", rule.Name, states, suspects, sites[i], end, got)
 					}
-				}
-			}
-			term.Start(tenv)
-			deliver()
-			term.OnTimer(tokCollect, tenv)
-			deliver()
-			if !term.Finished() {
-				term.OnTimer(tokConfirm, tenv)
-				deliver()
-			}
-
-			got := types.OutcomeUnknown
-			switch {
-			case len(tenv.Blocked) > 0:
-				got = types.OutcomeBlocked
-			case len(tenv.TermReqs) > 0:
-				t.Fatalf("%s %v: terminator fell back to the election protocol; the fold says %v", rule.Name, states, want)
-			default:
-				for _, s := range tenv.Sends {
-					switch s.Msg.Kind() {
-					case msg.KindCommit:
-						got = types.OutcomeCommitted
-					case msg.KindAbort:
-						got = types.OutcomeAborted
-					}
-				}
-			}
-			if got != want {
-				t.Fatalf("%s %v: terminator reached %v, fold predicts %v", rule.Name, states, got, want)
-			}
-			// Every participant that was waiting has been told: it holds the
-			// group's outcome, or — blocked — is still waiting.
-			for i, p := range parts {
-				if !uncertain(states[i]) {
-					continue
-				}
-				if end := p.State(); (got == types.OutcomeBlocked) != uncertain(end) ||
-					(got != types.OutcomeBlocked && end != got.StateEquivalent()) {
-					t.Fatalf("%s %v: site %d ended in %v after outcome %v", rule.Name, states, sites[i], end, got)
 				}
 			}
 		}
@@ -156,7 +171,8 @@ func TestTerminatorReachesTheFold(t *testing.T) {
 // sites' replies can reach the terminator in a round, the outcome is the
 // fold's, nobody falls back to the election protocol, and — 3PC's
 // site-failure rule — COMMIT never leaves a try-commit round while a site
-// that was sent PREPARE-TO-COMMIT has yet to acknowledge it.
+// that was sent PREPARE-TO-COMMIT has yet to acknowledge it. Each run is
+// repeated for every subset of suspectSets, as in TestTerminatorReachesTheFold.
 func TestTerminatorReachesTheFoldInAnyOrder(t *testing.T) {
 	participants := []types.SiteID{1, 2, 3, 4, 5, 6}
 	sites := participants[:4]
@@ -205,89 +221,96 @@ func TestTerminatorReachesTheFoldInAnyOrder(t *testing.T) {
 			}
 			want := rule.Outcome(asgn, &tally)
 
-			for _, order := range orders {
-				envs := make([]*protocoltest.Env, len(sites))
-				parts := make([]*Participant, len(sites))
-				for i, s := range sites {
-					envs[i] = protocoltest.New(s, asgn)
-					parts[i] = NewParticipant(1, &wal.TxnImage{Txn: 1, State: states[i]}, false)
-				}
-				tenv := protocoltest.New(sites[leader], asgn)
-				term := NewTerminator(1, participants, 1, rule)
+			for _, suspects := range suspectSets {
+				for _, order := range orders {
+					envs := make([]*protocoltest.Env, len(sites))
+					parts := make([]*Participant, len(sites))
+					for i, s := range sites {
+						envs[i] = protocoltest.New(s, asgn)
+						parts[i] = NewParticipant(1, &wal.TxnImage{Txn: 1, State: states[i]}, false)
+					}
+					tenv := protocoltest.New(sites[leader], asgn)
+					tenv.Suspects = suspects
+					term := NewTerminator(1, participants, 1, rule)
 
-				// deliver hands the terminator's sends to their participants
-				// in send order and the replies of each such batch back in
-				// this run's order; what is addressed outside the group is
-				// lost. owing counts the PREPARE-TO-COMMITs not yet
-				// acknowledged to the terminator.
-				sent, owing := 0, 0
-				deliver := func() {
-					for sent < len(tenv.Sends) {
-						batch := tenv.Sends[sent:]
-						sent = len(tenv.Sends)
-						replies := make([][]msg.Message, len(sites))
-						for _, s := range batch {
-							i := int(s.To) - 1
-							if i >= len(sites) {
-								continue
-							}
-							before := len(envs[i].Sends)
-							parts[i].OnMessage(tenv.SelfID, s.Msg, envs[i])
-							for _, reply := range envs[i].Sends[before:] {
-								replies[i] = append(replies[i], reply.Msg)
-								if reply.Msg.Kind() == msg.KindPCAck {
-									owing++
+					// deliver hands the terminator's sends to their participants
+					// in send order and the replies of each such batch back in
+					// this run's order; what is addressed outside the group is
+					// lost. owing counts the PREPARE-TO-COMMITs not yet
+					// acknowledged to the terminator.
+					sent, owing := 0, 0
+					deliver := func() {
+						for sent < len(tenv.Sends) {
+							batch := tenv.Sends[sent:]
+							sent = len(tenv.Sends)
+							replies := make([][]msg.Message, len(sites))
+							for _, s := range batch {
+								i := int(s.To) - 1
+								if i >= len(sites) {
+									continue
+								}
+								before := len(envs[i].Sends)
+								parts[i].OnMessage(tenv.SelfID, s.Msg, envs[i])
+								for _, reply := range envs[i].Sends[before:] {
+									replies[i] = append(replies[i], reply.Msg)
+									if reply.Msg.Kind() == msg.KindPCAck {
+										owing++
+									}
 								}
 							}
-						}
-						for _, i := range order {
-							for _, reply := range replies[i] {
-								if reply.Kind() == msg.KindPCAck {
-									owing--
-								}
-								term.OnMessage(sites[i], reply, tenv)
-								if threePC && owing > 0 && term.Finished() {
-									t.Fatalf("%s %v order %v: COMMIT distributed with %d PREPARE-TO-COMMIT unacknowledged", rule.Name, states, order, owing)
+							for _, i := range order {
+								for _, reply := range replies[i] {
+									if reply.Kind() == msg.KindPCAck {
+										owing--
+									}
+									term.OnMessage(sites[i], reply, tenv)
+									if threePC && owing > 0 && term.Finished() {
+										t.Fatalf("%s %v order %v suspects %v: COMMIT distributed with %d PREPARE-TO-COMMIT unacknowledged", rule.Name, states, order, suspects, owing)
+									}
 								}
 							}
 						}
 					}
-				}
-				term.Start(tenv)
-				deliver()
-				if term.Finished() {
-					early++
-				}
-				term.OnTimer(tokCollect, tenv)
-				deliver()
-				if !term.Finished() {
-					term.OnTimer(tokConfirm, tenv)
+					term.Start(tenv)
 					deliver()
-				}
+					if term.Finished() {
+						early++
+					}
+					if len(suspects) == 2 && term.phase == tpCollect {
+						t.Fatalf("%s %v order %v: every unanswered site is suspected, yet the poll waits for its window", rule.Name, states, order)
+					}
+					term.OnTimer(tokCollect, tenv)
+					deliver()
+					if !term.Finished() {
+						term.OnTimer(tokConfirm, tenv)
+						deliver()
+					}
 
-				got := types.OutcomeUnknown
-				switch {
-				case len(tenv.Blocked) > 0:
-					got = types.OutcomeBlocked
-				case len(tenv.TermReqs) > 0:
-					t.Fatalf("%s %v order %v: terminator fell back to the election protocol; the fold says %v", rule.Name, states, order, want)
-				default:
-					for _, s := range tenv.Sends {
-						switch s.Msg.Kind() {
-						case msg.KindCommit:
-							got = types.OutcomeCommitted
-						case msg.KindAbort:
-							got = types.OutcomeAborted
+					got := types.OutcomeUnknown
+					switch {
+					case len(tenv.Blocked) > 0:
+						got = types.OutcomeBlocked
+					case len(tenv.TermReqs) > 0:
+						t.Fatalf("%s %v order %v suspects %v: terminator fell back to the election protocol; the fold says %v", rule.Name, states, order, suspects, want)
+					default:
+						for _, s := range tenv.Sends {
+							switch s.Msg.Kind() {
+							case msg.KindCommit:
+								got = types.OutcomeCommitted
+							case msg.KindAbort:
+								got = types.OutcomeAborted
+							}
 						}
 					}
-				}
-				if got != want {
-					t.Fatalf("%s %v order %v: terminator reached %v, fold predicts %v", rule.Name, states, order, got, want)
+					if got != want {
+						t.Fatalf("%s %v order %v suspects %v: terminator reached %v, fold predicts %v", rule.Name, states, order, suspects, got, want)
+					}
 				}
 			}
 		}
-		// Two of the six participants never answer, so only a settled COMMIT
-		// can close a poll before its window does; it must happen.
+		// Two of the six participants never answer, so unless both are
+		// suspected only a settled COMMIT can close a poll before its window
+		// does; it must happen.
 		if early == 0 {
 			t.Errorf("%s: no run finished before a window expired", rule.Name)
 		}

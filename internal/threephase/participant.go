@@ -13,11 +13,25 @@
 // the terminator ends its poll on the reply after which no other could
 // change the verdict (Rule.Settled) and its confirm round on the ack that
 // confirms the attempted quorum (Rule.Confirmed). What is decided is always
-// what the timer's expiry would have decided; only the time differs. With
-// the coordinator dead, a transaction is therefore in doubt for 3T of
-// participant patience, 2T of polling a site that will never answer, and a
-// handful of message hops (engine.TestTerminationStageBudget prints the
-// budget per protocol).
+// what the timer's expiry would have decided; only the time differs.
+//
+// The poll also stops waiting for the sites its host suspects of having
+// failed (protocol.Env.Suspected): a site's coordinator becomes a suspect
+// when the site's 3T patience with it runs out, or another site's does.
+// With the coordinator dead, a transaction is therefore in doubt for 3T of
+// participant patience and a handful of message hops — the poll closes on
+// the last survivor's reply instead of spending 2T on a site that will never
+// answer, and the election does not wait for that site to claim the role
+// (engine.TestTerminationStageBudget prints the budget per protocol).
+//
+// Suspicion is safe because it can be wrong only about time. Every poll it
+// closes early is the poll the 2T timer closes in a legal run of the same
+// protocol in which the suspects' replies arrive after the window: the same
+// tally, so the same verdict. The paper's quorum rules and the PC/PA buffer
+// rule already guard those runs — partitions, concurrent terminators and a
+// coordinator that resurfaces included. A live site wrongly suspected can
+// cost a round, or turn a commit into a quorum-confirmed abort; it can never
+// split the outcome.
 package threephase
 
 import (

@@ -34,7 +34,11 @@ const (
 // outstanding reply could change the verdict (Rule.Settled), the confirmation
 // as soon as the attempted quorum is confirmed (Rule.Confirmed). The 2T
 // windows only bound the wait for sites that stay silent, and the decision is
-// always the one the window's expiry would have reached.
+// always the one the window's expiry would have reached. The poll does not
+// wait for a site this one suspects (Env.Suspected) — in practice the dead
+// coordinator — once every unsuspected participant has answered: the tally
+// it then decides on is the one the 2T expiry decides on when the suspect's
+// reply is merely late.
 type Terminator struct {
 	txn          types.TxnID
 	participants []types.SiteID
@@ -86,10 +90,14 @@ func (t *Terminator) OnMessage(from types.SiteID, m msg.Message, env protocol.En
 			return
 		}
 		t.resp[from] = v.State
-		if t.retally(); t.rule.Settled(env.Assignment(), &t.tally, len(t.participants)) {
+		polled := t.polled(env)
+		if t.retally(); t.rule.Settled(env.Assignment(), &t.tally, polled) {
 			why := "commit settled"
-			if t.tally.Len() == len(t.participants) {
+			switch n := t.tally.Len(); {
+			case n == len(t.participants):
 				why = "all answered"
+			case n >= polled:
+				why = "all unsuspected answered"
 			}
 			env.Tracef("%s: terminator %s collect closed: %s at %d/%d", t.txn, env.Self(), why, t.tally.Len(), len(t.participants))
 			t.evaluate(env)
@@ -126,6 +134,18 @@ func (t *Terminator) OnTimer(token int, env protocol.Env) {
 	case token == tokConfirm && t.phase == tpConfirm:
 		t.closeConfirm(env, true)
 	}
+}
+
+// polled counts the participants the poll still waits for or has heard
+// from: all of them, except the suspects that have not answered.
+func (t *Terminator) polled(env protocol.Env) int {
+	n := 0
+	for _, p := range t.participants {
+		if _, ok := t.resp[p]; ok || !env.Suspected(p) {
+			n++
+		}
+	}
+	return n
 }
 
 // retally rebuilds the tally from the replies so far, in participant
