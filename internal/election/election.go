@@ -8,10 +8,9 @@
 // invitation/bully hybrid with lowest-site-ID priority. Lost messages can
 // (and, under the scripted scenario of Example 3, deliberately do) yield
 // several concurrent coordinators, which the termination protocols must and
-// do tolerate. So can suspicion: a candidate does not call a better candidate
-// its site suspects of having failed (usually the silent commit coordinator),
-// and if that site is in fact alive and campaigns too, two terminators run
-// side by side.
+// do tolerate. Suspicion is one more source: a candidate does not call a
+// better candidate its site suspects (protocol.Env.Suspected), so a live but
+// wrongly suspected one may end up running a terminator beside it.
 package election
 
 import (

@@ -63,13 +63,9 @@ type Env interface {
 	// round (decided, blocked, or handed off to a re-election).
 	TerminatorDone(txn types.TxnID)
 	// Suspected reports whether the hosting site suspects site s of having
-	// failed, for this automaton's transaction: the site's own patience with
-	// s as coordinator ran out, or another site's did (it called an
-	// election), and nothing has been heard from s about the transaction
-	// since. A suspicion may be wrong. Automata may use it only to stop
-	// waiting sooner — a poll that no longer waits for a suspect, a campaign
-	// that does not call one — never to decide differently than they would
-	// if the suspect's messages were merely late.
+	// failed, for this automaton's transaction. A suspicion may be wrong:
+	// automata use it only to stop waiting sooner, never to decide
+	// differently (package threephase gives the argument).
 	Suspected(s types.SiteID) bool
 
 	// AcquireLocks takes exclusive locks on every local copy of the

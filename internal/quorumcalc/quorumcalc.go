@@ -262,10 +262,8 @@ func (r Rule) commits(a *voting.Assignment, t *Tally) bool {
 // waiting: no reply still outstanding could change Decide's verdict on t.
 // That is so when every polled participant has answered, and when the verdict
 // is already COMMIT (see commits). polled counts the participants the poll
-// waits for: the terminator leaves out the suspects (protocol.Env.Suspected)
-// that have not answered, so for it "every polled participant" is "every
-// unsuspected one" — the tally a window expiry would decide on were the
-// suspects merely slow. It is deliberately not so for an abort or
+// waits for; the three-phase terminator leaves out the unanswered suspects
+// (protocol.Env.Suspected). It is deliberately not so for an abort or
 // initial-state reply while someone is silent — a later C outranks it — nor
 // for any try or block verdict, which more replies can turn either way.
 func (r Rule) Settled(a *voting.Assignment, t *Tally, polled int) bool {

@@ -17,10 +17,8 @@
 //     "uncommitted" commits the site to vote no if the VOTE-REQ still comes);
 //   - election start (passive join or campaigning against a round budget) and
 //     terminator installation;
-//   - the per-transaction suspect set: the coordinator is suspected once this
-//     site's patience with it runs out or another site calls an election,
-//     and cleared by the next frame from it about the transaction; automata
-//     read it through Env.Suspected to stop waiting for silent sites sooner;
+//   - the per-transaction suspicion of the coordinator (Txn.coordSuspected),
+//     which automata read through Env.Suspected;
 //   - locking the local copies of a writeset, volatile recovery from the WAL
 //     image, and the irrevocable local commit / abort;
 //   - the single protocol.Env handed to automata.
@@ -159,10 +157,11 @@ type Txn[X any] struct {
 	elect     *election.FSM
 	nextEpoch uint32
 	rounds    int // termination rounds consumed
-	// suspects are the sites this one suspects of having failed, for this
-	// transaction (see suspect). A slice, not a map: at most the coordinator,
-	// and usually nil.
-	suspects []types.SiteID
+	// coordSuspected says this site suspects the coordinator of having
+	// failed, for this transaction: set when the participant's patience
+	// runs out or another site calls an election, cleared by the next frame
+	// from the coordinator (deliver).
+	coordSuspected bool
 
 	outcome types.Outcome
 }
@@ -172,13 +171,6 @@ func (c *Txn[X]) Automaton(role protocol.Role) protocol.Automaton { return c.aut
 
 func (c *Txn[X]) terminal() bool {
 	return c.outcome == types.OutcomeCommitted || c.outcome == types.OutcomeAborted
-}
-
-// suspect adds s to the suspect set.
-func (c *Txn[X]) suspect(s types.SiteID) {
-	if !slices.Contains(c.suspects, s) {
-		c.suspects = append(c.suspects, s)
-	}
 }
 
 // drop uninstalls role's automaton and fences off whatever it armed.
@@ -310,7 +302,7 @@ func (k *Kernel[X]) install(c *Txn[X], role protocol.Role, a protocol.Automaton)
 func (k *Kernel[X]) Crash() {
 	for txn, c := range k.txns {
 		c.fence()
-		c.suspects = nil
+		c.coordSuspected = false
 		if c.terminal() {
 			delete(k.txns, txn)
 		}
@@ -434,7 +426,7 @@ func (k *Kernel[X]) Handle(e msg.Envelope) {
 		if _, call := m.(msg.ElectionCall); call && c.Coord != k.id && c.Coord != e.From {
 			// The caller's patience with the coordinator ran out: so, by now,
 			// has this site's, or it is about to.
-			c.suspect(c.Coord)
+			c.coordSuspected = true
 		}
 		if c.elect == nil {
 			// Joining an election started elsewhere (passive: does not
@@ -534,13 +526,11 @@ func command(txn types.TxnID, o types.Outcome) msg.Message {
 }
 
 // deliver hands e to c's automaton in role. Any frame about the transaction
-// from a suspect clears the suspicion first.
+// from a suspected coordinator clears the suspicion first.
 func (k *Kernel[X]) deliver(c *Txn[X], role protocol.Role, e msg.Envelope) {
-	if len(c.suspects) > 0 {
-		if i := slices.Index(c.suspects, e.From); i >= 0 {
-			c.suspects = slices.Delete(c.suspects, i, i+1)
-			k.h.Tracef("%s: %s hears from suspect %s again", c.ID, k.id, e.From)
-		}
+	if c.coordSuspected && e.From == c.Coord {
+		c.coordSuspected = false
+		k.h.Tracef("%s: %s hears from suspect %s again", c.ID, k.id, e.From)
 	}
 	if a := c.auto[role]; a != nil {
 		a.OnMessage(e.From, e.Msg, k.env(c, role))
@@ -733,7 +723,7 @@ func (e *env[X]) RequestTermination(txn types.TxnID) {
 	}
 	if e.role == protocol.RoleParticipant && c.Coord != e.k.id {
 		// The participant's patience ran out: its coordinator is silent.
-		c.suspect(c.Coord)
+		c.coordSuspected = true
 	}
 	if c.elect != nil && !c.elect.Won() {
 		return // an election is already in progress
@@ -741,7 +731,7 @@ func (e *env[X]) RequestTermination(txn types.TxnID) {
 	e.k.startElection(c, c.nextEpoch, true)
 }
 
-func (e *env[X]) Suspected(s types.SiteID) bool { return slices.Contains(e.c.suspects, s) }
+func (e *env[X]) Suspected(s types.SiteID) bool { return s == e.c.Coord && e.c.coordSuspected }
 
 // TerminatorDone needs no bookkeeping: reap asks the terminator itself.
 func (e *env[X]) TerminatorDone(types.TxnID) {}

@@ -273,7 +273,7 @@ func TestTerminatorReachesTheFoldInAnyOrder(t *testing.T) {
 					}
 					term.Start(tenv)
 					deliver()
-					if term.Finished() {
+					if term.Finished() && len(suspects) < 2 {
 						early++
 					}
 					if len(suspects) == 2 && term.phase == tpCollect {
@@ -310,7 +310,7 @@ func TestTerminatorReachesTheFoldInAnyOrder(t *testing.T) {
 		}
 		// Two of the six participants never answer, so unless both are
 		// suspected only a settled COMMIT can close a poll before its window
-		// does; it must happen.
+		// does; it must happen in those runs, which are the only ones counted.
 		if early == 0 {
 			t.Errorf("%s: no run finished before a window expired", rule.Name)
 		}

@@ -17,7 +17,8 @@
 //
 // The poll also stops waiting for the sites its host suspects of having
 // failed (protocol.Env.Suspected): a site's coordinator becomes a suspect
-// when the site's 3T patience with it runs out, or another site's does.
+// when the site's 3T patience with it runs out, or another site's does, and
+// stops being one on its next frame about the transaction.
 // With the coordinator dead, a transaction is therefore in doubt for 3T of
 // participant patience and a handful of message hops — the poll closes on
 // the last survivor's reply instead of spending 2T on a site that will never

@@ -34,11 +34,9 @@ const (
 // outstanding reply could change the verdict (Rule.Settled), the confirmation
 // as soon as the attempted quorum is confirmed (Rule.Confirmed). The 2T
 // windows only bound the wait for sites that stay silent, and the decision is
-// always the one the window's expiry would have reached. The poll does not
-// wait for a site this one suspects (Env.Suspected) — in practice the dead
-// coordinator — once every unsuspected participant has answered: the tally
-// it then decides on is the one the 2T expiry decides on when the suspect's
-// reply is merely late.
+// always the one the window's expiry would have reached. The poll also does
+// not wait for unanswered suspects (Env.Suspected); the package doc says why
+// that is safe.
 type Terminator struct {
 	txn          types.TxnID
 	participants []types.SiteID
