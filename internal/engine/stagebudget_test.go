@@ -29,7 +29,9 @@ import (
 //	                  poll does not wait for the suspect (2PC's cooperative
 //	                  poll reads no suspicion and waits out its 2T window)
 //	confirm   < 2T    two hops: PREPARE out, the ack that confirms the quorum back
-//	rejoin    ≤ 3T + three hops after the restart
+//	rejoin    ≤ 2T    two hops after the restart: the restarted site's
+//	                  OUTCOME-REQ out, a survivor's COMMIT/ABORT back; it
+//	                  runs no termination round of its own
 //
 // 3PC aborts straight from the tally (no participant is in PC), so it has no
 // confirm stage; 2PC's poll finds everyone uncertain and blocks, restart or
@@ -156,8 +158,13 @@ func TestTerminationStageBudget(t *testing.T) {
 				t.Fatalf("%s: restarted coordinator = %v, want aborted", name, o)
 			}
 			rejoin := cl.sites[crashed].decidedAt[txn] - restarted
-			if rejoin < sim.Time(3*T) || rejoin > sim.Time(6*T) {
-				t.Errorf("%s: restarted coordinator agreed after %.2f T, want 3 T patience + at most three hops", name, inT(rejoin))
+			if rejoin <= 0 || rejoin > sim.Time(2*T) {
+				t.Errorf("%s: restarted coordinator agreed after %.2f T, want at most two hops (the query out, the outcome back)", name, inT(rejoin))
+			}
+			for _, e := range cl.Recorder().Events() {
+				if !e.IsMessage() && e.Site == crashed && e.At >= restarted && strings.Contains(e.Text, "campaigns") {
+					t.Errorf("%s: restarted coordinator campaigned at restart+%.2f T, want the outcome from a survivor", name, inT(e.At-restarted))
+				}
 			}
 			checkClean(t, cl)
 			fmt.Fprintf(&table, "%s %9.2f %9.2f %9.2f\n", row, inT(confirm), inT(settled), inT(rejoin))

@@ -35,22 +35,7 @@ func TestWrongSuspicionKeepsAtomicity(t *testing.T) {
 			cleared, terminated := 0, 0
 			for seed := int64(1); seed <= 20; seed++ {
 				cfg := Config{Seed: seed, Assignment: voting.MustAssignment(voting.Uniform("x", 3, 3, sites...)), Spec: spec}
-				// A fault-free run with the same seed says when PREPARE-TO-COMMIT
-				// leaves the coordinator.
-				dry := New(cfg)
-				dry.Begin(1, ws)
-				dry.Run()
-				var ptc sim.Time
-				for _, e := range dry.Recorder().Events() {
-					if !e.IsMessage() && strings.Contains(e.Text, "distributing PREPARE-TO-COMMIT") {
-						ptc = e.At
-						break
-					}
-				}
-				if ptc == 0 {
-					t.Fatalf("seed %d: no PREPARE-TO-COMMIT in the fault-free run", seed)
-				}
-				T := sim.Time(dry.T())
+				ptc, T := prepareToCommitAt(t, cfg, ws)
 				for _, cut := range []sim.Time{0, T / 4, T / 2, T, 3 * T / 2} {
 					for _, heal := range []sim.Time{2 * T, 4 * T, 8 * T} {
 						name := fmt.Sprintf("seed %d, cut at PTC+%.2f T, heal %.0f T later", seed, float64(cut)/float64(T), float64(heal)/float64(T))
@@ -83,4 +68,20 @@ func TestWrongSuspicionKeepsAtomicity(t *testing.T) {
 			}
 		})
 	}
+}
+
+// prepareToCommitAt runs ws from coordinator site 1 fault-free under cfg and
+// returns when PREPARE-TO-COMMIT left the coordinator, and the run's T.
+func prepareToCommitAt(t *testing.T, cfg Config, ws types.Writeset) (ptc, T sim.Time) {
+	t.Helper()
+	dry := New(cfg)
+	dry.Begin(1, ws)
+	dry.Run()
+	for _, e := range dry.Recorder().Events() {
+		if !e.IsMessage() && strings.Contains(e.Text, "distributing PREPARE-TO-COMMIT") {
+			return e.At, sim.Time(dry.T())
+		}
+	}
+	t.Fatalf("seed %d: no PREPARE-TO-COMMIT in the fault-free run", cfg.Seed)
+	return 0, 0
 }

@@ -253,9 +253,13 @@ func (n *Node) dispatch(e msg.Envelope) {
 		n.crashed = false
 		recs, _ := n.log.Records()
 		n.k.Recover(recs)
-		// Anti-entropy: repair copies that missed writes while down.
+		// Anti-entropy: repair copies that missed writes while down. The
+		// pulls take the kernel's send path, so they queue behind Recover's
+		// outcome queries even when an abort Recover logged defers those to
+		// the flush job: a long pull burst cannot crowd the queries out of a
+		// full transport queue.
 		for _, p := range n.tracker.RestartPulls(n.id, n.store.Items()) {
-			n.h.send(p.From, p.To, msg.CopyReq{Item: p.Item})
+			(*nodeHost)(n).Send(p.To, msg.CopyReq{Item: p.Item})
 		}
 	default:
 		if !n.crashed {

@@ -91,8 +91,7 @@ func NewServer(id types.SiteID, cfg ServerConfig, tr transport.Transport) (*Serv
 	}
 	// A restarted process recovers from its surviving WAL before serving:
 	// terminal outcomes are reapplied, in-doubt transactions re-lock their
-	// copies and resume the protocol. Safe here — the node goroutine has
-	// not started, and any sends the recovery defers are flushed normally.
+	// copies, resume the protocol and ask their peers for the outcome.
 	if recs, err := s.node.log.Records(); err == nil && len(recs) > 0 {
 		// Unlike a simulated crash, a process restart loses the store, so
 		// committed writesets are reapplied from the log before the usual
@@ -107,11 +106,13 @@ func NewServer(id types.SiteID, cfg ServerConfig, tr transport.Transport) (*Serv
 				}
 			}
 		}
-		s.node.k.Recover(recs)
-		s.node.finishEvent()
+		// The recovery is the node's first event, posted before the
+		// transport is bound: every frame that arrives is handled after it,
+		// and the answers to its queries find the delivery callback in place.
+		s.node.post(event{env: &msg.Envelope{Msg: restartMsg{}}})
 	}
-	s.node.run(&s.wg)
 	tr.Bind(s.deliver)
+	s.node.run(&s.wg)
 	return s, nil
 }
 

@@ -263,6 +263,8 @@ func AppendMarshal(dst []byte, m Message) ([]byte, error) {
 		}
 	case CtrlAck:
 		w.uvarint(v.Req)
+	case OutcomeReq:
+		w.uvarint(uint64(v.Txn))
 	default:
 		return dst, fmt.Errorf("%w: %T", ErrBadKind, m)
 	}
@@ -402,6 +404,8 @@ func Unmarshal(frame []byte) (Message, error) {
 		m = cp
 	case KindCtrlAck:
 		m = CtrlAck{Req: r.uvarint()}
+	case KindOutcomeReq:
+		m = OutcomeReq{Txn: types.TxnID(r.uvarint())}
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrBadKind, kind)
 	}

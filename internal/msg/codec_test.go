@@ -33,6 +33,7 @@ func allMessages() []Message {
 		ElectionCall{Txn: 7, Ballot: 1<<40 | 3, Candidate: 3},
 		ElectionOK{Txn: 7, Ballot: 99},
 		CoordAnnounce{Txn: 7, Ballot: 99, Coord: 2},
+		OutcomeReq{Txn: 7},
 	}
 }
 

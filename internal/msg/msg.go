@@ -48,6 +48,7 @@ const (
 	KindClientValue
 	KindCtrlPartition
 	KindCtrlAck
+	KindOutcomeReq
 )
 
 var kindNames = map[Kind]string{
@@ -77,6 +78,7 @@ var kindNames = map[Kind]string{
 	KindClientValue:     "CLIENT-VALUE",
 	KindCtrlPartition:   "CTRL-PARTITION",
 	KindCtrlAck:         "CTRL-ACK",
+	KindOutcomeReq:      "OUTCOME-REQ",
 }
 
 // String implements fmt.Stringer.
@@ -269,6 +271,18 @@ type CopyResp struct {
 // Kind implements Message.
 func (CopyResp) Kind() Kind { return KindCopyResp }
 
+// OutcomeReq asks the receiver for a transaction's outcome: a site that
+// restarts with the transaction unresolved in its log sends it at once to
+// the transaction's other sites. Only a site where the transaction has
+// terminated answers, with the COMMIT or ABORT itself; any other site stays
+// silent. Asking changes nothing at the receiver.
+type OutcomeReq struct {
+	Txn types.TxnID
+}
+
+// Kind implements Message.
+func (OutcomeReq) Kind() Kind { return KindOutcomeReq }
+
 // TxnOf extracts the transaction ID a message concerns.
 func TxnOf(m Message) types.TxnID {
 	switch v := m.(type) {
@@ -303,6 +317,8 @@ func TxnOf(m Message) types.TxnID {
 	case ElectionOK:
 		return v.Txn
 	case CoordAnnounce:
+		return v.Txn
+	case OutcomeReq:
 		return v.Txn
 	case ClientBeginAck:
 		return v.Txn

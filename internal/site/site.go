@@ -20,7 +20,9 @@
 //   - the per-transaction suspicion of the coordinator (Txn.coordSuspected),
 //     which automata read through Env.Suspected;
 //   - locking the local copies of a writeset, volatile recovery from the WAL
-//     image, and the irrevocable local commit / abort;
+//     image — including the outcome query a restarted site sends at once
+//     about every transaction it finds unresolved, which only a site holding
+//     the outcome answers — and the irrevocable local commit / abort;
 //   - the single protocol.Env handed to automata.
 //
 // It owns no clock, goroutine, mutex or transport. The Host supplies time,
@@ -323,6 +325,18 @@ func (k *Kernel[X]) Crash() {
 // participant) logs nothing between BEGIN and its decision, so its BEGIN-only
 // image may hide a PREPARE-TO-COMMIT already sent: it is kept, with nothing
 // running, for the outcome to reach it.
+//
+// Every transaction left unresolved then asks the others at once: one
+// OutcomeReq to each other participant, and to the coordinator if it is not
+// one. A site where the transaction has terminated answers with the COMMIT or
+// ABORT, which the rejoined participant (or, at a pure coordinator, Handle)
+// applies, so a restart that can reach such a site agrees within one round
+// trip. The query is not a campaign: it consumes no termination round, makes
+// nobody promise or suspect anything, and an unanswered one leaves the
+// participant's 3 T patience to start the election as before — so a site that
+// restarts into a partition burns no round on it. And the answer is only
+// ever an outcome that already stands at a site, which atomicity makes the
+// outcome everywhere: it cannot decide anything the protocol has not.
 func (k *Kernel[X]) Recover(recs []wal.Record) {
 	images := wal.Replay(recs)
 	txns := make([]types.TxnID, 0, len(images))
@@ -347,8 +361,24 @@ func (k *Kernel[X]) Recover(recs []wal.Record) {
 				k.Resume(c, im)
 			case slices.Contains(im.Participants, k.id): // BEGIN only, never voted
 				k.Decide(txn, types.OutcomeAborted)
+				continue
 			}
+			k.askOutcome(c)
 		}
+	}
+}
+
+// askOutcome sends an OutcomeReq about c to every other participant and to a
+// coordinator that is not one of them.
+func (k *Kernel[X]) askOutcome(c *Txn[X]) {
+	q := msg.OutcomeReq{Txn: c.ID}
+	for _, p := range c.Participants {
+		if p != k.id {
+			k.h.Send(p, q)
+		}
+	}
+	if c.Coord != k.id && !slices.Contains(c.Participants, c.Coord) {
+		k.h.Send(c.Coord, q)
 	}
 }
 
@@ -438,6 +468,15 @@ func (k *Kernel[X]) Handle(e msg.Envelope) {
 			k.startElection(c, epoch, false)
 		}
 		k.deliver(c, protocol.RoleElection, e)
+
+	case msg.OutcomeReq:
+		// A restarted site asks whether the transaction is over. Only an
+		// outcome that stands here is an answer; otherwise this site keeps
+		// quiet and records nothing — no promise, no suspicion, no context —
+		// since the asker's patience still bounds its wait.
+		if o, over := k.done[txn]; over {
+			k.h.Send(e.From, command(txn, o))
+		}
 
 	case msg.StateReq:
 		c := k.txns[txn]

@@ -19,6 +19,7 @@ import (
 // fakeTimer is a host timer the test fires by hand.
 type fakeTimer struct {
 	t       Timer
+	d       sim.Duration
 	stopped bool
 }
 
@@ -58,8 +59,8 @@ type fakeHost struct {
 }
 
 func (h *fakeHost) Now() sim.Time { return 0 }
-func (h *fakeHost) AfterFunc(_ sim.Duration, t Timer) Stopper {
-	ft := &fakeTimer{t: t}
+func (h *fakeHost) AfterFunc(d sim.Duration, t Timer) Stopper {
+	ft := &fakeTimer{t: t, d: d}
 	h.timers = append(h.timers, ft)
 	return ft
 }
@@ -750,6 +751,161 @@ func TestRecoverResumesOnlyInDoubt(t *testing.T) {
 	if k.Len() != 2 || k.cfg.Locks.HeldCount() != 1 || len(h.pending()) != 1 {
 		t.Errorf("second recovery: %d contexts, %d locks, %d timers", k.Len(), k.cfg.Locks.HeldCount(), len(h.pending()))
 	}
+}
+
+// TestRecoverAsksForTheOutcome pins the restart query: who a recovered
+// transaction asks, what a peer answers, and that asking is not a campaign —
+// an unanswered query changes nothing anywhere, and the restarted site's
+// patience still starts its first termination round.
+func TestRecoverAsksForTheOutcome(t *testing.T) {
+	trio := []types.SiteID{1, 2, 4}
+	voted := func(txn types.TxnID, coord types.SiteID, parts []types.SiteID) wal.Record {
+		return wal.Record{Type: wal.RecVotedYes, Txn: txn, Coord: coord, Participants: parts, Writeset: wsX}
+	}
+	// asked lists, per transaction, the sites sent an OutcomeReq, failing
+	// on any other frame.
+	asked := func(t *testing.T, sent []msg.Envelope) map[types.TxnID][]types.SiteID {
+		t.Helper()
+		out := make(map[types.TxnID][]types.SiteID)
+		for _, e := range sent {
+			q, ok := e.Msg.(msg.OutcomeReq)
+			if !ok {
+				t.Errorf("recovery sent %v to site %d, want only OutcomeReq", e.Msg.Kind(), e.To)
+				continue
+			}
+			out[q.Txn] = append(out[q.Txn], e.To)
+		}
+		return out
+	}
+	// relay delivers to's share of the queued sends of from.
+	relay := func(from *fakeHost, to *Kernel[string]) {
+		for _, e := range from.take() {
+			if e.To == to.id {
+				to.Handle(e)
+			}
+		}
+	}
+
+	t.Run("every unresolved transaction asks the others once", func(t *testing.T) {
+		k, h := newKernel(1)
+		k.Recover([]wal.Record{
+			voted(80, 2, both),                             // W, coordinator a participant
+			voted(81, 3, both), {Type: wal.RecPC, Txn: 81}, // PC, pure coordinator 3
+			voted(82, 1, trio), {Type: wal.RecPA, Txn: 82}, // PA, coordinated here
+			{Type: wal.RecBegin, Txn: 83, Coord: 1, Participants: both, Writeset: wsX},              // aborted by Recover
+			{Type: wal.RecBegin, Txn: 84, Coord: 1, Participants: []types.SiteID{2}, Writeset: wsX}, // pure coordinator here
+			voted(85, 2, both), {Type: wal.RecCommit, Txn: 85},
+		})
+		got := asked(t, h.take())
+		want := map[types.TxnID][]types.SiteID{80: {2}, 81: {2, 3}, 82: {2, 4}, 84: {2}}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("queries = %v, want %v", got, want)
+		}
+		if h.count(TermRound) != 0 {
+			t.Error("asking consumed a termination round")
+		}
+		for _, txn := range []types.TxnID{80, 81, 82} {
+			if c := k.Txn(txn); c == nil || c.rounds != 0 || c.coordSuspected || c.elect != nil {
+				t.Errorf("%s after the query: %+v", txn, c)
+			}
+		}
+	})
+
+	t.Run("a peer with the outcome answers and the asker decides on it", func(t *testing.T) {
+		for _, tc := range []struct {
+			end  msg.Message
+			want types.Outcome
+		}{
+			{msg.Commit{Txn: 86}, types.OutcomeCommitted},
+			{msg.Abort{Txn: 86}, types.OutcomeAborted},
+		} {
+			peer, ph := newKernel(2)
+			peer.Handle(msg.Envelope{From: 3, To: 2, Msg: msg.VoteReq{Txn: 86, Coord: 3, Participants: both, Writeset: wsX}})
+			peer.Handle(msg.Envelope{From: 3, To: 2, Msg: tc.end})
+			ph.take()
+			k, h := newKernel(1)
+			k.Recover([]wal.Record{voted(86, 3, both)})
+			relay(h, peer)
+			if sent := ph.sent; len(sent) != 1 || sent[0].To != 1 || sent[0].Msg != tc.end {
+				t.Fatalf("%T: peer answered %+v, want %v to site 1", tc.end, sent, tc.end)
+			}
+			relay(ph, k)
+			if o, _ := k.Outcome(86); o != tc.want || h.decided[86] != tc.want {
+				t.Errorf("%T: restarted site reached %v, want %v", tc.end, o, tc.want)
+			}
+			if k.Len() != 0 || len(h.pending()) != 0 || k.cfg.Locks.HeldCount() != 0 || h.count(TermRound) != 0 {
+				t.Errorf("%T: after the answer %d contexts, %d timers, %d locks, %d rounds",
+					tc.end, k.Len(), len(h.pending()), k.cfg.Locks.HeldCount(), h.count(TermRound))
+			}
+			if v, _ := k.cfg.Store.Read("x"); (tc.want == types.OutcomeCommitted) != (v.Value == 7) {
+				t.Errorf("%T: x = %d after %v", tc.end, v.Value, tc.want)
+			}
+			// The participant's DONE reaches a peer that has let go.
+			relay(h, peer)
+			if peer.Len() != 0 || len(ph.sent) != 0 {
+				t.Errorf("%T: the DONE revived the peer's context", tc.end)
+			}
+		}
+	})
+
+	t.Run("a pure coordinator decides on the answer", func(t *testing.T) {
+		peer, ph := newKernel(2)
+		peer.Handle(msg.Envelope{From: 3, To: 2, Msg: msg.VoteReq{Txn: 87, Coord: 3, Participants: []types.SiteID{2}, Writeset: wsX}})
+		peer.Handle(msg.Envelope{From: 3, To: 2, Msg: msg.Commit{Txn: 87}})
+		ph.take()
+		k, h := newKernel(3)
+		k.Recover([]wal.Record{{Type: wal.RecBegin, Txn: 87, Coord: 3, Participants: []types.SiteID{2}, Writeset: wsX}})
+		relay(h, peer)
+		relay(ph, k)
+		if o, _ := k.Outcome(87); o != types.OutcomeCommitted || k.Len() != 0 {
+			t.Errorf("pure coordinator reached %v with %d contexts, want committed and none", o, k.Len())
+		}
+	})
+
+	t.Run("a peer without the outcome stays silent and commits to nothing", func(t *testing.T) {
+		peer, ph := newKernel(2)
+		peer.Handle(msg.Envelope{From: 3, To: 2, Msg: msg.VoteReq{Txn: 88, Coord: 3, Participants: both, Writeset: wsX}})
+		ph.take()
+		c := peer.Txn(88)
+		k, h := newKernel(1)
+		k.Recover([]wal.Record{voted(88, 3, both), voted(89, 3, both)})
+		relay(h, peer) // 88 in W here, 89 never heard of
+		if len(ph.sent) != 0 {
+			t.Fatalf("a peer without the outcome answered %+v", ph.sent)
+		}
+		if len(peer.promised) != 0 || c.coordSuspected || c.elect != nil || peer.Len() != 1 || ph.count(TermRound) != 0 {
+			t.Errorf("the query left a mark: promised %v, suspected %v, election %v, %d contexts",
+				peer.promised, c.coordSuspected, c.elect != nil, peer.Len())
+		}
+		peer.cfg.Locks.ReleaseAll(88) // x is free again: only a promise could stand in 89's way
+		peer.Handle(msg.Envelope{From: 3, To: 2, Msg: msg.VoteReq{Txn: 89, Coord: 3, Participants: both, Writeset: wsX}})
+		if v, ok := voteOf(ph.take(), 89); !ok || v != types.VoteYes {
+			t.Errorf("VOTE-REQ after the query answered %v (sent=%v), want yes", v, ok)
+		}
+	})
+
+	t.Run("an unanswered restart campaigns at 3 T with its full budget", func(t *testing.T) {
+		k, h := newKernel(1)
+		k.Recover([]wal.Record{voted(90, 2, both)})
+		h.take()
+		c := k.Txn(90)
+		timers := h.pending()
+		if len(timers) != 1 || timers[0].t.Role != protocol.RoleParticipant || timers[0].d != protocol.ParticipantPatience(k.env(c, protocol.RoleParticipant)) {
+			t.Fatalf("pending after recovery: %+v, want the participant's 3 T patience", timers)
+		}
+		k.Fire(timers[0].t)
+		if h.count(TermRound) != 1 || c.rounds != 1 || c.elect == nil {
+			t.Fatalf("patience expiry: %d rounds, election %v", c.rounds, c.elect != nil)
+		}
+		env := k.env(c, protocol.RoleParticipant)
+		for i := 0; i < 5; i++ {
+			c.drop(protocol.RoleElection) // as if the round led nowhere
+			env.RequestTermination(90)
+		}
+		if c.rounds != k.cfg.MaxTerminationRounds || h.count(TermRound) != k.cfg.MaxTerminationRounds {
+			t.Errorf("%d rounds consumed, want the whole budget of %d", c.rounds, k.cfg.MaxTerminationRounds)
+		}
+	})
 }
 
 // TestRetire pins what the kernel keeps of a transaction that has terminated:

@@ -33,6 +33,14 @@
 // coordinator that resurfaces included. A live site wrongly suspected can
 // cost a round, or turn a commit into a quorum-confirmed abort; it can never
 // split the outcome.
+//
+// A participant that rejoins from its log after a crash is resumed in its
+// logged state with its patience armed afresh, and its site asks the other
+// sites for the outcome at once (site.Kernel.Recover). That query is not a
+// move of these automata: a site answers it only with a COMMIT or ABORT that
+// already stands there, which the participant applies as it would its
+// coordinator's, and an unanswered one leaves the 3T patience to start the
+// termination protocol as before.
 package threephase
 
 import (
