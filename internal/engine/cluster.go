@@ -195,6 +195,7 @@ func (cl *Cluster) resumeFromLogs() {
 		if err != nil {
 			continue
 		}
+		site.view.Apply(recs...)
 		images := wal.Replay(recs)
 		txns := make([]types.TxnID, 0, len(images))
 		for txn := range images {
@@ -359,29 +360,21 @@ func (cl *Cluster) SetupInterrupted(coord types.SiteID, ws types.Writeset, state
 			Participants: participants,
 			Writeset:     ws.Clone(),
 		}
-		base := wal.Record{Txn: txn, Coord: coord, Participants: participants, Writeset: ws}
+		voted := wal.Record{Type: wal.RecVotedYes, Txn: txn, Coord: coord, Participants: participants, Writeset: ws}
 		switch st {
 		case types.StateInitial:
 			// No records, no automaton: the site has not voted.
 			continue
 		case types.StateWait:
-			rec := base
-			rec.Type = wal.RecVotedYes
-			_ = site.log.Append(rec)
+			site.append(voted)
 		case types.StatePC:
-			rec := base
-			rec.Type = wal.RecVotedYes
-			_ = site.log.Append(rec)
-			_ = site.log.Append(wal.Record{Type: wal.RecPC, Txn: txn})
+			site.append(voted)
+			site.append(wal.Record{Type: wal.RecPC, Txn: txn})
 		case types.StatePA:
-			rec := base
-			rec.Type = wal.RecVotedYes
-			_ = site.log.Append(rec)
-			_ = site.log.Append(wal.Record{Type: wal.RecPA, Txn: txn})
+			site.append(voted)
+			site.append(wal.Record{Type: wal.RecPA, Txn: txn})
 		case types.StateCommitted:
-			rec := base
-			rec.Type = wal.RecVotedYes
-			_ = site.log.Append(rec)
+			site.append(voted)
 			site.k.Decide(txn, types.OutcomeCommitted)
 			continue
 		case types.StateAborted:
@@ -434,7 +427,8 @@ func (cl *Cluster) CrashAt(t sim.Time, id types.SiteID) {
 func (cl *Cluster) Restart(id types.SiteID) {
 	cl.net.Recover(id)
 	cl.rec.Annotate(cl.sched.Now(), id, "RESTART")
-	cl.sites[id].k.Recover(cl.sites[id].records())
+	recs, _ := cl.sites[id].log.Records()
+	cl.sites[id].k.Recover(recs)
 	cl.SyncSite(id)
 }
 
@@ -484,8 +478,8 @@ func (cl *Cluster) RunFor(d sim.Duration) sim.Time { return cl.sched.RunFor(d) }
 
 // StateOf returns the local protocol state of txn at a site. The fast path
 // reads the kernel (terminal outcome, or the participant automaton's state);
-// the slow path reconstructs from the site's WAL — the ground truth that
-// survives crashes.
+// otherwise the site's view answers: the state its WAL, the ground truth that
+// survives crashes, folds to — a map lookup, not a replay of the log.
 func (cl *Cluster) StateOf(id types.SiteID, txn types.TxnID) types.State {
 	site := cl.sites[id]
 	if o, over := site.k.Outcome(txn); over {
@@ -496,27 +490,14 @@ func (cl *Cluster) StateOf(id types.SiteID, txn types.TxnID) types.State {
 			return p.State()
 		}
 	}
-	img := wal.Replay(site.records())[txn]
-	if img == nil {
-		return types.StateInitial
-	}
-	return img.State
+	return site.view.State(txn)
 }
 
 // OutcomeAt returns what txn's fate is at one site: committed, aborted,
 // blocked (voted yes, still holding locks, no decision), or unknown (never
 // voted / not involved).
 func (cl *Cluster) OutcomeAt(id types.SiteID, txn types.TxnID) types.Outcome {
-	switch cl.StateOf(id, txn) {
-	case types.StateCommitted:
-		return types.OutcomeCommitted
-	case types.StateAborted:
-		return types.OutcomeAborted
-	case types.StateWait, types.StatePC, types.StatePA:
-		return types.OutcomeBlocked
-	default:
-		return types.OutcomeUnknown
-	}
+	return cl.StateOf(id, txn).Outcome()
 }
 
 // Outcomes maps every site that participated in txn to its outcome.

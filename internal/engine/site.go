@@ -35,6 +35,9 @@ type Site struct {
 	store *storage.Store
 	locks *lockmgr.Manager
 	k     *site.Kernel[struct{}]
+	// view folds every record appended to log (see append): StateOf's
+	// answer for a transaction the kernel no longer holds.
+	view wal.View
 
 	// voteNo and refuser are injected refusals (a modeled persistent fault:
 	// unlike the kernel's never-voted promises they survive crashes).
@@ -110,10 +113,13 @@ func (s *Site) handle(e msg.Envelope) {
 	s.k.Handle(e)
 }
 
-// records returns the site's log contents.
-func (s *Site) records() []wal.Record {
-	recs, _ := s.log.Records()
-	return recs
+// append forces rec to the site's log and folds it into the view. Every
+// record the log receives after the cluster is built comes through here.
+func (s *Site) append(rec wal.Record) {
+	if err := s.log.Append(rec); err != nil {
+		panic(fmt.Sprintf("engine: wal append at %s: %v", s.id, err))
+	}
+	s.view.Apply(rec)
 }
 
 // siteHost is a Site seen as the kernel's host: virtual time and timers from
@@ -133,11 +139,7 @@ func (s *siteHost) AfterFunc(d sim.Duration, t site.Timer) site.Stopper {
 
 func (s *siteHost) Send(to types.SiteID, m msg.Message) { s.cl.send(s.id, to, m) }
 
-func (s *siteHost) Append(_ *txnCtx, rec wal.Record) {
-	if err := s.log.Append(rec); err != nil {
-		panic(fmt.Sprintf("engine: wal append at %s: %v", s.id, err))
-	}
-}
+func (s *siteHost) Append(_ *txnCtx, rec wal.Record) { (*Site)(s).append(rec) }
 
 func (s *siteHost) Decided(c *txnCtx, o types.Outcome) {
 	now := s.cl.sched.Now()

@@ -77,13 +77,13 @@ type Node struct {
 	flushQ    []flushJob
 	flushStop bool
 
-	// view is the per-transaction outcome fold of the node's DURABLE log
-	// records, maintained incrementally by the flusher's release step,
-	// which runs after the whole event that appended them — so a commit is
-	// published only once its writeset is applied. Outcome reads
-	// (WaitOutcome aggregation, Violated, Server.Outcome) hit this map
-	// instead of replaying the whole log — replaying is O(history) per
-	// probe and was the dominant cost of a long benchmark run.
+	// view folds the node's DURABLE log records into per-transaction
+	// states (wal.View, the fold Replay uses), maintained incrementally by
+	// the flusher's release step, which runs after the whole event that
+	// appended them — so a commit is published only once its writeset is
+	// applied. Outcome reads (WaitOutcome aggregation, Violated,
+	// Server.Outcome) look a transaction up here instead of replaying the
+	// whole log, which is O(history) per probe.
 	//
 	// view is not the kernel's own outcome record: view learns an outcome
 	// only when the fsync lands and is read by client goroutines under
@@ -92,7 +92,7 @@ type Node struct {
 	// fsync window must already see the decision, and answering from view
 	// would cost every protocol message a mutex.
 	viewMu sync.Mutex
-	view   map[types.TxnID]types.Outcome
+	view   wal.View
 
 	store *storage.Store
 	locks *lockmgr.Manager
@@ -131,7 +131,6 @@ func newNode(id types.SiteID, h *hostCore, tracker *voting.Tracker, log wal.Asyn
 		log:     log,
 		store:   storage.NewStore(id),
 		locks:   lockmgr.New(id),
-		view:    make(map[types.TxnID]types.Outcome),
 	}
 	n.k = site.New(id, site.Config{
 		Spec:       h.spec,
@@ -147,33 +146,18 @@ func newNode(id types.SiteID, h *hostCore, tracker *voting.Tracker, log wal.Asyn
 	if gl, ok := log.(*wal.GroupLog); ok {
 		gl.RegisterMetrics(o.Reg(), id)
 	}
-	if recs, err := log.Records(); err == nil && len(recs) > 0 {
-		n.applyView(recs)
-	}
+	recs, _ := log.Records() // what survives of a reopened log
+	n.applyView(recs)
 	n.mboxCond = sync.NewCond(&n.mboxMu)
 	n.flushCond = sync.NewCond(&n.flushMu)
 	return n
 }
 
-// applyView folds durable records into the outcome view, with the same
-// precedence Replay uses: terminal states are irrevocable.
+// applyView folds durable records into the outcome view.
 func (n *Node) applyView(recs []wal.Record) {
 	n.viewMu.Lock()
-	defer n.viewMu.Unlock()
-	for _, rec := range recs {
-		cur := n.view[rec.Txn]
-		if cur == types.OutcomeCommitted || cur == types.OutcomeAborted {
-			continue
-		}
-		switch rec.Type {
-		case wal.RecCommit:
-			n.view[rec.Txn] = types.OutcomeCommitted
-		case wal.RecAbort, wal.RecVotedNo:
-			n.view[rec.Txn] = types.OutcomeAborted
-		case wal.RecVotedYes, wal.RecPC, wal.RecPA:
-			n.view[rec.Txn] = types.OutcomeBlocked
-		}
-	}
+	n.view.Apply(recs...)
+	n.viewMu.Unlock()
 }
 
 // run starts the node's event loop and its flusher, both counted on wg.

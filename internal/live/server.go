@@ -197,10 +197,10 @@ func (s *Server) Stop() {
 
 // walOutcome reads txn's fate from one node's WAL: terminal records map to
 // their outcome, a surviving mid-protocol state (W/PC/PA) is Blocked. It
-// consults the node's incrementally-maintained durable-record view rather
-// than replaying the log, which would be O(history) per probe.
+// looks txn up in the node's incrementally-maintained view of its durable
+// records rather than replaying the log, which would be O(history) per probe.
 func walOutcome(n *Node, txn types.TxnID) types.Outcome {
 	n.viewMu.Lock()
 	defer n.viewMu.Unlock()
-	return n.view[txn]
+	return n.view.State(txn).Outcome()
 }

@@ -349,22 +349,19 @@ func (k *Kernel[X]) Recover(recs []wal.Record) {
 			continue
 		}
 		im := images[txn]
-		switch im.State {
-		case types.StateCommitted:
-			k.done[txn] = types.OutcomeCommitted
-		case types.StateAborted:
-			k.done[txn] = types.OutcomeAborted
-		default:
-			c := k.Adopt(txn, im.Writeset.Clone(), append([]types.SiteID(nil), im.Participants...), im.Coord)
-			switch {
-			case im.State != types.StateInitial: // W, PC or PA: in doubt
-				k.Resume(c, im)
-			case slices.Contains(im.Participants, k.id): // BEGIN only, never voted
-				k.Decide(txn, types.OutcomeAborted)
-				continue
-			}
-			k.askOutcome(c)
+		if im.State.Terminal() {
+			k.done[txn] = im.State.Outcome()
+			continue
 		}
+		c := k.Adopt(txn, im.Writeset.Clone(), append([]types.SiteID(nil), im.Participants...), im.Coord)
+		switch {
+		case im.State != types.StateInitial: // W, PC or PA: in doubt
+			k.Resume(c, im)
+		case slices.Contains(im.Participants, k.id): // BEGIN only, never voted
+			k.Decide(txn, types.OutcomeAborted)
+			continue
+		}
+		k.askOutcome(c)
 	}
 }
 

@@ -171,6 +171,22 @@ func (o Outcome) StateEquivalent() State {
 	}
 }
 
+// Outcome is the fate one site in state s reports: C and A are committed
+// and aborted, W, PC and PA are blocked (voted yes, no decision yet), and q
+// is unknown (never voted, or not involved).
+func (s State) Outcome() Outcome {
+	switch s {
+	case StateCommitted:
+		return OutcomeCommitted
+	case StateAborted:
+		return OutcomeAborted
+	case StateWait, StatePC, StatePA:
+		return OutcomeBlocked
+	default:
+		return OutcomeUnknown
+	}
+}
+
 // OutcomeOf converts a decision into an outcome.
 func OutcomeOf(d Decision) Outcome {
 	switch d {

@@ -77,6 +77,15 @@ func TestDecisionAndOutcome(t *testing.T) {
 		OutcomeBlocked.StateEquivalent() != StateInitial {
 		t.Error("StateEquivalent mapping wrong")
 	}
+	want := map[State]Outcome{
+		StateInitial: OutcomeUnknown, StateWait: OutcomeBlocked, StatePC: OutcomeBlocked,
+		StatePA: OutcomeBlocked, StateCommitted: OutcomeCommitted, StateAborted: OutcomeAborted,
+	}
+	for s, o := range want {
+		if got := s.Outcome(); got != o {
+			t.Errorf("%v.Outcome() = %v, want %v", s, got, o)
+		}
+	}
 }
 
 func TestStringers(t *testing.T) {

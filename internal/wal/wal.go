@@ -163,48 +163,70 @@ type TxnImage struct {
 	WasCoordinator bool
 }
 
+// moves is the state each record type moves an undecided transaction to: a
+// no vote aborts, VOTED-YES, PC and PA leave it in doubt. BEGIN and unknown
+// types leave it where it is.
+var moves = [...]types.State{
+	RecVotedYes: types.StateWait, RecVotedNo: types.StateAborted, RecPC: types.StatePC,
+	RecPA: types.StatePA, RecCommit: types.StateCommitted, RecAbort: types.StateAborted,
+}
+
+// step is the protocol's state precedence for one record, the one fold
+// Replay and View share: terminal states are irrevocable.
+func step(cur types.State, t RecType) types.State {
+	if cur.Terminal() || int(t) >= len(moves) || moves[t] == types.StateInitial {
+		return cur
+	}
+	return moves[t]
+}
+
 // Replay folds a record sequence into per-transaction images, applying the
-// protocol's state precedence (terminal states win; PC/PA supersede W).
+// protocol's state precedence (step).
 func Replay(recs []Record) map[types.TxnID]*TxnImage {
 	images := make(map[types.TxnID]*TxnImage)
-	get := func(txn types.TxnID) *TxnImage {
-		im, ok := images[txn]
-		if !ok {
-			im = &TxnImage{Txn: txn, State: types.StateInitial}
-			images[txn] = im
-		}
-		return im
-	}
 	for _, r := range recs {
-		im := get(r.Txn)
+		im, ok := images[r.Txn]
+		if !ok {
+			im = &TxnImage{Txn: r.Txn}
+			images[r.Txn] = im
+		}
 		if im.State.Terminal() {
 			continue // irrevocable
 		}
-		switch r.Type {
-		case RecBegin:
-			im.WasCoordinator = true
+		im.State = step(im.State, r.Type)
+		if r.Type == RecBegin || r.Type == RecVotedYes {
+			im.WasCoordinator = im.WasCoordinator || r.Type == RecBegin
 			im.Coord = r.Coord
 			im.Participants = append([]types.SiteID(nil), r.Participants...)
 			im.Writeset = r.Writeset.Clone()
-		case RecVotedYes:
-			im.State = types.StateWait
-			im.Coord = r.Coord
-			im.Participants = append([]types.SiteID(nil), r.Participants...)
-			im.Writeset = r.Writeset.Clone()
-		case RecVotedNo:
-			im.State = types.StateAborted
-		case RecPC:
-			im.State = types.StatePC
-		case RecPA:
-			im.State = types.StatePA
-		case RecCommit:
-			im.State = types.StateCommitted
-		case RecAbort:
-			im.State = types.StateAborted
 		}
 	}
 	return images
 }
+
+// View is Replay's state fold kept incrementally: fed every record a log
+// receives, State answers what Replay(records)[txn].State would, without
+// rereading the log. Only states other than q are stored. The zero View is
+// empty and ready; a View is not safe for concurrent use.
+type View struct {
+	states map[types.TxnID]types.State
+}
+
+// Apply folds records into the view, in append order.
+func (v *View) Apply(recs ...Record) {
+	for i := range recs {
+		cur := v.states[recs[i].Txn]
+		if next := step(cur, recs[i].Type); next != cur {
+			if v.states == nil {
+				v.states = make(map[types.TxnID]types.State)
+			}
+			v.states[recs[i].Txn] = next
+		}
+	}
+}
+
+// State returns txn's folded state, StateInitial when no record moved it.
+func (v *View) State(txn types.TxnID) types.State { return v.states[txn] }
 
 // --- file format ---
 //

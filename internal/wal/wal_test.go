@@ -122,6 +122,62 @@ func TestReplayKeepsContext(t *testing.T) {
 	}
 }
 
+// fuzzRecords decodes two bytes per record: the type (every RecType, plus
+// RecInvalid and two undefined values) and the txn (four IDs, so txns
+// repeat and terminal records are followed by more).
+func fuzzRecords(data []byte) []Record {
+	recs := make([]Record, 0, len(data)/2)
+	for i := 0; i+1 < len(data); i += 2 {
+		r := Record{Type: RecType(data[i] % 10), Txn: types.TxnID(data[i+1]%4 + 1)}
+		if r.Type == RecBegin || r.Type == RecVotedYes {
+			r.Coord = types.SiteID(data[i+1] >> 2)
+			r.Participants = []types.SiteID{r.Coord, 9}
+			r.Writeset = types.Writeset{{Item: "x", Value: int64(data[i])}}
+		}
+		recs = append(recs, r)
+	}
+	return recs
+}
+
+// FuzzReplay: a View fed any record sequence, in any chunk split, answers
+// exactly Replay's state for every txn of every prefix it has seen (q for a
+// txn absent from it), and Replay never panics.
+func FuzzReplay(f *testing.F) {
+	var sample []byte
+	for _, r := range sampleRecords() {
+		sample = append(sample, byte(r.Type), byte(r.Txn-1))
+	}
+	f.Add(sample, uint64(0))
+	f.Add(sample, ^uint64(0))
+	f.Add([]byte{byte(RecVotedYes), 0, byte(RecCommit), 0, byte(RecAbort), 0, byte(RecPA), 0}, uint64(0b101))
+	f.Add([]byte{byte(RecPC), 1, byte(RecVotedYes), 1, byte(RecVotedNo), 1, byte(RecCommit), 1}, uint64(0b10))
+	f.Add([]byte{0, 2, 8, 2, 9, 3, byte(RecBegin), 3}, uint64(1))
+	f.Fuzz(func(t *testing.T, data []byte, cuts uint64) {
+		recs := fuzzRecords(data)
+		var v View
+		from := 0
+		for i := range recs {
+			// Bit i of cuts ends a chunk after record i; the last record
+			// always ends one.
+			if i < len(recs)-1 && cuts>>(i%64)&1 == 0 {
+				continue
+			}
+			v.Apply(recs[from : i+1]...)
+			from = i + 1
+			images := Replay(recs[:from])
+			for txn := types.TxnID(0); txn <= 5; txn++ {
+				want := types.StateInitial
+				if im := images[txn]; im != nil {
+					want = im.State
+				}
+				if got := v.State(txn); got != want {
+					t.Fatalf("after %d of %d records, View.State(%v) = %v, Replay says %v", from, len(recs), txn, got, want)
+				}
+			}
+		}
+	})
+}
+
 func TestFileLogRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "site1.wal")
 	l, err := OpenGroupLog(path)
