@@ -316,8 +316,10 @@ func (cl *Cluster) Begin(coord types.SiteID, ws types.Writeset) types.TxnID {
 		if cl.net.Down(coord) {
 			return
 		}
-		c := site.k.Begin(txn, ws, participants)
-		site.coords[txn] = c.Automaton(protocol.RoleCoordinator)
+		// A transaction aborted at Begin has no coordinator to remember.
+		if a := site.k.Begin(txn, ws, participants).Automaton(protocol.RoleCoordinator); a != nil {
+			site.coords[txn] = a
+		}
 	})
 	return txn
 }

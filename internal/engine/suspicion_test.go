@@ -7,6 +7,7 @@ import (
 
 	"qcommit/internal/core"
 	"qcommit/internal/protocol"
+	"qcommit/internal/protocols"
 	"qcommit/internal/sim"
 	"qcommit/internal/types"
 	"qcommit/internal/voting"
@@ -84,4 +85,65 @@ func prepareToCommitAt(t *testing.T, cfg Config, ws types.Writeset) (ptc, T sim.
 	}
 	t.Fatalf("seed %d: no PREPARE-TO-COMMIT in the fault-free run", cfg.Seed)
 	return 0, 0
+}
+
+// TestBeginAbortKeepsAtomicity: a coordinator that finds its own copy locked
+// aborts at Begin, before any VOTE-REQ leaves. Under all five protocols and
+// 20 delay seeds, a contended stream — three items, overlapping two-item
+// writesets, a new transaction every T from rotating coordinators — runs
+// through one coordinator crash (and restart) and one partition (and heal).
+// No run may violate atomicity or leave the stores inconsistent, and every
+// protocol must see Begin aborts, or the sweep did not exercise them.
+func TestBeginAbortKeepsAtomicity(t *testing.T) {
+	sites := []types.SiteID{1, 2, 3, 4, 5}
+	asg := voting.MustAssignment(
+		voting.Uniform("a", 3, 3, sites...),
+		voting.Uniform("b", 2, 2, 1, 2, 3),
+		voting.Uniform("c", 2, 2, 3, 4, 5),
+	)
+	pairs := []types.Writeset{
+		{{Item: "a", Value: 1}, {Item: "b", Value: 1}},
+		{{Item: "b", Value: 2}, {Item: "c", Value: 2}},
+		{{Item: "c", Value: 3}, {Item: "a", Value: 3}},
+	}
+	for _, spec := range protocols.Standard(sites) {
+		t.Run(spec.Name(), func(t *testing.T) {
+			t.Parallel()
+			atBegin, txns := 0, 0
+			outs := make(map[types.Outcome]int)
+			for seed := int64(1); seed <= 20; seed++ {
+				cl := New(Config{Seed: seed, Assignment: asg, Spec: spec})
+				T := sim.Time(cl.T())
+				cl.CrashAt(3*T, 1)
+				cl.RestartAt(9*T, 1)
+				cl.PartitionAt(5*T, []types.SiteID{1, 2}, []types.SiteID{3, 4, 5})
+				cl.HealAt(12 * T)
+				var ids []types.TxnID
+				for i := 0; i < 48; i++ {
+					ids = append(ids, cl.Begin(sites[i%len(sites)], pairs[i%len(pairs)]))
+					txns++
+					cl.RunFor(cl.T())
+				}
+				cl.Run()
+				for _, id := range ids {
+					outs[cl.GroupOutcome(id, sites)]++
+				}
+				if v := cl.Violations(); len(v) != 0 {
+					t.Fatalf("seed %d: violations %v", seed, v)
+				}
+				if issues := cl.CheckStores(); len(issues) != 0 {
+					t.Fatalf("seed %d: store issues %v", seed, issues)
+				}
+				for _, e := range cl.Recorder().Events() {
+					if !e.IsMessage() && strings.Contains(e.Text, "aborts at BEGIN") {
+						atBegin++
+					}
+				}
+			}
+			t.Logf("%d of %d transactions aborted at Begin; group outcomes %v", atBegin, txns, outs)
+			if atBegin == 0 {
+				t.Error("no transaction aborted at Begin")
+			}
+		})
+	}
 }

@@ -12,6 +12,7 @@ import (
 // pointer check, so the zero-value cluster pays nothing.
 type nodeMetrics struct {
 	begun      *obs.Counter   // transactions begun with this site as coordinator
+	begunAbort *obs.Counter   // of those, aborted at Begin on a locked local copy
 	committed  *obs.Counter   // local commit decisions applied
 	aborted    *obs.Counter   // local abort decisions applied
 	termRounds *obs.Counter   // termination-protocol election campaigns started
@@ -31,6 +32,7 @@ func newNodeMetrics(o *obs.Observer, site types.SiteID) *nodeMetrics {
 	l := func(name string) string { return fmt.Sprintf(`%s{site="%d"}`, name, site) }
 	return &nodeMetrics{
 		begun:      reg.Counter(l("qcommit_txns_begun_total")),
+		begunAbort: reg.Counter(l("qcommit_txns_begin_aborted_total")),
 		committed:  reg.Counter(l("qcommit_txns_committed_total")),
 		aborted:    reg.Counter(l("qcommit_txns_aborted_total")),
 		termRounds: reg.Counter(l("qcommit_term_rounds_total")),
@@ -43,6 +45,12 @@ func newNodeMetrics(o *obs.Observer, site types.SiteID) *nodeMetrics {
 func (m *nodeMetrics) onBegin() {
 	if m != nil {
 		m.begun.Inc()
+	}
+}
+
+func (m *nodeMetrics) onBeginAbort() {
+	if m != nil {
+		m.begunAbort.Inc()
 	}
 }
 

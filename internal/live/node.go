@@ -406,6 +406,9 @@ func (h *nodeHost) Observe(c *txnCtx, ev site.Event, at types.SiteID) {
 		if !c.X.sampled && n.spans.Sampled(uint64(c.ID)) {
 			c.X.sampled = true
 		}
+	case site.AbortedAtBegin:
+		n.met.onBeginAbort()
+		return
 	case site.TermRound:
 		n.met.onTermRound()
 	}

@@ -8,6 +8,7 @@ import (
 	"qcommit/internal/core"
 	"qcommit/internal/lockmgr"
 	"qcommit/internal/msg"
+	"qcommit/internal/obs"
 	"qcommit/internal/transport"
 	"qcommit/internal/transport/inproc"
 	"qcommit/internal/types"
@@ -94,11 +95,14 @@ func TestTerminalTxnRetired(t *testing.T) {
 		}
 	}()
 
-	// A foreign holder of z makes one site vote no: at site 2 the coordinator
-	// (site 1) hears the refusal from a peer, at site 1 from its own
-	// participant — which terminates site 1 before its coordinator has acted.
+	// A foreign holder of z dooms the round's transaction on z. At site 2 it
+	// makes site 2 vote no, and the coordinator (site 1) hears the refusal
+	// from a peer. At site 1 the coordinator finds its own copy locked and
+	// aborts at Begin: no VOTE-REQ leaves, so sites 2 and 3 never hear of it.
 	const foreign = types.TxnID(5000)
 	want := make(map[types.TxnID]types.Outcome)
+	atBegin := make(map[types.TxnID]bool)
+	var votedNo, abortedAtBegin types.TxnID // one abort of each kind
 	for round := 0; round < 10; round++ {
 		commit := cl.Begin(types.SiteID(1+round%3), types.Writeset{{Item: "x", Value: int64(round)}})
 		want[commit] = types.OutcomeCommitted
@@ -108,6 +112,11 @@ func TestTerminalTxnRetired(t *testing.T) {
 		}
 		abort := cl.Begin(1, types.Writeset{{Item: "z", Value: int64(round)}})
 		want[abort] = types.OutcomeAborted
+		if blocker == 1 {
+			atBegin[abort], abortedAtBegin = true, abort
+		} else {
+			votedNo = abort
+		}
 		for txn, o := range map[types.TxnID]types.Outcome{commit: types.OutcomeCommitted, abort: types.OutcomeAborted} {
 			// Two timeout units, not the 3T+ a participant left in doubt
 			// would need: every site must hear the decision from the
@@ -122,14 +131,13 @@ func TestTerminalTxnRetired(t *testing.T) {
 	time.Sleep(3*T + T/2) // past every 2T and 3T timer armed above
 
 	// Late questions about transactions long let go get the terminal answer.
-	var committed, aborted types.TxnID
+	var committed types.TxnID
 	for txn, o := range want {
 		if o == types.OutcomeCommitted {
 			committed = txn
-		} else {
-			aborted = txn
 		}
 	}
+	aborted := votedNo
 	cl.send(2, 1, msg.StateReq{Txn: committed, Coord: 2, Epoch: 77})
 	tap.await(t, "StateResp(committed)", func(e msg.Envelope) bool {
 		r, ok := e.Msg.(msg.StateResp)
@@ -149,6 +157,18 @@ func TestTerminalTxnRetired(t *testing.T) {
 	tap.await(t, "DecisionResp(abort)", func(e msg.Envelope) bool {
 		r, ok := e.Msg.(msg.DecisionResp)
 		return ok && e.From == 1 && e.To == 3 && r.Txn == aborted && r.Decision == types.DecisionAbort && !r.Uncommitted
+	})
+	// A transaction aborted at Begin: its coordinator has the outcome, and
+	// site 3, which never voted on it, is still in the initial state.
+	cl.send(2, 1, msg.StateReq{Txn: abortedAtBegin, Coord: 2, Epoch: 79})
+	tap.await(t, "StateResp(aborted) for the Begin abort", func(e msg.Envelope) bool {
+		r, ok := e.Msg.(msg.StateResp)
+		return ok && e.From == 1 && r.Txn == abortedAtBegin && r.Epoch == 79 && r.State == types.StateAborted
+	})
+	cl.send(2, 3, msg.StateReq{Txn: abortedAtBegin, Coord: 2, Epoch: 80})
+	tap.await(t, "StateResp(initial) for the Begin abort", func(e msg.Envelope) bool {
+		r, ok := e.Msg.(msg.StateResp)
+		return ok && e.From == 3 && r.Txn == abortedAtBegin && r.Epoch == 80 && r.State == types.StateInitial
 	})
 
 	// Crash and restart site 3: recovery resumes the one transaction its log
@@ -189,12 +209,60 @@ func TestTerminalTxnRetired(t *testing.T) {
 			if txn == inDoubt && id != 3 {
 				continue
 			}
+			if atBegin[txn] && id != 1 {
+				if got, ok := n.k.Outcome(txn); ok {
+					t.Errorf("site %d knows %s, aborted at Begin at site 1, as %v", id, txn, got)
+				}
+				continue
+			}
 			if got, ok := n.k.Outcome(txn); !ok || got != o {
 				t.Errorf("site %d remembers %s as %v (known=%v), want %v", id, txn, got, ok, o)
 			}
 		}
 		if held := n.locks.HeldCount(); held != 0 {
 			t.Errorf("site %d still holds %d locks", id, held)
+		}
+	}
+}
+
+// TestBeginAbortSendsNothing pins the live side of the abort before phase 1:
+// a transaction whose coordinator's own copy is locked puts no frame on the
+// wire, WaitOutcome reads it aborted well within T, and /metrics counts it
+// apart from the aborts that cost a round.
+func TestBeginAbortSendsNothing(t *testing.T) {
+	const T = time.Second
+	tap := &tapTransport{Transport: inproc.New(inproc.Options{MinDelay: 100 * time.Microsecond, MaxDelay: time.Millisecond, Seed: 7})}
+	ob := &obs.Observer{Registry: obs.NewRegistry()}
+	cl := New(Config{Assignment: asgn(), Spec: core.Spec{Variant: core.Protocol1}, TimeoutBase: T, Transport: tap, Obs: ob})
+	defer cl.Stop()
+
+	if err := cl.Node(1).locks.TryAcquire(5000, "x", lockmgr.Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	txn := cl.Begin(1, types.Writeset{{Item: "x", Value: 1}})
+	if got := cl.WaitOutcome(txn, T); got != types.OutcomeAborted {
+		t.Fatalf("outcome = %v, want aborted", got)
+	}
+	if took := time.Since(start); took > T/4 {
+		t.Errorf("WaitOutcome took %v, want well within T = %v", took, T)
+	}
+	time.Sleep(10 * time.Millisecond) // anything the abort sent has been handed to the fabric by now
+	tap.mu.Lock()
+	for _, e := range tap.sent {
+		if msg.TxnOf(e.Msg) == txn {
+			t.Errorf("frame on the wire: %s → %s %T", e.From, e.To, e.Msg)
+		}
+	}
+	tap.mu.Unlock()
+	snap := ob.Reg().Snapshot()
+	for name, want := range map[string]uint64{
+		"qcommit_txns_begun_total":         1,
+		"qcommit_txns_begin_aborted_total": 1,
+		"qcommit_txns_aborted_total":       1,
+	} {
+		if got := obs.SumCounters(snap, name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
 }

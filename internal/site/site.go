@@ -19,6 +19,9 @@
 //     terminator installation;
 //   - the per-transaction suspicion of the coordinator (Txn.coordSuspected),
 //     which automata read through Env.Suspected;
+//   - the coordinator's abort before phase 1: Begin aborts a transaction whose
+//     local copy is already locked, with one ABORT record and no frame (see
+//     Begin for why that is safe);
 //   - locking the local copies of a writeset, volatile recovery from the WAL
 //     image — including the outcome query a restarted site sends at once
 //     about every transaction it finds unresolved, which only a site holding
@@ -63,6 +66,9 @@ type Event uint8
 const (
 	// Begun: this site is about to start coordinating the transaction.
 	Begun Event = iota
+	// AbortedAtBegin: Begin found a local copy locked and aborts the
+	// transaction before any VOTE-REQ leaves.
+	AbortedAtBegin
 	// VoteRequested: the first VOTE-REQ arrived; the participant is about to
 	// be installed.
 	VoteRequested
@@ -275,9 +281,28 @@ func (k *Kernel[X]) Adopt(txn types.TxnID, ws types.Writeset, participants []typ
 
 // Begin starts coordinating txn at this site. ws and participants become the
 // kernel's.
+//
+// A coordinator that is one of the participants first reads its own lock
+// table: if a copy it holds of a written item is already locked, it aborts txn
+// on the spot through Decide — one ABORT record, no BEGIN, no frame, no timer,
+// no coordinator — and the context goes. This is safe under all five
+// protocols because nothing has left the site: no participant has voted or
+// locked anything, so nobody can be in doubt or have to terminate txn, and the
+// abort is the no vote this site's own participant would cast (any no vote
+// aborts, Figs. 2 and 9). The check only reads the lock table, so a
+// transaction that goes ahead locks exactly as before; a conflict that arises
+// after Begin still meets the participant's own no vote.
 func (k *Kernel[X]) Begin(txn types.TxnID, ws types.Writeset, participants []types.SiteID) *Txn[X] {
 	c := k.Adopt(txn, ws, participants, k.id)
 	k.h.Observe(c, Begun, k.id)
+	for _, w := range ws { // the copies lockCopies would lock
+		if k.cfg.Store.Has(w.Item) && k.cfg.Locks.Locked(w.Item) && slices.Contains(participants, k.id) {
+			k.h.Tracef("%s: %s aborts at BEGIN, its copy of %s is locked", txn, k.id, w.Item)
+			k.h.Observe(c, AbortedAtBegin, k.id)
+			k.Decide(txn, types.OutcomeAborted)
+			return c
+		}
+	}
 	k.install(c, protocol.RoleCoordinator, k.cfg.Spec.NewCoordinator(txn, ws, participants))
 	return c
 }

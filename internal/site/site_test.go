@@ -2,6 +2,7 @@ package site
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"qcommit/internal/core"
@@ -660,8 +661,8 @@ func TestConflictVotesNoAtOnce(t *testing.T) {
 func TestCrashClearsPromisesAndStopsTimers(t *testing.T) {
 	k, h := newKernel(1)
 	k.Handle(from(2, msg.StateReq{Txn: 50})) // promise
-	k.Handle(from(2, voteX(51)))             // in doubt, patience timer armed
 	k.Begin(52, types.Writeset{{Item: "x", Value: 1}}, both)
+	k.Handle(from(2, voteX(51))) // in doubt, patience timer armed; holds x
 	h.take()
 	if len(h.pending()) == 0 || !k.promised[50] {
 		t.Fatal("setup armed no timers or recorded no promise")
@@ -940,10 +941,11 @@ func TestRetire(t *testing.T) {
 
 	t.Run("coordinator outlives its own no vote", func(t *testing.T) {
 		k, h := newKernel(1)
+		k.Begin(2, wsX, both)
+		// The conflict arises after Begin, so the VOTE-REQ goes out.
 		if err := k.cfg.Locks.TryAcquire(99, "x", lockmgr.Exclusive); err != nil {
 			t.Fatal(err)
 		}
-		k.Begin(2, wsX, both)
 		// Deliver the VOTE-REQ to the site's own participant, which must refuse.
 		h.pump(func(e msg.Envelope) bool {
 			_, isVote := e.Msg.(msg.VoteResp)
@@ -974,4 +976,92 @@ func TestRetire(t *testing.T) {
 			t.Errorf("%d contexts left after the coordinator finished", k.Len())
 		}
 	})
+}
+
+// TestBeginAbortsOnLockedLocalCopy pins the coordinator's abort before phase
+// 1: a Begin whose own copy of a written item is locked by another
+// transaction decides abort within the call, and nothing of the transaction
+// leaves the site or outlives the call but its ABORT record and its outcome.
+func TestBeginAbortsOnLockedLocalCopy(t *testing.T) {
+	wsXY := types.Writeset{{Item: "x", Value: 1}, {Item: "y", Value: 2}}
+	for _, mode := range []lockmgr.Mode{lockmgr.Exclusive, lockmgr.Shared} {
+		t.Run(mode.String(), func(t *testing.T) {
+			k, h := newKernel(1)
+			locks := k.cfg.Locks
+			if err := locks.TryAcquire(99, "y", mode); err != nil {
+				t.Fatal(err)
+			}
+			k.Begin(7, wsXY, both)
+			if o, ok := k.Outcome(7); !ok || o != types.OutcomeAborted || h.decided[7] != types.OutcomeAborted {
+				t.Fatalf("outcome after Begin = %v (known=%v), decided %v; want aborted", o, ok, h.decided[7])
+			}
+			if len(h.log) != 1 || h.log[0].Type != wal.RecAbort || h.log[0].Txn != 7 {
+				t.Errorf("log = %v, want one ABORT and no BEGIN", h.log)
+			}
+			if len(h.sent) != 0 || len(h.timers) != 0 {
+				t.Errorf("%d frames sent and %d timers armed, want none", len(h.sent), len(h.timers))
+			}
+			if k.Txn(7) != nil || k.Len() != 0 {
+				t.Errorf("context kept (%d held): no coordinator should outlive the call", k.Len())
+			}
+			if locks.HeldCount() != 1 || !locks.LockedBy(99, "y") || locks.Locked("x") {
+				t.Errorf("lock table moved: %d held, 99 holds y = %v, x locked = %v",
+					locks.HeldCount(), locks.LockedBy(99, "y"), locks.Locked("x"))
+			}
+			if h.count(Begun) != 1 || h.count(AbortedAtBegin) != 1 || h.slotAt[7] != "begun here" {
+				t.Errorf("events %v, slot %q: want Begun then AbortedAtBegin on the one context", h.events, h.slotAt[7])
+			}
+			if len(h.traces) != 1 || !strings.Contains(h.traces[0], "y") {
+				t.Errorf("traces %q, want one naming the locked item y", h.traces)
+			}
+		})
+	}
+
+	// goesAhead asserts txn was begun the ordinary way: BEGIN forced, a
+	// VOTE-REQ to every participant, a coordinator installed.
+	goesAhead := func(t *testing.T, k *Kernel[string], h *fakeHost, txn types.TxnID) []msg.Envelope {
+		t.Helper()
+		sent := h.take()
+		var reqs int
+		for _, e := range sent {
+			if _, ok := e.Msg.(msg.VoteReq); ok {
+				reqs++
+			}
+		}
+		if len(h.log) != 1 || h.log[0].Type != wal.RecBegin || reqs != len(both) {
+			t.Errorf("log %v and %d VOTE-REQs, want BEGIN and %d", h.log, reqs, len(both))
+		}
+		if c := k.Txn(txn); c == nil || c.Automaton(protocol.RoleCoordinator) == nil || h.count(AbortedAtBegin) != 0 {
+			t.Error("no coordinator installed")
+		}
+		return sent
+	}
+
+	t.Run("a lock held only at a remote site", func(t *testing.T) {
+		k, h := newKernel(1)
+		remote, rh := newKernel(2)
+		if err := remote.cfg.Locks.TryAcquire(99, "x", lockmgr.Exclusive); err != nil {
+			t.Fatal(err)
+		}
+		k.Begin(8, wsX, both)
+		for _, e := range goesAhead(t, k, h, 8) {
+			if e.To == 2 {
+				remote.Handle(e)
+			}
+		}
+		if v, ok := voteOf(rh.take(), 8); !ok || v != types.VoteNo {
+			t.Errorf("remote site voted %v (sent=%v), want no: its own copy is locked", v, ok)
+		}
+	})
+
+	t.Run("a coordinator holding no copy", func(t *testing.T) {
+		k, h := newKernel(3)
+		if err := k.cfg.Locks.TryAcquire(99, "x", lockmgr.Exclusive); err != nil {
+			t.Fatal(err)
+		}
+		k.Begin(9, wsX, both)
+		goesAhead(t, k, h, 9)
+	})
+	// A conflict that arises after Begin meets the participant's own no
+	// vote: TestRetire/coordinator_outlives_its_own_no_vote.
 }
