@@ -7,7 +7,6 @@ import (
 	"qcommit/internal/protocol"
 	"qcommit/internal/protocols"
 	"qcommit/internal/quorumcalc"
-	"qcommit/internal/twopc"
 )
 
 // StandardBuilders returns the five protocol columns every comparison table
@@ -24,15 +23,11 @@ func StandardBuilders() []SpecBuilder {
 }
 
 // deciderFor derives the analytic decision kernel equivalent to the spec's
-// termination automaton: the fold of its rule table for the three-phase
-// protocols (core.Spec), 2PC's own decider for 2PC.
+// termination automaton: the fold of its rule table.
 func deciderFor(spec protocol.Spec, sc Scenario) (quorumcalc.Decider, error) {
-	switch s := spec.(type) {
-	case twopc.Spec:
-		return quorumcalc.TwoPC(), nil
-	case core.Spec:
-		return s.Rule(sc.Items, sc.Participants).Outcome, nil
-	default:
+	s, ok := spec.(core.Spec)
+	if !ok {
 		return nil, fmt.Errorf("avail: %s has no analytic decider; use EngineReplay", spec.Name())
 	}
+	return s.Rule(sc.Items, sc.Participants).Outcome, nil
 }

@@ -246,7 +246,7 @@ const (
 	// EngineAnalytic computes each trial's Counts by pure quorum arithmetic
 	// (package quorumcalc) — no simulation. Differential tests pin it
 	// count-for-count to EngineReplay. The arithmetic reads the rule table
-	// of the very spec Build returns, so it supports 2PC and core.Spec.
+	// of the very spec Build returns, so it supports every core.Spec.
 	EngineAnalytic
 )
 

@@ -61,7 +61,6 @@ import (
 	"qcommit/internal/sim"
 	"qcommit/internal/simnet"
 	"qcommit/internal/storage"
-	"qcommit/internal/twopc"
 	"qcommit/internal/types"
 )
 
@@ -104,35 +103,6 @@ func messageDelay(seed int64, from, to types.SiteID, at sim.Time) sim.Duration {
 func delayModel(seed int64) func(from, to types.SiteID, at sim.Time) sim.Duration {
 	return func(from, to types.SiteID, at sim.Time) sim.Duration {
 		return messageDelay(seed, from, to, at)
-	}
-}
-
-// protoModel is the analytic mirror of one protocol's coordinator: how a
-// decision is reached when every participant is reachable, lock-free, and
-// therefore votes yes. Specs without a model (nil) replay every transaction.
-type protoModel struct {
-	// twoPhase marks 2PC: commit on the last yes vote, no ack phase.
-	twoPhase bool
-	// ruled yields, for the three-phase protocols, the rule table the
-	// transaction's coordinator and terminator would run: its fold
-	// sanity-gates the commit over the all-participants-prepared tally, its
-	// ack quorum ends the walk over the PC-ack arrivals, and it says whether
-	// an expired ack window commits (3PC) or terminates — which the analytic
-	// path refuses to model and hands to replay.
-	ruled core.Spec
-}
-
-// protoModelFor derives the analytic model from a built spec; an unknown spec
-// gets no model and the hybrid engine degrades to pure replay in the shared
-// world.
-func protoModelFor(spec protocol.Spec) *protoModel {
-	switch s := spec.(type) {
-	case twopc.Spec:
-		return &protoModel{twoPhase: true}
-	case core.Spec:
-		return &protoModel{ruled: s}
-	default:
-		return nil
 	}
 }
 
@@ -187,11 +157,19 @@ func conflictClusters(arrivals []arrival, window sim.Duration) []bool {
 // hybridRun is the per-(run, protocol) state of one hybrid evaluation,
 // including the scratch reused across arrivals.
 type hybridRun struct {
-	sc      *script
-	params  Params
-	seed    int64
-	spec    protocol.Spec
-	model   *protoModel
+	sc     *script
+	params Params
+	seed   int64
+	spec   protocol.Spec
+	// ruled is spec when it is a core.Spec, the analytic mirror of its
+	// coordinator when every participant is reachable, lock-free and
+	// therefore votes yes: its rule's fold sanity-gates the commit over the
+	// all-participants-prepared tally, its ack quorum ends the walk over the
+	// PC-ack arrivals, and it says whether the coordinator prepares at all
+	// (2PC commits on the last yes vote) and whether an expired ack window
+	// commits (3PC) or terminates — which the analytic path refuses to model
+	// and hands to replay. Without it every transaction is replayed.
+	ruled   *core.Spec
 	multi   []bool
 	plans   []arrivalPlan
 	T       sim.Duration
@@ -384,10 +362,12 @@ func executeRunHybrid(sc *script, params Params, seed int64, spec protocol.Spec)
 		params:   params,
 		seed:     seed,
 		spec:     spec,
-		model:    protoModelFor(spec),
 		multi:    sc.hybridMulti,
 		plans:    sc.hybridPlans,
 		worldTxn: make([]types.TxnID, len(sc.arrivals)),
+	}
+	if s, ok := spec.(core.Spec); ok {
+		h.ruled = &s
 	}
 
 	var st runStats
@@ -541,7 +521,7 @@ func (h *hybridRun) ensureWorld() {
 // the live lock probe against its fallback world, the rule-table gate, and
 // the ack-quorum walk.
 func (h *hybridRun) classify(i int, a *arrival, p *arrivalPlan) (committed bool, decidedAt sim.Time, ok bool) {
-	if h.model == nil || h.multi[i] || !p.windowOK {
+	if h.ruled == nil || h.multi[i] || !p.windowOK {
 		return false, 0, false
 	}
 
@@ -564,14 +544,14 @@ func (h *hybridRun) classify(i int, a *arrival, p *arrivalPlan) (committed bool,
 		// timeout.
 		return false, p.abortAt, true
 	}
-	if h.model.twoPhase {
+	rule := h.ruled.Rule(p.items, a.Participants)
+	if !rule.Prepares() {
 		return true, p.commitAt, true
 	}
 
 	// Three-phase protocols: sanity-gate the commit through the fold of the
 	// protocol's rule table over the all-participants-prepared tally, then
 	// walk the PC-ack arrivals until its ack quorum is reached.
-	rule := h.model.ruled.Rule(p.items, a.Participants)
 	h.tally.Reset()
 	for _, s := range a.Participants {
 		h.tally.Add(s, types.StatePC)

@@ -171,6 +171,9 @@ func TestSpecNames(t *testing.T) {
 	if (Spec{Variant: Protocol2}).Name() != "QC2" {
 		t.Errorf("protocol 2 name = %q", (Spec{Variant: Protocol2}).Name())
 	}
+	if (Spec{Variant: TwoPC}).Name() != "2PC" || TwoPC.String() != "2PC" {
+		t.Errorf("2PC name = %q, variant string = %q", (Spec{Variant: TwoPC}).Name(), TwoPC.String())
+	}
 	if Protocol1.String() != "protocol 1" {
 		t.Errorf("variant string = %q", Protocol1.String())
 	}

@@ -1,7 +1,8 @@
 // Package core implements the paper's contribution: the quorum-based commit
 // protocols (CP1, CP2; Fig. 9) and termination protocols (TP1, Fig. 5; TP2,
-// Fig. 8) of Huang & Li, ICDE 1988, and the two baselines sharing their
-// automata: Skeen's 3PC (Fig. 2) and Skeen's quorum-based protocol (ref. [16]).
+// Fig. 8) of Huang & Li, ICDE 1988, and the three baselines sharing their
+// automata: two-phase commit (Fig. 1), Skeen's 3PC (Fig. 2) and Skeen's
+// quorum-based protocol (ref. [16]).
 //
 // Unlike Skeen's quorum-based protocol, which counts quorums in opaque
 // per-site votes, these protocols count the *replica* votes of the weighted
@@ -12,7 +13,10 @@
 // partition that will be able to serve an item after termination is much
 // more likely to be able to terminate — the paper's availability gain
 // (Example 1). 3PC's rule demands no quorum at all: safe under site
-// failures, inconsistent under partitioning (Example 2).
+// failures, inconsistent under partitioning (Example 2). 2PC is 3PC without
+// the buffer state: its coordinator sends COMMIT on the last yes vote, and its
+// cooperative termination rule is the same ladder with quorums that never
+// hold, so a poll that finds every reachable participant in W blocks.
 //
 // The matching commit protocols let the coordinator send COMMIT before all
 // PC-ACKs arrive: CP1 once the ACKs carry w(x) votes for every x (an abort
@@ -20,8 +24,8 @@
 // some x. CP2 therefore commits faster than CP1, which commits faster than
 // plain 3PC.
 //
-// All four are rule tables declared in package quorumcalc (TP1Rule, TP2Rule,
-// SkeenRule, ThreePCRule) run by package threephase's participant,
+// All five are rule tables declared in package quorumcalc (TP1Rule, TP2Rule,
+// SkeenRule, ThreePCRule, TwoPCRule) run by package threephase's participant,
 // coordinator and terminator. Spec's Variant only selects the table.
 package core
 
@@ -36,10 +40,11 @@ import (
 	"qcommit/internal/wal"
 )
 
-// Variant selects one of the four three-phase protocols.
+// Variant selects one of the five protocols.
 type Variant int
 
-// Variants. The zero Variant is Protocol1.
+// Variants. The zero Variant is Protocol1; any other value outside these
+// fails Validate.
 const (
 	// Protocol1 is CP1 + TP1 (Figs. 5 and 9).
 	Protocol1 Variant = 1
@@ -49,10 +54,12 @@ const (
 	ThreePC Variant = 3
 	// SkeenQ is Skeen's quorum-based commit protocol over Spec's site votes.
 	SkeenQ Variant = 4
+	// TwoPC is two-phase commit (Fig. 1) with cooperative termination.
+	TwoPC Variant = 5
 )
 
-// Spec is a three-phase commit and termination protocol: the paper's
-// protocol 1 or 2, 3PC, or Skeen's quorum protocol.
+// Spec is a commit and termination protocol: the paper's protocol 1 or 2,
+// 3PC, Skeen's quorum protocol, or 2PC.
 type Spec struct {
 	// Variant selects the protocol. Defaults to Protocol1.
 	Variant Variant
@@ -98,15 +105,21 @@ func Uniform(sites []types.SiteID, vc, va int) Spec {
 func PerTransaction() Spec { return Spec{Variant: SkeenQ, perTransaction: true} }
 
 func (s Spec) variant() Variant {
-	if s.Variant < Protocol2 || s.Variant > SkeenQ {
+	if s.Variant == 0 {
 		return Protocol1
 	}
 	return s.Variant
 }
 
-// Validate checks that only SkeenQ carries site votes and quorums, and
-// SkeenQ's quorum-intersection constraint Vc + Va > V.
+// known reports whether the Spec's Variant is one of the five.
+func (s Spec) known() bool { return s.variant() >= Protocol1 && s.variant() <= TwoPC }
+
+// Validate checks that the Variant is known, that only SkeenQ carries site
+// votes and quorums, and SkeenQ's quorum-intersection constraint Vc + Va > V.
 func (s Spec) Validate() error {
+	if !s.known() {
+		return fmt.Errorf("core: unknown variant %d", int(s.Variant))
+	}
 	if s.variant() != SkeenQ || s.perTransaction {
 		if s.Votes != nil || s.Vc != 0 || s.Va != 0 {
 			return fmt.Errorf("core: %s takes no site votes or quorums (Vc=%d Va=%d)", s.Name(), s.Vc, s.Va)
@@ -132,22 +145,30 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-var names = [...]string{Protocol1: "QC1", Protocol2: "QC2", ThreePC: "3PC", SkeenQ: "SkeenQ"}
+var names = [...]string{Protocol1: "QC1", Protocol2: "QC2", ThreePC: "3PC", SkeenQ: "SkeenQ", TwoPC: "2PC"}
 
 // Name implements protocol.Spec.
-func (s Spec) Name() string { return names[s.variant()] }
+func (s Spec) Name() string {
+	if !s.known() {
+		return fmt.Sprintf("Variant(%d)", int(s.Variant))
+	}
+	return names[s.variant()]
+}
 
 // Rule returns the table the coordinator and terminator run for a
 // transaction writing items at participants — TP1 with commit protocol 1,
 // TP2 with commit protocol 2, site votes ≥ Vc to commit and ≥ Va to abort
-// for SkeenQ, or 3PC's site-failure rule. It is also all the analytic
-// engines need to decide the transaction's fate without replaying it.
+// for SkeenQ, 3PC's site-failure rule, or 2PC's cooperative rule. It is also
+// all the analytic engines need to decide the transaction's fate without
+// replaying it.
 func (s Spec) Rule(items []types.ItemID, participants []types.SiteID) quorumcalc.Rule {
 	switch s.variant() {
 	case Protocol2:
 		return quorumcalc.TP2Rule(items)
 	case ThreePC:
 		return quorumcalc.ThreePCRule(len(participants))
+	case TwoPC:
+		return quorumcalc.TwoPCRule()
 	case SkeenQ:
 		if s.perTransaction {
 			vc, va := Majority(len(participants))
@@ -159,7 +180,8 @@ func (s Spec) Rule(items []types.ItemID, participants []types.SiteID) quorumcalc
 }
 
 // NewCoordinator implements protocol.Spec: COMMIT goes out once the PC-ACKs
-// satisfy the rule's ack quorum (Fig. 9's early commit; all of them for 3PC).
+// satisfy the rule's ack quorum (Fig. 9's early commit; all of them for 3PC),
+// or on the last yes vote for 2PC.
 func (s Spec) NewCoordinator(txn types.TxnID, ws types.Writeset, participants []types.SiteID) protocol.Automaton {
 	return threephase.NewCoordinator(txn, ws, participants, s.Rule(ws.Items(), participants))
 }
@@ -175,9 +197,9 @@ func (s Spec) NewTerminator(txn types.TxnID, ws types.Writeset, participants []t
 }
 
 // String implements fmt.Stringer: "protocol 1" or "protocol 2" for the
-// paper's pair, the protocol's name for the two baselines.
+// paper's pair, the protocol's name for the three baselines.
 func (v Variant) String() string {
-	if v == ThreePC || v == SkeenQ {
+	if v == ThreePC || v == SkeenQ || v == TwoPC {
 		return names[v]
 	}
 	return fmt.Sprintf("protocol %d", int(v))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"qcommit/internal/protocoltest"
@@ -31,7 +32,7 @@ func TestValidate(t *testing.T) {
 	}
 	// Site votes and quorums belong to SkeenQ alone; the other variants
 	// refuse them instead of ignoring them.
-	for _, v := range []Variant{0, Protocol1, Protocol2, ThreePC} {
+	for _, v := range []Variant{0, Protocol1, Protocol2, ThreePC, TwoPC} {
 		if err := (Spec{Variant: v}).Validate(); err != nil {
 			t.Errorf("%v without site votes refused: %v", v, err)
 		}
@@ -41,6 +42,17 @@ func TestValidate(t *testing.T) {
 		if err := (Spec{Variant: v, Vc: 5, Va: 4}).Validate(); err == nil {
 			t.Errorf("%v with site quorums accepted", v)
 		}
+	}
+	// A Variant outside the five fails and is named after no protocol; only
+	// the zero value defaults to QC1.
+	for _, v := range []Variant{-1, 6, 99} {
+		s := Spec{Variant: v}
+		if err := s.Validate(); err == nil || slices.Contains(names[:], s.Name()) {
+			t.Errorf("variant %d: Validate = %v, Name = %q; want an error and no protocol's name", int(v), err, s.Name())
+		}
+	}
+	if err := (Spec{}).Validate(); err != nil || (Spec{}).Name() != "QC1" {
+		t.Errorf("zero Spec: %q, %v; want a valid QC1", (Spec{}).Name(), err)
 	}
 }
 

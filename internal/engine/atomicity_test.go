@@ -8,7 +8,6 @@ import (
 	"qcommit/internal/protocol"
 	"qcommit/internal/sim"
 	"qcommit/internal/simnet"
-	"qcommit/internal/twopc"
 	"qcommit/internal/types"
 	"qcommit/internal/voting"
 )
@@ -92,7 +91,7 @@ func randomSchedule(t testing.TB, spec protocol.Spec, seed int64, loss, dup floa
 // protocols ever terminates a transaction inconsistently.
 func TestAtomicityUnderRandomFailureSchedules(t *testing.T) {
 	specs := []protocol.Spec{
-		twopc.Spec{},
+		core.Spec{Variant: core.TwoPC},
 		core.Uniform([]types.SiteID{1, 2, 3, 4, 5, 6, 7, 8}, 5, 4),
 		core.Spec{Variant: core.Protocol1},
 		core.Spec{Variant: core.Protocol2},

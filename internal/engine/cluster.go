@@ -578,7 +578,8 @@ func (cl *Cluster) FirstDecisionAt(txn types.TxnID) (sim.Time, bool) {
 
 // AcksAtDecision reports how many PC-ACKs the commit coordinator hosted at
 // the given site had collected when it decided to commit txn, and whether
-// such a coordinator exists. Plain 2PC coordinators report false.
+// such a coordinator exists. A 2PC coordinator, which sends COMMIT on the
+// last yes vote, reports 0.
 func (cl *Cluster) AcksAtDecision(id types.SiteID, txn types.TxnID) (int, bool) {
 	counter, ok := cl.sites[id].coords[txn].(interface{ AcksAtDecision() int })
 	if !ok {

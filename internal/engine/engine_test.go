@@ -5,7 +5,6 @@ import (
 
 	"qcommit/internal/core"
 	"qcommit/internal/protocol"
-	"qcommit/internal/twopc"
 	"qcommit/internal/types"
 	"qcommit/internal/voting"
 )
@@ -28,7 +27,7 @@ func paperAssignment(t testing.TB) *voting.Assignment {
 func allSpecs() []protocol.Spec {
 	sites := []types.SiteID{1, 2, 3, 4, 5, 6, 7, 8}
 	return []protocol.Spec{
-		twopc.Spec{},
+		core.Spec{Variant: core.TwoPC},
 		core.Spec{Variant: core.ThreePC},
 		core.Uniform(sites, 5, 4),
 		core.Spec{Variant: core.Protocol1},

@@ -7,7 +7,6 @@ import (
 	"qcommit/internal/core"
 	"qcommit/internal/protocol"
 	"qcommit/internal/sim"
-	"qcommit/internal/twopc"
 	"qcommit/internal/types"
 )
 
@@ -33,7 +32,7 @@ func TestCrashGridAllProtocolsAllPhases(t *testing.T) {
 		{"participant", 6},
 	}
 	specs := []protocol.Spec{
-		twopc.Spec{},
+		core.Spec{Variant: core.TwoPC},
 		core.Uniform([]types.SiteID{1, 2, 3, 4, 5, 6, 7, 8}, 5, 4),
 		core.Spec{Variant: core.Protocol1},
 		core.Spec{Variant: core.Protocol2},

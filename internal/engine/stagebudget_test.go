@@ -9,7 +9,6 @@ import (
 	"qcommit/internal/protocol"
 	"qcommit/internal/sim"
 	"qcommit/internal/trace"
-	"qcommit/internal/twopc"
 	"qcommit/internal/types"
 	"qcommit/internal/voting"
 )
@@ -26,8 +25,7 @@ import (
 //	election  0T      every survivor suspects the silent coordinator, so no
 //	                  candidate waits for it to claim the role
 //	collect   < 2T    ends on the last surviving participant's reply: the
-//	                  poll does not wait for the suspect (2PC's cooperative
-//	                  poll reads no suspicion and waits out its 2T window)
+//	                  poll does not wait for the suspect
 //	confirm   < 2T    two hops: PREPARE out, the ack that confirms the quorum back
 //	rejoin    ≤ 2T    two hops after the restart: the restarted site's
 //	                  OUTCOME-REQ out, a survivor's COMMIT/ABORT back; it
@@ -39,7 +37,7 @@ import (
 func TestTerminationStageBudget(t *testing.T) {
 	sites := []types.SiteID{1, 2, 3, 4, 5}
 	specs := []protocol.Spec{
-		twopc.Spec{},
+		core.Spec{Variant: core.TwoPC},
 		core.Spec{Variant: core.ThreePC},
 		core.Uniform(sites, 3, 3),
 		core.Spec{Variant: core.Protocol1},
@@ -82,35 +80,29 @@ func TestTerminationStageBudget(t *testing.T) {
 			}
 			name := fmt.Sprintf("%s, site%d crashed", spec.Name(), crashed)
 
-			patience := must("patience expiry", "invoking termination", "starting cooperative termination").At
+			patience := must("patience expiry", "invoking termination").At
 			winner := must("election win", "wins for")
 			won := winner.At
-			polls := must("poll", "polls states", "polls decisions").At
-			tallied := must("poll close", "tallied", "2PC blocks").At
+			polls := must("poll", "polls states").At
+			tallied := must("poll close", "tallied").At
 			if patience != sim.Time(3*T) {
 				t.Errorf("%s: patience expired at %.2f T, want 3 T", name, inT(patience))
 			}
 			if won != patience || polls != won {
 				t.Errorf("%s: election took %.2f T (poll %.2f T after it), want 0 T", name, inT(won-patience), inT(polls-won))
 			}
-			if spec.Name() == "2PC" {
-				if tallied-polls != sim.Time(2*T) {
-					t.Errorf("%s: collect took %.2f T, want the full 2 T window (the cooperative poll waits for the dead site)", name, inT(tallied-polls))
+			// The poll closes on the last survivor's reply, before its window
+			// would have run out on the dead coordinator.
+			var last sim.Time
+			for _, e := range cl.Recorder().Events() {
+				if e.IsMessage() && e.Label == "STATE-RESP" && e.To == winner.Site && e.At <= tallied {
+					last = e.At
 				}
-			} else {
-				// The poll closes on the last survivor's reply, before its
-				// window would have run out on the dead coordinator.
-				var last sim.Time
-				for _, e := range cl.Recorder().Events() {
-					if e.IsMessage() && e.Label == "STATE-RESP" && e.To == winner.Site && e.At <= tallied {
-						last = e.At
-					}
-				}
-				closed, ok := first("collect closed: all unsuspected answered at 4/5")
-				if !ok || closed.At != tallied || last != tallied || tallied-polls >= sim.Time(2*T) {
-					t.Errorf("%s: collect took %.2f T (last reply at %.2f T, closed early=%v), want it to end on the last survivor's reply, under 2 T",
-						name, inT(tallied-polls), inT(last-polls), ok)
-				}
+			}
+			closed, ok := first("collect closed: all unsuspected answered at 4/5")
+			if !ok || closed.At != tallied || last != tallied || tallied-polls >= sim.Time(2*T) {
+				t.Errorf("%s: collect took %.2f T (last reply at %.2f T, closed early=%v), want it to end on the last survivor's reply, under 2 T",
+					name, inT(tallied-polls), inT(last-polls), ok)
 			}
 
 			row := fmt.Sprintf("%-7s site%-3d %9.2f %9.2f %9.2f", spec.Name(), crashed, inT(patience), inT(won-patience), inT(tallied-polls))

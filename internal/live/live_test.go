@@ -10,7 +10,6 @@ import (
 	"qcommit/internal/msg"
 	"qcommit/internal/protocol"
 	"qcommit/internal/transport/inproc"
-	"qcommit/internal/twopc"
 	"qcommit/internal/types"
 	"qcommit/internal/voting"
 )
@@ -25,7 +24,7 @@ func asgn() *voting.Assignment {
 func specs() []protocol.Spec {
 	sites := []types.SiteID{1, 2, 3, 4, 5, 6, 7, 8}
 	return []protocol.Spec{
-		twopc.Spec{},
+		core.Spec{Variant: core.TwoPC},
 		core.Spec{Variant: core.ThreePC},
 		core.Uniform(sites, 5, 4),
 		core.Spec{Variant: core.Protocol1},

@@ -88,7 +88,7 @@ type Node struct {
 	// view is not the kernel's own outcome record: view learns an outcome
 	// only when the fsync lands and is read by client goroutines under
 	// viewMu; the kernel's is written at the decision and touched only by
-	// the event loop. A StateReq or DecisionReq that arrives inside that
+	// the event loop. A StateReq or OutcomeReq that arrives inside that
 	// fsync window must already see the decision, and answering from view
 	// would cost every protocol message a mutex.
 	viewMu sync.Mutex

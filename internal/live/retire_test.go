@@ -148,15 +148,15 @@ func TestTerminalTxnRetired(t *testing.T) {
 		r, ok := e.Msg.(msg.StateResp)
 		return ok && e.From == 3 && r.Txn == aborted && r.Epoch == 78 && r.State == types.StateAborted
 	})
-	cl.send(3, 2, msg.DecisionReq{Txn: committed})
-	tap.await(t, "DecisionResp(commit)", func(e msg.Envelope) bool {
-		r, ok := e.Msg.(msg.DecisionResp)
-		return ok && e.From == 2 && e.To == 3 && r.Txn == committed && r.Decision == types.DecisionCommit && !r.Uncommitted
+	cl.send(3, 2, msg.StateReq{Txn: committed, Coord: 3, Epoch: 81})
+	tap.await(t, "StateResp(committed) from a participant", func(e msg.Envelope) bool {
+		r, ok := e.Msg.(msg.StateResp)
+		return ok && e.From == 2 && e.To == 3 && r.Txn == committed && r.Epoch == 81 && r.State == types.StateCommitted
 	})
-	cl.send(3, 1, msg.DecisionReq{Txn: aborted})
-	tap.await(t, "DecisionResp(abort)", func(e msg.Envelope) bool {
-		r, ok := e.Msg.(msg.DecisionResp)
-		return ok && e.From == 1 && e.To == 3 && r.Txn == aborted && r.Decision == types.DecisionAbort && !r.Uncommitted
+	cl.send(3, 1, msg.StateReq{Txn: aborted, Coord: 3, Epoch: 82})
+	tap.await(t, "StateResp(aborted) from the coordinator", func(e msg.Envelope) bool {
+		r, ok := e.Msg.(msg.StateResp)
+		return ok && e.From == 1 && e.To == 3 && r.Txn == aborted && r.Epoch == 82 && r.State == types.StateAborted
 	})
 	// A transaction aborted at Begin: its coordinator has the outcome, and
 	// site 3, which never voted on it, is still in the initial state.

@@ -26,7 +26,7 @@ var (
 	ErrBadKind     = errors.New("msg: unknown message kind")
 	ErrTruncated   = errors.New("msg: truncated body")
 	ErrTrailing    = errors.New("msg: trailing bytes after body")
-	// ErrBadValue reports a State, Vote or Decision byte outside the defined
+	// ErrBadValue reports a State or Vote byte outside the defined
 	// values. Automata index tables by these, so a peer must not be able to
 	// plant an undefined one.
 	ErrBadValue = errors.New("msg: undefined enumeration value")
@@ -201,16 +201,6 @@ func AppendMarshal(dst []byte, m Message) ([]byte, error) {
 		w.uvarint(uint64(v.Txn))
 		w.uvarint(uint64(v.Epoch))
 		w.u8(uint8(v.State))
-	case DecisionReq:
-		w.uvarint(uint64(v.Txn))
-	case DecisionResp:
-		w.uvarint(uint64(v.Txn))
-		w.u8(uint8(v.Decision))
-		if v.Uncommitted {
-			w.u8(1)
-		} else {
-			w.u8(0)
-		}
 	case ElectionCall:
 		w.uvarint(uint64(v.Txn))
 		w.uvarint(v.Ballot)
@@ -322,14 +312,6 @@ func Unmarshal(frame []byte) (Message, error) {
 	case KindStateResp:
 		v := StateResp{Txn: types.TxnID(r.uvarint()), Epoch: uint32(r.uvarint()), State: types.State(r.byte())}
 		if !v.State.Valid() {
-			r.fail(ErrBadValue)
-		}
-		m = v
-	case KindDecisionReq:
-		m = DecisionReq{Txn: types.TxnID(r.uvarint())}
-	case KindDecisionResp:
-		v := DecisionResp{Txn: types.TxnID(r.uvarint()), Decision: types.Decision(r.byte()), Uncommitted: r.byte() == 1}
-		if !v.Decision.Valid() {
 			r.fail(ErrBadValue)
 		}
 		m = v

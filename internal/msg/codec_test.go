@@ -1,7 +1,9 @@
 package msg
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -27,9 +29,6 @@ func allMessages() []Message {
 		Done{Txn: 7},
 		StateReq{Txn: 7, Coord: 3, Epoch: 12},
 		StateResp{Txn: 7, Epoch: 12, State: types.StatePA},
-		DecisionReq{Txn: 7},
-		DecisionResp{Txn: 7, Decision: types.DecisionCommit},
-		DecisionResp{Txn: 7, Uncommitted: true},
 		ElectionCall{Txn: 7, Ballot: 1<<40 | 3, Candidate: 3},
 		ElectionOK{Txn: 7, Ballot: 99},
 		CoordAnnounce{Txn: 7, Ballot: 99, Coord: 2},
@@ -103,6 +102,52 @@ func TestCodecUnknownKind(t *testing.T) {
 		t.Error("marshalling an unknown concrete type should fail")
 	}
 	_ = frame
+}
+
+// TestKindNumbers pins the wire number of every Kind, so that a renumbering,
+// which would make sites of different builds misread each other, fails here.
+// 12 and 13 belonged to 2PC's retired DECISION-REQ/RESP and stay unassigned:
+// a well-checksummed frame of either kind is refused as unknown, whatever
+// body an older build gave it.
+func TestKindNumbers(t *testing.T) {
+	want := map[Kind]uint8{
+		KindVoteReq: 1, KindVoteResp: 2, KindPrepareToCommit: 3, KindPCAck: 4,
+		KindPrepareToAbort: 5, KindPAAck: 6, KindCommit: 7, KindAbort: 8,
+		KindDone: 9, KindStateReq: 10, KindStateResp: 11,
+		KindElectionCall: 14, KindElectionOK: 15, KindCoordAnnounce: 16,
+		KindCopyReq: 17, KindCopyResp: 18, KindClientBegin: 19,
+		KindClientBeginAck: 20, KindClientWait: 21, KindClientOutcome: 22,
+		KindClientRead: 23, KindClientValue: 24, KindCtrlPartition: 25,
+		KindCtrlAck: 26, KindOutcomeReq: 27,
+	}
+	for k, n := range want {
+		if uint8(k) != n {
+			t.Errorf("%s is kind %d on the wire, want %d", k, uint8(k), n)
+		}
+	}
+	if len(kindNames) != len(want) {
+		t.Errorf("%d named kinds, %d pinned: pin the new kind's number here", len(kindNames), len(want))
+	}
+	for _, frame := range retiredFrames() {
+		if m, err := Unmarshal(frame); !errors.Is(err, ErrBadKind) {
+			t.Errorf("kind %d frame %x: Unmarshal = %#v, %v; want ErrBadKind", frame[0], frame, m, err)
+		}
+		if _, named := kindNames[Kind(frame[0])]; named {
+			t.Errorf("retired kind %d has a name", frame[0])
+		}
+	}
+}
+
+// retiredFrames are well-checksummed frames of the retired kinds 12 and 13,
+// laid out as builds that still had DECISION-REQ (txn) and DECISION-RESP
+// (txn, decision byte, uncommitted byte) encoded them; the last two carry an
+// undefined decision.
+func retiredFrames() [][]byte {
+	var out [][]byte
+	for _, body := range [][]byte{{12, 7}, {13, 7, 1, 0}, {13, 7, 0, 1}, {13, 7, 3, 0}, {13, 7, 99, 1}} {
+		out = append(out, binary.BigEndian.AppendUint32(body, crc32.ChecksumIEEE(body)))
+	}
+	return out
 }
 
 func TestCodecRejectsTruncatedBody(t *testing.T) {
@@ -218,21 +263,19 @@ func TestCodecCopyMessages(t *testing.T) {
 }
 
 // undefinedEnumMessages are well-formed frames a hostile or corrupted peer
-// could send: each carries a State, Vote or Decision byte just past, or far
-// past, the defined values.
+// could send: each carries a State or Vote byte just past, or far past, the
+// defined values.
 func undefinedEnumMessages() []Message {
 	return []Message{
 		StateResp{Txn: 7, Epoch: 3, State: types.StateAborted + 1},
 		StateResp{Txn: 7, Epoch: 3, State: 200},
 		VoteResp{Txn: 7, Vote: types.VoteNo + 1},
 		VoteResp{Txn: 7, Vote: 255},
-		DecisionResp{Txn: 7, Decision: types.DecisionAbort + 1},
-		DecisionResp{Txn: 7, Decision: 99, Uncommitted: true},
 	}
 }
 
-// TestCodecRejectsUndefinedEnums: Unmarshal refuses undefined State, Vote and
-// Decision values with ErrBadValue and still accepts the highest defined
+// TestCodecRejectsUndefinedEnums: Unmarshal refuses undefined State and Vote
+// values with ErrBadValue and still accepts the highest defined
 // ones. A StateResp with State=200 used to be bucketed under no rule state
 // yet counted as a responder on both sides of the termination ladder.
 func TestCodecRejectsUndefinedEnums(t *testing.T) {
@@ -248,7 +291,6 @@ func TestCodecRejectsUndefinedEnums(t *testing.T) {
 	for _, m := range []Message{
 		StateResp{Txn: 7, Epoch: 3, State: types.StateAborted},
 		VoteResp{Txn: 7, Vote: types.VoteNo},
-		DecisionResp{Txn: 7, Decision: types.DecisionAbort, Uncommitted: true},
 	} {
 		frame, err := Marshal(m)
 		if err != nil {

@@ -33,8 +33,10 @@ const (
 	KindDone
 	KindStateReq
 	KindStateResp
-	KindDecisionReq
-	KindDecisionResp
+	// Kinds 12 and 13 were 2PC's DECISION-REQ/RESP, retired when 2PC took
+	// the three-phase termination poll; they stay unnamed so no number moves.
+	_
+	_
 	KindElectionCall
 	KindElectionOK
 	KindCoordAnnounce
@@ -63,8 +65,6 @@ var kindNames = map[Kind]string{
 	KindDone:            "DONE",
 	KindStateReq:        "STATE-REQ",
 	KindStateResp:       "STATE-RESP",
-	KindDecisionReq:     "DECISION-REQ",
-	KindDecisionResp:    "DECISION-RESP",
 	KindElectionCall:    "ELECTION",
 	KindElectionOK:      "ELECTION-OK",
 	KindCoordAnnounce:   "COORDINATOR",
@@ -166,8 +166,7 @@ type Abort struct {
 // Kind implements Message.
 func (Abort) Kind() Kind { return KindAbort }
 
-// Done acknowledges a Commit or Abort command (used by 2PC's second phase
-// bookkeeping and by the harness to detect quiescence).
+// Done acknowledges a Commit or Abort command; no automaton reads it yet.
 type Done struct {
 	Txn types.TxnID
 }
@@ -197,27 +196,6 @@ type StateResp struct {
 
 // Kind implements Message.
 func (StateResp) Kind() Kind { return KindStateResp }
-
-// DecisionReq asks whether the receiver knows the transaction's outcome
-// (used by 2PC's cooperative termination protocol).
-type DecisionReq struct {
-	Txn types.TxnID
-}
-
-// Kind implements Message.
-func (DecisionReq) Kind() Kind { return KindDecisionReq }
-
-// DecisionResp answers a DecisionReq. Decision is DecisionNone when the
-// sender is itself uncertain; Uncommitted reports a sender still in q, which
-// lets 2PC's cooperative termination abort safely.
-type DecisionResp struct {
-	Txn         types.TxnID
-	Decision    types.Decision
-	Uncommitted bool
-}
-
-// Kind implements Message.
-func (DecisionResp) Kind() Kind { return KindDecisionResp }
 
 // ElectionCall invites the receiver to accept the sender as coordinator of
 // the termination protocol for Txn (invitation-style election, after
@@ -307,10 +285,6 @@ func TxnOf(m Message) types.TxnID {
 	case StateReq:
 		return v.Txn
 	case StateResp:
-		return v.Txn
-	case DecisionReq:
-		return v.Txn
-	case DecisionResp:
 		return v.Txn
 	case ElectionCall:
 		return v.Txn

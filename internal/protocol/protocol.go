@@ -5,10 +5,10 @@
 // Skeen's quorum-based protocol, and the paper's quorum-based commit and
 // termination protocols 1 and 2) is written as a set of pure, event-driven
 // state machines: an automaton consumes messages and timer expirations and
-// reacts through the Env interface. Two Specs build them all: twopc.Spec for
-// 2PC and core.Spec for the four three-phase protocols, which share one
-// participant, coordinator and terminator (package threephase) and differ
-// only in their quorumcalc.Rule. The same automata run unchanged under
+// reacts through the Env interface. One Spec builds them all: core.Spec,
+// whose five protocols share one participant, coordinator and terminator
+// (package threephase) and differ only in their quorumcalc.Rule. The same
+// automata run unchanged under
 // the deterministic discrete-event simulator (package engine) and the live
 // goroutine runtime (package live): both drive the one site kernel (package
 // site) that implements Env, and differ only in what supplies its time,

@@ -1,7 +1,7 @@
-// Package protocols names the five commit + termination protocol families
-// the repository compares, so every entry point (the root facade, the
-// daemons and load generators under cmd/, the availability and churn studies)
-// builds them the same way.
+// Package protocols names the five commit + termination protocols the
+// repository compares, so every entry point (the root facade, the daemons
+// and load generators under cmd/, the availability and churn studies) builds
+// them the same way.
 package protocols
 
 import (
@@ -10,7 +10,6 @@ import (
 
 	"qcommit/internal/core"
 	"qcommit/internal/protocol"
-	"qcommit/internal/twopc"
 	"qcommit/internal/types"
 )
 
@@ -20,17 +19,25 @@ import (
 // none are given, per transaction over its participants
 // (core.PerTransaction, the convention of the studies).
 func Standard(sites []types.SiteID) []protocol.Spec {
+	var out []protocol.Spec
+	for _, s := range standard(sites) {
+		out = append(out, s)
+	}
+	return out
+}
+
+func standard(sites []types.SiteID) []core.Spec {
 	skeen := core.PerTransaction()
 	if len(sites) > 0 {
 		vc, va := core.Majority(len(sites))
 		skeen = core.Uniform(sites, vc, va)
 	}
-	return []protocol.Spec{
-		twopc.Spec{},
-		core.Spec{Variant: core.ThreePC},
+	return []core.Spec{
+		{Variant: core.TwoPC},
+		{Variant: core.ThreePC},
 		skeen,
-		core.Spec{Variant: core.Protocol1},
-		core.Spec{Variant: core.Protocol2},
+		{Variant: core.Protocol1},
+		{Variant: core.Protocol2},
 	}
 }
 
@@ -40,14 +47,12 @@ func ByName(name string, sites []types.SiteID) (protocol.Spec, error) {
 	if len(sites) == 0 {
 		return nil, fmt.Errorf("protocol %q: no sites to size its quorums over", name)
 	}
-	for _, spec := range Standard(sites) {
+	for _, spec := range standard(sites) {
 		if !strings.EqualFold(spec.Name(), name) {
 			continue
 		}
-		if s, ok := spec.(core.Spec); ok {
-			if err := s.Validate(); err != nil {
-				return nil, err
-			}
+		if err := spec.Validate(); err != nil {
+			return nil, err
 		}
 		return spec, nil
 	}

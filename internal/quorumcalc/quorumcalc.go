@@ -9,11 +9,11 @@
 // Qc. A Rule is that pair, declared once per protocol (TP1Rule, TP2Rule,
 // SkeenRule); ThreePCRule is 3PC's site-failure rule, the one table that is
 // deliberately different: its quorums demand nothing and any participant in
-// PC commits. The automata in package threephase and the
+// PC commits. TwoPCRule is 2PC's cooperative termination rule, the same
+// ladder with quorums that never hold, over a commit protocol with no
+// PREPARE round. The automata in package threephase and the
 // analytic engines (packages avail and churn) all read the same Rule, so the
 // live terminator, the simulators and the arithmetic agree by construction.
-// 2PC's cooperative terminator is not three-phase and keeps its own decider,
-// TwoPC.
 //
 // Rule.Outcome is the analytic counterpart of a termination attempt: the
 // outcome a partition group reaches, computed from its state tally with no
@@ -155,13 +155,17 @@ func siteVotes(votes map[types.SiteID]int, need int) Quorum {
 // always is the quorum that demands nothing.
 func always(*voting.Assignment, []types.SiteID) bool { return true }
 
+// never is the quorum no set of sites holds.
+func never(*voting.Assignment, []types.SiteID) bool { return false }
+
 // Rule is one protocol's termination rule together with the early-commit rule
 // of its commit protocol. For the quorum family it is just the pair (Qc, Qa)
 // and the names the rule goes by in traces.
 type Rule struct {
 	// Name identifies the termination rule in traces ("TP1", "TP2",
-	// "SkeenQ-term", "3PC-term"); AckName the coordinator's early-commit rule
-	// ("CP1 w(x)-every", "CP2 r(x)-some", "SkeenQ Vc", "all-acks").
+	// "SkeenQ-term", "3PC-term", "2PC-term"); AckName the coordinator's
+	// commit rule ("CP1 w(x)-every", "CP2 r(x)-some", "SkeenQ Vc",
+	// "all-acks", "unanimous yes").
 	Name, AckName string
 	// Qc and Qa are the commit-side and abort-side quorums: what a try-commit
 	// or try-abort round must confirm, and what Decide tests the tally
@@ -175,6 +179,9 @@ type Rule struct {
 	// operational one has been moved there (Confirmed) — and the coordinator
 	// commits when the ack window closes short of Ack.
 	siteFailure bool
+	// twoPhase marks 2PC's rule, whose coordinator commits on the last yes
+	// vote without a PREPARE-TO-COMMIT round (Prepares).
+	twoPhase bool
 }
 
 // quorumRule is the quorum family's table: the commit coordinator waits for
@@ -215,6 +222,16 @@ func SkeenRule(votes map[types.SiteID]int, vc, va int) Rule {
 func ThreePCRule(participants int) Rule {
 	return Rule{Name: "3PC-term", AckName: "all-acks", Qc: always, Qa: always,
 		Ack: siteVotes(nil, participants), siteFailure: true}
+}
+
+// TwoPCRule is 2PC's cooperative termination rule (Fig. 1): the ladder with
+// no quorum — COMMIT on a committed reporter, ABORT on an aborted or
+// never-voted one, block otherwise, since a participant in W cannot know
+// what the coordinator decided. Its quorums never hold, so Decide never
+// returns a try verdict, and its coordinator commits on unanimous yes without
+// a PREPARE-TO-COMMIT round.
+func TwoPCRule() Rule {
+	return Rule{Name: "2PC-term", AckName: "unanimous yes", Qc: never, Qa: never, Ack: never, twoPhase: true}
 }
 
 // Decide classifies a phase-1 tally. For the quorum family (Figs. 5 and 8):
@@ -295,6 +312,10 @@ func (r Rule) Confirmed(try Verdict, a *voting.Assignment, confirmed []types.Sit
 // termination protocol.
 func (r Rule) CommitsOnAckTimeout() bool { return r.siteFailure }
 
+// Prepares reports whether the commit coordinator runs a PREPARE-TO-COMMIT
+// round between the votes and COMMIT: every rule but 2PC's does.
+func (r Rule) Prepares() bool { return !r.twoPhase }
+
 // Decider computes the outcome one partition group's termination attempt
 // reaches, given the group's state tally.
 //
@@ -361,29 +382,3 @@ func (r Rule) Outcome(a *voting.Assignment, t *Tally) types.Outcome {
 
 // TP1 is TP1Rule's analytic decider.
 func TP1(items []types.ItemID) Decider { return TP1Rule(items).Outcome }
-
-// TwoPC mirrors 2PC's cooperative termination protocol (twopc.Terminator):
-// poll every reachable participant for the decision; adopt it if anyone
-// knows it; abort if anyone never voted (the coordinator cannot have
-// committed); otherwise every reachable site is uncertain and the group
-// blocks. Only uncertain participants in W arm the patience timers that
-// invoke termination — a group whose undecided sites all sit in PC (2PC
-// participants reconstructed mid-3PC-style cut) has no initiator and blocks
-// passively.
-func TwoPC() Decider {
-	return func(_ *voting.Assignment, t *Tally) types.Outcome {
-		if t.Count(types.StateWait) == 0 {
-			return passiveOutcome(t)
-		}
-		switch {
-		case t.Count(types.StateCommitted) > 0:
-			return types.OutcomeCommitted
-		case t.Count(types.StateAborted) > 0:
-			return types.OutcomeAborted
-		case t.Count(types.StateInitial) > 0:
-			return types.OutcomeAborted
-		default:
-			return types.OutcomeBlocked
-		}
-	}
-}

@@ -80,7 +80,7 @@ func TestVerdictStrings(t *testing.T) {
 func TestDecideAllocatesNothing(t *testing.T) {
 	a := exampleAssignment(t)
 	ta := tallyOf(map[types.SiteID]types.State{1: types.StateWait, 2: types.StatePC, 3: types.StateWait})
-	for _, r := range []Rule{TP1Rule([]types.ItemID{"x"}), TP2Rule([]types.ItemID{"x"}), SkeenRule(nil, 4, 4), ThreePCRule(3)} {
+	for _, r := range []Rule{TP1Rule([]types.ItemID{"x"}), TP2Rule([]types.ItemID{"x"}), SkeenRule(nil, 4, 4), ThreePCRule(3), TwoPCRule()} {
 		r.Outcome(a, ta)
 		if n := testing.AllocsPerRun(100, func() { r.Outcome(a, ta) }); n != 0 {
 			t.Errorf("%s: Outcome allocates %v times per call", r.Name, n)
@@ -88,28 +88,93 @@ func TestDecideAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestTwoPC pins 2PC's rule as the ladder with no quorum: over every tally
+// of up to five participants in q, W, PC, C and A, TwoPCRule's fold equals
+// the cooperative termination table 2PC ran as a protocol of its own —
+//
+//   - no participant in W: nobody starts a termination round, so the group
+//     reports what its terminal sites decided, blocked if some hold locks;
+//   - else a C reporter commits, an A or q reporter aborts, and a group
+//     whose reporters are all uncertain blocks.
+//
+// Tallies holding both q and PC but no W are left out: there the fold aborts
+// (a participant in PC arms patience and the poll finds the q), where the old
+// table stayed passive because its participants watched for silence in W
+// only. No 2PC run enters PC, and the availability study's vote-phase and
+// prepare-phase cuts never put a q and a PC participant in one group.
 func TestTwoPC(t *testing.T) {
-	d := TwoPC()
-	cases := []struct {
-		name   string
-		states map[types.SiteID]types.State
-		want   types.Outcome
-	}{
-		{"all uncertain blocks", map[types.SiteID]types.State{2: types.StateWait, 3: types.StateWait}, types.OutcomeBlocked},
-		{"unvoted site enables abort", map[types.SiteID]types.State{2: types.StateWait, 3: types.StateInitial}, types.OutcomeAborted},
-		{"known commit adopted", map[types.SiteID]types.State{2: types.StateWait, 3: types.StateCommitted}, types.OutcomeCommitted},
-		{"known abort adopted", map[types.SiteID]types.State{2: types.StateWait, 3: types.StateAborted}, types.OutcomeAborted},
-		// 2PC participants only watch for coordinator silence in W; a group
-		// cut entirely in PC has no initiator and blocks passively.
-		{"PC-only group has no initiator", map[types.SiteID]types.State{2: types.StatePC, 3: types.StatePC}, types.OutcomeBlocked},
-		{"q-only group never terminates", map[types.SiteID]types.State{2: types.StateInitial}, types.OutcomeUnknown},
-		{"empty group", nil, types.OutcomeUnknown},
-	}
-	for _, tc := range cases {
-		if got := d(nil, tallyOf(tc.states)); got != tc.want {
-			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
+	r := TwoPCRule()
+	q, w, pc, c, a := types.StateInitial, types.StateWait, types.StatePC, types.StateCommitted, types.StateAborted
+	cooperative := func(tl *Tally) types.Outcome {
+		n := func(st types.State) bool { return tl.Count(st) > 0 }
+		switch {
+		case n(c):
+			return types.OutcomeCommitted
+		case n(a):
+			return types.OutcomeAborted
+		case !n(w) && n(pc):
+			return types.OutcomeBlocked
+		case !n(w):
+			return types.OutcomeUnknown
+		case n(q):
+			return types.OutcomeAborted
+		default:
+			return types.OutcomeBlocked
 		}
 	}
+	checked := 0
+	forEveryTally([]types.State{q, w, pc, c, a}, 5, func(tl *Tally) {
+		if tl.Count(q) > 0 && tl.Count(pc) > 0 && tl.Count(w) == 0 {
+			return
+		}
+		checked++
+		if got, want := r.Outcome(nil, tl), cooperative(tl); got != want {
+			t.Errorf("%v: Outcome = %v, want %v", tl.sites, got, want)
+		}
+	})
+	if checked < 3000 {
+		t.Fatalf("only %d tallies checked", checked)
+	}
+	// Its quorums never hold, so no tally — PA included — draws a try
+	// verdict: 2PC has no PREPARE round for a terminator to run.
+	forEveryTally([]types.State{q, w, pc, types.StatePA, c, a}, 4, func(tl *Tally) {
+		if v := r.Decide(nil, tl); v == VerdictTryCommit || v == VerdictTryAbort {
+			t.Errorf("%v: Decide = %v", tl.sites, v)
+		}
+	})
+	if r.Prepares() {
+		t.Error("2PC's coordinator prepares")
+	}
+	for _, other := range []Rule{TP1Rule([]types.ItemID{"x"}), TP2Rule([]types.ItemID{"x"}), SkeenRule(nil, 3, 2), ThreePCRule(3)} {
+		if !other.Prepares() {
+			t.Errorf("%s's coordinator skips the PREPARE round", other.Name)
+		}
+	}
+}
+
+// forEveryTally calls f with the tally of every assignment of the given
+// states to sites 1..n, for every n up to maxSites (the empty group
+// included).
+func forEveryTally(states []types.State, maxSites int, f func(*Tally)) {
+	var tl Tally
+	assign := make([]types.State, 0, maxSites)
+	var walk func()
+	walk = func() {
+		tl.Reset()
+		for i, st := range assign {
+			tl.Add(types.SiteID(i+1), st)
+		}
+		f(&tl)
+		if len(assign) == maxSites {
+			return
+		}
+		for _, st := range states {
+			assign = append(assign, st)
+			walk()
+			assign = assign[:len(assign)-1]
+		}
+	}
+	walk()
 }
 
 func TestThreePC(t *testing.T) {

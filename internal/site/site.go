@@ -218,7 +218,7 @@ type Kernel[X any] struct {
 	// txns holds the transactions not yet let go: those in progress, plus the
 	// terminated ones whose coordinator or terminator still has the decision
 	// to distribute (see reap). done holds the outcome of every transaction
-	// that has terminated here — all that late StateReq, DecisionReq, Commit
+	// that has terminated here — all that late StateReq, OutcomeReq, Commit
 	// and Abort traffic needs of it — and is never pruned.
 	txns map[types.TxnID]*Txn[X]
 	done map[types.TxnID]types.Outcome
@@ -522,28 +522,7 @@ func (k *Kernel[X]) Handle(e msg.Envelope) {
 		}
 		k.deliver(c, protocol.RoleParticipant, e)
 
-	case msg.DecisionReq:
-		c := k.txns[txn]
-		if c == nil || c.auto[protocol.RoleParticipant] == nil {
-			// As above: we have not voted, so the coordinator cannot have
-			// committed — report "uncommitted", which doubles as a refusal to
-			// vote yes later.
-			resp := msg.DecisionResp{Txn: txn, Uncommitted: true}
-			if o, over := k.done[txn]; over {
-				resp.Uncommitted = false
-				resp.Decision = types.DecisionAbort
-				if o == types.OutcomeCommitted {
-					resp.Decision = types.DecisionCommit
-				}
-			} else {
-				k.promised[txn] = true
-			}
-			k.h.Send(e.From, resp)
-			return
-		}
-		k.deliver(c, protocol.RoleParticipant, e)
-
-	case msg.StateResp, msg.PCAck, msg.PAAck, msg.DecisionResp:
+	case msg.StateResp, msg.PCAck, msg.PAAck:
 		c := k.txns[txn]
 		if c == nil {
 			return

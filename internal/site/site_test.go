@@ -224,19 +224,6 @@ func TestDispatch(t *testing.T) {
 		}
 	})
 
-	t.Run("unknown DecisionReq: uncommitted reply is the same promise", func(t *testing.T) {
-		k, h := newKernel(1)
-		k.Handle(from(2, msg.DecisionReq{Txn: 6}))
-		sent := h.take()
-		if len(sent) != 1 || sent[0].Msg != (msg.DecisionResp{Txn: 6, Uncommitted: true}) {
-			t.Fatalf("reply = %+v, want DecisionResp{uncommitted}", sent)
-		}
-		k.Handle(from(2, voteX(6)))
-		if v, ok := voteOf(h.take(), 6); !ok || v != types.VoteNo {
-			t.Fatalf("late VOTE-REQ answered %v (sent=%v), want a no vote", v, ok)
-		}
-	})
-
 	t.Run("no promise, no refusal: the vote is yes", func(t *testing.T) {
 		k, h := newKernel(1)
 		k.Handle(from(2, voteX(7)))
@@ -274,13 +261,9 @@ func TestDispatch(t *testing.T) {
 		}
 		k.Handle(from(2, msg.StateReq{Txn: 10, Epoch: 1}))
 		k.Handle(from(2, msg.StateReq{Txn: 11, Epoch: 2}))
-		k.Handle(from(2, msg.DecisionReq{Txn: 10}))
-		k.Handle(from(2, msg.DecisionReq{Txn: 11}))
 		want := []msg.Message{
 			msg.StateResp{Txn: 10, Epoch: 1, State: types.StateCommitted},
 			msg.StateResp{Txn: 11, Epoch: 2, State: types.StateAborted},
-			msg.DecisionResp{Txn: 10, Decision: types.DecisionCommit},
-			msg.DecisionResp{Txn: 11, Decision: types.DecisionAbort},
 		}
 		sent := h.take()
 		if len(sent) != len(want) {

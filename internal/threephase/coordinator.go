@@ -28,7 +28,9 @@ const (
 // rule's ack quorum is reached, then distribute COMMIT. Any no vote or vote
 // timeout aborts. The ack quorum is what distinguishes plain 3PC (every
 // participant) from Skeen's quorum commit protocol and the paper's commit
-// protocols 1 and 2 (the commit quorum Qc of their termination rule).
+// protocols 1 and 2 (the commit quorum Qc of their termination rule). 2PC's
+// rule skips the PREPARE-TO-COMMIT round (Rule.Prepares): COMMIT goes out on
+// the last yes vote (Fig. 1).
 type Coordinator struct {
 	txn          types.TxnID
 	ws           types.Writeset
@@ -45,8 +47,8 @@ type Coordinator struct {
 }
 
 // AcksAtDecision returns how many PC-ACKs the coordinator had received when
-// it decided to commit (0 if it has not committed). The engine exposes this
-// for the claim-C2 benchmarks.
+// it decided to commit (0 if it has not committed, or if its rule does not
+// prepare). The engine exposes this for the claim-C2 benchmarks.
 func (c *Coordinator) AcksAtDecision() int { return c.DecidedAtAck }
 
 // NewCoordinator builds a coordinator for txn under the given rule table.
@@ -90,8 +92,13 @@ func (c *Coordinator) OnMessage(from types.SiteID, m msg.Message, env protocol.E
 			c.decideAbort(env, "participant voted no")
 			return
 		}
-		if c.allYes() {
+		if !c.allYes() {
+			return
+		}
+		if c.rule.Prepares() {
 			c.beginPrepare(env)
+		} else {
+			c.decideCommit(env)
 		}
 	case msg.PCAck:
 		if c.phase != cpPreparing || !contains(c.participants, from) || contains(c.acked, from) {

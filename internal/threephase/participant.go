@@ -1,11 +1,13 @@
-// Package threephase provides the automata shared by every three-phase-style
-// protocol in the repository: the participant with the q/W/PC/PA/C/A state
-// machine (Fig. 6 of the paper), the commit coordinator (Figs. 2 and 9) and
-// the three-phase termination coordinator (Figs. 5 and 8). The coordinator
-// and the terminator are parameterized by one quorumcalc.Rule — Skeen's
-// site-vote quorums, the paper's TP1/TP2 replica-vote quorums, or 3PC's
-// site-failure rule — which they consult and never restate. core.Spec is the
-// one protocol.Spec built on them: its Variant picks the rule.
+// Package threephase provides the automata shared by every protocol in the
+// repository: the participant with the q/W/PC/PA/C/A state machine (Fig. 6
+// of the paper), the commit coordinator (Figs. 1, 2 and 9) and the
+// termination coordinator (Figs. 5 and 8). The coordinator and the
+// terminator are parameterized by one quorumcalc.Rule — Skeen's site-vote
+// quorums, the paper's TP1/TP2 replica-vote quorums, 3PC's site-failure
+// rule, or 2PC's rule, whose coordinator skips the PREPARE-TO-COMMIT round
+// and whose quorums never hold — which they consult and never restate.
+// core.Spec is the one protocol.Spec built on them: its Variant picks the
+// rule.
 //
 // Every wait in these automata is closed by the reply it waits for, and its
 // timer is only the bound for sites that stay silent: the coordinator sends
@@ -23,7 +25,9 @@
 // participant patience and a handful of message hops — the poll closes on
 // the last survivor's reply instead of spending 2T on a site that will never
 // answer, and the election does not wait for that site to claim the role
-// (engine.TestTerminationStageBudget prints the budget per protocol).
+// (engine.TestTerminationStageBudget prints the budget per protocol). 2PC's
+// poll reads suspicion too: with every survivor in W it blocks on the last
+// survivor's reply instead of at the end of the 2T window.
 //
 // Suspicion is safe because it can be wrong only about time. Every poll it
 // closes early is the poll the 2T timer closes in a legal run of the same
@@ -150,23 +154,6 @@ func (p *Participant) OnMessage(from types.SiteID, m msg.Message, env protocol.E
 		if !p.state.Terminal() {
 			p.armPatience(env) // a termination coordinator is active
 		}
-	case msg.DecisionReq:
-		// Cooperative poll (2PC vocabulary); answer from our state so mixed
-		// protocol stacks still interoperate.
-		resp := msg.DecisionResp{Txn: p.txn}
-		switch p.state {
-		case types.StateCommitted:
-			resp.Decision = types.DecisionCommit
-		case types.StateAborted:
-			resp.Decision = types.DecisionAbort
-		case types.StateInitial:
-			// "Uncommitted" lets the poller abort; refuse to vote from here
-			// on by aborting unilaterally (we have not voted, so we may).
-			resp.Uncommitted = true
-			p.state = types.StateAborted
-			env.Abort(p.txn)
-		}
-		env.Send(from, resp)
 	}
 }
 

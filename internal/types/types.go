@@ -100,9 +100,6 @@ const (
 	DecisionAbort
 )
 
-// Valid reports whether d is one of the three defined decision values.
-func (d Decision) Valid() bool { return d <= DecisionAbort }
-
 // String implements fmt.Stringer.
 func (d Decision) String() string {
 	switch d {

@@ -54,9 +54,6 @@ func TestStateClassification(t *testing.T) {
 	if !VoteYes.Valid() || !VoteNo.Valid() || Vote(2).Valid() {
 		t.Error("exactly the two defined votes should be valid")
 	}
-	if !DecisionNone.Valid() || !DecisionCommit.Valid() || !DecisionAbort.Valid() || Decision(3).Valid() {
-		t.Error("exactly the three defined decisions should be valid")
-	}
 }
 
 func TestDecisionAndOutcome(t *testing.T) {

@@ -146,7 +146,9 @@ type Protocol string
 // Supported protocols.
 const (
 	// Proto2PC is the two-phase commit protocol (Fig. 1) with cooperative
-	// termination. Blocking under coordinator failure.
+	// termination: the three-phase automata without the PREPARE-TO-COMMIT
+	// round, terminated by the ladder with no quorum. Blocking under
+	// coordinator failure.
 	Proto2PC Protocol = "2PC"
 	// Proto3PC is Skeen's three-phase commit (Fig. 2) with the site-failure
 	// termination protocol. Nonblocking for site failures but INCONSISTENT
