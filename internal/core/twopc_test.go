@@ -163,10 +163,9 @@ func TestTwoPCParticipantDuplicateVoteReq(t *testing.T) {
 	}
 }
 
-// TestTwoPCParticipantUncertaintyBlocksUnilateralAction: a participant in W
-// answers a termination poll with W, echoing its epoch, and stays there — it
-// cannot know what the coordinator decided.
-func TestTwoPCParticipantUncertaintyBlocksUnilateralAction(t *testing.T) {
+// TestTwoPCParticipantStateReqInterop: a participant in W answers a
+// termination poll with W, echoing the poll's epoch.
+func TestTwoPCParticipantStateReqInterop(t *testing.T) {
 	p, e := twoPCParticipant(t)
 	p.OnMessage(1, twoPCVoteReq(), e)
 	e.Reset()
@@ -174,30 +173,52 @@ func TestTwoPCParticipantUncertaintyBlocksUnilateralAction(t *testing.T) {
 	if got := e.SentTo(3); len(got) != 1 || got[0] != (msg.StateResp{Txn: 1, Epoch: 2, State: types.StateWait}) {
 		t.Errorf("poll reply = %+v, want W at epoch 2", got)
 	}
+}
+
+// TestTwoPCParticipantUncertaintyBlocksUnilateralAction: a participant in W
+// stays there when polled — it cannot know what the coordinator decided.
+func TestTwoPCParticipantUncertaintyBlocksUnilateralAction(t *testing.T) {
+	p, e := twoPCParticipant(t)
+	p.OnMessage(1, twoPCVoteReq(), e)
+	e.Reset()
+	p.OnMessage(3, msg.StateReq{Txn: 1, Coord: 3, Epoch: 2}, e)
 	if stateOf(p) != types.StateWait || len(e.Committed)+len(e.Aborted) != 0 {
 		t.Error("an uncertain participant terminated on a poll")
 	}
 }
 
-// TestTwoPCParticipantPoisonsVoteAfterInitialReply: a participant in q that
-// answers a poll reports q and aborts, since the terminator may abort on the
-// strength of that reply; a VOTE-REQ arriving afterwards gets no yes vote.
-func TestTwoPCParticipantPoisonsVoteAfterInitialReply(t *testing.T) {
+// TestTwoPCParticipantInitialStateAbortsOnStateReq: a participant in q that
+// answers a poll reports q and aborts unilaterally, since the terminator may
+// abort on the strength of that reply.
+func TestTwoPCParticipantInitialStateAbortsOnStateReq(t *testing.T) {
 	p, e := twoPCParticipant(t)
 	p.OnMessage(3, msg.StateReq{Txn: 1, Coord: 3, Epoch: 1}, e)
 	if got := e.SentTo(3); len(got) != 1 || got[0] != (msg.StateResp{Txn: 1, Epoch: 1, State: types.StateInitial}) {
-		t.Fatalf("poll reply = %+v, want q", got)
+		t.Errorf("poll reply = %+v, want q", got)
 	}
 	if stateOf(p) != types.StateAborted || len(e.Aborted) != 1 {
-		t.Fatalf("state after reporting q = %v, want A", stateOf(p))
+		t.Errorf("state after reporting q = %v, want A", stateOf(p))
 	}
-	e.Reset()
-	p.OnMessage(1, twoPCVoteReq(), e)
-	for _, s := range e.Sends {
-		if v, ok := s.Msg.(msg.VoteResp); ok && v.Vote == types.VoteYes {
-			t.Error("participant voted yes after promising q")
+}
+
+// TestTwoPCParticipantPoisonsVoteAfterInitialReply: once a participant in q
+// has answered a termination poll, it has promised not to vote — a VOTE-REQ
+// arriving afterwards must not yield a yes vote.
+func TestTwoPCParticipantPoisonsVoteAfterInitialReply(t *testing.T) {
+	t.Run("state-req", func(t *testing.T) {
+		p, e := twoPCParticipant(t)
+		p.OnMessage(3, msg.StateReq{Txn: 1, Coord: 3, Epoch: 1}, e)
+		if len(e.Aborted) != 1 {
+			t.Fatalf("participant did not abort after initial-state reply (aborted %v)", e.Aborted)
 		}
-	}
+		e.Reset()
+		p.OnMessage(1, twoPCVoteReq(), e)
+		for _, s := range e.Sends {
+			if v, ok := s.Msg.(msg.VoteResp); ok && v.Vote == types.VoteYes {
+				t.Error("participant voted yes after promising q")
+			}
+		}
+	})
 }
 
 func TestTwoPCParticipantRecoveryImage(t *testing.T) {
