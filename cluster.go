@@ -2,6 +2,7 @@ package qcommit
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -158,7 +159,6 @@ func assignmentOf(items []ReplicatedItem, extraSites []SiteID) (*voting.Assignme
 		return nil, nil, fmt.Errorf("qcommit: at least one replicated item is required")
 	}
 	configs := make([]voting.ItemConfig, 0, len(items))
-	siteSet := make(map[SiteID]bool)
 	for _, it := range items {
 		if len(it.Votes) != 0 && len(it.Votes) != len(it.Sites) {
 			return nil, nil, fmt.Errorf("qcommit: item %q: Votes length %d != Sites length %d", it.Name, len(it.Votes), len(it.Sites))
@@ -172,7 +172,6 @@ func assignmentOf(items []ReplicatedItem, extraSites []SiteID) (*voting.Assignme
 			}
 			copies[i] = voting.Copy{Site: s, Votes: v}
 			total += v
-			siteSet[s] = true
 		}
 		r, w := it.R, it.W
 		if r == 0 && w == 0 {
@@ -185,15 +184,9 @@ func assignmentOf(items []ReplicatedItem, extraSites []SiteID) (*voting.Assignme
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, s := range extraSites {
-		siteSet[s] = true
-	}
-	sites := make([]SiteID, 0, len(siteSet))
-	for s := range siteSet {
-		sites = append(sites, s)
-	}
-	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
-	return asgn, sites, nil
+	sites := append(asgn.Sites(), extraSites...)
+	slices.Sort(sites)
+	return asgn, slices.Compact(sites), nil
 }
 
 // writesetOf turns a write map into a Writeset ordered by item.

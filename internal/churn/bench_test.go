@@ -6,6 +6,7 @@ import (
 
 	"qcommit/internal/protocol"
 	"qcommit/internal/sim"
+	"qcommit/internal/types"
 )
 
 func benchParams() Params {
@@ -101,5 +102,44 @@ func BenchmarkGenerateScript(b *testing.B) {
 		if _, err := generateScript(params, int64(i)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkFallbackWorld isolates the hybrid engine's per-column fixed cost:
+// build one fallback world for a generated script, drain its fault timeline
+// to the horizon with no transaction submitted, and audit its stores. The
+// sizes are the 32- and 128-site rows of churnbench's -sweep sites (16 items
+// per site, per-site MTTF growing with the cluster); the seed tables are
+// built once per script, as every protocol column after the first finds them.
+func BenchmarkFallbackWorld(b *testing.B) {
+	spec := StandardBuilders()[3] // QC1
+	for _, m := range []int{4, 16} {
+		params := DefaultParams()
+		params.NumSites = 8 * m
+		params.NumItems = params.NumSites * 16
+		params.MTTF = 20 * sim.Second * sim.Duration(m)
+		params.MTTR = sim.Second
+		params.MeanInterarrival /= sim.Duration(m)
+		params.Engine = EngineHybrid
+		sc, err := generateScript(params, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		drain := func() {
+			h := &hybridRun{sc: sc, params: params, seed: 1, spec: spec, worldTxn: make([]types.TxnID, len(sc.arrivals))}
+			h.ensureWorld()
+			h.world.Scheduler().RunUntil(sim.Time(params.Horizon))
+			if issues := h.world.CheckStores(); len(issues) > 0 {
+				b.Fatal(issues)
+			}
+		}
+		b.Run(fmt.Sprintf("sites=%d/items=%d", params.NumSites, params.NumItems), func(b *testing.B) {
+			drain()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				drain()
+			}
+		})
 	}
 }

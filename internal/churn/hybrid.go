@@ -60,7 +60,6 @@ import (
 	"qcommit/internal/quorumcalc"
 	"qcommit/internal/sim"
 	"qcommit/internal/simnet"
-	"qcommit/internal/storage"
 	"qcommit/internal/types"
 )
 
@@ -461,19 +460,7 @@ func executeRunHybrid(sc *script, params Params, seed int64, spec protocol.Spec)
 // the replayed transactions submitted into it.
 func (h *hybridRun) ensureWorld() {
 	if h.sc.hybridStores == nil {
-		tbl := make(map[types.SiteID]map[types.ItemID]storage.Versioned, len(h.sc.sites))
-		for _, item := range h.sc.asgn.Items() {
-			ic, _ := h.sc.asgn.Item(item)
-			for _, cp := range ic.Copies {
-				m := tbl[cp.Site]
-				if m == nil {
-					m = make(map[types.ItemID]storage.Versioned)
-					tbl[cp.Site] = m
-				}
-				m[item] = storage.Versioned{Version: 1}
-			}
-		}
-		h.sc.hybridStores = tbl
+		h.sc.hybridStores = engine.SeedTables(h.sc.asgn, 0, nil)
 	}
 	cl := engine.New(engine.Config{
 		Seed:       h.seed,

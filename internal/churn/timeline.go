@@ -88,8 +88,8 @@ type script struct {
 	hybridMulti  []bool
 	hybridPlans  []arrivalPlan
 	hybridSeed   int64
-	// hybridStores is the initial store table per site, cloned into each
-	// fallback world via engine.Config.SeedStores.
+	// hybridStores is the initial store table per site, shared read-only
+	// by every fallback world via engine.Config.SeedStores.
 	hybridStores map[types.SiteID]map[types.ItemID]storage.Versioned
 }
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"qcommit/internal/msg"
@@ -51,10 +52,14 @@ type Config struct {
 	InitialValue int64
 	// InitialValues overrides InitialValue per item.
 	InitialValues map[types.ItemID]int64
-	// SeedStores, when set, seeds each site's store by cloning the given
-	// table instead of streaming per-item Inits, and InitialValue(s) are
-	// ignored. Callers that build many identical worlds over one placement
-	// (the hybrid churn engine) compute the tables once and reuse them.
+	// SeedStores, when set, is each site's seed table (see SeedTables),
+	// and InitialValue(s) are ignored. The tables are shared, not cloned:
+	// every store reads through to its table and keeps only the copies
+	// written since in a map of its own, so the tables must not change
+	// while the cluster runs, and CheckStores audits only written copies.
+	// Callers that build many identical worlds over one placement (the
+	// hybrid churn engine) compute the tables once and pass them to every
+	// world.
 	SeedStores map[types.SiteID]map[types.ItemID]storage.Versioned
 	// Recorder receives trace events; nil allocates a fresh one.
 	Recorder *trace.Recorder
@@ -118,20 +123,9 @@ func New(cfg Config) *Cluster {
 	}
 	cl.tracker = voting.NewTracker(cfg.Assignment, cfg.Strategy, (*peers)(cl))
 
-	idSet := make(map[types.SiteID]bool)
-	for _, item := range cfg.Assignment.Items() {
-		ic, _ := cfg.Assignment.Item(item)
-		for _, cp := range ic.Copies {
-			idSet[cp.Site] = true
-		}
-	}
-	for _, id := range cfg.ExtraSites {
-		idSet[id] = true
-	}
-	for id := range idSet {
-		cl.siteIDs = append(cl.siteIDs, id)
-	}
-	sort.Slice(cl.siteIDs, func(i, j int) bool { return cl.siteIDs[i] < cl.siteIDs[j] })
+	cl.siteIDs = append(cfg.Assignment.Sites(), cfg.ExtraSites...)
+	slices.Sort(cl.siteIDs)
+	cl.siteIDs = slices.Compact(cl.siteIDs)
 
 	for _, id := range cl.siteIDs {
 		var log wal.Log
@@ -146,41 +140,42 @@ func New(cfg Config) *Cluster {
 		cl.sites[id] = st
 		net.Register(id, st.handle)
 	}
-	if cfg.SeedStores != nil {
-		for _, id := range cl.siteIDs {
-			if tbl, ok := cfg.SeedStores[id]; ok {
-				cl.sites[id].store.InitFrom(tbl)
-			}
-		}
-	} else {
-		items := cfg.Assignment.Items()
-		perSite := make(map[types.SiteID]int, len(cl.siteIDs))
-		for _, item := range items {
-			ic, _ := cfg.Assignment.Item(item)
-			for _, cp := range ic.Copies {
-				perSite[cp.Site]++
-			}
-		}
-		for _, id := range cl.siteIDs {
-			if n := perSite[id]; n > 0 {
-				cl.sites[id].store.Reserve(n)
-			}
-		}
-		for _, item := range items {
-			ic, _ := cfg.Assignment.Item(item)
-			initial := cfg.InitialValue
-			if v, ok := cfg.InitialValues[item]; ok {
-				initial = v
-			}
-			for _, cp := range ic.Copies {
-				cl.sites[cp.Site].store.Init(item, initial)
-			}
+	seeds := cfg.SeedStores
+	if seeds == nil {
+		seeds = SeedTables(cfg.Assignment, cfg.InitialValue, cfg.InitialValues)
+	}
+	for _, id := range cl.siteIDs {
+		if tbl, ok := seeds[id]; ok {
+			cl.sites[id].store.InitFrom(tbl)
 		}
 	}
 	if cfg.WALDir != "" {
 		cl.resumeFromLogs()
 	}
 	return cl
+}
+
+// SeedTables builds the initial store table of every site holding a copy:
+// each copy at version 1, valued initialValues[item] if present, initial
+// otherwise. The result is what Config.SeedStores takes.
+func SeedTables(asgn *voting.Assignment, initial int64, initialValues map[types.ItemID]int64) map[types.SiteID]map[types.ItemID]storage.Versioned {
+	seeds := make(map[types.SiteID]map[types.ItemID]storage.Versioned)
+	for _, item := range asgn.Items() {
+		ic, _ := asgn.Item(item)
+		v := storage.Versioned{Value: initial, Version: 1}
+		if x, ok := initialValues[item]; ok {
+			v.Value = x
+		}
+		for _, cp := range ic.Copies {
+			tbl := seeds[cp.Site]
+			if tbl == nil {
+				tbl = make(map[types.ItemID]storage.Versioned)
+				seeds[cp.Site] = tbl
+			}
+			tbl[item] = v
+		}
+	}
+	return seeds
 }
 
 // resumeFromLogs restores state after a full-cluster restart over persistent
@@ -438,7 +433,7 @@ func (cl *Cluster) Restart(id types.SiteID) {
 // every peer replica for its current copy of each locally-held item some
 // commit wrote, installing newer versions as the responses arrive.
 func (cl *Cluster) SyncSite(id types.SiteID) {
-	cl.pull(cl.tracker.RestartPulls(id, cl.sites[id].store.Items()))
+	cl.pull(cl.tracker.RestartPulls(id, cl.sites[id].store.Has))
 }
 
 // RestartAt schedules a restart at virtual time t.

@@ -75,10 +75,12 @@ func (cl *Cluster) CheckStores() []string {
 	for _, id := range cl.siteIDs {
 		id := id
 		site := cl.sites[id]
-		// Scan visits copies in map order; the trailing sort restores a
-		// deterministic issue list, and the divergence message orders its
-		// value pair itself so it reads the same either way around.
-		site.store.Scan(func(item types.ItemID, v storage.Versioned) {
+		// Only written copies can break an invariant: a seeded copy no write
+		// reached is still the initial value. ScanWritten visits copies in
+		// map order; the trailing sort restores a deterministic issue list,
+		// and the divergence message orders its value pair itself so it
+		// reads the same either way around.
+		site.store.ScanWritten(func(item types.ItemID, v storage.Versioned) {
 			if v.Version == 1 {
 				return // initial value
 			}

@@ -222,14 +222,7 @@ func New(cfg Config) *Cluster {
 		nodes: make(map[types.SiteID]*Node),
 	}
 	cl.tracker = voting.NewTracker(cfg.Assignment, cfg.Strategy, (*clusterPeers)(cl))
-	seen := make(map[types.SiteID]bool)
-	for _, item := range cfg.Assignment.Items() {
-		ic, _ := cfg.Assignment.Item(item)
-		for _, cp := range ic.Copies {
-			seen[cp.Site] = true
-		}
-	}
-	for id := range seen {
+	for _, id := range cfg.Assignment.Sites() {
 		var log wal.AsyncLog
 		if cfg.WAL != nil {
 			if l := cfg.WAL(id); l != nil {

@@ -242,7 +242,7 @@ func (n *Node) dispatch(e msg.Envelope) {
 		// outcome queries even when an abort Recover logged defers those to
 		// the flush job: a long pull burst cannot crowd the queries out of a
 		// full transport queue.
-		for _, p := range n.tracker.RestartPulls(n.id, n.store.Items()) {
+		for _, p := range n.tracker.RestartPulls(n.id, n.store.Has) {
 			(*nodeHost)(n).Send(p.To, msg.CopyReq{Item: p.Item})
 		}
 	default:

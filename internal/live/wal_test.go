@@ -140,7 +140,7 @@ func TestServerGroupWALRestartRecovery(t *testing.T) {
 	ep1.SetPeers(addrs)
 	ep2.SetPeers(addrs)
 	log1, log2 := open(1), open(2)
-	cfg := ServerConfig{Assignment: a, Spec: core.Spec{Variant: core.Protocol1}, TimeoutBase: 30 * time.Millisecond}
+	cfg := ServerConfig{Assignment: a, Spec: core.Spec{Variant: core.Protocol1}, TimeoutBase: 50 * time.Millisecond}
 	cfg1, cfg2 := cfg, cfg
 	cfg1.WAL = log1
 	cfg2.WAL = log2

@@ -9,8 +9,6 @@ package storage
 
 import (
 	"fmt"
-	"maps"
-	"sort"
 	"sync"
 
 	"qcommit/internal/types"
@@ -24,9 +22,16 @@ type Versioned struct {
 
 // Store holds the copies resident at one site. It is safe for concurrent use
 // (the live runtime accesses it from multiple goroutines).
+//
+// A store seeded by InitFrom reads through to the caller's table, which it
+// shares and never writes: its own map holds only the copies placed by Init
+// or written since seeding, and a copy there shadows its seed. Building a
+// world over one placement therefore costs nothing per seeded copy, and
+// ScanWritten visits only what changed.
 type Store struct {
 	mu     sync.RWMutex
 	site   types.SiteID
+	seed   map[types.ItemID]Versioned // shared, read-only
 	copies map[types.ItemID]Versioned
 }
 
@@ -46,30 +51,31 @@ func (s *Store) Init(item types.ItemID, value int64) {
 	s.copies[item] = Versioned{Value: value, Version: 1}
 }
 
-// Reserve pre-sizes an empty store for n copies, avoiding incremental map
-// growth during the Init stream that seeds a cluster.
-func (s *Store) Reserve(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.copies) == 0 && n > 0 {
-		s.copies = make(map[types.ItemID]Versioned, n)
-	}
-}
-
-// InitFrom replaces the store contents with a copy of src. Cloning an
-// already-built table skips the per-item hashing of an Init stream, which is
-// what makes repeated construction of identical worlds cheap.
+// InitFrom replaces the store contents with src, which the store keeps as
+// its read-only seed: src is shared, not cloned, and must not change while
+// the store is in use. Every later write lands in the store's own map, so
+// any number of stores may share one seed table.
 func (s *Store) InitFrom(src map[types.ItemID]Versioned) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.copies = maps.Clone(src)
+	s.seed = src
+	s.copies = make(map[types.ItemID]Versioned)
+}
+
+// get returns the current copy of item; the caller holds s.mu.
+func (s *Store) get(item types.ItemID) (Versioned, bool) {
+	if v, ok := s.copies[item]; ok {
+		return v, true
+	}
+	v, ok := s.seed[item]
+	return v, ok
 }
 
 // Has reports whether the site holds a copy of item.
 func (s *Store) Has(item types.ItemID) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	_, ok := s.copies[item]
+	_, ok := s.get(item)
 	return ok
 }
 
@@ -77,7 +83,7 @@ func (s *Store) Has(item types.ItemID) bool {
 func (s *Store) Read(item types.ItemID) (Versioned, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	v, ok := s.copies[item]
+	v, ok := s.get(item)
 	if !ok {
 		return Versioned{}, fmt.Errorf("storage: %s holds no copy of %q", s.site, item)
 	}
@@ -90,7 +96,7 @@ func (s *Store) Read(item types.ItemID) (Versioned, error) {
 func (s *Store) Apply(item types.ItemID, value int64, version uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cur, ok := s.copies[item]
+	cur, ok := s.get(item)
 	if !ok {
 		return fmt.Errorf("storage: %s holds no copy of %q", s.site, item)
 	}
@@ -111,22 +117,25 @@ func (s *Store) ApplyWriteset(ws types.Writeset, version uint64) {
 	}
 }
 
-// Items returns the item IDs stored here in ascending order.
-func (s *Store) Items() []types.ItemID {
+// Scan calls fn for every copy in the store, in map order. Callers that
+// need a stable order must sort what they collect.
+func (s *Store) Scan(fn func(types.ItemID, Versioned)) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]types.ItemID, 0, len(s.copies))
-	for id := range s.copies {
-		out = append(out, id)
+	for id, v := range s.copies {
+		fn(id, v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	for id, v := range s.seed {
+		if _, shadowed := s.copies[id]; !shadowed {
+			fn(id, v)
+		}
+	}
 }
 
-// Scan calls fn for every copy in the store, in map order. Callers that
-// need a stable order must sort what they collect; the auditors use Scan to
-// walk large stores without the allocation and sort of Items.
-func (s *Store) Scan(fn func(types.ItemID, Versioned)) {
+// ScanWritten calls fn, in map order, for every copy in the store's own map:
+// those placed by Init or written since InitFrom. A seeded copy no write has
+// reached is skipped, so an auditor of written versions pays only for them.
+func (s *Store) ScanWritten(fn func(types.ItemID, Versioned)) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for id, v := range s.copies {
@@ -136,12 +145,8 @@ func (s *Store) Scan(fn func(types.ItemID, Versioned)) {
 
 // Snapshot returns a copy of the full store contents.
 func (s *Store) Snapshot() map[types.ItemID]Versioned {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[types.ItemID]Versioned, len(s.copies))
-	for k, v := range s.copies {
-		out[k] = v
-	}
+	out := make(map[types.ItemID]Versioned)
+	s.Scan(func(id types.ItemID, v Versioned) { out[id] = v })
 	return out
 }
 

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -79,12 +80,8 @@ func TestItemsAndSnapshot(t *testing.T) {
 	s := NewStore(1)
 	s.Init("b", 2)
 	s.Init("a", 1)
-	items := s.Items()
-	if len(items) != 2 || items[0] != "a" || items[1] != "b" {
-		t.Errorf("Items = %v", items)
-	}
 	snap := s.Snapshot()
-	if snap["a"].Value != 1 || snap["b"].Value != 2 {
+	if len(snap) != 2 || snap["a"].Value != 1 || snap["b"].Value != 2 {
 		t.Errorf("Snapshot = %v", snap)
 	}
 	// Snapshot must be a copy.
@@ -93,6 +90,75 @@ func TestItemsAndSnapshot(t *testing.T) {
 	if v.Value != 1 {
 		t.Error("snapshot aliases store")
 	}
+}
+
+// TestSharedSeed: stores seeded from one table read through to it, keep
+// their writes to themselves, and never write the table.
+func TestSharedSeed(t *testing.T) {
+	seed := map[types.ItemID]Versioned{"x": {Value: 0, Version: 1}, "y": {Value: 7, Version: 1}}
+	a, b := NewStore(1), NewStore(2)
+	a.InitFrom(seed)
+	b.InitFrom(seed)
+	if err := a.Apply("x", 5, 3); err != nil {
+		t.Fatal(err)
+	}
+	a.ApplyWriteset(types.Writeset{{Item: "y", Value: 8}, {Item: "z", Value: 9}}, 4)
+	if err := b.Apply("y", 6, 2); err != nil {
+		t.Fatal(err)
+	}
+
+	if want := (map[types.ItemID]Versioned{"x": {0, 1}, "y": {7, 1}}); !reflect.DeepEqual(seed, want) {
+		t.Fatalf("seed table written: %v", seed)
+	}
+	if a.Has("z") || b.Has("z") {
+		t.Error("an update of an unseeded item created a copy")
+	}
+	for _, tc := range []struct {
+		s    *Store
+		want map[types.ItemID]Versioned
+		// written is what ScanWritten visits: the copies a write reached.
+		written map[types.ItemID]Versioned
+	}{
+		{a, map[types.ItemID]Versioned{"x": {5, 3}, "y": {8, 4}}, map[types.ItemID]Versioned{"x": {5, 3}, "y": {8, 4}}},
+		{b, map[types.ItemID]Versioned{"x": {0, 1}, "y": {6, 2}}, map[types.ItemID]Versioned{"y": {6, 2}}},
+	} {
+		for item, want := range tc.want {
+			if !tc.s.Has(item) {
+				t.Errorf("site %d: Has(%s) = false", tc.s.Site(), item)
+			}
+			if got, err := tc.s.Read(item); err != nil || got != want {
+				t.Errorf("site %d: Read(%s) = %v, %v; want %v", tc.s.Site(), item, got, err, want)
+			}
+		}
+		scanned := make(map[types.ItemID]Versioned)
+		tc.s.Scan(func(item types.ItemID, v Versioned) {
+			if _, dup := scanned[item]; dup {
+				t.Errorf("site %d: Scan visited %s twice", tc.s.Site(), item)
+			}
+			scanned[item] = v
+		})
+		if !reflect.DeepEqual(scanned, tc.want) {
+			t.Errorf("site %d: Scan = %v, want %v", tc.s.Site(), scanned, tc.want)
+		}
+		if snap := tc.s.Snapshot(); !reflect.DeepEqual(snap, tc.want) {
+			t.Errorf("site %d: Snapshot = %v, want %v", tc.s.Site(), snap, tc.want)
+		}
+		written := make(map[types.ItemID]Versioned)
+		tc.s.ScanWritten(func(item types.ItemID, v Versioned) { written[item] = v })
+		if !reflect.DeepEqual(written, tc.written) {
+			t.Errorf("site %d: ScanWritten = %v, want %v", tc.s.Site(), written, tc.written)
+		}
+	}
+
+	// A stale apply against a seeded copy neither shadows nor writes it.
+	if err := b.Apply("x", 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	b.ScanWritten(func(item types.ItemID, _ Versioned) {
+		if item == "x" {
+			t.Error("stale apply shadowed the seed")
+		}
+	})
 }
 
 func TestResolveRead(t *testing.T) {
@@ -184,23 +250,32 @@ func maxVersion(cs []Versioned) uint64 {
 }
 
 func TestStoreConcurrentAccess(t *testing.T) {
-	s := NewStore(1)
-	s.Init("x", 0)
+	// Two stores share one seed table, as the sites of a seeded world do.
+	seed := map[types.ItemID]Versioned{"x": {Version: 1}}
+	stores := []*Store{NewStore(1), NewStore(2)}
+	for _, s := range stores {
+		s.InitFrom(seed)
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			s := stores[g%2]
 			for i := 0; i < 100; i++ {
 				_ = s.Apply("x", int64(i), uint64(g*100+i))
 				_, _ = s.Read("x")
-				_ = s.Items()
+				_ = s.Snapshot()
 			}
 		}(g)
 	}
 	wg.Wait()
-	v, _ := s.Read("x")
-	if v.Version == 0 {
-		t.Error("no applies took effect")
+	for _, s := range stores {
+		if v, _ := s.Read("x"); v.Version <= 1 {
+			t.Errorf("site %d: no applies took effect", s.Site())
+		}
+	}
+	if seed["x"] != (Versioned{Version: 1}) {
+		t.Errorf("seed table written: %v", seed)
 	}
 }

@@ -112,18 +112,6 @@ func (d Decision) String() string {
 	}
 }
 
-// StateAfter returns the terminal state a decision drives a participant to.
-func (d Decision) StateAfter() State {
-	switch d {
-	case DecisionCommit:
-		return StateCommitted
-	case DecisionAbort:
-		return StateAborted
-	default:
-		return StateInitial
-	}
-}
-
 // Outcome classifies what a partition's termination attempt achieved for a
 // transaction: committed, aborted, or blocked awaiting recovery. Split is an
 // aggregate over sites, never one site's fate: some committed and others
@@ -179,18 +167,6 @@ func (s State) Outcome() Outcome {
 		return OutcomeAborted
 	case StateWait, StatePC, StatePA:
 		return OutcomeBlocked
-	default:
-		return OutcomeUnknown
-	}
-}
-
-// OutcomeOf converts a decision into an outcome.
-func OutcomeOf(d Decision) Outcome {
-	switch d {
-	case DecisionCommit:
-		return OutcomeCommitted
-	case DecisionAbort:
-		return OutcomeAborted
 	default:
 		return OutcomeUnknown
 	}

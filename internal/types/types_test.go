@@ -57,18 +57,6 @@ func TestStateClassification(t *testing.T) {
 }
 
 func TestDecisionAndOutcome(t *testing.T) {
-	if DecisionCommit.StateAfter() != StateCommitted || DecisionAbort.StateAfter() != StateAborted {
-		t.Error("StateAfter mapping wrong")
-	}
-	if DecisionNone.StateAfter() != StateInitial {
-		t.Error("DecisionNone.StateAfter() should be initial")
-	}
-	if OutcomeOf(DecisionCommit) != OutcomeCommitted || OutcomeOf(DecisionAbort) != OutcomeAborted {
-		t.Error("OutcomeOf mapping wrong")
-	}
-	if OutcomeOf(DecisionNone) != OutcomeUnknown {
-		t.Error("OutcomeOf(none) should be unknown")
-	}
 	if OutcomeCommitted.StateEquivalent() != StateCommitted ||
 		OutcomeAborted.StateEquivalent() != StateAborted ||
 		OutcomeBlocked.StateEquivalent() != StateInitial {

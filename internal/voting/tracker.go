@@ -3,6 +3,7 @@ package voting
 //qlint:deterministic
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -60,9 +61,9 @@ type Tracker struct {
 	// outcome table already pays, one entry per transaction. Stays empty
 	// under StrategyQuorum.
 	recorded map[types.TxnID]bool
-	// written marks the items some committed transaction wrote. Every copy
-	// of any other item still sits at its initial version.
-	written map[types.ItemID]bool
+	// written lists the items some committed transaction wrote, ascending.
+	// Every copy of any other item still sits at its initial version.
+	written []types.ItemID
 }
 
 // NewTracker builds the tracker of one cluster. s must be Valid.
@@ -70,7 +71,6 @@ func NewTracker(asgn *Assignment, s Strategy, peers Peers) *Tracker {
 	t := &Tracker{
 		asgn: asgn, peers: peers,
 		recorded: make(map[types.TxnID]bool),
-		written:  make(map[types.ItemID]bool),
 	}
 	switch s {
 	case StrategyMissingWrites:
@@ -98,7 +98,9 @@ func (t *Tracker) CommitApplied(at types.SiteID, txn types.TxnID, ws types.Write
 	}
 	t.mu.Lock()
 	for _, u := range ws {
-		t.written[u.Item] = true
+		if i, found := slices.BinarySearch(t.written, u.Item); !found {
+			t.written = slices.Insert(t.written, i, u.Item)
+		}
 	}
 	first := !t.static() && !t.recorded[txn]
 	if first {
@@ -209,19 +211,21 @@ func (t *Tracker) HealPulls() []Pull {
 }
 
 // RestartPulls lists the anti-entropy requests a restarted site owes, in
-// send order: for each item it holds (held, in the caller's order) that some
-// commit ever wrote, one request to every peer replica in copy order — so a
-// site that was down across commits catches up even on transactions it
-// never voted on, and asks nothing about items no commit touched.
-func (t *Tracker) RestartPulls(site types.SiteID, held []types.ItemID) []Pull {
+// send order: for each item some commit ever wrote that the site holds
+// (holds reports it), in ascending item order, one request to every peer
+// replica in copy order — so a site that was down across commits catches up
+// even on transactions it never voted on, and asks nothing about items no
+// commit touched. The walk costs the written items, not the site's copies.
+func (t *Tracker) RestartPulls(site types.SiteID, holds func(types.ItemID) bool) []Pull {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
+	written := slices.Clone(t.written)
+	t.mu.Unlock()
 	var out []Pull
-	for _, item := range held {
-		if ic, ok := t.asgn.Item(item); ok && t.written[item] {
+	for _, item := range written {
+		if ic, ok := t.asgn.Item(item); ok && holds(item) {
 			out = appendPulls(out, site, ic)
 		}
 	}

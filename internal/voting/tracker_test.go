@@ -1,7 +1,10 @@
 package voting
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -175,25 +178,28 @@ func pullAsgn() *Assignment {
 }
 
 func TestTrackerRestartPullsWrittenOnlyInCopyOrder(t *testing.T) {
+	holdsAll := func(types.ItemID) bool { return true }
 	for _, s := range []Strategy{StrategyQuorum, StrategyMissingWrites, StrategyDynamic} {
 		tr := NewTracker(pullAsgn(), s, newPeers())
-		held := []types.ItemID{"x", "y", "z"}
-		if got := tr.RestartPulls(2, held); got != nil {
+		if got := tr.RestartPulls(2, holdsAll); got != nil {
 			t.Errorf("%v: nothing written yet, pulls = %v", s, got)
 		}
 		tr.CommitApplied(1, 10, types.Writeset{{Item: "y", Value: 1}})
 		want := []Pull{{2, 3, "y"}, {2, 1, "y"}, {2, 4, "y"}}
-		if got := tr.RestartPulls(2, held); !reflect.DeepEqual(got, want) {
+		if got := tr.RestartPulls(2, holdsAll); !reflect.DeepEqual(got, want) {
 			t.Errorf("%v: pulls = %v, want %v", s, got, want)
 		}
 		tr.CommitApplied(1, 11, types.Writeset{{Item: "z", Value: 1}, {Item: "x", Value: 1}})
-		got := tr.RestartPulls(2, held)
+		got := tr.RestartPulls(2, holdsAll)
 		if len(got) != 9 || got[0].Item != "x" || got[3].Item != "y" || got[6].Item != "z" {
-			t.Errorf("%v: pulls do not follow the held order: %v", s, got)
+			t.Errorf("%v: pulls are not in ascending item order: %v", s, got)
+		}
+		if got := tr.RestartPulls(2, func(item types.ItemID) bool { return item != "y" }); len(got) != 6 || got[3].Item != "z" {
+			t.Errorf("%v: pulls for an item the site does not hold: %v", s, got)
 		}
 	}
 	var none *Tracker
-	if got := none.RestartPulls(2, []types.ItemID{"x"}); got != nil {
+	if got := none.RestartPulls(2, holdsAll); got != nil {
 		t.Errorf("nil tracker pulls = %v", got)
 	}
 	none.CommitApplied(1, 1, wsX) // no-ops, no panic
@@ -289,5 +295,77 @@ func TestTrackerQuorum(t *testing.T) {
 	}
 	if !dv.Serves("x", 4) {
 		t.Error("Serves is a missing-writes question; dynamic staleness is judged by the epoch guard")
+	}
+}
+
+// heldWalkPulls is the restart walk RestartPulls replaced: over the items
+// the site holds, ascending, keep those some commit wrote. Its send order is
+// what the goldens pin.
+func heldWalkPulls(asgn *Assignment, site types.SiteID, held []types.ItemID, written map[types.ItemID]bool) []Pull {
+	held = slices.Clone(held)
+	slices.Sort(held)
+	var out []Pull
+	for _, item := range held {
+		if ic, ok := asgn.Item(item); ok && written[item] {
+			out = appendPulls(out, site, ic)
+		}
+	}
+	return out
+}
+
+// TestTrackerRestartPullsMatchHeldWalk: over random placements, written
+// sets and held sets, walking the sorted written set yields exactly the
+// pulls — content and order — of the walk over the site's held items.
+func TestTrackerRestartPullsMatchHeldWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		nSites := 1 + rng.Intn(6)
+		var ics []ItemConfig
+		var universe []types.ItemID
+		for i := 0; i < 1+rng.Intn(30); i++ {
+			// Unpadded names, so ascending string order is not numeric order.
+			item := types.ItemID(fmt.Sprintf("i%d", rng.Intn(200)))
+			if slices.Contains(universe, item) {
+				continue
+			}
+			universe = append(universe, item)
+			if rng.Intn(8) == 0 {
+				continue // held or written, but not in the assignment
+			}
+			perm := rng.Perm(nSites)
+			copies := make([]types.SiteID, 1+rng.Intn(nSites))
+			for j := range copies {
+				copies[j] = types.SiteID(perm[j] + 1)
+			}
+			w := len(copies)/2 + 1
+			ics = append(ics, Uniform(item, len(copies)-w+1, w, copies...))
+		}
+		asgn := MustAssignment(ics...)
+		s := []Strategy{StrategyQuorum, StrategyMissingWrites, StrategyDynamic}[rng.Intn(3)]
+		tr := NewTracker(asgn, s, newPeers())
+		written := make(map[types.ItemID]bool)
+		commits := types.TxnID(rng.Intn(8))
+		for txn := types.TxnID(1); txn <= commits; txn++ {
+			var ws types.Writeset
+			for k := 0; k < 1+rng.Intn(3); k++ {
+				item := universe[rng.Intn(len(universe))]
+				ws = append(ws, types.Update{Item: item, Value: int64(txn)})
+				written[item] = true
+			}
+			tr.CommitApplied(1, txn, ws)
+		}
+		site := types.SiteID(1 + rng.Intn(nSites))
+		held := make(map[types.ItemID]bool)
+		var heldList []types.ItemID
+		for _, item := range universe {
+			if rng.Intn(3) != 0 {
+				held[item] = true
+				heldList = append(heldList, item)
+			}
+		}
+		got := tr.RestartPulls(site, func(item types.ItemID) bool { return held[item] })
+		if want := heldWalkPulls(asgn, site, heldList, written); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (%v): pulls = %v, want %v", trial, s, got, want)
+		}
 	}
 }

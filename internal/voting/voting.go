@@ -16,6 +16,7 @@ package voting
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"qcommit/internal/types"
@@ -101,6 +102,7 @@ func (ic ItemConfig) Validate() error {
 type Assignment struct {
 	items map[types.ItemID]ItemConfig
 	order []types.ItemID
+	sites []types.SiteID // every site holding a copy, ascending
 }
 
 // NewAssignment validates and indexes the given item configurations.
@@ -115,7 +117,12 @@ func NewAssignment(items ...ItemConfig) (*Assignment, error) {
 		}
 		a.items[ic.Item] = ic
 		a.order = append(a.order, ic.Item)
+		for _, cp := range ic.Copies {
+			a.sites = append(a.sites, cp.Site)
+		}
 	}
+	slices.Sort(a.sites)
+	a.sites = slices.Compact(a.sites)
 	return a, nil
 }
 
@@ -141,6 +148,9 @@ func (a *Assignment) Items() []types.ItemID {
 	copy(out, a.order)
 	return out
 }
+
+// Sites returns every site holding a copy of some item, ascending.
+func (a *Assignment) Sites() []types.SiteID { return slices.Clone(a.sites) }
 
 // VotesAt returns the votes site holds for item x.
 func (a *Assignment) VotesAt(site types.SiteID, x types.ItemID) int {

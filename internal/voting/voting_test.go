@@ -2,6 +2,7 @@ package voting
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -69,6 +70,15 @@ func TestAssignmentConstruction(t *testing.T) {
 	}
 	if a.VotesAt(2, "x") != 1 || a.VotesAt(2, "y") != 0 {
 		t.Error("VotesAt wrong")
+	}
+	// Sites: every copy site once, ascending, whatever the copy order.
+	b := MustAssignment(Uniform("x", 2, 2, 7, 3, 5), Uniform("y", 2, 2, 5, 1, 3))
+	if got := b.Sites(); !reflect.DeepEqual(got, []types.SiteID{1, 3, 5, 7}) {
+		t.Errorf("Sites = %v", got)
+	}
+	b.Sites()[0] = 9
+	if b.Sites()[0] != 1 {
+		t.Error("Sites aliases the assignment")
 	}
 }
 
