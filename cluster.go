@@ -10,8 +10,6 @@ import (
 	"qcommit/internal/core"
 	"qcommit/internal/engine"
 	"qcommit/internal/msg"
-	"qcommit/internal/protocol"
-	"qcommit/internal/protocols"
 	"qcommit/internal/simnet"
 	"qcommit/internal/trace"
 	"qcommit/internal/voting"
@@ -203,14 +201,14 @@ func writesetOf(writes map[ItemID]int64) Writeset {
 // Skeen quorums vc, va — fields SkeenVc and SkeenVa of the options struct
 // opt — replace SkeenQ's majority default, and are refused under any other
 // protocol rather than ignored.
-func buildSpec(opt string, proto Protocol, vc, va int, sites []SiteID) (protocol.Spec, error) {
+func buildSpec(opt string, proto Protocol, vc, va int, sites []SiteID) (core.Spec, error) {
 	name := string(proto)
 	if name == "" {
 		name = string(ProtoQC1)
 	}
-	spec, err := protocols.ByName(name, sites)
+	spec, err := core.ByName(name, sites)
 	if err != nil {
-		return nil, fmt.Errorf("qcommit: %w", err)
+		return core.Spec{}, fmt.Errorf("qcommit: %w", err)
 	}
 	if vc == 0 && va == 0 {
 		return spec, nil
@@ -220,11 +218,11 @@ func buildSpec(opt string, proto Protocol, vc, va int, sites []SiteID) (protocol
 		if vc == 0 {
 			field = "SkeenVa"
 		}
-		return nil, fmt.Errorf("qcommit: %s.%s set under %s; only %s takes site-vote quorums", opt, field, spec.Name(), ProtoSkeenQuorum)
+		return core.Spec{}, fmt.Errorf("qcommit: %s.%s set under %s; only %s takes site-vote quorums", opt, field, spec.Name(), ProtoSkeenQuorum)
 	}
 	skeen := core.Uniform(sites, vc, va)
 	if err := skeen.Validate(); err != nil {
-		return nil, fmt.Errorf("qcommit: %s.SkeenVc/SkeenVa: %w", opt, err)
+		return core.Spec{}, fmt.Errorf("qcommit: %s.SkeenVc/SkeenVa: %w", opt, err)
 	}
 	return skeen, nil
 }

@@ -13,7 +13,7 @@
 //	                             simulator instead of the analytic quorum
 //	                             kernel (the default, "analytic", computes
 //	                             identical counts ~40× faster; replay is the
-//	                             oracle and the only engine for custom specs)
+//	                             oracle)
 //	availbench -ci               print 95% Wilson confidence intervals
 //	availbench -json PATH        also write machine-readable results with
 //	                             trials/sec throughput (e.g. BENCH_avail.json)

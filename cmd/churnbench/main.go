@@ -39,7 +39,7 @@ import (
 	"time"
 
 	"qcommit/internal/churn"
-	"qcommit/internal/protocol"
+	"qcommit/internal/core"
 	"qcommit/internal/sim"
 	"qcommit/internal/voting"
 )
@@ -48,7 +48,7 @@ type runConfig struct {
 	runs     int
 	seed     int64
 	workers  int
-	specs    []protocol.Spec
+	specs    []core.Spec
 	ci       bool
 	progress bool
 }
@@ -289,15 +289,15 @@ func main() {
 	}
 }
 
-func selectSpecs(arg string) ([]protocol.Spec, error) {
+func selectSpecs(arg string) ([]core.Spec, error) {
 	all := churn.StandardBuilders()
 	if arg == "" || arg == "all" {
 		return all, nil
 	}
-	var out []protocol.Spec
+	var out []core.Spec
 	for _, name := range strings.Split(arg, ",") {
 		name = strings.TrimSpace(name)
-		i := slices.IndexFunc(all, func(s protocol.Spec) bool { return strings.EqualFold(s.Name(), name) })
+		i := slices.IndexFunc(all, func(s core.Spec) bool { return strings.EqualFold(s.Name(), name) })
 		if i < 0 {
 			return nil, fmt.Errorf("unknown protocol %q (want 2PC, 3PC, SkeenQ, QC1 or QC2)", name)
 		}

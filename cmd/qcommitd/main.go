@@ -38,10 +38,10 @@ import (
 	"syscall"
 	"time"
 
+	"qcommit/internal/core"
 	"qcommit/internal/live"
 	"qcommit/internal/msg"
 	"qcommit/internal/obs"
-	"qcommit/internal/protocols"
 	"qcommit/internal/transport"
 	"qcommit/internal/transport/tcp"
 	"qcommit/internal/types"
@@ -108,7 +108,7 @@ func run(site int, peersFlag, itemsFlag, protoFlag, stratFlag string, timeoutBas
 	if err != nil {
 		return err
 	}
-	spec, err := protocols.ByName(protoFlag, sites)
+	spec, err := core.ByName(protoFlag, sites)
 	if err != nil {
 		return err
 	}

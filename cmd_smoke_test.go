@@ -244,24 +244,30 @@ func buildCommand(t *testing.T, dir, name string) string {
 }
 
 // TestCommandFlagErrors is the table of command lines that cannot work: each
-// must exit 1 before running anything, with a message on stderr that names
-// the offending setting.
+// must exit before running anything, with a message on stderr that names the
+// offending setting and its row's status: 1 for a value that fails
+// validation, 2 for a usage error (the flag package's convention).
 func TestCommandFlagErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping CLI smoke tests in -short mode")
 	}
 	qsim := buildCommand(t, t.TempDir(), "qsim")
 	qcommitd := buildCommand(t, t.TempDir(), "qcommitd")
+	churnbench := buildCommand(t, t.TempDir(), "churnbench")
+	availbench := buildCommand(t, t.TempDir(), "availbench")
 	cases := []struct {
-		name string
-		bin  string
-		args []string
-		want string
+		name   string
+		bin    string
+		args   []string
+		want   string
+		status int
 	}{
-		{"qsim loss above 1", qsim, []string{"-loss", "1.5"}, "LossProb"},
-		{"qsim negative dup", qsim, []string{"-dup", "-0.1"}, "DupProb"},
-		{"qsim unknown protocol", qsim, []string{"-protocol", "bogus"}, "bogus"},
-		{"qcommitd unknown protocol", qcommitd, []string{"-site", "1", "-peers", "1=127.0.0.1:0", "-protocol", "bogus"}, "bogus"},
+		{"qsim loss above 1", qsim, []string{"-loss", "1.5"}, "LossProb", 1},
+		{"qsim negative dup", qsim, []string{"-dup", "-0.1"}, "DupProb", 1},
+		{"qsim unknown protocol", qsim, []string{"-protocol", "bogus"}, "bogus", 1},
+		{"qcommitd unknown protocol", qcommitd, []string{"-site", "1", "-peers", "1=127.0.0.1:0", "-protocol", "bogus"}, "bogus", 1},
+		{"churnbench unknown protocol", churnbench, []string{"-protocol", "bogus"}, "bogus", 2},
+		{"availbench unknown engine", availbench, []string{"-engine", "bogus"}, "bogus", 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -269,8 +275,8 @@ func TestCommandFlagErrors(t *testing.T) {
 			cmd := exec.Command(tc.bin, tc.args...)
 			cmd.Stdout, cmd.Stderr = &stdout, &stderr
 			var exit *exec.ExitError
-			if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 1 {
-				t.Fatalf("%v: %v, want exit status 1\nstderr: %s", tc.args, err, stderr.String())
+			if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != tc.status {
+				t.Fatalf("%v: %v, want exit status %d\nstderr: %s", tc.args, err, tc.status, stderr.String())
 			}
 			if !strings.Contains(stderr.String(), tc.want) {
 				t.Errorf("%v: stderr does not name %s: %s", tc.args, tc.want, stderr.String())

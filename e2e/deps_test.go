@@ -10,10 +10,10 @@ import (
 	// see. Importing the daemon's qcommit packages here folds them into this
 	// test binary's hash, so a change to any of them invalidates a cached
 	// pass. TestDaemonDepsCovered keeps the list in step with the daemon.
+	_ "qcommit/internal/core"
 	_ "qcommit/internal/live"
 	_ "qcommit/internal/msg"
 	_ "qcommit/internal/obs"
-	_ "qcommit/internal/protocols"
 	_ "qcommit/internal/transport"
 	_ "qcommit/internal/transport/tcp"
 	_ "qcommit/internal/types"
@@ -23,10 +23,10 @@ import (
 
 // daemonDeps mirrors the blank imports above.
 var daemonDeps = []string{
+	"qcommit/internal/core",
 	"qcommit/internal/live",
 	"qcommit/internal/msg",
 	"qcommit/internal/obs",
-	"qcommit/internal/protocols",
 	"qcommit/internal/transport",
 	"qcommit/internal/transport/tcp",
 	"qcommit/internal/types",

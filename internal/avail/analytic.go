@@ -1,7 +1,7 @@
 package avail
 
 import (
-	"qcommit/internal/protocol"
+	"qcommit/internal/core"
 	"qcommit/internal/quorumcalc"
 	"qcommit/internal/types"
 	"qcommit/internal/voting"
@@ -226,12 +226,8 @@ func (e *analyticEval) run(sc Scenario, deciders []quorumcalc.Decider, results [
 // and violation count that Replay + Analyze + Tally would produce — without
 // running the discrete-event engine. The differential test suite asserts the
 // equivalence against the replay oracle.
-func AnalyzeAnalytic(sc Scenario, spec protocol.Spec) (Counts, int, error) {
-	d, err := deciderFor(spec, sc)
-	if err != nil {
-		return Counts{}, 0, err
-	}
+func AnalyzeAnalytic(sc Scenario, spec core.Spec) (Counts, int) {
 	results := make([]MCResult, 1)
-	newAnalyticEval().run(sc, []quorumcalc.Decider{d}, results)
-	return results[0].Counts, results[0].Violations, nil
+	newAnalyticEval().run(sc, []quorumcalc.Decider{spec.Rule(sc.Items, sc.Participants).Outcome}, results)
+	return results[0].Counts, results[0].Violations
 }

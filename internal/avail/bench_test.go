@@ -112,7 +112,7 @@ func BenchmarkTrial(b *testing.B) {
 	b.Run("analytic", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			counts, _, _ := AnalyzeAnalytic(sc, qc1.Build(sc))
+			counts, _ := AnalyzeAnalytic(sc, qc1.Build(sc))
 			if counts.Groups == 0 {
 				b.Fatal("empty counts")
 			}

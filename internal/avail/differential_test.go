@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"qcommit/internal/core"
-	"qcommit/internal/protocol"
 	"qcommit/internal/types"
 )
 
@@ -28,7 +27,7 @@ var differentialParamSets = []ScenarioParams{
 // by site number) over the scenario's participants and the tightest majority
 // quorums over their total — the column that exercises the weighted sum in
 // quorumcalc.SkeenRule, which the standard one-vote-per-site column cannot.
-func weightedSkeen(sc Scenario) protocol.Spec {
+func weightedSkeen(sc Scenario) core.Spec {
 	votes := make(map[types.SiteID]int, len(sc.Participants))
 	total := 0
 	for _, s := range sc.Participants {
@@ -50,17 +49,12 @@ func assertEngineAgreement(t *testing.T, sc Scenario, label string) {
 	t.Helper()
 	for _, b := range differentialBuilders() {
 		spec := b.Build(sc)
-		if v, ok := spec.(core.Spec); ok {
-			if err := v.Validate(); err != nil {
-				t.Fatalf("%s %s: %v", label, b.Label, err)
-			}
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("%s %s: %v", label, b.Label, err)
 		}
 		rep, violations := Replay(sc, spec)
 		wantCounts, wantViol := rep.Tally(), len(violations)
-		gotCounts, gotViol, err := AnalyzeAnalytic(sc, spec)
-		if err != nil {
-			t.Fatalf("%s %s: %v", label, b.Label, err)
-		}
+		gotCounts, gotViol := AnalyzeAnalytic(sc, spec)
 		if !reflect.DeepEqual(gotCounts, wantCounts) {
 			t.Errorf("%s %s: analytic counts diverge\nreplay   %+v\nanalytic %+v\nstates %v partition %v coord %v writeset %v",
 				label, b.Label, wantCounts, gotCounts, sc.States, sc.Partition, sc.Coord, sc.Writeset)
@@ -200,32 +194,5 @@ func TestMonteCarloEnginesMatch(t *testing.T) {
 		if !reflect.DeepEqual(gotPar, want) {
 			t.Errorf("parallel analytic (workers=%d) diverged from replay\ngot  %+v\nwant %+v", workers, gotPar, want)
 		}
-	}
-}
-
-// opaqueSpec hides a spec's rule table, as a protocol implemented outside
-// the three-phase family would.
-type opaqueSpec struct{ protocol.Spec }
-
-// TestAnalyticRequiresRuleTable pins the error path: an analytic run over a
-// spec that is neither 2PC nor rule-table driven must fail up front — before
-// the first trial, so no parallel worker ever starts — serial and parallel
-// alike, while replay still accepts it.
-func TestAnalyticRequiresRuleTable(t *testing.T) {
-	builders := []SpecBuilder{{Label: "opaque", Build: func(sc Scenario) protocol.Spec {
-		return opaqueSpec{StandardBuilders()[3].Build(sc)}
-	}}}
-	if _, err := newTrialRunner(DefaultScenarioParams(), builders, EngineAnalytic); err == nil {
-		t.Error("analytic trial runner built without a rule table")
-	}
-	if _, err := MonteCarlo(DefaultScenarioParams(), 4, 1, builders, EngineAnalytic); err == nil {
-		t.Error("serial analytic run without a rule table succeeded")
-	}
-	if _, err := MonteCarloParallel(DefaultScenarioParams(), 100, 1, builders,
-		MCOptions{Workers: 4, Engine: EngineAnalytic}); err == nil {
-		t.Error("parallel analytic run without a rule table succeeded")
-	}
-	if _, err := MonteCarlo(DefaultScenarioParams(), 4, 1, builders, EngineReplay); err != nil {
-		t.Errorf("replay of the same spec failed: %v", err)
 	}
 }

@@ -5,8 +5,8 @@ import (
 	"math/rand"
 	"strings"
 
+	"qcommit/internal/core"
 	"qcommit/internal/engine"
-	"qcommit/internal/protocol"
 	"qcommit/internal/quorumcalc"
 	"qcommit/internal/types"
 	"qcommit/internal/voting"
@@ -239,9 +239,8 @@ type Engine uint8
 const (
 	// EngineReplay replays every trial through the discrete-event simulator
 	// (engine.New + termination automata). It is the oracle: it observes
-	// violations from actual message ladders and supports arbitrary protocol
-	// specs, at the cost of simulating every WAL append, election and
-	// timeout.
+	// violations from actual message ladders, at the cost of simulating
+	// every WAL append, election and timeout.
 	EngineReplay Engine = iota
 	// EngineAnalytic computes each trial's Counts by pure quorum arithmetic
 	// (package quorumcalc) — no simulation. Differential tests pin it
@@ -270,19 +269,21 @@ func ParseEngine(s string) (Engine, error) {
 	}
 }
 
-// SpecBuilder constructs a protocol spec for a scenario. Quorum-per-site
-// protocols (Skeen's) need the participant list to size their quorums.
+// SpecBuilder names a protocol column and builds its spec for a scenario.
+// The standard columns return one fixed spec (Skeen's sizes its quorums per
+// transaction through core.PerTransaction); a column whose spec depends on
+// the scenario, such as a weighted vote assignment, builds it here.
 type SpecBuilder struct {
 	// Label names the column in result tables.
 	Label string
 	// Build returns the spec for the given scenario.
-	Build func(sc Scenario) protocol.Spec
+	Build func(sc Scenario) core.Spec
 }
 
 // Replay runs one scenario under one protocol through the discrete-event
 // engine and returns the availability report plus any correctness violations
 // (atomicity violations and store-level consistency issues).
-func Replay(sc Scenario, spec protocol.Spec) (Report, []string) {
+func Replay(sc Scenario, spec core.Spec) (Report, []string) {
 	cl := engine.New(engine.Config{
 		Seed:       sc.Seed,
 		Assignment: sc.Assignment,
@@ -327,17 +328,6 @@ func newTrialRunner(params ScenarioParams, builders []SpecBuilder, eng Engine) (
 	}
 	r := &trialRunner{gen: gen, builders: builders, engine: eng}
 	if eng == EngineAnalytic {
-		// Fail up front, before any trial or worker runs: probe every
-		// builder's spec for a rule table with one throw-away scenario.
-		sc, err := gen.Generate(0)
-		if err != nil {
-			return nil, err
-		}
-		for _, b := range builders {
-			if _, err := deciderFor(b.Build(sc), sc); err != nil {
-				return nil, err
-			}
-		}
 		r.eval = newAnalyticEval()
 		r.deciders = make([]quorumcalc.Decider, len(builders))
 	}
@@ -352,9 +342,7 @@ func (r *trialRunner) accumulate(seed int64, t int, results []MCResult) error {
 	}
 	if r.engine == EngineAnalytic {
 		for i, b := range r.builders {
-			if r.deciders[i], err = deciderFor(b.Build(sc), sc); err != nil {
-				return err
-			}
+			r.deciders[i] = b.Build(sc).Rule(sc.Items, sc.Participants).Outcome
 		}
 		r.eval.run(sc, r.deciders, results)
 		return nil

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"testing"
 
-	"qcommit/internal/protocol"
+	"qcommit/internal/core"
 	"qcommit/internal/sim"
 	"qcommit/internal/types"
 )
@@ -77,7 +77,7 @@ func BenchmarkChurnTrial(b *testing.B) {
 	spec := StandardBuilders()[3] // QC1, the paper's lead protocol
 	for _, tc := range []struct {
 		name string
-		exec func(*script, Params, int64, protocol.Spec) (runStats, error)
+		exec func(*script, Params, int64, core.Spec) (runStats, error)
 	}{
 		{"replay", executeRun},
 		{"hybrid", executeRunHybrid},

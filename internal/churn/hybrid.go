@@ -56,7 +56,6 @@ import (
 
 	"qcommit/internal/core"
 	"qcommit/internal/engine"
-	"qcommit/internal/protocol"
 	"qcommit/internal/quorumcalc"
 	"qcommit/internal/sim"
 	"qcommit/internal/simnet"
@@ -159,16 +158,15 @@ type hybridRun struct {
 	sc     *script
 	params Params
 	seed   int64
-	spec   protocol.Spec
-	// ruled is spec when it is a core.Spec, the analytic mirror of its
+	// spec is the protocol column. Its rule is the analytic mirror of the
 	// coordinator when every participant is reachable, lock-free and
-	// therefore votes yes: its rule's fold sanity-gates the commit over the
+	// therefore votes yes: the rule's fold sanity-gates the commit over the
 	// all-participants-prepared tally, its ack quorum ends the walk over the
 	// PC-ack arrivals, and it says whether the coordinator prepares at all
 	// (2PC commits on the last yes vote) and whether an expired ack window
 	// commits (3PC) or terminates — which the analytic path refuses to model
-	// and hands to replay. Without it every transaction is replayed.
-	ruled   *core.Spec
+	// and hands to replay.
+	spec    core.Spec
 	multi   []bool
 	plans   []arrivalPlan
 	T       sim.Duration
@@ -343,7 +341,7 @@ func buildHybridPlans(sc *script, seed int64, epochs []Epoch, T sim.Duration, wi
 // executeRunHybrid evaluates one script under one protocol with the hybrid
 // engine. It mirrors executeRun's accounting exactly; only the evaluation of
 // individual transactions differs.
-func executeRunHybrid(sc *script, params Params, seed int64, spec protocol.Spec) (runStats, error) {
+func executeRunHybrid(sc *script, params Params, seed int64, spec core.Spec) (runStats, error) {
 	horizon := sim.Time(params.Horizon)
 	T := simnet.Config{}.MaxDelayOrDefault() // the engine's timeout base
 	if sc.hybridMulti == nil {
@@ -364,9 +362,6 @@ func executeRunHybrid(sc *script, params Params, seed int64, spec protocol.Spec)
 		multi:    sc.hybridMulti,
 		plans:    sc.hybridPlans,
 		worldTxn: make([]types.TxnID, len(sc.arrivals)),
-	}
-	if s, ok := spec.(core.Spec); ok {
-		h.ruled = &s
 	}
 
 	var st runStats
@@ -508,7 +503,7 @@ func (h *hybridRun) ensureWorld() {
 // the live lock probe against its fallback world, the rule-table gate, and
 // the ack-quorum walk.
 func (h *hybridRun) classify(i int, a *arrival, p *arrivalPlan) (committed bool, decidedAt sim.Time, ok bool) {
-	if h.ruled == nil || h.multi[i] || !p.windowOK {
+	if h.multi[i] || !p.windowOK {
 		return false, 0, false
 	}
 
@@ -531,7 +526,7 @@ func (h *hybridRun) classify(i int, a *arrival, p *arrivalPlan) (committed bool,
 		// timeout.
 		return false, p.abortAt, true
 	}
-	rule := h.ruled.Rule(p.items, a.Participants)
+	rule := h.spec.Rule(p.items, a.Participants)
 	if !rule.Prepares() {
 		return true, p.commitAt, true
 	}

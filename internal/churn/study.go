@@ -6,9 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"qcommit/internal/core"
 	"qcommit/internal/engine"
-	"qcommit/internal/protocol"
-	"qcommit/internal/protocols"
 	"qcommit/internal/sim"
 	"qcommit/internal/simnet"
 	"qcommit/internal/types"
@@ -17,7 +16,7 @@ import (
 // StandardBuilders returns the five standard protocol columns: 2PC, 3PC,
 // Skeen's quorum protocol with per-transaction majority site-vote quorums,
 // and the paper's protocols 1 and 2.
-func StandardBuilders() []protocol.Spec { return protocols.Standard(nil) }
+func StandardBuilders() []core.Spec { return core.Standard(nil) }
 
 // runStats is one (run, protocol) evaluation before aggregation.
 type runStats struct {
@@ -46,7 +45,7 @@ const kickGraceT = 6
 // timeline, the transaction stream and the post-repair kicks, run the
 // simulator to the horizon, then read every transaction's fate out of the
 // cluster.
-func executeRun(sc *script, params Params, seed int64, spec protocol.Spec) (runStats, error) {
+func executeRun(sc *script, params Params, seed int64, spec core.Spec) (runStats, error) {
 	// ExtraSites keeps copy-less sites in the cluster: random placement may
 	// leave a site with no replicas, but the timeline still crashes and
 	// restarts it. Delays come from the per-message hash model so the hybrid
@@ -187,7 +186,7 @@ func executeRun(sc *script, params Params, seed int64, spec protocol.Spec) (runS
 // seeded and aggregation is pure addition plus latency concatenation in run
 // order, so evaluating the run set in any chunking produces identical
 // results.
-func accumulateRun(params Params, seed int64, r int, specs []protocol.Spec, results []Result) error {
+func accumulateRun(params Params, seed int64, r int, specs []core.Spec, results []Result) error {
 	sc, err := generateScript(params, seed+int64(r))
 	if err != nil {
 		return err
@@ -209,7 +208,7 @@ func accumulateRun(params Params, seed int64, r int, specs []protocol.Spec, resu
 	return nil
 }
 
-func newResults(specs []protocol.Spec) []Result {
+func newResults(specs []core.Spec) []Result {
 	results := make([]Result, len(specs))
 	for i, spec := range specs {
 		results[i].Label = spec.Name()
@@ -221,7 +220,7 @@ func newResults(specs []protocol.Spec) []Result {
 // aggregates, one Result per spec labelled with its Name. All specs see
 // identical worlds. This serial path is the determinism oracle for
 // StudyParallel.
-func Study(params Params, runs int, seed int64, specs []protocol.Spec) ([]Result, error) {
+func Study(params Params, runs int, seed int64, specs []core.Spec) ([]Result, error) {
 	if err := params.validate(); err != nil {
 		return nil, err
 	}
@@ -251,7 +250,7 @@ type Options struct {
 // simulation batch) and per-run accumulators merge in ascending run order.
 // Results are bit-for-bit identical to the serial Study for any worker
 // count.
-func StudyParallel(params Params, runs int, seed int64, specs []protocol.Spec, opts Options) ([]Result, error) {
+func StudyParallel(params Params, runs int, seed int64, specs []core.Spec, opts Options) ([]Result, error) {
 	if err := params.validate(); err != nil {
 		return nil, err
 	}

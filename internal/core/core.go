@@ -31,6 +31,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"qcommit/internal/protocol"
 	"qcommit/internal/quorumcalc"
@@ -78,8 +79,6 @@ type Spec struct {
 	// votes or quorums were merely forgotten still fails Validate.
 	perTransaction bool
 }
-
-var _ protocol.Spec = Spec{}
 
 // Majority returns, for v single-vote sites, the majority commit quorum and
 // the smallest abort quorum intersecting it.
@@ -147,7 +146,8 @@ func (s Spec) Validate() error {
 
 var names = [...]string{Protocol1: "QC1", Protocol2: "QC2", ThreePC: "3PC", SkeenQ: "SkeenQ", TwoPC: "2PC"}
 
-// Name implements protocol.Spec.
+// Name identifies the protocol in traces and result tables: "2PC", "3PC",
+// "SkeenQ", "QC1" or "QC2".
 func (s Spec) Name() string {
 	if !s.known() {
 		return fmt.Sprintf("Variant(%d)", int(s.Variant))
@@ -179,21 +179,52 @@ func (s Spec) Rule(items []types.ItemID, participants []types.SiteID) quorumcalc
 	return quorumcalc.TP1Rule(items)
 }
 
-// NewCoordinator implements protocol.Spec: COMMIT goes out once the PC-ACKs
-// satisfy the rule's ack quorum (Fig. 9's early commit; all of them for 3PC),
+// NewCoordinator builds the commit coordinator for a transaction issued at
+// this site. COMMIT goes out once the PC-ACKs satisfy the rule's ack quorum (Fig. 9's early commit; all of them for 3PC),
 // or on the last yes vote for 2PC.
 func (s Spec) NewCoordinator(txn types.TxnID, ws types.Writeset, participants []types.SiteID) protocol.Automaton {
 	return threephase.NewCoordinator(txn, ws, participants, s.Rule(ws.Items(), participants))
 }
 
-// NewParticipant implements protocol.Spec.
+// NewParticipant builds the per-site participant. init is non-nil when the
+// participant is reconstructed from the WAL after a crash.
 func (s Spec) NewParticipant(txn types.TxnID, init *wal.TxnImage) protocol.Automaton {
 	return threephase.NewParticipant(txn, init, s.BuggyBufferCrossing)
 }
 
-// NewTerminator implements protocol.Spec.
+// NewTerminator builds the termination-protocol coordinator a site runs
+// after winning an election in its partition; epoch tells successive rounds
+// apart.
 func (s Spec) NewTerminator(txn types.TxnID, ws types.Writeset, participants []types.SiteID, epoch uint32) protocol.Automaton {
 	return threephase.NewTerminator(txn, participants, epoch, s.Rule(ws.Items(), participants))
+}
+
+// Standard returns the five protocols in comparison order: 2PC, 3PC, Skeen's
+// quorum protocol, and the paper's protocols 1 and 2. Skeen's protocol gets
+// one vote per site and majority quorums — over the given sites, or, when
+// none are given, per transaction over its participants (PerTransaction, the
+// convention of the studies).
+func Standard(sites []types.SiteID) []Spec {
+	skeen := PerTransaction()
+	if len(sites) > 0 {
+		vc, va := Majority(len(sites))
+		skeen = Uniform(sites, vc, va)
+	}
+	return []Spec{{Variant: TwoPC}, {Variant: ThreePC}, skeen, {Variant: Protocol1}, {Variant: Protocol2}}
+}
+
+// ByName returns the Standard protocol over the given cluster sites with the
+// given name (2PC, 3PC, SkeenQ, QC1 or QC2, in any letter case), validated.
+func ByName(name string, sites []types.SiteID) (Spec, error) {
+	if len(sites) == 0 {
+		return Spec{}, fmt.Errorf("protocol %q: no sites to size its quorums over", name)
+	}
+	for _, spec := range Standard(sites) {
+		if strings.EqualFold(spec.Name(), name) {
+			return spec, spec.Validate()
+		}
+	}
+	return Spec{}, fmt.Errorf("unknown protocol %q (want 2PC, 3PC, SkeenQ, QC1 or QC2)", name)
 }
 
 // String implements fmt.Stringer: "protocol 1" or "protocol 2" for the

@@ -1,10 +1,9 @@
-package protocols
+package core
 
 import (
 	"strings"
 	"testing"
 
-	"qcommit/internal/core"
 	"qcommit/internal/protocoltest"
 	"qcommit/internal/quorumcalc"
 	"qcommit/internal/types"
@@ -40,8 +39,8 @@ func TestByNameRejects(t *testing.T) {
 // quorums over each transaction's participants; with the cluster's sites, it
 // uses the cluster-wide majority whatever the participants.
 func TestStandardSkeenQuorums(t *testing.T) {
-	skeen := func(sites []types.SiteID) core.Spec {
-		s := Standard(sites)[2].(core.Spec)
+	skeen := func(sites []types.SiteID) Spec {
+		s := Standard(sites)[2]
 		if s.Name() != "SkeenQ" {
 			t.Fatalf("Standard(%v)[2] = %s, want SkeenQ", sites, s.Name())
 		}

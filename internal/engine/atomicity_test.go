@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"qcommit/internal/core"
-	"qcommit/internal/protocol"
 	"qcommit/internal/sim"
 	"qcommit/internal/simnet"
 	"qcommit/internal/types"
@@ -16,7 +15,7 @@ import (
 // schedule: coordinator and participant crashes at random times, a random
 // network partition (possibly healing later), random restarts, plus ambient
 // message loss and duplication. It returns the cluster for inspection.
-func randomSchedule(t testing.TB, spec protocol.Spec, seed int64, loss, dup float64) *Cluster {
+func randomSchedule(t testing.TB, spec core.Spec, seed int64, loss, dup float64) *Cluster {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 
@@ -90,11 +89,11 @@ func randomSchedule(t testing.TB, spec protocol.Spec, seed int64, loss, dup floa
 // across randomized crash/partition/loss schedules, none of the correct
 // protocols ever terminates a transaction inconsistently.
 func TestAtomicityUnderRandomFailureSchedules(t *testing.T) {
-	specs := []protocol.Spec{
-		core.Spec{Variant: core.TwoPC},
+	specs := []core.Spec{
+		{Variant: core.TwoPC},
 		core.Uniform([]types.SiteID{1, 2, 3, 4, 5, 6, 7, 8}, 5, 4),
-		core.Spec{Variant: core.Protocol1},
-		core.Spec{Variant: core.Protocol2},
+		{Variant: core.Protocol1},
+		{Variant: core.Protocol2},
 	}
 	const runs = 120
 	for _, spec := range specs {

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 
+	"qcommit/internal/core"
 	"qcommit/internal/msg"
 	"qcommit/internal/protocol"
 	"qcommit/internal/sim"
@@ -37,8 +38,9 @@ type Config struct {
 	// internal/voting.Dynamic). The commit and termination protocols
 	// themselves always run on the static assignment.
 	Strategy voting.Strategy
-	// Spec is the commit+termination protocol under test.
-	Spec protocol.Spec
+	// Spec is the commit+termination protocol under test (the zero Spec is
+	// QC1). New panics if it fails Validate.
+	Spec core.Spec
 	// T is the longest end-to-end propagation delay (timeout base).
 	// Defaults to Net.MaxDelay.
 	T sim.Duration
@@ -105,8 +107,8 @@ func New(cfg Config) *Cluster {
 	if cfg.Assignment == nil {
 		panic("engine: Config.Assignment is required")
 	}
-	if cfg.Spec == nil {
-		panic("engine: Config.Spec is required")
+	if err := cfg.Spec.Validate(); err != nil {
+		panic(fmt.Sprintf("engine: Config.Spec: %v", err))
 	}
 	if !cfg.Strategy.Valid() {
 		panic(fmt.Sprintf("engine: invalid Config.Strategy %v", cfg.Strategy))
@@ -248,7 +250,7 @@ func (cl *Cluster) Sites() []types.SiteID {
 }
 
 // Spec returns the protocol under test.
-func (cl *Cluster) Spec() protocol.Spec { return cl.cfg.Spec }
+func (cl *Cluster) Spec() core.Spec { return cl.cfg.Spec }
 
 // Assignment returns the voting configuration.
 func (cl *Cluster) Assignment() *voting.Assignment { return cl.cfg.Assignment }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"qcommit/internal/core"
-	"qcommit/internal/protocol"
 	"qcommit/internal/types"
 	"qcommit/internal/voting"
 )
@@ -24,14 +23,32 @@ func paperAssignment(t testing.TB) *voting.Assignment {
 	return a
 }
 
-func allSpecs() []protocol.Spec {
+func allSpecs() []core.Spec {
 	sites := []types.SiteID{1, 2, 3, 4, 5, 6, 7, 8}
-	return []protocol.Spec{
-		core.Spec{Variant: core.TwoPC},
-		core.Spec{Variant: core.ThreePC},
+	return []core.Spec{
+		{Variant: core.TwoPC},
+		{Variant: core.ThreePC},
 		core.Uniform(sites, 5, 4),
-		core.Spec{Variant: core.Protocol1},
-		core.Spec{Variant: core.Protocol2},
+		{Variant: core.Protocol1},
+		{Variant: core.Protocol2},
+	}
+}
+
+// TestNewRejectsInvalidSpec: New refuses a spec that fails Validate — an
+// unknown Variant, which would otherwise run as QC1, and a SkeenQ spec whose
+// quorums do not intersect (Vc+Va ≤ V) — as it refuses a bad Strategy.
+func TestNewRejectsInvalidSpec(t *testing.T) {
+	sites := []types.SiteID{1, 2, 3, 4, 5, 6, 7, 8}
+	for _, spec := range []core.Spec{{Variant: 9}, core.Uniform(sites, 4, 4)} {
+		t.Run(spec.Name(), func(t *testing.T) {
+			want := "engine: Config.Spec: " + spec.Validate().Error()
+			defer func() {
+				if r := recover(); r != want {
+					t.Errorf("panic = %v, want %q", r, want)
+				}
+			}()
+			New(Config{Seed: 1, Assignment: paperAssignment(t), Spec: spec})
+		})
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"qcommit/internal/core"
-	"qcommit/internal/protocol"
 	"qcommit/internal/sim"
 	"qcommit/internal/types"
 )
@@ -31,11 +30,11 @@ func TestCrashGridAllProtocolsAllPhases(t *testing.T) {
 		{"coordinator", 1},
 		{"participant", 6},
 	}
-	specs := []protocol.Spec{
-		core.Spec{Variant: core.TwoPC},
+	specs := []core.Spec{
+		{Variant: core.TwoPC},
 		core.Uniform([]types.SiteID{1, 2, 3, 4, 5, 6, 7, 8}, 5, 4),
-		core.Spec{Variant: core.Protocol1},
-		core.Spec{Variant: core.Protocol2},
+		{Variant: core.Protocol1},
+		{Variant: core.Protocol2},
 	}
 	for _, spec := range specs {
 		for _, ph := range phases {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"qcommit/internal/core"
-	"qcommit/internal/protocol"
 	"qcommit/internal/sim"
 	"qcommit/internal/types"
 	"qcommit/internal/voting"
@@ -30,11 +29,11 @@ import (
 // point.
 func TestRestartQueryKeepsAtomicity(t *testing.T) {
 	sites := []types.SiteID{1, 2, 3, 4, 5}
-	specs := []protocol.Spec{
-		core.Spec{Variant: core.Protocol1},
-		core.Spec{Variant: core.Protocol2},
+	specs := []core.Spec{
+		{Variant: core.Protocol1},
+		{Variant: core.Protocol2},
 		core.Uniform(sites, 3, 3),
-		core.Spec{Variant: core.ThreePC},
+		{Variant: core.ThreePC},
 	}
 	ws := types.Writeset{{Item: "x", Value: 1}}
 	for _, spec := range specs {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"qcommit/internal/core"
-	"qcommit/internal/protocol"
 	"qcommit/internal/sim"
 	"qcommit/internal/trace"
 	"qcommit/internal/types"
@@ -36,12 +35,12 @@ import (
 // not. Delays are drawn per message from [0, T], so a hop is at most T.
 func TestTerminationStageBudget(t *testing.T) {
 	sites := []types.SiteID{1, 2, 3, 4, 5}
-	specs := []protocol.Spec{
-		core.Spec{Variant: core.TwoPC},
-		core.Spec{Variant: core.ThreePC},
+	specs := []core.Spec{
+		{Variant: core.TwoPC},
+		{Variant: core.ThreePC},
 		core.Uniform(sites, 3, 3),
-		core.Spec{Variant: core.Protocol1},
-		core.Spec{Variant: core.Protocol2},
+		{Variant: core.Protocol1},
+		{Variant: core.Protocol2},
 	}
 	var table strings.Builder
 	fmt.Fprintf(&table, "\n%-7s %-7s %9s %9s %9s %9s %9s %9s\n", "proto", "crashed", "patience", "election", "collect", "confirm", "settled", "rejoin")

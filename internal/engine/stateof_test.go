@@ -8,7 +8,6 @@ import (
 	"qcommit/internal/avail"
 	"qcommit/internal/core"
 	"qcommit/internal/engine"
-	"qcommit/internal/protocols"
 	"qcommit/internal/sim"
 	"qcommit/internal/types"
 	"qcommit/internal/voting"
@@ -145,7 +144,7 @@ func TestStateOfMatchesReplayChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	items := asgn.Items()
-	for _, spec := range protocols.Standard(nil) {
+	for _, spec := range core.Standard(nil) {
 		for seed := int64(1); seed <= 3; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			cl := engine.New(engine.Config{Seed: seed, Assignment: asgn, Spec: spec, ExtraSites: []types.SiteID{7}})

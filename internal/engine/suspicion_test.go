@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"qcommit/internal/core"
-	"qcommit/internal/protocol"
-	"qcommit/internal/protocols"
 	"qcommit/internal/sim"
 	"qcommit/internal/types"
 	"qcommit/internal/voting"
@@ -24,9 +22,9 @@ import (
 // frame, or the sweep did not exercise what it is about.
 func TestWrongSuspicionKeepsAtomicity(t *testing.T) {
 	sites := []types.SiteID{1, 2, 3, 4, 5}
-	specs := []protocol.Spec{
-		core.Spec{Variant: core.Protocol1},
-		core.Spec{Variant: core.Protocol2},
+	specs := []core.Spec{
+		{Variant: core.Protocol1},
+		{Variant: core.Protocol2},
 		core.Uniform(sites, 3, 3),
 	}
 	ws := types.Writeset{{Item: "x", Value: 1}}
@@ -106,7 +104,7 @@ func TestBeginAbortKeepsAtomicity(t *testing.T) {
 		{{Item: "b", Value: 2}, {Item: "c", Value: 2}},
 		{{Item: "c", Value: 3}, {Item: "a", Value: 3}},
 	}
-	for _, spec := range protocols.Standard(sites) {
+	for _, spec := range core.Standard(sites) {
 		t.Run(spec.Name(), func(t *testing.T) {
 			t.Parallel()
 			atBegin, txns := 0, 0

@@ -27,7 +27,6 @@ var deterministicPkgs = map[string]bool{
 	"qcommit/internal/simnet":     true,
 	"qcommit/internal/core":       true,
 	"qcommit/internal/protocol":   true,
-	"qcommit/internal/protocols":  true,
 	"qcommit/internal/threephase": true,
 	"qcommit/internal/election":   true,
 	"qcommit/internal/voting":     true,

@@ -10,9 +10,9 @@ import (
 	"sync"
 	"time"
 
+	"qcommit/internal/core"
 	"qcommit/internal/msg"
 	"qcommit/internal/obs"
-	"qcommit/internal/protocol"
 	"qcommit/internal/site"
 	"qcommit/internal/transport"
 	"qcommit/internal/transport/inproc"
@@ -31,8 +31,9 @@ type Config struct {
 	// StrategyDynamic for vote reassignment onto each committed write's
 	// survivor set), exactly as in the deterministic engine.
 	Strategy voting.Strategy
-	// Spec is the commit+termination protocol.
-	Spec protocol.Spec
+	// Spec is the commit+termination protocol (the zero Spec is QC1). New
+	// panics if it fails Validate.
+	Spec core.Spec
 	// MinDelay/MaxDelay bound simulated propagation delay (wall clock).
 	// Defaults 200µs–2ms, keeping 3T timeouts test-friendly.
 	MinDelay, MaxDelay time.Duration
@@ -84,7 +85,7 @@ type event struct {
 // bookkeeping — is a voting.Tracker handed to newNode, which a Cluster builds
 // over its nodes and a Server leaves nil.
 type hostCore struct {
-	spec  protocol.Spec
+	spec  core.Spec
 	asgn  *voting.Assignment
 	t     time.Duration // the protocol timeout unit T
 	start time.Time     // anchors the host's monotonic protocol clock
@@ -200,6 +201,9 @@ type Cluster struct {
 
 // New builds and starts one goroutine per site in the assignment.
 func New(cfg Config) *Cluster {
+	if err := cfg.Spec.Validate(); err != nil {
+		panic(fmt.Sprintf("live: Config.Spec: %v", err))
+	}
 	if !cfg.Strategy.Valid() {
 		panic(fmt.Sprintf("live: invalid Config.Strategy %v", cfg.Strategy))
 	}

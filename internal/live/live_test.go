@@ -8,7 +8,6 @@ import (
 
 	"qcommit/internal/core"
 	"qcommit/internal/msg"
-	"qcommit/internal/protocol"
 	"qcommit/internal/transport/inproc"
 	"qcommit/internal/types"
 	"qcommit/internal/voting"
@@ -21,14 +20,54 @@ func asgn() *voting.Assignment {
 	)
 }
 
-func specs() []protocol.Spec {
+func specs() []core.Spec {
 	sites := []types.SiteID{1, 2, 3, 4, 5, 6, 7, 8}
-	return []protocol.Spec{
-		core.Spec{Variant: core.TwoPC},
-		core.Spec{Variant: core.ThreePC},
+	return []core.Spec{
+		{Variant: core.TwoPC},
+		{Variant: core.ThreePC},
 		core.Uniform(sites, 5, 4),
-		core.Spec{Variant: core.Protocol1},
-		core.Spec{Variant: core.Protocol2},
+		{Variant: core.Protocol1},
+		{Variant: core.Protocol2},
+	}
+}
+
+// invalidSpecs fail Validate: an unknown Variant, which would otherwise run
+// as QC1, and a SkeenQ spec whose quorums do not intersect (Vc+Va ≤ V).
+func invalidSpecs() []core.Spec {
+	return []core.Spec{{Variant: 9}, core.Uniform([]types.SiteID{1, 2, 3, 4, 5, 6, 7, 8}, 4, 4)}
+}
+
+// TestNewRejectsInvalidSpec: New panics on a spec that fails Validate, as
+// it does on a bad Strategy, before it starts any goroutine.
+func TestNewRejectsInvalidSpec(t *testing.T) {
+	for _, spec := range invalidSpecs() {
+		t.Run(spec.Name(), func(t *testing.T) {
+			want := "live: Config.Spec: " + spec.Validate().Error()
+			defer func() {
+				if r := recover(); r != want {
+					t.Errorf("panic = %v, want %q", r, want)
+				}
+			}()
+			New(Config{Assignment: asgn(), Spec: spec, Seed: 1}).Stop()
+		})
+	}
+}
+
+// TestNewServerRejectsInvalidSpec: NewServer returns the Validate error.
+func TestNewServerRejectsInvalidSpec(t *testing.T) {
+	for _, spec := range invalidSpecs() {
+		t.Run(spec.Name(), func(t *testing.T) {
+			tr := inproc.New(inproc.Options{Seed: 1})
+			defer tr.Close()
+			srv, err := NewServer(1, ServerConfig{Assignment: asgn(), Spec: spec}, tr)
+			if err == nil {
+				srv.Stop()
+				t.Fatal("invalid spec accepted")
+			}
+			if want := "live: ServerConfig.Spec: " + spec.Validate().Error(); err.Error() != want {
+				t.Errorf("err = %q, want %q", err, want)
+			}
+		})
 	}
 }
 

@@ -5,9 +5,9 @@ import (
 	"sync"
 	"time"
 
+	"qcommit/internal/core"
 	"qcommit/internal/msg"
 	"qcommit/internal/obs"
-	"qcommit/internal/protocol"
 	"qcommit/internal/storage"
 	"qcommit/internal/transport"
 	"qcommit/internal/types"
@@ -20,8 +20,9 @@ type ServerConfig struct {
 	// Assignment is the cluster-wide replica configuration; every process
 	// of a deployment must be started with the same one.
 	Assignment *voting.Assignment
-	// Spec is the commit+termination protocol.
-	Spec protocol.Spec
+	// Spec is the commit+termination protocol (the zero Spec is QC1).
+	// NewServer returns its Validate error.
+	Spec core.Spec
 	// TimeoutBase is the protocol timeout unit T (default 50ms — sockets
 	// pay real scheduling and kernel latency, so the default is far above
 	// the inproc fabric's).
@@ -66,8 +67,8 @@ func NewServer(id types.SiteID, cfg ServerConfig, tr transport.Transport) (*Serv
 	if cfg.Assignment == nil {
 		return nil, fmt.Errorf("live: ServerConfig.Assignment is required")
 	}
-	if cfg.Spec == nil {
-		return nil, fmt.Errorf("live: ServerConfig.Spec is required")
+	if err := cfg.Spec.Validate(); err != nil {
+		return nil, fmt.Errorf("live: ServerConfig.Spec: %w", err)
 	}
 	if cfg.TimeoutBase <= 0 {
 		cfg.TimeoutBase = 50 * time.Millisecond

@@ -1,18 +1,18 @@
 // Package protocol defines the runtime-agnostic contract between commit /
-// termination protocol automata and the engine that hosts them.
+// termination protocol automata and the site that hosts them: the Automaton
+// and Env interfaces, the automaton roles, and the paper's timeouts.
 //
 // Every protocol in this repository (two-phase commit, three-phase commit,
 // Skeen's quorum-based protocol, and the paper's quorum-based commit and
 // termination protocols 1 and 2) is written as a set of pure, event-driven
 // state machines: an automaton consumes messages and timer expirations and
-// reacts through the Env interface. One Spec builds them all: core.Spec,
-// whose five protocols share one participant, coordinator and terminator
-// (package threephase) and differ only in their quorumcalc.Rule. The same
-// automata run unchanged under
-// the deterministic discrete-event simulator (package engine) and the live
-// goroutine runtime (package live): both drive the one site kernel (package
-// site) that implements Env, and differ only in what supplies its time,
-// timers, sends and log.
+// reacts through the Env interface. core.Spec builds them all: its five
+// protocols share one participant, coordinator and terminator (package
+// threephase) and differ only in their quorumcalc.Rule. The same automata
+// run unchanged under the deterministic discrete-event simulator (package
+// engine) and the live goroutine runtime (package live): both drive the one
+// site kernel (package site) that implements Env, and differ only in what
+// supplies its time, timers, sends and log.
 package protocol
 
 import (
@@ -102,25 +102,6 @@ const (
 	// RoleElection is the coordinator-election automaton.
 	RoleElection
 )
-
-// Spec is a commit+termination protocol family. The engine uses it to build
-// automata; everything protocol-specific lives behind this interface.
-type Spec interface {
-	// Name identifies the protocol in traces and result tables
-	// (e.g. "2PC", "3PC", "SkeenQ", "QC1", "QC2").
-	Name() string
-	// NewCoordinator creates the commit coordinator for a transaction
-	// issued at this site.
-	NewCoordinator(txn types.TxnID, ws types.Writeset, participants []types.SiteID) Automaton
-	// NewParticipant creates the per-site participant automaton. init is
-	// non-nil when the participant is being reconstructed from the WAL after
-	// a crash.
-	NewParticipant(txn types.TxnID, init *wal.TxnImage) Automaton
-	// NewTerminator creates the termination-protocol coordinator that runs
-	// after this site wins an election in its partition. epoch distinguishes
-	// successive (reentrant) invocations.
-	NewTerminator(txn types.TxnID, ws types.Writeset, participants []types.SiteID, epoch uint32) Automaton
-}
 
 // Timeout multiples used across the protocols, as in the paper: a
 // participant that sent a message to the coordinator starts the election

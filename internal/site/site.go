@@ -44,6 +44,7 @@ import (
 	"slices"
 	"sort"
 
+	"qcommit/internal/core"
 	"qcommit/internal/election"
 	"qcommit/internal/lockmgr"
 	"qcommit/internal/msg"
@@ -129,7 +130,7 @@ type Host[X any] interface {
 // Config is the fixed part of a site.
 type Config struct {
 	// Spec builds the automata of the protocol under test.
-	Spec protocol.Spec
+	Spec core.Spec
 	// Assignment is the cluster-wide vote assignment.
 	Assignment *voting.Assignment
 	// T is the timeout base (longest end-to-end propagation delay).

@@ -6,8 +6,7 @@
 // quorums, the paper's TP1/TP2 replica-vote quorums, 3PC's site-failure
 // rule, or 2PC's rule, whose coordinator skips the PREPARE-TO-COMMIT round
 // and whose quorums never hold — which they consult and never restate.
-// core.Spec is the one protocol.Spec built on them: its Variant picks the
-// rule.
+// core.Spec builds them: its Variant picks the rule.
 //
 // Every wait in these automata is closed by the reply it waits for, and its
 // timer is only the bound for sites that stay silent: the coordinator sends
