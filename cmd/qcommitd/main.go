@@ -56,11 +56,11 @@ func main() {
 		itemsFlag  = flag.String("items", "x", "comma-separated item names, each replicated at every site with majority quorums")
 		protoFlag  = flag.String("protocol", "qc1", "commit protocol: qc1, qc2, 2pc, 3pc or skeenq")
 		stratFlag  = flag.String("strategy", "quorum", "data-access strategy (only 'quorum' is supported across processes)")
-		timeout    = flag.Duration("timeout-base", 50*time.Millisecond, "protocol timeout unit T")
+		timeout    = flag.Duration("timeout-base", 50*time.Millisecond, "protocol timeout unit T (must be positive)")
 		waldir     = flag.String("waldir", "", "directory for the on-disk group-commit WAL qcommitd-site<N>.wal, reused across restarts for recovery; empty keeps the log in memory (lost on process exit)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables. The /metrics and /debug/txns handlers ride the same mux when -metrics is off")
 		metrics    = flag.String("metrics", "", "serve Prometheus-text /metrics and the /debug/txns slow-transaction view on this address (e.g. localhost:9090, or :0 for any free port; the ready line names the bound address); empty disables the HTTP endpoint but -pprof still exposes the handlers")
-		traceEvery = flag.Int("trace-sample", 16, "record a commit-path span for every Nth transaction this site coordinates (1 traces everything; used by /debug/txns)")
+		traceEvery = flag.Int("trace-sample", 16, "record a commit-path span for every Nth transaction this site coordinates (at least 1; 1 traces everything; used by /debug/txns)")
 		failpoint  = flag.String("failpoint", "", "deterministic fault injection: 'crash-before-decision' SIGKILLs the process when its coordinator first sends a decision-phase message")
 	)
 	flag.Parse()
@@ -86,6 +86,12 @@ func openWAL(dir string, site int) (wal.AsyncLog, func() error, error) {
 func run(site int, peersFlag, itemsFlag, protoFlag, stratFlag string, timeoutBase time.Duration, waldir, pprofAddr, metricsAddr string, traceEvery int, failpoint string) error {
 	if site <= 0 {
 		return fmt.Errorf("-site is required and must be positive")
+	}
+	if timeoutBase <= 0 {
+		return fmt.Errorf("-timeout-base %v: must be positive", timeoutBase)
+	}
+	if traceEvery < 1 {
+		return fmt.Errorf("-trace-sample %d: must be at least 1", traceEvery)
 	}
 	self := types.SiteID(site)
 	peers, err := parsePeers(peersFlag)

@@ -2,6 +2,7 @@ package qcommit
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"flag"
 	"net"
@@ -266,13 +267,20 @@ func TestCommandFlagErrors(t *testing.T) {
 		{"qsim negative dup", qsim, []string{"-dup", "-0.1"}, "DupProb", 1},
 		{"qsim unknown protocol", qsim, []string{"-protocol", "bogus"}, "bogus", 1},
 		{"qcommitd unknown protocol", qcommitd, []string{"-site", "1", "-peers", "1=127.0.0.1:0", "-protocol", "bogus"}, "bogus", 1},
+		{"qcommitd zero timeout base", qcommitd, []string{"-site", "1", "-peers", "1=127.0.0.1:0", "-timeout-base", "0s"}, "-timeout-base", 1},
+		{"qcommitd negative timeout base", qcommitd, []string{"-site", "1", "-peers", "1=127.0.0.1:0", "-timeout-base", "-5ms"}, "-timeout-base", 1},
+		{"qcommitd trace-sample below 1", qcommitd, []string{"-site", "1", "-peers", "1=127.0.0.1:0", "-trace-sample", "0"}, "-trace-sample", 1},
 		{"churnbench unknown protocol", churnbench, []string{"-protocol", "bogus"}, "bogus", 2},
 		{"availbench unknown engine", availbench, []string{"-engine", "bogus"}, "bogus", 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			// A command that accepts the bad setting would serve on (qcommitd
+			// does), so the deadline turns a hang into a failure.
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
 			var stdout, stderr strings.Builder
-			cmd := exec.Command(tc.bin, tc.args...)
+			cmd := exec.CommandContext(ctx, tc.bin, tc.args...)
 			cmd.Stdout, cmd.Stderr = &stdout, &stderr
 			var exit *exec.ExitError
 			if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != tc.status {

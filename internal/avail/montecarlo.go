@@ -306,6 +306,13 @@ type MCResult struct {
 	Violations int
 }
 
+// add accumulates other into r.
+func (r *MCResult) add(other MCResult) {
+	r.Trials += other.Trials
+	r.Counts.Add(other.Counts)
+	r.Violations += other.Violations
+}
+
 // trialRunner is the shared per-trial kernel of the serial and parallel
 // Monte Carlo paths: it generates trial t (seeded seed+t) and evaluates it
 // under every builder with the selected engine, adding the tallies into
@@ -349,9 +356,7 @@ func (r *trialRunner) accumulate(seed int64, t int, results []MCResult) error {
 	}
 	for i, b := range r.builders {
 		rep, violations := Replay(sc, b.Build(sc))
-		results[i].Trials++
-		results[i].Counts.Add(rep.Tally())
-		results[i].Violations += len(violations)
+		results[i].add(MCResult{Trials: 1, Counts: rep.Tally(), Violations: len(violations)})
 	}
 	return nil
 }

@@ -1,10 +1,6 @@
 package avail
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "qcommit/internal/par"
 
 // MCOptions tunes MonteCarloParallel.
 type MCOptions struct {
@@ -26,44 +22,17 @@ type MCOptions struct {
 // claim counter is not contended.
 const chunkSize = 16
 
-// MonteCarloParallel is the worker-pool version of MonteCarlo: it fans the
-// trials out across opts.Workers goroutines and merges the per-chunk
-// accumulators in ascending trial order. Because every trial is
+// MonteCarloParallel is the worker-pool version of MonteCarlo: par.Ordered
+// fans chunks of trials out across opts.Workers goroutines and merges the
+// per-chunk accumulators in ascending trial order. Because every trial is
 // independently seeded (seed+t) and evaluated hermetically, the result is
 // bit-for-bit identical to the serial MonteCarlo for any worker count and
 // either engine.
 func MonteCarloParallel(params ScenarioParams, trials int, seed int64, builders []SpecBuilder, opts MCOptions) ([]MCResult, error) {
-	if err := params.validate(); err != nil {
-		return nil, err
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > trials {
-		workers = trials
-	}
-	if workers <= 1 {
-		// One worker is exactly the serial path; skip the pool machinery.
-		runner, err := newTrialRunner(params, builders, opts.Engine)
-		if err != nil {
-			return nil, err
-		}
-		results := newMCResults(builders)
-		for t := 0; t < trials; t++ {
-			if err := runner.accumulate(seed, t, results); err != nil {
-				return nil, err
-			}
-			if opts.Progress != nil {
-				opts.Progress(t+1, trials)
-			}
-		}
-		return results, nil
-	}
-
-	// Per-worker scratch (scenario generator buffers, analytic tallies),
-	// constructed before spawning so a misconfigured run fails up front.
-	runners := make([]*trialRunner, workers)
+	// One trialRunner (scenario generator buffers, analytic tallies) per
+	// worker, constructed before any trial runs so invalid params fail up
+	// front (NewScenarioGen validates them).
+	runners := make([]*trialRunner, par.Workers(opts.Workers, trials))
 	for w := range runners {
 		runner, err := newTrialRunner(params, builders, opts.Engine)
 		if err != nil {
@@ -71,72 +40,21 @@ func MonteCarloParallel(params ScenarioParams, trials int, seed int64, builders 
 		}
 		runners[w] = runner
 	}
-
-	// Workers claim contiguous chunks of trial indices from an atomic
-	// counter; each chunk accumulates into its own slot so the merge below
-	// can proceed in trial order regardless of completion order.
-	numChunks := (trials + chunkSize - 1) / chunkSize
-	chunks := make([][]MCResult, numChunks)
-	errs := make([]error, numChunks)
-
-	var next atomic.Int64
-	var failed atomic.Bool
-	var progressMu sync.Mutex // guards done and serializes Progress calls
-	done := 0
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		runner := runners[w]
-		go func() {
-			defer wg.Done()
-			for {
-				ci := int(next.Add(1)) - 1
-				if ci >= numChunks || failed.Load() {
-					return
-				}
-				lo := ci * chunkSize
-				hi := lo + chunkSize
-				if hi > trials {
-					hi = trials
-				}
-				acc := newMCResults(builders)
-				for t := lo; t < hi; t++ {
-					if err := runner.accumulate(seed, t, acc); err != nil {
-						errs[ci] = err
-						failed.Store(true)
-						return
-					}
-				}
-				chunks[ci] = acc
-				if opts.Progress != nil {
-					progressMu.Lock()
-					done += hi - lo
-					opts.Progress(done, trials)
-					progressMu.Unlock()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Deterministic merge by trial index: chunk ci covers trials
-	// [ci*chunkSize, ...), so walking chunks in order replays the serial
-	// aggregation order. On failure, report the error of the lowest failing
-	// trial range, as the serial path would have.
 	results := newMCResults(builders)
-	for ci := 0; ci < numChunks; ci++ {
-		if errs[ci] != nil {
-			return nil, errs[ci]
+	if err := par.Ordered(trials, chunkSize, len(runners), func(w, lo, hi int) ([]MCResult, error) {
+		acc := newMCResults(builders)
+		for t := lo; t < hi; t++ {
+			if err := runners[w].accumulate(seed, t, acc); err != nil {
+				return nil, err
+			}
 		}
-		if chunks[ci] == nil {
-			// A later worker raced past a failed chunk; the error is ahead.
-			continue
-		}
+		return acc, nil
+	}, func(acc []MCResult) {
 		for i := range results {
-			results[i].Trials += chunks[ci][i].Trials
-			results[i].Counts.Add(chunks[ci][i].Counts)
-			results[i].Violations += chunks[ci][i].Violations
+			results[i].add(acc[i])
 		}
+	}, opts.Progress); err != nil {
+		return nil, err
 	}
 	return results, nil
 }

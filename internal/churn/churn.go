@@ -26,20 +26,25 @@
 // differences between columns isolate the commit and termination protocols
 // — exactly the avail sweep's discipline, extended over time.
 //
+// Both engines run the same world (newWorld: seed tables, fault timeline,
+// repair kicks; finishWorld: run to the horizon, read the fates). Replay
+// submits every arrival into it, the hybrid engine only what arithmetic
+// cannot decide.
+//
 // # Determinism
 //
 // A study is a pure function of (Params, runs, seed, specs): run r draws
 // its script from seed+r, all scheduling happens through the deterministic
 // simulator, and aggregation is integer addition plus an order-insensitive
-// sort of latencies. StudyParallel exploits this: runs are evaluated by a
-// worker pool and merged in run order, making its results bit-for-bit
-// identical to the serial Study for any worker count.
+// sort of latencies. StudyParallel exploits this: par.Ordered evaluates runs
+// on a worker pool and merges them in run order, making its results
+// bit-for-bit identical to the serial Study for any worker count.
 package churn
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"qcommit/internal/avail"
@@ -376,6 +381,14 @@ type Result struct {
 	Latencies []sim.Duration
 }
 
+// add accumulates other into r, appending its latencies unsorted.
+func (r *Result) add(other Result) {
+	r.Runs += other.Runs
+	r.Counts.Add(other.Counts)
+	r.Violations += other.Violations
+	r.Latencies = append(r.Latencies, other.Latencies...)
+}
+
 // LatencyPercentile returns the p-th percentile (0 < p ≤ 100) of the
 // time-to-termination distribution by the nearest-rank method, or 0 with no
 // terminated transactions.
@@ -462,7 +475,6 @@ func FormatTableCI(results []Result) string {
 // streams become one ascending distribution per protocol.
 func sortLatencies(results []Result) {
 	for i := range results {
-		lats := results[i].Latencies
-		sort.Slice(lats, func(a, b int) bool { return lats[a] < lats[b] })
+		slices.Sort(results[i].Latencies)
 	}
 }

@@ -51,7 +51,7 @@
 package churn
 
 import (
-	"fmt"
+	"slices"
 	"sort"
 
 	"qcommit/internal/core"
@@ -166,16 +166,12 @@ type hybridRun struct {
 	// (2PC commits on the last yes vote) and whether an expired ack window
 	// commits (3PC) or terminates — which the analytic path refuses to model
 	// and hands to replay.
-	spec    core.Spec
-	multi   []bool
-	plans   []arrivalPlan
-	T       sim.Duration
-	window  sim.Duration
-	horizon sim.Time
+	spec core.Spec
 
-	// world is the shared fallback replay world, created lazily at the
-	// first replayed transaction. worldTxn[i] is arrival i's transaction ID
-	// there (0 = analytic or rejected).
+	// world is the shared fallback replay world — the same cluster replay
+	// would build, from newWorld — created lazily at the first replayed
+	// transaction. worldTxn[i] is arrival i's transaction ID there (0 =
+	// analytic or rejected).
 	world    *engine.Cluster
 	worldTxn []types.TxnID
 
@@ -258,18 +254,7 @@ func buildHybridPlans(sc *script, seed int64, epochs []Epoch, T sim.Duration, wi
 			}
 		}
 
-		// Re-route a down coordinator to the lowest-numbered live
-		// participant; reject when every participant is down.
-		coord := a.Coord
-		if ep.Down[coord] {
-			coord = 0
-			for _, pt := range a.Participants {
-				if !ep.Down[pt] {
-					coord = pt
-					break
-				}
-			}
-		}
+		coord := a.coordinator(ep.Up)
 		if coord == 0 {
 			continue
 		}
@@ -344,14 +329,9 @@ func buildHybridPlans(sc *script, seed int64, epochs []Epoch, T sim.Duration, wi
 func executeRunHybrid(sc *script, params Params, seed int64, spec core.Spec) (runStats, error) {
 	horizon := sim.Time(params.Horizon)
 	T := simnet.Config{}.MaxDelayOrDefault() // the engine's timeout base
-	if sc.hybridMulti == nil {
-		sc.hybridMulti = conflictClusters(sc.arrivals, sim.Duration(analyticClusterT)*T)
-	}
 	if sc.hybridPlans == nil || sc.hybridSeed != seed {
-		if sc.hybridEpochs == nil {
-			sc.hybridEpochs = sc.epochs(horizon)
-		}
-		sc.hybridPlans = buildHybridPlans(sc, seed, sc.hybridEpochs, T, sim.Duration(analyticWindowT)*T, horizon)
+		sc.hybridMulti = conflictClusters(sc.arrivals, sim.Duration(analyticClusterT)*T)
+		sc.hybridPlans = buildHybridPlans(sc, seed, sc.epochs(horizon), T, sim.Duration(analyticWindowT)*T, horizon)
 		sc.hybridSeed = seed
 	}
 	h := &hybridRun{
@@ -359,19 +339,13 @@ func executeRunHybrid(sc *script, params Params, seed int64, spec core.Spec) (ru
 		params:   params,
 		seed:     seed,
 		spec:     spec,
-		multi:    sc.hybridMulti,
-		plans:    sc.hybridPlans,
 		worldTxn: make([]types.TxnID, len(sc.arrivals)),
 	}
 
 	var st runStats
-	st.counts.Arrivals = len(sc.arrivals)
-	st.counts.SiteDownNS = sc.siteDownNS
-	st.counts.PartitionedNS = sc.partitionedNS
-
 	for i := range sc.arrivals {
 		a := &sc.arrivals[i]
-		p := &h.plans[i]
+		p := &sc.hybridPlans[i]
 
 		st.counts.AccessChecks += len(a.Writeset)
 		st.counts.ReadAvailable += p.probeRead
@@ -392,14 +366,7 @@ func executeRunHybrid(sc *script, params Params, seed int64, spec core.Spec) (ru
 
 		if committed, decidedAt, ok := h.classify(i, a, p); ok {
 			st.analytic++
-			lat := sim.Duration(decidedAt - a.At)
-			st.counts.PendingNS += int64(lat)
-			st.latencies = append(st.latencies, lat)
-			if committed {
-				st.counts.Committed++
-			} else {
-				st.counts.Aborted++
-			}
+			st.decided(sim.Duration(decidedAt-a.At), committed)
 			continue
 		}
 
@@ -412,88 +379,18 @@ func executeRunHybrid(sc *script, params Params, seed int64, spec core.Spec) (ru
 	}
 
 	if h.world != nil {
-		sched := h.world.Scheduler()
-		sched.RunUntil(horizon)
-		if sched.MaxSteps != 0 && sched.Steps() >= sched.MaxSteps {
-			return runStats{}, fmt.Errorf("churn: %s hybrid run (seed %d) exhausted %d scheduler steps before the horizon", spec.Name(), seed, sched.MaxSteps)
+		if err := finishWorld(h.world, sc, params, seed, spec, h.worldTxn, &st); err != nil {
+			return runStats{}, err
 		}
-		st.counts.ModeDemotions, st.counts.ModeRestorations = h.world.Tracker().ModeTransitions()
-		st.counts.VoteReassignments, st.counts.VoteRestorations = h.world.Tracker().VoteTransitions()
-		all := h.world.Sites()
-		for i := range sc.arrivals {
-			txn := h.worldTxn[i]
-			if txn == 0 {
-				continue
-			}
-			a := &sc.arrivals[i]
-			if decidedAt, ok := h.world.FirstDecisionAt(txn); ok {
-				lat := sim.Duration(decidedAt - a.At)
-				st.counts.PendingNS += int64(lat)
-				st.latencies = append(st.latencies, lat)
-				switch h.world.GroupOutcome(txn, all) {
-				case types.OutcomeCommitted:
-					st.counts.Committed++
-				default:
-					st.counts.Aborted++
-				}
-				continue
-			}
-			st.counts.PendingNS += int64(horizon - a.At)
-			if h.world.GroupOutcome(txn, all) == types.OutcomeBlocked {
-				st.counts.Blocked++
-			} else {
-				st.counts.Unresolved++
-			}
-		}
-		st.violations = len(h.world.Violations()) + len(h.world.CheckStores())
 	}
 	return st, nil
 }
 
-// ensureWorld builds the shared fallback world: the same cluster replay
-// would build, with the full fault timeline and kick schedule, but with only
-// the replayed transactions submitted into it.
+// ensureWorld builds the shared fallback world: exactly the cluster replay
+// builds (newWorld), with the full fault timeline and kick schedule, but with
+// only the replayed transactions submitted into it.
 func (h *hybridRun) ensureWorld() {
-	if h.sc.hybridStores == nil {
-		h.sc.hybridStores = engine.SeedTables(h.sc.asgn, 0, nil)
-	}
-	cl := engine.New(engine.Config{
-		Seed:       h.seed,
-		Net:        simnet.Config{DelayFn: delayModel(h.seed)},
-		Assignment: h.sc.asgn,
-		Strategy:   h.params.Strategy,
-		Spec:       h.spec,
-		ExtraSites: h.sc.sites,
-		SeedStores: h.sc.hybridStores,
-	})
-	cl.Recorder().Disable()
-	sched := cl.Scheduler()
-	sched.MaxSteps = 4_000_000 + uint64(len(h.sc.arrivals))*stepsPerArrival
-	for _, ev := range h.sc.events {
-		switch ev.Kind {
-		case EventCrash:
-			cl.CrashAt(ev.At, ev.Site)
-		case EventRestart:
-			cl.RestartAt(ev.At, ev.Site)
-		case EventPartition:
-			cl.PartitionAt(ev.At, ev.Groups...)
-		case EventHeal:
-			cl.HealAt(ev.At)
-		}
-	}
-	grace := sim.Duration(kickGraceT) * cl.T()
-	for _, ri := range h.sc.repairs {
-		at := h.sc.events[ri].At
-		sched.At(at, func() {
-			now := sched.Now()
-			for i, txn := range h.worldTxn {
-				if txn != 0 && h.sc.arrivals[i].At.Add(grace) <= now {
-					cl.Kick(txn)
-				}
-			}
-		})
-	}
-	h.world = cl
+	h.world = newWorld(h.sc, h.params, h.seed, h.spec, h.worldTxn, nil)
 }
 
 // classify decides arrival i analytically if it qualifies. It returns
@@ -503,7 +400,7 @@ func (h *hybridRun) ensureWorld() {
 // the live lock probe against its fallback world, the rule-table gate, and
 // the ack-quorum walk.
 func (h *hybridRun) classify(i int, a *arrival, p *arrivalPlan) (committed bool, decidedAt sim.Time, ok bool) {
-	if h.multi[i] || !p.windowOK {
+	if h.sc.hybridMulti[i] || !p.windowOK {
 		return false, 0, false
 	}
 
@@ -591,13 +488,8 @@ func windowQuiet(sc *script, a *arrival, coord types.SiteID, window sim.Duration
 		case EventPartition, EventHeal:
 			return false
 		default:
-			if evs[i].Site == coord {
+			if evs[i].Site == coord || slices.Contains(a.Participants, evs[i].Site) {
 				return false
-			}
-			for _, s := range a.Participants {
-				if s == evs[i].Site {
-					return false
-				}
 			}
 		}
 	}

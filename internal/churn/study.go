@@ -2,12 +2,10 @@ package churn
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"qcommit/internal/core"
 	"qcommit/internal/engine"
+	"qcommit/internal/par"
 	"qcommit/internal/sim"
 	"qcommit/internal/simnet"
 	"qcommit/internal/types"
@@ -29,6 +27,18 @@ type runStats struct {
 	analytic int
 }
 
+// decided tallies a submitted transaction whose first decision came lat
+// after its arrival.
+func (st *runStats) decided(lat sim.Duration, committed bool) {
+	st.counts.PendingNS += int64(lat)
+	st.latencies = append(st.latencies, lat)
+	if committed {
+		st.counts.Committed++
+	} else {
+		st.counts.Aborted++
+	}
+}
+
 // stepsPerArrival budgets scheduler events per transaction (ordinary
 // terminations take hundreds; repeated termination rounds under churn take
 // more). The budget exists to turn a livelocked protocol into an error
@@ -41,21 +51,34 @@ const stepsPerArrival = 100_000
 // phase), so by 6T an undecided transaction is genuinely stalled.
 const kickGraceT = 6
 
-// executeRun replays one script under one protocol: schedule the fault
-// timeline, the transaction stream and the post-repair kicks, run the
-// simulator to the horizon, then read every transaction's fate out of the
-// cluster.
-func executeRun(sc *script, params Params, seed int64, spec core.Spec) (runStats, error) {
-	// ExtraSites keeps copy-less sites in the cluster: random placement may
-	// leave a site with no replicas, but the timeline still crashes and
-	// restarts it. Delays come from the per-message hash model so the hybrid
-	// engine's fallback world — which simulates only a subset of the traffic
-	// — sees the same delay on every message it shares with this full replay.
-	cl := engine.New(engine.Config{Seed: seed, Net: simnet.Config{DelayFn: delayModel(seed)}, Assignment: sc.asgn, Strategy: params.Strategy, Spec: spec, ExtraSites: sc.sites})
+// newWorld builds one run's cluster on the script's shared seed tables and
+// schedules, in this order, the fault timeline, the caller's up-front events
+// (submit; replay's arrival closures, nil for the hybrid's fallback world)
+// and the post-repair kicks over txns. txns[i] is arrival i's transaction ID
+// in this world (0 = not submitted here); the kicks read it when they fire,
+// so the caller fills it in as it submits.
+//
+// ExtraSites keeps copy-less sites in the cluster: random placement may leave
+// a site with no replicas, but the timeline still crashes and restarts it.
+// Delays come from the per-message hash model, so a world that simulates only
+// a subset of the traffic sees the same delay on every message it shares with
+// the full replay.
+func newWorld(sc *script, params Params, seed int64, spec core.Spec, txns []types.TxnID, submit func(*engine.Cluster)) *engine.Cluster {
+	if sc.seeds == nil {
+		sc.seeds = engine.SeedTables(sc.asgn, 0, nil)
+	}
+	cl := engine.New(engine.Config{
+		Seed:       seed,
+		Net:        simnet.Config{DelayFn: delayModel(seed)},
+		Assignment: sc.asgn,
+		Strategy:   params.Strategy,
+		Spec:       spec,
+		ExtraSites: sc.sites,
+		SeedStores: sc.seeds,
+	})
 	cl.Recorder().Disable()
 	sched := cl.Scheduler()
 	sched.MaxSteps = 4_000_000 + uint64(len(sc.arrivals))*stepsPerArrival
-	horizon := sim.Time(params.Horizon)
 
 	for _, ev := range sc.events {
 		switch ev.Kind {
@@ -69,7 +92,72 @@ func executeRun(sc *script, params Params, seed int64, spec core.Spec) (runStats
 			cl.HealAt(ev.At)
 		}
 	}
+	if submit != nil {
+		submit(cl)
+	}
 
+	// After every repair event, re-kick stalled transactions: Kick resets
+	// the termination-round budget and starts a fresh election, so progress
+	// made possible by the repair is actually attempted. Only transactions
+	// past the kick grace are touched — a younger transaction's commit
+	// protocol is still running, and forcing termination under it would
+	// race the live coordinator (the engine's patience timers embody the
+	// same discipline). These callbacks are scheduled after the timeline's
+	// and the submissions, so at equal times the repair itself runs first.
+	// Kick skips terminated transactions itself.
+	grace := sim.Duration(kickGraceT) * cl.T()
+	for _, ri := range sc.repairs {
+		sched.At(sc.events[ri].At, func() {
+			now := sched.Now()
+			for i, txn := range txns {
+				if txn != 0 && sc.arrivals[i].At.Add(grace) <= now {
+					cl.Kick(txn)
+				}
+			}
+		})
+	}
+	return cl
+}
+
+// finishWorld runs a world from newWorld to the horizon and reads out what
+// it decided: the strategy transitions, the fate and latency of every
+// transaction listed in txns, and the violations. Rejections, submissions
+// and post-submission time are the caller's to count, since only the caller
+// knows which arrivals never reached this world.
+func finishWorld(cl *engine.Cluster, sc *script, params Params, seed int64, spec core.Spec, txns []types.TxnID, st *runStats) error {
+	horizon := sim.Time(params.Horizon)
+	sched := cl.Scheduler()
+	sched.RunUntil(horizon)
+	if sched.MaxSteps != 0 && sched.Steps() >= sched.MaxSteps {
+		return fmt.Errorf("churn: %s %s run (seed %d) exhausted %d scheduler steps before the horizon", spec.Name(), params.Engine, seed, sched.MaxSteps)
+	}
+	st.counts.ModeDemotions, st.counts.ModeRestorations = cl.Tracker().ModeTransitions()
+	st.counts.VoteReassignments, st.counts.VoteRestorations = cl.Tracker().VoteTransitions()
+	all := cl.Sites()
+	for i, txn := range txns {
+		if txn == 0 {
+			continue
+		}
+		a := &sc.arrivals[i]
+		if decidedAt, ok := cl.FirstDecisionAt(txn); ok {
+			st.decided(sim.Duration(decidedAt-a.At), cl.GroupOutcome(txn, all) == types.OutcomeCommitted)
+			continue
+		}
+		st.counts.PendingNS += int64(horizon - a.At)
+		if cl.GroupOutcome(txn, all) == types.OutcomeBlocked {
+			st.counts.Blocked++
+		} else {
+			st.counts.Unresolved++
+		}
+	}
+	st.violations = len(cl.Violations()) + len(cl.CheckStores())
+	return nil
+}
+
+// executeRun replays one script under one protocol: newWorld with every
+// arrival submitted up front, then finishWorld reads every transaction's
+// fate.
+func executeRun(sc *script, params Params, seed int64, spec core.Spec) (runStats, error) {
 	// Submissions. At fire time the preferred coordinator may be down; the
 	// client then retries the lowest-numbered live replica of its data, and
 	// gives up (Rejected) only when every participant is down. txnOf[i] == 0
@@ -82,102 +170,35 @@ func executeRun(sc *script, params Params, seed int64, spec core.Spec) (runStats
 	// per-strategy columns quantify when adaptive voting wins (rare
 	// failures) and when it loses (items stuck in pessimistic mode with
 	// stale copies excluded).
-	var access struct{ checks, read, write int }
+	var st runStats
+	horizon := sim.Time(params.Horizon)
 	txnOf := make([]types.TxnID, len(sc.arrivals))
-	for i, a := range sc.arrivals {
-		i, a := i, a
-		sched.At(a.At, func() {
-			for _, u := range a.Writeset {
-				access.checks++
-				if cl.CanRead(a.Coord, u.Item) {
-					access.read++
-				}
-				if cl.CanWrite(a.Coord, u.Item) {
-					access.write++
-				}
-			}
-			coord := a.Coord
-			if cl.Network().Down(coord) {
-				coord = 0
-				for _, p := range a.Participants {
-					if !cl.Network().Down(p) {
-						coord = p
-						break
+	cl := newWorld(sc, params, seed, spec, txnOf, func(cl *engine.Cluster) {
+		for i, a := range sc.arrivals {
+			cl.Scheduler().At(a.At, func() {
+				for _, u := range a.Writeset {
+					st.counts.AccessChecks++
+					if cl.CanRead(a.Coord, u.Item) {
+						st.counts.ReadAvailable++
+					}
+					if cl.CanWrite(a.Coord, u.Item) {
+						st.counts.WriteAvailable++
 					}
 				}
-			}
-			if coord == 0 {
-				return
-			}
-			txnOf[i] = cl.Begin(coord, a.Writeset)
-		})
-	}
-
-	// After every repair event, re-kick stalled transactions: Kick resets
-	// the termination-round budget and starts a fresh election, so progress
-	// made possible by the repair is actually attempted. Only transactions
-	// past the kick grace are touched — a younger transaction's commit
-	// protocol is still running, and forcing termination under it would
-	// race the live coordinator (the engine's patience timers embody the
-	// same discipline). These callbacks are scheduled after the timeline's,
-	// so at equal times the repair itself runs first. Kick skips terminated
-	// transactions itself.
-	grace := sim.Duration(kickGraceT) * cl.T()
-	for _, ri := range sc.repairs {
-		at := sc.events[ri].At
-		sched.At(at, func() {
-			now := sched.Now()
-			for i, txn := range txnOf {
-				if txn != 0 && sc.arrivals[i].At.Add(grace) <= now {
-					cl.Kick(txn)
+				coord := a.coordinator(func(s types.SiteID) bool { return !cl.Network().Down(s) })
+				if coord == 0 {
+					st.counts.Rejected++
+					return
 				}
-			}
-		})
-	}
-
-	sched.RunUntil(horizon)
-	if sched.MaxSteps != 0 && sched.Steps() >= sched.MaxSteps {
-		return runStats{}, fmt.Errorf("churn: %s run (seed %d) exhausted %d scheduler steps before the horizon", spec.Name(), seed, sched.MaxSteps)
-	}
-
-	var st runStats
-	st.counts.Arrivals = len(sc.arrivals)
-	st.counts.SiteDownNS = sc.siteDownNS
-	st.counts.PartitionedNS = sc.partitionedNS
-	st.counts.AccessChecks = access.checks
-	st.counts.ReadAvailable = access.read
-	st.counts.WriteAvailable = access.write
-	st.counts.ModeDemotions, st.counts.ModeRestorations = cl.Tracker().ModeTransitions()
-	st.counts.VoteReassignments, st.counts.VoteRestorations = cl.Tracker().VoteTransitions()
-	all := cl.Sites()
-	for i, a := range sc.arrivals {
-		txn := txnOf[i]
-		if txn == 0 {
-			st.counts.Rejected++
-			continue
+				st.counts.Submitted++
+				st.counts.PostSubmitNS += int64(horizon - a.At)
+				txnOf[i] = cl.Begin(coord, a.Writeset)
+			})
 		}
-		st.counts.Submitted++
-		st.counts.PostSubmitNS += int64(horizon - a.At)
-		if decidedAt, ok := cl.FirstDecisionAt(txn); ok {
-			lat := sim.Duration(decidedAt - a.At)
-			st.counts.PendingNS += int64(lat)
-			st.latencies = append(st.latencies, lat)
-			switch cl.GroupOutcome(txn, all) {
-			case types.OutcomeCommitted:
-				st.counts.Committed++
-			default:
-				st.counts.Aborted++
-			}
-			continue
-		}
-		st.counts.PendingNS += int64(horizon - a.At)
-		if cl.GroupOutcome(txn, all) == types.OutcomeBlocked {
-			st.counts.Blocked++
-		} else {
-			st.counts.Unresolved++
-		}
+	})
+	if err := finishWorld(cl, sc, params, seed, spec, txnOf, &st); err != nil {
+		return runStats{}, err
 	}
-	st.violations = len(cl.Violations()) + len(cl.CheckStores())
 	return st, nil
 }
 
@@ -200,10 +221,10 @@ func accumulateRun(params Params, seed int64, r int, specs []core.Spec, results 
 		if err != nil {
 			return err
 		}
-		results[i].Runs++
-		results[i].Counts.Add(st.counts)
-		results[i].Violations += st.violations
-		results[i].Latencies = append(results[i].Latencies, st.latencies...)
+		st.counts.Arrivals = len(sc.arrivals)
+		st.counts.SiteDownNS = sc.siteDownNS
+		st.counts.PartitionedNS = sc.partitionedNS
+		results[i].add(Result{Runs: 1, Counts: st.counts, Violations: st.violations, Latencies: st.latencies})
 	}
 	return nil
 }
@@ -245,91 +266,25 @@ type Options struct {
 	Progress func(done, total int)
 }
 
-// StudyParallel is the worker-pool version of Study: runs fan out across
-// opts.Workers goroutines (one run per claim — a run is already a 5-protocol
-// simulation batch) and per-run accumulators merge in ascending run order.
-// Results are bit-for-bit identical to the serial Study for any worker
-// count.
+// StudyParallel is the worker-pool version of Study: par.Ordered fans runs
+// out across opts.Workers goroutines (one run per claim — a run is already a
+// 5-protocol simulation batch) and merges the per-run accumulators in
+// ascending run order. Results are bit-for-bit identical to the serial Study
+// for any worker count.
 func StudyParallel(params Params, runs int, seed int64, specs []core.Spec, opts Options) ([]Result, error) {
 	if err := params.validate(); err != nil {
 		return nil, err
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > runs {
-		workers = runs
-	}
-	if workers <= 1 {
-		// One worker is exactly the serial path; skip the pool machinery.
-		results := newResults(specs)
-		for r := 0; r < runs; r++ {
-			if err := accumulateRun(params, seed, r, specs, results); err != nil {
-				return nil, err
-			}
-			if opts.Progress != nil {
-				opts.Progress(r+1, runs)
-			}
-		}
-		sortLatencies(results)
-		return results, nil
-	}
-
-	// Workers claim run indices from an atomic counter; each run accumulates
-	// into its own slot so the merge below proceeds in run order regardless
-	// of completion order.
-	perRun := make([][]Result, runs)
-	errs := make([]error, runs)
-	var next atomic.Int64
-	var failed atomic.Bool
-	var progressMu sync.Mutex // guards done and serializes Progress calls
-	done := 0
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				r := int(next.Add(1)) - 1
-				if r >= runs || failed.Load() {
-					return
-				}
-				acc := newResults(specs)
-				if err := accumulateRun(params, seed, r, specs, acc); err != nil {
-					errs[r] = err
-					failed.Store(true)
-					return
-				}
-				perRun[r] = acc
-				if opts.Progress != nil {
-					progressMu.Lock()
-					done++
-					opts.Progress(done, runs)
-					progressMu.Unlock()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Deterministic merge by run index. On failure, report the error of the
-	// lowest failing run, as the serial path would have.
 	results := newResults(specs)
-	for r := 0; r < runs; r++ {
-		if errs[r] != nil {
-			return nil, errs[r]
-		}
-		if perRun[r] == nil {
-			// A later worker raced past a failed run; the error is ahead.
-			continue
-		}
+	if err := par.Ordered(runs, 1, par.Workers(opts.Workers, runs), func(_, r, _ int) ([]Result, error) {
+		acc := newResults(specs)
+		return acc, accumulateRun(params, seed, r, specs, acc)
+	}, func(acc []Result) {
 		for i := range results {
-			results[i].Runs += perRun[r][i].Runs
-			results[i].Counts.Add(perRun[r][i].Counts)
-			results[i].Violations += perRun[r][i].Violations
-			results[i].Latencies = append(results[i].Latencies, perRun[r][i].Latencies...)
+			results[i].add(acc[i])
 		}
+	}, opts.Progress); err != nil {
+		return nil, err
 	}
 	sortLatencies(results)
 	return results, nil

@@ -64,6 +64,20 @@ type arrival struct {
 	Participants []types.SiteID
 }
 
+// coordinator is the site the client submits a to: Coord if up, else the
+// lowest-numbered live participant, else 0 (rejected).
+func (a *arrival) coordinator(up func(types.SiteID) bool) types.SiteID {
+	if up(a.Coord) {
+		return a.Coord
+	}
+	for _, p := range a.Participants {
+		if up(p) {
+			return p
+		}
+	}
+	return 0
+}
+
 // script is everything one study run needs, drawn up front so every protocol
 // column replays the identical world: the replica placement, the fault
 // timeline, and the transaction stream.
@@ -84,13 +98,13 @@ type script struct {
 	// goroutine at a time). The plans carry everything about an arrival
 	// that is protocol-independent: probes, rerouting, reachability and
 	// the vote/ack round-trip arithmetic.
-	hybridEpochs []Epoch
-	hybridMulti  []bool
-	hybridPlans  []arrivalPlan
-	hybridSeed   int64
-	// hybridStores is the initial store table per site, shared read-only
-	// by every fallback world via engine.Config.SeedStores.
-	hybridStores map[types.SiteID]map[types.ItemID]storage.Versioned
+	hybridMulti []bool
+	hybridPlans []arrivalPlan
+	hybridSeed  int64
+	// seeds is the initial store table per site, built by the first
+	// newWorld and shared read-only by every world of the run (replay's and
+	// the hybrid's fallback) via engine.Config.SeedStores.
+	seeds map[types.SiteID]map[types.ItemID]storage.Versioned
 }
 
 // expDur draws an exponentially distributed duration with the given mean,

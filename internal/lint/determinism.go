@@ -30,6 +30,7 @@ var deterministicPkgs = map[string]bool{
 	"qcommit/internal/threephase": true,
 	"qcommit/internal/election":   true,
 	"qcommit/internal/voting":     true,
+	"qcommit/internal/par":        true,
 }
 
 // bannedTimeFuncs are the wall-clock entry points. Deterministic code gets

@@ -39,8 +39,8 @@ type Config struct {
 	MinDelay, MaxDelay time.Duration
 	// TimeoutBase is the protocol timeout unit T. Unlike the deterministic
 	// simulator, wall-clock runs pay goroutine scheduling and marshalling
-	// overhead on top of propagation delay, so T needs headroom; it defaults
-	// to 4× the larger delay bound.
+	// overhead on top of propagation delay, so T needs headroom; zero
+	// defaults to 4× the larger delay bound, and New panics on a negative T.
 	TimeoutBase time.Duration
 	// Seed drives the delay randomness.
 	Seed int64
@@ -206,6 +206,9 @@ func New(cfg Config) *Cluster {
 	}
 	if !cfg.Strategy.Valid() {
 		panic(fmt.Sprintf("live: invalid Config.Strategy %v", cfg.Strategy))
+	}
+	if cfg.TimeoutBase < 0 {
+		panic(fmt.Sprintf("live: negative Config.TimeoutBase %v", cfg.TimeoutBase))
 	}
 	if cfg.MinDelay == 0 && cfg.MaxDelay == 0 {
 		cfg.MinDelay, cfg.MaxDelay = 200*time.Microsecond, 2*time.Millisecond

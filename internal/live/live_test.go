@@ -71,6 +71,34 @@ func TestNewServerRejectsInvalidSpec(t *testing.T) {
 	}
 }
 
+// TestNegativeTimeoutBaseRejected: a negative T would arm timers that fire
+// at once, so New panics on it and NewServer returns an error, as for an
+// invalid Spec; zero keeps each host's default.
+func TestNegativeTimeoutBaseRejected(t *testing.T) {
+	const T = -time.Millisecond
+	t.Run("New", func(t *testing.T) {
+		want := "live: negative Config.TimeoutBase -1ms"
+		defer func() {
+			if r := recover(); r != want {
+				t.Errorf("panic = %v, want %q", r, want)
+			}
+		}()
+		New(Config{Assignment: asgn(), Spec: core.Spec{}, TimeoutBase: T, Seed: 1}).Stop()
+	})
+	t.Run("NewServer", func(t *testing.T) {
+		tr := inproc.New(inproc.Options{Seed: 1})
+		defer tr.Close()
+		srv, err := NewServer(1, ServerConfig{Assignment: asgn(), TimeoutBase: T}, tr)
+		if err == nil {
+			srv.Stop()
+			t.Fatal("negative TimeoutBase accepted")
+		}
+		if want := "live: ServerConfig.TimeoutBase -1ms is negative"; err.Error() != want {
+			t.Errorf("err = %q, want %q", err, want)
+		}
+	})
+}
+
 func TestLiveFailureFreeCommit(t *testing.T) {
 	for _, spec := range specs() {
 		spec := spec

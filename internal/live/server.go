@@ -23,9 +23,9 @@ type ServerConfig struct {
 	// Spec is the commit+termination protocol (the zero Spec is QC1).
 	// NewServer returns its Validate error.
 	Spec core.Spec
-	// TimeoutBase is the protocol timeout unit T (default 50ms — sockets
+	// TimeoutBase is the protocol timeout unit T (zero means 50ms — sockets
 	// pay real scheduling and kernel latency, so the default is far above
-	// the inproc fabric's).
+	// the inproc fabric's). NewServer refuses a negative one.
 	TimeoutBase time.Duration
 	// InitialValues seeds the store copies this site holds.
 	InitialValues map[types.ItemID]int64
@@ -70,7 +70,10 @@ func NewServer(id types.SiteID, cfg ServerConfig, tr transport.Transport) (*Serv
 	if err := cfg.Spec.Validate(); err != nil {
 		return nil, fmt.Errorf("live: ServerConfig.Spec: %w", err)
 	}
-	if cfg.TimeoutBase <= 0 {
+	if cfg.TimeoutBase < 0 {
+		return nil, fmt.Errorf("live: ServerConfig.TimeoutBase %v is negative", cfg.TimeoutBase)
+	}
+	if cfg.TimeoutBase == 0 {
 		cfg.TimeoutBase = 50 * time.Millisecond
 	}
 	s := &Server{
@@ -98,6 +101,12 @@ func NewServer(id types.SiteID, cfg ServerConfig, tr transport.Transport) (*Serv
 		// committed writesets are reapplied from the log before the usual
 		// volatile-state recovery resumes in-doubt transactions.
 		for _, im := range wal.Replay(recs) {
+			// Resume past every ID this site coordinated: BEGIN (or a Begin
+			// abort's ABORT) is forced before any frame carries the ID, so
+			// the log holds every ID a peer may already have decided.
+			if uint32(im.Txn>>32) == uint32(id) {
+				s.seq = max(s.seq, uint32(im.Txn))
+			}
 			if im.State != types.StateCommitted {
 				continue
 			}
@@ -139,7 +148,8 @@ func (s *Server) T() time.Duration { return s.t }
 
 // Begin submits a transaction coordinated by this site and returns its ID.
 // IDs embed the coordinator site in the high half, so transactions begun at
-// different processes never collide.
+// different processes never collide; a server restarted over its WAL
+// continues past the highest ID it logged.
 func (s *Server) Begin(ws types.Writeset) types.TxnID {
 	s.mu.Lock()
 	s.seq++

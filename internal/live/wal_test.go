@@ -127,15 +127,15 @@ func TestServerGroupWALRestartRecovery(t *testing.T) {
 		}
 		return l
 	}
-	newEp := func(id types.SiteID, addrs map[types.SiteID]string) *tcp.Endpoint {
-		ep, err := tcp.New(id, "", addrs, tcp.Options{})
+	newEp := func(id types.SiteID, listen string, addrs map[types.SiteID]string) *tcp.Endpoint {
+		ep, err := tcp.New(id, listen, addrs, tcp.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return ep
 	}
-	ep1 := newEp(1, nil)
-	ep2 := newEp(2, nil)
+	ep1 := newEp(1, "", nil)
+	ep2 := newEp(2, "", nil)
 	addrs := map[types.SiteID]string{1: ep1.Addr(), 2: ep2.Addr()}
 	ep1.SetPeers(addrs)
 	ep2.SetPeers(addrs)
@@ -157,12 +157,12 @@ func TestServerGroupWALRestartRecovery(t *testing.T) {
 		t.Fatalf("outcome = %v, want committed", o)
 	}
 	// "Crash" site 1: stop the server and close its log, then restart from
-	// the same file.
+	// the same file on the same address, so site 2 can reach it again.
 	s1.Stop()
 	log1.Close()
 
 	log1b := open(1)
-	ep1b := newEp(1, addrs)
+	ep1b := newEp(1, addrs[1], addrs)
 	cfg1.WAL = log1b
 	s1b, err := NewServer(1, cfg1, ep1b)
 	if err != nil {
@@ -179,5 +179,32 @@ func TestServerGroupWALRestartRecovery(t *testing.T) {
 	}
 	if v, ver, ok := s1b.ReadItem("k"); !ok || v != 77 {
 		t.Fatalf("recovered k = %d (version %d, ok=%v), want 77", v, ver, ok)
+	}
+
+	// The restarted coordinator must not reuse a transaction ID from its
+	// log: peers drop a VOTE-REQ for a txn they already decided, and the
+	// old COMMIT would be read back as this write's outcome. Site 2's first
+	// frames to the restarted site can go into the connection the old
+	// process closed and be dropped, aborting the attempt on its vote
+	// timeout, so a few fresh attempts are allowed.
+	last := txn
+	var txn2 types.TxnID
+	for attempt := 0; attempt < 5; attempt++ {
+		txn2 = s1b.Begin(types.Writeset{{Item: "k", Value: 99}})
+		if txn2 <= last {
+			t.Fatalf("restarted server issued transaction ID %v after %v", txn2, last)
+		}
+		last = txn2
+		if s1b.WaitOutcome(txn2, 5*time.Second) == types.OutcomeCommitted {
+			break
+		}
+	}
+	for _, s := range []*Server{s1b, s2} {
+		if o := s.WaitOutcome(txn2, 5*time.Second); o != types.OutcomeCommitted {
+			t.Fatalf("site %v: new outcome = %v, want committed", s.Self(), o)
+		}
+		if v, _, ok := s.ReadItem("k"); !ok || v != 99 {
+			t.Fatalf("site %v: k = %d (ok=%v) after the new commit, want 99", s.Self(), v, ok)
+		}
 	}
 }

@@ -21,8 +21,8 @@ type LiveOptions struct {
 	// MinDelay/MaxDelay bound simulated propagation delay (wall clock).
 	// Defaults 200µs–2ms; a MinDelay needs a MaxDelay at least as large.
 	MinDelay, MaxDelay time.Duration
-	// TimeoutBase is the protocol timeout unit T (default 4×MaxDelay; raise
-	// it on loaded machines).
+	// TimeoutBase is the protocol timeout unit T (zero defaults to
+	// 4×MaxDelay; raise it on loaded machines). Negative is an error.
 	TimeoutBase time.Duration
 	// SkeenVc/SkeenVa as in Options.
 	SkeenVc, SkeenVa int
@@ -51,6 +51,9 @@ func NewLiveCluster(items []ReplicatedItem, opts LiveOptions) (*LiveCluster, err
 	}
 	if err := checkNet("LiveOptions", opts.MinDelay, opts.MaxDelay, 0, 0); err != nil {
 		return nil, err
+	}
+	if opts.TimeoutBase < 0 {
+		return nil, fmt.Errorf("qcommit: negative LiveOptions.TimeoutBase %v", opts.TimeoutBase)
 	}
 	asgn, sites, err := assignmentOf(items, nil)
 	if err != nil {

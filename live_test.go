@@ -112,6 +112,13 @@ func TestLiveClusterValidation(t *testing.T) {
 			t.Errorf("%s: error %q does not name LiveOptions.%s", tc.name, err, tc.field)
 		}
 	}
+	// A negative T would arm timers that fire at once.
+	if c, err := NewLiveCluster(liveItems(), LiveOptions{TimeoutBase: -time.Millisecond}); err == nil {
+		c.Stop()
+		t.Error("negative TimeoutBase accepted")
+	} else if !strings.Contains(err.Error(), "LiveOptions.TimeoutBase") {
+		t.Errorf("negative TimeoutBase: error %q does not name LiveOptions.TimeoutBase", err)
+	}
 	if _, err := NewLiveCluster(liveItems(), LiveOptions{Transport: "carrier-pigeon"}); err == nil {
 		t.Error("unknown transport accepted")
 	}
