@@ -59,7 +59,7 @@ func (cl *Cluster) tallyVotes(from types.SiteID, item types.ItemID, forWrite, co
 		if !cl.net.Connected(from, cp.Site) {
 			continue
 		}
-		site := cl.sites[cp.Site]
+		site := cl.sites.Get(cp.Site)
 		if site.locks.Locked(item) {
 			continue // held by a pending (possibly blocked) transaction
 		}
@@ -134,7 +134,7 @@ type peers Cluster
 func (p *peers) Reachable(from, to types.SiteID) bool { return p.net.Connected(from, to) }
 
 func (p *peers) Version(site types.SiteID, item types.ItemID) uint64 {
-	v, err := p.sites[site].store.Read(item)
+	v, err := p.sites.Get(site).store.Read(item)
 	if err != nil {
 		return 0
 	}
@@ -144,7 +144,7 @@ func (p *peers) Version(site types.SiteID, item types.ItemID) uint64 {
 // WillApply: the site already committed txn (the kernel's outcome), or still
 // holds its X lock on item.
 func (p *peers) WillApply(site types.SiteID, txn types.TxnID, item types.ItemID) bool {
-	s := p.sites[site]
+	s := p.sites.Get(site)
 	o, _ := s.k.Outcome(txn)
 	return o == types.OutcomeCommitted || s.locks.LockedBy(txn, item)
 }

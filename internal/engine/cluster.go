@@ -89,7 +89,7 @@ type Cluster struct {
 	cfg        Config
 	sched      *sim.Scheduler
 	net        *simnet.Network
-	sites      map[types.SiteID]*Site
+	sites      types.SiteTable[*Site]
 	siteIDs    []types.SiteID
 	nextTxn    types.TxnID
 	violations []string
@@ -98,6 +98,8 @@ type Cluster struct {
 	// applied commits and installed copies to; it sees the sites through
 	// peers (access.go).
 	tracker *voting.Tracker
+	// expiries are fired timers' event bodies, reused by AfterFunc.
+	expiries []*expiry
 }
 
 // New builds a cluster: one site per site mentioned in the assignment (plus
@@ -120,7 +122,6 @@ func New(cfg Config) *Cluster {
 		cfg:   cfg,
 		sched: sched,
 		net:   net,
-		sites: make(map[types.SiteID]*Site),
 		rec:   cfg.Recorder,
 	}
 	cl.tracker = voting.NewTracker(cfg.Assignment, cfg.Strategy, (*peers)(cl))
@@ -139,7 +140,7 @@ func New(cfg Config) *Cluster {
 			log = gl
 		}
 		st := newSite(id, cl, log)
-		cl.sites[id] = st
+		cl.sites.Set(id, st)
 		net.Register(id, st.handle)
 	}
 	seeds := cfg.SeedStores
@@ -148,7 +149,7 @@ func New(cfg Config) *Cluster {
 	}
 	for _, id := range cl.siteIDs {
 		if tbl, ok := seeds[id]; ok {
-			cl.sites[id].store.InitFrom(tbl)
+			cl.sites.Get(id).store.InitFrom(tbl)
 		}
 	}
 	if cfg.WALDir != "" {
@@ -161,20 +162,29 @@ func New(cfg Config) *Cluster {
 // each copy at version 1, valued initialValues[item] if present, initial
 // otherwise. The result is what Config.SeedStores takes.
 func SeedTables(asgn *voting.Assignment, initial int64, initialValues map[types.ItemID]int64) map[types.SiteID]map[types.ItemID]storage.Versioned {
-	seeds := make(map[types.SiteID]map[types.ItemID]storage.Versioned)
-	for _, item := range asgn.Items() {
+	items := asgn.Items()
+	// Size each table from the site's placement count: growing a table one
+	// insert at a time rehashes it several times over.
+	var copies types.SiteTable[int]
+	for _, item := range items {
+		ic, _ := asgn.Item(item)
+		for _, cp := range ic.Copies {
+			copies.Set(cp.Site, copies.Get(cp.Site)+1)
+		}
+	}
+	sites := asgn.Sites()
+	seeds := make(map[types.SiteID]map[types.ItemID]storage.Versioned, len(sites))
+	for _, id := range sites {
+		seeds[id] = make(map[types.ItemID]storage.Versioned, copies.Get(id))
+	}
+	for _, item := range items {
 		ic, _ := asgn.Item(item)
 		v := storage.Versioned{Value: initial, Version: 1}
 		if x, ok := initialValues[item]; ok {
 			v.Value = x
 		}
 		for _, cp := range ic.Copies {
-			tbl := seeds[cp.Site]
-			if tbl == nil {
-				tbl = make(map[types.ItemID]storage.Versioned)
-				seeds[cp.Site] = tbl
-			}
-			tbl[item] = v
+			seeds[cp.Site][item] = v
 		}
 	}
 	return seeds
@@ -187,7 +197,7 @@ func SeedTables(asgn *voting.Assignment, initial int64, initialValues map[types.
 func (cl *Cluster) resumeFromLogs() {
 	maxTxn := types.TxnID(0)
 	for _, id := range cl.siteIDs {
-		site := cl.sites[id]
+		site := cl.sites.Get(id)
 		recs, err := site.log.Records()
 		if err != nil {
 			continue
@@ -218,7 +228,7 @@ func (cl *Cluster) resumeFromLogs() {
 func (cl *Cluster) Close() error {
 	var first error
 	for _, id := range cl.siteIDs {
-		if gl, ok := cl.sites[id].log.(*wal.GroupLog); ok {
+		if gl, ok := cl.sites.Get(id).log.(*wal.GroupLog); ok {
 			if err := gl.Close(); err != nil && first == nil {
 				first = err
 			}
@@ -240,7 +250,7 @@ func (cl *Cluster) Network() *simnet.Network { return cl.net }
 func (cl *Cluster) Recorder() *trace.Recorder { return cl.rec }
 
 // Site returns a site by ID.
-func (cl *Cluster) Site(id types.SiteID) *Site { return cl.sites[id] }
+func (cl *Cluster) Site(id types.SiteID) *Site { return cl.sites.Get(id) }
 
 // Sites returns all site IDs ascending.
 func (cl *Cluster) Sites() []types.SiteID {
@@ -272,7 +282,7 @@ func (cl *Cluster) Violations() []string {
 	// Cross-site check: some site committed while another aborted.
 	perTxn := make(map[types.TxnID][2][]types.SiteID) // [committed, aborted]
 	for _, id := range cl.siteIDs {
-		k := cl.sites[id].k
+		k := cl.sites.Get(id).k
 		for _, txn := range k.Terminated() {
 			pair := perTxn[txn]
 			if o, _ := k.Outcome(txn); o == types.OutcomeCommitted {
@@ -303,7 +313,7 @@ func (cl *Cluster) Violations() []string {
 func (cl *Cluster) Begin(coord types.SiteID, ws types.Writeset) types.TxnID {
 	cl.nextTxn++
 	txn := cl.nextTxn
-	site := cl.sites[coord]
+	site := cl.sites.Get(coord)
 	if site == nil {
 		panic(fmt.Sprintf("engine: unknown coordinator site %s", coord))
 	}
@@ -346,7 +356,7 @@ func (cl *Cluster) SetupInterrupted(coord types.SiteID, ws types.Writeset, state
 
 	for _, id := range participants {
 		st := states[id]
-		site := cl.sites[id]
+		site := cl.sites.Get(id)
 		if site == nil {
 			panic(fmt.Sprintf("engine: unknown site %s in SetupInterrupted", id))
 		}
@@ -390,7 +400,7 @@ func (cl *Cluster) SetupInterrupted(coord types.SiteID, ws types.Writeset, state
 // recovering sites).
 func (cl *Cluster) Kick(txn types.TxnID) {
 	for _, id := range cl.siteIDs {
-		k := cl.sites[id].k
+		k := cl.sites.Get(id).k
 		if cl.net.Down(id) || !k.ResetTermination(txn) {
 			continue
 		}
@@ -411,7 +421,7 @@ func (cl *Cluster) KickAt(t sim.Time, txn types.TxnID) {
 // Crash takes a site down immediately (volatile state lost, WAL kept).
 func (cl *Cluster) Crash(id types.SiteID) {
 	cl.net.Crash(id)
-	cl.sites[id].k.Crash()
+	cl.sites.Get(id).k.Crash()
 	cl.rec.Annotate(cl.sched.Now(), id, "CRASH")
 }
 
@@ -426,8 +436,8 @@ func (cl *Cluster) CrashAt(t sim.Time, id types.SiteID) {
 func (cl *Cluster) Restart(id types.SiteID) {
 	cl.net.Recover(id)
 	cl.rec.Annotate(cl.sched.Now(), id, "RESTART")
-	recs, _ := cl.sites[id].log.Records()
-	cl.sites[id].k.Recover(recs)
+	recs, _ := cl.sites.Get(id).log.Records()
+	cl.sites.Get(id).k.Recover(recs)
 	cl.SyncSite(id)
 }
 
@@ -435,7 +445,7 @@ func (cl *Cluster) Restart(id types.SiteID) {
 // every peer replica for its current copy of each locally-held item some
 // commit wrote, installing newer versions as the responses arrive.
 func (cl *Cluster) SyncSite(id types.SiteID) {
-	cl.pull(cl.tracker.RestartPulls(id, cl.sites[id].store.Has))
+	cl.pull(cl.tracker.RestartPulls(id, cl.sites.Get(id).store.Has))
 }
 
 // RestartAt schedules a restart at virtual time t.
@@ -480,7 +490,7 @@ func (cl *Cluster) RunFor(d sim.Duration) sim.Time { return cl.sched.RunFor(d) }
 // otherwise the site's view answers: the state its WAL, the ground truth that
 // survives crashes, folds to — a map lookup, not a replay of the log.
 func (cl *Cluster) StateOf(id types.SiteID, txn types.TxnID) types.State {
-	site := cl.sites[id]
+	site := cl.sites.Get(id)
 	if o, over := site.k.Outcome(txn); over {
 		return o.StateEquivalent()
 	}
@@ -534,7 +544,7 @@ func (cl *Cluster) GroupOutcome(txn types.TxnID, group []types.SiteID) types.Out
 
 // LockedItems returns the items still X-locked by txn at a site.
 func (cl *Cluster) LockedItems(id types.SiteID, txn types.TxnID) []types.ItemID {
-	return cl.sites[id].locks.HeldItems(txn)
+	return cl.sites.Get(id).locks.HeldItems(txn)
 }
 
 // ItemLockedAt reports whether any transaction currently holds a lock on
@@ -543,7 +553,7 @@ func (cl *Cluster) LockedItems(id types.SiteID, txn types.TxnID) []types.ItemID 
 // every copy of its writeset unlocked, otherwise its votes are not the
 // unanimous yes the arithmetic assumes and it is replayed instead.
 func (cl *Cluster) ItemLockedAt(id types.SiteID, item types.ItemID) bool {
-	return cl.sites[id].locks.Locked(item)
+	return cl.sites.Get(id).locks.Locked(item)
 }
 
 // AnyLocks reports whether any site currently holds any lock. It is the
@@ -551,7 +561,7 @@ func (cl *Cluster) ItemLockedAt(id types.SiteID, item types.ItemID) bool {
 // per site instead of a hashed table lookup per (site, item) pair.
 func (cl *Cluster) AnyLocks() bool {
 	for _, id := range cl.siteIDs {
-		if cl.sites[id].locks.HeldCount() > 0 {
+		if cl.sites.Get(id).locks.HeldCount() > 0 {
 			return true
 		}
 	}
@@ -564,7 +574,7 @@ func (cl *Cluster) FirstDecisionAt(txn types.TxnID) (sim.Time, bool) {
 	var best sim.Time
 	found := false
 	for _, id := range cl.siteIDs {
-		at, ok := cl.sites[id].decidedAt[txn]
+		at, ok := cl.sites.Get(id).decidedAt[txn]
 		if ok && (!found || at < best) {
 			best = at
 			found = true
@@ -578,7 +588,7 @@ func (cl *Cluster) FirstDecisionAt(txn types.TxnID) (sim.Time, bool) {
 // such a coordinator exists. A 2PC coordinator, which sends COMMIT on the
 // last yes vote, reports 0.
 func (cl *Cluster) AcksAtDecision(id types.SiteID, txn types.TxnID) (int, bool) {
-	counter, ok := cl.sites[id].coords[txn].(interface{ AcksAtDecision() int })
+	counter, ok := cl.sites.Get(id).coords[txn].(interface{ AcksAtDecision() int })
 	if !ok {
 		return 0, false
 	}

@@ -55,11 +55,11 @@ func (cl *Cluster) CheckStores() []string {
 		}
 	}
 	for _, id := range cl.siteIDs {
-		if mem, ok := cl.sites[id].log.(*wal.MemLog); ok {
+		if mem, ok := cl.sites.Get(id).log.(*wal.MemLog); ok {
 			mem.Scan(fold)
 			continue
 		}
-		recs, _ := cl.sites[id].log.Records()
+		recs, _ := cl.sites.Get(id).log.Records()
 		for i := range recs {
 			fold(&recs[i])
 		}
@@ -74,7 +74,7 @@ func (cl *Cluster) CheckStores() []string {
 
 	for _, id := range cl.siteIDs {
 		id := id
-		site := cl.sites[id]
+		site := cl.sites.Get(id)
 		// Only written copies can break an invariant: a seeded copy no write
 		// reached is still the initial value. ScanWritten visits copies in
 		// map order; the trailing sort restores a deterministic issue list,

@@ -9,7 +9,7 @@ import (
 // ReplayStateOf is the reference StateOf is held to: the kernel's fast path,
 // then images[txn], where images is wal.Replay of the site's whole log.
 func (cl *Cluster) ReplayStateOf(id types.SiteID, txn types.TxnID, images map[types.TxnID]*wal.TxnImage) types.State {
-	site := cl.sites[id]
+	site := cl.Site(id)
 	if o, over := site.k.Outcome(txn); over {
 		return o.StateEquivalent()
 	}

@@ -84,7 +84,7 @@ func TestRestartQueryKeepsAtomicity(t *testing.T) {
 								break
 							}
 						}
-						decided := cl.sites[p].decidedAt[txn]
+						decided := cl.Site(p).decidedAt[txn]
 						switch {
 						case decided < restart:
 							// It learnt the outcome before its crash: nothing to rejoin.

@@ -132,9 +132,35 @@ func (s *siteHost) Now() sim.Time { return s.cl.sched.Now() }
 
 // AfterFunc schedules the expiry and returns no Stopper: a fenced timer costs
 // one no-op event, and cancelling it would move the time a run quiesces at.
+// The event's body is a pooled expiry, so arming a timer allocates nothing
+// once the pool covers the peak number armed.
 func (s *siteHost) AfterFunc(d sim.Duration, t site.Timer) site.Stopper {
-	s.cl.sched.After(d, func() { s.k.Fire(t) })
+	cl := s.cl
+	var e *expiry
+	if n := len(cl.expiries); n > 0 {
+		e = cl.expiries[n-1]
+		cl.expiries = cl.expiries[:n-1]
+	} else {
+		e = new(expiry)
+	}
+	e.s, e.t = (*Site)(s), t
+	cl.sched.Schedule(cl.sched.Now().Add(d), e)
 	return nil
+}
+
+// expiry is an armed kernel timer, the body of its scheduler event.
+type expiry struct {
+	s *Site
+	t site.Timer
+}
+
+// Run fires the timer, first returning e to the cluster's pool: Fire may
+// arm timers, and they may reuse e.
+func (e *expiry) Run() {
+	s, t := e.s, e.t
+	e.s = nil
+	s.cl.expiries = append(s.cl.expiries, e)
+	s.k.Fire(t)
 }
 
 func (s *siteHost) Send(to types.SiteID, m msg.Message) { s.cl.send(s.id, to, m) }

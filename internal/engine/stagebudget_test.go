@@ -136,7 +136,7 @@ func TestTerminationStageBudget(t *testing.T) {
 				if o := cl.OutcomeAt(s, txn); o != types.OutcomeAborted {
 					t.Fatalf("%s: site%d = %v, want aborted", name, s, o)
 				}
-				settled = max(settled, cl.sites[s].decidedAt[txn])
+				settled = max(settled, cl.Site(s).decidedAt[txn])
 			}
 			if settled-distributed > sim.Time(T) {
 				t.Errorf("%s: the decision took %.2f T to reach the survivors, want one hop", name, inT(settled-distributed))
@@ -148,7 +148,7 @@ func TestTerminationStageBudget(t *testing.T) {
 			if o := cl.OutcomeAt(crashed, txn); o != types.OutcomeAborted {
 				t.Fatalf("%s: restarted coordinator = %v, want aborted", name, o)
 			}
-			rejoin := cl.sites[crashed].decidedAt[txn] - restarted
+			rejoin := cl.Site(crashed).decidedAt[txn] - restarted
 			if rejoin <= 0 || rejoin > sim.Time(2*T) {
 				t.Errorf("%s: restarted coordinator agreed after %.2f T, want at most two hops (the query out, the outcome back)", name, inT(rejoin))
 			}

@@ -183,21 +183,12 @@ func TestServerGroupWALRestartRecovery(t *testing.T) {
 
 	// The restarted coordinator must not reuse a transaction ID from its
 	// log: peers drop a VOTE-REQ for a txn they already decided, and the
-	// old COMMIT would be read back as this write's outcome. Site 2's first
-	// frames to the restarted site can go into the connection the old
-	// process closed and be dropped, aborting the attempt on its vote
-	// timeout, so a few fresh attempts are allowed.
-	last := txn
-	var txn2 types.TxnID
-	for attempt := 0; attempt < 5; attempt++ {
-		txn2 = s1b.Begin(types.Writeset{{Item: "k", Value: 99}})
-		if txn2 <= last {
-			t.Fatalf("restarted server issued transaction ID %v after %v", txn2, last)
-		}
-		last = txn2
-		if s1b.WaitOutcome(txn2, 5*time.Second) == types.OutcomeCommitted {
-			break
-		}
+	// old COMMIT would be read back as this write's outcome. Its first
+	// attempt must commit: site 2 notices that the old process closed its
+	// link and redials instead of writing its vote into the dead connection.
+	txn2 := s1b.Begin(types.Writeset{{Item: "k", Value: 99}})
+	if txn2 <= txn {
+		t.Fatalf("restarted server issued transaction ID %v after %v", txn2, txn)
 	}
 	for _, s := range []*Server{s1b, s2} {
 		if o := s.WaitOutcome(txn2, 5*time.Second); o != types.OutcomeCommitted {

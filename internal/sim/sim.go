@@ -6,10 +6,16 @@
 // scenario always replays identically. The same protocol automata also run
 // under the live goroutine runtime (package live); only the scheduler
 // differs.
+//
+// Cost model: a pending event is one slot of a typed binary heap — its time,
+// its sequence number and its Runner — and scheduling or dispatching one
+// allocates nothing once the heap has grown to the run's peak. A Func
+// wrapping an existing function value boxes without allocating; the hot
+// event bodies (simnet deliveries, engine timer expiries) are pooled
+// Runners, so a warm simulation schedules without touching the allocator.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 )
@@ -34,68 +40,45 @@ func (t Time) String() string { return fmt.Sprintf("%.3fms", float64(t)/1e6) }
 // Add returns the time advanced by d.
 func (t Time) Add(d Duration) Time { return t + Time(d) }
 
-// event is a scheduled callback. Events are pooled: once dispatched or
-// cancelled they return to the scheduler's freelist and are reused by later
-// At/After calls, so a long replay's event churn settles into a fixed
-// working set instead of allocating per event. The gen counter guards stale
-// EventIDs across reuse.
-type event struct {
-	at   Time
-	seq  uint64 // tie-breaker: FIFO among same-time events
-	fn   func()
-	idx  int    // heap index, -1 once popped or cancelled
-	gen  uint32 // bumped on recycle; EventIDs carry the gen they were issued at
-	dead bool
+// Runner is the body of a scheduled event.
+type Runner interface{ Run() }
+
+// Func adapts a function to Runner. A func value is one pointer, so
+// converting it to a Runner allocates nothing.
+type Func func()
+
+// Run calls f.
+func (f Func) Run() { f() }
+
+// slot is one pending event.
+type slot struct {
+	at  Time
+	seq uint64 // tie-breaker: FIFO among same-time events
+	r   Runner
 }
 
-// eventHeap implements container/heap ordered by (at, seq).
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a *slot) before(b *slot) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.idx = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.idx = -1
-	*h = old[:n-1]
-	return ev
+	return a.seq < b.seq
 }
 
-// EventID identifies a scheduled event so it can be cancelled. An EventID
-// outlives its event safely: once the event runs, is cancelled, or its slot
-// is reused, the ID's generation no longer matches and Cancel is a no-op.
-type EventID struct {
-	ev  *event
-	gen uint32
-}
+// EventID identifies a scheduled event so it can be cancelled. Sequence
+// numbers are never reused, so an EventID outlives its event safely: once
+// the event runs or is cancelled, Cancel is a no-op. The zero EventID names
+// no event.
+type EventID struct{ seq uint64 }
 
 // Scheduler is the simulation event loop. It is not safe for concurrent use;
 // all simulated activity happens inside callbacks run by the scheduler.
 type Scheduler struct {
-	now    Time
-	seq    uint64
-	events eventHeap
-	free   []*event // recycled events for reuse by At/After
-	seed   int64
-	rng    *rand.Rand
-	steps  uint64
+	now   Time
+	seq   uint64 // last sequence number issued; the first event gets 1
+	heap  []slot // binary min-heap in (at, seq) order
+	seed  int64
+	rng   *rand.Rand
+	steps uint64
 	// MaxSteps bounds the number of dispatched events to guard against
 	// livelock in buggy scenarios; 0 means unlimited.
 	MaxSteps uint64
@@ -122,76 +105,112 @@ func (s *Scheduler) Rand() *rand.Rand {
 // Steps returns the number of events dispatched so far.
 func (s *Scheduler) Steps() uint64 { return s.steps }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
-// (t < Now) runs the event at the current time, preserving FIFO order.
-func (s *Scheduler) At(t Time, fn func()) EventID {
+// Schedule arranges for r.Run to be called at absolute virtual time t.
+// Scheduling in the past (t < Now) runs the event at the current time,
+// preserving FIFO order. It is the one way an event enters the queue.
+func (s *Scheduler) Schedule(t Time, r Runner) EventID {
 	if t < s.now {
 		t = s.now
 	}
-	var ev *event
-	if n := len(s.free); n > 0 {
-		ev = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		ev.at, ev.fn, ev.dead = t, fn, false
-	} else {
-		ev = &event{at: t, fn: fn}
-	}
-	ev.seq = s.seq
 	s.seq++
-	heap.Push(&s.events, ev)
-	return EventID{ev, ev.gen}
+	s.heap = append(s.heap, slot{at: t, seq: s.seq, r: r})
+	s.up(len(s.heap) - 1)
+	return EventID{s.seq}
 }
 
-// recycle returns a popped or cancelled event to the freelist, invalidating
-// outstanding EventIDs for it and dropping its closure.
-func (s *Scheduler) recycle(ev *event) {
-	ev.gen++
-	ev.fn = nil
-	ev.dead = false
-	s.free = append(s.free, ev)
-}
+// At schedules fn to run at absolute virtual time t (see Schedule).
+func (s *Scheduler) At(t Time, fn func()) EventID { return s.Schedule(t, Func(fn)) }
 
 // After schedules fn to run d after the current virtual time.
 func (s *Scheduler) After(d Duration, fn func()) EventID {
-	return s.At(s.now.Add(d), fn)
+	return s.Schedule(s.now.Add(d), Func(fn))
 }
 
 // Cancel prevents a scheduled event from running. Cancelling an already-run
 // or already-cancelled event is a no-op. It reports whether the event was
-// still pending.
+// still pending. It searches the queue, so it costs O(Pending); no
+// simulated layer cancels on a hot path (engine timers are fenced by
+// generation instead).
 func (s *Scheduler) Cancel(id EventID) bool {
-	ev := id.ev
-	if ev == nil || ev.gen != id.gen || ev.dead || ev.idx < 0 {
-		return false
+	for i := range s.heap {
+		if s.heap[i].seq == id.seq {
+			s.remove(i)
+			return true
+		}
 	}
-	ev.dead = true
-	heap.Remove(&s.events, ev.idx)
-	s.recycle(ev)
-	return true
+	return false
 }
 
 // Pending returns the number of events waiting to run.
-func (s *Scheduler) Pending() int { return len(s.events) }
+func (s *Scheduler) Pending() int { return len(s.heap) }
+
+// up moves the slot at i toward the root until its parent precedes it.
+func (s *Scheduler) up(i int) {
+	h := s.heap
+	e := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = e
+}
+
+// down moves the slot at i toward the leaves until it precedes its
+// children.
+func (s *Scheduler) down(i int) {
+	h := s.heap
+	n := len(h)
+	e := h[i]
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&e) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = e
+}
+
+// remove takes the slot at i out of the heap and returns it.
+func (s *Scheduler) remove(i int) slot {
+	h := s.heap
+	n := len(h) - 1
+	e := h[i]
+	last := h[n]
+	h[n] = slot{} // drop the Runner so the heap does not keep it alive
+	s.heap = h[:n]
+	if i < n {
+		h[i] = last
+		s.down(i)
+		s.up(i)
+	}
+	return e
+}
 
 // step dispatches the earliest event. It reports false when no events remain
 // or MaxSteps is exhausted.
 func (s *Scheduler) step() bool {
-	if len(s.events) == 0 {
+	if len(s.heap) == 0 {
 		return false
 	}
 	if s.MaxSteps != 0 && s.steps >= s.MaxSteps {
 		return false
 	}
-	ev := heap.Pop(&s.events).(*event)
-	if ev.dead {
-		return true
-	}
-	s.now = ev.at
+	e := s.remove(0)
+	s.now = e.at
 	s.steps++
-	fn := ev.fn
-	s.recycle(ev)
-	fn()
+	e.r.Run()
 	return true
 }
 
@@ -206,7 +225,7 @@ func (s *Scheduler) Run() Time {
 // RunUntil dispatches events with time ≤ deadline and then advances the clock
 // to the deadline. Events scheduled beyond the deadline stay pending.
 func (s *Scheduler) RunUntil(deadline Time) Time {
-	for len(s.events) > 0 && s.events[0].at <= deadline {
+	for len(s.heap) > 0 && s.heap[0].at <= deadline {
 		if !s.step() {
 			break
 		}

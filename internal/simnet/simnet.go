@@ -7,10 +7,17 @@
 // communication between them), plus message duplication and variable delay.
 // The longest end-to-end propagation delay T of the paper maps to
 // Config.MaxDelay.
+//
+// Cost model: a message in flight is one scheduler heap slot whose body is a
+// pooled delivery, and the topology (handlers, crashed sites, partition
+// groups) is a types.SiteTable, so a warm send → deliver allocates nothing
+// and hashes nothing (with Config.Codec off; the codec round trip allocates
+// the decoded message).
 package simnet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"qcommit/internal/msg"
@@ -84,22 +91,18 @@ type Stats struct {
 type Network struct {
 	sched    *sim.Scheduler
 	cfg      Config
-	handlers map[types.SiteID]Handler
-	down     map[types.SiteID]bool
-	group    map[types.SiteID]int // partition group; all zero = fully connected
+	ids      []types.SiteID // registered sites, ascending
+	handlers types.SiteTable[Handler]
+	down     types.SiteTable[bool]
+	group    types.SiteTable[int] // partition group; all zero = fully connected
 	filter   DropFilter
 	stats    Stats
+	free     []*delivery // bodies of delivered messages, reused by later sends
 }
 
 // New creates a network on the given scheduler.
 func New(sched *sim.Scheduler, cfg Config) *Network {
-	return &Network{
-		sched:    sched,
-		cfg:      cfg,
-		handlers: make(map[types.SiteID]Handler),
-		down:     make(map[types.SiteID]bool),
-		group:    make(map[types.SiteID]int),
-	}
+	return &Network{sched: sched, cfg: cfg}
 }
 
 // Scheduler returns the underlying simulation scheduler.
@@ -114,28 +117,26 @@ func (n *Network) Stats() Stats { return n.stats }
 // Register installs the message handler for a site. Registering a site marks
 // it up.
 func (n *Network) Register(id types.SiteID, h Handler) {
-	n.handlers[id] = h
-	n.down[id] = false
+	if i, found := slices.BinarySearch(n.ids, id); !found {
+		n.ids = slices.Insert(n.ids, i, id)
+	}
+	n.handlers.Set(id, h)
+	n.down.Set(id, false)
 }
 
 // Sites returns the registered site IDs in ascending order.
 func (n *Network) Sites() []types.SiteID {
-	out := make([]types.SiteID, 0, len(n.handlers))
-	for id := range n.handlers {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return append(make([]types.SiteID, 0, len(n.ids)), n.ids...)
 }
 
 // Crash marks a site down: it receives nothing and its sends are dropped.
-func (n *Network) Crash(id types.SiteID) { n.down[id] = true }
+func (n *Network) Crash(id types.SiteID) { n.down.Set(id, true) }
 
 // Recover marks a site up again.
-func (n *Network) Recover(id types.SiteID) { n.down[id] = false }
+func (n *Network) Recover(id types.SiteID) { n.down.Set(id, false) }
 
 // Down reports whether a site is crashed.
-func (n *Network) Down(id types.SiteID) bool { return n.down[id] }
+func (n *Network) Down(id types.SiteID) bool { return n.down.Get(id) }
 
 // SetFilter installs (or clears, with nil) a scripted drop filter.
 func (n *Network) SetFilter(f DropFilter) { n.filter = f }
@@ -144,36 +145,36 @@ func (n *Network) SetFilter(f DropFilter) { n.filter = f }
 // listed in any group form an implicit final group together. Heal() undoes
 // the split.
 func (n *Network) Partition(groups ...[]types.SiteID) {
-	n.group = make(map[types.SiteID]int)
+	n.group = types.SiteTable[int]{}
 	for gi, g := range groups {
 		for _, s := range g {
-			n.group[s] = gi + 1
+			n.group.Set(s, gi+1)
 		}
 	}
 }
 
 // Heal reconnects all sites.
-func (n *Network) Heal() { n.group = make(map[types.SiteID]int) }
+func (n *Network) Heal() { n.group = types.SiteTable[int]{} }
 
 // Connected reports whether a and b can currently exchange messages
 // (same partition group and both up).
 func (n *Network) Connected(a, b types.SiteID) bool {
-	if n.down[a] || n.down[b] {
+	if n.down.Get(a) || n.down.Get(b) {
 		return false
 	}
-	return n.group[a] == n.group[b]
+	return n.group.Get(a) == n.group.Get(b)
 }
 
 // GroupOf returns the partition group identifier of a site. Sites in the
 // implicit residual group return 0.
-func (n *Network) GroupOf(id types.SiteID) int { return n.group[id] }
+func (n *Network) GroupOf(id types.SiteID) int { return n.group.Get(id) }
 
 // Groups returns the current partition as a list of site groups in
 // deterministic order. A fully connected network returns one group.
 func (n *Network) Groups() [][]types.SiteID {
 	byGroup := make(map[int][]types.SiteID)
-	for _, id := range n.Sites() {
-		g := n.group[id]
+	for _, id := range n.ids {
+		g := n.group.Get(id)
 		byGroup[g] = append(byGroup[g], id)
 	}
 	keys := make([]int, 0, len(byGroup))
@@ -195,7 +196,7 @@ func (n *Network) Groups() [][]types.SiteID {
 func (n *Network) Send(from, to types.SiteID, m msg.Message) {
 	n.stats.Sent++
 	env := msg.Envelope{From: from, To: to, Msg: m}
-	if n.down[from] {
+	if n.down.Get(from) {
 		n.stats.DroppedDown++
 		return
 	}
@@ -262,19 +263,42 @@ func (n *Network) delayFor(from, to types.SiteID) sim.Duration {
 	return lo + sim.Duration(n.sched.Rand().Int63n(int64(hi-lo)+1))
 }
 
+// delivery is a message in flight, the body of its scheduler event. A
+// delivered message's delivery returns to the network's free list, so once
+// the pool covers the peak number in flight a send allocates nothing.
+type delivery struct {
+	n   *Network
+	env msg.Envelope
+}
+
 func (n *Network) deliverAfter(env msg.Envelope, d sim.Duration) {
-	n.sched.After(d, func() {
-		// Re-check at delivery time: the receiver may have crashed or the
-		// partition may have separated sender and receiver mid-flight.
-		if n.down[env.To] || !n.Connected(env.From, env.To) {
-			n.stats.DroppedPartition++
-			return
-		}
-		h := n.handlers[env.To]
-		if h == nil {
-			return
-		}
-		n.stats.Delivered++
-		h(env)
-	})
+	var dv *delivery
+	if k := len(n.free); k > 0 {
+		dv = n.free[k-1]
+		n.free = n.free[:k-1]
+	} else {
+		dv = &delivery{n: n}
+	}
+	dv.env = env
+	n.sched.Schedule(n.sched.Now().Add(d), dv)
+}
+
+// Run delivers the message, first returning dv to the pool: the handler may
+// send, and its sends may reuse dv.
+func (dv *delivery) Run() {
+	n, env := dv.n, dv.env
+	dv.env = msg.Envelope{}
+	n.free = append(n.free, dv)
+	// Re-check at delivery time: the receiver may have crashed or the
+	// partition may have separated sender and receiver mid-flight.
+	if n.down.Get(env.To) || !n.Connected(env.From, env.To) {
+		n.stats.DroppedPartition++
+		return
+	}
+	h := n.handlers.Get(env.To)
+	if h == nil {
+		return
+	}
+	n.stats.Delivered++
+	h(env)
 }

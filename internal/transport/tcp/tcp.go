@@ -146,9 +146,8 @@ var _ transport.Transport = (*Endpoint)(nil)
 // claims the whole stream in one step, swapping in the buffer it wrote
 // last, so a warm link queues and writes without allocating.
 type peer struct {
-	addr string
-
 	mu      sync.Mutex
+	addr    string // where the writer dials; SetPeers may move it
 	cond    *sync.Cond
 	buf     []byte  // queued stream frames, back to back
 	frames  int     // frames in buf; the queue bound counts these
@@ -189,13 +188,20 @@ func (e *Endpoint) Addr() string { return e.ln.Addr().String() }
 // Self returns the hosted site.
 func (e *Endpoint) Self() types.SiteID { return e.self }
 
-// SetPeers installs the peer address map; call before Bind when the
-// addresses were not known at construction (ephemeral-port fabrics).
+// SetPeers installs the peer address map: before Bind when the addresses
+// were not known at construction (ephemeral-port fabrics), or later to move
+// a peer that restarted elsewhere. A moved peer's writer drops its link and
+// dials the new address before its next write.
 func (e *Endpoint) SetPeers(addrs map[types.SiteID]string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for id, a := range addrs {
 		e.addrs[id] = a
+		if p := e.peers[id]; p != nil {
+			p.mu.Lock()
+			p.addr = a
+			p.mu.Unlock()
+		}
 	}
 }
 
@@ -359,17 +365,54 @@ func (e *Endpoint) peer(id types.SiteID) *peer {
 	return p
 }
 
+// link is the writer's dialled connection to one peer.
+type link struct {
+	conn net.Conn
+	addr string
+	// gone is closed once a read on conn returns. A peer never writes on
+	// a link it accepted, so a returning read means the peer closed it:
+	// a restarted peer's old process is gone, and a write would land in
+	// the dead connection's socket buffer with nothing to read it.
+	gone chan struct{}
+}
+
+// watch blocks in a read on l's connection until it fails, then closes
+// l.gone. It costs one parked goroutine per link and nothing per frame.
+func (e *Endpoint) watch(l *link) {
+	defer e.wg.Done()
+	var b [64]byte
+	for {
+		if _, err := l.conn.Read(b[:]); err != nil {
+			close(l.gone)
+			return
+		}
+	}
+}
+
+// usable reports whether l can carry the next batch to addr: its peer
+// has neither hung up nor moved.
+func (l *link) usable(addr string) bool {
+	select {
+	case <-l.gone:
+		return false
+	default:
+		return l.addr == addr
+	}
+}
+
 // writeLoop drains one peer's queue: dial on demand, claim the whole queued
 // stream in one step — swapping in the buffers the previous batch used —
 // and write it with one Write call, then redial with exponential backoff
 // after failures. Frames queued while a batch is in flight form the next
 // batch, so coalescing deepens exactly when the link is the bottleneck.
+// A link whose peer hung up or moved is replaced before the write, so a
+// restarted peer gets the frames queued for it.
 func (e *Endpoint) writeLoop(p *peer) {
 	defer e.wg.Done()
-	var conn net.Conn
+	var l *link
 	defer func() {
-		if conn != nil {
-			conn.Close()
+		if l != nil {
+			l.conn.Close()
 		}
 	}()
 	var spare []byte
@@ -384,15 +427,19 @@ func (e *Endpoint) writeLoop(p *peer) {
 			p.mu.Unlock()
 			return
 		}
-		batch, frames, stamps := p.buf, p.frames, p.stamps
+		batch, frames, stamps, addr := p.buf, p.frames, p.stamps, p.addr
 		p.buf, p.frames, p.stamps = spare[:0], 0, spareStamps[:0]
 		p.mu.Unlock()
 		spare, spareStamps = batch, stamps
 		if met := e.met.Load(); met != nil {
 			met.queueDepth.Add(-int64(len(stamps)))
 		}
-		for conn == nil {
-			c, err := net.DialTimeout("tcp", p.addr, e.opts.DialTimeout)
+		if l != nil && !l.usable(addr) {
+			l.conn.Close()
+			l = nil
+		}
+		for l == nil {
+			c, err := net.DialTimeout("tcp", addr, e.opts.DialTimeout)
 			if err != nil {
 				select {
 				case <-e.done:
@@ -404,12 +451,14 @@ func (e *Endpoint) writeLoop(p *peer) {
 				}
 				continue
 			}
-			conn = c
+			l = &link{conn: c, addr: addr, gone: make(chan struct{})}
+			e.wg.Add(1)
+			go e.watch(l)
 			backoff = e.opts.BackoffMin
 		}
-		if _, err := conn.Write(batch); err != nil {
-			conn.Close()
-			conn = nil // batch dropped; redial on the next frame
+		if _, err := l.conn.Write(batch); err != nil {
+			l.conn.Close()
+			l = nil // batch dropped; redial on the next frame
 			continue
 		}
 		e.frames.Add(uint64(frames))

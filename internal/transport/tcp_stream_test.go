@@ -172,3 +172,53 @@ func TestTCPSendAllocs(t *testing.T) {
 		t.Errorf("Send allocates %v times per call, want 0", allocs)
 	}
 }
+
+// readFrame reads one envelope from the next connection conns yields.
+func readFrame(t *testing.T, conns <-chan net.Conn) (net.Conn, msg.Envelope) {
+	t.Helper()
+	var conn net.Conn
+	select {
+	case conn = <-conns:
+	case <-time.After(5 * time.Second):
+		t.Fatal("endpoint never dialled the peer")
+	}
+	t.Cleanup(func() { conn.Close() })
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	env, err := msg.ReadEnvelope(conn)
+	if err != nil {
+		t.Fatalf("read frame: %v", err)
+	}
+	return conn, env
+}
+
+// TestTCPRedialsAPeerThatHungUp: when the peer closes the connection (its
+// process restarted), the next frame goes out on a fresh connection instead
+// of into the dead one.
+func TestTCPRedialsAPeerThatHungUp(t *testing.T) {
+	ln, conns := rawPeer(t)
+	ep := rawEndpoint(t, ln)
+	ep.Send(msg.Envelope{From: 1, To: 2, Msg: msg.Commit{Txn: 1}})
+	old, _ := readFrame(t, conns)
+	old.Close()
+	time.Sleep(100 * time.Millisecond) // let the hang-up reach the endpoint
+	ep.Send(msg.Envelope{From: 1, To: 2, Msg: msg.Commit{Txn: 2}})
+	if _, env := readFrame(t, conns); env.Msg != (msg.Commit{Txn: 2}) {
+		t.Fatalf("first frame on the new connection = %v, want COMMIT TR2", env.Msg)
+	}
+}
+
+// TestTCPSetPeersMovesPeer: SetPeers moves a peer the endpoint already
+// writes to, and the next frame goes to the new address even though the old
+// connection is still open.
+func TestTCPSetPeersMovesPeer(t *testing.T) {
+	ln, conns := rawPeer(t)
+	ep := rawEndpoint(t, ln)
+	ep.Send(msg.Envelope{From: 1, To: 2, Msg: msg.Commit{Txn: 1}})
+	readFrame(t, conns)
+	ln2, conns2 := rawPeer(t)
+	ep.SetPeers(map[types.SiteID]string{2: ln2.Addr().String()})
+	ep.Send(msg.Envelope{From: 1, To: 2, Msg: msg.Commit{Txn: 2}})
+	if _, env := readFrame(t, conns2); env.Msg != (msg.Commit{Txn: 2}) {
+		t.Fatalf("first frame at the new address = %v, want COMMIT TR2", env.Msg)
+	}
+}

@@ -156,3 +156,23 @@ func TestWritesetItemsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSiteTable: a SiteTable answers as a map would for IDs in its slice,
+// past its end, negative and beyond the dense range.
+func TestSiteTable(t *testing.T) {
+	var tbl SiteTable[int]
+	ref := map[SiteID]int{}
+	ids := []SiteID{0, 1, 7, 4095, 4096, 1 << 30, -1, -1 << 31}
+	for i, id := range ids {
+		tbl.Set(id, i+10)
+		ref[id] = i + 10
+		for _, q := range append(ids, 2, 100, 5000) {
+			if got := tbl.Get(q); got != ref[q] {
+				t.Fatalf("after Set(%d): Get(%d) = %d, want %d", id, q, got, ref[q])
+			}
+		}
+	}
+	if n := len(tbl.dense); n != 4096 {
+		t.Errorf("dense slice holds %d slots, want 4096 (IDs 0..4095)", n)
+	}
+}
