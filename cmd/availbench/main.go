@@ -87,6 +87,10 @@ func main() {
 	jsonPath := flag.String("json", "", "write machine-readable results (with trials/sec) to this path")
 	progress := flag.Bool("progress", false, "report trial completion on stderr")
 	flag.Parse()
+	if *trials < 1 {
+		fmt.Fprintf(os.Stderr, "-trials %d: must be at least 1\n", *trials)
+		os.Exit(1)
+	}
 
 	eng, err := avail.ParseEngine(*engineFlag)
 	if err != nil {

@@ -126,6 +126,10 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this path at exit")
 	flag.Parse()
+	if *runs < 1 {
+		fmt.Fprintf(os.Stderr, "-runs %d: must be at least 1\n", *runs)
+		os.Exit(1)
+	}
 	setFlags := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
 

@@ -272,6 +272,10 @@ func TestCommandFlagErrors(t *testing.T) {
 		{"qcommitd trace-sample below 1", qcommitd, []string{"-site", "1", "-peers", "1=127.0.0.1:0", "-trace-sample", "0"}, "-trace-sample", 1},
 		{"churnbench unknown protocol", churnbench, []string{"-protocol", "bogus"}, "bogus", 2},
 		{"availbench unknown engine", availbench, []string{"-engine", "bogus"}, "bogus", 2},
+		{"churnbench negative runs", churnbench, []string{"-runs", "-3"}, "-runs", 1},
+		{"churnbench zero runs", churnbench, []string{"-runs", "0"}, "-runs", 1},
+		{"availbench zero trials", availbench, []string{"-trials", "0"}, "-trials", 1},
+		{"availbench negative trials", availbench, []string{"-trials", "-5"}, "-trials", 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

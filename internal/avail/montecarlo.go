@@ -367,6 +367,9 @@ func (r *trialRunner) accumulate(seed int64, t int, results []MCResult) error {
 // MonteCarloParallel; with EngineReplay it is also the correctness oracle
 // for EngineAnalytic.
 func MonteCarlo(params ScenarioParams, trials int, seed int64, builders []SpecBuilder, eng Engine) ([]MCResult, error) {
+	if err := checkTrials(trials); err != nil {
+		return nil, err
+	}
 	runner, err := newTrialRunner(params, builders, eng)
 	if err != nil {
 		return nil, err
@@ -378,6 +381,15 @@ func MonteCarlo(params ScenarioParams, trials int, seed int64, builders []SpecBu
 		}
 	}
 	return results, nil
+}
+
+// checkTrials refuses a negative trial count. Zero trials is a valid, empty
+// evaluation: one labelled MCResult per builder with nothing in it.
+func checkTrials(trials int) error {
+	if trials < 0 {
+		return fmt.Errorf("avail: %d trials: the trial count must not be negative", trials)
+	}
+	return nil
 }
 
 func newMCResults(builders []SpecBuilder) []MCResult {

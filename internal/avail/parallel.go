@@ -29,6 +29,9 @@ const chunkSize = 16
 // bit-for-bit identical to the serial MonteCarlo for any worker count and
 // either engine.
 func MonteCarloParallel(params ScenarioParams, trials int, seed int64, builders []SpecBuilder, opts MCOptions) ([]MCResult, error) {
+	if err := checkTrials(trials); err != nil {
+		return nil, err
+	}
 	// One trialRunner (scenario generator buffers, analytic tallies) per
 	// worker, constructed before any trial runs so invalid params fail up
 	// front (NewScenarioGen validates them).

@@ -103,3 +103,17 @@ func TestMonteCarloParallelEdgeCases(t *testing.T) {
 		t.Error("default worker count diverged from serial")
 	}
 }
+
+// TestMonteCarloRefusesNegativeTrials: a negative trial count is an error on
+// both paths, not an empty table.
+func TestMonteCarloRefusesNegativeTrials(t *testing.T) {
+	builders := StandardBuilders()
+	for _, trials := range []int{-1, -5} {
+		if res, err := MonteCarlo(DefaultScenarioParams(), trials, 1, builders, EngineAnalytic); err == nil || res != nil {
+			t.Errorf("MonteCarlo with %d trials: %v, %v; want an error", trials, res, err)
+		}
+		if res, err := MonteCarloParallel(DefaultScenarioParams(), trials, 1, builders, MCOptions{Workers: 2}); err == nil || res != nil {
+			t.Errorf("MonteCarloParallel with %d trials: %v, %v; want an error", trials, res, err)
+		}
+	}
+}

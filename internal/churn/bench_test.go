@@ -47,7 +47,8 @@ func BenchmarkStudyParallel(b *testing.B) {
 
 // BenchmarkChurnStudy measures the full study kernel under both engines on
 // a realistic sparse-conflict configuration (wide item space, so the hybrid
-// engine's analytic path carries most of the stream).
+// engine's analytic path carries most of the stream), and at the repository
+// benchmark's sim_churn point.
 func BenchmarkChurnStudy(b *testing.B) {
 	params := benchParams()
 	params.NumItems = 64
@@ -63,6 +64,25 @@ func BenchmarkChurnStudy(b *testing.B) {
 			}
 		})
 	}
+	// sim_churn: 32 sites × 512 items × 4 copies, 2 writes every 25 ms,
+	// MTTF 20 s / MTTR 1 s, a 5 s horizon, hybrid. Iteration i evaluates
+	// run i of seed 1 as bench/'s runSeed spreads them, so b.N iterations
+	// walk the same run sequence the benchmark's measurement window does.
+	simChurn := Params{
+		NumSites: 32, NumItems: 512, CopiesPerItem: 4, WritesPerTxn: 2,
+		MeanInterarrival: 25 * sim.Millisecond,
+		MTTF:             20 * sim.Second, MTTR: sim.Second, MaxGroups: 3,
+		Horizon: 5 * sim.Second,
+		Engine:  EngineHybrid,
+	}
+	b.Run("sim_churn", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Study(simChurn, 1, 1*1_000_003+int64(i), specs); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkChurnTrial isolates one (script, protocol) evaluation — the unit

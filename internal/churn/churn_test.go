@@ -294,6 +294,21 @@ func TestStudyEdgeCases(t *testing.T) {
 	}
 }
 
+// TestStudyRefusesNegativeRuns: a negative run count is an error on both
+// paths, returned before anything runs (the parallel path used to panic
+// sizing its chunk table, the serial one to report an empty study).
+func TestStudyRefusesNegativeRuns(t *testing.T) {
+	specs := StandardBuilders()
+	for _, runs := range []int{-1, -3} {
+		if res, err := Study(testParams(), runs, 1, specs); err == nil || res != nil {
+			t.Errorf("Study with %d runs: %v, %v; want an error", runs, res, err)
+		}
+		if res, err := StudyParallel(testParams(), runs, 1, specs, Options{Workers: 2}); err == nil || res != nil {
+			t.Errorf("StudyParallel with %d runs: %v, %v; want an error", runs, res, err)
+		}
+	}
+}
+
 // TestSiteChurnSafety: under pure site failure/repair churn (no partitions)
 // every protocol must stay safe — zero atomicity violations and zero store
 // inconsistencies — while still terminating the bulk of the stream.

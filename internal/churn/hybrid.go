@@ -51,6 +51,7 @@
 package churn
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 
@@ -269,6 +270,7 @@ func buildHybridPlans(sc *script, seed int64, epochs []Epoch, T sim.Duration, wi
 		// Reachable participants: up and connected to the coordinator for
 		// the whole window. Everyone reachable acquires locks and votes
 		// yes; everyone else never hears the VOTE-REQ.
+		p.reach = make([]types.SiteID, 0, len(a.Participants))
 		for _, s := range a.Participants {
 			if s == coord {
 				p.coordIn = true
@@ -313,11 +315,8 @@ func buildHybridPlans(sc *script, seed int64, epochs []Epoch, T sim.Duration, wi
 			t4 := t3.Add(messageDelay(seed, s, coord, t3))
 			p.acks = append(p.acks, ackArrival{at: t4, site: s})
 		}
-		sort.Slice(p.acks, func(x, y int) bool {
-			if p.acks[x].at != p.acks[y].at {
-				return p.acks[x].at < p.acks[y].at
-			}
-			return p.acks[x].site < p.acks[y].site
+		slices.SortFunc(p.acks, func(x, y ackArrival) int {
+			return cmp.Or(cmp.Compare(x.at, y.at), cmp.Compare(x.site, y.site))
 		})
 	}
 	return plans

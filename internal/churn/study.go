@@ -237,12 +237,21 @@ func newResults(specs []core.Spec) []Result {
 	return results
 }
 
+// validateStudy refuses a study that cannot be run. Zero runs is a valid,
+// empty study: one labelled Result per spec with nothing in it.
+func validateStudy(params Params, runs int) error {
+	if runs < 0 {
+		return fmt.Errorf("churn: %d runs: the run count must not be negative", runs)
+	}
+	return params.validate()
+}
+
 // Study evaluates runs independent churn runs under every spec and
 // aggregates, one Result per spec labelled with its Name. All specs see
 // identical worlds. This serial path is the determinism oracle for
 // StudyParallel.
 func Study(params Params, runs int, seed int64, specs []core.Spec) ([]Result, error) {
-	if err := params.validate(); err != nil {
+	if err := validateStudy(params, runs); err != nil {
 		return nil, err
 	}
 	results := newResults(specs)
@@ -272,7 +281,7 @@ type Options struct {
 // ascending run order. Results are bit-for-bit identical to the serial Study
 // for any worker count.
 func StudyParallel(params Params, runs int, seed int64, specs []core.Spec, opts Options) ([]Result, error) {
-	if err := params.validate(); err != nil {
+	if err := validateStudy(params, runs); err != nil {
 		return nil, err
 	}
 	results := newResults(specs)

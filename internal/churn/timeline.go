@@ -1,9 +1,10 @@
 package churn
 
 import (
-	"fmt"
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
+	"strconv"
 
 	"qcommit/internal/sim"
 	"qcommit/internal/storage"
@@ -132,15 +133,20 @@ func generateScript(params Params, seed int64) (*script, error) {
 	for i := range sc.sites {
 		sc.sites[i] = types.SiteID(i + 1)
 	}
+	// Every item's copies are a window of one backing array, drawn from one
+	// reused permutation buffer.
 	r, w := voting.MajorityQuorums(params.CopiesPerItem)
 	configs := make([]voting.ItemConfig, params.NumItems)
+	k := params.CopiesPerItem
+	copies := make([]voting.Copy, params.NumItems*k)
+	perm := make([]int, params.NumSites)
 	for i := range configs {
-		perm := rng.Perm(params.NumSites)
-		copies := make([]voting.Copy, params.CopiesPerItem)
-		for j := range copies {
-			copies[j] = voting.Copy{Site: sc.sites[perm[j]], Votes: 1}
+		permInto(rng, perm)
+		cs := copies[i*k : (i+1)*k : (i+1)*k]
+		for j := range cs {
+			cs[j] = voting.Copy{Site: sc.sites[perm[j]], Votes: 1}
 		}
-		configs[i] = voting.ItemConfig{Item: types.ItemID(fmt.Sprintf("item%d", i+1)), Copies: copies, R: r, W: w}
+		configs[i] = voting.ItemConfig{Item: types.ItemID("item" + strconv.Itoa(i+1)), Copies: cs, R: r, W: w}
 	}
 	asgn, err := voting.NewAssignment(configs...)
 	if err != nil {
@@ -195,15 +201,8 @@ func generateScript(params Params, seed int64) (*script, error) {
 		}
 	}
 
-	sort.SliceStable(sc.events, func(i, j int) bool {
-		a, b := sc.events[i], sc.events[j]
-		if a.At != b.At {
-			return a.At < b.At
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		return a.Site < b.Site
+	slices.SortStableFunc(sc.events, func(a, b Event) int {
+		return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Site, b.Site))
 	})
 	for i, ev := range sc.events {
 		if ev.Kind == EventRestart || ev.Kind == EventHeal {
@@ -232,7 +231,7 @@ func generateScript(params Params, seed int64) (*script, error) {
 			At:           t,
 			Coord:        txn.Coord,
 			Writeset:     txn.Writeset,
-			Participants: asgn.Participants(txn.Writeset.Items()),
+			Participants: txn.Participants,
 		})
 	}
 	return sc, nil
@@ -348,11 +347,23 @@ func randomGroups(rng *rand.Rand, sites []types.SiteID, maxGroups int) [][]types
 	if numGroups > len(sites) {
 		numGroups = len(sites)
 	}
-	perm := rng.Perm(len(sites))
+	perm := make([]int, len(sites))
+	permInto(rng, perm)
 	groups := make([][]types.SiteID, numGroups)
 	for i, pi := range perm {
 		gi := i % numGroups
 		groups[gi] = append(groups[gi], sites[pi])
 	}
 	return groups
+}
+
+// permInto fills m with a random permutation of [0, len(m)), making exactly
+// the draws rand.Perm(len(m)) makes, in the same order, into the caller's
+// buffer.
+func permInto(rng *rand.Rand, m []int) {
+	for i := range m {
+		j := rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
 }

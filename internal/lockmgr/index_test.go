@@ -122,7 +122,7 @@ func checkIndex(m *Manager) error {
 				}
 				seen := make(map[*lockState]bool)
 				for _, ls := range tl.held {
-					if _, ok := ls.holders[txn]; !ok || seen[ls] || sh.locks[ls.item] != ls {
+					if ls.holderOf(txn) < 0 || seen[ls] || sh.locks[ls.item] != ls {
 						return fmt.Errorf("shard %d: index says %s holds %s, table disagrees", i, txn, ls.item)
 					}
 					seen[ls] = true

@@ -41,6 +41,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -76,11 +77,32 @@ func compatible(a, b Mode) bool { return a == Shared && b == Shared }
 // ErrWouldBlock is returned by TryAcquire when the lock is unavailable.
 var ErrWouldBlock = errors.New("lockmgr: lock unavailable")
 
+// holder is one transaction's hold on an item and its re-entrancy count.
+type holder struct {
+	txn   types.TxnID
+	count int
+}
+
+// lockState is one item's entry in the lock table. holders lists each
+// holding transaction once, in grant order; it starts on the inline array,
+// since an item almost always has at most one holder (an exclusive lock), so
+// a state costs one allocation until a second shared holder joins.
 type lockState struct {
 	item    types.ItemID
 	mode    Mode
-	holders map[types.TxnID]int   // re-entrancy count
+	holders []holder
+	one     [1]holder
 	since   map[types.TxnID]int64 // grant timestamps (ns); nil unless metrics are on
+}
+
+// holderOf returns the index of txn's hold in ls.holders, or -1.
+func (ls *lockState) holderOf(txn types.TxnID) int {
+	for i, h := range ls.holders {
+		if h.txn == txn {
+			return i
+		}
+	}
+	return -1
 }
 
 // txnLocks is one transaction's footprint in one shard (see the package
@@ -260,17 +282,18 @@ func (m *Manager) grantLocked(sh *shard, txn types.TxnID, item types.ItemID, mod
 		if sh.locks == nil {
 			sh.locks = make(map[types.ItemID]*lockState)
 		}
-		ls = &lockState{item: item, holders: make(map[types.TxnID]int)}
+		ls = &lockState{item: item}
+		ls.holders = ls.one[:0]
 		sh.locks[item] = ls
 	}
-	if cnt, holds := ls.holders[txn]; holds {
+	if i := ls.holderOf(txn); i >= 0 {
 		if mode == Exclusive && ls.mode == Shared {
 			if len(ls.holders) > 1 {
 				return false
 			}
 			ls.mode = Exclusive
 		}
-		ls.holders[txn] = cnt + 1
+		ls.holders[i].count++
 		return true
 	}
 	switch {
@@ -280,7 +303,7 @@ func (m *Manager) grantLocked(sh *shard, txn types.TxnID, item types.ItemID, mod
 	default:
 		return false
 	}
-	ls.holders[txn] = 1
+	ls.holders = append(ls.holders, holder{txn: txn, count: 1})
 	tl := sh.entryLocked(txn)
 	tl.held = append(tl.held, ls)
 	m.held.Add(1)
@@ -312,9 +335,9 @@ func (m *Manager) Release(txn types.TxnID, item types.ItemID) {
 	if ls == nil {
 		return
 	}
-	if cnt, ok := ls.holders[txn]; ok {
-		if cnt > 1 {
-			ls.holders[txn] = cnt - 1
+	if i := ls.holderOf(txn); i >= 0 {
+		if ls.holders[i].count > 1 {
+			ls.holders[i].count--
 			return
 		}
 		tl := sh.byTxn[txn]
@@ -328,7 +351,9 @@ func (m *Manager) Release(txn types.TxnID, item types.ItemID) {
 // dropHolderLocked removes txn from ls's holders (the index is the caller's
 // business); runs under sh.mu.
 func (m *Manager) dropHolderLocked(sh *shard, ls *lockState, txn types.TxnID) {
-	delete(ls.holders, txn)
+	if i := ls.holderOf(txn); i >= 0 {
+		ls.holders = slices.Delete(ls.holders, i, i+1)
+	}
 	m.held.Add(-1)
 	m.noteReleaseLocked(sh, ls, txn)
 }
@@ -370,11 +395,7 @@ func (m *Manager) LockedBy(txn types.TxnID, item types.ItemID) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	ls := sh.locks[item]
-	if ls == nil {
-		return false
-	}
-	_, ok := ls.holders[txn]
-	return ok
+	return ls != nil && ls.holderOf(txn) >= 0
 }
 
 // HeldItems returns the items txn currently holds, in ascending order.

@@ -2,7 +2,10 @@ package lockmgr
 
 import (
 	"errors"
+	"fmt"
 	"testing"
+
+	"qcommit/internal/types"
 )
 
 func TestTryAcquireBasics(t *testing.T) {
@@ -78,5 +81,46 @@ func TestHeldItemsSorted(t *testing.T) {
 func TestModeString(t *testing.T) {
 	if Shared.String() != "S" || Exclusive.String() != "X" {
 		t.Error("mode strings wrong")
+	}
+}
+
+// TestFirstGrantAllocs pins the cost of locking an item for the first time:
+// at most the lock state and the transaction's index entry, with the shard's
+// tables already sized (their growth is amortized over the items they hold).
+// A hold, a re-entrant grant and a release of an item already in the table
+// allocate nothing.
+func TestFirstGrantAllocs(t *testing.T) {
+	const n = 200
+	m := NewSharded(1, 1)
+	sh := &m.shards[0]
+	sh.locks = make(map[types.ItemID]*lockState, 2*n)
+	sh.byTxn = make(map[types.TxnID]*txnLocks, 2*n)
+	items := make([]types.ItemID, 2*n)
+	for i := range items {
+		items[i] = types.ItemID(fmt.Sprint("item", i))
+	}
+	i := 0
+	first := testing.AllocsPerRun(n, func() {
+		if err := m.TryAcquire(types.TxnID(i+1), items[i], Exclusive); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if first > 2 {
+		t.Errorf("first exclusive grant: %v allocs, want at most 2 (lock state + index entry)", first)
+	}
+	if err := m.TryAcquire(1, "warm", Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	m.ReleaseAll(1)
+	warm := testing.AllocsPerRun(n, func() {
+		if m.TryAcquire(1, "warm", Exclusive) != nil || m.TryAcquire(1, "warm", Exclusive) != nil {
+			t.Fatal("warm grant refused")
+		}
+		m.Release(1, "warm")
+		m.Release(1, "warm")
+	})
+	if warm > 1 {
+		t.Errorf("grant, re-entrant grant and release of a known item: %v allocs, want at most the index entry", warm)
 	}
 }

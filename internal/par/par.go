@@ -21,16 +21,17 @@ func Workers(requested, n int) int {
 	return max(1, min(requested, n))
 }
 
-// Ordered evaluates items [0, n) with workers goroutines. Workers claim
-// contiguous chunks of up to chunk (≥ 1) items from a shared counter and
-// call run(w, lo, hi) for items [lo, hi), where w in [0, workers) identifies
-// the calling goroutine (so per-worker scratch can be indexed by it). Once
-// every worker has returned, merge receives each chunk's result in ascending
-// chunk order. If any chunk fails, no chunk is merged and Ordered returns
-// the error of the lowest failing chunk — the one a serial walk would have
-// hit first. progress, if non-nil, is called on the caller's goroutine after
-// each completed chunk with the number of items finished so far and n, so
-// its calls are serialized and done is nondecreasing.
+// Ordered evaluates items [0, n), n ≥ 0, with workers goroutines; n = 0
+// runs and merges nothing. Workers claim contiguous chunks of up to chunk
+// (≥ 1) items from a shared counter and call run(w, lo, hi) for items
+// [lo, hi), where w in [0, workers) identifies the calling goroutine (so
+// per-worker scratch can be indexed by it). Once every worker has returned,
+// merge receives each chunk's result in ascending chunk order. If any chunk
+// fails, no chunk is merged and Ordered returns the error of the lowest
+// failing chunk — the one a serial walk would have hit first. progress, if
+// non-nil, is called on the caller's goroutine after each completed chunk
+// with the number of items finished so far and n, so its calls are
+// serialized and done is nondecreasing.
 func Ordered[T any](n, chunk, workers int, run func(w, lo, hi int) (T, error), merge func(T), progress func(done, total int)) error {
 	numChunks := (n + chunk - 1) / chunk
 	results := make([]T, numChunks)

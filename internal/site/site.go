@@ -26,7 +26,13 @@
 //     image — including the outcome query a restarted site sends at once
 //     about every transaction it finds unresolved, which only a site holding
 //     the outcome answers — and the irrevocable local commit / abort;
-//   - the single protocol.Env handed to automata.
+//   - the single protocol.Env handed to automata, one per installed
+//     automaton.
+//
+// A context's writeset and participant list are immutable once it exists:
+// nothing here, in the automata, the log or the tracker writes them, so the
+// kernel adopts a VOTE-REQ's by reference instead of copying them (Txn says
+// why every fabric allows that). A Host must not write them either.
 //
 // It owns no clock, goroutine, mutex or transport. The Host supplies time,
 // timers, sends and the write-ahead log, and hears every decision and every
@@ -42,7 +48,6 @@ package site
 
 import (
 	"slices"
-	"sort"
 
 	"qcommit/internal/core"
 	"qcommit/internal/election"
@@ -148,6 +153,14 @@ type Config struct {
 }
 
 // Txn is a site's bookkeeping for one transaction.
+//
+// WS and Participants are immutable once the context exists: the kernel,
+// its automata, the log and the tracker only ever read them, so a context
+// may share them with whoever handed them in. Handle adopts a VOTE-REQ's
+// writeset and participant list by reference. That is sound on every
+// fabric: the live transports decode a fresh copy per delivery, and simnet
+// with its codec off, which hands every receiver the same slices, runs on
+// one thread.
 type Txn[X any] struct {
 	ID           types.TxnID
 	WS           types.Writeset
@@ -158,6 +171,10 @@ type Txn[X any] struct {
 
 	auto [numRoles]protocol.Automaton
 	gen  [numRoles]uint32
+	// envs[role] is the env of the automaton installed in role, made once
+	// and reused by every dispatch to it; an entry whose generation is not
+	// gen[role] is stale and never handed out again.
+	envs [numRoles]*env[X]
 	// timers are the stoppable host timers armed on this transaction's
 	// behalf, fired ones included; fence stops them once the generations they
 	// were armed under can no longer match.
@@ -262,7 +279,7 @@ func (k *Kernel[X]) Terminated() []types.TxnID {
 	for txn := range k.done {
 		out = append(out, txn)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -318,9 +335,16 @@ func (k *Kernel[X]) Resume(c *Txn[X], im *wal.TxnImage) {
 // install places an automaton in a role slot, superseding (and silencing the
 // timers of) any previous occupant, and starts it.
 func (k *Kernel[X]) install(c *Txn[X], role protocol.Role, a protocol.Automaton) {
+	a.Start(k.occupy(c, role, a))
+}
+
+// occupy places a in role under a fresh generation and returns its env. The
+// env of the automaton it supersedes keeps the old generation, so whatever
+// that automaton still asks for — even later in its own dispatch — is fenced.
+func (k *Kernel[X]) occupy(c *Txn[X], role protocol.Role, a protocol.Automaton) *env[X] {
 	c.gen[role]++
 	c.auto[role] = a
-	a.Start(k.env(c, role))
+	return k.env(c, role)
 }
 
 // Crash discards the volatile state: every automaton and election stops,
@@ -369,7 +393,7 @@ func (k *Kernel[X]) Recover(recs []wal.Record) {
 	for txn := range images {
 		txns = append(txns, txn)
 	}
-	sort.Slice(txns, func(i, j int) bool { return txns[i] < txns[j] })
+	slices.Sort(txns)
 	for _, txn := range txns {
 		if _, ok := k.done[txn]; ok {
 			continue
@@ -409,18 +433,19 @@ func (k *Kernel[X]) askOutcome(c *Txn[X]) {
 // reports whether all locks were obtained; on failure it releases what it
 // took.
 func (k *Kernel[X]) lockCopies(txn types.TxnID, ws types.Writeset) bool {
-	var taken []types.ItemID
-	for _, x := range ws.Items() {
+	items := ws.Items()
+	for i, x := range items {
 		if !k.cfg.Store.Has(x) {
 			continue
 		}
 		if err := k.cfg.Locks.TryAcquire(txn, x, lockmgr.Exclusive); err != nil {
-			for _, y := range taken {
-				k.cfg.Locks.Release(txn, y)
+			for _, y := range items[:i] { // what this call took, in order
+				if k.cfg.Store.Has(y) {
+					k.cfg.Locks.Release(txn, y)
+				}
 			}
 			return false
 		}
-		taken = append(taken, x)
 	}
 	return true
 }
@@ -454,7 +479,7 @@ func (k *Kernel[X]) Handle(e msg.Envelope) {
 		}
 		c := k.txns[txn]
 		if c == nil || len(c.WS) == 0 {
-			c = k.Adopt(txn, m.Writeset.Clone(), append([]types.SiteID(nil), m.Participants...), m.Coord)
+			c = k.Adopt(txn, m.Writeset, m.Participants, m.Coord) // immutable from here on: see Txn
 		}
 		if c.auto[protocol.RoleParticipant] == nil {
 			k.h.Observe(c, VoteRequested, k.id)
@@ -627,10 +652,9 @@ func (k *Kernel[X]) startElection(c *Txn[X], epoch uint32, campaign bool) {
 		k.startElection(c, c.nextEpoch, true)
 	}
 	c.elect = f
-	c.gen[protocol.RoleElection]++
-	c.auto[protocol.RoleElection] = f
+	e := k.occupy(c, protocol.RoleElection, f)
 	if campaign {
-		f.Start(k.env(c, protocol.RoleElection))
+		f.Start(e)
 	}
 }
 
@@ -714,10 +738,17 @@ func (k *Kernel[X]) reap(c *Txn[X]) {
 	delete(k.txns, c.ID)
 }
 
-// env builds the protocol.Env bound to (site, transaction, role) at the
-// role's current generation.
+// env returns the protocol.Env bound to (site, transaction, role) at the
+// role's current generation: the one made when the role's automaton was
+// installed, so a dispatch allocates nothing. A fresh env is never shared
+// with an older generation's, whose automaton stays fenced.
 func (k *Kernel[X]) env(c *Txn[X], role protocol.Role) *env[X] {
-	return &env[X]{k: k, c: c, role: role, gen: c.gen[role]}
+	if e := c.envs[role]; e != nil && e.gen == c.gen[role] {
+		return e
+	}
+	e := &env[X]{k: k, c: c, role: role, gen: c.gen[role]}
+	c.envs[role] = e
+	return e
 }
 
 // env implements protocol.Env for one automaton instance.

@@ -73,7 +73,7 @@ func (c *Coordinator) Start(env protocol.Env) {
 		Writeset:     c.ws,
 	})
 	env.Tracef("%s: coordinator %s starts commit (%s rule)", c.txn, env.Self(), c.rule.AckName)
-	req := msg.VoteReq{Txn: c.txn, Coord: env.Self(), Participants: c.participants, Writeset: c.ws}
+	var req msg.Message = msg.VoteReq{Txn: c.txn, Coord: env.Self(), Participants: c.participants, Writeset: c.ws} // boxed once for all
 	for _, p := range c.participants {
 		env.Send(p, req)
 	}

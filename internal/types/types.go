@@ -8,7 +8,10 @@
 // paper's additions to Skeen's three-phase commit vocabulary.
 package types
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // SiteID identifies a database site. Sites are numbered from 1, matching the
 // paper's examples (site1 ... site8).
@@ -182,10 +185,24 @@ type Update struct {
 // paper's notation is the set of item IDs in the writeset.
 type Writeset []Update
 
-// Items returns the distinct item IDs in the writeset, preserving order.
+// smallWriteset is the writeset length up to which Items finds duplicates
+// by scanning what it has kept so far, which beats hashing at every size a
+// transaction realistically writes.
+const smallWriteset = 16
+
+// Items returns the distinct item IDs in the writeset, preserving order. The
+// result is never nil.
 func (w Writeset) Items() []ItemID {
-	seen := make(map[ItemID]bool, len(w))
 	items := make([]ItemID, 0, len(w))
+	if len(w) <= smallWriteset {
+		for _, u := range w {
+			if !slices.Contains(items, u.Item) {
+				items = append(items, u.Item)
+			}
+		}
+		return items
+	}
+	seen := make(map[ItemID]bool, len(w))
 	for _, u := range w {
 		if !seen[u.Item] {
 			seen[u.Item] = true

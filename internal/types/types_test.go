@@ -1,6 +1,8 @@
 package types
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -119,6 +121,46 @@ func TestWritesetCloneIndependence(t *testing.T) {
 	cl[0].Value = 99
 	if ws[0].Value != 1 {
 		t.Error("Clone must not share backing storage")
+	}
+}
+
+// refItems is Items as first written: a map of seen items.
+func refItems(w Writeset) []ItemID {
+	seen := make(map[ItemID]bool, len(w))
+	items := make([]ItemID, 0, len(w))
+	for _, u := range w {
+		if !seen[u.Item] {
+			seen[u.Item] = true
+			items = append(items, u.Item)
+		}
+	}
+	return items
+}
+
+// TestItemsMatchesMapReference pins Items to the map-based reference,
+// nil-ness included, on both sides of the small-writeset scan: empty and nil
+// writesets, duplicates, and random writesets of up to 40 updates.
+func TestItemsMatchesMapReference(t *testing.T) {
+	cases := []Writeset{
+		nil,
+		{},
+		{{Item: "x"}},
+		{{Item: "x", Value: 1}, {Item: "x", Value: 2}},
+		{{Item: "y"}, {Item: "x"}, {Item: "y"}, {Item: "z"}, {Item: "x"}},
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 300; i++ {
+		ws := make(Writeset, rng.Intn(41))
+		for j := range ws {
+			ws[j] = Update{Item: ItemID(rune('a' + rng.Intn(1+rng.Intn(30)))), Value: int64(j)}
+		}
+		cases = append(cases, ws)
+	}
+	for _, ws := range cases {
+		got, want := ws.Items(), refItems(ws)
+		if !reflect.DeepEqual(got, want) || got == nil {
+			t.Fatalf("Items(%v) = %#v, want %#v", ws, got, want)
+		}
 	}
 }
 

@@ -17,7 +17,6 @@ package voting
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"qcommit/internal/types"
 )
@@ -61,7 +60,7 @@ func (ic ItemConfig) Sites() []types.SiteID {
 	for _, c := range ic.Copies {
 		out = append(out, c.Site)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -70,15 +69,13 @@ func (ic ItemConfig) Validate() error {
 	if len(ic.Copies) == 0 {
 		return fmt.Errorf("voting: item %q has no copies", ic.Item)
 	}
-	seen := make(map[types.SiteID]bool, len(ic.Copies))
-	for _, c := range ic.Copies {
+	for i, c := range ic.Copies {
 		if c.Votes <= 0 {
 			return fmt.Errorf("voting: item %q copy at %s has non-positive votes %d", ic.Item, c.Site, c.Votes)
 		}
-		if seen[c.Site] {
+		if slices.ContainsFunc(ic.Copies[:i], func(p Copy) bool { return p.Site == c.Site }) {
 			return fmt.Errorf("voting: item %q has two copies at %s", ic.Item, c.Site)
 		}
-		seen[c.Site] = true
 	}
 	v := ic.TotalVotes()
 	if ic.R <= 0 || ic.W <= 0 {
@@ -107,7 +104,7 @@ type Assignment struct {
 
 // NewAssignment validates and indexes the given item configurations.
 func NewAssignment(items ...ItemConfig) (*Assignment, error) {
-	a := &Assignment{items: make(map[types.ItemID]ItemConfig, len(items))}
+	a := &Assignment{items: make(map[types.ItemID]ItemConfig, len(items)), order: make([]types.ItemID, 0, len(items))}
 	for _, ic := range items {
 		if err := ic.Validate(); err != nil {
 			return nil, err
@@ -118,11 +115,11 @@ func NewAssignment(items ...ItemConfig) (*Assignment, error) {
 		a.items[ic.Item] = ic
 		a.order = append(a.order, ic.Item)
 		for _, cp := range ic.Copies {
-			a.sites = append(a.sites, cp.Site)
+			if i, found := slices.BinarySearch(a.sites, cp.Site); !found {
+				a.sites = slices.Insert(a.sites, i, cp.Site)
+			}
 		}
 	}
-	slices.Sort(a.sites)
-	a.sites = slices.Compact(a.sites)
 	return a, nil
 }
 
@@ -168,19 +165,19 @@ func (a *Assignment) TotalVotes(x types.ItemID) int { return a.items[x].TotalVot
 
 // Participants returns the union of sites holding copies of the given items,
 // ascending. These are the participants of a transaction writing those items.
+// Unknown items contribute nothing; the result is never nil.
 func (a *Assignment) Participants(items []types.ItemID) []types.SiteID {
-	seen := make(map[types.SiteID]bool)
+	// Collect on the stack, then copy out exactly what survives: one
+	// allocation for the writesets transactions realistically have.
+	var buf [32]types.SiteID
+	all := buf[:0]
 	for _, x := range items {
 		for _, c := range a.items[x].Copies {
-			seen[c.Site] = true
+			all = append(all, c.Site)
 		}
 	}
-	out := make([]types.SiteID, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(all)
+	return slices.Clone(slices.Compact(all))
 }
 
 // VotesFor sums the votes for item x held by the given sites.

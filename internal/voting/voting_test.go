@@ -1,8 +1,10 @@
 package voting
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -89,6 +91,70 @@ func TestMustAssignmentPanics(t *testing.T) {
 		}
 	}()
 	MustAssignment(Uniform("x", 1, 1, 1, 2, 3))
+}
+
+// refParticipants is Participants as first written: a map of sites, then
+// sort.Slice.
+func refParticipants(a *Assignment, items []types.ItemID) []types.SiteID {
+	seen := make(map[types.SiteID]bool)
+	for _, x := range items {
+		for _, c := range a.items[x].Copies {
+			seen[c.Site] = true
+		}
+	}
+	out := make([]types.SiteID, 0, len(seen))
+	for s := range seen {
+		out = append(out, s)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// TestParticipantsMatchesMapReference pins Participants to the map-based
+// reference, nil-ness included, over repeated and unknown items, empty and
+// nil input, and random item lists on a random placement wide enough to
+// overflow the stack buffer.
+func TestParticipantsMatchesMapReference(t *testing.T) {
+	a := MustAssignment(Uniform("x", 2, 3, 1, 2, 3, 4), Uniform("y", 2, 3, 3, 5, 6, 7), Uniform("z", 1, 1, 9))
+	cases := [][]types.ItemID{
+		nil,
+		{},
+		{"x"},
+		{"x", "x"},
+		{"y", "x", "y"},
+		{"nope"},
+		{"nope", "z", "nope"},
+		{"z", "y", "x"},
+	}
+	rng := rand.New(rand.NewSource(3))
+	var configs []ItemConfig
+	for i := 0; i < 40; i++ {
+		perm := rng.Perm(64)[:1+rng.Intn(9)]
+		sites := make([]types.SiteID, len(perm))
+		for j, p := range perm {
+			sites[j] = types.SiteID(p + 1)
+		}
+		r, w := MajorityQuorums(len(sites))
+		configs = append(configs, Uniform(types.ItemID(fmt.Sprint("i", i)), r, w, sites...))
+	}
+	wide := MustAssignment(configs...)
+	for i := 0; i < 200; i++ {
+		items := make([]types.ItemID, rng.Intn(12))
+		for j := range items {
+			items[j] = types.ItemID(fmt.Sprint("i", rng.Intn(45))) // 40..44 are unknown
+		}
+		cases = append(cases, items)
+	}
+	for i, items := range cases {
+		asgn := a
+		if i >= 8 {
+			asgn = wide
+		}
+		got, want := asgn.Participants(items), refParticipants(asgn, items)
+		if !reflect.DeepEqual(got, want) || got == nil {
+			t.Fatalf("Participants(%v) = %#v, want %#v", items, got, want)
+		}
+	}
 }
 
 func TestParticipants(t *testing.T) {

@@ -42,10 +42,13 @@ func (m Mix) withDefaults() Mix {
 	return m
 }
 
-// Txn is one generated transaction: a coordinator and a writeset.
+// Txn is one generated transaction: a coordinator, a writeset and the
+// writeset's participants (ascending, as voting.Assignment.Participants
+// returns them).
 type Txn struct {
-	Coord    types.SiteID
-	Writeset types.Writeset
+	Coord        types.SiteID
+	Writeset     types.Writeset
+	Participants []types.SiteID
 }
 
 // Generator produces transactions over an assignment.
@@ -55,6 +58,11 @@ type Generator struct {
 	mix   Mix
 	rng   *rand.Rand
 	zipf  *rand.Zipf
+	// Next's scratch: drawn[i] == round marks items[i] as already in the
+	// writeset being drawn, and written lists that writeset's items.
+	drawn   []uint64
+	round   uint64
+	written []types.ItemID
 }
 
 // NewGenerator validates the mix against the assignment.
@@ -81,7 +89,7 @@ func NewGenerator(asgn *voting.Assignment, mix Mix, seed int64) (*Generator, err
 	if mix.ZipfS != 0 && mix.HotFraction != 0 {
 		return nil, fmt.Errorf("workload: ZipfS and HotFraction are mutually exclusive")
 	}
-	g := &Generator{asgn: asgn, items: items, mix: mix, rng: rand.New(rand.NewSource(seed))}
+	g := &Generator{asgn: asgn, items: items, mix: mix, rng: rand.New(rand.NewSource(seed)), drawn: make([]uint64, len(items))}
 	if mix.ZipfS != 0 {
 		g.zipf = rand.NewZipf(g.rng, mix.ZipfS, 1, uint64(len(items)-1))
 	}
@@ -92,28 +100,32 @@ func NewGenerator(asgn *voting.Assignment, mix Mix, seed int64) (*Generator, err
 // writeset (the paper's convention: the transaction is issued at a site that
 // stores data it touches).
 func (g *Generator) Next() Txn {
-	chosen := make(map[types.ItemID]bool, g.mix.WritesPerTxn)
-	var ws types.Writeset
-	for len(chosen) < g.mix.WritesPerTxn {
-		var item types.ItemID
+	ws := make(types.Writeset, 0, g.mix.WritesPerTxn)
+	g.written = g.written[:0]
+	g.round++
+	for len(ws) < g.mix.WritesPerTxn {
+		var i int
 		switch {
 		case g.zipf != nil:
-			item = g.items[g.zipf.Uint64()]
+			i = int(g.zipf.Uint64())
 		case g.mix.HotFraction > 0 && g.rng.Float64() < g.mix.HotFraction:
-			item = g.items[0]
+			i = 0
 		default:
-			item = g.items[g.rng.Intn(len(g.items))]
+			i = g.rng.Intn(len(g.items))
 		}
-		if chosen[item] {
+		if g.drawn[i] == g.round {
 			continue
 		}
-		chosen[item] = true
+		g.drawn[i] = g.round
+		item := g.items[i]
+		g.written = append(g.written, item)
 		ws = append(ws, types.Update{Item: item, Value: g.rng.Int63n(g.mix.ValueRange)})
 	}
-	participants := g.asgn.Participants(ws.Items())
+	participants := g.asgn.Participants(g.written)
 	return Txn{
-		Coord:    participants[g.rng.Intn(len(participants))],
-		Writeset: ws,
+		Coord:        participants[g.rng.Intn(len(participants))],
+		Writeset:     ws,
+		Participants: participants,
 	}
 }
 
