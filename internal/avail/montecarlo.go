@@ -126,17 +126,24 @@ func NewScenarioGen(params ScenarioParams) (*ScenarioGen, error) {
 	return g, nil
 }
 
-// perm fills the scratch buffer with a random permutation of 0..n-1,
-// consuming exactly the random stream math/rand.(*Rand).Perm would, so
-// generation stays bit-identical to the historical per-trial allocation.
+// perm fills the scratch buffer with a random permutation of 0..n-1 (see
+// PermInto), so generation stays bit-identical to the historical per-trial
+// allocation.
 func (g *ScenarioGen) perm(n int) []int {
 	p := g.permBuf[:n]
-	for i := 0; i < n; i++ {
-		j := g.rng.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
+	PermInto(g.rng, p)
 	return p
+}
+
+// PermInto fills m with a random permutation of [0, len(m)), making exactly
+// the draws rng.Perm(len(m)) makes, in the same order, into the caller's
+// buffer.
+func PermInto(rng *rand.Rand, m []int) {
+	for i := range m {
+		j := rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
 }
 
 // Generate draws the scenario for the given seed. Generation is

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strconv"
 
+	"qcommit/internal/avail"
 	"qcommit/internal/sim"
 	"qcommit/internal/storage"
 	"qcommit/internal/types"
@@ -141,7 +142,7 @@ func generateScript(params Params, seed int64) (*script, error) {
 	copies := make([]voting.Copy, params.NumItems*k)
 	perm := make([]int, params.NumSites)
 	for i := range configs {
-		permInto(rng, perm)
+		avail.PermInto(rng, perm)
 		cs := copies[i*k : (i+1)*k : (i+1)*k]
 		for j := range cs {
 			cs[j] = voting.Copy{Site: sc.sites[perm[j]], Votes: 1}
@@ -347,23 +348,11 @@ func randomGroups(rng *rand.Rand, sites []types.SiteID, maxGroups int) [][]types
 	if numGroups > len(sites) {
 		numGroups = len(sites)
 	}
-	perm := make([]int, len(sites))
-	permInto(rng, perm)
+	perm := rng.Perm(len(sites))
 	groups := make([][]types.SiteID, numGroups)
 	for i, pi := range perm {
 		gi := i % numGroups
 		groups[gi] = append(groups[gi], sites[pi])
 	}
 	return groups
-}
-
-// permInto fills m with a random permutation of [0, len(m)), making exactly
-// the draws rand.Perm(len(m)) makes, in the same order, into the caller's
-// buffer.
-func permInto(rng *rand.Rand, m []int) {
-	for i := range m {
-		j := rng.Intn(i + 1)
-		m[i] = m[j]
-		m[j] = i
-	}
 }

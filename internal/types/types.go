@@ -185,27 +185,13 @@ type Update struct {
 // paper's notation is the set of item IDs in the writeset.
 type Writeset []Update
 
-// smallWriteset is the writeset length up to which Items finds duplicates
-// by scanning what it has kept so far, which beats hashing at every size a
-// transaction realistically writes.
-const smallWriteset = 16
-
 // Items returns the distinct item IDs in the writeset, preserving order. The
-// result is never nil.
+// result is never nil. Duplicates are found by scanning what has been kept so
+// far: a transaction writes a handful of items.
 func (w Writeset) Items() []ItemID {
 	items := make([]ItemID, 0, len(w))
-	if len(w) <= smallWriteset {
-		for _, u := range w {
-			if !slices.Contains(items, u.Item) {
-				items = append(items, u.Item)
-			}
-		}
-		return items
-	}
-	seen := make(map[ItemID]bool, len(w))
 	for _, u := range w {
-		if !seen[u.Item] {
-			seen[u.Item] = true
+		if !slices.Contains(items, u.Item) {
 			items = append(items, u.Item)
 		}
 	}

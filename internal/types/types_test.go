@@ -138,8 +138,8 @@ func refItems(w Writeset) []ItemID {
 }
 
 // TestItemsMatchesMapReference pins Items to the map-based reference,
-// nil-ness included, on both sides of the small-writeset scan: empty and nil
-// writesets, duplicates, and random writesets of up to 40 updates.
+// nil-ness included: empty and nil writesets, duplicates, and random
+// writesets of up to 40 updates.
 func TestItemsMatchesMapReference(t *testing.T) {
 	cases := []Writeset{
 		nil,
