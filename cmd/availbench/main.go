@@ -91,6 +91,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-trials %d: must be at least 1\n", *trials)
 		os.Exit(1)
 	}
+	if *workers < 0 {
+		fmt.Fprintf(os.Stderr, "-workers %d: must be at least 0 (0 = GOMAXPROCS)\n", *workers)
+		os.Exit(1)
+	}
 
 	eng, err := avail.ParseEngine(*engineFlag)
 	if err != nil {

@@ -130,6 +130,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-runs %d: must be at least 1\n", *runs)
 		os.Exit(1)
 	}
+	if *workers < 0 {
+		fmt.Fprintf(os.Stderr, "-workers %d: must be at least 0 (0 = GOMAXPROCS)\n", *workers)
+		os.Exit(1)
+	}
 	setFlags := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
 

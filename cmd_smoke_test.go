@@ -276,6 +276,8 @@ func TestCommandFlagErrors(t *testing.T) {
 		{"churnbench zero runs", churnbench, []string{"-runs", "0"}, "-runs", 1},
 		{"availbench zero trials", availbench, []string{"-trials", "0"}, "-trials", 1},
 		{"availbench negative trials", availbench, []string{"-trials", "-5"}, "-trials", 1},
+		{"churnbench negative workers", churnbench, []string{"-runs", "1", "-workers", "-4"}, "-workers", 1},
+		{"availbench negative workers", availbench, []string{"-trials", "1", "-workers", "-4"}, "-workers", 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -15,6 +15,22 @@ func benchParams() Params {
 	return p
 }
 
+// simChurnParams is the repository benchmark's sim_churn point: 32 sites ×
+// 512 items × 4 copies, 2 writes every 25 ms, MTTF 20 s / MTTR 1 s, a 5 s
+// horizon, hybrid.
+func simChurnParams() Params {
+	return Params{
+		NumSites: 32, NumItems: 512, CopiesPerItem: 4, WritesPerTxn: 2,
+		MeanInterarrival: 25 * sim.Millisecond,
+		MTTF:             20 * sim.Second, MTTR: sim.Second, MaxGroups: 3,
+		Horizon: 5 * sim.Second,
+		Engine:  EngineHybrid,
+	}
+}
+
+// simChurnSeed is the seed of run r of bench/'s seed 1 (its runSeed).
+func simChurnSeed(r int) int64 { return 1*1_000_003 + int64(r) }
+
 // BenchmarkStudy measures the serial study kernel (one run is a full
 // 5-protocol timeline replay).
 func BenchmarkStudy(b *testing.B) {
@@ -64,21 +80,13 @@ func BenchmarkChurnStudy(b *testing.B) {
 			}
 		})
 	}
-	// sim_churn: 32 sites × 512 items × 4 copies, 2 writes every 25 ms,
-	// MTTF 20 s / MTTR 1 s, a 5 s horizon, hybrid. Iteration i evaluates
-	// run i of seed 1 as bench/'s runSeed spreads them, so b.N iterations
-	// walk the same run sequence the benchmark's measurement window does.
-	simChurn := Params{
-		NumSites: 32, NumItems: 512, CopiesPerItem: 4, WritesPerTxn: 2,
-		MeanInterarrival: 25 * sim.Millisecond,
-		MTTF:             20 * sim.Second, MTTR: sim.Second, MaxGroups: 3,
-		Horizon: 5 * sim.Second,
-		Engine:  EngineHybrid,
-	}
+	// Iteration i evaluates run i of seed 1 as bench/'s runSeed spreads
+	// them, so b.N iterations walk the same run sequence the benchmark's
+	// measurement window does.
 	b.Run("sim_churn", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Study(simChurn, 1, 1*1_000_003+int64(i), specs); err != nil {
+			if _, err := Study(simChurnParams(), 1, simChurnSeed(i), specs); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -22,17 +22,33 @@
 //     message it shares with full replay. With loss and duplication disabled
 //     the scheduler RNG is never consulted, so the fallback world cannot
 //     drift off the replay schedule.
-//  2. Classification is conservative. A transaction is analytic only if (a)
-//     its commit window [arrival, arrival+5T] fits inside one epoch — no
-//     crash, restart, partition, or heal anywhere in the window; (b) it is
-//     alone in its conflict cluster — no other transaction writes a common
-//     item within 6T, which bounds every analytic lock lifetime; (c) no copy
-//     of its writeset is locked in the fallback world at arrival time —
-//     long-blocked replayed transactions hold locks past any fixed horizon,
-//     and this live probe catches them; and (d) the fold of the protocol's
-//     quorumcalc.Rule confirms the all-participants-prepared tally
-//     commits. Anything else — including the measure-zero ack-timeout tie on
-//     a terminate-on-timeout protocol — falls back to replay.
+//  2. Classification is conservative. Each arrival's plan computes, from the
+//     epoch's static world and the delay hash, the end of its footprint:
+//     one delivery hop T after its decision, where the decision instant is
+//     the vote timeout arrival+2T when the vote phase aborts and otherwise
+//     the last PC-ACK's arrival, capped at the ack deadline tAllVotes+2T
+//     (2PC decides earlier, at tAllVotes). The hop is added to the bound,
+//     never hashed at it: messageDelay keys on the send time, so a delay
+//     computed at a bound says nothing about the real, earlier send. Every
+//     VOTE-REQ is delivered by arrival+T ≤ end, and after end the
+//     transaction holds no lock and has no frame in flight that an
+//     automaton acts on (a participant's DONE reaches a finished
+//     coordinator). A transaction is analytic only if (a) its commit window
+//     [arrival, end] ends before the horizon and sees a static world — no
+//     partition or heal, and no crash or restart of its coordinator or a
+//     participant, anywhere in (arrival, end]; (b) it is alone in its
+//     conflict cluster — no other transaction writing a common item arrives
+//     before the earlier writer's end, which bounds every analytic lock
+//     lifetime; (c) no copy of its writeset is locked in the fallback world
+//     at arrival time — long-blocked replayed transactions hold locks past
+//     any plan end, and this live probe catches them; and (d) the fold of
+//     the protocol's quorumcalc.Rule confirms the all-participants-prepared
+//     tally commits. Anything else — including the measure-zero ack-timeout
+//     tie on a terminate-on-timeout protocol — falls back to replay. A
+//     replayed transaction past its own end can take a lock again only
+//     through Kernel.Resume at a restart, and that restart is an event at a
+//     site holding a copy it writes: if a later arrival writes that item,
+//     the site is one of its participants, so (a) refuses its window.
 //  3. Analytic and replayed transactions cannot interact. Clustering keeps
 //     their lock footprints disjoint, message traffic carries no congestion,
 //     and strategy state (adaptive demotion, dynamic vote reassignment)
@@ -61,19 +77,6 @@ import (
 	"qcommit/internal/sim"
 	"qcommit/internal/simnet"
 	"qcommit/internal/types"
-)
-
-const (
-	// analyticWindowT is the analytic commit window in units of the timeout
-	// base T: a 2T vote phase, a 2T ack phase, and one delivery hop for the
-	// decision. A transaction whose arrival+5T fits strictly inside one
-	// epoch runs start to finish against a static world.
-	analyticWindowT = 5
-	// analyticClusterT is the conflict-clustering radius in units of T. An
-	// analytic transaction's locks live at most analyticWindowT·T, so two
-	// transactions writing a common item more than 6T apart can never
-	// contend; anything closer shares a cluster and is replayed together.
-	analyticClusterT = 6
 )
 
 // mix64 is the splitmix64 finalizer, the usual way to turn structured
@@ -105,12 +108,16 @@ func delayModel(seed int64) func(from, to types.SiteID, at sim.Time) sim.Duratio
 	}
 }
 
-// conflictClusters flags arrivals whose write locks could interact: two
-// arrivals writing a common item within window of each other are linked, the
-// links close transitively (a chain of adjacent writers is one cluster), and
-// every member of a cluster of two or more is barred from the analytic path
-// so that lock contention is always replayed, never modeled.
-func conflictClusters(arrivals []arrival, window sim.Duration) []bool {
+// conflictClusters flags arrivals whose write locks could interact: a later
+// arrival is linked to an earlier writer of a common item when it arrives
+// no later than that writer's plan end (the last instant the writer can
+// hold a lock), the links close transitively (a chain of overlapping
+// writers is one cluster), and every member of a cluster of two or more is
+// barred from the analytic path so that lock contention is always
+// replayed, never modeled. Per item only the writer with the largest end
+// is kept: any earlier writer a later arrival overlaps is already in that
+// writer's cluster. A rejected arrival begins nothing and links nothing.
+func conflictClusters(arrivals []arrival, plans []arrivalPlan) []bool {
 	parent := make([]int, len(arrivals))
 	for i := range parent {
 		parent[i] = i
@@ -130,16 +137,22 @@ func conflictClusters(arrivals []arrival, window sim.Duration) []bool {
 	}
 	type lastWrite struct {
 		idx int
-		at  sim.Time
+		end sim.Time
 	}
 	last := make(map[types.ItemID]lastWrite, 64)
 	for i := range arrivals {
-		a := &arrivals[i]
+		a, p := &arrivals[i], &plans[i]
+		if p.coord == 0 {
+			continue
+		}
 		for _, u := range a.Writeset {
-			if lw, ok := last[u.Item]; ok && a.At <= lw.at.Add(window) {
+			lw, ok := last[u.Item]
+			if ok && a.At <= lw.end {
 				union(i, lw.idx)
 			}
-			last[u.Item] = lastWrite{i, a.At}
+			if !ok || p.end > lw.end {
+				last[u.Item] = lastWrite{i, p.end}
+			}
 		}
 	}
 	size := make([]int, len(arrivals))
@@ -198,9 +211,13 @@ type arrivalPlan struct {
 	// participant was down and the submission is rejected.
 	coord   types.SiteID
 	coordIn bool
-	// windowOK reports that the commit window sees a static world (fits
-	// the arrival's epoch, or every event in it is irrelevant to the
-	// transaction per windowQuiet).
+	// end is the last instant at which, in a static world, the
+	// transaction can hold a lock or have a protocol frame in flight: one
+	// hop T past its decision bound (see "Why the fates are exact").
+	end sim.Time
+	// windowOK reports that the commit window [arrival, end] sees a static
+	// world (fits the arrival's epoch, or every event in it is irrelevant
+	// to the transaction per windowQuiet) and ends before the horizon.
 	windowOK bool
 	// allReach reports every participant connected to the coordinator;
 	// voteAbort that the last vote round trip loses to the 2T timer.
@@ -223,7 +240,7 @@ type arrivalPlan struct {
 
 // buildHybridPlans computes the arrival plans for one script. The epoch
 // cursor mirrors executeRunHybrid's arrival loop.
-func buildHybridPlans(sc *script, seed int64, epochs []Epoch, T sim.Duration, window sim.Duration, horizon sim.Time) []arrivalPlan {
+func buildHybridPlans(sc *script, seed int64, epochs []Epoch, T sim.Duration, horizon sim.Time) []arrivalPlan {
 	plans := make([]arrivalPlan, len(sc.arrivals))
 	var eligible []types.SiteID
 	ei := 0
@@ -261,14 +278,8 @@ func buildHybridPlans(sc *script, seed int64, epochs []Epoch, T sim.Duration, wi
 		}
 		p.coord = coord
 
-		p.windowOK = ep.Contains(a.At, a.At.Add(window)+1) ||
-			windowQuiet(sc, a, coord, window, horizon)
-		if !p.windowOK {
-			continue
-		}
-
-		// Reachable participants: up and connected to the coordinator for
-		// the whole window. Everyone reachable acquires locks and votes
+		// Reachable participants: up and connected to the coordinator in
+		// the arrival's epoch. Everyone reachable acquires locks and votes
 		// yes; everyone else never hears the VOTE-REQ.
 		p.reach = make([]types.SiteID, 0, len(a.Participants))
 		for _, s := range a.Participants {
@@ -284,40 +295,46 @@ func buildHybridPlans(sc *script, seed int64, epochs []Epoch, T sim.Duration, wi
 		// The vote timer was armed at submission, so the last vote must
 		// arrive strictly before arrival+2T (the timer wins an exact tie).
 		voteDeadline := a.At.Add(2 * T)
-		p.abortAt = firstDecisionTime(seed, coord, p.coordIn, p.reach, voteDeadline)
+		decide := voteDeadline
 		p.allReach = len(p.reach) == len(a.Participants)
-		if !p.allReach {
-			continue
-		}
-		tAllVotes := a.At
-		for _, s := range p.reach {
-			d1 := messageDelay(seed, coord, s, a.At)
-			t1 := a.At.Add(d1)
-			t2 := t1.Add(messageDelay(seed, s, coord, t1))
-			if t2 > tAllVotes {
-				tAllVotes = t2
+		if p.allReach {
+			tAllVotes := a.At
+			for _, s := range p.reach {
+				d1 := messageDelay(seed, coord, s, a.At)
+				t1 := a.At.Add(d1)
+				t2 := t1.Add(messageDelay(seed, s, coord, t1))
+				if t2 > tAllVotes {
+					tAllVotes = t2
+				}
 			}
+			p.tAllVotes = tAllVotes
+			p.voteAbort = tAllVotes >= voteDeadline
 		}
-		p.tAllVotes = tAllVotes
-		if tAllVotes >= voteDeadline {
-			p.voteAbort = true
-			continue
-		}
-		p.commitAt = firstDecisionTime(seed, coord, p.coordIn, p.reach, tAllVotes)
+		if p.allReach && !p.voteAbort {
+			p.commitAt = firstDecisionTime(seed, coord, p.coordIn, p.reach, p.tAllVotes)
 
-		// PC/ack round trips for the three-phase protocols, sorted by
-		// (arrival time, site) the way the coordinator observes them.
-		p.ackDeadline = tAllVotes.Add(2 * T)
-		p.acks = make([]ackArrival, 0, len(p.reach))
-		for _, s := range p.reach {
-			d3 := messageDelay(seed, coord, s, tAllVotes)
-			t3 := tAllVotes.Add(d3)
-			t4 := t3.Add(messageDelay(seed, s, coord, t3))
-			p.acks = append(p.acks, ackArrival{at: t4, site: s})
+			// PC/ack round trips for the three-phase protocols, sorted by
+			// (arrival time, site) the way the coordinator observes them.
+			p.ackDeadline = p.tAllVotes.Add(2 * T)
+			p.acks = make([]ackArrival, 0, len(p.reach))
+			for _, s := range p.reach {
+				d3 := messageDelay(seed, coord, s, p.tAllVotes)
+				t3 := p.tAllVotes.Add(d3)
+				t4 := t3.Add(messageDelay(seed, s, coord, t3))
+				p.acks = append(p.acks, ackArrival{at: t4, site: s})
+			}
+			slices.SortFunc(p.acks, func(x, y ackArrival) int {
+				return cmp.Or(cmp.Compare(x.at, y.at), cmp.Compare(x.site, y.site))
+			})
+			decide = min(p.acks[len(p.acks)-1].at, p.ackDeadline)
+		} else {
+			p.abortAt = firstDecisionTime(seed, coord, p.coordIn, p.reach, voteDeadline)
 		}
-		slices.SortFunc(p.acks, func(x, y ackArrival) int {
-			return cmp.Or(cmp.Compare(x.at, y.at), cmp.Compare(x.site, y.site))
-		})
+		// One full hop past the decision bound, never a delay hashed at the
+		// bound (see "Why the fates are exact").
+		p.end = decide.Add(T)
+		p.windowOK = p.end+1 <= horizon &&
+			(ep.Contains(a.At, p.end+1) || windowQuiet(sc, a, coord, p.end))
 	}
 	return plans
 }
@@ -329,8 +346,8 @@ func executeRunHybrid(sc *script, params Params, seed int64, spec core.Spec) (ru
 	horizon := sim.Time(params.Horizon)
 	T := simnet.Config{}.MaxDelayOrDefault() // the engine's timeout base
 	if sc.hybridPlans == nil || sc.hybridSeed != seed {
-		sc.hybridMulti = conflictClusters(sc.arrivals, sim.Duration(analyticClusterT)*T)
-		sc.hybridPlans = buildHybridPlans(sc, seed, sc.epochs(horizon), T, sim.Duration(analyticWindowT)*T, horizon)
+		sc.hybridPlans = buildHybridPlans(sc, seed, sc.epochs(horizon), T, horizon)
+		sc.hybridMulti = conflictClusters(sc.arrivals, sc.hybridPlans)
 		sc.hybridSeed = seed
 	}
 	h := &hybridRun{
@@ -459,8 +476,8 @@ func (h *hybridRun) classify(i int, a *arrival, p *arrivalPlan) (committed bool,
 }
 
 // windowQuiet reports whether every fault event inside the commit window
-// (arrival, arrival+5T] is invisible to the transaction: a crash or restart
-// of a site that is neither its (effective) coordinator nor one of its
+// (arrival, end] is invisible to the transaction: a crash or restart of a
+// site that is neither its (effective) coordinator nor one of its
 // participants. All protocol traffic flows between the coordinator and the
 // participants, the per-message delay hash is independent of unrelated
 // traffic, and an unrelated site by definition holds no copy of a written
@@ -470,16 +487,11 @@ func (h *hybridRun) classify(i int, a *arrival, p *arrivalPlan) (committed bool,
 // event at exactly the window end still counts, since replay applies it
 // before same-instant message deliveries.
 //
-// A window overhanging the horizon is never quiet: replay freezes the world
-// mid-protocol there, leaving a transaction non-terminal (Blocked) even
-// when the arithmetic says its decision lands before the cut — the decision
-// only becomes terminal when its delivery does. The epoch fast path gets
-// this for free because the last epoch ends at the horizon.
-func windowQuiet(sc *script, a *arrival, coord types.SiteID, window sim.Duration, horizon sim.Time) bool {
-	end := a.At.Add(window)
-	if end+1 > horizon {
-		return false
-	}
+// The caller separately refuses a window overhanging the horizon: replay
+// freezes the world mid-protocol there, leaving a transaction non-terminal
+// (Blocked) even when the arithmetic says its decision lands before the
+// cut — the decision only becomes terminal when its delivery does.
+func windowQuiet(sc *script, a *arrival, coord types.SiteID, end sim.Time) bool {
 	evs := sc.events
 	i := sort.Search(len(evs), func(i int) bool { return evs[i].At > a.At })
 	for ; i < len(evs) && evs[i].At <= end; i++ {
