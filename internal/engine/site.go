@@ -109,7 +109,9 @@ func (s *Site) handle(e msg.Envelope) {
 	if s.cl.net.Down(s.id) {
 		return
 	}
-	s.cl.rec.Message(s.cl.sched.Now(), e.From, s.id, e.Msg.Kind().String())
+	if s.cl.rec.Enabled() {
+		s.cl.rec.Message(s.cl.sched.Now(), e.From, s.id, e.Msg.Kind().String())
+	}
 	s.k.Handle(e)
 }
 
@@ -170,6 +172,9 @@ func (s *siteHost) Append(_ *txnCtx, rec wal.Record) { (*Site)(s).append(rec) }
 func (s *siteHost) Decided(c *txnCtx, o types.Outcome) {
 	now := s.cl.sched.Now()
 	s.decidedAt[c.ID] = now
+	if !s.cl.rec.Enabled() {
+		return
+	}
 	if o == types.OutcomeCommitted {
 		s.cl.rec.Annotate(now, s.id, "%s COMMITTED", c.ID)
 	} else {
@@ -190,5 +195,7 @@ func (s *siteHost) RefusesVote(txn types.TxnID) bool { return s.refuser || s.vot
 func (s *siteHost) Observe(*txnCtx, site.Event, types.SiteID) {}
 
 func (s *siteHost) Tracef(format string, args ...any) {
-	s.cl.rec.Annotate(s.cl.sched.Now(), s.id, format, args...)
+	if s.cl.rec.Enabled() {
+		s.cl.rec.Annotate(s.cl.sched.Now(), s.id, format, args...)
+	}
 }

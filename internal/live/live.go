@@ -281,11 +281,13 @@ func (cl *Cluster) Begin(coord types.SiteID, ws types.Writeset) types.TxnID {
 }
 
 // beginMsg is an internal control message carried through the mailbox so all
-// automaton access stays on the node goroutine.
+// automaton access stays on the node goroutine. lease asks the node to force
+// a LEASE over txn's ID first (Server, whose IDs must survive a restart).
 type beginMsg struct {
 	txn          types.TxnID
 	ws           types.Writeset
 	participants []types.SiteID
+	lease        bool
 }
 
 // Kind implements msg.Message (never marshalled).

@@ -56,6 +56,9 @@ type Node struct {
 	stopped  bool
 
 	log wal.AsyncLog
+	// leased is the highest transaction ID a forced LEASE record covers
+	// (see lease); only a Server's begins consult it.
+	leased uint32
 
 	// Event-scoped pipelining state, owned by the node goroutine. An
 	// event's WAL appends return a ticket instead of blocking on the force;
@@ -64,9 +67,10 @@ type Node struct {
 	// the end of the event. The event loop moves on to the next
 	// transaction's event while the batch is being forced — that is what
 	// lets independent transactions overlap their protocol rounds on one
-	// site.
-	pendingTicket wal.Ticket   // the ticket of the event's last append
-	defRecs       []wal.Record // the event's appends; non-empty means a flush job
+	// site. Only forced records gate (wal.RecType.Forced, the site package's
+	// durability table): an event that appended none publishes at its end.
+	pendingTicket wal.Ticket   // the ticket of the event's last forced append; 0 if none
+	defRecs       []wal.Record // the event's appends
 	defSends      []sendOp
 	defNotifies   []types.TxnID
 	defMarks      []types.TxnID // sampled txns whose appends await their durable mark
@@ -77,15 +81,17 @@ type Node struct {
 	flushQ    []flushJob
 	flushStop bool
 
-	// view folds the node's DURABLE log records into per-transaction
-	// states (wal.View, the fold Replay uses), maintained incrementally by
-	// the flusher's release step, which runs after the whole event that
-	// appended them — so a commit is published only once its writeset is
-	// applied. Outcome reads (WaitOutcome aggregation, Violated,
+	// view folds the node's log records into per-transaction states
+	// (wal.View, the fold Replay uses), maintained incrementally after the
+	// whole event that appended them — so a commit is published only once
+	// its writeset is applied: by the flusher's release step once a forced
+	// record is durable, and at the end of the event for an event that
+	// forced nothing (an ABORT whose loss a restart would read as the same
+	// abort). Outcome reads (WaitOutcome aggregation, Violated,
 	// Server.Outcome) look a transaction up here instead of replaying the
 	// whole log, which is O(history) per probe.
 	//
-	// view is not the kernel's own outcome record: view learns an outcome
+	// view is not the kernel's own outcome record: view learns a commit
 	// only when the fsync lands and is read by client goroutines under
 	// viewMu; the kernel's is written at the decision and touched only by
 	// the event loop. A StateReq or OutcomeReq that arrives inside that
@@ -229,6 +235,9 @@ func (n *Node) loop(wg *sync.WaitGroup) {
 func (n *Node) dispatch(e msg.Envelope) {
 	switch m := e.Msg.(type) {
 	case beginMsg:
+		if m.lease {
+			n.lease(m.txn)
+		}
 		n.k.Begin(m.txn, m.ws, m.participants)
 	case crashMsg:
 		n.crashed = true
@@ -239,9 +248,8 @@ func (n *Node) dispatch(e msg.Envelope) {
 		n.k.Recover(recs)
 		// Anti-entropy: repair copies that missed writes while down. The
 		// pulls take the kernel's send path, so they queue behind Recover's
-		// outcome queries even when an abort Recover logged defers those to
-		// the flush job: a long pull burst cannot crowd the queries out of a
-		// full transport queue.
+		// outcome queries: a long pull burst cannot crowd the queries out of
+		// a full transport queue.
 		for _, p := range n.tracker.RestartPulls(n.id, n.store.Has) {
 			(*nodeHost)(n).Send(p.To, msg.CopyReq{Item: p.Item})
 		}
@@ -254,7 +262,9 @@ func (n *Node) dispatch(e msg.Envelope) {
 
 // finishEvent closes the current event's pending context: its appends and
 // the sends and notifications it gated on them become one flush job. Events
-// that appended nothing produce no job.
+// that appended nothing produce no job, and an event whose records are all
+// unforced (VOTED-NO, ABORT) publishes them and notifies at once: a crash
+// that loses them leaves the site where their absence puts it.
 func (n *Node) finishEvent() {
 	if len(n.defRecs) == 0 {
 		return
@@ -263,8 +273,13 @@ func (n *Node) finishEvent() {
 		ticket: n.pendingTicket, recs: n.defRecs, sends: n.defSends,
 		notifies: n.defNotifies, marks: n.defMarks, finishes: n.defFinishes,
 	}
+	n.pendingTicket = 0
 	n.defRecs, n.defSends, n.defNotifies = nil, nil, nil
 	n.defMarks, n.defFinishes = nil, nil
+	if job.ticket == 0 {
+		n.publish(job)
+		return
+	}
 	n.flushMu.Lock()
 	if !n.flushStop {
 		n.flushQ = append(n.flushQ, job)
@@ -298,8 +313,7 @@ func (n *Node) flusher(wg *sync.WaitGroup) {
 }
 
 // release is the flusher's step for one job: wait until the job's WAL batch
-// is forced, then publish its records to the outcome view and perform its
-// sends and notifications. The job was queued at the end of its event, so
+// is forced, then publish it. The job was queued at the end of its event, so
 // by now the event's commits have applied their writesets: a view that
 // reads committed never runs ahead of the store.
 func (n *Node) release(j flushJob) {
@@ -313,8 +327,13 @@ func (n *Node) release(j flushJob) {
 	if n.met != nil {
 		n.met.flushWait.ObserveNS(time.Now().UnixNano() - t0)
 	}
-	// The records are durable now: publish them to the outcome view BEFORE
-	// the notifications it gates, so a woken waiter observes the decision.
+	n.publish(j)
+}
+
+// publish folds a job's records into the outcome view BEFORE the
+// notifications it gates, so a woken waiter observes the decision, then
+// performs its sends and notifications.
+func (n *Node) publish(j flushJob) {
 	n.applyView(j.recs)
 	for _, txn := range j.marks {
 		n.spans.Mark(uint64(txn), int(n.id), obs.StageWALDurable)
@@ -353,28 +372,57 @@ func (h *nodeHost) AfterFunc(d sim.Duration, t site.Timer) site.Stopper {
 	})
 }
 
-// Send routes through the host, unless this event has a WAL append in
+// Send routes through the host, unless this event has a forced WAL append in
 // flight — then the send joins the event's flush job and goes out only once
 // the append is durable, preserving force-before-send.
 func (h *nodeHost) Send(to types.SiteID, m msg.Message) {
-	if len(h.defRecs) > 0 {
+	if h.pendingTicket != 0 {
 		h.defSends = append(h.defSends, sendOp{from: h.id, to: to, m: m})
 		return
 	}
 	h.h.send(h.id, to, m)
 }
 
-// Append writes rec through the node's log and records its ticket in the
-// event's pending context, so everything the event gates on it waits for
-// the flusher.
+// Append writes rec through the node's log (see append); a sampled forced
+// record also marks its span when it is durable.
 func (h *nodeHost) Append(c *txnCtx, rec wal.Record) {
 	n := (*Node)(h)
 	if c.X.sampled {
 		n.spans.Mark(uint64(rec.Txn), int(n.id), obs.StageWALAppend)
-		n.defMarks = append(n.defMarks, rec.Txn)
+		if rec.Type.Forced() {
+			n.defMarks = append(n.defMarks, rec.Txn)
+		}
 	}
-	n.pendingTicket = n.log.AppendAsync(rec)
+	n.append(rec)
+}
+
+// append writes rec through the node's log as part of the current event. A
+// forced record's ticket gates everything the event sends or publishes after
+// it; an unforced one only joins the event's records for the view.
+func (n *Node) append(rec wal.Record) {
+	t := n.log.AppendAsync(rec)
 	n.defRecs = append(n.defRecs, rec)
+	if rec.Type.Forced() {
+		n.pendingTicket = t
+	}
+}
+
+// idBlock is how many transaction IDs one LEASE record reserves: a Server
+// forces one record per idBlock transactions it begins, and a restart skips
+// at most idBlock-1 IDs that never went out.
+const idBlock = 1 << 12
+
+// lease forces a LEASE record over the block of txn's ID before the event
+// sends anything, unless an earlier lease covers it. A coordinator that is
+// a participant logs nothing of a transaction before its own vote, so only
+// the lease tells a restarted Server which IDs its peers may already hold.
+func (n *Node) lease(txn types.TxnID) {
+	seq := uint32(txn)
+	if seq <= n.leased {
+		return
+	}
+	n.leased = seq | (idBlock - 1) // the last ID of seq's block
+	n.append(wal.Record{Type: wal.RecLease, Txn: txn&^0xFFFFFFFF | types.TxnID(n.leased), Coord: n.id})
 }
 
 // stageOf maps the kernel's commit-path events onto span stages.

@@ -15,13 +15,10 @@ import (
 
 // TestLiveRestartQueriesBeforePulls pins the order a restarted node hands
 // its frames to the transport: every outcome query before the first
-// anti-entropy pull. The log holds a BEGIN-only transaction this site
-// coordinated and takes part in, which Recover aborts — an append, so every
-// later send of the event waits for the flush job — and then an in-doubt one,
-// whose queries are among those deferred sends. The pulls must queue behind
-// them, not overtake them straight onto the wire, where a long burst could
-// fill a peer queue and shed the queries. One node is driven by hand, as in
-// TestLiveCommitPublishedAfterApply.
+// anti-entropy pull. The log holds an in-doubt transaction, whose queries
+// the pulls must queue behind, not overtake onto the wire, where a long
+// burst could fill a peer queue and shed the queries. One node is driven by
+// hand, as in TestLiveCommitPublishedAfterApply.
 func TestLiveRestartQueriesBeforePulls(t *testing.T) {
 	trio := []types.SiteID{1, 2, 3}
 	a := voting.MustAssignment(voting.Uniform("x", 2, 2, trio...), voting.Uniform("y", 2, 2, trio...))
@@ -36,7 +33,6 @@ func TestLiveRestartQueriesBeforePulls(t *testing.T) {
 	tracker.CommitApplied(2, 1, ws) // both items were written: the restart pulls them
 	log := wal.NewMemLog()
 	for _, rec := range []wal.Record{
-		{Type: wal.RecBegin, Txn: 5, Coord: 1, Participants: trio, Writeset: ws},
 		{Type: wal.RecVotedYes, Txn: 6, Coord: 2, Participants: trio, Writeset: ws},
 	} {
 		if err := log.Append(rec); err != nil {
@@ -51,9 +47,6 @@ func TestLiveRestartQueriesBeforePulls(t *testing.T) {
 	n.finishEvent()
 	for _, j := range n.flushQ {
 		n.release(j)
-	}
-	if o, _ := n.k.Outcome(5); o != types.OutcomeAborted {
-		t.Fatalf("the BEGIN-only transaction is %v after recovery, want aborted", o)
 	}
 	queries, pulls := 0, 0
 	for i, env := range tr.sent {
@@ -132,5 +125,49 @@ func TestServerRestartAsksPeers(t *testing.T) {
 	}
 	if rounds := obs.SumCounters(ob.Reg().Snapshot(), "qcommit_term_rounds_total"); rounds != 0 {
 		t.Errorf("the restarted site ran %d termination rounds, want 0", rounds)
+	}
+}
+
+// TestServerRestartNeverReusesAnID: a coordinator that is a participant logs
+// nothing of a transaction before its own vote, so a Server whose VOTE-REQ
+// reached a peer, but whose own vote never happened, restarts without a
+// record of that ID. It must still begin only higher IDs: a peer holding
+// the old ID in W would take the new transaction's VOTE-REQ for a duplicate
+// and re-send its yes vote, for the old writeset.
+func TestServerRestartNeverReusesAnID(t *testing.T) {
+	log := wal.NewMemLog()
+	start := func() (*Server, *handTransport) {
+		t.Helper()
+		tr := &handTransport{}
+		s, err := NewServer(1, ServerConfig{
+			Assignment:  voting.MustAssignment(voting.Uniform("x", 2, 2, 1, 2)),
+			TimeoutBase: time.Hour, // no protocol timer fires while the test runs
+			WAL:         log,
+		}, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, tr
+	}
+	ws := types.Writeset{{Item: "x", Value: 1}}
+	s, tr := start()
+	old := s.Begin(ws)
+	for deadline := time.Now().Add(10 * time.Second); !tr.voteReqTo(2, old); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			s.Stop()
+			t.Fatalf("no VOTE-REQ for %s reached the wire", old)
+		}
+	}
+	s.Stop()
+	recs, _ := log.Records()
+	for _, r := range recs {
+		if r.Txn == old {
+			t.Fatalf("the log holds %v of %s; the restart below must find none", r.Type, old)
+		}
+	}
+	s, _ = start()
+	defer s.Stop()
+	if next := s.Begin(ws); next <= old {
+		t.Errorf("the restarted server began %s, not past %s, which a peer already holds", next, old)
 	}
 }

@@ -100,13 +100,17 @@ func NewServer(id types.SiteID, cfg ServerConfig, tr transport.Transport) (*Serv
 		// Unlike a simulated crash, a process restart loses the store, so
 		// committed writesets are reapplied from the log before the usual
 		// volatile-state recovery resumes in-doubt transactions.
-		for _, im := range wal.Replay(recs) {
-			// Resume past every ID this site coordinated: BEGIN (or a Begin
-			// abort's ABORT) is forced before any frame carries the ID, so
-			// the log holds every ID a peer may already have decided.
-			if uint32(im.Txn>>32) == uint32(id) {
-				s.seq = max(s.seq, uint32(im.Txn))
+		// Resume past every ID this site may have put on the wire: a LEASE
+		// covering an ID is forced before any frame carries it (Node.lease).
+		// The transaction records cannot tell: a coordinator that is a
+		// participant logs nothing before its own vote.
+		for _, r := range recs {
+			if r.Type == wal.RecLease && r.Coord == id {
+				s.seq = max(s.seq, uint32(r.Txn))
 			}
+		}
+		s.node.leased = s.seq
+		for _, im := range wal.Replay(recs) {
 			if im.State != types.StateCommitted {
 				continue
 			}
@@ -149,7 +153,7 @@ func (s *Server) T() time.Duration { return s.t }
 // Begin submits a transaction coordinated by this site and returns its ID.
 // IDs embed the coordinator site in the high half, so transactions begun at
 // different processes never collide; a server restarted over its WAL
-// continues past the highest ID it logged.
+// continues past the highest ID it leased.
 func (s *Server) Begin(ws types.Writeset) types.TxnID {
 	s.mu.Lock()
 	s.seq++
@@ -157,7 +161,7 @@ func (s *Server) Begin(ws types.Writeset) types.TxnID {
 	s.mu.Unlock()
 	txn := types.TxnID(uint64(uint32(s.id))<<32 | uint64(seq))
 	participants := s.cfg.Assignment.Participants(ws.Items())
-	s.node.post(event{env: &msg.Envelope{From: s.id, To: s.id, Msg: beginMsg{txn: txn, ws: ws.Clone(), participants: participants}}})
+	s.node.post(event{env: &msg.Envelope{From: s.id, To: s.id, Msg: beginMsg{txn: txn, ws: ws.Clone(), participants: participants, lease: true}}})
 	return txn
 }
 
@@ -166,10 +170,11 @@ func (s *Server) Outcome(txn types.TxnID) types.Outcome {
 	return walOutcome(s.node, txn)
 }
 
-// WaitOutcome blocks until this site has durably decided txn, or the
-// deadline passes (returning the local view at that point — Blocked for a
-// site wedged mid-protocol, which is exactly the observable a blocked-2PC
-// demonstration asserts on). The site publishes an outcome only after the
+// WaitOutcome blocks until this site has decided txn — a commit durably, an
+// abort without a force (presumed abort) — or the deadline passes
+// (returning the local view at that point — Blocked for a site wedged
+// mid-protocol, which is exactly the observable a blocked-2PC demonstration
+// asserts on). The site publishes an outcome only after the
 // event that decided it has finished, so when WaitOutcome returns committed,
 // this site's store has the writeset. One site's view cannot split, so it
 // never returns OutcomeSplit.
@@ -178,7 +183,7 @@ func (s *Server) WaitOutcome(txn types.TxnID, deadline time.Duration) types.Outc
 }
 
 // snapshot is the Server's outcome view for waitOutcome: settled once this
-// site's durable records are terminal.
+// site's published records are terminal.
 func (s *Server) snapshot(txn types.TxnID) (types.Outcome, bool) {
 	o := s.Outcome(txn)
 	return o, o.StateEquivalent().Terminal()
@@ -208,8 +213,9 @@ func (s *Server) Stop() {
 
 // walOutcome reads txn's fate from one node's WAL: terminal records map to
 // their outcome, a surviving mid-protocol state (W/PC/PA) is Blocked. It
-// looks txn up in the node's incrementally-maintained view of its durable
-// records rather than replaying the log, which would be O(history) per probe.
+// looks txn up in the node's incrementally-maintained view of its published
+// records (Node.view) rather than replaying the log, which would be
+// O(history) per probe.
 func walOutcome(n *Node, txn types.TxnID) types.Outcome {
 	n.viewMu.Lock()
 	defer n.viewMu.Unlock()

@@ -44,6 +44,39 @@
 // runs on the caller's thread, and the host must serialize all calls into one
 // kernel (the engine's scheduler does so by construction, the live node by
 // its mailbox goroutine). Between Crash and Recover the host delivers nothing.
+//
+// # Durability
+//
+// Every record reaches the log through Host.Append. A forced record is one
+// some restart rule reads: the host must not let anything the appending event
+// sends or publishes after it leave the site before it is durable. The others
+// are appended and folded like any record but hold nothing back, in the
+// presumed-abort manner of Mohan, Lindsay and Obermarck: a restart that lacks
+// one knows nothing of the transaction, so the site is in q, answers a poll
+// with the never-voted promise, and the transaction aborts. That is safe
+// because an abort decided in the vote phase is irrevocable: nobody is in PC,
+// so no termination rule can commit, and a terminator's abort rests on its
+// forced PA quorum, not on anyone's ABORT. wal.RecType.Forced is this table
+// in code, and a test holds the two together.
+//
+//	record     forced  read at restart by                           must precede
+//	BEGIN      yes     Recover at a pure coordinator: wait for the   its VOTE-REQs
+//	                   outcome (a participating coordinator writes
+//	                   none; its VOTED-YES carries the same fields)
+//	VOTED-YES  yes     Recover: re-lock, resume in W, ask            the yes vote
+//	VOTED-NO   no      nothing: the site is in q                     -
+//	PC         yes     Recover: resume in PC, count toward Qc        the PC-ACK
+//	PA         yes     Recover: resume in PA, count toward Qa        the PA-ACK
+//	COMMIT     yes     Recover: committed; a live server reapplies   the outcome's publication
+//	                   the writeset                                  and the client's notice
+//	ABORT      no      nothing: an in-doubt site asks and aborts     -
+//	LEASE      yes     live.Server: resume IDs past the block        VOTE-REQs of its block's IDs
+//
+// Beyond publication a COMMIT gates only the msg.Done its participant sends
+// afterwards, which no automaton reads. The engine appends synchronously, so
+// there every record is durable on return and the only difference is the
+// BEGIN a participating coordinator no longer writes; the live node gates an
+// event's sends and outcome notifications on its forced records only.
 package site
 
 import (
@@ -302,8 +335,8 @@ func (k *Kernel[X]) Adopt(txn types.TxnID, ws types.Writeset, participants []typ
 //
 // A coordinator that is one of the participants first reads its own lock
 // table: if a copy it holds of a written item is already locked, it aborts txn
-// on the spot through Decide — one ABORT record, no BEGIN, no frame, no timer,
-// no coordinator — and the context goes. This is safe under all five
+// on the spot through Decide — one ABORT record, no frame, no timer, no
+// coordinator — and the context goes. This is safe under all five
 // protocols because nothing has left the site: no participant has voted or
 // locked anything, so nobody can be in doubt or have to terminate txn, and the
 // abort is the no vote this site's own participant would cast (any no vote
@@ -365,16 +398,10 @@ func (k *Kernel[X]) Crash() {
 // Recover rebuilds volatile state from the site's log: terminal outcomes are
 // remembered, and every transaction the log leaves in doubt re-locks its
 // copies and rejoins through a fresh participant, whose patience timer
-// re-enters the termination protocol.
-//
-// A transaction this site coordinated but whose log holds only its BEGIN is
-// aborted here if the site is one of its participants: force-before-send
-// means its own yes vote never left, so no PREPARE-TO-COMMIT did either,
-// nobody is in PC, and no rule of the five protocols can commit it. Nothing
-// else would ever tell the site the outcome. A pure coordinator (not a
-// participant) logs nothing between BEGIN and its decision, so its BEGIN-only
-// image may hide a PREPARE-TO-COMMIT already sent: it is kept, with nothing
-// running, for the outcome to reach it.
+// re-enters the termination protocol. A BEGIN-only image is a pure
+// coordinator's (a coordinator that is a participant logs no BEGIN): it may
+// hide a PREPARE-TO-COMMIT already sent, so it is kept, with nothing running,
+// for the outcome to reach it.
 //
 // Every transaction left unresolved then asks the others at once: one
 // OutcomeReq to each other participant, and to the coordinator if it is not
@@ -404,12 +431,8 @@ func (k *Kernel[X]) Recover(recs []wal.Record) {
 			continue
 		}
 		c := k.Adopt(txn, im.Writeset.Clone(), append([]types.SiteID(nil), im.Participants...), im.Coord)
-		switch {
-		case im.State != types.StateInitial: // W, PC or PA: in doubt
+		if im.State != types.StateInitial { // W, PC or PA: in doubt
 			k.Resume(c, im)
-		case slices.Contains(im.Participants, k.id): // BEGIN only, never voted
-			k.Decide(txn, types.OutcomeAborted)
-			continue
 		}
 		k.askOutcome(c)
 	}

@@ -2,6 +2,7 @@ package site
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -692,14 +693,11 @@ func TestRecoverResumesOnlyInDoubt(t *testing.T) {
 		voted(63), {Type: wal.RecCommit, Txn: 63},
 		voted(62), {Type: wal.RecAbort, Txn: 62},
 		{Type: wal.RecVotedNo, Txn: 64},
-		{Type: wal.RecBegin, Txn: 65, Coord: 1, Participants: both, Writeset: wsX},
 		{Type: wal.RecBegin, Txn: 66, Coord: 1, Participants: []types.SiteID{2}, Writeset: wsX},
 		voted(61), {Type: wal.RecPC, Txn: 61},
 	}
 	k.Recover(recs)
-	// 65: this site coordinated and is a participant, and its log holds only
-	// the BEGIN — it never voted, so nobody can have committed: it aborts.
-	for txn, want := range map[types.TxnID]types.Outcome{63: types.OutcomeCommitted, 62: types.OutcomeAborted, 64: types.OutcomeAborted, 65: types.OutcomeAborted} {
+	for txn, want := range map[types.TxnID]types.Outcome{63: types.OutcomeCommitted, 62: types.OutcomeAborted, 64: types.OutcomeAborted} {
 		if o, ok := k.Outcome(txn); !ok || o != want || k.Txn(txn) != nil {
 			t.Errorf("%s: outcome %v (known=%v), context=%v; want %v and no context", txn, o, ok, k.Txn(txn) != nil, want)
 		}
@@ -722,9 +720,8 @@ func TestRecoverResumesOnlyInDoubt(t *testing.T) {
 	if b := k.Txn(66); b == nil || b.auto != [numRoles]protocol.Automaton{} {
 		t.Errorf("begin-only pure-coordinator transaction: %+v", b)
 	}
-	if len(h.decided) != 1 || h.decided[65] != types.OutcomeAborted ||
-		len(h.log) != 1 || h.log[0].Type != wal.RecAbort || h.log[0].Txn != 65 {
-		t.Errorf("recovery decided %v and logged %v, want only 65's abort", h.decided, h.log)
+	if len(h.decided) != 0 || len(h.log) != 0 {
+		t.Errorf("recovery decided %v and logged %v, want nothing", h.decided, h.log)
 	}
 	if len(h.pending()) != 1 {
 		t.Errorf("%d timers pending after recovery, want the resumed participant's one", len(h.pending()))
@@ -776,7 +773,6 @@ func TestRecoverAsksForTheOutcome(t *testing.T) {
 			voted(80, 2, both),                             // W, coordinator a participant
 			voted(81, 3, both), {Type: wal.RecPC, Txn: 81}, // PC, pure coordinator 3
 			voted(82, 1, trio), {Type: wal.RecPA, Txn: 82}, // PA, coordinated here
-			{Type: wal.RecBegin, Txn: 83, Coord: 1, Participants: both, Writeset: wsX},              // aborted by Recover
 			{Type: wal.RecBegin, Txn: 84, Coord: 1, Participants: []types.SiteID{2}, Writeset: wsX}, // pure coordinator here
 			voted(85, 2, both), {Type: wal.RecCommit, Txn: 85},
 		})
@@ -1000,9 +996,10 @@ func TestBeginAbortsOnLockedLocalCopy(t *testing.T) {
 		})
 	}
 
-	// goesAhead asserts txn was begun the ordinary way: BEGIN forced, a
-	// VOTE-REQ to every participant, a coordinator installed.
-	goesAhead := func(t *testing.T, k *Kernel[string], h *fakeHost, txn types.TxnID) []msg.Envelope {
+	// goesAhead asserts txn was begun the ordinary way: a VOTE-REQ to every
+	// participant and a coordinator installed, with BEGIN forced first only
+	// at a pure coordinator (begin); a participating coordinator logs nothing.
+	goesAhead := func(t *testing.T, k *Kernel[string], h *fakeHost, txn types.TxnID, begin bool) []msg.Envelope {
 		t.Helper()
 		sent := h.take()
 		var reqs int
@@ -1011,8 +1008,9 @@ func TestBeginAbortsOnLockedLocalCopy(t *testing.T) {
 				reqs++
 			}
 		}
-		if len(h.log) != 1 || h.log[0].Type != wal.RecBegin || reqs != len(both) {
-			t.Errorf("log %v and %d VOTE-REQs, want BEGIN and %d", h.log, reqs, len(both))
+		logged := len(h.log) == 1 && h.log[0].Type == wal.RecBegin
+		if logged != begin || (!begin && len(h.log) != 0) || reqs != len(both) {
+			t.Errorf("log %v and %d VOTE-REQs, want BEGIN logged = %v and %d", h.log, reqs, begin, len(both))
 		}
 		if c := k.Txn(txn); c == nil || c.Automaton(protocol.RoleCoordinator) == nil || h.count(AbortedAtBegin) != 0 {
 			t.Error("no coordinator installed")
@@ -1027,7 +1025,7 @@ func TestBeginAbortsOnLockedLocalCopy(t *testing.T) {
 			t.Fatal(err)
 		}
 		k.Begin(8, wsX, both)
-		for _, e := range goesAhead(t, k, h, 8) {
+		for _, e := range goesAhead(t, k, h, 8, false) {
 			if e.To == 2 {
 				remote.Handle(e)
 			}
@@ -1043,8 +1041,50 @@ func TestBeginAbortsOnLockedLocalCopy(t *testing.T) {
 			t.Fatal(err)
 		}
 		k.Begin(9, wsX, both)
-		goesAhead(t, k, h, 9)
+		goesAhead(t, k, h, 9, true)
 	})
 	// A conflict that arises after Begin meets the participant's own no
 	// vote: TestRetire/coordinator_outlives_its_own_no_vote.
+}
+
+// TestDurabilityTableMatchesForced: the package doc's durability table has
+// one row per wal.RecType, and its forced column is what RecType.Forced
+// says, so a new record type cannot go unclassified.
+func TestDurabilityTableMatchesForced(t *testing.T) {
+	src, err := os.ReadFile("site.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make(map[string]bool) // record name -> forced column
+	in := false
+	for _, line := range strings.Split(string(src), "\n") {
+		rest, isDoc := strings.CutPrefix(line, "//\t")
+		switch {
+		case strings.HasPrefix(rest, "record "):
+			in = true
+		case !in:
+		case !isDoc:
+			in = false
+		case !strings.HasPrefix(rest, " "): // not a continuation line
+			f := strings.Fields(rest)
+			if len(f) < 2 || (f[1] != "yes" && f[1] != "no") {
+				t.Fatalf("malformed durability row %q", rest)
+			}
+			rows[f[0]] = f[1] == "yes"
+		}
+	}
+	seen := 0
+	for typ := wal.RecInvalid + 1; !strings.HasPrefix(typ.String(), "RecType("); typ++ {
+		forced, ok := rows[typ.String()]
+		switch {
+		case !ok:
+			t.Errorf("%v has no row in the durability table", typ)
+		case forced != typ.Forced():
+			t.Errorf("the durability table says %v forced = %v, RecType.Forced says %v", typ, forced, typ.Forced())
+		}
+		seen++
+	}
+	if seen != len(rows) {
+		t.Errorf("the durability table has %d rows for %d record types: %v", len(rows), seen, rows)
+	}
 }

@@ -63,15 +63,21 @@ func NewCoordinator(txn types.TxnID, ws types.Writeset, participants []types.Sit
 }
 
 // Start implements protocol.Automaton: phase 1, distribute the update values
-// and request votes.
+// and request votes. Only a pure coordinator logs BEGIN: it is the record a
+// restart reads to learn that the site must wait for the outcome. A
+// coordinator that is a participant writes none: its own VOTED-YES carries
+// the same fields and gates every PREPARE-TO-COMMIT or COMMIT it could send,
+// and a restart that finds nothing leaves the site in q, which aborts.
 func (c *Coordinator) Start(env protocol.Env) {
-	env.Append(wal.Record{
-		Type:         wal.RecBegin,
-		Txn:          c.txn,
-		Coord:        env.Self(),
-		Participants: c.participants,
-		Writeset:     c.ws,
-	})
+	if !contains(c.participants, env.Self()) {
+		env.Append(wal.Record{
+			Type:         wal.RecBegin,
+			Txn:          c.txn,
+			Coord:        env.Self(),
+			Participants: c.participants,
+			Writeset:     c.ws,
+		})
+	}
 	env.Tracef("%s: coordinator %s starts commit (%s rule)", c.txn, env.Self(), c.rule.AckName)
 	var req msg.Message = msg.VoteReq{Txn: c.txn, Coord: env.Self(), Participants: c.participants, Writeset: c.ws} // boxed once for all
 	for _, p := range c.participants {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"qcommit/internal/sim"
 	"qcommit/internal/types"
@@ -30,9 +31,9 @@ func (e Event) IsMessage() bool { return e.Label != "" }
 type Recorder struct {
 	mu     sync.Mutex
 	events []Event
-	// Enabled gates recording; a nil Recorder is also valid and records
-	// nothing.
-	disabled bool
+	// disabled gates recording without the mutex; a nil Recorder is also
+	// valid and records nothing.
+	disabled atomic.Bool
 }
 
 // NewRecorder returns an empty recorder.
@@ -40,37 +41,34 @@ func NewRecorder() *Recorder { return &Recorder{} }
 
 // Disable turns the recorder off (events are discarded).
 func (r *Recorder) Disable() {
-	if r == nil {
-		return
+	if r != nil {
+		r.disabled.Store(true)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.disabled = true
 }
+
+// Enabled reports whether the recorder keeps events. A caller that must
+// build an event's label or arguments checks it first, so a disabled
+// recorder costs one atomic load.
+func (r *Recorder) Enabled() bool { return r != nil && !r.disabled.Load() }
 
 // Annotate records a free-form event at a site.
 func (r *Recorder) Annotate(at sim.Time, site types.SiteID, format string, args ...any) {
-	if r == nil {
+	if !r.Enabled() {
 		return
 	}
+	text := fmt.Sprintf(format, args...)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.disabled {
-		return
-	}
-	r.events = append(r.events, Event{At: at, Site: site, Text: fmt.Sprintf(format, args...)})
+	r.events = append(r.events, Event{At: at, Site: site, Text: text})
 }
 
 // Message records a message delivery event.
 func (r *Recorder) Message(at sim.Time, from, to types.SiteID, label string) {
-	if r == nil {
+	if !r.Enabled() {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.disabled {
-		return
-	}
 	r.events = append(r.events, Event{At: at, Site: to, From: from, To: to, Label: label})
 }
 

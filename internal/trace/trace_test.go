@@ -41,10 +41,21 @@ func TestNilRecorderIsSafe(t *testing.T) {
 
 func TestDisable(t *testing.T) {
 	r := NewRecorder()
+	if !r.Enabled() {
+		t.Fatal("a new recorder is not enabled")
+	}
 	r.Disable()
-	r.Annotate(0, 1, "dropped")
-	if len(r.Events()) != 0 {
-		t.Error("disabled recorder recorded")
+	r.Annotate(0, 1, "dropped %s", "x")
+	r.Message(0, 1, 2, "dropped")
+	if len(r.Events()) != 0 || r.Enabled() {
+		t.Errorf("disabled recorder recorded %v (enabled = %v)", r.Events(), r.Enabled())
+	}
+	if (*Recorder)(nil).Enabled() {
+		t.Error("a nil recorder reports enabled")
+	}
+	// Off, a record costs the check and nothing else: no formatting.
+	if n := testing.AllocsPerRun(100, func() { r.Annotate(0, 1, "%s %s", "a", "b") }); n != 0 {
+		t.Errorf("a disabled Annotate allocates %v times", n)
 	}
 }
 

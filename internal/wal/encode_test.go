@@ -51,7 +51,7 @@ func TestAppendRecordMatchesReferenceFrame(t *testing.T) {
 		{{Item: "alpha", Value: 1 << 40}, {Item: "", Value: 0}, {Item: "k0042", Value: -7}},
 	}
 	prefix := []byte("existing bytes")
-	for typ := RecBegin; typ <= RecAbort; typ++ {
+	for typ := RecBegin; typ <= RecLease; typ++ {
 		for _, ws := range writesets {
 			r := Record{Type: typ, Txn: 1 << 33, Coord: -5, Participants: parts, Writeset: ws}
 			want := referenceFrame(r)

@@ -3,11 +3,17 @@
 //
 // The termination (i.e. commit or abort) of a transaction at a site is an
 // irrevocable operation, and a participant that voted yes must remember that
-// across crashes, so every protocol state transition of consequence is forced
-// to the log before the corresponding message is sent:
+// across crashes, so every record some restart rule reads is forced to the
+// log before whatever it gates leaves the site:
 //
-//	VOTED-YES (with writeset, participants, coordinator) before the yes vote,
-//	PC before PC-ACK, PA before PA-ACK, COMMIT/ABORT before acting on them.
+//	a pure coordinator's BEGIN before its VOTE-REQs, VOTED-YES (with
+//	writeset, participants, coordinator) before the yes vote, PC before
+//	PC-ACK, PA before PA-ACK, COMMIT before the decision is acted on.
+//
+// VOTED-NO and ABORT are appended like any record but gate nothing: a site
+// that restarts without one knows nothing of the transaction, is in q, and
+// the transaction aborts (presumed abort). RecType.Forced is this rule in
+// code; the site package doc states it as its durability table.
 //
 // Two implementations are provided, both AsyncLogs: MemLog is simulated
 // stable storage (the harness keeps it across *simulated* crashes), whose
@@ -41,12 +47,14 @@ type RecType uint8
 // Record types.
 const (
 	RecInvalid RecType = iota
-	// RecBegin marks coordinator-side transaction start.
+	// RecBegin marks the start of a transaction at a pure coordinator (one
+	// that holds no copies); a coordinator that is a participant writes none,
+	// since its own VOTED-YES carries the same fields.
 	RecBegin
 	// RecVotedYes is forced before a participant sends its yes vote.
 	RecVotedYes
-	// RecVotedNo records a no vote (the participant may forget the
-	// transaction afterwards; logged for audit).
+	// RecVotedNo records a no vote. It is not forced: a site that lost it
+	// has not voted, and says so.
 	RecVotedNo
 	// RecPC is forced before a participant acknowledges PREPARE-TO-COMMIT.
 	RecPC
@@ -54,8 +62,15 @@ const (
 	RecPA
 	// RecCommit is forced before the transaction's updates are applied.
 	RecCommit
-	// RecAbort is forced before the transaction's locks are released on abort.
+	// RecAbort is appended when the transaction aborts here; it is not
+	// forced (presumed abort).
 	RecAbort
+	// RecLease reserves a block of transaction IDs at a coordinator: Coord
+	// is the site and Txn the highest ID of the block. It is forced before
+	// any frame carries an ID of the block, so a restarted coordinator
+	// resumes past every ID a peer may hold. It describes no transaction:
+	// Replay skips it.
+	RecLease
 )
 
 var recNames = map[RecType]string{
@@ -66,7 +81,19 @@ var recNames = map[RecType]string{
 	RecPA:       "PA",
 	RecCommit:   "COMMIT",
 	RecAbort:    "ABORT",
+	RecLease:    "LEASE",
 }
+
+// forced holds the record types some restart rule reads (see Forced).
+var forced = [...]bool{
+	RecBegin: true, RecVotedYes: true, RecPC: true, RecPA: true, RecCommit: true, RecLease: true,
+}
+
+// Forced reports whether a record of type t must be durable before anything
+// the event that appended it sends or publishes afterwards: whether some
+// restart rule reads it to make a safe decision. The others (VOTED-NO,
+// ABORT) mean at restart what their absence means.
+func (t RecType) Forced() bool { return int(t) < len(forced) && forced[t] }
 
 // String implements fmt.Stringer.
 func (t RecType) String() string {
@@ -78,7 +105,7 @@ func (t RecType) String() string {
 
 // Record is one log entry. Writeset, Participants and Coord are populated on
 // RecBegin and RecVotedYes records so recovery can reconstruct the
-// transaction context.
+// transaction context; a RecLease carries only Coord and Txn.
 type Record struct {
 	Type         RecType
 	Txn          types.TxnID
@@ -159,13 +186,11 @@ type TxnImage struct {
 	Coord        types.SiteID
 	Participants []types.SiteID
 	Writeset     types.Writeset
-	// WasCoordinator is true when a RecBegin record was seen.
-	WasCoordinator bool
 }
 
 // moves is the state each record type moves an undecided transaction to: a
-// no vote aborts, VOTED-YES, PC and PA leave it in doubt. BEGIN and unknown
-// types leave it where it is.
+// no vote aborts, VOTED-YES, PC and PA leave it in doubt. BEGIN, LEASE and
+// unknown types leave it where it is.
 var moves = [...]types.State{
 	RecVotedYes: types.StateWait, RecVotedNo: types.StateAborted, RecPC: types.StatePC,
 	RecPA: types.StatePA, RecCommit: types.StateCommitted, RecAbort: types.StateAborted,
@@ -181,10 +206,14 @@ func step(cur types.State, t RecType) types.State {
 }
 
 // Replay folds a record sequence into per-transaction images, applying the
-// protocol's state precedence (step).
+// protocol's state precedence (step). Lease records describe no transaction
+// and make no image.
 func Replay(recs []Record) map[types.TxnID]*TxnImage {
 	images := make(map[types.TxnID]*TxnImage)
 	for _, r := range recs {
+		if r.Type == RecLease {
+			continue
+		}
 		im, ok := images[r.Txn]
 		if !ok {
 			im = &TxnImage{Txn: r.Txn}
@@ -195,7 +224,6 @@ func Replay(recs []Record) map[types.TxnID]*TxnImage {
 		}
 		im.State = step(im.State, r.Type)
 		if r.Type == RecBegin || r.Type == RecVotedYes {
-			im.WasCoordinator = im.WasCoordinator || r.Type == RecBegin
 			im.Coord = r.Coord
 			im.Participants = append([]types.SiteID(nil), r.Participants...)
 			im.Writeset = r.Writeset.Clone()

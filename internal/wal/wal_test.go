@@ -88,8 +88,8 @@ func TestMemLogDeepCopies(t *testing.T) {
 
 func TestReplayStates(t *testing.T) {
 	images := Replay(sampleRecords())
-	if img := images[1]; img.State != types.StateCommitted || !img.WasCoordinator {
-		t.Errorf("txn1 image = %+v, want committed coordinator", img)
+	if img := images[1]; img.State != types.StateCommitted || img.Coord != 1 {
+		t.Errorf("txn1 image = %+v, want committed at coordinator site1", img)
 	}
 	if img := images[2]; img.State != types.StateAborted {
 		t.Errorf("txn2 state = %v, want A", img.State)
@@ -110,6 +110,20 @@ func TestReplayTerminalIsIrrevocable(t *testing.T) {
 	}
 }
 
+// TestReplaySkipsLease: a lease record describes no transaction, so Replay
+// makes no image of it and a View leaves the ID it names in q.
+func TestReplaySkipsLease(t *testing.T) {
+	lease := Record{Type: RecLease, Txn: 1<<32 | 4096, Coord: 1}
+	if images := Replay([]Record{lease}); len(images) != 0 {
+		t.Errorf("Replay(LEASE) = %v, want no image", images)
+	}
+	var v View
+	v.Apply(lease)
+	if st := v.State(lease.Txn); st != types.StateInitial {
+		t.Errorf("View state after LEASE = %v, want q", st)
+	}
+}
+
 func TestReplayKeepsContext(t *testing.T) {
 	ws := types.Writeset{{Item: "x", Value: 7}}
 	recs := []Record{
@@ -123,7 +137,7 @@ func TestReplayKeepsContext(t *testing.T) {
 }
 
 // fuzzRecords decodes two bytes per record: the type (every RecType, plus
-// RecInvalid and two undefined values) and the txn (four IDs, so txns
+// RecInvalid and an undefined value) and the txn (four IDs, so txns
 // repeat and terminal records are followed by more).
 func fuzzRecords(data []byte) []Record {
 	recs := make([]Record, 0, len(data)/2)
