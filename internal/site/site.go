@@ -55,9 +55,10 @@
 // one knows nothing of the transaction, so the site is in q, answers a poll
 // with the never-voted promise, and the transaction aborts. That is safe
 // because an abort decided in the vote phase is irrevocable: nobody is in PC,
-// so no termination rule can commit, and a terminator's abort rests on its
-// forced PA quorum, not on anyone's ABORT. wal.RecType.Forced is this table
-// in code, and a test holds the two together.
+// so no termination rule can commit. A terminator's abort rests on forced PA
+// records, a site in q, nobody in PC (3PC) or an earlier abort, never on an
+// ABORT record. wal.RecType.Forced is this table in code, and a test holds
+// the two together.
 //
 //	record     forced  read at restart by                           must precede
 //	BEGIN      yes     Recover at a pure coordinator: wait for the   its VOTE-REQs
