@@ -179,7 +179,7 @@ func TestCrashAtEveryRecord(t *testing.T) {
 								if !crashed {
 									t.Fatalf("%s: the crash never happened", where)
 								}
-								checkCrashCut(t, cl, txns, where)
+								checkCrashCut(t, cl, txns, where, site)
 								runs++
 							}
 						}
@@ -191,17 +191,20 @@ func TestCrashAtEveryRecord(t *testing.T) {
 	}
 }
 
-// checkCrashCut applies the crash test's checks to a finished run: the
-// three safety checks, and, unless the protocol may block (2PC: a commit
-// that only a restarted pure coordinator holds reaches no participant in
-// W), that the run ended with every copy holder on the same side — a commit
-// reached every participant (each voted yes, so each must have kept its
-// vote), and no site is left in doubt.
-func checkCrashCut(t *testing.T, cl *Cluster, txns []types.TxnID, where string) {
+// checkCrashCut applies the crash test's checks to a finished run whose
+// crash hit site crashed: the three safety checks, and that the run ended
+// with every copy holder on the same side — a commit reached every
+// participant (each voted yes, so each must have kept its vote), and no site
+// is left in doubt. Under 2PC the latter is skipped for a transaction a
+// site is left in doubt about on the crashed coordinator (waitsOn): 2PC
+// blocks its participants on a coordinator that crashed, and a restarted
+// one ends the wait neither by re-sending a logged COMMIT nor by aborting
+// what it never decided (ROADMAP item 17).
+func checkCrashCut(t *testing.T, cl *Cluster, txns []types.TxnID, where string, crashed types.SiteID) {
 	t.Helper()
 	for _, txn := range txns {
-		if cl.Spec().Variant == core.TwoPC {
-			break
+		if cl.Spec().Variant == core.TwoPC && waitsOn(cl, txn, crashed) {
+			continue
 		}
 		committed := false
 		for _, id := range cl.Sites() {
@@ -237,4 +240,16 @@ func checkCrashCut(t *testing.T, cl *Cluster, txns []types.TxnID, where string) 
 				strings.TrimSpace(cl.Recorder().Ladder(nil)))
 		}
 	}
+}
+
+// waitsOn reports whether a site is left in doubt about txn with coord as
+// its coordinator.
+func waitsOn(cl *Cluster, txn types.TxnID, coord types.SiteID) bool {
+	for _, id := range cl.Sites() {
+		c := cl.Site(id).k.Txn(txn)
+		if st := cl.StateOf(id, txn); c != nil && c.Coord == coord && (st == types.StateWait || st == types.StatePC || st == types.StatePA) {
+			return true
+		}
+	}
+	return false
 }

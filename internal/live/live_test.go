@@ -623,11 +623,15 @@ func TestLiveTerminationStageBudget(t *testing.T) {
 	var report []string
 	for cycle := 1; cycle <= 4; cycle++ {
 		txn := cl.Begin(coord, types.Writeset{{Item: "x", Value: int64(cycle)}})
-		// Crash as soon as every survivor has voted: the votes are on their
-		// way back, the decision a round trip away at the least.
+		// Crash as soon as every site has voted: the votes are on their way
+		// back, the decision a round trip away at the least. The
+		// coordinator's own vote counts too: a coordinator that is a
+		// participant writes no BEGIN, so its VOTED-YES is the record its
+		// restart rejoins from; without it the restart finds nothing and
+		// has no outcome to learn.
 		voted := func() bool {
 			for _, s := range sites {
-				if s != coord && cl.OutcomeAt(s, txn) == types.OutcomeUnknown {
+				if cl.OutcomeAt(s, txn) == types.OutcomeUnknown {
 					return false
 				}
 			}

@@ -56,9 +56,11 @@ type Node struct {
 	stopped  bool
 
 	log wal.AsyncLog
-	// leased is the highest transaction ID a forced LEASE record covers
-	// (see lease); only a Server's begins consult it.
-	leased uint32
+	// leased is the highest transaction ID a LEASE record covers, and
+	// leaseTicket that record's ticket (see lease); only a Server's begins
+	// consult them.
+	leased      uint32
+	leaseTicket wal.Ticket
 
 	// Event-scoped pipelining state, owned by the node goroutine. An
 	// event's WAL appends return a ticket instead of blocking on the force;
@@ -69,7 +71,7 @@ type Node struct {
 	// lets independent transactions overlap their protocol rounds on one
 	// site. Only forced records gate (wal.RecType.Forced, the site package's
 	// durability table): an event that appended none publishes at its end.
-	pendingTicket wal.Ticket   // the ticket of the event's last forced append; 0 if none
+	pendingTicket wal.Ticket   // what the event's output waits on: its last forced append, or a lease (see lease); 0 if none
 	defRecs       []wal.Record // the event's appends
 	defSends      []sendOp
 	defNotifies   []types.TxnID
@@ -261,12 +263,13 @@ func (n *Node) dispatch(e msg.Envelope) {
 }
 
 // finishEvent closes the current event's pending context: its appends and
-// the sends and notifications it gated on them become one flush job. Events
-// that appended nothing produce no job, and an event whose records are all
-// unforced (VOTED-NO, ABORT) publishes them and notifies at once: a crash
-// that loses them leaves the site where their absence puts it.
+// the sends and notifications it gated on a forced record become one flush
+// job. Events that appended nothing and wait on no lease (see lease) produce
+// no job, and an event whose records are all unforced (VOTED-NO, ABORT)
+// publishes them and notifies at once: a crash that loses them leaves the
+// site where their absence puts it.
 func (n *Node) finishEvent() {
-	if len(n.defRecs) == 0 {
+	if len(n.defRecs) == 0 && n.pendingTicket == 0 {
 		return
 	}
 	job := flushJob{
@@ -412,17 +415,23 @@ func (n *Node) append(rec wal.Record) {
 // at most idBlock-1 IDs that never went out.
 const idBlock = 1 << 12
 
-// lease forces a LEASE record over the block of txn's ID before the event
-// sends anything, unless an earlier lease covers it. A coordinator that is
-// a participant logs nothing of a transaction before its own vote, so only
-// the lease tells a restarted Server which IDs its peers may already hold.
+// lease makes the event send nothing before a LEASE record over txn's ID is
+// durable: it forces one over the block of txn's ID, unless an earlier lease
+// covers it, and gates the event on that earlier lease while it is still
+// being forced. A coordinator that is a participant logs nothing of a
+// transaction before its own vote, so only the lease tells a restarted
+// Server which IDs its peers may already hold.
 func (n *Node) lease(txn types.TxnID) {
 	seq := uint32(txn)
-	if seq <= n.leased {
+	if seq > n.leased {
+		n.leased = seq | (idBlock - 1) // the last ID of seq's block
+		n.append(wal.Record{Type: wal.RecLease, Txn: txn&^0xFFFFFFFF | types.TxnID(n.leased), Coord: n.id})
+		n.leaseTicket = n.pendingTicket
 		return
 	}
-	n.leased = seq | (idBlock - 1) // the last ID of seq's block
-	n.append(wal.Record{Type: wal.RecLease, Txn: txn&^0xFFFFFFFF | types.TxnID(n.leased), Coord: n.id})
+	if n.leaseTicket > n.log.Durable() {
+		n.pendingTicket = max(n.pendingTicket, n.leaseTicket)
+	}
 }
 
 // stageOf maps the kernel's commit-path events onto span stages.

@@ -171,3 +171,87 @@ func TestServerRestartNeverReusesAnID(t *testing.T) {
 		t.Errorf("the restarted server began %s, not past %s, which a peer already holds", next, old)
 	}
 }
+
+// heldLog is a MemLog whose records become durable only when a test says
+// so, by raising durable: a GroupLog's fsync held back.
+type heldLog struct {
+	*wal.MemLog
+	durable wal.Ticket
+}
+
+func (l *heldLog) Durable() wal.Ticket { return l.durable }
+
+func (l *heldLog) WaitDurable(t wal.Ticket) error {
+	if t > l.durable {
+		return wal.ErrClosed // a hand-driven test releases only durable jobs
+	}
+	return nil
+}
+
+// TestLiveLeaseGatesEveryBeginOfItsBlock: a Server begins IDs faster than a
+// LEASE is forced, so every Begin of a block whose LEASE is not yet durable
+// must hold its VOTE-REQs back until it is, not only the Begin that
+// appended it; otherwise a crash in that window leaves a peer holding an ID
+// the log never leased, which a restart would issue again. One node is
+// driven by hand on a log whose force the test holds back.
+func TestLiveLeaseGatesEveryBeginOfItsBlock(t *testing.T) {
+	tr := &handTransport{}
+	h := &hostCore{
+		spec:  core.Spec{Variant: core.Protocol1},
+		asgn:  voting.MustAssignment(voting.Uniform("x", 2, 2, 1, 2)),
+		t:     time.Hour, // no protocol timer fires while the test runs
+		start: time.Now(), tr: tr, notes: make(map[types.TxnID]*outcomeNote),
+	}
+	log := &heldLog{MemLog: wal.NewMemLog()}
+	n := newNode(1, h, nil, log, nil)
+	n.store.Init("x", 0)
+	begin := func(seq uint32) types.TxnID {
+		txn := types.TxnID(1<<32 | uint64(seq))
+		n.dispatch(msg.Envelope{From: 1, To: 1, Msg: beginMsg{txn: txn, ws: types.Writeset{{Item: "x", Value: 1}}, participants: []types.SiteID{1, 2}, lease: true}})
+		n.finishEvent()
+		return txn
+	}
+
+	first, second := begin(1), begin(2)
+	if len(tr.sent) != 0 || len(n.flushQ) != 2 || log.Len() != 1 {
+		t.Fatalf("two Begins before the LEASE is durable sent %d frames, queued %d flush jobs and logged %d records; want nothing sent, two jobs, one LEASE", len(tr.sent), len(n.flushQ), log.Len())
+	}
+	log.durable = wal.Ticket(log.Len())
+	for _, j := range n.flushQ {
+		n.release(j)
+	}
+	n.flushQ = nil
+	if !tr.voteReqTo(2, first) || !tr.voteReqTo(2, second) {
+		t.Fatalf("once the LEASE is durable both VOTE-REQs must leave; sent %v", tr.sent)
+	}
+
+	tr.sent = nil
+	third := begin(3)
+	if !tr.voteReqTo(2, third) || len(n.flushQ) != 0 {
+		t.Fatalf("a Begin under a durable LEASE queued %d flush jobs and sent %v; want its VOTE-REQs at once", len(n.flushQ), tr.sent)
+	}
+}
+
+// TestServerRestartResumesPastPreLeaseRecords: a log written before LEASE
+// records existed names this site's IDs only in transaction records. A
+// restart on it must still begin past them.
+func TestServerRestartResumesPastPreLeaseRecords(t *testing.T) {
+	old := types.TxnID(1<<32 | 7)
+	log := wal.NewMemLog()
+	ws := types.Writeset{{Item: "x", Value: 1}}
+	if err := log.Append(wal.Record{Type: wal.RecBegin, Txn: old, Coord: 1, Participants: []types.SiteID{2}, Writeset: ws}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewServer(1, ServerConfig{
+		Assignment:  voting.MustAssignment(voting.Uniform("x", 2, 2, 1, 2)),
+		TimeoutBase: time.Hour, // no protocol timer fires while the test runs
+		WAL:         log,
+	}, &handTransport{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+	if next := s.Begin(ws); next <= old {
+		t.Errorf("the restarted server began %s, not past %s, which its log names", next, old)
+	}
+}

@@ -97,20 +97,23 @@ func NewServer(id types.SiteID, cfg ServerConfig, tr transport.Transport) (*Serv
 	// terminal outcomes are reapplied, in-doubt transactions re-lock their
 	// copies, resume the protocol and ask their peers for the outcome.
 	if recs, err := s.node.log.Records(); err == nil && len(recs) > 0 {
-		// Unlike a simulated crash, a process restart loses the store, so
-		// committed writesets are reapplied from the log before the usual
-		// volatile-state recovery resumes in-doubt transactions.
 		// Resume past every ID this site may have put on the wire: a LEASE
 		// covering an ID is forced before any frame carries it (Node.lease).
-		// The transaction records cannot tell: a coordinator that is a
-		// participant logs nothing before its own vote.
+		// A coordinator that is a participant logs nothing before its own
+		// vote, so its transaction records alone cannot tell; they still
+		// count below, for a log written before leases were.
 		for _, r := range recs {
 			if r.Type == wal.RecLease && r.Coord == id {
 				s.seq = max(s.seq, uint32(r.Txn))
 			}
 		}
-		s.node.leased = s.seq
+		// Unlike a simulated crash, a process restart loses the store, so
+		// committed writesets are reapplied from the log before the usual
+		// volatile-state recovery resumes in-doubt transactions.
 		for _, im := range wal.Replay(recs) {
+			if uint32(im.Txn>>32) == uint32(id) {
+				s.seq = max(s.seq, uint32(im.Txn))
+			}
 			if im.State != types.StateCommitted {
 				continue
 			}
@@ -120,6 +123,7 @@ func NewServer(id types.SiteID, cfg ServerConfig, tr transport.Transport) (*Serv
 				}
 			}
 		}
+		s.node.leased = s.seq
 		// The recovery is the node's first event, posted before the
 		// transport is bound: every frame that arrives is handled after it,
 		// and the answers to its queries find the delivery callback in place.

@@ -33,11 +33,10 @@ type Ticket uint64
 type AsyncLog interface {
 	Log
 	// AppendAsync buffers a record for the next batch and returns its
-	// ticket without waiting for durability. An unforced record
-	// (RecType.Forced) may wait for the next batch something needs.
+	// ticket without waiting for durability.
 	AppendAsync(Record) Ticket
 	// WaitDurable blocks until ticket t is durable (or the log is closed
-	// or has failed, returning the error); waiting is itself a need.
+	// or has failed, returning the error).
 	WaitDurable(t Ticket) error
 	// Durable returns the current durable horizon (the highest ticket
 	// forced to stable storage).
@@ -55,10 +54,7 @@ var ErrClosed = errors.New("wal: log closed")
 // records, so recovery can never observe a record whose Append (or whose
 // ticket's WaitDurable) had not returned. A lone sequential appender gets
 // one write+fsync per Append: its next record cannot arrive before the
-// previous batch is forced. A batch is written only when something needs
-// it: a forced record (RecType.Forced) or a WaitDurable. An unforced record
-// (VOTED-NO, ABORT) rides with the next such batch, or Close's, and a crash
-// before then loses it, which a restart reads as the same abort.
+// previous batch is forced.
 //
 // The log keeps no in-memory image of its records: AppendAsync encodes each
 // record in place into the pending batch buffer, the syncer swaps that
@@ -78,24 +74,16 @@ type GroupLog struct {
 	err     error // first write/sync failure; sticky
 	closed  bool
 
-	// wanted is the highest ticket something waits to see durable: a forced
-	// record's own (RecType.Forced), or one passed to WaitDurable. The
-	// syncer writes only while wanted > durable, so an unforced record
-	// rides with the next batch something needs instead of costing a write
-	// and an fsync of its own.
-	wanted Ticket
-
 	// batchSizes is always on: one sample per fsync, value = records in the
 	// batch. The distribution is the group-commit story in one histogram —
 	// a mass at 1 means no amortization, a fat tail means the syncer is
 	// keeping up with bursts.
 	batchSizes *obs.Histogram
 	// flushWait and syncDur are optional (nil until RegisterMetrics):
-	// AppendAsync→durable latency per forced record (nobody waits for an
-	// unforced one) and per-batch Write+Sync duration. stamps holds the
-	// append times backing flushWait; it is only appended to while
-	// flushWait is installed, so records appended before RegisterMetrics
-	// simply contribute no sample.
+	// per-record AppendAsync→durable latency and per-batch Write+Sync
+	// duration. stamps holds the append times backing flushWait; it is only
+	// appended to while flushWait is installed, so records appended before
+	// RegisterMetrics simply contribute no sample.
 	flushWait *obs.Histogram
 	syncDur   *obs.Histogram
 	stamps    []int64
@@ -139,15 +127,12 @@ func (l *GroupLog) AppendAsync(r Record) Ticket {
 		return l.next + 1 // never durable: WaitDurable on it reports ErrClosed
 	}
 	l.pending = appendRecord(l.pending, r)
+	if l.flushWait != nil {
+		l.stamps = append(l.stamps, time.Now().UnixNano())
+	}
 	l.next++
 	t := l.next
-	if r.Type.Forced() {
-		if l.flushWait != nil {
-			l.stamps = append(l.stamps, time.Now().UnixNano())
-		}
-		l.wanted = t
-		l.work.Signal()
-	}
+	l.work.Signal()
 	return t
 }
 
@@ -155,10 +140,6 @@ func (l *GroupLog) AppendAsync(r Record) Ticket {
 func (l *GroupLog) WaitDurable(t Ticket) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if t > l.wanted && t <= l.next {
-		l.wanted = t
-		l.work.Signal()
-	}
 	for l.durable < t && l.err == nil && !l.closed {
 		l.forced.Wait()
 	}
@@ -223,8 +204,7 @@ func (l *GroupLog) Fsyncs() uint64 {
 
 // RegisterMetrics publishes the log's histograms and fsync counter on reg
 // under canonical qcommit_wal_* names labelled by site, and turns on the
-// optional per-forced-record flush-wait and per-batch sync-duration
-// collection.
+// optional per-record flush-wait and per-batch sync-duration collection.
 // A nil registry is a no-op.
 func (l *GroupLog) RegisterMetrics(reg *obs.Registry, site types.SiteID) {
 	if reg == nil {
@@ -243,9 +223,8 @@ func (l *GroupLog) RegisterMetrics(reg *obs.Registry, site types.SiteID) {
 // Path returns the file path.
 func (l *GroupLog) Path() string { return l.path }
 
-// syncLoop is the single syncer goroutine: once something needs a pending
-// record (see wanted), it claims everything pending, writes it in one Write
-// call, forces it with one fsync, then publishes the
+// syncLoop is the single syncer goroutine: it claims everything pending,
+// writes it in one Write call, forces it with one fsync, then publishes the
 // new durable horizon and byte size. Appends landing during the force
 // simply form the next batch — the classic group-commit cadence,
 // self-clocked by fsync latency. The claimed buffers are swapped with the
@@ -256,7 +235,7 @@ func (l *GroupLog) syncLoop() {
 	var spareStamps []int64
 	l.mu.Lock()
 	for {
-		for (len(l.pending) == 0 || l.wanted <= l.durable) && !l.closed {
+		for len(l.pending) == 0 && !l.closed {
 			l.work.Wait()
 		}
 		if len(l.pending) == 0 && l.closed {

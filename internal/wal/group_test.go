@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"qcommit/internal/types"
 )
@@ -127,35 +126,6 @@ func TestGroupLogAsyncTickets(t *testing.T) {
 	recs, _ := l.Records()
 	if len(recs) != 2 {
 		t.Fatalf("got %d durable records, want 2", len(recs))
-	}
-}
-
-// TestGroupLogUnforcedRidesAlong: an unforced record costs no batch of its
-// own. It stays pending until a forced record or a waiter needs a batch,
-// then goes out in that one; a waiter on an unforced ticket is a need too.
-func TestGroupLogUnforcedRidesAlong(t *testing.T) {
-	l, err := OpenGroupLog(filepath.Join(t.TempDir(), "lazy.wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	l.AppendAsync(Record{Type: RecAbort, Txn: 1})
-	l.AppendAsync(Record{Type: RecVotedNo, Txn: 2})
-	time.Sleep(20 * time.Millisecond) // room for an eager syncer to act
-	if n, d := l.Fsyncs(), l.Durable(); n != 0 || d != 0 {
-		t.Fatalf("unforced appends alone made %d fsyncs, durable %d; want none", n, d)
-	}
-	if err := l.WaitDurable(l.AppendAsync(Record{Type: RecVotedYes, Txn: 3})); err != nil {
-		t.Fatal(err)
-	}
-	if recs, _ := l.Records(); len(recs) != 3 || l.Fsyncs() != 1 {
-		t.Fatalf("the forced append made %d records durable in %d fsyncs, want 3 in 1", len(recs), l.Fsyncs())
-	}
-	if err := l.WaitDurable(l.AppendAsync(Record{Type: RecAbort, Txn: 4})); err != nil {
-		t.Fatal(err)
-	}
-	if l.Durable() != 4 {
-		t.Fatalf("durable %d after waiting on an unforced ticket, want 4", l.Durable())
 	}
 }
 
