@@ -291,7 +291,8 @@ func handleClient(s *live.Server, ep *tcp.Endpoint, env msg.Envelope, reply func
 	}
 }
 
-// parsePeers parses '1=host:port,2=host:port,...'.
+// parsePeers parses '1=host:port,2=host:port,...'. It refuses a site listed
+// twice and an empty address.
 func parsePeers(s string) (map[types.SiteID]string, error) {
 	if s == "" {
 		return nil, fmt.Errorf("-peers is required")
@@ -305,6 +306,12 @@ func parsePeers(s string) (map[types.SiteID]string, error) {
 		n, err := strconv.Atoi(id)
 		if err != nil || n <= 0 {
 			return nil, fmt.Errorf("-peers entry %q: bad site ID", part)
+		}
+		if strings.TrimSpace(addr) == "" {
+			return nil, fmt.Errorf("-peers entry %q: empty address", part)
+		}
+		if _, dup := peers[types.SiteID(n)]; dup {
+			return nil, fmt.Errorf("-peers lists site %d twice", n)
 		}
 		peers[types.SiteID(n)] = addr
 	}

@@ -270,6 +270,8 @@ func TestCommandFlagErrors(t *testing.T) {
 		{"qcommitd zero timeout base", qcommitd, []string{"-site", "1", "-peers", "1=127.0.0.1:0", "-timeout-base", "0s"}, "-timeout-base", 1},
 		{"qcommitd negative timeout base", qcommitd, []string{"-site", "1", "-peers", "1=127.0.0.1:0", "-timeout-base", "-5ms"}, "-timeout-base", 1},
 		{"qcommitd trace-sample below 1", qcommitd, []string{"-site", "1", "-peers", "1=127.0.0.1:0", "-trace-sample", "0"}, "-trace-sample", 1},
+		{"qcommitd repeated peer site", qcommitd, []string{"-site", "1", "-peers", "1=127.0.0.1:0,2=127.0.0.1:0,1=127.0.0.1:0"}, "-peers", 1},
+		{"qcommitd empty peer address", qcommitd, []string{"-site", "1", "-peers", "1=127.0.0.1:0,2="}, "-peers", 1},
 		{"churnbench unknown protocol", churnbench, []string{"-protocol", "bogus"}, "bogus", 2},
 		{"availbench unknown engine", availbench, []string{"-engine", "bogus"}, "bogus", 2},
 		{"churnbench negative runs", churnbench, []string{"-runs", "-3"}, "-runs", 1},

@@ -56,14 +56,11 @@ func newSite(id types.SiteID, cl *Cluster, log wal.Log) *Site {
 		log = wal.NewMemLog()
 	}
 	s := &Site{
-		id:    id,
-		cl:    cl,
-		log:   log,
-		store: storage.NewStore(id),
-		// One shard: the engine is single-threaded, so sharding would only
-		// multiply the per-shard maps a short-lived site allocates and the
-		// mutexes every ReleaseAll visits.
-		locks:     lockmgr.NewSharded(id, 1),
+		id:        id,
+		cl:        cl,
+		log:       log,
+		store:     storage.NewStore(id),
+		locks:     lockmgr.New(id),
 		decidedAt: make(map[types.TxnID]sim.Time),
 		coords:    make(map[types.TxnID]protocol.Automaton),
 	}

@@ -150,7 +150,7 @@ func newNode(id types.SiteID, h *hostCore, tracker *voting.Tracker, log wal.Asyn
 	}, (*nodeHost)(n))
 	n.met = newNodeMetrics(o, id)
 	n.spans = o.Spanner()
-	n.locks.SetMetrics(lockmgr.NewMetrics(o.Reg(), id, n.locks.Shards()))
+	n.locks.SetMetrics(lockmgr.NewMetrics(o.Reg(), id))
 	if gl, ok := log.(*wal.GroupLog); ok {
 		gl.RegisterMetrics(o.Reg(), id)
 	}

@@ -255,3 +255,53 @@ func TestServerRestartResumesPastPreLeaseRecords(t *testing.T) {
 		t.Errorf("the restarted server began %s, not past %s, which its log names", next, old)
 	}
 }
+
+// TestServerRestartPresumesAbort: a restarted Server answers aborted for an
+// ID it issued before the restart and has no record of, and keeps every
+// other answer. The log holds one LEASE over the first block, a
+// participant's VOTED-YES and a pure coordinator's BEGIN.
+func TestServerRestartPresumesAbort(t *testing.T) {
+	lease := types.TxnID(1<<32 | (idBlock - 1))
+	voted, began := types.TxnID(1<<32|5), types.TxnID(1<<32|6)
+	ws := types.Writeset{{Item: "x", Value: 1}}
+	log := wal.NewMemLog()
+	for _, r := range []wal.Record{
+		{Type: wal.RecLease, Txn: lease, Coord: 1},
+		{Type: wal.RecVotedYes, Txn: voted, Coord: 1, Participants: []types.SiteID{1, 2}, Writeset: ws},
+		{Type: wal.RecBegin, Txn: began, Coord: 1, Participants: []types.SiteID{2}, Writeset: ws},
+	} {
+		if err := log.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := NewServer(1, ServerConfig{
+		Assignment:  voting.MustAssignment(voting.Uniform("x", 2, 2, 1, 2)),
+		TimeoutBase: time.Hour, // no protocol timer fires while the test runs
+		WAL:         log,
+	}, &handTransport{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+	for _, tc := range []struct {
+		name string
+		txn  types.TxnID
+		want types.Outcome
+	}{
+		{"an ID inside the lease", 1<<32 | 3, types.OutcomeAborted},
+		{"the lease's last ID", lease, types.OutcomeAborted},
+		{"an ID past the lease", lease + 1, types.OutcomeUnknown},
+		{"another coordinator's ID", 2<<32 | 3, types.OutcomeUnknown},
+		{"an ID with a VOTED-YES record", voted, types.OutcomeBlocked},
+		{"a pure coordinator's BEGIN-only ID", began, types.OutcomeUnknown},
+	} {
+		if got := s.Outcome(tc.txn); got != tc.want {
+			t.Errorf("%s (%s): Outcome = %v, want %v", tc.name, tc.txn, got, tc.want)
+		}
+		if tc.want == types.OutcomeAborted {
+			if got := s.WaitOutcome(tc.txn, time.Second); got != tc.want {
+				t.Errorf("%s (%s): WaitOutcome = %v, want %v at once", tc.name, tc.txn, got, tc.want)
+			}
+		}
+	}
+}

@@ -59,6 +59,12 @@ type Server struct {
 
 	mu  sync.Mutex // guards seq
 	seq uint32
+
+	// resumed is the seq NewServer resumed past, and beginOnly those of its
+	// IDs whose only record is a pure coordinator's BEGIN; both are
+	// read-only once NewServer returns.
+	resumed   uint32
+	beginOnly map[types.TxnID]bool
 }
 
 // NewServer builds and starts the server for site id. It binds the transport
@@ -81,8 +87,9 @@ func NewServer(id types.SiteID, cfg ServerConfig, tr transport.Transport) (*Serv
 			spec: cfg.Spec, asgn: cfg.Assignment, t: cfg.TimeoutBase, start: time.Now(),
 			tr: tr, notes: make(map[types.TxnID]*outcomeNote),
 		},
-		id:  id,
-		cfg: cfg,
+		id:        id,
+		cfg:       cfg,
+		beginOnly: make(map[types.TxnID]bool),
 	}
 	s.node = newNode(id, &s.hostCore, nil, cfg.WAL, cfg.Obs)
 	for _, item := range cfg.Assignment.Items() {
@@ -113,6 +120,9 @@ func NewServer(id types.SiteID, cfg ServerConfig, tr transport.Transport) (*Serv
 		for _, im := range wal.Replay(recs) {
 			if uint32(im.Txn>>32) == uint32(id) {
 				s.seq = max(s.seq, uint32(im.Txn))
+				if im.State == types.StateInitial { // BEGIN only: the view holds no state
+					s.beginOnly[im.Txn] = true
+				}
 			}
 			if im.State != types.StateCommitted {
 				continue
@@ -124,6 +134,7 @@ func NewServer(id types.SiteID, cfg ServerConfig, tr transport.Transport) (*Serv
 			}
 		}
 		s.node.leased = s.seq
+		s.resumed = s.seq
 		// The recovery is the node's first event, posted before the
 		// transport is bound: every frame that arrives is handled after it,
 		// and the answers to its queries find the delivery callback in place.
@@ -169,9 +180,19 @@ func (s *Server) Begin(ws types.Writeset) types.TxnID {
 	return txn
 }
 
-// Outcome reads txn's fate from this site's WAL.
+// Outcome reads txn's fate from this site's WAL. An ID this site issued
+// before a restart (at or below the seq NewServer resumed past) that the log
+// holds no record of reads aborted, by presumed abort: a participating
+// coordinator forces VOTED-YES before any PREPARE and a pure coordinator
+// BEGIN before any VOTE-REQ, so such a transaction never passed the vote
+// phase and commits nowhere. A BEGIN-only ID stays unknown until its outcome
+// arrives.
 func (s *Server) Outcome(txn types.TxnID) types.Outcome {
-	return walOutcome(s.node, txn)
+	o := walOutcome(s.node, txn)
+	if o == types.OutcomeUnknown && uint32(txn>>32) == uint32(s.id) && uint32(txn) <= s.resumed && !s.beginOnly[txn] {
+		return types.OutcomeAborted
+	}
+	return o
 }
 
 // WaitOutcome blocks until this site has decided txn — a commit durably, an

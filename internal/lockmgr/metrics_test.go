@@ -12,8 +12,8 @@ import (
 // and those are the only series the manager registers.
 func TestMetricsRecording(t *testing.T) {
 	reg := obs.NewRegistry()
-	m := NewSharded(1, 4)
-	m.SetMetrics(NewMetrics(reg, 1, m.Shards()))
+	m := New(1)
+	m.SetMetrics(NewMetrics(reg, 1))
 
 	item := types.ItemID("x")
 	if err := m.TryAcquire(1, item, Exclusive); err != nil {
@@ -31,31 +31,35 @@ func TestMetricsRecording(t *testing.T) {
 	if got := obs.SumCounters(reg.Snapshot(), "qcommit_lock_wouldblock_total"); got != 1 {
 		t.Errorf("wouldblock = %d, want 1", got)
 	}
-	// A manager that never waits registers one hold series per shard and
-	// one would-block counter, and nothing else.
+	// A manager that never waits registers one hold series and one
+	// would-block counter, both labelled by site only, and nothing else.
+	want := map[string]bool{
+		`qcommit_lock_hold_ns{site="1"}`:          true,
+		`qcommit_lock_wouldblock_total{site="1"}`: true,
+	}
 	for _, s := range reg.Snapshot() {
-		if s.Base != "qcommit_lock_hold_ns" && s.Base != "qcommit_lock_wouldblock_total" {
+		if !want[s.Name] {
 			t.Errorf("unexpected series %s", s.Name)
 		}
 	}
-	if got := len(reg.Snapshot()); got != m.Shards()+1 {
-		t.Errorf("%d series registered, want %d", got, m.Shards()+1)
+	if got := len(reg.Snapshot()); got != len(want) {
+		t.Errorf("%d series registered, want %d", got, len(want))
 	}
 }
 
-// TestMetricsNilIsFree pins that a manager without metrics records nothing
-// and never allocates grant-timestamp maps.
+// TestMetricsNilIsFree pins that a manager without metrics records nothing:
+// no grant is timestamped.
 func TestMetricsNilIsFree(t *testing.T) {
-	m := NewSharded(1, 2)
+	m := New(1)
 	item := types.ItemID("x")
 	if err := m.TryAcquire(1, item, Exclusive); err != nil {
 		t.Fatal(err)
 	}
-	m.ReleaseAll(1)
-	sh := m.shardOf(item)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if ls := sh.locks[item]; ls != nil && ls.since != nil {
-		t.Error("since map allocated without metrics")
+	m.mu.Lock()
+	since := m.locks[item].since
+	m.mu.Unlock()
+	if since != 0 {
+		t.Error("grant timestamped without metrics")
 	}
+	m.ReleaseAll(1)
 }

@@ -12,8 +12,8 @@
 //
 // Metric names follow the Prometheus text conventions: snake_case with a
 // unit suffix (_total, _ns), optional labels in the name itself —
-// "qcommit_lock_hold_ns{site=\"1\",shard=\"3\"}" — which WritePrometheus
-// splits back out so histogram bucket lines can merge the le label in.
+// "qcommit_lock_hold_ns{site=\"1\"}" — which WritePrometheus splits back
+// out so histogram bucket lines can merge the le label in.
 package obs
 
 import (
@@ -487,9 +487,9 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 }
 
 // MergeHistograms sums the bucket counts of every histogram snapshot whose
-// base name matches, yielding the aggregate distribution (per-site and
-// per-shard series roll up into one). Snapshots with differing bucket
-// ladders are skipped after the first.
+// base name matches, yielding the aggregate distribution (per-site series
+// roll up into one). Snapshots with differing bucket ladders are skipped
+// after the first.
 func MergeHistograms(snaps []MetricSnapshot, base string) HistSnapshot {
 	var out HistSnapshot
 	for _, s := range snaps {

@@ -146,7 +146,7 @@ func newKernel(id types.SiteID) (*Kernel[string], *fakeHost) {
 		T:                    sim.Duration(1e9),
 		MaxTerminationRounds: 3,
 		Store:                store,
-		Locks:                lockmgr.NewSharded(id, 1),
+		Locks:                lockmgr.New(id),
 		Tracker:              voting.NewTracker(asgn, voting.StrategyMissingWrites, h),
 	}, h)
 	return h.k, h
@@ -608,7 +608,7 @@ func TestConflictVotesNoAtOnce(t *testing.T) {
 	k, h := newKernel(1)
 	locks := k.cfg.Locks
 	reg := obs.NewRegistry()
-	locks.SetMetrics(lockmgr.NewMetrics(reg, 1, locks.Shards()))
+	locks.SetMetrics(lockmgr.NewMetrics(reg, 1))
 	if err := locks.TryAcquire(99, "y", lockmgr.Exclusive); err != nil {
 		t.Fatal(err)
 	}
@@ -963,38 +963,36 @@ func TestRetire(t *testing.T) {
 // leaves the site or outlives the call but its ABORT record and its outcome.
 func TestBeginAbortsOnLockedLocalCopy(t *testing.T) {
 	wsXY := types.Writeset{{Item: "x", Value: 1}, {Item: "y", Value: 2}}
-	for _, mode := range []lockmgr.Mode{lockmgr.Exclusive, lockmgr.Shared} {
-		t.Run(mode.String(), func(t *testing.T) {
-			k, h := newKernel(1)
-			locks := k.cfg.Locks
-			if err := locks.TryAcquire(99, "y", mode); err != nil {
-				t.Fatal(err)
-			}
-			k.Begin(7, wsXY, both)
-			if o, ok := k.Outcome(7); !ok || o != types.OutcomeAborted || h.decided[7] != types.OutcomeAborted {
-				t.Fatalf("outcome after Begin = %v (known=%v), decided %v; want aborted", o, ok, h.decided[7])
-			}
-			if len(h.log) != 1 || h.log[0].Type != wal.RecAbort || h.log[0].Txn != 7 {
-				t.Errorf("log = %v, want one ABORT and no BEGIN", h.log)
-			}
-			if len(h.sent) != 0 || len(h.timers) != 0 {
-				t.Errorf("%d frames sent and %d timers armed, want none", len(h.sent), len(h.timers))
-			}
-			if k.Txn(7) != nil || k.Len() != 0 {
-				t.Errorf("context kept (%d held): no coordinator should outlive the call", k.Len())
-			}
-			if locks.HeldCount() != 1 || !locks.LockedBy(99, "y") || locks.Locked("x") {
-				t.Errorf("lock table moved: %d held, 99 holds y = %v, x locked = %v",
-					locks.HeldCount(), locks.LockedBy(99, "y"), locks.Locked("x"))
-			}
-			if h.count(Begun) != 1 || h.count(AbortedAtBegin) != 1 || h.slotAt[7] != "begun here" {
-				t.Errorf("events %v, slot %q: want Begun then AbortedAtBegin on the one context", h.events, h.slotAt[7])
-			}
-			if len(h.traces) != 1 || !strings.Contains(h.traces[0], "y") {
-				t.Errorf("traces %q, want one naming the locked item y", h.traces)
-			}
-		})
-	}
+	t.Run("X", func(t *testing.T) {
+		k, h := newKernel(1)
+		locks := k.cfg.Locks
+		if err := locks.TryAcquire(99, "y", lockmgr.Exclusive); err != nil {
+			t.Fatal(err)
+		}
+		k.Begin(7, wsXY, both)
+		if o, ok := k.Outcome(7); !ok || o != types.OutcomeAborted || h.decided[7] != types.OutcomeAborted {
+			t.Fatalf("outcome after Begin = %v (known=%v), decided %v; want aborted", o, ok, h.decided[7])
+		}
+		if len(h.log) != 1 || h.log[0].Type != wal.RecAbort || h.log[0].Txn != 7 {
+			t.Errorf("log = %v, want one ABORT and no BEGIN", h.log)
+		}
+		if len(h.sent) != 0 || len(h.timers) != 0 {
+			t.Errorf("%d frames sent and %d timers armed, want none", len(h.sent), len(h.timers))
+		}
+		if k.Txn(7) != nil || k.Len() != 0 {
+			t.Errorf("context kept (%d held): no coordinator should outlive the call", k.Len())
+		}
+		if locks.HeldCount() != 1 || !locks.LockedBy(99, "y") || locks.Locked("x") {
+			t.Errorf("lock table moved: %d held, 99 holds y = %v, x locked = %v",
+				locks.HeldCount(), locks.LockedBy(99, "y"), locks.Locked("x"))
+		}
+		if h.count(Begun) != 1 || h.count(AbortedAtBegin) != 1 || h.slotAt[7] != "begun here" {
+			t.Errorf("events %v, slot %q: want Begun then AbortedAtBegin on the one context", h.events, h.slotAt[7])
+		}
+		if len(h.traces) != 1 || !strings.Contains(h.traces[0], "y") {
+			t.Errorf("traces %q, want one naming the locked item y", h.traces)
+		}
+	})
 
 	// goesAhead asserts txn was begun the ordinary way: a VOTE-REQ to every
 	// participant and a coordinator installed, with BEGIN forced first only
