@@ -14,6 +14,7 @@ package e2e
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -102,26 +103,57 @@ type cluster struct {
 // running proto over items x and y, reads each one's metrics address from its
 // ready line, and connects a client to each. failpointSite (0 for none) gets
 // -failpoint crash-before-decision.
+//
+// Peer ports must be agreed before startup, so they are reserved and then
+// released for the daemons to bind, and another process can take one in
+// between. A daemon that exits before its ready line because its address is
+// in use therefore stops the whole attempt, and the cluster starts over on
+// fresh ports, at most maxPortRetries times. Any other early exit fails the
+// test at once.
 func startCluster(t *testing.T, n int, proto string, failpointSite types.SiteID) *cluster {
 	t.Helper()
-	c := &cluster{
-		t:       t,
-		peers:   make(map[types.SiteID]string),
-		metrics: make(map[types.SiteID]string),
-		daemons: make(map[types.SiteID]*daemon),
-		clients: make(map[types.SiteID]*client.Client),
+	c := &cluster{t: t, clients: make(map[types.SiteID]*client.Client)}
+	t.Cleanup(c.stop)
+	for retry := 1; ; retry++ {
+		err := c.spawn(n, proto, failpointSite)
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, errPortTaken) || retry > maxPortRetries {
+			t.Fatal(err)
+		}
+		t.Logf("cluster start, retry %d of %d: %v", retry, maxPortRetries, err)
+		c.stop()
 	}
-	// Peer ports must be agreed before startup: every daemon's -peers names
-	// every site's address. Each reservation stays open until all n are
-	// chosen, so the kernel cannot hand one port out twice; what remains is
-	// the window between closing them and the daemons binding. Metrics ports
-	// take no part in it: each daemon binds :0 and reports the address.
+	for i := 1; i <= n; i++ {
+		site := types.SiteID(i)
+		c.clients[site] = c.dial(site)
+	}
+	return c
+}
+
+// maxPortRetries bounds startCluster's fresh starts after a lost port.
+const maxPortRetries = 3
+
+// errPortTaken marks a daemon that could not bind its reserved port.
+var errPortTaken = errors.New("address already in use")
+
+// spawn is one attempt of startCluster: it reserves the ports, starts the
+// daemons and waits for their ready lines. The daemons it started stay in
+// c.daemons whatever it returns.
+func (c *cluster) spawn(n int, proto string, failpointSite types.SiteID) error {
+	c.peers = make(map[types.SiteID]string)
+	c.metrics = make(map[types.SiteID]string)
+	c.daemons = make(map[types.SiteID]*daemon)
+	// Each reservation stays open until all n are chosen, so the kernel
+	// cannot hand one port out twice. Metrics ports take no part in it: each
+	// daemon binds :0 and reports the address.
 	var peersArg string
 	reserved := make([]net.Listener, 0, n)
 	for i := 1; i <= n; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			t.Fatal(err)
+			c.t.Fatal(err)
 		}
 		reserved = append(reserved, ln)
 		addr := ln.Addr().String()
@@ -151,12 +183,11 @@ func startCluster(t *testing.T, n int, proto string, failpointSite types.SiteID)
 		d.cmd.Stdout = d.out
 		d.cmd.Stderr = d.out
 		if err := d.cmd.Start(); err != nil {
-			t.Fatalf("starting site %d: %v", i, err)
+			c.t.Fatalf("starting site %d: %v", i, err)
 		}
 		go func() { d.exited <- d.cmd.Wait() }()
 		c.daemons[site] = d
 	}
-	t.Cleanup(c.stop)
 	for i := 1; i <= n; i++ {
 		site := types.SiteID(i)
 		d := c.daemons[site]
@@ -164,13 +195,16 @@ func startCluster(t *testing.T, n int, proto string, failpointSite types.SiteID)
 		case c.metrics[site] = <-d.out.ready:
 		case err := <-d.exited:
 			d.exited <- err // keep stop() from blocking
-			t.Fatalf("site %d exited before its ready line: %v\n%s", i, err, d.out.Bytes())
+			out := d.out.Bytes()
+			if bytes.Contains(out, []byte(errPortTaken.Error())) {
+				return fmt.Errorf("site %d: %w\n%s", i, errPortTaken, out)
+			}
+			return fmt.Errorf("site %d exited before its ready line: %v\n%s", i, err, out)
 		case <-time.After(10 * time.Second):
-			t.Fatalf("site %d printed no ready line\n%s", i, d.out.Bytes())
+			return fmt.Errorf("site %d printed no ready line\n%s", i, d.out.Bytes())
 		}
-		c.clients[site] = c.dial(site)
 	}
-	return c
+	return nil
 }
 
 // dial connects to a site's daemon, retrying while it boots.
@@ -189,6 +223,8 @@ func (c *cluster) dial(site types.SiteID) *client.Client {
 	}
 }
 
+// stop closes the clients and kills every daemon of the last attempt; each
+// is waited for once.
 func (c *cluster) stop() {
 	for _, cl := range c.clients {
 		cl.Close()
@@ -197,6 +233,7 @@ func (c *cluster) stop() {
 		d.cmd.Process.Kill()
 		<-d.exited
 	}
+	clear(c.daemons)
 }
 
 // awaitKill blocks until site's process has died (the failpoint fired) and

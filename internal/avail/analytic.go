@@ -49,10 +49,10 @@ func growInts(s []int, n int) []int {
 	return s[:n]
 }
 
-// run evaluates one scenario under every decider, adding the per-protocol
-// tallies into results (one MCResult per decider, as accumulate does for
-// replay).
-func (e *analyticEval) run(sc Scenario, deciders []quorumcalc.Decider, results []MCResult) {
+// run evaluates one scenario under every rule, each compiled over frame (the
+// scenario's transaction), adding the per-protocol tallies into results (one
+// MCResult per rule, as accumulate does for replay).
+func (e *analyticEval) run(sc Scenario, frame *quorumcalc.Frame, rules []quorumcalc.Quorums, results []MCResult) {
 	// One tally slot per listed partition group, plus one for the implicit
 	// residual group: simnet lumps sites not listed in any group into a
 	// final group together, so replica-holding sites omitted from
@@ -65,7 +65,7 @@ func (e *analyticEval) run(sc Scenario, deciders []quorumcalc.Decider, results [
 	e.upCount = growInts(e.upCount, ng)
 	e.present = growInts(e.present, ng)
 	e.locked = growInts(e.locked, ng)
-	if n := ng * len(deciders); cap(e.outcomes) < n {
+	if n := ng * len(rules); cap(e.outcomes) < n {
 		e.outcomes = make([]types.Outcome, n)
 	} else {
 		e.outcomes = e.outcomes[:n]
@@ -118,6 +118,7 @@ func (e *analyticEval) run(sc Scenario, deciders []quorumcalc.Decider, results [
 	for gi, group := range sc.Partition {
 		t := &e.tallies[gi]
 		t.Reset()
+		t.Bind(frame)
 		up := 0
 		for _, s := range group {
 			if s == sc.Coord || !e.holdsCopy[s] {
@@ -133,6 +134,7 @@ func (e *analyticEval) run(sc Scenario, deciders []quorumcalc.Decider, results [
 	// site and the slot stays empty.
 	rt := &e.tallies[ng-1]
 	rt.Reset()
+	rt.Bind(frame)
 	up := 0
 	for s := types.SiteID(1); s <= maxSite; s++ {
 		if s == sc.Coord || !e.holdsCopy[s] || e.siteGroup[s] >= 0 {
@@ -145,7 +147,7 @@ func (e *analyticEval) run(sc Scenario, deciders []quorumcalc.Decider, results [
 
 	// Termination outcome per (decider, group), plus the trial-level
 	// counters Tally derives from group outcomes.
-	for d, decide := range deciders {
+	for d := range rules {
 		res := &results[d]
 		anyCommit, anyAbort := false, false
 		for gi := 0; gi < ng; gi++ {
@@ -153,7 +155,7 @@ func (e *analyticEval) run(sc Scenario, deciders []quorumcalc.Decider, results [
 				e.outcomes[d*ng+gi] = types.OutcomeUnknown
 				continue
 			}
-			out := decide(sc.Assignment, &e.tallies[gi])
+			out := rules[d].Outcome(&e.tallies[gi])
 			e.outcomes[d*ng+gi] = out
 			res.Counts.Groups++
 			switch out {
@@ -202,7 +204,7 @@ func (e *analyticEval) run(sc Scenario, deciders []quorumcalc.Decider, results [
 			if e.present[gi] == 0 {
 				continue
 			}
-			for d := range deciders {
+			for d := range rules {
 				free := e.present[gi]
 				switch e.outcomes[d*ng+gi] {
 				case types.OutcomeCommitted, types.OutcomeAborted:
@@ -228,6 +230,7 @@ func (e *analyticEval) run(sc Scenario, deciders []quorumcalc.Decider, results [
 // equivalence against the replay oracle.
 func AnalyzeAnalytic(sc Scenario, spec core.Spec) (Counts, int) {
 	results := make([]MCResult, 1)
-	newAnalyticEval().run(sc, []quorumcalc.Decider{spec.Rule(sc.Items, sc.Participants).Outcome}, results)
+	frame := quorumcalc.NewFrame(sc.Assignment, sc.Writeset, sc.Participants)
+	newAnalyticEval().run(sc, frame, []quorumcalc.Quorums{spec.Rule(sc.Participants).Over(frame)}, results)
 	return results[0].Counts, results[0].Violations
 }

@@ -332,7 +332,10 @@ type trialRunner struct {
 	builders []SpecBuilder
 	engine   Engine
 	eval     *analyticEval // scratch for EngineAnalytic
-	deciders []quorumcalc.Decider
+	// frame is the trial's transaction compiled once, and rules every
+	// builder's rule over it (EngineAnalytic).
+	frame quorumcalc.Frame
+	rules []quorumcalc.Quorums
 }
 
 func newTrialRunner(params ScenarioParams, builders []SpecBuilder, eng Engine) (*trialRunner, error) {
@@ -343,7 +346,7 @@ func newTrialRunner(params ScenarioParams, builders []SpecBuilder, eng Engine) (
 	r := &trialRunner{gen: gen, builders: builders, engine: eng}
 	if eng == EngineAnalytic {
 		r.eval = newAnalyticEval()
-		r.deciders = make([]quorumcalc.Decider, len(builders))
+		r.rules = make([]quorumcalc.Quorums, len(builders))
 	}
 	return r, nil
 }
@@ -355,10 +358,11 @@ func (r *trialRunner) accumulate(seed int64, t int, results []MCResult) error {
 		return err
 	}
 	if r.engine == EngineAnalytic {
+		r.frame.Init(sc.Assignment, sc.Writeset, sc.Participants)
 		for i, b := range r.builders {
-			r.deciders[i] = b.Build(sc).Rule(sc.Items, sc.Participants).Outcome
+			r.rules[i] = b.Build(sc).Rule(sc.Participants).Over(&r.frame)
 		}
-		r.eval.run(sc, r.deciders, results)
+		r.eval.run(sc, &r.frame, r.rules, results)
 		return nil
 	}
 	for i, b := range r.builders {

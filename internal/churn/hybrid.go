@@ -42,7 +42,7 @@
 //     lifetime; (c) no copy of its writeset is locked in the fallback world
 //     at arrival time — long-blocked replayed transactions hold locks past
 //     any plan end, and this live probe catches them; and (d) the fold of
-//     the protocol's quorumcalc.Rule confirms the all-participants-prepared
+//     the protocol's compiled rule confirms the all-participants-prepared
 //     tally commits. Anything else — including the measure-zero ack-timeout
 //     tie on a terminate-on-timeout protocol — falls back to replay. A
 //     replayed transaction past its own end can take a lock again only
@@ -190,22 +190,24 @@ type hybridRun struct {
 	worldTxn []types.TxnID
 
 	// scratch
-	acked []types.SiteID
+	acked quorumcalc.Set
 	tally quorumcalc.Tally
 }
 
+// ackArrival is a PC-ACK reaching the coordinator from participant i.
 type ackArrival struct {
 	at   sim.Time
 	site types.SiteID
+	i    int
 }
 
 // arrivalPlan is the protocol-independent half of classifying one arrival,
 // computed once per script and shared by every protocol column: the
 // availability probes, the coordinator reroute, the quiet-window test, and
 // the vote/ack round-trip arithmetic (all of which depend only on the
-// epochs and the per-message delay hash). What remains per protocol is the
-// live lock probe against that column's fallback world, the rule-table
-// gate, and the ack-quorum walk.
+// epochs and the per-message delay hash), and the transaction's quorum
+// frame. What remains per protocol is the live lock probe against that
+// column's fallback world, the rule-table gate, and the ack-quorum walk.
 type arrivalPlan struct {
 	// coord is the effective coordinator after rerouting; 0 means every
 	// participant was down and the submission is rejected.
@@ -224,7 +226,10 @@ type arrivalPlan struct {
 	allReach  bool
 	voteAbort bool
 	reach     []types.SiteID
-	items     []types.ItemID
+	// frame is the transaction compiled for its quorums, shared by every
+	// protocol column; only a windowOK plan, the only kind classify can
+	// admit, has one.
+	frame quorumcalc.Frame
 	// probeRead/probeWrite are the per-arrival availability probe tallies
 	// (checks = len(Writeset)).
 	probeRead, probeWrite int
@@ -242,7 +247,6 @@ type arrivalPlan struct {
 // cursor mirrors executeRunHybrid's arrival loop.
 func buildHybridPlans(sc *script, seed int64, epochs []Epoch, T sim.Duration, horizon sim.Time) []arrivalPlan {
 	plans := make([]arrivalPlan, len(sc.arrivals))
-	var eligible []types.SiteID
 	ei := 0
 	for i := range sc.arrivals {
 		a := &sc.arrivals[i]
@@ -257,16 +261,16 @@ func buildHybridPlans(sc *script, seed int64, epochs []Epoch, T sim.Duration, ho
 		// approximation documented in the package comment.
 		for _, u := range a.Writeset {
 			if ic, ok := sc.asgn.Item(u.Item); ok {
-				eligible = eligible[:0]
+				votes := 0
 				for _, cp := range ic.Copies {
 					if ep.Connected(a.Coord, cp.Site) {
-						eligible = append(eligible, cp.Site)
+						votes += cp.Votes
 					}
 				}
-				if sc.asgn.HasReadQuorum(u.Item, eligible) {
+				if votes >= ic.R {
 					p.probeRead++
 				}
-				if sc.asgn.HasWriteQuorum(u.Item, eligible) {
+				if votes >= ic.W {
 					p.probeWrite++
 				}
 			}
@@ -280,17 +284,26 @@ func buildHybridPlans(sc *script, seed int64, epochs []Epoch, T sim.Duration, ho
 
 		// Reachable participants: up and connected to the coordinator in
 		// the arrival's epoch. Everyone reachable acquires locks and votes
-		// yes; everyone else never hears the VOTE-REQ.
-		p.reach = make([]types.SiteID, 0, len(a.Participants))
+		// yes; everyone else never hears the VOTE-REQ. When all are
+		// reachable the plan shares the arrival's participant list.
+		reachable := 0
 		for _, s := range a.Participants {
 			if s == coord {
 				p.coordIn = true
 			}
 			if ep.Connected(coord, s) {
-				p.reach = append(p.reach, s)
+				reachable++
 			}
 		}
-		p.items = a.Writeset.Items()
+		p.reach = a.Participants
+		if reachable < len(a.Participants) {
+			p.reach = make([]types.SiteID, 0, reachable)
+			for _, s := range a.Participants {
+				if ep.Connected(coord, s) {
+					p.reach = append(p.reach, s)
+				}
+			}
+		}
 
 		// The vote timer was armed at submission, so the last vote must
 		// arrive strictly before arrival+2T (the timer wins an exact tie).
@@ -317,11 +330,11 @@ func buildHybridPlans(sc *script, seed int64, epochs []Epoch, T sim.Duration, ho
 			// (arrival time, site) the way the coordinator observes them.
 			p.ackDeadline = p.tAllVotes.Add(2 * T)
 			p.acks = make([]ackArrival, 0, len(p.reach))
-			for _, s := range p.reach {
+			for i, s := range p.reach { // every participant, in order
 				d3 := messageDelay(seed, coord, s, p.tAllVotes)
 				t3 := p.tAllVotes.Add(d3)
 				t4 := t3.Add(messageDelay(seed, s, coord, t3))
-				p.acks = append(p.acks, ackArrival{at: t4, site: s})
+				p.acks = append(p.acks, ackArrival{at: t4, site: s, i: i})
 			}
 			slices.SortFunc(p.acks, func(x, y ackArrival) int {
 				return cmp.Or(cmp.Compare(x.at, y.at), cmp.Compare(x.site, y.site))
@@ -335,6 +348,9 @@ func buildHybridPlans(sc *script, seed int64, epochs []Epoch, T sim.Duration, ho
 		p.end = decide.Add(T)
 		p.windowOK = p.end+1 <= horizon &&
 			(ep.Contains(a.At, p.end+1) || windowQuiet(sc, a, coord, p.end))
+		if p.windowOK {
+			p.frame.Init(sc.asgn, a.Writeset, a.Participants)
+		}
 	}
 	return plans
 }
@@ -423,11 +439,16 @@ func (h *hybridRun) classify(i int, a *arrival, p *arrivalPlan) (committed bool,
 	// Live lock probe: a held lock on any copy a reachable participant
 	// would try to X-lock means the yes-vote assumption is wrong. Only
 	// long-blocked replayed transactions can hold locks here (anything
-	// closer shares a conflict cluster), and only the world knows them.
+	// closer shares a conflict cluster), and only the world knows them. A
+	// site locks only its own copies, so the probe walks each written
+	// item's copies in the frame.
+	f := &p.frame
 	if h.world != nil && h.world.AnyLocks() {
-		for _, s := range p.reach {
-			for _, u := range a.Writeset {
-				if h.world.ItemLockedAt(s, u.Item) {
+		for k := 0; k < f.Items(); k++ {
+			x, copies := f.Item(k)
+			for _, c := range copies {
+				s := f.Site(int(c.At))
+				if (p.allReach || slices.Contains(p.reach, s)) && h.world.ItemLockedAt(s, x) {
 					return false, 0, false
 				}
 			}
@@ -439,26 +460,26 @@ func (h *hybridRun) classify(i int, a *arrival, p *arrivalPlan) (committed bool,
 		// timeout.
 		return false, p.abortAt, true
 	}
-	rule := h.spec.Rule(p.items, a.Participants)
+	rule := h.spec.Rule(a.Participants)
 	if !rule.Prepares() {
 		return true, p.commitAt, true
 	}
 
 	// Three-phase protocols: sanity-gate the commit through the fold of the
 	// protocol's rule table over the all-participants-prepared tally, then
-	// walk the PC-ack arrivals until its ack quorum is reached.
-	h.tally.Reset()
-	for _, s := range a.Participants {
-		h.tally.Add(s, types.StatePC)
-	}
-	if rule.Outcome(h.sc.asgn, &h.tally) != types.OutcomeCommitted {
+	// walk the PC-ack arrivals until its ack quorum is reached — one bit
+	// more per ack, since the quorum is monotone.
+	q := rule.Over(f)
+	h.tally.Reset() // nothing to renumber
+	h.tally.Bind(f)
+	h.tally.AddAll(types.StatePC)
+	if q.Outcome(&h.tally) != types.OutcomeCommitted {
 		return false, 0, false
 	}
 
-	h.acked = h.acked[:0]
+	h.acked.Clear()
 	for _, ack := range p.acks {
-		h.acked = append(h.acked, ack.site)
-		if !rule.Ack(h.sc.asgn, h.acked) {
+		if h.acked.Add(ack.i); !q.Ack(h.acked) {
 			continue
 		}
 		if ack.at < p.ackDeadline {
@@ -466,7 +487,7 @@ func (h *hybridRun) classify(i int, a *arrival, p *arrivalPlan) (committed bool,
 		}
 		break
 	}
-	if rule.CommitsOnAckTimeout() {
+	if q.CommitsOnAckTimeout() {
 		// 3PC commits when the ack window expires.
 		return true, firstDecisionTime(h.seed, p.coord, p.coordIn, p.reach, p.ackDeadline), true
 	}

@@ -156,17 +156,17 @@ func (s Spec) Name() string {
 }
 
 // Rule returns the table the coordinator and terminator run for a
-// transaction writing items at participants — TP1 with commit protocol 1,
-// TP2 with commit protocol 2, site votes ≥ Vc to commit and ≥ Va to abort
-// for SkeenQ, 3PC's site-failure rule, or 2PC's cooperative rule. It is also
-// all the analytic engines need to decide the transaction's fate without
-// replaying it.
-func (s Spec) Rule(items []types.ItemID, participants []types.SiteID) quorumcalc.Rule {
+// transaction at participants — TP1 with commit protocol 1, TP2 with commit
+// protocol 2, site votes ≥ Vc to commit and ≥ Va to abort for SkeenQ, 3PC's
+// site-failure rule, or 2PC's cooperative rule. Compiled over the
+// transaction's quorumcalc.Frame it is also all the analytic engines need to
+// decide the transaction's fate without replaying it.
+func (s Spec) Rule(participants []types.SiteID) quorumcalc.Rule {
 	switch s.variant() {
 	case Protocol2:
-		return quorumcalc.TP2Rule(items)
+		return quorumcalc.TP2Rule()
 	case ThreePC:
-		return quorumcalc.ThreePCRule(len(participants))
+		return quorumcalc.ThreePCRule()
 	case TwoPC:
 		return quorumcalc.TwoPCRule()
 	case SkeenQ:
@@ -176,27 +176,21 @@ func (s Spec) Rule(items []types.ItemID, participants []types.SiteID) quorumcalc
 		}
 		return quorumcalc.SkeenRule(s.Votes, s.Vc, s.Va)
 	}
-	return quorumcalc.TP1Rule(items)
+	return quorumcalc.TP1Rule()
 }
 
 // NewCoordinator builds the commit coordinator for a transaction issued at
-// this site. COMMIT goes out once the PC-ACKs satisfy the rule's ack quorum (Fig. 9's early commit; all of them for 3PC),
-// or on the last yes vote for 2PC.
+// this site, over a rule of its own that it compiles at Start. COMMIT goes
+// out once the PC-ACKs satisfy the rule's ack quorum (Fig. 9's early commit;
+// all of them for 3PC), or on the last yes vote for 2PC.
 func (s Spec) NewCoordinator(txn types.TxnID, ws types.Writeset, participants []types.SiteID) protocol.Automaton {
-	return threephase.NewCoordinator(txn, ws, participants, s.Rule(ws.Items(), participants))
+	return threephase.NewCoordinator(txn, ws, participants, &quorumcalc.Quorums{Rule: s.Rule(participants)})
 }
 
 // NewParticipant builds the per-site participant. init is non-nil when the
 // participant is reconstructed from the WAL after a crash.
 func (s Spec) NewParticipant(txn types.TxnID, init *wal.TxnImage) protocol.Automaton {
 	return threephase.NewParticipant(txn, init, s.BuggyBufferCrossing)
-}
-
-// NewTerminator builds the termination-protocol coordinator a site runs
-// after winning an election in its partition; epoch tells successive rounds
-// apart.
-func (s Spec) NewTerminator(txn types.TxnID, ws types.Writeset, participants []types.SiteID, epoch uint32) protocol.Automaton {
-	return threephase.NewTerminator(txn, participants, epoch, s.Rule(ws.Items(), participants))
 }
 
 // Standard returns the five protocols in comparison order: 2PC, 3PC, Skeen's

@@ -19,9 +19,8 @@ import (
 // without further acknowledgements, so a conflict here would be an
 // unconditional atomicity violation.
 func TestTPOppositeImmediateVerdictsImpossible(t *testing.T) {
-	asgn := ex1()
 	all := []types.SiteID{1, 2, 3, 4, 5, 6, 7, 8}
-	rules := []quorumcalc.Rule{tp1, tp2}
+	rules := []*quorumcalc.Quorums{tp1, tp2}
 
 	f := func(pcMask, splitMask uint8) bool {
 		g1 := make(map[types.SiteID]types.State)
@@ -40,11 +39,11 @@ func TestTPOppositeImmediateVerdictsImpossible(t *testing.T) {
 		for _, r := range rules {
 			v1 := quorumcalc.VerdictBlock
 			if len(g1) > 0 {
-				v1 = r.Decide(asgn, protocoltest.Tally(g1))
+				v1 = r.Decide(protocoltest.Tally(g1))
 			}
 			v2 := quorumcalc.VerdictBlock
 			if len(g2) > 0 {
-				v2 = r.Decide(asgn, protocoltest.Tally(g2))
+				v2 = r.Decide(protocoltest.Tally(g2))
 			}
 			if (v1 == quorumcalc.VerdictCommit && v2 == quorumcalc.VerdictAbort) ||
 				(v1 == quorumcalc.VerdictAbort && v2 == quorumcalc.VerdictCommit) {
@@ -54,10 +53,10 @@ func TestTPOppositeImmediateVerdictsImpossible(t *testing.T) {
 			// a *confirmed* abort quorum impossible in the other, because
 			// immediate commit requires w(x) votes ∀x among PC sites, whose
 			// complement cannot reach r(x) votes for any x.
-			if v1 == quorumcalc.VerdictCommit && r.Qa(asgn, sitesOf(g2)) {
+			if v1 == quorumcalc.VerdictCommit && r.Qa(set(r, sitesOf(g2)...)) {
 				return false
 			}
-			if v2 == quorumcalc.VerdictCommit && r.Qa(asgn, sitesOf(g1)) {
+			if v2 == quorumcalc.VerdictCommit && r.Qa(set(r, sitesOf(g1)...)) {
 				return false
 			}
 		}
@@ -82,13 +81,12 @@ func sitesOf(m map[types.SiteID]types.State) []types.SiteID {
 // committable state in the partition; try-verdicts never fire on terminal
 // evidence.
 func TestTPVerdictPreconditions(t *testing.T) {
-	asgn := ex1()
 	all := []types.SiteID{1, 2, 3, 4, 5, 6, 7, 8}
 	states := []types.State{
 		types.StateInitial, types.StateWait, types.StatePC,
 		types.StatePA, types.StateCommitted, types.StateAborted,
 	}
-	rules := []quorumcalc.Rule{tp1, tp2}
+	rules := []*quorumcalc.Quorums{tp1, tp2}
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 3000; trial++ {
 		tallyMap := make(map[types.SiteID]types.State)
@@ -102,16 +100,16 @@ func TestTPVerdictPreconditions(t *testing.T) {
 		}
 		tl := protocoltest.Tally(tallyMap)
 		for _, r := range rules {
-			v := r.Decide(asgn, tl)
+			v := r.Decide(tl)
 			anyCommittable := tl.Count(types.StatePC) > 0 || tl.Count(types.StateCommitted) > 0
 			if (v == quorumcalc.VerdictCommit || v == quorumcalc.VerdictTryCommit) && !anyCommittable {
-				t.Fatalf("%s: commit-side verdict %v without any committable state: %v", r.Name, v, tallyMap)
+				t.Fatalf("%s: commit-side verdict %v without any committable state: %v", r.Name(), v, tallyMap)
 			}
 			if v == quorumcalc.VerdictTryCommit && (tl.Count(types.StateAborted) > 0 || tl.Count(types.StateInitial) > 0 || tl.Count(types.StateCommitted) > 0) {
-				t.Fatalf("%s: try-commit despite terminal/initial evidence: %v", r.Name, tallyMap)
+				t.Fatalf("%s: try-commit despite terminal/initial evidence: %v", r.Name(), tallyMap)
 			}
 			if v == quorumcalc.VerdictTryAbort && (tl.Count(types.StateCommitted) > 0 || tl.Count(types.StateAborted) > 0 || tl.Count(types.StateInitial) > 0) {
-				t.Fatalf("%s: try-abort despite decisive evidence: %v", r.Name, tallyMap)
+				t.Fatalf("%s: try-abort despite decisive evidence: %v", r.Name(), tallyMap)
 			}
 		}
 	}

@@ -18,14 +18,40 @@ func ex1() *voting.Assignment {
 	)
 }
 
+// eightSites are the participants of the Example 1 transactions.
+var eightSites = []types.SiteID{1, 2, 3, 4, 5, 6, 7, 8}
+
+// compiled is s's rule for a transaction writing items under a at
+// participants (nil: every site holding a copy of them).
+func compiled(s Spec, a *voting.Assignment, items []types.ItemID, participants []types.SiteID) *quorumcalc.Quorums {
+	if participants == nil {
+		participants = a.Participants(items)
+	}
+	ws := make(types.Writeset, len(items))
+	for i, x := range items {
+		ws[i].Item = x
+	}
+	q := s.Rule(participants).Over(quorumcalc.NewFrame(a, ws, participants))
+	return &q
+}
+
+// set is the participant set of sites under q's frame.
+func set(q *quorumcalc.Quorums, sites ...types.SiteID) quorumcalc.Set {
+	var s quorumcalc.Set
+	for _, x := range sites {
+		s.Add(q.Index(x))
+	}
+	return s
+}
+
 var (
 	items = []types.ItemID{"x", "y"}
-	tp1   = Spec{Variant: Protocol1}.Rule(items, nil)
-	tp2   = Spec{Variant: Protocol2}.Rule(items, nil)
+	tp1   = compiled(Spec{Variant: Protocol1}, ex1(), items, nil)
+	tp2   = compiled(Spec{Variant: Protocol2}, ex1(), items, nil)
 )
 
 func TestTP1DecideTable(t *testing.T) {
-	asgn, r := ex1(), tp1
+	r := tp1
 	q, w, pc, pa, c, a := types.StateInitial, types.StateWait, types.StatePC, types.StatePA, types.StateCommitted, types.StateAborted
 
 	cases := []struct {
@@ -63,32 +89,32 @@ func TestTP1DecideTable(t *testing.T) {
 			2: pc, 3: w, 4: w}, quorumcalc.VerdictTryAbort},
 	}
 	for _, tc := range cases {
-		if got := r.Decide(asgn, protocoltest.Tally(tc.states)); got != tc.want {
+		if got := r.Decide(protocoltest.Tally(tc.states)); got != tc.want {
 			t.Errorf("%s: Decide = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }
 
 func TestTP1Confirmations(t *testing.T) {
-	asgn, r := ex1(), tp1
+	r := tp1
 	// Commit confirmation needs w(x) votes for every item.
-	if r.Qc(asgn, []types.SiteID{1, 2, 3}) {
+	if r.Qc(set(r, 1, 2, 3)) {
 		t.Error("x-only sites cannot confirm commit (no y votes)")
 	}
-	if !r.Qc(asgn, []types.SiteID{1, 2, 3, 5, 6, 7}) {
+	if !r.Qc(set(r, 1, 2, 3, 5, 6, 7)) {
 		t.Error("3 x votes + 3 y votes should confirm commit")
 	}
 	// Abort confirmation needs r(x) votes for some item.
-	if !r.Qa(asgn, []types.SiteID{2, 3}) {
+	if !r.Qa(set(r, 2, 3)) {
 		t.Error("2 x votes should confirm abort")
 	}
-	if r.Qa(asgn, []types.SiteID{4, 5}) {
+	if r.Qa(set(r, 4, 5)) {
 		t.Error("1 x vote + 1 y vote confirm nothing (r=2 each)")
 	}
 }
 
 func TestTP2DecideTable(t *testing.T) {
-	asgn, r := ex1(), tp2
+	r := tp2
 	w, pc, pa := types.StateWait, types.StatePC, types.StatePA
 
 	cases := []struct {
@@ -111,25 +137,25 @@ func TestTP2DecideTable(t *testing.T) {
 		{"G2 blocks under TP2 too", map[types.SiteID]types.State{4: w, 5: pc}, quorumcalc.VerdictBlock},
 	}
 	for _, tc := range cases {
-		if got := r.Decide(asgn, protocoltest.Tally(tc.states)); got != tc.want {
+		if got := r.Decide(protocoltest.Tally(tc.states)); got != tc.want {
 			t.Errorf("%s: Decide = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }
 
 func TestTP2AbortSideUsesWriteQuorum(t *testing.T) {
-	asgn, r := ex1(), tp2
+	r := tp2
 	w := types.StateWait
 	// Example 4's G1 (sites 2,3 in W): TP2's abort side needs w(x) votes for
 	// EVERY item from non-PC sites — {2,3} has 2 x votes (w=3) and 0 y votes
 	// → block (TP1 aborted here; this is the r/w trade-off between the two).
-	got := r.Decide(asgn, protocoltest.Tally(map[types.SiteID]types.State{2: w, 3: w}))
+	got := r.Decide(protocoltest.Tally(map[types.SiteID]types.State{2: w, 3: w}))
 	if got != quorumcalc.VerdictBlock {
 		t.Errorf("TP2 on Example4-G1 = %v, want block", got)
 	}
 	// But a partition holding w votes for all items can abort: sites 1,2,3
 	// (3 x votes) + 5,6,7 (3 y votes).
-	got = r.Decide(asgn, protocoltest.Tally(map[types.SiteID]types.State{
+	got = r.Decide(protocoltest.Tally(map[types.SiteID]types.State{
 		1: w, 2: w, 3: w, 5: w, 6: w, 7: w}))
 	if got != quorumcalc.VerdictTryAbort {
 		t.Errorf("TP2 full-write-quorum partition = %v, want try-abort", got)
@@ -144,7 +170,6 @@ func TestTP2AbortSideUsesWriteQuorum(t *testing.T) {
 // vote-arithmetic core: w(x)-every over S1 and r(x)-some over S2 with S1,S2
 // disjoint would need w(x)+r(x) > v(x) votes for that x.
 func TestTP1TP2NoConflictingQuorumsProperty(t *testing.T) {
-	asgn := ex1()
 	all := []types.SiteID{1, 2, 3, 4, 5, 6, 7, 8}
 	for mask := 0; mask < 1<<8; mask++ {
 		var s1, s2 []types.SiteID
@@ -155,10 +180,10 @@ func TestTP1TP2NoConflictingQuorumsProperty(t *testing.T) {
 				s2 = append(s2, s)
 			}
 		}
-		if tp1.Qc(asgn, s1) && tp1.Qa(asgn, s2) {
+		if tp1.Qc(set(tp1, s1...)) && tp1.Qa(set(tp1, s2...)) {
 			t.Fatalf("TP1: disjoint commit (%v) and abort (%v) quorums", s1, s2)
 		}
-		if tp2.Qc(asgn, s1) && tp2.Qa(asgn, s2) {
+		if tp2.Qc(set(tp2, s1...)) && tp2.Qa(set(tp2, s2...)) {
 			t.Fatalf("TP2: disjoint commit (%v) and abort (%v) quorums", s1, s2)
 		}
 	}

@@ -57,55 +57,53 @@ func TestValidate(t *testing.T) {
 }
 
 func TestRulesDecideExample1Partitions(t *testing.T) {
-	r := skeenEx1().Rule(nil, nil)
+	r := compiled(skeenEx1(), nil, nil, eightSites)
 	w, pc := types.StateWait, types.StatePC
-	e := ex1()
 
 	// G1 = {2,3} both W: 2 votes < Va=4 and < Vc=5 → block.
-	if got := r.Decide(e, protocoltest.Tally(map[types.SiteID]types.State{2: w, 3: w})); got != quorumcalc.VerdictBlock {
+	if got := r.Decide(protocoltest.Tally(map[types.SiteID]types.State{2: w, 3: w})); got != quorumcalc.VerdictBlock {
 		t.Errorf("G1 = %v, want block", got)
 	}
 	// G2 = {4 W, 5 PC}: 2 votes → block.
-	if got := r.Decide(e, protocoltest.Tally(map[types.SiteID]types.State{4: w, 5: pc})); got != quorumcalc.VerdictBlock {
+	if got := r.Decide(protocoltest.Tally(map[types.SiteID]types.State{4: w, 5: pc})); got != quorumcalc.VerdictBlock {
 		t.Errorf("G2 = %v, want block", got)
 	}
 	// G3 = {6,7,8} all W: 3 votes < 4 → block.
-	if got := r.Decide(e, protocoltest.Tally(map[types.SiteID]types.State{6: w, 7: w, 8: w})); got != quorumcalc.VerdictBlock {
+	if got := r.Decide(protocoltest.Tally(map[types.SiteID]types.State{6: w, 7: w, 8: w})); got != quorumcalc.VerdictBlock {
 		t.Errorf("G3 = %v, want block", got)
 	}
 }
 
 func TestRulesQuorumPaths(t *testing.T) {
-	r := skeenEx1().Rule(nil, nil)
+	r := compiled(skeenEx1(), nil, nil, eightSites)
 	w, pc, pa := types.StateWait, types.StatePC, types.StatePA
-	e := ex1()
 
 	// 4 non-PC sites ≥ Va=4 → try-abort.
-	got := r.Decide(e, protocoltest.Tally(map[types.SiteID]types.State{
+	got := r.Decide(protocoltest.Tally(map[types.SiteID]types.State{
 		2: w, 3: w, 4: w, 6: w}))
 	if got != quorumcalc.VerdictTryAbort {
 		t.Errorf("4 W sites = %v, want try-abort", got)
 	}
 	// 5 non-PA sites with one PC ≥ Vc=5 → try-commit.
-	got = r.Decide(e, protocoltest.Tally(map[types.SiteID]types.State{
+	got = r.Decide(protocoltest.Tally(map[types.SiteID]types.State{
 		2: w, 3: w, 4: w, 5: pc, 6: w}))
 	if got != quorumcalc.VerdictTryCommit {
 		t.Errorf("5 sites with PC = %v, want try-commit", got)
 	}
 	// PA sites with Va votes → immediate abort.
-	got = r.Decide(e, protocoltest.Tally(map[types.SiteID]types.State{
+	got = r.Decide(protocoltest.Tally(map[types.SiteID]types.State{
 		2: pa, 3: pa, 4: pa, 6: pa, 7: w}))
 	if got != quorumcalc.VerdictAbort {
 		t.Errorf("4 PA sites = %v, want abort", got)
 	}
 	// PC sites with Vc votes → immediate commit.
-	got = r.Decide(e, protocoltest.Tally(map[types.SiteID]types.State{
+	got = r.Decide(protocoltest.Tally(map[types.SiteID]types.State{
 		2: pc, 3: pc, 4: pc, 5: pc, 6: pc, 7: w}))
 	if got != quorumcalc.VerdictCommit {
 		t.Errorf("5 PC sites = %v, want commit", got)
 	}
 	// Initial state present → immediate abort.
-	got = r.Decide(e, protocoltest.Tally(map[types.SiteID]types.State{
+	got = r.Decide(protocoltest.Tally(map[types.SiteID]types.State{
 		2: types.StateInitial, 3: w}))
 	if got != quorumcalc.VerdictAbort {
 		t.Errorf("q present = %v, want abort", got)
@@ -113,18 +111,17 @@ func TestRulesQuorumPaths(t *testing.T) {
 }
 
 func TestConfirmations(t *testing.T) {
-	r := skeenEx1().Rule(nil, nil)
-	e := ex1()
-	if r.Qc(e, []types.SiteID{1, 2, 3, 4}) {
+	r := compiled(skeenEx1(), nil, nil, eightSites)
+	if r.Qc(set(r, 1, 2, 3, 4)) {
 		t.Error("4 votes should not confirm commit (Vc=5)")
 	}
-	if !r.Qc(e, []types.SiteID{1, 2, 3, 4, 5}) {
+	if !r.Qc(set(r, 1, 2, 3, 4, 5)) {
 		t.Error("5 votes should confirm commit")
 	}
-	if !r.Qa(e, []types.SiteID{1, 2, 3, 4}) {
+	if !r.Qa(set(r, 1, 2, 3, 4)) {
 		t.Error("4 votes should confirm abort (Va=4)")
 	}
-	if r.Qa(e, []types.SiteID{1, 2, 3}) {
+	if r.Qa(set(r, 1, 2, 3)) {
 		t.Error("3 votes should not confirm abort")
 	}
 }
@@ -133,8 +130,7 @@ func TestConfirmations(t *testing.T) {
 // can never be assembled from disjoint site sets.
 func TestNoDisjointQuorums(t *testing.T) {
 	spec := skeenEx1()
-	r := spec.Rule(nil, nil)
-	e := ex1()
+	r := compiled(spec, nil, nil, eightSites)
 	all := []types.SiteID{1, 2, 3, 4, 5, 6, 7, 8}
 	for mask := 0; mask < 1<<8; mask++ {
 		var s1, s2 []types.SiteID
@@ -145,7 +141,7 @@ func TestNoDisjointQuorums(t *testing.T) {
 				s2 = append(s2, s)
 			}
 		}
-		if r.Qc(e, s1) && r.Qa(e, s2) {
+		if r.Qc(set(r, s1...)) && r.Qa(set(r, s2...)) {
 			t.Fatalf("disjoint quorums: commit=%v abort=%v", s1, s2)
 		}
 	}
@@ -157,14 +153,13 @@ func TestWeightedVotes(t *testing.T) {
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	r := spec.Rule(nil, nil)
-	e := ex1()
-	got := r.Decide(e, protocoltest.Tally(map[types.SiteID]types.State{
+	r := compiled(spec, nil, nil, eightSites)
+	got := r.Decide(protocoltest.Tally(map[types.SiteID]types.State{
 		1: types.StateWait}))
 	if got != quorumcalc.VerdictTryAbort {
 		t.Errorf("site1 alone (3 votes) = %v, want try-abort", got)
 	}
-	got = r.Decide(e, protocoltest.Tally(map[types.SiteID]types.State{
+	got = r.Decide(protocoltest.Tally(map[types.SiteID]types.State{
 		2: types.StateWait, 3: types.StateWait}))
 	if got != quorumcalc.VerdictBlock {
 		t.Errorf("sites 2,3 (2 votes) = %v, want block", got)
@@ -190,15 +185,15 @@ func TestPerTransactionMajority(t *testing.T) {
 		t.Error("quorums without a vote assignment accepted")
 	}
 	w, pc := types.StateWait, types.StatePC
-	four := PerTransaction().Rule(nil, []types.SiteID{2, 3, 4, 5}) // Vc=3, Va=2
-	if got := four.Decide(nil, protocoltest.Tally(map[types.SiteID]types.State{2: w, 3: w})); got != quorumcalc.VerdictTryAbort {
+	four := compiled(PerTransaction(), nil, nil, []types.SiteID{2, 3, 4, 5}) // Vc=3, Va=2
+	if got := four.Decide(protocoltest.Tally(map[types.SiteID]types.State{2: w, 3: w})); got != quorumcalc.VerdictTryAbort {
 		t.Errorf("2 of 4 participants in W = %v, want try-abort", got)
 	}
-	eight := PerTransaction().Rule(nil, []types.SiteID{1, 2, 3, 4, 5, 6, 7, 8}) // Vc=5, Va=4
-	if got := eight.Decide(nil, protocoltest.Tally(map[types.SiteID]types.State{2: w, 3: w})); got != quorumcalc.VerdictBlock {
+	eight := compiled(PerTransaction(), nil, nil, []types.SiteID{1, 2, 3, 4, 5, 6, 7, 8}) // Vc=5, Va=4
+	if got := eight.Decide(protocoltest.Tally(map[types.SiteID]types.State{2: w, 3: w})); got != quorumcalc.VerdictBlock {
 		t.Errorf("2 of 8 participants in W = %v, want block", got)
 	}
-	if got := eight.Decide(nil, protocoltest.Tally(map[types.SiteID]types.State{1: pc, 2: w, 3: w, 4: w, 5: w})); got != quorumcalc.VerdictTryCommit {
+	if got := eight.Decide(protocoltest.Tally(map[types.SiteID]types.State{1: pc, 2: w, 3: w, 4: w, 5: w})); got != quorumcalc.VerdictTryCommit {
 		t.Errorf("5 of 8 participants with a PC = %v, want try-commit", got)
 	}
 }

@@ -54,16 +54,16 @@ func TestStandardSkeenQuorums(t *testing.T) {
 	four := []types.SiteID{2, 3, 4, 5}
 
 	// Per transaction over 4 participants: Vc=3, Va=2, so two W sites abort.
-	perTxn := skeen(nil).Rule(nil, four)
-	if got := perTxn.Decide(nil, protocoltest.Tally(two)); got != quorumcalc.VerdictTryAbort {
+	perTxn := compiled(skeen(nil), nil, nil, four)
+	if got := perTxn.Decide(protocoltest.Tally(two)); got != quorumcalc.VerdictTryAbort {
 		t.Errorf("per-transaction, 2 of 4 in W = %v, want try-abort", got)
 	}
 	// Cluster majority over 8 sites: Vc=5, Va=4 for the same participants.
-	cluster := skeen(sites).Rule(nil, four)
-	if got := cluster.Decide(nil, protocoltest.Tally(two)); got != quorumcalc.VerdictBlock {
+	cluster := compiled(skeen(sites), nil, nil, four)
+	if got := cluster.Decide(protocoltest.Tally(two)); got != quorumcalc.VerdictBlock {
 		t.Errorf("cluster majority, 2 of 8 in W = %v, want block", got)
 	}
-	if cluster.Qa(nil, []types.SiteID{2, 3, 4}) || !cluster.Qa(nil, []types.SiteID{2, 3, 4, 5}) {
+	if cluster.Qa(set(cluster, 2, 3, 4)) || !cluster.Qa(set(cluster, 2, 3, 4, 5)) {
 		t.Error("cluster majority abort quorum is not 4 of 8 sites")
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"qcommit/internal/protocoltest"
 	"qcommit/internal/quorumcalc"
+	"qcommit/internal/threephase"
 	"qcommit/internal/types"
 	"qcommit/internal/voting"
 )
@@ -16,8 +17,7 @@ func threePCAsgn() *voting.Assignment {
 }
 
 func TestRulesDecide(t *testing.T) {
-	r := Spec{Variant: ThreePC}.Rule(nil, nil)
-	e := threePCAsgn()
+	r := compiled(Spec{Variant: ThreePC}, nil, nil, eightSites)
 	q, w, pc, c, a := types.StateInitial, types.StateWait, types.StatePC, types.StateCommitted, types.StateAborted
 
 	cases := []struct {
@@ -32,13 +32,13 @@ func TestRulesDecide(t *testing.T) {
 		{"q aborts", map[types.SiteID]types.State{2: q}, quorumcalc.VerdictAbort},
 	}
 	for _, tc := range cases {
-		if got := r.Decide(e, protocoltest.Tally(tc.states)); got != tc.want {
+		if got := r.Decide(protocoltest.Tally(tc.states)); got != tc.want {
 			t.Errorf("%s: %v, want %v", tc.name, got, tc.want)
 		}
 	}
 	// The site-failure termination protocol never demands quorums: any
 	// confirmation succeeds.
-	if !r.Qc(e, nil) || !r.Qa(e, nil) {
+	if !r.Qc(set(r)) || !r.Qa(set(r)) {
 		t.Error("3PC termination must confirm unconditionally")
 	}
 }
@@ -47,11 +47,10 @@ func TestRulesDecide(t *testing.T) {
 // two disjoint partitions of one interrupted run (one holding the PC site,
 // one not) get opposite verdicts.
 func TestRulesAreInconsistentUnderPartition(t *testing.T) {
-	r := Spec{Variant: ThreePC}.Rule(nil, nil)
-	e := threePCAsgn()
+	r := compiled(Spec{Variant: ThreePC}, nil, nil, eightSites)
 	w, pc := types.StateWait, types.StatePC
-	gWithPC := r.Decide(e, protocoltest.Tally(map[types.SiteID]types.State{4: w, 5: pc}))
-	gWithout := r.Decide(e, protocoltest.Tally(map[types.SiteID]types.State{2: w, 3: w}))
+	gWithPC := r.Decide(protocoltest.Tally(map[types.SiteID]types.State{4: w, 5: pc}))
+	gWithout := r.Decide(protocoltest.Tally(map[types.SiteID]types.State{2: w, 3: w}))
 	if gWithPC != quorumcalc.VerdictTryCommit || gWithout != quorumcalc.VerdictAbort {
 		t.Errorf("verdicts = %v/%v, want try-commit/abort (the Example 2 split)", gWithPC, gWithout)
 	}
@@ -65,7 +64,7 @@ func TestSpecConstruction(t *testing.T) {
 	ws := types.Writeset{{Item: "x", Value: 1}}
 	parts := []types.SiteID{1, 2}
 	if s.NewCoordinator(1, ws, parts) == nil || s.NewParticipant(1, nil) == nil ||
-		s.NewTerminator(1, ws, parts, 0) == nil {
+		threephase.NewTerminator(1, ws, parts, 0, &quorumcalc.Quorums{Rule: s.Rule(parts)}) == nil {
 		t.Error("spec returned nil automata")
 	}
 }

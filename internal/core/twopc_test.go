@@ -6,6 +6,8 @@ import (
 	"qcommit/internal/msg"
 	"qcommit/internal/protocol"
 	"qcommit/internal/protocoltest"
+	"qcommit/internal/quorumcalc"
+	"qcommit/internal/threephase"
 	"qcommit/internal/types"
 	"qcommit/internal/wal"
 )
@@ -248,7 +250,7 @@ func TestTwoPCParticipantRecoveryImage(t *testing.T) {
 // twoPCTerminator starts a 2PC termination round at site 1, epoch 3.
 func twoPCTerminator() (protocol.Automaton, *protocoltest.Env, int) {
 	e := twoPCEnv(1)
-	term := twoPC.NewTerminator(1, twoPCWS, twoPCParts, 3)
+	term := threephase.NewTerminator(1, twoPCWS, twoPCParts, 3, &quorumcalc.Quorums{Rule: twoPC.Rule(twoPCParts)})
 	term.Start(e)
 	window := e.LastTimer().Token
 	e.Reset()

@@ -112,7 +112,7 @@ const (
 	// coordinator waits for the replies to one round (votes, acks, polled
 	// states) and an election candidate for a better one to speak up. It is
 	// an upper bound, not a sleep: every such wait ends on the reply that
-	// settles it (quorumcalc.Rule.Settled, Rule.Confirmed, Rule.Ack), and
+	// settles it (quorumcalc.Quorums.Settled, Confirmed, Ack), and
 	// the window only runs out on a site that stays silent.
 	AckWindowT = 2
 	// ParticipantPatienceT is the participant's silence tolerance, in units

@@ -17,11 +17,17 @@ func benchAssignment() *voting.Assignment {
 	return voting.MustAssignment(voting.Uniform("x", rq, wq, benchSites...), voting.Uniform("y", rq, wq, benchSites...))
 }
 
-// benchRules returns the five rules over the assignment's written items.
-func benchRules() []Rule {
-	items := []types.ItemID{"x", "y"}
+// benchRules returns the five rules compiled over a transaction writing
+// both items.
+func benchRules() []*Quorums {
+	f := NewFrame(benchAssignment(), types.Writeset{{Item: "x"}, {Item: "y"}}, benchSites)
 	vc, va := voting.MajorityQuorums(len(benchSites))
-	return []Rule{TP1Rule(items), TP2Rule(items), SkeenRule(nil, vc, va), ThreePCRule(len(benchSites)), TwoPCRule()}
+	var out []*Quorums
+	for _, r := range []Rule{TP1Rule(), TP2Rule(), SkeenRule(nil, vc, va), ThreePCRule(), TwoPCRule()} {
+		q := r.Over(f)
+		out = append(out, &q)
+	}
+	return out
 }
 
 // benchTally is a warm phase-1 tally of the first n sites, alternately in W
@@ -40,13 +46,13 @@ func benchTally(n int) *Tally {
 
 // BenchmarkDecide is one phase-1 classification per rule.
 func BenchmarkDecide(b *testing.B) {
-	a, t := benchAssignment(), benchTally(len(benchSites))
+	t := benchTally(len(benchSites))
 	for _, r := range benchRules() {
-		b.Run(r.Name, func(b *testing.B) {
+		b.Run(r.Name(), func(b *testing.B) {
 			b.ReportAllocs()
 			var v Verdict
 			for i := 0; i < b.N; i++ {
-				v = r.Decide(a, t)
+				v = r.Decide(t)
 			}
 			_ = v
 		})
@@ -56,13 +62,13 @@ func BenchmarkDecide(b *testing.B) {
 // BenchmarkSettled is the poll's early-stop test per rule, with one of the
 // five participants still silent.
 func BenchmarkSettled(b *testing.B) {
-	a, t := benchAssignment(), benchTally(len(benchSites)-1)
+	t := benchTally(len(benchSites) - 1)
 	for _, r := range benchRules() {
-		b.Run(r.Name, func(b *testing.B) {
+		b.Run(r.Name(), func(b *testing.B) {
 			b.ReportAllocs()
 			var ok bool
 			for i := 0; i < b.N; i++ {
-				ok = r.Settled(a, t, len(benchSites))
+				ok = r.Settled(t, len(benchSites))
 			}
 			_ = ok
 		})
@@ -72,13 +78,16 @@ func BenchmarkSettled(b *testing.B) {
 // BenchmarkAck is the commit coordinator's test of its PC-ACKs per rule, over
 // acks from three of the five sites.
 func BenchmarkAck(b *testing.B) {
-	a, acks := benchAssignment(), benchSites[:3]
 	for _, r := range benchRules() {
-		b.Run(r.Name, func(b *testing.B) {
+		var acks Set
+		for _, s := range benchSites[:3] {
+			acks.Add(r.Index(s))
+		}
+		b.Run(r.Name(), func(b *testing.B) {
 			b.ReportAllocs()
 			var ok bool
 			for i := 0; i < b.N; i++ {
-				ok = r.Ack(a, acks)
+				ok = r.Ack(acks)
 			}
 			_ = ok
 		})

@@ -26,6 +26,35 @@ func tallyOf(states map[types.SiteID]types.State) *Tally {
 	return t
 }
 
+// compile compiles r for the transaction writing items at participants; a
+// may be nil when items is empty.
+func compile(r Rule, a *voting.Assignment, items []types.ItemID, participants ...types.SiteID) *Quorums {
+	ws := make(types.Writeset, len(items))
+	for i, x := range items {
+		ws[i].Item = x
+	}
+	q := r.Over(NewFrame(a, ws, participants))
+	return &q
+}
+
+// setOf is the participant set of the given sites under q's frame.
+func setOf(q *Quorums, sites ...types.SiteID) Set {
+	var s Set
+	for _, x := range sites {
+		s.Add(q.Index(x))
+	}
+	return s
+}
+
+// sitesOf lists the members of s under f, ascending by index.
+func sitesOf(f *Frame, s Set) []types.SiteID {
+	var out []types.SiteID
+	for i := s.Next(0); i >= 0; i = s.Next(i + 1) {
+		out = append(out, f.Site(i))
+	}
+	return out
+}
+
 func TestTallyReuse(t *testing.T) {
 	ta := tallyOf(map[types.SiteID]types.State{1: types.StateWait, 2: types.StatePC})
 	if ta.Count(types.StateWait) != 1 || ta.Count(types.StatePC) != 1 {
@@ -49,17 +78,56 @@ func TestTallyHelpers(t *testing.T) {
 	if tl.Count(types.StatePC) == 0 || tl.Count(types.StateAborted) != 0 {
 		t.Error("Count wrong")
 	}
-	if got := tl.Sites(types.StateWait); len(got) != 2 || got[0] != 2 || got[1] != 4 {
-		t.Errorf("Sites(W) = %v", got)
+	if got := tl.union(types.StateWait, types.StatePA).Len(); got != 2 {
+		t.Errorf("|W∪PA| = %d", got)
 	}
-	if got := tl.union(types.StateWait, types.StatePA); len(got) != 2 {
-		t.Errorf("W∪PA = %v", got)
+	if got := tl.union(types.StateWait, types.StatePC).Len(); got != 3 {
+		t.Errorf("|W∪PC| = %d", got)
 	}
-	if got := tl.union(types.StateWait, types.StatePC); len(got) != 3 {
-		t.Errorf("W∪PC = %v", got)
+	if !tl.uncertain() {
+		t.Error("no uncertain participant")
 	}
-	if tl.uncertain() != 3 {
-		t.Errorf("uncertain = %d", tl.uncertain())
+	// Binding renumbers by the frame and drops the non-participant 3; a
+	// site added again keeps its latest state.
+	f := NewFrame(nil, nil, []types.SiteID{4, 1, 2})
+	tl.Bind(f)
+	tl.Add(1, types.StatePA)
+	tl.Add(1, types.StateWait)
+	if got := sitesOf(f, tl.In(types.StateWait)); len(got) != 3 || got[0] != 4 || got[1] != 1 || got[2] != 2 {
+		t.Errorf("In(W) = %v, want [4 1 2] in frame order", got)
+	}
+	if tl.Len() != 3 || tl.Count(types.StatePC) != 0 || !tl.Answered(0) {
+		t.Errorf("bound tally: Len %d, |PC| %d", tl.Len(), tl.Count(types.StatePC))
+	}
+}
+
+// TestSetAcrossWords drives Set over the 64-participant word boundary: the
+// same type serves every transaction size.
+func TestSetAcrossWords(t *testing.T) {
+	var s Set
+	members := []int{0, 63, 64, 127, 130}
+	for _, i := range members {
+		s.Add(i)
+	}
+	var got []int
+	for i := s.Next(0); i >= 0; i = s.Next(i + 1) {
+		got = append(got, i)
+	}
+	if len(got) != len(members) || s.Len() != len(members) {
+		t.Fatalf("members %v, Len %d; want %v", got, s.Len(), members)
+	}
+	for k, i := range members {
+		if got[k] != i || !s.Has(i) {
+			t.Errorf("member %d: got %d", i, got[k])
+		}
+	}
+	s.Remove(64)
+	if s.Has(64) || s.Next(64) != 127 || s.Has(1000) || s.Len() != 4 {
+		t.Error("Remove, Next or Has wrong past the first word")
+	}
+	s.Clear()
+	if s.Len() != 0 || s.Next(0) != -1 {
+		t.Error("Clear left members")
 	}
 }
 
@@ -74,17 +142,51 @@ func TestVerdictStrings(t *testing.T) {
 	}
 }
 
-// TestDecideAllocatesNothing pins the hot-path contract the hybrid churn
-// engine and the availability Monte Carlo rely on: once the tally is warm,
-// classifying it — unions included — allocates nothing.
+// frameSink keeps a compiled frame on the heap, as every real caller does.
+var frameSink *Frame
+
+// TestDecideAllocatesNothing pins the hot-path contract the automata, the
+// hybrid churn engine and the availability Monte Carlo rely on: once the
+// tally is warm, classifying it — unions included — and testing acks and
+// confirmations allocates nothing. It also pins what one compile costs:
+// three allocations for the frame (the frame, its item rows and its copy
+// weights), none for a rule over it but Skeen's weighted site row.
 func TestDecideAllocatesNothing(t *testing.T) {
 	a := exampleAssignment(t)
+	parts := []types.SiteID{1, 2, 3, 4}
+	ws := types.Writeset{{Item: "x"}}
 	ta := tallyOf(map[types.SiteID]types.State{1: types.StateWait, 2: types.StatePC, 3: types.StateWait})
-	for _, r := range []Rule{TP1Rule([]types.ItemID{"x"}), TP2Rule([]types.ItemID{"x"}), SkeenRule(nil, 4, 4), ThreePCRule(3), TwoPCRule()} {
-		r.Outcome(a, ta)
-		if n := testing.AllocsPerRun(100, func() { r.Outcome(a, ta) }); n != 0 {
-			t.Errorf("%s: Outcome allocates %v times per call", r.Name, n)
+	f := NewFrame(a, ws, parts)
+	weighted := map[types.SiteID]int{1: 2, 2: 1, 3: 1, 4: 1}
+	for _, r := range []Rule{TP1Rule(), TP2Rule(), SkeenRule(nil, 4, 4), SkeenRule(weighted, 3, 3), ThreePCRule(), TwoPCRule()} {
+		q := r.Over(f)
+		acks := setOf(&q, 1, 2, 3)
+		q.Outcome(ta)
+		for name, call := range map[string]func(){
+			"Outcome":   func() { q.Outcome(ta) },
+			"Decide":    func() { q.Decide(ta) },
+			"Settled":   func() { q.Settled(ta, len(parts)) },
+			"Ack":       func() { q.Ack(acks) },
+			"Confirmed": func() { q.Confirmed(VerdictTryAbort, acks, true) },
+		} {
+			if n := testing.AllocsPerRun(100, call); n != 0 {
+				t.Errorf("%s: %s allocates %v times per call", r.Name(), name, n)
+			}
 		}
+	}
+	if n := testing.AllocsPerRun(100, func() { frameSink = NewFrame(a, ws, parts) }); n != 3 {
+		t.Errorf("NewFrame allocates %v times, want 3", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { TP1Rule().Over(f) }); n != 0 {
+		t.Errorf("TP1Rule().Over allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { SkeenRule(weighted, 3, 3).Over(f) }); n != 1 {
+		t.Errorf("weighted SkeenRule.Over allocates %v times, want 1", n)
+	}
+	var reused Frame
+	reused.Init(a, ws, parts)
+	if n := testing.AllocsPerRun(100, func() { reused.Init(a, ws, parts) }); n != 0 {
+		t.Errorf("Frame.Init over its own storage allocates %v times", n)
 	}
 }
 
@@ -103,7 +205,7 @@ func TestDecideAllocatesNothing(t *testing.T) {
 // only. No 2PC run enters PC, and the availability study's vote-phase and
 // prepare-phase cuts never put a q and a PC participant in one group.
 func TestTwoPC(t *testing.T) {
-	r := TwoPCRule()
+	r := compile(TwoPCRule(), nil, nil, 1, 2, 3, 4, 5)
 	q, w, pc, c, a := types.StateInitial, types.StateWait, types.StatePC, types.StateCommitted, types.StateAborted
 	cooperative := func(tl *Tally) types.Outcome {
 		n := func(st types.State) bool { return tl.Count(st) > 0 }
@@ -128,8 +230,8 @@ func TestTwoPC(t *testing.T) {
 			return
 		}
 		checked++
-		if got, want := r.Outcome(nil, tl), cooperative(tl); got != want {
-			t.Errorf("%v: Outcome = %v, want %v", tl.sites, got, want)
+		if got, want := r.Outcome(tl), cooperative(tl); got != want {
+			t.Errorf("%v: Outcome = %v, want %v", tl.in, got, want)
 		}
 	})
 	if checked < 3000 {
@@ -138,16 +240,16 @@ func TestTwoPC(t *testing.T) {
 	// Its quorums never hold, so no tally — PA included — draws a try
 	// verdict: 2PC has no PREPARE round for a terminator to run.
 	forEveryTally([]types.State{q, w, pc, types.StatePA, c, a}, 4, func(tl *Tally) {
-		if v := r.Decide(nil, tl); v == VerdictTryCommit || v == VerdictTryAbort {
-			t.Errorf("%v: Decide = %v", tl.sites, v)
+		if v := r.Decide(tl); v == VerdictTryCommit || v == VerdictTryAbort {
+			t.Errorf("%v: Decide = %v", tl.in, v)
 		}
 	})
 	if r.Prepares() {
 		t.Error("2PC's coordinator prepares")
 	}
-	for _, other := range []Rule{TP1Rule([]types.ItemID{"x"}), TP2Rule([]types.ItemID{"x"}), SkeenRule(nil, 3, 2), ThreePCRule(3)} {
+	for _, other := range []Rule{TP1Rule(), TP2Rule(), SkeenRule(nil, 3, 2), ThreePCRule()} {
 		if !other.Prepares() {
-			t.Errorf("%s's coordinator skips the PREPARE round", other.Name)
+			t.Errorf("%s's coordinator skips the PREPARE round", other.Name())
 		}
 	}
 }
@@ -178,7 +280,7 @@ func forEveryTally(states []types.State, maxSites int, f func(*Tally)) {
 }
 
 func TestThreePC(t *testing.T) {
-	d := ThreePCRule(3).Outcome
+	d := compile(ThreePCRule(), nil, nil, 1, 2, 3).Outcome
 	cases := []struct {
 		name   string
 		states map[types.SiteID]types.State
@@ -193,7 +295,7 @@ func TestThreePC(t *testing.T) {
 		{"no initiator", map[types.SiteID]types.State{2: types.StateInitial}, types.OutcomeUnknown},
 	}
 	for _, tc := range cases {
-		if got := d(nil, tallyOf(tc.states)); got != tc.want {
+		if got := d(tallyOf(tc.states)); got != tc.want {
 			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
 		}
 	}
@@ -201,7 +303,7 @@ func TestThreePC(t *testing.T) {
 
 func TestSkeenOneVotePerSite(t *testing.T) {
 	// Four single-vote participants: Vc = 3, Va = 2.
-	d := SkeenRule(nil, 3, 2).Outcome
+	d := compile(SkeenRule(nil, 3, 2), nil, nil, 1, 2, 3, 4).Outcome
 	cases := []struct {
 		name   string
 		states map[types.SiteID]types.State
@@ -217,7 +319,7 @@ func TestSkeenOneVotePerSite(t *testing.T) {
 		{"lone W blocks", map[types.SiteID]types.State{1: types.StateWait}, types.OutcomeBlocked},
 	}
 	for _, tc := range cases {
-		if got := d(nil, tallyOf(tc.states)); got != tc.want {
+		if got := d(tallyOf(tc.states)); got != tc.want {
 			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
 		}
 	}
@@ -225,11 +327,11 @@ func TestSkeenOneVotePerSite(t *testing.T) {
 
 func TestSkeenWeighted(t *testing.T) {
 	// Site 1 carries 3 votes, sites 2-3 one each: Vc = 3, Va = 3.
-	d := SkeenRule(map[types.SiteID]int{1: 3, 2: 1, 3: 1}, 3, 3).Outcome
-	if got := d(nil, tallyOf(map[types.SiteID]types.State{1: types.StatePC})); got != types.OutcomeCommitted {
+	d := compile(SkeenRule(map[types.SiteID]int{1: 3, 2: 1, 3: 1}, 3, 3), nil, nil, 1, 2, 3).Outcome
+	if got := d(tallyOf(map[types.SiteID]types.State{1: types.StatePC})); got != types.OutcomeCommitted {
 		t.Errorf("heavy PC site: got %v, want committed", got)
 	}
-	if got := d(nil, tallyOf(map[types.SiteID]types.State{2: types.StateWait, 3: types.StateWait})); got != types.OutcomeBlocked {
+	if got := d(tallyOf(map[types.SiteID]types.State{2: types.StateWait, 3: types.StateWait})); got != types.OutcomeBlocked {
 		t.Errorf("light W sites: got %v, want blocked", got)
 	}
 }
@@ -262,7 +364,7 @@ func TestTP1(t *testing.T) {
 
 func TestTP2(t *testing.T) {
 	a := exampleAssignment(t)
-	d := TP2Rule([]types.ItemID{"x"}).Outcome
+	d := compile(TP2Rule(), a, []types.ItemID{"x"}, 1, 2, 3, 4).Outcome
 	cases := []struct {
 		name   string
 		states map[types.SiteID]types.State
@@ -277,7 +379,7 @@ func TestTP2(t *testing.T) {
 		{"q aborts immediately", map[types.SiteID]types.State{2: types.StatePC, 3: types.StateInitial}, types.OutcomeAborted},
 	}
 	for _, tc := range cases {
-		if got := d(a, tallyOf(tc.states)); got != tc.want {
+		if got := d(tallyOf(tc.states)); got != tc.want {
 			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
 		}
 	}
@@ -292,13 +394,13 @@ func TestTP1VsSkeenExample1(t *testing.T) {
 	// Five participants overall → Vc = 3, Va = 3 site votes; the group holds
 	// only sites 2,3,4 (3 of 5 sites, but suppose Vc were 4: use 6
 	// participants → Vc = 4, Va = 3 to make Skeen block).
-	skeen := SkeenRule(nil, 4, 3).Outcome
+	skeen := compile(SkeenRule(nil, 4, 3), nil, nil, 1, 2, 3, 4, 5, 6).Outcome
 	tp1 := TP1([]types.ItemID{"x"})
 	group := map[types.SiteID]types.State{2: types.StatePC, 3: types.StateWait, 4: types.StateWait}
 	if got := tp1(a, tallyOf(group)); got != types.OutcomeCommitted {
 		t.Errorf("TP1: got %v, want committed", got)
 	}
-	if got := skeen(a, tallyOf(group)); got != types.OutcomeBlocked {
+	if got := skeen(tallyOf(group)); got != types.OutcomeBlocked {
 		t.Errorf("Skeen: got %v, want blocked", got)
 	}
 }
@@ -318,12 +420,16 @@ func TestSettledFixesTheVerdict(t *testing.T) {
 		voting.Uniform("y", 2, 2, 3, 4, 5),
 	)
 	items := []types.ItemID{"x", "y"}
+	all := []types.SiteID{1, 2, 3, 4, 5}
 	for n := 1; n <= 5; n++ {
-		rules := []Rule{
-			ThreePCRule(n),
+		var rules []*Quorums
+		for _, r := range []Rule{
+			ThreePCRule(),
 			SkeenRule(map[types.SiteID]int{1: 3, 2: 1, 3: 1, 4: 2, 5: 2}, 5, 5),
-			TP1Rule(items),
-			TP2Rule(items),
+			TP1Rule(),
+			TP2Rule(),
+		} {
+			rules = append(rules, compile(r, asgn, items, all[:n]...))
 		}
 		vectors := 1
 		for i := 0; i < n; i++ {
@@ -343,14 +449,14 @@ func TestSettledFixesTheVerdict(t *testing.T) {
 						partial.Add(types.SiteID(i+1), types.State(digits[i]))
 					}
 				}
-				settled := r.Settled(asgn, &partial, n)
+				settled := r.Settled(&partial, n)
 				if len(quiet) == 0 {
 					if !settled {
-						t.Fatalf("%s %v: everyone answered, yet not settled", r.Name, digits)
+						t.Fatalf("%s %v: everyone answered, yet not settled", r.Name(), digits)
 					}
 					continue
 				}
-				verdict := r.Decide(asgn, &partial)
+				verdict := r.Decide(&partial)
 				if !settled {
 					continue
 				}
@@ -369,27 +475,27 @@ func TestSettledFixesTheVerdict(t *testing.T) {
 					for i, v := 0, c; i < len(quiet); i, v = i+1, v/numStates {
 						full.Add(quiet[i], types.State(v%numStates))
 					}
-					if got := r.Decide(asgn, &full); got != verdict {
+					if got := r.Decide(&full); got != verdict {
 						t.Fatalf("%s %v: settled on %v, but completion %d of the silent sites %v gives %v",
-							r.Name, digits, verdict, c, quiet, got)
+							r.Name(), digits, verdict, c, quiet, got)
 					}
 				}
 			}
 			if n > 1 && early == 0 {
-				t.Errorf("%s over %d participants: no partial tally ever settled", r.Name, n)
+				t.Errorf("%s over %d participants: no partial tally ever settled", r.Name(), n)
 			}
 		}
 	}
 
 	// The reverse direction, by example: these partial tallies look decided
 	// but a silent site reporting C would overturn them.
-	r := TP1Rule(items)
+	r := compile(TP1Rule(), asgn, items, 1, 2)
 	for _, st := range []types.State{types.StateAborted, types.StateInitial} {
 		partial := tallyOf(map[types.SiteID]types.State{1: st})
-		if r.Decide(asgn, partial) != VerdictAbort {
+		if r.Decide(partial) != VerdictAbort {
 			t.Fatalf("setup: lone %v does not classify as abort", st)
 		}
-		if r.Settled(asgn, partial, 2) {
+		if r.Settled(partial, 2) {
 			t.Errorf("a lone %v reply settled the poll with a participant still silent", st)
 		}
 	}
@@ -400,21 +506,21 @@ func TestSettledFixesTheVerdict(t *testing.T) {
 // whose quorum demands nothing, only once nobody is left to wait for.
 func TestConfirmed(t *testing.T) {
 	a := exampleAssignment(t)
-	two, three := []types.SiteID{2, 3}, []types.SiteID{2, 3, 4}
-	tp1 := TP1Rule([]types.ItemID{"x"}) // Qc = w(x) = 3 votes, Qa = r(x) = 2
+	tp1 := compile(TP1Rule(), a, []types.ItemID{"x"}, 1, 2, 3, 4) // Qc = w(x) = 3 votes, Qa = r(x) = 2
+	one, two, three := setOf(tp1, 2), setOf(tp1, 2, 3), setOf(tp1, 2, 3, 4)
 	for _, waiting := range []bool{true, false} {
-		if tp1.Confirmed(VerdictTryCommit, a, two, waiting) || !tp1.Confirmed(VerdictTryCommit, a, three, waiting) {
+		if tp1.Confirmed(VerdictTryCommit, two, waiting) || !tp1.Confirmed(VerdictTryCommit, three, waiting) {
 			t.Errorf("TP1 try-commit (waiting=%v): want confirmed by exactly w(x) votes", waiting)
 		}
-		if tp1.Confirmed(VerdictTryAbort, a, two[:1], waiting) || !tp1.Confirmed(VerdictTryAbort, a, two, waiting) {
+		if tp1.Confirmed(VerdictTryAbort, one, waiting) || !tp1.Confirmed(VerdictTryAbort, two, waiting) {
 			t.Errorf("TP1 try-abort (waiting=%v): want confirmed by exactly r(x) votes", waiting)
 		}
 	}
-	tpc := ThreePCRule(4)
-	if tpc.Confirmed(VerdictTryCommit, a, three, true) {
+	tpc := compile(ThreePCRule(), a, nil, 1, 2, 3, 4)
+	if tpc.Confirmed(VerdictTryCommit, three, true) {
 		t.Error("3PC confirmed while a prepared site had yet to acknowledge")
 	}
-	if !tpc.Confirmed(VerdictTryCommit, a, nil, false) {
+	if !tpc.Confirmed(VerdictTryCommit, nil, false) {
 		t.Error("3PC not confirmed with nobody left to wait for")
 	}
 }

@@ -27,7 +27,8 @@
 //     about every transaction it finds unresolved, which only a site holding
 //     the outcome answers — and the irrevocable local commit / abort;
 //   - the single protocol.Env handed to automata, one per installed
-//     automaton.
+//     automaton, and the transaction's compiled quorum rule, which its
+//     coordinator and every termination round here share.
 //
 // A context's writeset and participant list are immutable once it exists:
 // nothing here, in the automata, the log or the tracker writes them, so the
@@ -88,8 +89,10 @@ import (
 	"qcommit/internal/lockmgr"
 	"qcommit/internal/msg"
 	"qcommit/internal/protocol"
+	"qcommit/internal/quorumcalc"
 	"qcommit/internal/sim"
 	"qcommit/internal/storage"
+	"qcommit/internal/threephase"
 	"qcommit/internal/types"
 	"qcommit/internal/voting"
 	"qcommit/internal/wal"
@@ -202,6 +205,11 @@ type Txn[X any] struct {
 	Coord        types.SiteID
 	// X is the host's slot.
 	X X
+
+	// q is the transaction's rule, shared by every coordinator and
+	// terminator of it here: the first of them to start compiles it, and
+	// later termination rounds reuse it.
+	q quorumcalc.Quorums
 
 	auto [numRoles]protocol.Automaton
 	gen  [numRoles]uint32
@@ -327,8 +335,17 @@ func (k *Kernel[X]) Adopt(txn types.TxnID, ws types.Writeset, participants []typ
 	}
 	if len(c.WS) == 0 {
 		c.WS, c.Participants, c.Coord = ws, participants, coord
+		c.q = quorumcalc.Quorums{}
 	}
 	return c
+}
+
+// quorums returns c's rule, uncompiled until an automaton starts on it.
+func (k *Kernel[X]) quorums(c *Txn[X]) *quorumcalc.Quorums {
+	if c.q.Frame() == nil {
+		c.q.Rule = k.cfg.Spec.Rule(c.Participants)
+	}
+	return &c.q
 }
 
 // Begin starts coordinating txn at this site. ws and participants become the
@@ -355,7 +372,7 @@ func (k *Kernel[X]) Begin(txn types.TxnID, ws types.Writeset, participants []typ
 			return c
 		}
 	}
-	k.install(c, protocol.RoleCoordinator, k.cfg.Spec.NewCoordinator(txn, ws, participants))
+	k.install(c, protocol.RoleCoordinator, threephase.NewCoordinator(txn, ws, participants, k.quorums(c)))
 	return c
 }
 
@@ -453,19 +470,18 @@ func (k *Kernel[X]) askOutcome(c *Txn[X]) {
 	}
 }
 
-// lockCopies takes X locks on every local copy of items written by txn. It
-// reports whether all locks were obtained; on failure it releases what it
-// took.
+// lockCopies takes X locks on every local copy of items written by txn, in
+// writeset order, each item once. It reports whether all locks were
+// obtained; on failure it releases what it took, in the order it took it.
 func (k *Kernel[X]) lockCopies(txn types.TxnID, ws types.Writeset) bool {
-	items := ws.Items()
-	for i, x := range items {
-		if !k.cfg.Store.Has(x) {
+	for i, w := range ws {
+		if !k.cfg.Store.Has(w.Item) || ws[:i].Contains(w.Item) {
 			continue
 		}
-		if err := k.cfg.Locks.TryAcquire(txn, x, lockmgr.Exclusive); err != nil {
-			for _, y := range items[:i] { // what this call took, in order
-				if k.cfg.Store.Has(y) {
-					k.cfg.Locks.Release(txn, y)
+		if err := k.cfg.Locks.TryAcquire(txn, w.Item, lockmgr.Exclusive); err != nil {
+			for j, u := range ws[:i] { // what this call took, in order
+				if k.cfg.Store.Has(u.Item) && !ws[:j].Contains(u.Item) {
+					k.cfg.Locks.Release(txn, u.Item)
 				}
 			}
 			return false
@@ -668,7 +684,7 @@ func (k *Kernel[X]) startElection(c *Txn[X], epoch uint32, campaign bool) {
 	f := election.New(c.ID, k.id, peers, epoch)
 	f.OnElected = func(won uint32) {
 		if !c.terminal() {
-			k.install(c, protocol.RoleTerminator, k.cfg.Spec.NewTerminator(c.ID, c.WS, c.Participants, won))
+			k.install(c, protocol.RoleTerminator, threephase.NewTerminator(c.ID, c.WS, c.Participants, won, k.quorums(c)))
 		}
 	}
 	f.OnRetry = func() {

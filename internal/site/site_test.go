@@ -642,6 +642,44 @@ func TestConflictVotesNoAtOnce(t *testing.T) {
 	}
 }
 
+// TestLockCopiesWritesetWithRepeatedItem drives lockCopies over a writeset
+// that writes x twice, straight from the VOTE-REQ's writeset: x is locked
+// once, and when y is refused the rollback releases exactly the x this call
+// took. Without the conflict the transaction holds x and y once each, in
+// writeset order.
+func TestLockCopiesWritesetWithRepeatedItem(t *testing.T) {
+	ws := types.Writeset{{Item: "x", Value: 1}, {Item: "x", Value: 2}, {Item: "y", Value: 3}}
+	k, h := newKernel(1)
+	locks := k.cfg.Locks
+	reg := obs.NewRegistry()
+	locks.SetMetrics(lockmgr.NewMetrics(reg, 1))
+	if err := locks.TryAcquire(99, "y", lockmgr.Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	k.Handle(from(2, msg.VoteReq{Txn: 21, Coord: 2, Participants: both, Writeset: ws}))
+	if v, ok := voteOf(h.take(), 21); !ok || v != types.VoteNo {
+		t.Fatalf("VOTE-REQ over a held y answered %v (sent=%v), want no", v, ok)
+	}
+	if locks.HeldCount() != 1 || !locks.LockedBy(99, "y") || locks.Locked("x") || locks.HeldItems(21) != nil {
+		t.Errorf("after the refusal: %d held, 99 holds y = %v, x locked = %v, 21 holds %v; want 99's y alone",
+			locks.HeldCount(), locks.LockedBy(99, "y"), locks.Locked("x"), locks.HeldItems(21))
+	}
+	snap := reg.Snapshot()
+	holds := obs.MergeHistograms(snap, "qcommit_lock_hold_ns").Count
+	if refused := obs.SumCounters(snap, "qcommit_lock_wouldblock_total"); holds != 1 || refused != 1 {
+		t.Errorf("lock traffic: %d hold samples, %d would-blocks; want x taken once and let go, y refused once", holds, refused)
+	}
+
+	locks.ReleaseAll(99)
+	k.Handle(from(2, msg.VoteReq{Txn: 22, Coord: 2, Participants: both, Writeset: ws}))
+	if v, ok := voteOf(h.take(), 22); !ok || v != types.VoteYes {
+		t.Fatalf("VOTE-REQ over free copies answered %v (sent=%v), want yes", v, ok)
+	}
+	if got := locks.HeldItems(22); len(got) != 2 || got[0] != "x" || got[1] != "y" {
+		t.Errorf("22 holds %v, want [x y]", got)
+	}
+}
+
 func TestCrashClearsPromisesAndStopsTimers(t *testing.T) {
 	k, h := newKernel(1)
 	k.Handle(from(2, msg.StateReq{Txn: 50})) // promise

@@ -35,12 +35,11 @@ type Coordinator struct {
 	txn          types.TxnID
 	ws           types.Writeset
 	participants []types.SiteID
-	rule         quorumcalc.Rule
+	q            *quorumcalc.Quorums
 
 	phase coordPhase
-	votes map[types.SiteID]types.Vote
-	// acked holds, without duplicates, the participants whose PC-ACK arrived.
-	acked []types.SiteID
+	// yes and acked are the participants whose yes vote and PC-ACK arrived.
+	yes, acked quorumcalc.Set
 	// DecidedAtAck is set when the commit decision was reached (for latency
 	// measurements): number of PC-ACKs received at decision time.
 	DecidedAtAck int
@@ -51,15 +50,10 @@ type Coordinator struct {
 // prepare). The engine exposes this for the claim-C2 benchmarks.
 func (c *Coordinator) AcksAtDecision() int { return c.DecidedAtAck }
 
-// NewCoordinator builds a coordinator for txn under the given rule table.
-func NewCoordinator(txn types.TxnID, ws types.Writeset, participants []types.SiteID, rule quorumcalc.Rule) *Coordinator {
-	return &Coordinator{
-		txn:          txn,
-		ws:           ws,
-		participants: participants,
-		rule:         rule,
-		votes:        make(map[types.SiteID]types.Vote),
-	}
+// NewCoordinator builds a coordinator for txn under the rule q, which Start
+// compiles unless another automaton of the transaction already has.
+func NewCoordinator(txn types.TxnID, ws types.Writeset, participants []types.SiteID, q *quorumcalc.Quorums) *Coordinator {
+	return &Coordinator{txn: txn, ws: ws, participants: participants, q: q}
 }
 
 // Start implements protocol.Automaton: phase 1, distribute the update values
@@ -69,7 +63,9 @@ func NewCoordinator(txn types.TxnID, ws types.Writeset, participants []types.Sit
 // the same fields and gates every PREPARE-TO-COMMIT or COMMIT it could send,
 // and a restart that finds nothing leaves the site in q, which aborts.
 func (c *Coordinator) Start(env protocol.Env) {
-	if !contains(c.participants, env.Self()) {
+	c.q.Compile(env.Assignment(), c.ws, c.participants)
+	c.q.Frame().Size(&c.yes, &c.acked)
+	if c.q.Index(env.Self()) < 0 {
 		env.Append(wal.Record{
 			Type:         wal.RecBegin,
 			Txn:          c.txn,
@@ -78,7 +74,7 @@ func (c *Coordinator) Start(env protocol.Env) {
 			Writeset:     c.ws,
 		})
 	}
-	env.Tracef("%s: coordinator %s starts commit (%s rule)", c.txn, env.Self(), c.rule.AckName)
+	env.Tracef("%s: coordinator %s starts commit (%s rule)", c.txn, env.Self(), c.q.AckName())
 	var req msg.Message = msg.VoteReq{Txn: c.txn, Coord: env.Self(), Participants: c.participants, Writeset: c.ws} // boxed once for all
 	for _, p := range c.participants {
 		env.Send(p, req)
@@ -93,26 +89,29 @@ func (c *Coordinator) OnMessage(from types.SiteID, m msg.Message, env protocol.E
 		if c.phase != cpVoting {
 			return
 		}
-		c.votes[from] = v.Vote
 		if v.Vote == types.VoteNo {
 			c.decideAbort(env, "participant voted no")
 			return
 		}
-		if !c.allYes() {
+		if i := c.q.Index(from); i >= 0 {
+			c.yes.Add(i)
+		}
+		if c.yes.Len() < len(c.participants) {
 			return
 		}
-		if c.rule.Prepares() {
+		if c.q.Prepares() {
 			c.beginPrepare(env)
 		} else {
 			c.decideCommit(env)
 		}
 	case msg.PCAck:
-		if c.phase != cpPreparing || !contains(c.participants, from) || contains(c.acked, from) {
+		i := c.q.Index(from)
+		if c.phase != cpPreparing || i < 0 || c.acked.Has(i) {
 			return
 		}
-		c.acked = append(c.acked, from)
-		if c.ackQuorum(env) {
-			c.DecidedAtAck = len(c.acked)
+		c.acked.Add(i)
+		if c.q.Ack(c.acked) {
+			c.DecidedAtAck = c.acked.Len()
 			c.decideCommit(env)
 		}
 	}
@@ -134,9 +133,9 @@ func (c *Coordinator) OnTimer(token int, env protocol.Env) {
 			return
 		}
 		switch {
-		case c.ackQuorum(env):
+		case c.q.Ack(c.acked):
 			c.decideCommit(env)
-		case c.rule.CommitsOnAckTimeout():
+		case c.q.CommitsOnAckTimeout():
 			env.Tracef("%s: ack window closed, committing anyway (3PC site-failure assumption)", c.txn)
 			c.decideCommit(env)
 		default:
@@ -145,20 +144,6 @@ func (c *Coordinator) OnTimer(token int, env protocol.Env) {
 			env.RequestTermination(c.txn)
 		}
 	}
-}
-
-func (c *Coordinator) ackQuorum(env protocol.Env) bool {
-	return c.rule.Ack(env.Assignment(), c.acked)
-}
-
-func (c *Coordinator) allYes() bool {
-	for _, p := range c.participants {
-		v, ok := c.votes[p]
-		if !ok || v != types.VoteYes {
-			return false
-		}
-	}
-	return true
 }
 
 func (c *Coordinator) beginPrepare(env protocol.Env) {
@@ -175,11 +160,11 @@ func (c *Coordinator) decideCommit(env protocol.Env) {
 		return
 	}
 	c.phase = cpDone
-	env.Tracef("%s: coordinator decides COMMIT after %d PC-ACKs", c.txn, len(c.acked))
+	env.Tracef("%s: coordinator decides COMMIT after %d PC-ACKs", c.txn, c.acked.Len())
 	for _, p := range c.participants {
 		env.Send(p, msg.Commit{Txn: c.txn})
 	}
-	if !contains(c.participants, env.Self()) {
+	if c.q.Index(env.Self()) < 0 {
 		// Pure coordinator (holds no copies): record its own decision.
 		env.Commit(c.txn)
 	}
@@ -194,16 +179,7 @@ func (c *Coordinator) decideAbort(env protocol.Env, why string) {
 	for _, p := range c.participants {
 		env.Send(p, msg.Abort{Txn: c.txn})
 	}
-	if !contains(c.participants, env.Self()) {
+	if c.q.Index(env.Self()) < 0 {
 		env.Abort(c.txn)
 	}
-}
-
-func contains(ss []types.SiteID, x types.SiteID) bool {
-	for _, s := range ss {
-		if s == x {
-			return true
-		}
-	}
-	return false
 }

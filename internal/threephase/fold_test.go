@@ -38,12 +38,12 @@ func TestTerminatorReachesTheFold(t *testing.T) {
 			{Site: 1, Votes: 2}, {Site: 2, Votes: 1}, {Site: 3, Votes: 1}, {Site: 5, Votes: 1}}},
 		voting.Uniform("y", 2, 2, 3, 4, 6),
 	)
-	items := []types.ItemID{"x", "y"}
+	ws := types.Writeset{{Item: "x"}, {Item: "y"}}
 	rules := []quorumcalc.Rule{
-		quorumcalc.ThreePCRule(len(participants)),
+		quorumcalc.ThreePCRule(),
 		quorumcalc.SkeenRule(map[types.SiteID]int{1: 3, 2: 1, 3: 1, 4: 2, 5: 2, 6: 1}, 6, 5),
-		quorumcalc.TP1Rule(items),
-		quorumcalc.TP2Rule(items),
+		quorumcalc.TP1Rule(),
+		quorumcalc.TP2Rule(),
 	}
 	uncertain := func(st types.State) bool {
 		return st == types.StateWait || st == types.StatePC || st == types.StatePA
@@ -65,7 +65,8 @@ func TestTerminatorReachesTheFold(t *testing.T) {
 				anyC = anyC || states[i] == types.StateCommitted
 				anyA = anyA || states[i] == types.StateAborted
 			}
-			want := rule.Outcome(asgn, &tally)
+			fold := rule.Over(quorumcalc.NewFrame(asgn, ws, participants))
+			want := fold.Outcome(&tally)
 			seen[want]++
 
 			if leader < 0 {
@@ -79,7 +80,7 @@ func TestTerminatorReachesTheFold(t *testing.T) {
 					passive = types.OutcomeAborted
 				}
 				if want != passive {
-					t.Fatalf("%s %v: fold = %v without an uncertain site, want %v", rule.Name, states, want, passive)
+					t.Fatalf("%s %v: fold = %v without an uncertain site, want %v", rule.Name(), states, want, passive)
 				}
 				continue
 			}
@@ -93,7 +94,7 @@ func TestTerminatorReachesTheFold(t *testing.T) {
 				}
 				tenv := protocoltest.New(sites[leader], asgn)
 				tenv.Suspects = suspects
-				term := NewTerminator(1, participants, 1, rule)
+				term := NewTerminator(1, ws, participants, 1, &quorumcalc.Quorums{Rule: rule})
 
 				// deliver hands every message the terminator has sent to its
 				// participant and the replies straight back, in order; what is
@@ -116,7 +117,7 @@ func TestTerminatorReachesTheFold(t *testing.T) {
 				term.Start(tenv)
 				deliver()
 				if len(suspects) == 2 && term.phase == tpCollect {
-					t.Fatalf("%s %v: every unanswered site is suspected, yet the poll waits for its window", rule.Name, states)
+					t.Fatalf("%s %v: every unanswered site is suspected, yet the poll waits for its window", rule.Name(), states)
 				}
 				term.OnTimer(tokCollect, tenv)
 				deliver()
@@ -130,7 +131,7 @@ func TestTerminatorReachesTheFold(t *testing.T) {
 				case len(tenv.Blocked) > 0:
 					got = types.OutcomeBlocked
 				case len(tenv.TermReqs) > 0:
-					t.Fatalf("%s %v suspects %v: terminator fell back to the election protocol; the fold says %v", rule.Name, states, suspects, want)
+					t.Fatalf("%s %v suspects %v: terminator fell back to the election protocol; the fold says %v", rule.Name(), states, suspects, want)
 				default:
 					for _, s := range tenv.Sends {
 						switch s.Msg.Kind() {
@@ -142,7 +143,7 @@ func TestTerminatorReachesTheFold(t *testing.T) {
 					}
 				}
 				if got != want {
-					t.Fatalf("%s %v suspects %v: terminator reached %v, fold predicts %v", rule.Name, states, suspects, got, want)
+					t.Fatalf("%s %v suspects %v: terminator reached %v, fold predicts %v", rule.Name(), states, suspects, got, want)
 				}
 				// Every participant that was waiting has been told: it holds the
 				// group's outcome, or — blocked — is still waiting.
@@ -152,14 +153,14 @@ func TestTerminatorReachesTheFold(t *testing.T) {
 					}
 					if end := p.State(); (got == types.OutcomeBlocked) != uncertain(end) ||
 						(got != types.OutcomeBlocked && end != got.StateEquivalent()) {
-						t.Fatalf("%s %v suspects %v: site %d ended in %v after outcome %v", rule.Name, states, suspects, sites[i], end, got)
+						t.Fatalf("%s %v suspects %v: site %d ended in %v after outcome %v", rule.Name(), states, suspects, sites[i], end, got)
 					}
 				}
 			}
 		}
 		if seen[types.OutcomeCommitted] == 0 || seen[types.OutcomeAborted] == 0 ||
-			(seen[types.OutcomeBlocked] == 0) != (rule.Name == "3PC-term") {
-			t.Errorf("%s: outcome coverage %v", rule.Name, seen)
+			(seen[types.OutcomeBlocked] == 0) != (rule.Name() == "3PC-term") {
+			t.Errorf("%s: outcome coverage %v", rule.Name(), seen)
 		}
 	}
 }
@@ -181,12 +182,12 @@ func TestTerminatorReachesTheFoldInAnyOrder(t *testing.T) {
 			{Site: 1, Votes: 2}, {Site: 2, Votes: 1}, {Site: 3, Votes: 1}, {Site: 5, Votes: 1}}},
 		voting.Uniform("y", 2, 2, 3, 4, 6),
 	)
-	items := []types.ItemID{"x", "y"}
+	ws := types.Writeset{{Item: "x"}, {Item: "y"}}
 	rules := []quorumcalc.Rule{
-		quorumcalc.ThreePCRule(len(participants)),
+		quorumcalc.ThreePCRule(),
 		quorumcalc.SkeenRule(map[types.SiteID]int{1: 3, 2: 1, 3: 1, 4: 2, 5: 2, 6: 1}, 6, 5),
-		quorumcalc.TP1Rule(items),
-		quorumcalc.TP2Rule(items),
+		quorumcalc.TP1Rule(),
+		quorumcalc.TP2Rule(),
 	}
 	var orders [][]int
 	var permute func(prefix, rest []int)
@@ -203,7 +204,7 @@ func TestTerminatorReachesTheFoldInAnyOrder(t *testing.T) {
 	permute(nil, []int{0, 1, 2, 3})
 
 	for _, rule := range rules {
-		threePC := rule.Name == "3PC-term"
+		threePC := rule.Name() == "3PC-term"
 		early := 0
 		for vec := 0; vec < 6*6*6*6; vec++ {
 			states := make([]types.State, len(sites))
@@ -219,7 +220,8 @@ func TestTerminatorReachesTheFoldInAnyOrder(t *testing.T) {
 			if leader < 0 {
 				continue // nobody to run a terminator
 			}
-			want := rule.Outcome(asgn, &tally)
+			fold := rule.Over(quorumcalc.NewFrame(asgn, ws, participants))
+			want := fold.Outcome(&tally)
 
 			for _, suspects := range suspectSets {
 				for _, order := range orders {
@@ -231,7 +233,7 @@ func TestTerminatorReachesTheFoldInAnyOrder(t *testing.T) {
 					}
 					tenv := protocoltest.New(sites[leader], asgn)
 					tenv.Suspects = suspects
-					term := NewTerminator(1, participants, 1, rule)
+					term := NewTerminator(1, ws, participants, 1, &quorumcalc.Quorums{Rule: rule})
 
 					// deliver hands the terminator's sends to their participants
 					// in send order and the replies of each such batch back in
@@ -265,7 +267,7 @@ func TestTerminatorReachesTheFoldInAnyOrder(t *testing.T) {
 									}
 									term.OnMessage(sites[i], reply, tenv)
 									if threePC && owing > 0 && term.Finished() {
-										t.Fatalf("%s %v order %v suspects %v: COMMIT distributed with %d PREPARE-TO-COMMIT unacknowledged", rule.Name, states, order, suspects, owing)
+										t.Fatalf("%s %v order %v suspects %v: COMMIT distributed with %d PREPARE-TO-COMMIT unacknowledged", rule.Name(), states, order, suspects, owing)
 									}
 								}
 							}
@@ -277,7 +279,7 @@ func TestTerminatorReachesTheFoldInAnyOrder(t *testing.T) {
 						early++
 					}
 					if len(suspects) == 2 && term.phase == tpCollect {
-						t.Fatalf("%s %v order %v: every unanswered site is suspected, yet the poll waits for its window", rule.Name, states, order)
+						t.Fatalf("%s %v order %v: every unanswered site is suspected, yet the poll waits for its window", rule.Name(), states, order)
 					}
 					term.OnTimer(tokCollect, tenv)
 					deliver()
@@ -291,7 +293,7 @@ func TestTerminatorReachesTheFoldInAnyOrder(t *testing.T) {
 					case len(tenv.Blocked) > 0:
 						got = types.OutcomeBlocked
 					case len(tenv.TermReqs) > 0:
-						t.Fatalf("%s %v order %v suspects %v: terminator fell back to the election protocol; the fold says %v", rule.Name, states, order, suspects, want)
+						t.Fatalf("%s %v order %v suspects %v: terminator fell back to the election protocol; the fold says %v", rule.Name(), states, order, suspects, want)
 					default:
 						for _, s := range tenv.Sends {
 							switch s.Msg.Kind() {
@@ -303,7 +305,7 @@ func TestTerminatorReachesTheFoldInAnyOrder(t *testing.T) {
 						}
 					}
 					if got != want {
-						t.Fatalf("%s %v order %v suspects %v: terminator reached %v, fold predicts %v", rule.Name, states, order, suspects, got, want)
+						t.Fatalf("%s %v order %v suspects %v: terminator reached %v, fold predicts %v", rule.Name(), states, order, suspects, got, want)
 					}
 				}
 			}
@@ -312,7 +314,7 @@ func TestTerminatorReachesTheFoldInAnyOrder(t *testing.T) {
 		// suspected only a settled COMMIT can close a poll before its window
 		// does; it must happen in those runs, which are the only ones counted.
 		if early == 0 {
-			t.Errorf("%s: no run finished before a window expired", rule.Name)
+			t.Errorf("%s: no run finished before a window expired", rule.Name())
 		}
 	}
 }

@@ -5,15 +5,18 @@
 // terminator are parameterized by one quorumcalc.Rule — Skeen's site-vote
 // quorums, the paper's TP1/TP2 replica-vote quorums, 3PC's site-failure
 // rule, or 2PC's rule, whose coordinator skips the PREPARE-TO-COMMIT round
-// and whose quorums never hold — which they consult and never restate.
-// core.Spec builds them: its Variant picks the rule.
+// and whose quorums never hold — which they consult and never restate. They
+// compile it at Start into the transaction's quorumcalc.Quorums, which the
+// site kernel shares among all of the transaction's coordinators and
+// terminators, and count votes, acks and replies as participant sets.
+// core.Spec picks the rule from its Variant.
 //
 // Every wait in these automata is closed by the reply it waits for, and its
 // timer is only the bound for sites that stay silent: the coordinator sends
-// COMMIT on the PC-ACK that completes Rule.Ack (the paper's early commit),
-// the terminator ends its poll on the reply after which no other could
-// change the verdict (Rule.Settled) and its confirm round on the ack that
-// confirms the attempted quorum (Rule.Confirmed). What is decided is always
+// COMMIT on the PC-ACK that completes Quorums.Ack (the paper's early
+// commit), the terminator ends its poll on the reply after which no other
+// could change the verdict (Quorums.Settled) and its confirm round on the ack
+// that confirms the attempted quorum (Quorums.Confirmed). What is decided is always
 // what the timer's expiry would have decided; only the time differs.
 //
 // The poll also stops waiting for the sites its host suspects of having

@@ -2,7 +2,6 @@ package threephase
 
 import (
 	"fmt"
-	"slices"
 
 	"qcommit/internal/msg"
 	"qcommit/internal/protocol"
@@ -31,46 +30,44 @@ const (
 // protocol (the protocol is reenterable).
 //
 // Both waits are closed by the reply they wait for: the poll as soon as no
-// outstanding reply could change the verdict (Rule.Settled), the confirmation
-// as soon as the attempted quorum is confirmed (Rule.Confirmed). The 2T
-// windows only bound the wait for sites that stay silent, and the decision is
-// always the one the window's expiry would have reached. The poll also does
+// outstanding reply could change the verdict (Quorums.Settled), the
+// confirmation as soon as the attempted quorum is confirmed
+// (Quorums.Confirmed). The 2T windows only bound the wait for sites that stay
+// silent, and the decision is always the one the window's expiry would have
+// reached. The poll also does
 // not wait for unanswered suspects (Env.Suspected); the package doc says why
 // that is safe.
 type Terminator struct {
 	txn          types.TxnID
+	ws           types.Writeset
 	participants []types.SiteID
 	epoch        uint32
-	rule         quorumcalc.Rule
+	q            *quorumcalc.Quorums
 
 	phase termPhase
-	resp  map[types.SiteID]types.State
-	// tally is resp in participant order, rebuilt on each reply.
+	// tally holds the replies, one participant set per state.
 	tally quorumcalc.Tally
 	// try is the verdict being confirmed (try-commit or try-abort).
 	try quorumcalc.Verdict
-	// confirm holds, without duplicates, the sites counted toward the
-	// attempted quorum: phase-1 reporters already in the target state plus
-	// phase-2 ackers. pending holds the sites sent a PREPARE that have not
-	// acknowledged it yet.
-	confirm, pending []types.SiteID
+	// confirm holds the participants counted toward the attempted quorum:
+	// phase-1 reporters already in the target state plus phase-2 ackers.
+	// pending holds those sent a PREPARE that have not acknowledged it yet.
+	confirm, pending quorumcalc.Set
 }
 
-// NewTerminator builds a termination coordinator for one partition round.
-func NewTerminator(txn types.TxnID, participants []types.SiteID, epoch uint32, rule quorumcalc.Rule) *Terminator {
-	return &Terminator{
-		txn:          txn,
-		participants: participants,
-		epoch:        epoch,
-		rule:         rule,
-		resp:         make(map[types.SiteID]types.State),
-	}
+// NewTerminator builds a termination coordinator for one partition round
+// under the rule q, which Start compiles unless another automaton of the
+// transaction already has.
+func NewTerminator(txn types.TxnID, ws types.Writeset, participants []types.SiteID, epoch uint32, q *quorumcalc.Quorums) *Terminator {
+	return &Terminator{txn: txn, ws: ws, participants: participants, epoch: epoch, q: q}
 }
 
 // Start implements protocol.Automaton: phase 1, request local states from
 // all reachable participants (including this site itself).
 func (t *Terminator) Start(env protocol.Env) {
-	env.Tracef("%s: terminator %s (epoch %d, %s) polls states", t.txn, env.Self(), t.epoch, t.rule.Name)
+	t.q.Compile(env.Assignment(), t.ws, t.participants)
+	t.tally.Bind(t.q.Frame())
+	env.Tracef("%s: terminator %s (epoch %d, %s) polls states", t.txn, env.Self(), t.epoch, t.q.Name())
 	for _, p := range t.participants {
 		env.Send(p, msg.StateReq{Txn: t.txn, Coord: env.Self(), Epoch: t.epoch})
 	}
@@ -79,7 +76,8 @@ func (t *Terminator) Start(env protocol.Env) {
 
 // OnMessage implements protocol.Automaton.
 func (t *Terminator) OnMessage(from types.SiteID, m msg.Message, env protocol.Env) {
-	if !contains(t.participants, from) {
+	i := t.q.Index(from)
+	if i < 0 {
 		return
 	}
 	switch v := m.(type) {
@@ -87,9 +85,8 @@ func (t *Terminator) OnMessage(from types.SiteID, m msg.Message, env protocol.En
 		if t.phase != tpCollect || v.Epoch != t.epoch || !v.State.Valid() {
 			return
 		}
-		t.resp[from] = v.State
-		polled := t.polled(env)
-		if t.retally(); t.rule.Settled(env.Assignment(), &t.tally, polled) {
+		t.tally.Add(from, v.State)
+		if polled := t.polled(env); t.q.Settled(&t.tally, polled) {
 			why := "commit settled"
 			switch n := t.tally.Len(); {
 			case n == len(t.participants):
@@ -101,21 +98,20 @@ func (t *Terminator) OnMessage(from types.SiteID, m msg.Message, env protocol.En
 			t.evaluate(env)
 		}
 	case msg.PCAck:
-		t.onAck(from, quorumcalc.VerdictTryCommit, env)
+		t.onAck(i, quorumcalc.VerdictTryCommit, env)
 	case msg.PAAck:
-		t.onAck(from, quorumcalc.VerdictTryAbort, env)
+		t.onAck(i, quorumcalc.VerdictTryAbort, env)
 	}
 }
 
-// onAck counts from's acknowledgement of the PREPARE that try sends.
-func (t *Terminator) onAck(from types.SiteID, try quorumcalc.Verdict, env protocol.Env) {
-	if t.phase != tpConfirm || t.try != try || contains(t.confirm, from) {
+// onAck counts participant i's acknowledgement of the PREPARE that try
+// sends.
+func (t *Terminator) onAck(i int, try quorumcalc.Verdict, env protocol.Env) {
+	if t.phase != tpConfirm || t.try != try || t.confirm.Has(i) {
 		return
 	}
-	t.confirm = append(t.confirm, from)
-	if i := slices.Index(t.pending, from); i >= 0 {
-		t.pending = slices.Delete(t.pending, i, i+1)
-	}
+	t.confirm.Add(i)
+	t.pending.Remove(i)
 	t.closeConfirm(env, false)
 }
 
@@ -127,7 +123,6 @@ func (t *Terminator) Finished() bool { return t.phase == tpDone }
 func (t *Terminator) OnTimer(token int, env protocol.Env) {
 	switch {
 	case token == tokCollect && t.phase == tpCollect:
-		t.retally()
 		t.evaluate(env)
 	case token == tokConfirm && t.phase == tpConfirm:
 		t.closeConfirm(env, true)
@@ -138,29 +133,18 @@ func (t *Terminator) OnTimer(token int, env protocol.Env) {
 // from: all of them, except the suspects that have not answered.
 func (t *Terminator) polled(env protocol.Env) int {
 	n := 0
-	for _, p := range t.participants {
-		if _, ok := t.resp[p]; ok || !env.Suspected(p) {
+	for i, p := range t.participants {
+		if t.tally.Answered(i) || !env.Suspected(p) {
 			n++
 		}
 	}
 	return n
 }
 
-// retally rebuilds the tally from the replies so far, in participant
-// (ascending site) order; it holds participants only.
-func (t *Terminator) retally() {
-	t.tally.Reset()
-	for _, p := range t.participants {
-		if st, ok := t.resp[p]; ok {
-			t.tally.Add(p, st)
-		}
-	}
-}
-
 // evaluate is phase 2: classify the tally and act.
 func (t *Terminator) evaluate(env protocol.Env) {
-	tally := &t.tally // as of the last retally
-	verdict := t.rule.Decide(env.Assignment(), tally)
+	tally := &t.tally
+	verdict := t.q.Decide(tally)
 	env.Tracef("%s: terminator %s tallied %s → %s", t.txn, env.Self(), tallyString(tally), verdict)
 	switch verdict {
 	case quorumcalc.VerdictCommit:
@@ -175,10 +159,11 @@ func (t *Terminator) evaluate(env protocol.Env) {
 			target, prepare = types.StatePA, msg.PrepareToAbort{Txn: t.txn}
 		}
 		t.phase, t.try = tpConfirm, verdict
-		t.confirm = append(t.confirm, tally.Sites(target)...)
-		t.pending = append(t.pending, tally.Sites(types.StateWait)...)
-		for _, s := range t.pending {
-			env.Send(s, prepare)
+		t.confirm = append(t.confirm[:0], tally.In(target)...)
+		t.pending = append(t.pending[:0], tally.In(types.StateWait)...)
+		f := t.q.Frame()
+		for i := t.pending.Next(0); i >= 0; i = t.pending.Next(i + 1) {
+			env.Send(f.Site(i), prepare)
 		}
 		// With nobody to ask there may be nothing to wait for.
 		if t.closeConfirm(env, false); t.phase == tpConfirm {
@@ -199,11 +184,11 @@ func (t *Terminator) closeConfirm(env protocol.Env, expired bool) {
 	if t.try == quorumcalc.VerdictTryAbort {
 		d, q, side = types.DecisionAbort, "Qa", "abort"
 	}
-	waiting := !expired && len(t.pending) > 0
+	waiting := !expired && t.pending.Len() > 0
 	switch {
-	case t.rule.Confirmed(t.try, env.Assignment(), t.confirm, waiting):
+	case t.q.Confirmed(t.try, t.confirm, waiting):
 		if !expired {
-			env.Tracef("%s: terminator %s confirm closed: %s confirmed by %d", t.txn, env.Self(), q, len(t.confirm))
+			env.Tracef("%s: terminator %s confirm closed: %s confirmed by %d", t.txn, env.Self(), q, t.confirm.Len())
 		}
 		t.distribute(env, d)
 	case expired:

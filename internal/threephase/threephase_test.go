@@ -250,7 +250,7 @@ func runVotes(c *Coordinator, env *protocoltest.Env, yes []types.SiteID) {
 // VOTE-REQ.
 func TestPureCoordinatorLogsBegin(t *testing.T) {
 	env := protocoltest.New(9, ex1())
-	NewCoordinator(1, ws, parts, quorumcalc.TP1Rule(ws.Items())).Start(env)
+	NewCoordinator(1, ws, parts, &quorumcalc.Quorums{Rule: quorumcalc.TP1Rule()}).Start(env)
 	if len(env.Logs) != 1 || env.Logs[0].Type != wal.RecBegin || env.Logs[0].Coord != 9 || len(env.Logs[0].Participants) != len(parts) {
 		t.Fatalf("logged %+v at start, want one BEGIN naming site9 and the participants", env.Logs)
 	}
@@ -261,7 +261,7 @@ func TestPureCoordinatorLogsBegin(t *testing.T) {
 
 func TestCoordinatorHappyPathCP1(t *testing.T) {
 	env := protocoltest.New(1, ex1())
-	c := NewCoordinator(1, ws, parts, quorumcalc.TP1Rule(ws.Items()))
+	c := NewCoordinator(1, ws, parts, &quorumcalc.Quorums{Rule: quorumcalc.TP1Rule()})
 	c.Start(env)
 
 	// Phase 1: VOTE-REQ to every participant. Site 1 is a participant, so
@@ -316,7 +316,7 @@ func TestCoordinatorHappyPathCP1(t *testing.T) {
 
 func TestCoordinatorCP2CommitsFaster(t *testing.T) {
 	env := protocoltest.New(1, ex1())
-	c := NewCoordinator(1, ws, parts, quorumcalc.TP2Rule(ws.Items()))
+	c := NewCoordinator(1, ws, parts, &quorumcalc.Quorums{Rule: quorumcalc.TP2Rule()})
 	c.Start(env)
 	runVotes(c, env, parts)
 	env.Reset()
@@ -337,7 +337,7 @@ func TestCoordinatorCP2CommitsFaster(t *testing.T) {
 
 func TestCoordinatorAbortsOnNoVote(t *testing.T) {
 	env := protocoltest.New(1, ex1())
-	c := NewCoordinator(1, ws, parts, quorumcalc.ThreePCRule(len(parts)))
+	c := NewCoordinator(1, ws, parts, &quorumcalc.Quorums{Rule: quorumcalc.ThreePCRule()})
 	c.Start(env)
 	env.Reset()
 	c.OnMessage(2, msg.VoteResp{Txn: 1, Vote: types.VoteNo}, env)
@@ -360,7 +360,7 @@ func TestCoordinatorAbortsOnNoVote(t *testing.T) {
 
 func TestCoordinatorVoteTimeoutAborts(t *testing.T) {
 	env := protocoltest.New(1, ex1())
-	c := NewCoordinator(1, ws, parts, quorumcalc.ThreePCRule(len(parts)))
+	c := NewCoordinator(1, ws, parts, &quorumcalc.Quorums{Rule: quorumcalc.ThreePCRule()})
 	c.Start(env)
 	env.Reset()
 	c.OnTimer(tokVotes, env)
@@ -372,7 +372,7 @@ func TestCoordinatorVoteTimeoutAborts(t *testing.T) {
 func TestCoordinatorAckTimeoutPolicies(t *testing.T) {
 	// 3PC: commit anyway.
 	env := protocoltest.New(1, ex1())
-	c := NewCoordinator(1, ws, parts, quorumcalc.ThreePCRule(len(parts)))
+	c := NewCoordinator(1, ws, parts, &quorumcalc.Quorums{Rule: quorumcalc.ThreePCRule()})
 	c.Start(env)
 	runVotes(c, env, parts)
 	env.Reset()
@@ -383,7 +383,7 @@ func TestCoordinatorAckTimeoutPolicies(t *testing.T) {
 
 	// Quorum protocols: hand over to termination.
 	env2 := protocoltest.New(1, ex1())
-	c2 := NewCoordinator(1, ws, parts, quorumcalc.TP1Rule(ws.Items()))
+	c2 := NewCoordinator(1, ws, parts, &quorumcalc.Quorums{Rule: quorumcalc.TP1Rule()})
 	c2.Start(env2)
 	runVotes(c2, env2, parts)
 	env2.Reset()
@@ -397,7 +397,7 @@ func TestCoordinatorAckTimeoutPolicies(t *testing.T) {
 // from a site that is no participant, must not count toward the ack quorum.
 func TestCoordinatorCountsEachParticipantAckOnce(t *testing.T) {
 	env := protocoltest.New(1, ex1())
-	c := NewCoordinator(1, ws, []types.SiteID{1, 2, 3}, quorumcalc.SkeenRule(nil, 2, 2))
+	c := NewCoordinator(1, ws, []types.SiteID{1, 2, 3}, &quorumcalc.Quorums{Rule: quorumcalc.SkeenRule(nil, 2, 2)})
 	c.Start(env)
 	runVotes(c, env, []types.SiteID{1, 2, 3})
 	env.Reset()
@@ -415,11 +415,11 @@ func TestCoordinatorCountsEachParticipantAckOnce(t *testing.T) {
 
 // --- terminator ---
 
-var tp1 = quorumcalc.TP1Rule(ws.Items())
+var tp1 = quorumcalc.TP1Rule()
 
 func TestTerminatorPollsAndDistributes(t *testing.T) {
 	env := protocoltest.New(2, ex1())
-	term := NewTerminator(1, parts, 5, tp1)
+	term := NewTerminator(1, ws, parts, 5, &quorumcalc.Quorums{Rule: tp1})
 	term.Start(env)
 	reqs := 0
 	for _, s := range env.Sends {
@@ -455,7 +455,7 @@ func TestTerminatorPollsAndDistributes(t *testing.T) {
 // enter the tally — here each of them claims a decisive state.
 func TestTerminatorIgnoresUncountableResponses(t *testing.T) {
 	env := protocoltest.New(2, ex1())
-	term := NewTerminator(1, []types.SiteID{2, 3}, 5, tp1)
+	term := NewTerminator(1, ws, []types.SiteID{2, 3}, 5, &quorumcalc.Quorums{Rule: tp1})
 	term.Start(env)
 	term.OnMessage(3, msg.StateResp{Txn: 1, Epoch: 4, State: types.StateCommitted}, env)
 	term.OnMessage(3, msg.StateResp{Txn: 1, Epoch: 5, State: types.State(200)}, env)
@@ -469,7 +469,7 @@ func TestTerminatorIgnoresUncountableResponses(t *testing.T) {
 
 func TestTerminatorTryCommitConfirmFlow(t *testing.T) {
 	env := protocoltest.New(2, ex1())
-	term := NewTerminator(1, parts, 1, quorumcalc.ThreePCRule(len(parts)))
+	term := NewTerminator(1, ws, parts, 1, &quorumcalc.Quorums{Rule: quorumcalc.ThreePCRule()})
 	term.Start(env)
 	term.OnMessage(5, msg.StateResp{Txn: 1, Epoch: 1, State: types.StatePC}, env)
 	term.OnMessage(4, msg.StateResp{Txn: 1, Epoch: 1, State: types.StateWait}, env)
@@ -501,7 +501,7 @@ func TestTerminatorTryCommitConfirmFlow(t *testing.T) {
 // short of confirming it.
 func TestTerminatorReentersOnFailedConfirm(t *testing.T) {
 	env := protocoltest.New(2, ex1())
-	term := NewTerminator(1, parts, 1, tp1)
+	term := NewTerminator(1, ws, parts, 1, &quorumcalc.Quorums{Rule: tp1})
 	term.Start(env)
 	term.OnMessage(2, msg.StateResp{Txn: 1, Epoch: 1, State: types.StateWait}, env)
 	term.OnMessage(3, msg.StateResp{Txn: 1, Epoch: 1, State: types.StateWait}, env)
@@ -526,7 +526,7 @@ func TestTerminatorReentersOnFailedConfirm(t *testing.T) {
 // not stand in for the participant that stayed silent.
 func TestTerminatorIgnoresNonParticipantAck(t *testing.T) {
 	env := protocoltest.New(2, ex1())
-	term := NewTerminator(1, []types.SiteID{2, 3, 4}, 1, quorumcalc.SkeenRule(nil, 2, 2))
+	term := NewTerminator(1, ws, []types.SiteID{2, 3, 4}, 1, &quorumcalc.Quorums{Rule: quorumcalc.SkeenRule(nil, 2, 2)})
 	term.Start(env)
 	term.OnMessage(2, msg.StateResp{Txn: 1, Epoch: 1, State: types.StateWait}, env)
 	term.OnMessage(3, msg.StateResp{Txn: 1, Epoch: 1, State: types.StateWait}, env)
@@ -542,7 +542,7 @@ func TestTerminatorIgnoresNonParticipantAck(t *testing.T) {
 
 func TestTerminatorBlockVerdict(t *testing.T) {
 	env := protocoltest.New(2, ex1())
-	term := NewTerminator(1, parts, 1, tp1)
+	term := NewTerminator(1, ws, parts, 1, &quorumcalc.Quorums{Rule: tp1})
 	term.Start(env)
 	env.Reset()
 	term.OnTimer(tokCollect, env)
@@ -568,7 +568,7 @@ func TestTerminatorClosesWindowsOnReplies(t *testing.T) {
 
 	// An abort report does not close the poll while a participant is silent —
 	// a C from that one would outrank it — but the last reply does.
-	term := NewTerminator(1, three, 1, tp1)
+	term := NewTerminator(1, ws, three, 1, &quorumcalc.Quorums{Rule: tp1})
 	term.Start(env)
 	env.Reset()
 	term.OnMessage(2, msg.StateResp{Txn: 1, Epoch: 1, State: types.StateAborted}, env)
@@ -586,7 +586,7 @@ func TestTerminatorClosesWindowsOnReplies(t *testing.T) {
 
 	// A commit report closes it at once, whoever is still silent.
 	env.Reset()
-	term = NewTerminator(1, three, 1, tp1)
+	term = NewTerminator(1, ws, three, 1, &quorumcalc.Quorums{Rule: tp1})
 	term.Start(env)
 	env.Reset()
 	term.OnMessage(3, msg.StateResp{Txn: 1, Epoch: 1, State: types.StateCommitted}, env)
@@ -601,7 +601,7 @@ func TestTerminatorClosesWindowsOnReplies(t *testing.T) {
 	// the second PA-ACK closes the confirm window and the third is not
 	// waited for; the window's expiry then finds the round over.
 	env.Reset()
-	term = NewTerminator(1, three, 1, tp1)
+	term = NewTerminator(1, ws, three, 1, &quorumcalc.Quorums{Rule: tp1})
 	term.Start(env)
 	for _, s := range three {
 		term.OnMessage(s, msg.StateResp{Txn: 1, Epoch: 1, State: types.StateWait}, env)
@@ -638,7 +638,7 @@ func TestTerminator3PCWaitsForEveryPreparedSite(t *testing.T) {
 	four := []types.SiteID{2, 3, 4, 5}
 	poll := func() (*Terminator, *protocoltest.Env) {
 		env := protocoltest.New(2, ex1())
-		term := NewTerminator(1, four, 1, quorumcalc.ThreePCRule(len(four)))
+		term := NewTerminator(1, ws, four, 1, &quorumcalc.Quorums{Rule: quorumcalc.ThreePCRule()})
 		term.Start(env)
 		term.OnMessage(5, msg.StateResp{Txn: 1, Epoch: 1, State: types.StatePC}, env)
 		for _, s := range four[:3] {
@@ -670,7 +670,7 @@ func TestTerminator3PCWaitsForEveryPreparedSite(t *testing.T) {
 
 	// Everyone polled already in PC: nobody to prepare, nothing to wait for.
 	env = protocoltest.New(2, ex1())
-	term = NewTerminator(1, four[:2], 1, quorumcalc.ThreePCRule(2))
+	term = NewTerminator(1, ws, four[:2], 1, &quorumcalc.Quorums{Rule: quorumcalc.ThreePCRule()})
 	term.Start(env)
 	env.Reset()
 	term.OnMessage(2, msg.StateResp{Txn: 1, Epoch: 1, State: types.StatePC}, env)
