@@ -16,19 +16,18 @@
 // Three properties carry the equivalence, each pinned by the differential
 // suite in hybrid_test.go:
 //
-//  1. Delays are per-message, not per-run. simnet.Config.DelayFn derives each
-//     propagation delay from (seed, from, to, sendTime), so a world that
-//     simulates only a subset of the traffic sees identical delays for every
-//     message it shares with full replay. With loss and duplication disabled
-//     the scheduler RNG is never consulted, so the fallback world cannot
-//     drift off the replay schedule.
+//  1. Delays are per-message, not per-run. simnet derives each propagation
+//     delay from (seed, from, to, sendTime), so a world that simulates only a
+//     subset of the traffic sees identical delays for every message it
+//     shares with full replay, and the arithmetic here calls the same
+//     worldNet.Delay.
 //  2. Classification is conservative. Each arrival's plan computes, from the
 //     epoch's static world and the delay hash, the end of its footprint:
 //     one delivery hop T after its decision, where the decision instant is
 //     the vote timeout arrival+2T when the vote phase aborts and otherwise
 //     the last PC-ACK's arrival, capped at the ack deadline tAllVotes+2T
 //     (2PC decides earlier, at tAllVotes). The hop is added to the bound,
-//     never hashed at it: messageDelay keys on the send time, so a delay
+//     never hashed at it: worldNet.Delay keys on the send time, so a delay
 //     computed at a bound says nothing about the real, earlier send. Every
 //     VOTE-REQ is delivered by arrival+T ≤ end, and after end the
 //     transaction holds no lock and has no frame in flight that an
@@ -75,38 +74,8 @@ import (
 	"qcommit/internal/engine"
 	"qcommit/internal/quorumcalc"
 	"qcommit/internal/sim"
-	"qcommit/internal/simnet"
 	"qcommit/internal/types"
 )
-
-// mix64 is the splitmix64 finalizer, the usual way to turn structured
-// integers into well-distributed hash bits.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// messageDelay is the deterministic per-message delay model shared by the
-// replay engine, the hybrid engine's fallback world, and the analytic
-// arithmetic: a hash of (seed, from, to, sendTime) mapped onto [0, 10ms],
-// the same range the RNG model drew from. Keying by message rather than by
-// draw order is what lets a partial simulation agree with a full one.
-func messageDelay(seed int64, from, to types.SiteID, at sim.Time) sim.Duration {
-	h := mix64(uint64(seed))
-	h = mix64(h ^ uint64(uint32(from)))
-	h = mix64(h ^ uint64(uint32(to)))
-	h = mix64(h ^ uint64(at))
-	return sim.Duration(h % uint64(simnet.Config{}.MaxDelayOrDefault()+1))
-}
-
-// delayModel returns the run's simnet.Config.DelayFn.
-func delayModel(seed int64) func(from, to types.SiteID, at sim.Time) sim.Duration {
-	return func(from, to types.SiteID, at sim.Time) sim.Duration {
-		return messageDelay(seed, from, to, at)
-	}
-}
 
 // conflictClusters flags arrivals whose write locks could interact: a later
 // arrival is linked to an earlier writer of a common item when it arrives
@@ -313,9 +282,9 @@ func buildHybridPlans(sc *script, seed int64, epochs []Epoch, T sim.Duration, ho
 		if p.allReach {
 			tAllVotes := a.At
 			for _, s := range p.reach {
-				d1 := messageDelay(seed, coord, s, a.At)
+				d1 := worldNet.Delay(seed, coord, s, a.At)
 				t1 := a.At.Add(d1)
-				t2 := t1.Add(messageDelay(seed, s, coord, t1))
+				t2 := t1.Add(worldNet.Delay(seed, s, coord, t1))
 				if t2 > tAllVotes {
 					tAllVotes = t2
 				}
@@ -331,9 +300,9 @@ func buildHybridPlans(sc *script, seed int64, epochs []Epoch, T sim.Duration, ho
 			p.ackDeadline = p.tAllVotes.Add(2 * T)
 			p.acks = make([]ackArrival, 0, len(p.reach))
 			for i, s := range p.reach { // every participant, in order
-				d3 := messageDelay(seed, coord, s, p.tAllVotes)
+				d3 := worldNet.Delay(seed, coord, s, p.tAllVotes)
 				t3 := p.tAllVotes.Add(d3)
-				t4 := t3.Add(messageDelay(seed, s, coord, t3))
+				t4 := t3.Add(worldNet.Delay(seed, s, coord, t3))
 				p.acks = append(p.acks, ackArrival{at: t4, site: s, i: i})
 			}
 			slices.SortFunc(p.acks, func(x, y ackArrival) int {
@@ -360,7 +329,7 @@ func buildHybridPlans(sc *script, seed int64, epochs []Epoch, T sim.Duration, ho
 // individual transactions differs.
 func executeRunHybrid(sc *script, params Params, seed int64, spec core.Spec) (runStats, error) {
 	horizon := sim.Time(params.Horizon)
-	T := simnet.Config{}.MaxDelayOrDefault() // the engine's timeout base
+	T := worldNet.MaxDelayOrDefault() // the engine's timeout base
 	if sc.hybridPlans == nil || sc.hybridSeed != seed {
 		sc.hybridPlans = buildHybridPlans(sc, seed, sc.epochs(horizon), T, horizon)
 		sc.hybridMulti = conflictClusters(sc.arrivals, sc.hybridPlans)
@@ -539,7 +508,7 @@ func firstDecisionTime(seed int64, coord types.SiteID, coordIn bool, reach []typ
 	}
 	first := sim.Time(0)
 	for i, s := range reach {
-		at := tDecide.Add(messageDelay(seed, coord, s, tDecide))
+		at := tDecide.Add(worldNet.Delay(seed, coord, s, tDecide))
 		if i == 0 || at < first {
 			first = at
 		}

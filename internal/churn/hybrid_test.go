@@ -275,40 +275,6 @@ func TestHybridParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestMessageDelayModel pins the hash delay model's contract: in range,
-// deterministic, sensitive to every key component, and what simnet actually
-// delivers when DelayFn is installed.
-func TestMessageDelayModel(t *testing.T) {
-	maxDelay := simnet.Config{}.MaxDelayOrDefault()
-	seen := map[sim.Duration]int{}
-	for i := 0; i < 2000; i++ {
-		d := messageDelay(42, types.SiteID(i%7+1), types.SiteID(i%5+1), sim.Time(i*1000))
-		if d < 0 || d > maxDelay {
-			t.Fatalf("delay %v outside [0, %v]", d, maxDelay)
-		}
-		seen[d]++
-	}
-	if len(seen) < 100 {
-		t.Errorf("only %d distinct delays in 2000 draws — model looks degenerate", len(seen))
-	}
-	base := messageDelay(1, 2, 3, 4)
-	if messageDelay(1, 2, 3, 4) != base {
-		t.Error("delay model not deterministic")
-	}
-	diffs := 0
-	for _, other := range []sim.Duration{
-		messageDelay(2, 2, 3, 4), messageDelay(1, 3, 3, 4),
-		messageDelay(1, 2, 2, 4), messageDelay(1, 2, 3, 5),
-	} {
-		if other != base {
-			diffs++
-		}
-	}
-	if diffs == 0 {
-		t.Error("delay model insensitive to seed, endpoints, and time")
-	}
-}
-
 // conflictClusters is pure arithmetic over the arrival stream and each
 // arrival's plan end; pin the chaining and windowing behavior directly.
 func TestConflictClusters(t *testing.T) {

@@ -60,16 +60,20 @@ const kickGraceT = 6
 //
 // ExtraSites keeps copy-less sites in the cluster: random placement may leave
 // a site with no replicas, but the timeline still crashes and restarts it.
-// Delays come from the per-message hash model, so a world that simulates only
+// Delays come from simnet's per-message hash, so a world that simulates only
 // a subset of the traffic sees the same delay on every message it shares with
 // the full replay.
+// worldNet is every churn world's network: 0–10 ms delays, lossless, no
+// codec. The hybrid's arithmetic reads the same delays from it.
+var worldNet = simnet.Config{}
+
 func newWorld(sc *script, params Params, seed int64, spec core.Spec, txns []types.TxnID, submit func(*engine.Cluster)) *engine.Cluster {
 	if sc.seeds == nil {
 		sc.seeds = engine.SeedTables(sc.asgn, 0, nil)
 	}
 	cl := engine.New(engine.Config{
 		Seed:       seed,
-		Net:        simnet.Config{DelayFn: delayModel(seed)},
+		Net:        worldNet,
 		Assignment: sc.asgn,
 		Strategy:   params.Strategy,
 		Spec:       spec,

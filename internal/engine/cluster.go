@@ -336,7 +336,7 @@ func (cl *Cluster) Begin(coord types.SiteID, ws types.Writeset) types.TxnID {
 // acknowledge both concurrent coordinators and terminates inconsistently.
 // The window for that double acknowledgement is one round trip, so few seeds
 // hit it; TestExample3Sweep re-derives the set and checks this one is in it.
-const Example3ViolatingSeed int64 = 36
+const Example3ViolatingSeed int64 = 19
 
 // SetupInterrupted constructs, without running the commit protocol, the
 // exact mid-protocol configuration the paper's examples start from: every

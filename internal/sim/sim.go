@@ -15,10 +15,7 @@
 // Runners, so a warm simulation schedules without touching the allocator.
 package sim
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // Time is a point in virtual time, in nanoseconds since simulation start.
 type Time int64
@@ -77,14 +74,15 @@ type Scheduler struct {
 	seq   uint64 // last sequence number issued; the first event gets 1
 	heap  []slot // binary min-heap in (at, seq) order
 	seed  int64
-	rng   *rand.Rand
 	steps uint64
 	// MaxSteps bounds the number of dispatched events to guard against
 	// livelock in buggy scenarios; 0 means unlimited.
 	MaxSteps uint64
 }
 
-// NewScheduler returns a scheduler whose random source is seeded with seed.
+// NewScheduler returns a scheduler for a run seeded with seed. The
+// scheduler draws nothing from it; layers that vary with the seed (simnet's
+// delay hash) read it with Seed.
 func NewScheduler(seed int64) *Scheduler {
 	return &Scheduler{seed: seed}
 }
@@ -92,15 +90,8 @@ func NewScheduler(seed int64) *Scheduler {
 // Now returns the current virtual time.
 func (s *Scheduler) Now() Time { return s.now }
 
-// Rand returns the scheduler's deterministic random source. The source is
-// seeded on first use — seeding the rand table is surprisingly expensive,
-// and runs under a deterministic DelayFn never draw from it at all.
-func (s *Scheduler) Rand() *rand.Rand {
-	if s.rng == nil {
-		s.rng = rand.New(rand.NewSource(s.seed))
-	}
-	return s.rng
-}
+// Seed returns the run's seed.
+func (s *Scheduler) Seed() int64 { return s.seed }
 
 // Steps returns the number of events dispatched so far.
 func (s *Scheduler) Steps() uint64 { return s.steps }

@@ -128,9 +128,10 @@ func TestSchedulerMaxSteps(t *testing.T) {
 func TestSchedulerDeterminism(t *testing.T) {
 	run := func(seed int64) []Time {
 		s := NewScheduler(seed)
+		rng := rand.New(rand.NewSource(seed))
 		var log []Time
 		for i := 0; i < 50; i++ {
-			s.After(Duration(s.Rand().Int63n(1000)), func() { log = append(log, s.Now()) })
+			s.After(Duration(rng.Int63n(1000)), func() { log = append(log, s.Now()) })
 		}
 		s.Run()
 		return log

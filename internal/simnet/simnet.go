@@ -8,6 +8,14 @@
 // The longest end-to-end propagation delay T of the paper maps to
 // Config.MaxDelay.
 //
+// Delay model: a frame's delay, and whether it is lost or duplicated, is a
+// hash of the frame itself — the run's seed, its link, its send instant and,
+// for loss and duplication, its kind and transaction — never a draw in send
+// order. Adding or removing one frame therefore moves no other frame's
+// delivery time or fate, and a simulation of any subset of the traffic sees
+// the same timing on every frame it shares with the full run (the property
+// the hybrid churn engine's replay fallback relies on).
+//
 // Cost model: a message in flight is one scheduler heap slot whose body is a
 // pooled delivery, and the topology (handlers, crashed sites, partition
 // groups) is a types.SiteTable, so a warm send → deliver allocates nothing
@@ -35,8 +43,9 @@ type DropFilter func(env msg.Envelope) bool
 
 // Config parameterizes the network.
 type Config struct {
-	// MinDelay and MaxDelay bound per-message propagation delay; delays are
-	// drawn uniformly from [MinDelay, MaxDelay]. MaxDelay is the paper's T.
+	// MinDelay and MaxDelay bound per-message propagation delay; Delay
+	// spreads delays uniformly over [MinDelay, MaxDelay]. MaxDelay is the
+	// paper's T.
 	MinDelay sim.Duration
 	MaxDelay sim.Duration
 	// LossProb is the independent probability that any message is lost.
@@ -46,15 +55,6 @@ type Config struct {
 	// Codec, when true, round-trips every message through the binary wire
 	// codec, exercising Marshal/Unmarshal on every hop.
 	Codec bool
-	// DelayFn, when non-nil, replaces the random draw: the propagation delay
-	// of a message is DelayFn(from, to, sendTime) and the scheduler RNG is
-	// never consulted. A pure DelayFn makes per-message timing a function of
-	// the message alone rather than of the global send order, so a
-	// simulation of any subset of the traffic sees identical delays for the
-	// messages it shares with the full run — the property the hybrid churn
-	// engine's replay fallback relies on. The returned delay is clamped
-	// to [0, MaxDelayOrDefault()].
-	DelayFn func(from, to types.SiteID, at sim.Time) sim.Duration
 }
 
 // DefaultConfig returns the configuration used by most experiments:
@@ -74,6 +74,57 @@ func (c Config) MaxDelayOrDefault() sim.Duration {
 	}
 	return c.MaxDelay
 }
+
+// Delay is the propagation delay of a message sent from → to at instant at
+// in a run seeded with seed: MinDelay + hash(seed, from, to, at) mod
+// (MaxDelayOrDefault − MinDelay + 1). It is the model's one delay function;
+// the hybrid churn engine's arithmetic calls it too.
+func (c Config) Delay(seed int64, from, to types.SiteID, at sim.Time) sim.Duration {
+	return c.spread(linkHash(seed, from, to, at))
+}
+
+// spread maps a hash onto [MinDelay, MaxDelayOrDefault()].
+func (c Config) spread(h uint64) sim.Duration {
+	lo, hi := max(c.MinDelay, 0), c.MaxDelayOrDefault()
+	if hi <= lo {
+		return lo
+	}
+	return lo + sim.Duration(h%uint64(hi-lo+1))
+}
+
+// mix64 is the splitmix64 finalizer, the usual way to turn structured
+// integers into well-distributed hash bits.
+func mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
+func linkHash(seed int64, from, to types.SiteID, at sim.Time) uint64 {
+	h := mix64(uint64(seed))
+	h = mix64(h ^ uint64(uint32(from)))
+	h = mix64(h ^ uint64(uint32(to)))
+	return mix64(h ^ uint64(at))
+}
+
+// Salts that give loss and duplication their own hash of a frame.
+const (
+	saltLoss uint64 = 0x6c6f7373 // "loss"
+	saltDup  uint64 = 0x00647570 // "dup"
+)
+
+// fateHash keys a frame's loss or duplicate fate by its link, send instant,
+// kind and transaction, so frames sent at one instant on one link do not
+// share a fate.
+func fateHash(seed int64, salt uint64, env msg.Envelope, at sim.Time) uint64 {
+	h := mix64(linkHash(seed, env.From, env.To, at) ^ salt)
+	h = mix64(h ^ uint64(env.Msg.Kind()))
+	return mix64(h ^ uint64(msg.TxnOf(env.Msg)))
+}
+
+// chance reports whether a hash falls in the lowest fraction p of its range.
+func chance(h uint64, p float64) bool { return float64(h>>11)/(1<<53) < p }
 
 // Stats counts network activity.
 type Stats struct {
@@ -190,7 +241,8 @@ func (n *Network) Groups() [][]types.SiteID {
 }
 
 // Send routes one message. Delivery (or loss) is decided at send time against
-// the current partition/crash state; delivery happens after a random delay.
+// the current partition/crash state; delivery happens after the frame's
+// hashed delay.
 // Messages already in flight when a partition forms are still delivered —
 // checked again at delivery time, modeling messages cut off mid-flight.
 func (n *Network) Send(from, to types.SiteID, m msg.Message) {
@@ -220,14 +272,19 @@ func (n *Network) Send(from, to types.SiteID, m msg.Message) {
 		n.stats.DroppedPartition++
 		return
 	}
-	if n.cfg.LossProb > 0 && n.sched.Rand().Float64() < n.cfg.LossProb {
+	seed, now := n.sched.Seed(), n.sched.Now()
+	if n.cfg.LossProb > 0 && chance(fateHash(seed, saltLoss, env, now), n.cfg.LossProb) {
 		n.stats.DroppedLoss++
 		return
 	}
-	n.deliverAfter(env, n.delayFor(from, to))
-	if n.cfg.DupProb > 0 && n.sched.Rand().Float64() < n.cfg.DupProb {
-		n.stats.Duplicated++
-		n.deliverAfter(env, n.delayFor(from, to))
+	n.deliverAfter(env, n.cfg.Delay(seed, from, to, now))
+	if n.cfg.DupProb > 0 {
+		// The duplicate's delay comes from the same salted hash, remixed so
+		// it does not correlate with the fate.
+		if h := fateHash(seed, saltDup, env, now); chance(h, n.cfg.DupProb) {
+			n.stats.Duplicated++
+			n.deliverAfter(env, n.cfg.spread(mix64(h)))
+		}
 	}
 }
 
@@ -239,28 +296,6 @@ func (n *Network) Broadcast(from types.SiteID, tos []types.SiteID, m msg.Message
 		}
 		n.Send(from, to, m)
 	}
-}
-
-func (n *Network) delayFor(from, to types.SiteID) sim.Duration {
-	hi := n.cfg.MaxDelayOrDefault()
-	if fn := n.cfg.DelayFn; fn != nil {
-		d := fn(from, to, n.sched.Now())
-		if d < 0 {
-			d = 0
-		}
-		if d > hi {
-			d = hi
-		}
-		return d
-	}
-	lo := n.cfg.MinDelay
-	if lo < 0 {
-		lo = 0
-	}
-	if hi <= lo {
-		return lo
-	}
-	return lo + sim.Duration(n.sched.Rand().Int63n(int64(hi-lo)+1))
 }
 
 // delivery is a message in flight, the body of its scheduler event. A

@@ -252,12 +252,18 @@ func TestCrashRecoveryMidCommit(t *testing.T) {
 }
 
 func TestCrashDuringPrepareRecoversViaTermination(t *testing.T) {
-	// Crash a participant mid-protocol; the rest commit; the crashed site
-	// must learn the decision after restarting (via its own termination
-	// round polling the committed survivors).
+	// Crash a participant mid-protocol, the moment it enters PC; the rest
+	// commit; the crashed site must learn the decision after restarting
+	// (via its own termination round polling the committed survivors).
 	c := MustCluster(paperItems(), Options{Protocol: ProtoQC2, Seed: 8})
 	txn := c.Submit(1, map[ItemID]int64{"x": 7, "y": 8})
-	c.CrashAt(Time(12*Millisecond), 8)
+	for i := 0; c.StateOf(8, txn) != StatePC; i++ {
+		if i == 20_000 || c.Engine().Scheduler().Pending() == 0 {
+			t.Fatalf("site8 never reached PC (state %v at %v)", c.StateOf(8, txn), c.Now())
+		}
+		c.RunFor(10 * Microsecond)
+	}
+	c.Crash(8)
 	c.Run()
 	if got := c.Outcome(txn); got != OutcomeCommitted {
 		t.Fatalf("survivors should commit (QC2 needs only r votes of acks), got %v", got)
