@@ -198,8 +198,8 @@ func TestCommandsSmoke(t *testing.T) {
 					// A ladder line moves whenever a message or timer does; any
 					// other line is an outcome, a table or a count.
 					kind := "not a ladder line: an outcome, table or count changed"
-					if strings.HasPrefix(got, "t=") || strings.HasPrefix(want, "t=") {
-						kind = "a ladder line (t=…): timing or message order changed"
+					if ladderRE.MatchString(got) || ladderRE.MatchString(want) {
+						kind = "a ladder line: timing or message order changed"
 					}
 					t.Errorf("output differs from %s first at line %d, %s\n got: %s\nwant: %s", tc.golden, line, kind, got, want)
 				}
@@ -211,6 +211,10 @@ func TestCommandsSmoke(t *testing.T) {
 // strategyScenario is the fault script of the two qsim strategy goldens.
 var strategyScenario = []string{"-crash", "2", "-crashat", "15ms", "-restart", "2:200ms",
 	"-partition", "1,2,3,5,6,7|4,8", "-partat", "18ms", "-heal", "300ms", "-ladder"}
+
+// ladderRE matches a ladder line: qsim's "t=1.234ms …" rows and the
+// figures' "1.234ms  o--…" rows.
+var ladderRE = regexp.MustCompile(`^(t=)?[0-9]+\.[0-9]{3}ms `)
 
 // ratesRE matches the one wall-clock figure in churnbench's stdout.
 var ratesRE = regexp.MustCompile(`\([0-9.]+ runs/s, [0-9.]+ trials/s\)`)

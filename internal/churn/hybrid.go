@@ -31,8 +31,7 @@
 //     computed at a bound says nothing about the real, earlier send. Every
 //     VOTE-REQ is delivered by arrival+T ≤ end, and after end the
 //     transaction holds no lock and has no frame in flight that an
-//     automaton acts on (a participant's DONE reaches a finished
-//     coordinator). A transaction is analytic only if (a) its commit window
+//     automaton acts on. A transaction is analytic only if (a) its commit window
 //     [arrival, end] ends before the horizon and sees a static world — no
 //     partition or heal, and no crash or restart of its coordinator or a
 //     participant, anywhere in (arrival, end]; (b) it is alone in its

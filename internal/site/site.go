@@ -74,10 +74,9 @@
 //	ABORT      no      nothing: an in-doubt site asks and aborts     -
 //	LEASE      yes     live.Server: resume IDs past the block        VOTE-REQs of its block's IDs
 //
-// Beyond publication a COMMIT gates only the msg.Done its participant sends
-// afterwards, which no automaton reads. The engine appends synchronously, so
-// there every record is durable on return and the only difference is the
-// BEGIN a participating coordinator no longer writes; the live node gates an
+// The engine appends synchronously, so there every record is durable on
+// return and the only difference is the BEGIN a participating coordinator
+// no longer writes; the live node gates an
 // event's sends and outcome notifications on its forced records only.
 package site
 
@@ -599,11 +598,9 @@ func (k *Kernel[X]) Handle(e msg.Envelope) {
 			k.deliver(c, protocol.RoleCoordinator, e)
 		}
 
-	case msg.VoteResp, msg.Done:
+	case msg.VoteResp:
 		if c := k.txns[txn]; c != nil {
-			if _, isVote := m.(msg.VoteResp); isVote {
-				k.h.Observe(c, VoteReceived, e.From)
-			}
+			k.h.Observe(c, VoteReceived, e.From)
 			k.deliver(c, protocol.RoleCoordinator, e)
 		}
 

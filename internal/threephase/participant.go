@@ -136,13 +136,11 @@ func (p *Participant) OnMessage(from types.SiteID, m msg.Message, env protocol.E
 		if !p.state.Terminal() && p.state != types.StateInitial {
 			p.state = types.StateCommitted
 			env.Commit(p.txn)
-			env.Send(from, msg.Done{Txn: p.txn})
 		}
 	case msg.Abort:
 		if !p.state.Terminal() {
 			p.state = types.StateAborted
 			env.Abort(p.txn)
-			env.Send(from, msg.Done{Txn: p.txn})
 		}
 	case msg.StateReq:
 		env.Send(from, msg.StateResp{Txn: p.txn, Epoch: v.Epoch, State: p.state})
