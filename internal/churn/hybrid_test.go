@@ -228,7 +228,7 @@ func TestAnalyticFootprintWithinPlanEnd(t *testing.T) {
 					checks++
 					cl.Scheduler().At(p.end+1, func() {
 						for _, s := range p.reach {
-							if items := cl.LockedItems(s, txns[i]); len(items) != 0 || !cl.StateOf(s, txns[i]).Terminal() {
+							if items := cl.Site(s).Locks().HeldItems(txns[i]); len(items) != 0 || !cl.StateOf(s, txns[i]).Terminal() {
 								misses++
 								if misses <= 5 {
 									t.Errorf("%s seed %d %s: arrival %d (at %v, end %v): site %d holds %v in state %v at end+1",

@@ -139,7 +139,7 @@ func TestTerminalStatesConsistentAndLocksReleased(t *testing.T) {
 			for txn := types.TxnID(1); txn <= 1; txn++ {
 				switch cl.OutcomeAt(id, txn) {
 				case types.OutcomeCommitted, types.OutcomeAborted:
-					if items := cl.LockedItems(id, txn); len(items) != 0 {
+					if items := cl.Site(id).Locks().HeldItems(txn); len(items) != 0 {
 						t.Fatalf("seed %d site %s: terminal but still holds %v", seed, id, items)
 					}
 				case types.OutcomeBlocked:

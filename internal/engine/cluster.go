@@ -542,11 +542,6 @@ func (cl *Cluster) GroupOutcome(txn types.TxnID, group []types.SiteID) types.Out
 	return types.OutcomeUnknown
 }
 
-// LockedItems returns the items still X-locked by txn at a site.
-func (cl *Cluster) LockedItems(id types.SiteID, txn types.TxnID) []types.ItemID {
-	return cl.sites.Get(id).locks.HeldItems(txn)
-}
-
 // ItemLockedAt reports whether any transaction currently holds a lock on
 // item at the given site. The hybrid churn engine uses it as a
 // classification probe: a candidate for the analytic fast path must see

@@ -84,7 +84,7 @@ func TestFailureFreeCommitAllProtocols(t *testing.T) {
 			}
 			// All locks must be released.
 			for _, id := range cl.Sites() {
-				if items := cl.LockedItems(id, txn); len(items) != 0 {
+				if items := cl.Site(id).Locks().HeldItems(txn); len(items) != 0 {
 					t.Errorf("site%d still holds locks %v", id, items)
 				}
 			}
@@ -185,7 +185,7 @@ func TestExample4TP1ImprovesAvailability(t *testing.T) {
 	}
 	// Locks released in G1: x is readable there (2 votes ≥ r=2).
 	for _, id := range []types.SiteID{2, 3} {
-		if items := cl.LockedItems(id, txn); len(items) != 0 {
+		if items := cl.Site(id).Locks().HeldItems(txn); len(items) != 0 {
 			t.Errorf("G1 site%d still locked: %v", id, items)
 		}
 	}
