@@ -31,10 +31,10 @@
 //     computed at a bound says nothing about the real, earlier send. Every
 //     VOTE-REQ is delivered by arrival+T ≤ end, and after end the
 //     transaction holds no lock and has no frame in flight that an
-//     automaton acts on. A transaction is analytic only if (a) its commit window
-//     [arrival, end] ends before the horizon and sees a static world — no
-//     partition or heal, and no crash or restart of its coordinator or a
-//     participant, anywhere in (arrival, end]; (b) it is alone in its
+//     automaton acts on. A transaction is analytic only if (a) its commit
+//     window [arrival, end] ends before the horizon and sees a static world
+//     — no partition or heal, and no crash or restart of its coordinator or
+//     a participant, anywhere in (arrival, end]; (b) it is alone in its
 //     conflict cluster — no other transaction writing a common item arrives
 //     before the earlier writer's end, which bounds every analytic lock
 //     lifetime; (c) no copy of its writeset is locked in the fallback world

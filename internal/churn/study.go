@@ -51,6 +51,10 @@ const stepsPerArrival = 100_000
 // phase), so by 6T an undecided transaction is genuinely stalled.
 const kickGraceT = 6
 
+// worldNet is every churn world's network: 0–10 ms delays, lossless, no
+// codec. The hybrid's arithmetic reads the same delays from it.
+var worldNet = simnet.Config{}
+
 // newWorld builds one run's cluster on the script's shared seed tables and
 // schedules, in this order, the fault timeline, the caller's up-front events
 // (submit; replay's arrival closures, nil for the hybrid's fallback world)
@@ -63,10 +67,6 @@ const kickGraceT = 6
 // Delays come from simnet's per-message hash, so a world that simulates only
 // a subset of the traffic sees the same delay on every message it shares with
 // the full replay.
-// worldNet is every churn world's network: 0–10 ms delays, lossless, no
-// codec. The hybrid's arithmetic reads the same delays from it.
-var worldNet = simnet.Config{}
-
 func newWorld(sc *script, params Params, seed int64, spec core.Spec, txns []types.TxnID, submit func(*engine.Cluster)) *engine.Cluster {
 	if sc.seeds == nil {
 		sc.seeds = engine.SeedTables(sc.asgn, 0, nil)

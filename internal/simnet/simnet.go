@@ -19,8 +19,8 @@
 // Cost model: a message in flight is one scheduler heap slot whose body is a
 // pooled delivery, and the topology (handlers, crashed sites, partition
 // groups) is a types.SiteTable, so a warm send → deliver allocates nothing
-// and hashes nothing (with Config.Codec off; the codec round trip allocates
-// the decoded message).
+// and makes no map lookup (with Config.Codec off; the codec round trip
+// allocates the decoded message).
 package simnet
 
 import (
@@ -101,6 +101,7 @@ func mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// linkHash is the delay key: the run's seed, the link and the send instant.
 func linkHash(seed int64, from, to types.SiteID, at sim.Time) uint64 {
 	h := mix64(uint64(seed))
 	h = mix64(h ^ uint64(uint32(from)))
