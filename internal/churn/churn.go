@@ -98,8 +98,8 @@ type Params struct {
 	Strategy voting.Strategy
 	// Engine selects the evaluation engine: EngineReplay (default) replays
 	// every transaction through the discrete-event engine, EngineHybrid
-	// decides transactions analytically when their commit window fits
-	// inside a single fault epoch and replays only the rest. Transaction
+	// decides transactions analytically when no fault in their commit
+	// window can touch them and replays only the rest. Transaction
 	// fates are bit-identical between the two; see hybrid.go for the
 	// documented approximations in the auxiliary availability counters.
 	Engine Engine
@@ -113,10 +113,11 @@ const (
 	// discrete-event engine. It is the differential oracle the hybrid
 	// engine is pinned against.
 	EngineReplay Engine = iota
-	// EngineHybrid classifies each transaction at arrival time: if its
-	// whole commit window falls inside one epoch of the fault timeline it
-	// is decided by quorum arithmetic, otherwise it is replayed in a
-	// shared fallback world that simulates only such transactions.
+	// EngineHybrid classifies each transaction at arrival time: if no
+	// fault in its commit window lands on a site before the decision is
+	// done with it, it is decided by quorum arithmetic, otherwise it is
+	// replayed in a shared fallback world that simulates only such
+	// transactions.
 	EngineHybrid
 )
 

@@ -1,15 +1,15 @@
 // Hybrid analytic churn engine.
 //
 // The replay engine (study.go) simulates every transaction through the full
-// discrete-event protocol stack. Between fault events, though, the world is
-// static, and a transaction whose entire commit window falls inside one such
-// epoch has a fate that is pure arithmetic: every reachable participant
+// discrete-event protocol stack. Most transactions, though, see a static
+// world from submission until their decision has reached every site, and
+// such a transaction's fate is pure arithmetic: every reachable participant
 // acquires its locks and votes yes, the vote and ack round trips are fixed by
 // the deterministic per-message delay model, and the decision follows the
 // protocol's quorum rule. The hybrid engine classifies each arrival at
-// submission time — analytic when the window is provably quiet, replayed in a
-// shared fallback world otherwise — and produces transaction fates
-// bit-identical to full replay.
+// submission time — analytic when nothing in its window can touch it,
+// replayed in a shared fallback world otherwise — and produces transaction
+// fates bit-identical to full replay.
 //
 // # Why the fates are exact
 //
@@ -21,32 +21,63 @@
 //     subset of the traffic sees identical delays for every message it
 //     shares with full replay, and the arithmetic here calls the same
 //     worldNet.Delay.
+//
 //  2. Classification is conservative. Each arrival's plan computes, from the
-//     epoch's static world and the delay hash, the end of its footprint:
-//     one delivery hop T after its decision, where the decision instant is
-//     the vote timeout arrival+2T when the vote phase aborts and otherwise
-//     the last PC-ACK's arrival, capped at the ack deadline tAllVotes+2T
-//     (2PC decides earlier, at tAllVotes). The hop is added to the bound,
-//     never hashed at it: worldNet.Delay keys on the send time, so a delay
+//     arrival's epoch and the delay hash, the end of its footprint: one
+//     delivery hop T after its decision, where the decision instant is the
+//     vote timeout arrival+2T when the vote phase aborts and otherwise the
+//     last PC-ACK's arrival, capped at the ack deadline tAllVotes+2T (2PC
+//     decides earlier, at tAllVotes). The hop is added to the bound, never
+//     hashed at it: worldNet.Delay keys on the send time, so a delay
 //     computed at a bound says nothing about the real, earlier send. Every
 //     VOTE-REQ is delivered by arrival+T ≤ end, and after end the
 //     transaction holds no lock and has no frame in flight that an
-//     automaton acts on. A transaction is analytic only if (a) its commit
-//     window [arrival, end] ends before the horizon and sees a static world
-//     — no partition or heal, and no crash or restart of its coordinator or
-//     a participant, anywhere in (arrival, end]; (b) it is alone in its
-//     conflict cluster — no other transaction writing a common item arrives
-//     before the earlier writer's end, which bounds every analytic lock
-//     lifetime; (c) no copy of its writeset is locked in the fallback world
-//     at arrival time — long-blocked replayed transactions hold locks past
-//     any plan end, and this live probe catches them; and (d) the fold of
-//     the protocol's compiled rule confirms the all-participants-prepared
-//     tally commits. Anything else — including the measure-zero ack-timeout
-//     tie on a terminate-on-timeout protocol — falls back to replay. A
-//     replayed transaction past its own end can take a lock again only
-//     through Kernel.Resume at a restart, and that restart is an event at a
-//     site holding a copy it writes: if a later arrival writes that item,
-//     the site is one of its participants, so (a) refuses its window.
+//     automaton acts on. A transaction is analytic only if (a) no partition
+//     or heal lands in its window (arrival, end], and no crash or restart
+//     there is visible to it (below); (b) it is alone in its conflict
+//     cluster — no other transaction writing a common item arrives before
+//     the earlier writer's end, which bounds every analytic lock lifetime;
+//     (c) no copy of its writeset is locked in the fallback world at
+//     arrival time — long-blocked replayed transactions hold locks past any
+//     plan end, and this live probe catches them; and (d) the fold of the
+//     protocol's compiled rule confirms the all-participants-prepared tally
+//     commits.
+//
+//     A crash or restart is invisible to the transaction when it hits a
+//     site that is neither its coordinator nor a participant, a participant
+//     its VOTE-REQ could not reach at arrival, or a site strictly after the
+//     last delivery of this column's decision to it. The unreached
+//     participant was down, or cut off by the arrival's partition, which no
+//     regrouping changes inside the window: simnet dropped the VOTE-REQ at
+//     send, so the site never holds a context for the transaction, and an
+//     ABORT that reaches it after a restart is a no-op (Kernel.Handle →
+//     Decide returns at a nil context). The last delivery is a
+//     participant's own, and for the coordinator the last to any reachable
+//     participant, since simnet drops a crashed sender's in-flight frames.
+//     After it the site has forced the decision and released its locks, no
+//     later frame of the transaction is acted on there, and a restart finds
+//     the decision in its log: Recover neither asks nor locks anything for
+//     it. Every other crash or restart lands while the site still waits for
+//     the decision — Skeen's uncertainty period, where termination runs —
+//     and replays. So does the measure-zero ack-timeout tie on a
+//     terminate-on-timeout protocol whose ack deadline falls before the
+//     horizon. A replayed transaction past its own end can take a lock
+//     again only through Kernel.Resume at a restart, at a site holding a
+//     copy it writes: if a later arrival writes that item, the site is one
+//     of its participants, so the restart is visible to it unless the site
+//     holds none of its locks — one its VOTE-REQ never reached, or one its
+//     decision has already released.
+//
+//     The horizon cuts a window that overhangs it, since replay reads every
+//     fate at the horizon. An analytic arrival is decided if its first
+//     decision record lands at or before the horizon. Otherwise it is
+//     pending, as finishWorld reads replay: Blocked if some reachable
+//     participant's VOTE-REQ landed by then (that site voted yes and
+//     waits), Unresolved if none did, and horizon − arrival either way
+//     goes to PendingNS. A terminate-on-timeout column whose ack deadline
+//     falls after the horizon is pending the same way: replay stops before
+//     its termination starts.
+//
 //  3. Analytic and replayed transactions cannot interact. Clustering keeps
 //     their lock footprints disjoint, message traffic carries no congestion,
 //     and strategy state (adaptive demotion, dynamic vote reassignment)
@@ -67,7 +98,6 @@ package churn
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"qcommit/internal/core"
 	"qcommit/internal/engine"
@@ -147,7 +177,7 @@ type hybridRun struct {
 	// PC-ack arrivals, and it says whether the coordinator prepares at all
 	// (2PC commits on the last yes vote) and whether an expired ack window
 	// commits (3PC) or terminates — which the analytic path refuses to model
-	// and hands to replay.
+	// before the horizon and hands to replay.
 	spec core.Spec
 
 	// world is the shared fallback replay world — the same cluster replay
@@ -160,6 +190,8 @@ type hybridRun struct {
 	// scratch
 	acked quorumcalc.Set
 	tally quorumcalc.Tally
+	// touch[k] is when the column's decision reaches the plan's reach[k].
+	touch []sim.Time
 }
 
 // ackArrival is a PC-ACK reaching the coordinator from participant i.
@@ -171,11 +203,13 @@ type ackArrival struct {
 
 // arrivalPlan is the protocol-independent half of classifying one arrival,
 // computed once per script and shared by every protocol column: the
-// availability probes, the coordinator reroute, the quiet-window test, and
-// the vote/ack round-trip arithmetic (all of which depend only on the
+// availability probes, the coordinator reroute, the window's fault events,
+// and the vote/ack round-trip arithmetic (all of which depend only on the
 // epochs and the per-message delay hash), and the transaction's quorum
 // frame. What remains per protocol is the live lock probe against that
-// column's fallback world, the rule-table gate, and the ack-quorum walk.
+// column's fallback world, the rule-table gate, the ack-quorum walk, and
+// which of the window's crashes and restarts that column's decision
+// deliveries leave invisible.
 type arrivalPlan struct {
 	// coord is the effective coordinator after rerouting; 0 means every
 	// participant was down and the submission is rejected.
@@ -185,41 +219,43 @@ type arrivalPlan struct {
 	// transaction can hold a lock or have a protocol frame in flight: one
 	// hop T past its decision bound (see "Why the fates are exact").
 	end sim.Time
-	// windowOK reports that the commit window [arrival, end] sees a static
-	// world (fits the arrival's epoch, or every event in it is irrelevant
-	// to the transaction per windowQuiet) and ends before the horizon.
-	windowOK bool
+	// faults are the script's events in the window (arrival, min(end,
+	// horizon)], and fixedLayout reports that none of them is a partition
+	// or a heal; only such a plan can be analytic.
+	faults      []Event
+	fixedLayout bool
 	// allReach reports every participant connected to the coordinator;
 	// voteAbort that the last vote round trip loses to the 2T timer.
 	allReach  bool
 	voteAbort bool
 	reach     []types.SiteID
 	// frame is the transaction compiled for its quorums, shared by every
-	// protocol column; only a windowOK plan, the only kind classify can
-	// admit, has one.
+	// protocol column; only a fixedLayout plan has one.
 	frame quorumcalc.Frame
 	// probeRead/probeWrite are the per-arrival availability probe tallies
 	// (checks = len(Writeset)).
 	probeRead, probeWrite int
-	// abortAt/commitAt are the replay-visible first-decision times of the
-	// vote-phase abort and the 2PC commit; tAllVotes and ackDeadline feed
-	// the three-phase ack walk over acks.
-	abortAt     sim.Time
-	commitAt    sim.Time
-	tAllVotes   sim.Time
-	ackDeadline sim.Time
-	acks        []ackArrival
+	// voteDeadline is when the vote timer fires; tAllVotes, ackDeadline and
+	// acks feed the three-phase ack walk.
+	voteDeadline sim.Time
+	tAllVotes    sim.Time
+	ackDeadline  sim.Time
+	acks         []ackArrival
 }
 
 // buildHybridPlans computes the arrival plans for one script. The epoch
-// cursor mirrors executeRunHybrid's arrival loop.
+// cursor mirrors executeRunHybrid's arrival loop; the event cursor lo is the
+// first event after the arrival.
 func buildHybridPlans(sc *script, seed int64, epochs []Epoch, T sim.Duration, horizon sim.Time) []arrivalPlan {
 	plans := make([]arrivalPlan, len(sc.arrivals))
-	ei := 0
+	ei, lo := 0, 0
 	for i := range sc.arrivals {
 		a := &sc.arrivals[i]
 		for epochs[ei].End <= a.At {
 			ei++
+		}
+		for lo < len(sc.events) && sc.events[lo].At <= a.At {
+			lo++
 		}
 		ep := &epochs[ei]
 		p := &plans[i]
@@ -275,8 +311,8 @@ func buildHybridPlans(sc *script, seed int64, epochs []Epoch, T sim.Duration, ho
 
 		// The vote timer was armed at submission, so the last vote must
 		// arrive strictly before arrival+2T (the timer wins an exact tie).
-		voteDeadline := a.At.Add(2 * T)
-		decide := voteDeadline
+		p.voteDeadline = a.At.Add(2 * T)
+		decide := p.voteDeadline
 		p.allReach = len(p.reach) == len(a.Participants)
 		if p.allReach {
 			tAllVotes := a.At
@@ -289,11 +325,9 @@ func buildHybridPlans(sc *script, seed int64, epochs []Epoch, T sim.Duration, ho
 				}
 			}
 			p.tAllVotes = tAllVotes
-			p.voteAbort = tAllVotes >= voteDeadline
+			p.voteAbort = tAllVotes >= p.voteDeadline
 		}
 		if p.allReach && !p.voteAbort {
-			p.commitAt = firstDecisionTime(seed, coord, p.coordIn, p.reach, p.tAllVotes)
-
 			// PC/ack round trips for the three-phase protocols, sorted by
 			// (arrival time, site) the way the coordinator observes them.
 			p.ackDeadline = p.tAllVotes.Add(2 * T)
@@ -308,15 +342,23 @@ func buildHybridPlans(sc *script, seed int64, epochs []Epoch, T sim.Duration, ho
 				return cmp.Or(cmp.Compare(x.at, y.at), cmp.Compare(x.site, y.site))
 			})
 			decide = min(p.acks[len(p.acks)-1].at, p.ackDeadline)
-		} else {
-			p.abortAt = firstDecisionTime(seed, coord, p.coordIn, p.reach, voteDeadline)
 		}
 		// One full hop past the decision bound, never a delay hashed at the
 		// bound (see "Why the fates are exact").
 		p.end = decide.Add(T)
-		p.windowOK = p.end+1 <= horizon &&
-			(ep.Contains(a.At, p.end+1) || windowQuiet(sc, a, coord, p.end))
-		if p.windowOK {
+
+		// The window's events: an event at the arrival instant is already in
+		// its epoch, and replay applies one at the window's last instant
+		// before that instant's deliveries.
+		hi, last := lo, min(p.end, horizon)
+		p.fixedLayout = true
+		for ; hi < len(sc.events) && sc.events[hi].At <= last; hi++ {
+			if k := sc.events[hi].Kind; k == EventPartition || k == EventHeal {
+				p.fixedLayout = false
+			}
+		}
+		p.faults = sc.events[lo:hi:hi]
+		if p.fixedLayout {
 			p.frame.Init(sc.asgn, a.Writeset, a.Participants)
 		}
 	}
@@ -364,9 +406,14 @@ func executeRunHybrid(sc *script, params Params, seed int64, spec core.Spec) (ru
 			h.world.Scheduler().RunUntil(a.At)
 		}
 
-		if committed, decidedAt, ok := h.classify(i, a, p); ok {
+		if o, decidedAt, ok := h.classify(i, a, p); ok {
 			st.analytic++
-			st.decided(sim.Duration(decidedAt-a.At), committed)
+			switch o {
+			case types.OutcomeCommitted, types.OutcomeAborted:
+				st.decided(sim.Duration(decidedAt-a.At), o == types.OutcomeCommitted)
+			default:
+				st.undecided(sim.Duration(horizon-a.At), o == types.OutcomeBlocked)
+			}
 			continue
 		}
 
@@ -393,15 +440,19 @@ func (h *hybridRun) ensureWorld() {
 	h.world = newWorld(h.sc, h.params, h.seed, h.spec, h.worldTxn, nil)
 }
 
-// classify decides arrival i analytically if it qualifies. It returns
-// ok=false to send the transaction to the fallback world. The plan supplies
-// the protocol-independent half (window quietness, reachability, vote and
-// ack arithmetic); what remains here is everything the protocol column owns:
-// the live lock probe against its fallback world, the rule-table gate, and
-// the ack-quorum walk.
-func (h *hybridRun) classify(i int, a *arrival, p *arrivalPlan) (committed bool, decidedAt sim.Time, ok bool) {
-	if h.sc.hybridMulti[i] || !p.windowOK {
-		return false, 0, false
+// classify decides arrival i analytically if it qualifies, and returns its
+// fate as finishWorld reads replay's at the horizon: OutcomeCommitted or
+// OutcomeAborted with the first decision record's instant, OutcomeBlocked,
+// or OutcomeUnknown for Unresolved. It returns ok=false to send the
+// transaction to the fallback world. The plan supplies the
+// protocol-independent half (the window's events, reachability, vote and
+// ack arithmetic); what remains here is everything the protocol column
+// owns: the live lock probe against its fallback world, the decision, and
+// whether a crash or restart in the window lands before that decision is
+// done with its site.
+func (h *hybridRun) classify(i int, a *arrival, p *arrivalPlan) (o types.Outcome, decidedAt sim.Time, ok bool) {
+	if h.sc.hybridMulti[i] || !p.fixedLayout {
+		return 0, 0, false
 	}
 
 	// Live lock probe: a held lock on any copy a reachable participant
@@ -417,32 +468,64 @@ func (h *hybridRun) classify(i int, a *arrival, p *arrivalPlan) (committed bool,
 			for _, c := range copies {
 				s := f.Site(int(c.At))
 				if (p.allReach || slices.Contains(p.reach, s)) && h.world.ItemLockedAt(s, x) {
-					return false, 0, false
+					return 0, 0, false
 				}
 			}
 		}
 	}
 
+	tDecide, o, ok := h.decision(a, p)
+	if !ok {
+		return 0, 0, false
+	}
+	// A crash or restart is visible while the decision has yet to reach
+	// its site; a participant outside reach never had the transaction.
+	first, last := h.deliveries(p, tDecide)
+	for _, ev := range p.faults {
+		if ev.Site == p.coord {
+			if ev.At <= last {
+				return 0, 0, false
+			}
+		} else if k := slices.Index(p.reach, ev.Site); k >= 0 && ev.At <= h.touch[k] {
+			return 0, 0, false
+		}
+	}
+
+	horizon := sim.Time(h.params.Horizon)
+	if first <= horizon {
+		return o, first, true
+	}
+	for _, s := range p.reach {
+		if a.At.Add(worldNet.Delay(h.seed, p.coord, s, a.At)) <= horizon {
+			return types.OutcomeBlocked, 0, true // s voted yes and waits
+		}
+	}
+	return types.OutcomeUnknown, 0, true
+}
+
+// decision returns when the column's coordinator decides, and what;
+// ok=false hands the transaction to replay.
+func (h *hybridRun) decision(a *arrival, p *arrivalPlan) (at sim.Time, o types.Outcome, ok bool) {
 	if !p.allReach || p.voteAbort {
 		// Missing or too-slow votes: the coordinator aborts on the vote
 		// timeout.
-		return false, p.abortAt, true
+		return p.voteDeadline, types.OutcomeAborted, true
 	}
 	rule := h.spec.Rule(a.Participants)
 	if !rule.Prepares() {
-		return true, p.commitAt, true
+		return p.tAllVotes, types.OutcomeCommitted, true
 	}
 
 	// Three-phase protocols: sanity-gate the commit through the fold of the
 	// protocol's rule table over the all-participants-prepared tally, then
 	// walk the PC-ack arrivals until its ack quorum is reached — one bit
 	// more per ack, since the quorum is monotone.
-	q := rule.Over(f)
+	q := rule.Over(&p.frame)
 	h.tally.Reset() // nothing to renumber
-	h.tally.Bind(f)
+	h.tally.Bind(&p.frame)
 	h.tally.AddAll(types.StatePC)
 	if q.Outcome(&h.tally) != types.OutcomeCommitted {
-		return false, 0, false
+		return 0, 0, false
 	}
 
 	h.acked.Clear()
@@ -451,66 +534,41 @@ func (h *hybridRun) classify(i int, a *arrival, p *arrivalPlan) (committed bool,
 			continue
 		}
 		if ack.at < p.ackDeadline {
-			return true, firstDecisionTime(h.seed, p.coord, p.coordIn, p.reach, ack.at), true
+			return ack.at, types.OutcomeCommitted, true
 		}
 		break
 	}
 	if q.CommitsOnAckTimeout() {
 		// 3PC commits when the ack window expires.
-		return true, firstDecisionTime(h.seed, p.coord, p.coordIn, p.reach, p.ackDeadline), true
+		return p.ackDeadline, types.OutcomeCommitted, true
 	}
-	// A terminate-on-ack-timeout protocol would enter its termination
-	// machinery here; replay it instead of modeling that.
-	return false, 0, false
+	// A terminate-on-ack-timeout protocol enters its termination machinery
+	// at the deadline. Before the horizon, replay it instead of modeling
+	// that; past it, replay stops first and reads the transaction pending,
+	// as classify does of any decision made after the horizon.
+	if p.ackDeadline > sim.Time(h.params.Horizon) {
+		return p.ackDeadline, types.OutcomeUnknown, true
+	}
+	return 0, 0, false
 }
 
-// windowQuiet reports whether every fault event inside the commit window
-// (arrival, end] is invisible to the transaction: a crash or restart of a
-// site that is neither its (effective) coordinator nor one of its
-// participants. All protocol traffic flows between the coordinator and the
-// participants, the per-message delay hash is independent of unrelated
-// traffic, and an unrelated site by definition holds no copy of a written
-// item — so such an event cannot change the transaction's fate or timing.
-// Partition changes regroup every site and always count as visible. Events
-// at the arrival instant are already folded into the arrival's epoch; an
-// event at exactly the window end still counts, since replay applies it
-// before same-instant message deliveries.
-//
-// The caller separately refuses a window overhanging the horizon: replay
-// freezes the world mid-protocol there, leaving a transaction non-terminal
-// (Blocked) even when the arithmetic says its decision lands before the
-// cut — the decision only becomes terminal when its delivery does.
-func windowQuiet(sc *script, a *arrival, coord types.SiteID, end sim.Time) bool {
-	evs := sc.events
-	i := sort.Search(len(evs), func(i int) bool { return evs[i].At > a.At })
-	for ; i < len(evs) && evs[i].At <= end; i++ {
-		switch evs[i].Kind {
-		case EventPartition, EventHeal:
-			return false
-		default:
-			if evs[i].Site == coord || slices.Contains(a.Participants, evs[i].Site) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// firstDecisionTime mirrors engine.Cluster.FirstDecisionAt for an analytic
-// transaction: a coordinator outside the participant set records the
-// decision locally the instant it is made, otherwise the earliest decision
-// record is the fastest delivery of the decision message to a reachable
-// participant (the coordinator's own site included).
-func firstDecisionTime(seed int64, coord types.SiteID, coordIn bool, reach []types.SiteID, tDecide sim.Time) sim.Time {
-	if !coordIn {
-		return tDecide
-	}
-	first := sim.Time(0)
-	for i, s := range reach {
-		at := tDecide.Add(worldNet.Delay(seed, coord, s, tDecide))
-		if i == 0 || at < first {
+// deliveries hashes the decision sent at tDecide to every reachable
+// participant once, into h.touch (parallel to p.reach), and returns the two
+// instants the column reads from them: first, the earliest decision record
+// (engine.Cluster.FirstDecisionAt) — a coordinator outside the participant
+// set records the decision the instant it is made, otherwise the fastest
+// delivery (the coordinator's own site included) is first — and last, after
+// which a crash or restart of the coordinator is invisible.
+func (h *hybridRun) deliveries(p *arrivalPlan, tDecide sim.Time) (first, last sim.Time) {
+	h.touch = h.touch[:0]
+	first, last = tDecide, tDecide
+	for k, s := range p.reach {
+		at := tDecide.Add(worldNet.Delay(h.seed, p.coord, s, tDecide))
+		h.touch = append(h.touch, at)
+		if p.coordIn && (k == 0 || at < first) {
 			first = at
 		}
+		last = max(last, at)
 	}
-	return first
+	return first, last
 }

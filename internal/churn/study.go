@@ -39,6 +39,18 @@ func (st *runStats) decided(lat sim.Duration, committed bool) {
 	}
 }
 
+// undecided tallies a submitted transaction with no decision record at the
+// horizon, which it waited out from its arrival: Blocked when some site
+// holds it in doubt, Unresolved otherwise.
+func (st *runStats) undecided(wait sim.Duration, blocked bool) {
+	st.counts.PendingNS += int64(wait)
+	if blocked {
+		st.counts.Blocked++
+	} else {
+		st.counts.Unresolved++
+	}
+}
+
 // stepsPerArrival budgets scheduler events per transaction (ordinary
 // terminations take hundreds; repeated termination rounds under churn take
 // more). The budget exists to turn a livelocked protocol into an error
@@ -147,12 +159,7 @@ func finishWorld(cl *engine.Cluster, sc *script, params Params, seed int64, spec
 			st.decided(sim.Duration(decidedAt-a.At), cl.GroupOutcome(txn, all) == types.OutcomeCommitted)
 			continue
 		}
-		st.counts.PendingNS += int64(horizon - a.At)
-		if cl.GroupOutcome(txn, all) == types.OutcomeBlocked {
-			st.counts.Blocked++
-		} else {
-			st.counts.Unresolved++
-		}
+		st.undecided(sim.Duration(horizon-a.At), cl.GroupOutcome(txn, all) == types.OutcomeBlocked)
 	}
 	st.violations = len(cl.Violations()) + len(cl.CheckStores())
 	return nil

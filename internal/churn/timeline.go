@@ -246,8 +246,7 @@ const workloadSeedMix = 0x5bf0_3635
 // the world is static: no site crashes or restarts and the partition layout
 // does not change. The epoch view is the raw event stream re-expressed as
 // state: where events say what changed, an epoch says what held — which is
-// exactly what the hybrid engine needs to decide whether a transaction's
-// whole commit window saw one fixed world.
+// what the hybrid engine reads an arrival's world from.
 type Epoch struct {
 	Start sim.Time
 	End   sim.Time
@@ -271,11 +270,6 @@ func (e *Epoch) Connected(a, b types.SiteID) bool {
 		return false
 	}
 	return e.GroupOf[a] == e.GroupOf[b]
-}
-
-// Contains reports whether the interval [from, to] falls inside the epoch.
-func (e *Epoch) Contains(from, to sim.Time) bool {
-	return e.Start <= from && to <= e.End
 }
 
 // EpochsOf segments a time-sorted fault-event stream over sites 1..numSites

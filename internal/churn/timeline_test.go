@@ -161,12 +161,6 @@ func TestEpochPredicates(t *testing.T) {
 	if !e.Connected(1, 1) || !e.Connected(3, 3) || !e.Connected(4, 4) {
 		t.Error("an up site must be self-connected")
 	}
-	if !e.Contains(100, 200) || !e.Contains(150, 160) {
-		t.Error("Contains rejects an in-range interval")
-	}
-	if e.Contains(99, 150) || e.Contains(150, 201) {
-		t.Error("Contains accepts an out-of-range interval")
-	}
 }
 
 // TestScriptEpochsMatchEvents cross-checks the epoch view of a generated
