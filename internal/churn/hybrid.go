@@ -7,9 +7,10 @@
 // acquires its locks and votes yes, the vote and ack round trips are fixed by
 // the deterministic per-message delay model, and the decision follows the
 // protocol's quorum rule. The hybrid engine classifies each arrival at
-// submission time — analytic when nothing in its window can touch it,
-// replayed in a shared fallback world otherwise — and produces transaction
-// fates bit-identical to full replay.
+// submission time (a write-write pair at its first member's) — analytic
+// when nothing in its window can touch it, replayed in a shared fallback
+// world otherwise — and produces transaction fates bit-identical to full
+// replay.
 //
 // # Why the fates are exact
 //
@@ -36,12 +37,40 @@
 //     or heal lands in its window (arrival, end], and no crash or restart
 //     there is visible to it (below); (b) it is alone in its conflict
 //     cluster — no other transaction writing a common item arrives before
-//     the earlier writer's end, which bounds every analytic lock lifetime;
-//     (c) no copy of its writeset is locked in the fallback world at
-//     arrival time — long-blocked replayed transactions hold locks past any
-//     plan end, and this live probe catches them; and (d) the fold of the
-//     protocol's compiled rule confirms the all-participants-prepared tally
-//     commits.
+//     the earlier writer's end, which bounds every analytic lock lifetime —
+//     or in a foldable pair (below); (c) no copy of its writeset is locked
+//     in the fallback world at arrival time — long-blocked replayed
+//     transactions hold locks past any plan end, and this live probe
+//     catches them; and (d) the fold of the protocol's compiled rule
+//     confirms the all-participants-prepared tally commits.
+//
+//     A pair is a cluster of exactly two, and it is folded, both fates
+//     decided at the first member's arrival, when neither window holds any
+//     fault event and the probe finds none of either member's reached
+//     copies locked. Under the no-wait try-lock the two meet only where
+//     both VOTE-REQs land on a copy of an item both write, and at the
+//     second's Begin when its coordinator holds such a copy. A lock is held
+//     from its VOTE-REQ's landing to its decision's delivery, and every
+//     instant involved is the delay hash of a send the plans fix: the
+//     landings, a NO's return, the decision (its own plan's, or the first
+//     NO's return, or the vote deadline when a participant is unreachable)
+//     and its delivery. The later landing at a common site votes NO exactly
+//     when the earlier lock is still held, which aborts its transaction.
+//     So how one member ends fixes where the other loses, and the fold
+//     tries every way the first can end (four hypotheses: both solo,
+//     either loses, both lose), keeping the one that derives itself. The
+//     real run is always such a fixed point, so when exactly one exists
+//     it is the run; none, two, or an equal-nanosecond tie at a common
+//     site replays the pair. So does a loser whose ABORT reaches a
+//     yes-voter before its VOTE-REQ: the site drops the ABORT for want of a
+//     context, then votes yes and holds its lock until termination. The
+//     probe at the first arrival speaks for the second too. Between the
+//     two arrivals no restart resumes a lock (the first window holds no
+//     event), an arrival more than T before the first has landed every
+//     VOTE-REQ, and one at or after the second writing its items is in its
+//     cluster; so only an arrival in (first − T, second) writing an item of
+//     the second can lock its copies in the world unseen, and any such
+//     arrival replays the pair.
 //
 //     A crash or restart is invisible to the transaction when it hits a
 //     site that is neither its coordinator nor a participant, a participant
@@ -79,8 +108,10 @@
 //     its termination starts.
 //
 //  3. Analytic and replayed transactions cannot interact. Clustering keeps
-//     their lock footprints disjoint, message traffic carries no congestion,
-//     and strategy state (adaptive demotion, dynamic vote reassignment)
+//     their lock footprints disjoint (a folded pair's stay inside its plan
+//     windows: a loser decides no later than its own plan says, and a NO
+//     voter holds nothing), message traffic carries no congestion, and
+//     strategy state (adaptive demotion, dynamic vote reassignment)
 //     never feeds a protocol decision — an analytic commit reaches all
 //     copies, which makes its strategy transition a no-op in replay too.
 //
@@ -106,16 +137,24 @@ import (
 	"qcommit/internal/types"
 )
 
-// conflictClusters flags arrivals whose write locks could interact: a later
+// Conflict partners, as conflictClusters reports them: an arrival alone in
+// its cluster, or one of three or more. Any other partner is the index of
+// the other member of a pair.
+const (
+	soloCluster  = -1
+	multiCluster = -2
+)
+
+// conflictClusters links arrivals whose write locks could interact: a later
 // arrival is linked to an earlier writer of a common item when it arrives
 // no later than that writer's plan end (the last instant the writer can
-// hold a lock), the links close transitively (a chain of overlapping
-// writers is one cluster), and every member of a cluster of two or more is
-// barred from the analytic path so that lock contention is always
-// replayed, never modeled. Per item only the writer with the largest end
+// hold a lock), and the links close transitively (a chain of overlapping
+// writers is one cluster). Per item only the writer with the largest end
 // is kept: any earlier writer a later arrival overlaps is already in that
 // writer's cluster. A rejected arrival begins nothing and links nothing.
-func conflictClusters(arrivals []arrival, plans []arrivalPlan) []bool {
+// It returns each arrival's partner: soloCluster, the other member of a
+// pair (which the fold may decide), or multiCluster (always replayed).
+func conflictClusters(arrivals []arrival, plans []arrivalPlan) []int {
 	parent := make([]int, len(arrivals))
 	for i := range parent {
 		parent[i] = i
@@ -153,15 +192,29 @@ func conflictClusters(arrivals []arrival, plans []arrivalPlan) []bool {
 			}
 		}
 	}
+	// Per cluster root: its size and the sum of its first two members, so
+	// that a pair member's partner is the sum less itself.
 	size := make([]int, len(arrivals))
+	sum := make([]int, len(arrivals))
 	for i := range arrivals {
-		size[find(i)]++
+		r := find(i)
+		if size[r] < 2 {
+			sum[r] += i
+		}
+		size[r]++
 	}
-	multi := make([]bool, len(arrivals))
+	partner := make([]int, len(arrivals))
 	for i := range arrivals {
-		multi[i] = size[find(i)] > 1
+		switch r := find(i); size[r] {
+		case 1:
+			partner[i] = soloCluster
+		case 2:
+			partner[i] = sum[r] - i
+		default:
+			partner[i] = multiCluster
+		}
 	}
-	return multi
+	return partner
 }
 
 // hybridRun is the per-(run, protocol) state of one hybrid evaluation,
@@ -187,11 +240,38 @@ type hybridRun struct {
 	world    *engine.Cluster
 	worldTxn []types.TxnID
 
+	// later holds what a fold decided for the second members of pairs
+	// that have yet to arrive.
+	later []laterFate
+
 	// scratch
 	acked quorumcalc.Set
 	tally quorumcalc.Tally
 	// touch[k] is when the column's decision reaches the plan's reach[k].
 	touch []sim.Time
+	// pair and common are the fold's: its two members, and the sites where
+	// they can meet, each as its index in both members' reach (beginSite
+	// indexes the second member's coordinator among them when its Begin
+	// reads a copy the first may lock; -1 if not).
+	pair      [2]pairMember
+	common    [][2]int
+	beginSite int
+}
+
+// fate is an analytic transaction's outcome as finishWorld reads replay's at
+// the horizon: OutcomeCommitted or OutcomeAborted at the first decision
+// record's instant, OutcomeBlocked, or OutcomeUnknown for Unresolved.
+type fate struct {
+	o  types.Outcome
+	at sim.Time
+}
+
+// laterFate is the fate a fold gave arrival i, the second member of its pair,
+// or ok=false when the pair replays.
+type laterFate struct {
+	i  int
+	f  fate
+	ok bool
 }
 
 // ackArrival is a PC-ACK reaching the coordinator from participant i.
@@ -373,7 +453,7 @@ func executeRunHybrid(sc *script, params Params, seed int64, spec core.Spec) (ru
 	T := worldNet.MaxDelayOrDefault() // the engine's timeout base
 	if sc.hybridPlans == nil || sc.hybridSeed != seed {
 		sc.hybridPlans = buildHybridPlans(sc, seed, sc.epochs(horizon), T, horizon)
-		sc.hybridMulti = conflictClusters(sc.arrivals, sc.hybridPlans)
+		sc.hybridPartner = conflictClusters(sc.arrivals, sc.hybridPlans)
 		sc.hybridSeed = seed
 	}
 	h := &hybridRun{
@@ -406,13 +486,26 @@ func executeRunHybrid(sc *script, params Params, seed int64, spec core.Spec) (ru
 			h.world.Scheduler().RunUntil(a.At)
 		}
 
-		if o, decidedAt, ok := h.classify(i, a, p); ok {
+		var f fate
+		ok := false
+		switch j := sc.hybridPartner[i]; {
+		case j == soloCluster:
+			f, ok = h.classify(i, a, p)
+		case j > i:
+			var fs [2]fate
+			fs, ok = h.fold(i, j)
+			f = fs[0]
+			h.later = append(h.later, laterFate{j, fs[1], ok})
+		case j >= 0:
+			f, ok = h.takeLater(i)
+		}
+		if ok {
 			st.analytic++
-			switch o {
+			switch f.o {
 			case types.OutcomeCommitted, types.OutcomeAborted:
-				st.decided(sim.Duration(decidedAt-a.At), o == types.OutcomeCommitted)
+				st.decided(sim.Duration(f.at-a.At), f.o == types.OutcomeCommitted)
 			default:
-				st.undecided(sim.Duration(horizon-a.At), o == types.OutcomeBlocked)
+				st.undecided(sim.Duration(horizon-a.At), f.o == types.OutcomeBlocked)
 			}
 			continue
 		}
@@ -440,67 +533,80 @@ func (h *hybridRun) ensureWorld() {
 	h.world = newWorld(h.sc, h.params, h.seed, h.spec, h.worldTxn, nil)
 }
 
-// classify decides arrival i analytically if it qualifies, and returns its
-// fate as finishWorld reads replay's at the horizon: OutcomeCommitted or
-// OutcomeAborted with the first decision record's instant, OutcomeBlocked,
-// or OutcomeUnknown for Unresolved. It returns ok=false to send the
-// transaction to the fallback world. The plan supplies the
-// protocol-independent half (the window's events, reachability, vote and
-// ack arithmetic); what remains here is everything the protocol column
+// classify decides arrival i analytically if it is alone in its conflict
+// cluster and qualifies, and returns its fate. It returns ok=false to send
+// the transaction to the fallback world. The plan supplies
+// the protocol-independent half (the window's events, reachability, vote
+// and ack arithmetic); what remains here is everything the protocol column
 // owns: the live lock probe against its fallback world, the decision, and
 // whether a crash or restart in the window lands before that decision is
 // done with its site.
-func (h *hybridRun) classify(i int, a *arrival, p *arrivalPlan) (o types.Outcome, decidedAt sim.Time, ok bool) {
-	if h.sc.hybridMulti[i] || !p.fixedLayout {
-		return 0, 0, false
+func (h *hybridRun) classify(i int, a *arrival, p *arrivalPlan) (fate, bool) {
+	if h.sc.hybridPartner[i] != soloCluster || !p.fixedLayout || h.locked(p) {
+		return fate{}, false
 	}
-
-	// Live lock probe: a held lock on any copy a reachable participant
-	// would try to X-lock means the yes-vote assumption is wrong. Only
-	// long-blocked replayed transactions can hold locks here (anything
-	// closer shares a conflict cluster), and only the world knows them. A
-	// site locks only its own copies, so the probe walks each written
-	// item's copies in the frame.
-	f := &p.frame
-	if h.world != nil && h.world.AnyLocks() {
-		for k := 0; k < f.Items(); k++ {
-			x, copies := f.Item(k)
-			for _, c := range copies {
-				s := f.Site(int(c.At))
-				if (p.allReach || slices.Contains(p.reach, s)) && h.world.ItemLockedAt(s, x) {
-					return 0, 0, false
-				}
-			}
-		}
-	}
-
 	tDecide, o, ok := h.decision(a, p)
 	if !ok {
-		return 0, 0, false
+		return fate{}, false
 	}
 	// A crash or restart is visible while the decision has yet to reach
-	// its site; a participant outside reach never had the transaction.
-	first, last := h.deliveries(p, tDecide)
-	for _, ev := range p.faults {
-		if ev.Site == p.coord {
-			if ev.At <= last {
-				return 0, 0, false
+	// its site; a participant outside reach never had the transaction. A
+	// pure coordinator's own record is the first, at tDecide.
+	first := tDecide
+	if p.coordIn || len(p.faults) > 0 {
+		var last sim.Time
+		first, last = h.deliveries(p, tDecide)
+		for _, ev := range p.faults {
+			if ev.Site == p.coord {
+				if ev.At <= last {
+					return fate{}, false
+				}
+			} else if k := slices.Index(p.reach, ev.Site); k >= 0 && ev.At <= h.touch[k] {
+				return fate{}, false
 			}
-		} else if k := slices.Index(p.reach, ev.Site); k >= 0 && ev.At <= h.touch[k] {
-			return 0, 0, false
 		}
 	}
+	return h.cut(a, p, fate{o, first}), true
+}
 
+// locked is the live lock probe: a held lock on any copy a reachable
+// participant would try to X-lock means the yes-vote assumption is wrong.
+// Only long-blocked replayed transactions can hold locks here (anything
+// closer shares a conflict cluster), and only the world knows them. A site
+// locks only its own copies, so the probe walks each written item's copies
+// in the frame.
+func (h *hybridRun) locked(p *arrivalPlan) bool {
+	if h.world == nil || !h.world.AnyLocks() {
+		return false
+	}
+	f := &p.frame
+	for k := 0; k < f.Items(); k++ {
+		x, copies := f.Item(k)
+		for _, c := range copies {
+			s := f.Site(int(c.At))
+			if (p.allReach || slices.Contains(p.reach, s)) && h.world.ItemLockedAt(s, x) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// cut reads an analytic fate whose first decision record lands at f.at the
+// way finishWorld reads replay at the horizon: decided if that record is in
+// time, else Blocked if some reachable participant's VOTE-REQ landed by the
+// horizon (that site voted yes and waits), else Unresolved.
+func (h *hybridRun) cut(a *arrival, p *arrivalPlan, f fate) fate {
 	horizon := sim.Time(h.params.Horizon)
-	if first <= horizon {
-		return o, first, true
+	if f.at <= horizon {
+		return f
 	}
 	for _, s := range p.reach {
 		if a.At.Add(worldNet.Delay(h.seed, p.coord, s, a.At)) <= horizon {
-			return types.OutcomeBlocked, 0, true // s voted yes and waits
+			return fate{o: types.OutcomeBlocked}
 		}
 	}
-	return types.OutcomeUnknown, 0, true
+	return fate{o: types.OutcomeUnknown}
 }
 
 // decision returns when the column's coordinator decides, and what;
@@ -571,4 +677,266 @@ func (h *hybridRun) deliveries(p *arrivalPlan, tDecide sim.Time) (first, last si
 		last = max(last, at)
 	}
 	return first, last
+}
+
+// pairMember is one member of a pair the fold decides: its arrival and
+// plan, its own plan's decision (solo: the instant its coordinator sends it,
+// and what it is) and its VOTE-REQ landings, parallel to the plan's reach.
+type pairMember struct {
+	a    *arrival
+	p    *arrivalPlan
+	solo sim.Time
+	o    types.Outcome
+	land []sim.Time
+}
+
+// pairEnd is how a folded member ends: by its own plan's decision, aborted
+// at Begin, or aborted by its coordinator after NO votes. at is when its
+// coordinator sends the decision (endNo: the first NO's return, or the vote
+// deadline if that comes first), first when its first NO landed, and bit c
+// of no is set when it voted NO at h.common[c].
+type pairEnd struct {
+	how   endKind
+	at    sim.Time
+	first sim.Time
+	no    uint64
+}
+
+type endKind uint8
+
+const (
+	endSolo endKind = iota
+	endNo
+	endBegin
+)
+
+// fold decides the pair i < j analytically at i's arrival, or returns
+// ok=false to replay both. Under the no-wait try-lock the two meet only at
+// their common sites: whichever VOTE-REQ lands second there votes NO if the
+// first holds its lock — from its landing until its decision's delivery —
+// and the second member's participating coordinator aborts at Begin if the
+// first holds its own copy then. Each member ends solo or aborted, and how
+// one ends fixes the other's release instants, so the fold tries each way
+// the first member can end (solo, or aborted at the return of the NO from a
+// site where it lands second), derives the second member's end from it and
+// the first's again from that: a way is consistent when it derives itself.
+// These are the four hypotheses (both solo, either loses, both lose), and
+// the pair is folded only when exactly one holds. A tie at a common site,
+// an ABORT that would reach a site before its VOTE-REQ, a fault in either
+// window, a lock the world holds on either member's copies, a decision the
+// arithmetic does not model (decision), or another writer that could lock
+// the second member's copies after this probe (intervened) replays both.
+func (h *hybridRun) fold(i, j int) (fs [2]fate, ok bool) {
+	m := &h.pair
+	for x, k := range [2]int{i, j} {
+		mx := &m[x]
+		mx.a, mx.p = &h.sc.arrivals[k], &h.sc.hybridPlans[k]
+		if len(mx.p.faults) > 0 || h.locked(mx.p) {
+			return fs, false
+		}
+		if mx.solo, mx.o, ok = h.decision(mx.a, mx.p); !ok {
+			return fs, false
+		}
+		mx.land = mx.land[:0]
+		for _, s := range mx.p.reach {
+			mx.land = append(mx.land, mx.a.At.Add(worldNet.Delay(h.seed, mx.p.coord, s, mx.a.At)))
+		}
+	}
+	if h.intervened(i, j) || !h.commonSites() {
+		return fs, false
+	}
+
+	var e [2]pairEnd
+	found := false
+	try := func(e0 pairEnd) bool {
+		e1, ok := h.answer(1, e0)
+		if !ok {
+			return false
+		}
+		d0, ok := h.answer(0, e1)
+		if !ok {
+			return false
+		}
+		if d0.how != e0.how || d0.at != e0.at || (found && d0 == e[0]) {
+			return true // inconsistent, or found already
+		}
+		if found {
+			return false // a second hypothesis holds
+		}
+		e, found = [2]pairEnd{d0, e1}, true
+		return true
+	}
+	if !try(pairEnd{how: endSolo, at: m[0].solo}) {
+		return fs, false
+	}
+	for _, c := range h.common {
+		if l0, l1 := m[0].land[c[0]], m[1].land[c[1]]; l1 < l0 {
+			s := m[0].p.reach[c[0]]
+			ret := l0.Add(worldNet.Delay(h.seed, s, m[0].p.coord, l0))
+			if !try(pairEnd{how: endNo, at: min(ret, m[0].p.voteDeadline)}) {
+				return fs, false
+			}
+		}
+	}
+	if !found {
+		return fs, false
+	}
+
+	for x := range m {
+		mx, ex := &m[x], e[x]
+		f := fate{types.OutcomeAborted, ex.first}
+		switch ex.how {
+		case endSolo:
+			f = fate{mx.o, mx.solo}
+			if mx.p.coordIn {
+				f.at, _ = h.deliveries(mx.p, mx.solo)
+			}
+		case endNo:
+			// An ABORT that reaches a site before its VOTE-REQ finds no
+			// context and is dropped. A NO voter then still votes no at its
+			// landing, but a yes-voter locks and waits for termination.
+			for k := range mx.p.reach {
+				if h.release(mx, ex, k) <= mx.land[k] && !h.votedNo(x, ex, k) {
+					return fs, false
+				}
+			}
+		}
+		fs[x] = h.cut(mx.a, mx.p, f)
+	}
+	return fs, true
+}
+
+// answer derives how member x of the pair ends when the other ends as ey,
+// or ok=false on an equal-nanosecond tie that the arithmetic cannot order.
+func (h *hybridRun) answer(x int, ey pairEnd) (ex pairEnd, ok bool) {
+	y := 1 - x
+	mx, my := &h.pair[x], &h.pair[y]
+	ex = pairEnd{how: endSolo, at: mx.solo}
+	if ey.how == endBegin {
+		return ex, true // the other sent nothing and locked nothing
+	}
+	if x == 1 && h.beginSite >= 0 {
+		k := h.common[h.beginSite][y]
+		l, r, at := my.land[k], h.release(my, ey, k), mx.a.At
+		if l == at || r == at {
+			return ex, false
+		}
+		if l < at && at < r {
+			return pairEnd{how: endBegin, at: at, first: at}, true
+		}
+	}
+	for n, c := range h.common {
+		lx, ly := mx.land[c[x]], my.land[c[y]]
+		if lx < ly {
+			continue // x locks here first: y cannot be holding a lock yet
+		}
+		r := h.release(my, ey, c[y])
+		if r == lx {
+			return ex, false
+		}
+		if r < lx {
+			continue
+		}
+		ret := lx.Add(worldNet.Delay(h.seed, mx.p.reach[c[x]], mx.p.coord, lx))
+		if ex.how == endSolo {
+			ex = pairEnd{how: endNo, at: mx.p.voteDeadline, first: lx}
+		}
+		ex.at, ex.first = min(ex.at, ret), min(ex.first, lx)
+		ex.no |= 1 << n
+	}
+	return ex, true
+}
+
+// votedNo reports whether member x, ending as e, voted NO at its reach[k].
+func (h *hybridRun) votedNo(x int, e pairEnd, k int) bool {
+	for n, c := range h.common {
+		if c[x] == k {
+			return e.no&(1<<n) != 0
+		}
+	}
+	return false
+}
+
+// release is when member m, ending as e, releases its lock at reach[k]: the
+// delivery of its decision there.
+func (h *hybridRun) release(m *pairMember, e pairEnd, k int) sim.Time {
+	return e.at.Add(worldNet.Delay(h.seed, m.p.coord, m.p.reach[k], e.at))
+}
+
+// commonSites lists into h.common the sites where both members' VOTE-REQs
+// land and lock a copy of an item both write, the only places the two can
+// meet, and sets h.beginSite. It reports false on two landings at one
+// instant there, or on more such sites than a pairEnd's NO mask holds.
+func (h *hybridRun) commonSites() bool {
+	m := &h.pair
+	h.common, h.beginSite = h.common[:0], -1
+	for _, u := range m[1].a.Writeset {
+		if !m[0].a.Writeset.Contains(u.Item) {
+			continue
+		}
+		ic, _ := h.sc.asgn.Item(u.Item)
+	copies:
+		for _, cp := range ic.Copies {
+			k0, k1 := slices.Index(m[0].p.reach, cp.Site), slices.Index(m[1].p.reach, cp.Site)
+			if k0 < 0 || k1 < 0 {
+				continue
+			}
+			for _, c := range h.common {
+				if c[0] == k0 {
+					continue copies
+				}
+			}
+			if m[0].land[k0] == m[1].land[k1] || len(h.common) == 64 {
+				return false
+			}
+			if cp.Site == m[1].p.coord {
+				h.beginSite = len(h.common)
+			}
+			h.common = append(h.common, [2]int{k0, k1})
+		}
+	}
+	return true
+}
+
+// intervened reports whether some arrival other than the pair i < j, at an
+// instant in (arrivals[i].At − T, arrivals[j].At), writes an item of j. Only
+// such an arrival's VOTE-REQ can lock one of j's copies in the world between
+// the probe at i's arrival and j's own window: an earlier one has landed by
+// then, and a later one is in j's cluster.
+func (h *hybridRun) intervened(i, j int) bool {
+	arr := h.sc.arrivals
+	writes := func(k int) bool {
+		if h.sc.hybridPlans[k].coord == 0 {
+			return false
+		}
+		for _, u := range arr[k].Writeset {
+			if arr[j].Writeset.Contains(u.Item) {
+				return true
+			}
+		}
+		return false
+	}
+	from := arr[i].At.Add(-worldNet.MaxDelayOrDefault())
+	for k := i - 1; k >= 0 && arr[k].At > from; k-- {
+		if writes(k) {
+			return true
+		}
+	}
+	for k := i + 1; k < len(arr) && arr[k].At < arr[j].At; k++ {
+		if k != j && writes(k) {
+			return true
+		}
+	}
+	return false
+}
+
+// takeLater returns the fate a fold gave arrival i at its partner's arrival.
+func (h *hybridRun) takeLater(i int) (fate, bool) {
+	for n, l := range h.later {
+		if l.i == i {
+			h.later = slices.Delete(h.later, n, n+1)
+			return l.f, l.ok
+		}
+	}
+	return fate{}, false
 }

@@ -99,10 +99,10 @@ type script struct {
 	// by every protocol column of the run (scripts are evaluated by one
 	// goroutine at a time). The plans carry everything about an arrival
 	// that is protocol-independent: probes, rerouting, reachability and
-	// the vote/ack round-trip arithmetic.
-	hybridMulti []bool
-	hybridPlans []arrivalPlan
-	hybridSeed  int64
+	// the vote/ack round-trip arithmetic; the partners are conflictClusters'.
+	hybridPartner []int
+	hybridPlans   []arrivalPlan
+	hybridSeed    int64
 	// seeds is the initial store table per site, built by the first
 	// newWorld and shared read-only by every world of the run (replay's and
 	// the hybrid's fallback) via engine.Config.SeedStores.

@@ -17,12 +17,28 @@ import (
 
 type oracleQuorum func(a *voting.Assignment, sites []types.SiteID) bool
 
+// writeEvery holds when the sites carry w(x) votes for every written item
+// (none written: never), readSome when they carry r(x) for at least one.
 func writeEvery(items []types.ItemID) oracleQuorum {
-	return func(a *voting.Assignment, sites []types.SiteID) bool { return a.WriteQuorumForEvery(items, sites) }
+	return func(a *voting.Assignment, sites []types.SiteID) bool {
+		for _, x := range items {
+			if ic, ok := a.Item(x); !ok || a.VotesFor(x, sites) < ic.W {
+				return false
+			}
+		}
+		return len(items) > 0
+	}
 }
 
 func readSome(items []types.ItemID) oracleQuorum {
-	return func(a *voting.Assignment, sites []types.SiteID) bool { return a.ReadQuorumForSome(items, sites) }
+	return func(a *voting.Assignment, sites []types.SiteID) bool {
+		for _, x := range items {
+			if ic, ok := a.Item(x); ok && a.VotesFor(x, sites) >= ic.R {
+				return true
+			}
+		}
+		return false
+	}
 }
 
 func siteVotes(votes map[types.SiteID]int, need int) oracleQuorum {
