@@ -550,20 +550,15 @@ func (h *hybridRun) classify(i int, a *arrival, p *arrivalPlan) (fate, bool) {
 		return fate{}, false
 	}
 	// A crash or restart is visible while the decision has yet to reach
-	// its site; a participant outside reach never had the transaction. A
-	// pure coordinator's own record is the first, at tDecide.
-	first := tDecide
-	if p.coordIn || len(p.faults) > 0 {
-		var last sim.Time
-		first, last = h.deliveries(p, tDecide)
-		for _, ev := range p.faults {
-			if ev.Site == p.coord {
-				if ev.At <= last {
-					return fate{}, false
-				}
-			} else if k := slices.Index(p.reach, ev.Site); k >= 0 && ev.At <= h.touch[k] {
+	// its site; a participant outside reach never had the transaction.
+	first, last := h.deliveries(p, tDecide)
+	for _, ev := range p.faults {
+		if ev.Site == p.coord {
+			if ev.At <= last {
 				return fate{}, false
 			}
+		} else if k := slices.Index(p.reach, ev.Site); k >= 0 && ev.At <= h.touch[k] {
+			return fate{}, false
 		}
 	}
 	return h.cut(a, p, fate{o, first}), true
@@ -693,13 +688,11 @@ type pairMember struct {
 // pairEnd is how a folded member ends: by its own plan's decision, aborted
 // at Begin, or aborted by its coordinator after NO votes. at is when its
 // coordinator sends the decision (endNo: the first NO's return, or the vote
-// deadline if that comes first), first when its first NO landed, and bit c
-// of no is set when it voted NO at h.common[c].
+// deadline if that comes first), and first when its first NO landed.
 type pairEnd struct {
 	how   endKind
 	at    sim.Time
 	first sim.Time
-	no    uint64
 }
 
 type endKind uint8
@@ -793,10 +786,20 @@ func (h *hybridRun) fold(i, j int) (fs [2]fate, ok bool) {
 			}
 		case endNo:
 			// An ABORT that reaches a site before its VOTE-REQ finds no
-			// context and is dropped. A NO voter then still votes no at its
-			// landing, but a yes-voter locks and waits for termination.
-			for k := range mx.p.reach {
-				if h.release(mx, ex, k) <= mx.land[k] && !h.votedNo(x, ex, k) {
+			// context and is dropped. A NO voter (a common site where this
+			// member lands inside the other's lock) then still votes no at
+			// its landing, but a yes-voter locks and waits for termination.
+			my, ey := &m[1-x], e[1-x]
+			for k, l := range mx.land {
+				if h.release(mx, ex, k) > l {
+					continue
+				}
+				n := slices.IndexFunc(h.common, func(c [2]int) bool { return c[x] == k })
+				if n < 0 {
+					return fs, false
+				}
+				ky := h.common[n][1-x]
+				if my.land[ky] >= l || h.release(my, ey, ky) <= l {
 					return fs, false
 				}
 			}
@@ -825,7 +828,7 @@ func (h *hybridRun) answer(x int, ey pairEnd) (ex pairEnd, ok bool) {
 			return pairEnd{how: endBegin, at: at, first: at}, true
 		}
 	}
-	for n, c := range h.common {
+	for _, c := range h.common {
 		lx, ly := mx.land[c[x]], my.land[c[y]]
 		if lx < ly {
 			continue // x locks here first: y cannot be holding a lock yet
@@ -842,19 +845,8 @@ func (h *hybridRun) answer(x int, ey pairEnd) (ex pairEnd, ok bool) {
 			ex = pairEnd{how: endNo, at: mx.p.voteDeadline, first: lx}
 		}
 		ex.at, ex.first = min(ex.at, ret), min(ex.first, lx)
-		ex.no |= 1 << n
 	}
 	return ex, true
-}
-
-// votedNo reports whether member x, ending as e, voted NO at its reach[k].
-func (h *hybridRun) votedNo(x int, e pairEnd, k int) bool {
-	for n, c := range h.common {
-		if c[x] == k {
-			return e.no&(1<<n) != 0
-		}
-	}
-	return false
 }
 
 // release is when member m, ending as e, releases its lock at reach[k]: the
@@ -866,7 +858,7 @@ func (h *hybridRun) release(m *pairMember, e pairEnd, k int) sim.Time {
 // commonSites lists into h.common the sites where both members' VOTE-REQs
 // land and lock a copy of an item both write, the only places the two can
 // meet, and sets h.beginSite. It reports false on two landings at one
-// instant there, or on more such sites than a pairEnd's NO mask holds.
+// instant there.
 func (h *hybridRun) commonSites() bool {
 	m := &h.pair
 	h.common, h.beginSite = h.common[:0], -1
@@ -886,7 +878,7 @@ func (h *hybridRun) commonSites() bool {
 					continue copies
 				}
 			}
-			if m[0].land[k0] == m[1].land[k1] || len(h.common) == 64 {
+			if m[0].land[k0] == m[1].land[k1] {
 				return false
 			}
 			if cp.Site == m[1].p.coord {

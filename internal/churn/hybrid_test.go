@@ -599,12 +599,42 @@ func TestHybridPairRefusesTies(t *testing.T) {
 // the ABORT first. Site 2 drops it (no context yet), then votes yes on the
 // VOTE-REQ and holds v's lock until termination aborts the transaction, long
 // after its plan end: a third writer of v, arriving just past that end, meets
-// the lock and aborts. The pair and the third writer all replay.
+// the lock and aborts. The pair and the third writer all replay. At a
+// common site it depends on the vote: a second writer of y that loses at
+// site 3, and whose VOTE-REQ reaches site 2 after its ABORT, votes yes there
+// and holds y's lock when it lands outside the first writer's lock (the pair
+// replays), and votes NO, holding nothing, when it lands inside it (the
+// pair is folded).
 func TestHybridPairRefusesEarlyAbort(t *testing.T) {
 	T := worldNet.MaxDelayOrDefault()
 	params := pinParams(sim.Time(sim.Second))
 	at := func(from, to types.SiteID, sent sim.Time) sim.Time {
 		return sent.Add(worldNet.Delay(pinSeed, from, to, sent))
+	}
+	for _, spec := range StandardBuilders() {
+		for _, held := range []bool{true, false} {
+			name := fmt.Sprintf("early ABORT at a common site, lock held %v", held)
+			sc := scanPair(t, name, params, spec, pairArrival(0, 1, "y"), pairArrival(0, 4, "y"), func(f []fate, a, b arrival) bool {
+				no := at(4, 3, b.At)
+				decide := min(at(3, 4, no), b.At.Add(2*T))
+				if f[1].o != types.OutcomeAborted || f[1].at != no || at(4, 2, decide) > at(4, 2, b.At) {
+					return false
+				}
+				// Site 2 voted yes if a third writer of y, arriving past
+				// both plan ends, meets its lock.
+				sc := pairScript(a, b)
+				if _, err := executeRunHybrid(sc, params, pinSeed, spec); err != nil {
+					t.Fatal(err)
+				}
+				end := max(sc.hybridPlans[0].end, sc.hybridPlans[1].end)
+				return held == (replayFates(pairScript(a, b, pairArrival(end+1, 4, "y")), params, spec)[2].o == types.OutcomeAborted)
+			})
+			want := 2
+			if held {
+				want = 0
+			}
+			requireAnalytic(t, name, sc, params, spec, want)
+		}
 	}
 	for _, spec := range StandardBuilders() {
 		sc := scanPair(t, "early ABORT", params, spec, pairArrival(0, 1, "z"), pairArrival(0, 4, "z", "v"), func(f []fate, _, b arrival) bool {
@@ -623,7 +653,7 @@ func TestHybridPairRefusesEarlyAbort(t *testing.T) {
 
 // TestHybridPairGuardsTheSecondMember pins the intervening-writer guard: a
 // third writer of the second member's item v (alone in its cluster) that
-// arrives T before the first member or later could lock v's copy in the
+// arrives later than T before the first member could lock v's copy in the
 // world after the probe at the first arrival, so the pair replays; one at
 // exactly T before does not hold the fold back.
 func TestHybridPairGuardsTheSecondMember(t *testing.T) {
